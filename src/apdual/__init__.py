@@ -7,8 +7,10 @@ certificates for the method's convergence and feasibility bounds.
 
 from .cmdp import (
     Cmdp,
+    NonFiniteError,
     SamplingConfig,
     Trajectory,
+    VectorStep,
     collect_batch,
     default_horizon,
     derived_seed,
@@ -65,8 +67,11 @@ from .policy import (
     TabularSoftmax,
     init_params,
     policy_act,
+    policy_act_batch,
     policy_grad_log_prob,
     policy_log_prob,
+    policy_log_probs,
+    policy_score_sum,
     softmax_table,
 )
 from .quadprog import (

@@ -17,12 +17,10 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .harness import (
     ConfigError,
-    CurveStats,
     VerificationError,
+    curve_stats,
     curve_to_csv,
     load_config,
     read_record_csv,
@@ -72,16 +70,7 @@ def _cmd_aggregate(args) -> int:
     if not runs:
         raise ConfigError(f"{directory}: no runs/seed_*.csv files found")
     # Rebuild per-seed curves straight from the stored CSVs.
-    cols = [read_record_csv(p) for p in runs]
-    stacks = {
-        name: np.stack([c[name] for c in cols])
-        for name in ("return", "cost", "lr", "lambda")
-    }
-    stats = CurveStats(
-        mean={k: v.mean(axis=0) for k, v in stacks.items()},
-        low={k: v.min(axis=0) for k, v in stacks.items()},
-        high={k: v.max(axis=0) for k, v in stacks.items()},
-    )
+    stats = curve_stats([read_record_csv(p) for p in runs])
     out = directory / "aggregate.csv"
     curve_to_csv(stats, out)
     print(f"wrote {out}")

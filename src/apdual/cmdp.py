@@ -19,6 +19,27 @@ seed may be an int or a tuple of ints.  Batch estimators give trajectory i
 of a batch rooted at ``seed`` the derived seed ``(*seed, i)`` (counter
 scheme), so any single trajectory of any batch can be regenerated in
 isolation and batches may be sampled concurrently.
+
+Lockstep batches.  A vector-state CMDP may also carry a ``VectorStep``: one
+transition, reward and cost computation for all n trajectories of a batch
+at once.  ``collect_batch`` then advances the n trajectories of a
+Gaussian-policy batch together over the arrays
+
+    states  (n, H+1, F)     actions (n, H, A)
+    rewards (n, H)          costs   (n, H, m)
+
+and returns row i as a ``Trajectory`` of views into them.  Each trajectory
+keeps its own derived-seed Generator: after ``initial_dist`` it draws all
+its standard normals up front as an (H, A + k) block, where row t holds the
+A action normals of step t followed by the k = ``VectorStep.noise_dim``
+transition normals of step t.  That is the order in which
+``sample_trajectory`` draws them one step at a time, so row i of a lockstep
+batch equals ``sample_trajectory(cmdp, params, H, derived_seed(seed, i))``
+bit for bit.  A CMDP without a ``VectorStep`` (tabular models) is sampled
+one trajectory and one step at a time.
+
+Samplers raise ``NonFiniteError`` on a non-finite reward, cost or vector
+state, and ``ValueError`` on a step cost whose norm exceeds B.
 """
 
 from __future__ import annotations
@@ -29,9 +50,48 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .policy import PolicyParams, TabularSoftmax, softmax_table
+from .policy import (
+    LinearGaussian,
+    PolicyParams,
+    TabularSoftmax,
+    policy_act_batch,
+    softmax_table,
+)
 
 Seed = int | Sequence[int]
+
+
+class NonFiniteError(ValueError):
+    """A sampled signal, a state, an estimate or an iterate is NaN or
+    infinite."""
+
+
+def require_finite(name: str, values) -> None:
+    """Raise NonFiniteError naming the first non-finite entry of values."""
+    arr = np.asarray(values, dtype=float)
+    flat = arr.reshape(-1)
+    if math.isfinite(flat @ flat):  # cheap screen: then every entry is finite
+        return
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise NonFiniteError(f"non-finite {name} at index {where}")
+
+
+@dataclass(frozen=True)
+class VectorStep:
+    """One lockstep transition of n stacked vector states.
+
+    ``fn(states, actions, normals)`` takes (n, F) states, (n, A) actions and
+    (n, noise_dim) standard normals and returns the (n, F) next states with
+    the (n,) rewards and the (n,) or (n, m) costs of the n steps, computed in
+    one pass.  It must agree with the CMDP's per-step ``transition``,
+    ``reward`` and ``costs`` callbacks, where ``transition`` draws
+    ``noise_dim`` standard normals per step from its Generator.
+    """
+
+    noise_dim: int
+    fn: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
 
 
 @dataclass(frozen=True)
@@ -40,7 +100,8 @@ class Cmdp:
 
     States are integer indices for tabular models (``n_states``/``n_actions``
     set) and real vectors otherwise.  ``costs`` may return a scalar when
-    ``n_costs == 1``; samplers normalize to an m-vector.
+    ``n_costs == 1``; samplers normalize to an m-vector.  ``vector_step``,
+    when set, lets ``collect_batch`` sample a batch in lockstep.
     """
 
     gamma: float
@@ -52,6 +113,7 @@ class Cmdp:
     costs: Callable[[Any, Any, Any], Any]
     n_states: int | None = None
     n_actions: int | None = None
+    vector_step: VectorStep | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
@@ -82,15 +144,16 @@ class SamplingConfig:
 
 @dataclass
 class Trajectory:
-    """A fixed-horizon rollout stored as parallel arrays.
+    """A fixed-horizon rollout stored as parallel sequences.
 
     ``states`` has length T+1 (the final entry is the state reached by the
     last transition); ``actions`` has length T; ``rewards`` is (T,) and
-    ``costs`` is (T, m).
+    ``costs`` is (T, m).  States and actions are lists from the per-step
+    sampler and (T+1, F) / (T, A) array views from a lockstep batch.
     """
 
-    states: list
-    actions: list
+    states: Sequence
+    actions: Sequence
     rewards: np.ndarray
     costs: np.ndarray
 
@@ -101,14 +164,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.actions)
-
-    @property
-    def steps(self):
-        """The (state, action, reward, cost-vector) view of the rollout."""
-        return [
-            (self.states[t], self.actions[t], float(self.rewards[t]), self.costs[t])
-            for t in range(len(self))
-        ]
 
 
 def default_horizon(gamma: float, rel_tail: float = 1e-3) -> int:
@@ -129,10 +184,12 @@ def derived_seed(seed: Seed, index: int) -> tuple:
 def sample_trajectory(
     cmdp: Cmdp, params: PolicyParams, horizon: int, seed: Seed
 ) -> Trajectory:
-    """Roll out exactly `horizon` steps of pi_theta in the CMDP.
+    """Roll out exactly `horizon` steps of pi_theta in the CMDP, one step at
+    a time.
 
-    Deterministic in (cmdp, params, horizon, seed).  Raises ValueError if a
-    sampled step cost exceeds the declared bound B.
+    Deterministic in (cmdp, params, horizon, seed).  Raises NonFiniteError on
+    a non-finite reward, cost or vector state, and ValueError if a sampled
+    step cost exceeds the declared bound B.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -168,21 +225,33 @@ def sample_trajectory(
             costs.append(cmdp.costs(state, action, nxt))
             states.append(nxt)
             state = nxt
+        require_finite("states", states)
 
     reward_arr = np.asarray(rewards, dtype=float)
+    cost_arr = _checked_signals(cmdp, reward_arr, costs)
+    return Trajectory(states, actions, reward_arr, cost_arr)
+
+
+def _checked_signals(cmdp: Cmdp, rewards: np.ndarray, costs) -> np.ndarray:
+    """Costs with a trailing m axis, once rewards and costs are finite and
+    every step cost norm is within B."""
     cost_arr = np.asarray(costs, dtype=float)
-    if cost_arr.ndim == 1:
-        cost_arr = cost_arr[:, None]
-    if cost_arr.shape[1] != cmdp.n_costs:
+    if cost_arr.ndim == rewards.ndim:
+        cost_arr = cost_arr[..., None]
+    if cost_arr.shape[-1] != cmdp.n_costs:
         raise ValueError("cost dimension does not match cmdp.n_costs")
-    # Assumption: per-step cost norm <= B.  Vectorized over the rollout.
-    norms = np.linalg.norm(cost_arr, axis=1)
-    if norms.size and float(norms.max()) > cmdp.cost_bound * (1.0 + 1e-12):
+    require_finite("rewards", rewards)
+    # Assumption: per-step cost norm <= B.  Vectorized over the rollout.  A
+    # NaN or infinite cost has a NaN or infinite norm, so this one
+    # comparison also screens the costs for finiteness.
+    worst = float(np.linalg.norm(cost_arr, axis=-1).max())
+    if not worst <= cmdp.cost_bound * (1.0 + 1e-12):
+        require_finite("costs", cost_arr)
         raise ValueError(
-            f"sampled step cost norm {norms.max():g} exceeds declared bound "
+            f"sampled step cost norm {worst:g} exceeds declared bound "
             f"{cmdp.cost_bound:g}"
         )
-    return Trajectory(states, actions, reward_arr, cost_arr)
+    return cost_arr
 
 
 def discounted_value(traj: Trajectory, gamma: float) -> tuple[float, np.ndarray]:
@@ -199,11 +268,63 @@ def discounted_value(traj: Trajectory, gamma: float) -> tuple[float, np.ndarray]
 def collect_batch(
     cmdp: Cmdp, params: PolicyParams, sampling: SamplingConfig, seed: Seed
 ) -> list[Trajectory]:
-    """n_traj independent rollouts with the documented derived seeds."""
+    """n_traj independent rollouts with the documented derived seeds;
+    sampled in lockstep when the CMDP has a VectorStep."""
+    if cmdp.vector_step is not None:
+        return _collect_lockstep(cmdp, params, sampling, seed)
     return [
         sample_trajectory(cmdp, params, sampling.horizon, derived_seed(seed, i))
         for i in range(sampling.n_traj)
     ]
+
+
+def _collect_lockstep(
+    cmdp: Cmdp, params: PolicyParams, sampling: SamplingConfig, seed: Seed
+) -> list[Trajectory]:
+    """The batch of collect_batch, all trajectories advanced together (see
+    the module docstring for the array shapes and the stream layout)."""
+    if not isinstance(params.kind, LinearGaussian):
+        raise TypeError("lockstep sampling needs a Gaussian policy")
+    n, horizon = sampling.n_traj, sampling.horizon
+    a_dim = params.kind.action_dim
+    step = cmdp.vector_step
+    rngs = [np.random.default_rng(derived_seed(seed, i)) for i in range(n)]
+    state = np.array([cmdp.initial_dist(rng) for rng in rngs], dtype=float)
+    # (H, n, A + k): step t of every trajectory is one contiguous block.
+    normals = np.stack(
+        [rng.standard_normal((horizon, a_dim + step.noise_dim)) for rng in rngs],
+        axis=1,
+    )
+    states, actions, rewards, costs = [state], [], [], []
+    for t in range(horizon):
+        action = policy_act_batch(params, state, normals[t, :, :a_dim])
+        state, reward, cost = step.fn(state, action, normals[t, :, a_dim:])
+        states.append(state)
+        actions.append(action)
+        rewards.append(reward)
+        costs.append(cost)
+    states = np.stack(states, axis=1)
+    actions = np.stack(actions, axis=1)
+    reward_arr = np.stack(rewards, axis=1)
+    cost_arr = _checked_signals(cmdp, reward_arr, np.stack(costs, axis=1))
+    require_finite("states", states)
+    return [
+        Trajectory(states[i], actions[i], reward_arr[i], cost_arr[i])
+        for i in range(n)
+    ]
+
+
+def stack_batch(trajs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Equal-length trajectories as (states, actions, rewards, costs) arrays
+    of shapes (n, T+1[, F]), (n, T[, A]), (n, T) and (n, T, m)."""
+    if len({len(traj) for traj in trajs}) != 1:
+        raise ValueError("a batch needs one or more trajectories of one length")
+    return (
+        np.asarray([traj.states for traj in trajs]),
+        np.asarray([traj.actions for traj in trajs]),
+        np.asarray([traj.rewards for traj in trajs], dtype=float),
+        np.asarray([traj.costs for traj in trajs], dtype=float),
+    )
 
 
 def estimate_objectives(

@@ -17,11 +17,12 @@ goal is absorbing (reward granted on entry, zero reward/cost afterwards).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cmdp import Cmdp
+from .cmdp import Cmdp, VectorStep
 
 
 @dataclass(frozen=True)
@@ -52,74 +53,99 @@ class PointEnvConfig:
             raise ValueError("noise_std must be nonnegative")
 
 
-def run_reward_cost(p_prev, p, v, cfg: PointEnvConfig) -> tuple[float, float]:
+def _norm(x: np.ndarray) -> np.ndarray:
+    # sqrt(vecdot) equals np.linalg.norm of each 2-vector bit for bit;
+    # np.linalg.norm(x, axis=-1) does not.
+    return np.sqrt(np.vecdot(x, x))
+
+
+def run_reward_cost(p_prev, p, v, cfg: PointEnvConfig):
     """Run task: progress toward the goal, cost for leaving the band or
     speeding.
 
         r = ||p_prev - g|| - ||p - g||
         c = 1(|p_y| > y_lim) + 1(||v|| > v_lim)
+
+    Positions and velocities are (..., 2) arrays; rewards and costs have
+    the leading shape (a scalar for single 2-vectors).
     """
     g = np.asarray(cfg.goal, dtype=float)
     p_prev = np.asarray(p_prev, dtype=float)
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    reward = float(np.linalg.norm(p_prev - g) - np.linalg.norm(p - g))
-    cost = float(abs(p[1]) > cfg.y_lim) + float(np.linalg.norm(v) > cfg.v_lim)
+    reward = _norm(p_prev - g) - _norm(p - g)
+    cost = (np.abs(p[..., 1]) > cfg.y_lim).astype(float) + (
+        _norm(v) > cfg.v_lim
+    ).astype(float)
     return reward, cost
 
 
-def circle_reward_cost(p, v, cfg: PointEnvConfig) -> tuple[float, float]:
+def circle_reward_cost(p, v, cfg: PointEnvConfig):
     """Circle task: angular momentum rewarded near the target radius, cost
     for leaving the |p_x| band.
 
         r = (-p_y v_x + p_x v_y) / (1 + | ||p|| - o |)
         c = 1(|p_x| > x_lim)
+
+    Shapes as in run_reward_cost.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    numer = -p[1] * v[0] + p[0] * v[1]
-    denom = 1.0 + abs(float(np.linalg.norm(p)) - cfg.circle_radius)
-    return float(numer / denom), float(abs(p[0]) > cfg.x_lim)
+    numer = -p[..., 1] * v[..., 0] + p[..., 0] * v[..., 1]
+    denom = 1.0 + np.abs(_norm(p) - cfg.circle_radius)
+    return numer / denom, (np.abs(p[..., 0]) > cfg.x_lim).astype(float)
 
 
 def make_point_env(task: str, cfg: PointEnvConfig, gamma: float = 0.99) -> Cmdp:
     """Cmdp over states (p, v) in R^4 with actions in R^2, m = 1.
 
     The Run task starts at the origin at rest; the Circle task starts on the
-    circle at (o, 0) at rest.
+    circle at (o, 0) at rest.  The per-step callbacks and the lockstep
+    VectorStep share one dynamics and one reward/cost function, both written
+    over (..., 4) state arrays; the VectorStep computes reward and cost of n
+    steps in a single call.
     """
     if task not in ("run", "circle"):
         raise ValueError(f"unknown point task {task!r}")
     scale_dt = cfg.action_scale * cfg.dt
     noise = cfg.noise_std
+    noise_dim = 2 if noise > 0.0 else 0
 
-    def transition(state, action, rng):
-        a = np.asarray(action, dtype=float)
-        v = state[2:] + a * scale_dt
+    def move(state, action, normals):
+        v = state[..., 2:] + action * scale_dt
         if noise > 0.0:
-            v = v + noise * rng.standard_normal(2)
-        p = state[:2] + v * cfg.dt
-        return np.concatenate([p, v])
+            v = v + noise * normals
+        p = state[..., :2] + v * cfg.dt
+        return np.concatenate([p, v], axis=-1)
 
     if task == "run":
         start = np.zeros(4)
         bound = 2.0  # both indicators can fire
 
-        def reward(s, a, s2):
-            return run_reward_cost(s[:2], s2[:2], s2[2:], cfg)[0]
-
-        def costs(s, a, s2):
-            return run_reward_cost(s[:2], s2[:2], s2[2:], cfg)[1]
+        def signals(s, s2):
+            return run_reward_cost(s[..., :2], s2[..., :2], s2[..., 2:], cfg)
 
     else:
         start = np.array([cfg.circle_radius, 0.0, 0.0, 0.0])
         bound = 1.0
 
-        def reward(s, a, s2):
-            return circle_reward_cost(s2[:2], s2[2:], cfg)[0]
+        def signals(s, s2):
+            return circle_reward_cost(s2[..., :2], s2[..., 2:], cfg)
 
-        def costs(s, a, s2):
-            return circle_reward_cost(s2[:2], s2[2:], cfg)[1]
+    def transition(state, action, rng):
+        normals = rng.standard_normal(noise_dim) if noise_dim else None
+        return move(state, np.asarray(action, dtype=float), normals)
+
+    def reward(s, a, s2):
+        return signals(s, s2)[0]
+
+    def costs(s, a, s2):
+        return signals(s, s2)[1]
+
+    def step(states, actions, normals):
+        nxt = move(states, actions, normals)
+        reward_arr, cost_arr = signals(states, nxt)
+        return nxt, reward_arr, cost_arr
 
     return Cmdp(
         gamma=gamma,
@@ -129,6 +155,7 @@ def make_point_env(task: str, cfg: PointEnvConfig, gamma: float = 0.99) -> Cmdp:
         transition=transition,
         reward=reward,
         costs=costs,
+        vector_step=VectorStep(noise_dim, step),
     )
 
 
@@ -221,11 +248,14 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
     )
 
 
+@functools.lru_cache(maxsize=16)
 def gridworld_kernel(spec: GridworldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact model (P, R, C): P is (S, A, S), R and C are expected per (s, a).
 
     Mirrors make_gridworld exactly, including slip mixing and the absorbing
     goal; this is the dynamic-programming side of the dual-route checks.
+    Built once per (frozen, hashable) spec; the arrays are read-only because
+    every caller shares them.
     """
     s_n = spec.n_cells
     moves = grid_move_table(spec)
@@ -254,31 +284,16 @@ def gridworld_kernel(spec: GridworldSpec) -> tuple[np.ndarray, np.ndarray, np.nd
                     + (spec.goal_reward if s2 == spec.goal_cell else 0.0)
                 )
                 c[s, a] += w * (spec.hazard_cost if hazard[s2] else 0.0)
+    for arr in (p, r, c):
+        arr.setflags(write=False)
     return p, r, c
-
-
-def exact_policy_eval(
-    spec: GridworldSpec, probs: np.ndarray, gamma: float, horizon: int
-) -> tuple[float, float]:
-    """Horizon-truncated (J_R, J_C) of an action-probability table by
-    backward induction, matching the Monte-Carlo estimand exactly."""
-    p, r, c = gridworld_kernel(spec)
-    p_pi = np.einsum("sa,sat->st", probs, p)
-    r_pi = (probs * r).sum(axis=1)
-    c_pi = (probs * c).sum(axis=1)
-    v_r = np.zeros(spec.n_cells)
-    v_c = np.zeros(spec.n_cells)
-    for _ in range(horizon):
-        v_r = r_pi + gamma * (p_pi @ v_r)
-        v_c = c_pi + gamma * (p_pi @ v_c)
-    return float(v_r[spec.start_cell]), float(v_c[spec.start_cell])
 
 
 def policy_state_values(
     spec: GridworldSpec, probs: np.ndarray, gamma: float, horizon: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state truncated values (v_R, v_C) under the given policy table;
-    used as exact baselines for advantage estimation."""
+    """Per-state truncated values (v_R, v_C) under the given policy table by
+    backward induction; used as exact baselines for advantage estimation."""
     p, r, c = gridworld_kernel(spec)
     p_pi = np.einsum("sa,sat->st", probs, p)
     r_pi = (probs * r).sum(axis=1)
@@ -289,6 +304,15 @@ def policy_state_values(
         v_r = r_pi + gamma * (p_pi @ v_r)
         v_c = c_pi + gamma * (p_pi @ v_c)
     return v_r, v_c
+
+
+def exact_policy_eval(
+    spec: GridworldSpec, probs: np.ndarray, gamma: float, horizon: int
+) -> tuple[float, float]:
+    """Horizon-truncated (J_R, J_C) of an action-probability table from the
+    start cell, matching the Monte-Carlo estimand exactly."""
+    v_r, v_c = policy_state_values(spec, probs, gamma, horizon)
+    return float(v_r[spec.start_cell]), float(v_c[spec.start_cell])
 
 
 def default_hazard_gridworld() -> GridworldSpec:

@@ -67,6 +67,7 @@ from .solver import RunRecord, SolverConfig, apd_run, papd_run, verify_bounds
 OUTPUT_ROOT_ENV = "APDUAL_OUTPUT_ROOT"
 SCHEMA_VERSION = 1
 CSV_COLUMNS = ("step", "return", "cost", "lr", "lambda")
+CURVE_NAMES = CSV_COLUMNS[1:]
 
 TASKS = ("testbed", "gridworld", "point-run", "point-circle")
 ALGORITHMS = ("apd", "papd-reinforce", "papd-ppol")
@@ -394,21 +395,24 @@ def _record_metrics(record: RunRecord) -> dict[str, np.ndarray]:
     }
 
 
-def aggregate_seeds(records: list[RunRecord]) -> CurveStats:
-    if not records:
+def curve_stats(curves: list[dict[str, np.ndarray]]) -> CurveStats:
+    """Pointwise mean/min/max across per-seed curves, each a mapping from
+    the CURVE_NAMES to equal-length arrays (records or parsed CSVs)."""
+    if not curves:
         raise ValueError("no records to aggregate")
-    k_iter = records[0].iterations
-    if any(r.iterations != k_iter for r in records):
+    k_iter = len(curves[0]["return"])
+    if any(len(c[name]) != k_iter for c in curves for name in CURVE_NAMES):
         raise ValueError("records disagree on iteration count")
-    stacks = {
-        name: np.stack([_record_metrics(r)[name] for r in records])
-        for name in ("return", "cost", "lr", "lambda")
-    }
+    stacks = {name: np.stack([c[name] for c in curves]) for name in CURVE_NAMES}
     return CurveStats(
         mean={k: v.mean(axis=0) for k, v in stacks.items()},
         low={k: v.min(axis=0) for k, v in stacks.items()},
         high={k: v.max(axis=0) for k, v in stacks.items()},
     )
+
+
+def aggregate_seeds(records: list[RunRecord]) -> CurveStats:
+    return curve_stats([_record_metrics(r) for r in records])
 
 
 def final_window_stats(record: RunRecord, window: float) -> dict[str, float]:
@@ -488,7 +492,9 @@ def run_experiment(cfg: ExperimentConfig | str | Path) -> ExperimentResult:
             cert_dir = out_dir / "certificates"
             cert_dir.mkdir(exist_ok=True)
             cert_path = cert_dir / f"seed_{seed}.json"
-            cert_path.write_text(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
+            cert_path.write_text(
+                json.dumps(cert.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+            )
             cert_paths.append(cert_path)
             entry["certificate_passed"] = cert.passed
             certs_ok = certs_ok and cert.passed
@@ -504,7 +510,9 @@ def run_experiment(cfg: ExperimentConfig | str | Path) -> ExperimentResult:
         "wall_clock_s": time.perf_counter() - started,
     }
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True))
+    summary_path.write_text(
+        json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    )
     return ExperimentResult(
         output_dir=out_dir,
         records=records,
@@ -593,16 +601,15 @@ def sweep(
 
 
 def curve_to_csv(stats: CurveStats, path: str | Path) -> None:
-    names = ("return", "cost", "lr", "lambda")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["step"]
-        for name in names:
+        for name in CURVE_NAMES:
             header += [f"{name}_mean", f"{name}_min", f"{name}_max"]
         writer.writerow(header)
         for k in range(stats.n_steps()):
             row = [k]
-            for name in names:
+            for name in CURVE_NAMES:
                 row += [
                     repr(float(stats.mean[name][k])),
                     repr(float(stats.low[name][k])),

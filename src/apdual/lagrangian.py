@@ -10,16 +10,30 @@ so gradient descent on L maximizes return while penalizing violation.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cmdp import Cmdp, SamplingConfig, Seed, collect_batch, discounted_value
-from .policy import (
+from .cmdp import (
+    Cmdp,
+    NonFiniteError,
+    SamplingConfig,
+    Seed,
+    collect_batch,
+    discounted_value,
+    stack_batch,
+)
+# The per-sample policy_log_prob / policy_grad_log_prob are no longer called
+# here but stay importable from this module: perfbench/tracing.py counts
+# their calls under these names.
+from .policy import (  # noqa: F401
     PolicyParams,
     TabularSoftmax,
     policy_grad_log_prob,
     policy_log_prob,
+    policy_log_probs,
+    policy_score_sum,
     softmax_table,
 )
 
@@ -74,19 +88,24 @@ class PpolConfig:
 
 @dataclass
 class AdvantageBatch:
-    """Flattened per-step samples for the surrogate update.
+    """Flattened per-step samples for the surrogate update, as arrays with
+    one row per sample: states (N,) ints or (N, F), actions (N,) ints or
+    (N, A), log_prob_old and adv_r (N,), adv_c (N, m).
 
     adv_r is centered by its batch mean at assembly (see advantage_batch);
-    adv_c is (N, m) and left uncentered since its sign drives the penalty.
+    adv_c is left uncentered since its sign drives the penalty.  Indexing
+    with an index array gives the minibatch of those rows.
     """
 
-    states: list
-    actions: list
+    states: np.ndarray
+    actions: np.ndarray
     log_prob_old: np.ndarray
     adv_r: np.ndarray
     adv_c: np.ndarray
 
     def __post_init__(self) -> None:
+        self.states = np.asarray(self.states)
+        self.actions = np.asarray(self.actions)
         n = len(self.states)
         self.log_prob_old = np.asarray(self.log_prob_old, dtype=float)
         self.adv_r = np.asarray(self.adv_r, dtype=float)
@@ -105,10 +124,21 @@ class AdvantageBatch:
             and np.isfinite(self.adv_c).all()
             and np.isfinite(self.log_prob_old).all()
         ):
-            raise ValueError("batch contains non-finite values")
+            raise NonFiniteError("batch contains non-finite values")
 
     def __len__(self) -> int:
         return len(self.states)
+
+    def __getitem__(self, idx: np.ndarray) -> "AdvantageBatch":
+        # Rows of a checked batch need no second check: copy.copy skips
+        # __post_init__.
+        sub = copy.copy(self)
+        sub.states = self.states[idx]
+        sub.actions = self.actions[idx]
+        sub.log_prob_old = self.log_prob_old[idx]
+        sub.adv_r = self.adv_r[idx]
+        sub.adv_c = self.adv_c[idx]
+        return sub
 
 
 def lagrangian_value(
@@ -142,10 +172,8 @@ def trajectory_score(params: PolicyParams, traj) -> np.ndarray:
         ).astype(float)
         visits = np.bincount(states, minlength=kind.n_states).astype(float)
         return counts - (visits[:, None] * probs).ravel()
-    score = np.zeros_like(params.theta)
-    for t in range(len(traj)):
-        score += policy_grad_log_prob(params, traj.states[t], traj.actions[t])
-    return score
+    t = len(traj)
+    return policy_score_sum(params, traj.states[:t], traj.actions, np.ones(t))
 
 
 def reinforce_grad(
@@ -184,26 +212,33 @@ def reinforce_grad_from_batch(
     return grad / n
 
 
+def backward_sums(x: np.ndarray, decay: float) -> np.ndarray:
+    """y[:, t] = x[:, t] + decay * y[:, t+1] with y[:, T] = 0: one backward
+    pass over all n rows of an (n, T, ...) array."""
+    out = np.empty_like(x)
+    acc = np.zeros_like(x[:, 0])
+    for t in range(x.shape[1] - 1, -1, -1):
+        acc = x[:, t] + decay * acc
+        out[:, t] = acc
+    return out
+
+
 def _gae(
-    rewards: np.ndarray, values: np.ndarray, gamma: float, gae_lambda: float
+    signals: np.ndarray, values: np.ndarray, gamma: float, gae_lambda: float
 ) -> np.ndarray:
-    t = len(rewards)
-    if len(values) != t + 1:
+    """GAE of (n, T, ...) per-step signals against (n, T+1, ...) values."""
+    if values.shape[1] != signals.shape[1] + 1:
         raise ValueError("values must have length len(rewards) + 1")
-    deltas = rewards + gamma * values[1:] - values[:-1]
-    adv = np.empty(t)
-    acc = 0.0
-    for i in range(t - 1, -1, -1):
-        acc = deltas[i] + gamma * gae_lambda * acc
-        adv[i] = acc
-    return adv
+    deltas = signals + gamma * values[:, 1:] - values[:, :-1]
+    return backward_sums(deltas, gamma * gae_lambda)
 
 
 def gae_advantages(traj, values, gamma: float, gae_lambda: float) -> np.ndarray:
     """A_t = sum_l (gamma * gae_lambda)^l delta_{t+l} with
     delta_t = r_t + gamma V_{t+1} - V_t; values carries the bootstrap entry."""
-    return _gae(np.asarray(traj.rewards, dtype=float), np.asarray(values, dtype=float),
-                gamma, gae_lambda)
+    rewards = np.asarray(traj.rewards, dtype=float)
+    values = np.asarray(values, dtype=float)
+    return _gae(rewards[None], values[None], gamma, gae_lambda)[0]
 
 
 def advantage_batch(
@@ -213,47 +248,44 @@ def advantage_batch(
     cfg: PpolConfig,
     values_fn,
 ) -> AdvantageBatch:
-    """Flatten rollouts into an AdvantageBatch.
+    """Flatten equal-length rollouts into an AdvantageBatch.
 
     values_fn(traj) must return (v_r, v_c) with v_r of length T+1 and v_c of
-    shape (T+1, m).  Reward advantages are centered by their batch mean, so
+    shape (T+1, m).  Reward and cost advantages come from one GAE pass over
+    the whole batch.  Reward advantages are centered by their batch mean, so
     the assembled batch (and hence the surrogate gradient) is invariant to a
     constant shift of the raw reward advantages.
     """
-    states: list = []
-    actions: list = []
-    lp_old: list = []
-    adv_r: list = []
-    adv_c: list = []
-    for traj in trajs:
+    states, actions, rewards, costs = stack_batch(trajs)
+    n, t, m = costs.shape
+    values = np.empty((n, t + 1, 1 + m))
+    for i, traj in enumerate(trajs):
         v_r, v_c = values_fn(traj)
         v_c = np.atleast_2d(np.asarray(v_c, dtype=float))
-        if v_c.shape[0] != len(traj) + 1:
+        if v_c.shape[0] != t + 1:
             v_c = v_c.T
-        adv_r.append(_gae(traj.rewards, v_r, gamma, cfg.gae_lambda))
-        cols = [
-            _gae(traj.costs[:, j], v_c[:, j], gamma, cfg.gae_lambda)
-            for j in range(traj.costs.shape[1])
-        ]
-        adv_c.append(np.stack(cols, axis=1))
-        for t in range(len(traj)):
-            states.append(traj.states[t])
-            actions.append(traj.actions[t])
-            lp_old.append(policy_log_prob(params_old, traj.states[t], traj.actions[t]))
-    adv_r_arr = np.concatenate(adv_r)
-    adv_r_arr = adv_r_arr - adv_r_arr.mean()
+        v_r = np.asarray(v_r, dtype=float)
+        if v_r.shape != (t + 1,) or v_c.shape != (t + 1, m):
+            raise ValueError("values must have length len(rewards) + 1")
+        values[i, :, 0] = v_r
+        values[i, :, 1:] = v_c
+    signals = np.concatenate([rewards[:, :, None], costs], axis=2)
+    adv = _gae(signals, values, gamma, cfg.gae_lambda).reshape(n * t, 1 + m)
+    adv_r = adv[:, 0].copy()
+    adv_r = adv_r - adv_r.mean()
+    flat_states = states[:, :t].reshape(n * t, *states.shape[2:])
+    flat_actions = actions.reshape(n * t, *actions.shape[2:])
     return AdvantageBatch(
-        states, actions, np.asarray(lp_old), adv_r_arr, np.concatenate(adv_c, axis=0)
+        flat_states,
+        flat_actions,
+        policy_log_probs(params_old, flat_states, flat_actions),
+        adv_r,
+        adv[:, 1:],
     )
 
 
 def _ratios(batch: AdvantageBatch, params: PolicyParams) -> np.ndarray:
-    lp = np.array(
-        [
-            policy_log_prob(params, batch.states[i], batch.actions[i])
-            for i in range(len(batch))
-        ]
-    )
+    lp = policy_log_probs(params, batch.states, batch.actions)
     return np.exp(lp - batch.log_prob_old)
 
 
@@ -293,10 +325,6 @@ def ppol_surrogate_grad(
     clipped = np.clip(rho, lower, upper)
     active = rho * batch.adv_r <= clipped * batch.adv_r  # unclipped branch is the min
     coeff = (active * rho * batch.adv_r - lam * rho * batch.adv_c[:, 0]) / (1.0 + lam)
-    grad = np.zeros_like(params.theta)
-    for i in range(len(batch)):
-        if coeff[i] != 0.0:
-            grad += coeff[i] * policy_grad_log_prob(
-                params, batch.states[i], batch.actions[i]
-            )
+    nz = np.flatnonzero(coeff)
+    grad = policy_score_sum(params, batch.states[nz], batch.actions[nz], coeff[nz])
     return grad / len(batch)

@@ -87,13 +87,6 @@ def softmax_table(params: PolicyParams) -> np.ndarray:
     return z / z.sum(axis=1, keepdims=True)
 
 
-def _state_probs(params: PolicyParams, state: int) -> np.ndarray:
-    kind = params.kind
-    row = params.theta[state * kind.n_actions : (state + 1) * kind.n_actions]
-    z = np.exp(row - row.max())
-    return z / z.sum()
-
-
 def _gaussian_parts(params: PolicyParams):
     kind = params.kind
     n = kind.action_dim * kind.feature_dim
@@ -102,56 +95,118 @@ def _gaussian_parts(params: PolicyParams):
     return w, log_std
 
 
+def _gaussian_means(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # Stacked (1, A, F) @ (N, F, 1) products give every row bit-for-bit the
+    # value of w @ x_i; x @ w.T does not.
+    return (w[None] @ x[:, :, None])[..., 0]
+
+
+def _samples(params: PolicyParams, states, actions):
+    """Stacked samples as arrays: (N,) int indices for tabular policies,
+    (N, F) states and (N, A) actions for Gaussian ones."""
+    kind = params.kind
+    if isinstance(kind, TabularSoftmax):
+        s = np.asarray(states, dtype=np.int64)
+        a = np.asarray(actions, dtype=np.int64)
+        if s.ndim != 1 or a.shape != s.shape:
+            raise ValueError("tabular samples need equal-length 1-d states and actions")
+        if s.size and (s.min() < 0 or s.max() >= kind.n_states):
+            raise ValueError("state outside tabular range")
+        if a.size and (a.min() < 0 or a.max() >= kind.n_actions):
+            raise ValueError("action outside tabular range")
+        return s, a
+    x = np.asarray(states, dtype=float)
+    a = np.asarray(actions, dtype=float)
+    if x.ndim != 2 or x.shape[1] != kind.feature_dim:
+        raise ValueError("state dimension incompatible with descriptor")
+    if a.shape != (x.shape[0], kind.action_dim):
+        raise ValueError("action dimension incompatible with descriptor")
+    return x, a
+
+
+def policy_act_batch(params: PolicyParams, states, normals) -> np.ndarray:
+    """Gaussian actions W s_i + exp(log_std) * normals_i for stacked (N, F)
+    states and (N, A) standard normals."""
+    kind = params.kind
+    if not isinstance(kind, LinearGaussian):
+        raise TypeError("policy_act_batch requires a Gaussian descriptor")
+    w, log_std = _gaussian_parts(params)
+    x, z = _samples(params, states, normals)
+    return _gaussian_means(w, x) + np.exp(log_std) * z
+
+
 def policy_act(params: PolicyParams, state, rng: np.random.Generator):
     """Sample an action from pi_theta(.|state)."""
     kind = params.kind
     if isinstance(kind, TabularSoftmax):
         if not 0 <= int(state) < kind.n_states:
             raise ValueError(f"state {state} outside tabular range")
-        cdf = np.cumsum(_state_probs(params, int(state)))
-        return int(np.searchsorted(cdf, rng.random(), side="right"))
-    w, log_std = _gaussian_parts(params)
+        probs = softmax_table(params)[int(state)]
+        return int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
     x = np.asarray(state, dtype=float)
     if x.shape != (kind.feature_dim,):
         raise ValueError("state dimension incompatible with descriptor")
-    return w @ x + np.exp(log_std) * rng.standard_normal(kind.action_dim)
+    z = rng.standard_normal(kind.action_dim)
+    return policy_act_batch(params, x[None], z[None])[0]
+
+
+def policy_log_probs(params: PolicyParams, states, actions) -> np.ndarray:
+    """log pi_theta(a_i|s_i) for N stacked samples, shape (N,)."""
+    kind = params.kind
+    s, a = _samples(params, states, actions)
+    if isinstance(kind, TabularSoftmax):
+        p = softmax_table(params)[s, a]
+        if (p <= 0.0).any():
+            raise ValueError("zero-probability action")
+        return np.log(p)
+    w, log_std = _gaussian_parts(params)
+    z = (a - _gaussian_means(w, s)) / np.exp(log_std)
+    return (
+        np.vecdot(-0.5 * z, z)
+        - log_std.sum()
+        - 0.5 * kind.action_dim * math.log(2.0 * math.pi)
+    )
+
+
+def _score_rows(params: PolicyParams, states, actions) -> np.ndarray:
+    """(N, param_count) exact scores d/dtheta log pi_theta(a_i|s_i)."""
+    kind = params.kind
+    s, a = _samples(params, states, actions)
+    n_samples = s.shape[0]
+    if isinstance(kind, TabularSoftmax):
+        rows = np.zeros((n_samples, kind.n_states, kind.n_actions))
+        idx = np.arange(n_samples)
+        rows[idx, s] -= softmax_table(params)[s]
+        rows[idx, s, a] += 1.0
+        return rows.reshape(n_samples, kind.param_count)
+    w, log_std = _gaussian_parts(params)
+    diff = a - _gaussian_means(w, s)
+    resid = diff * np.exp(-2.0 * log_std)  # (a - m) / sigma^2
+    n = kind.action_dim * kind.feature_dim
+    rows = np.empty((n_samples, kind.param_count))
+    rows[:, :n] = (resid[:, :, None] * s[:, None, :]).reshape(n_samples, n)
+    rows[:, n:] = diff * resid - 1.0  # ((a - m)/sigma)^2 - 1
+    return rows
+
+
+def policy_score_sum(params: PolicyParams, states, actions, weights) -> np.ndarray:
+    """sum_i weights[i] * d/dtheta log pi_theta(a_i|s_i), shaped like theta.
+
+    Rows are added in sample order starting from zero, so the result equals
+    the sequential ``grad += weights[i] * score_i`` bit for bit.
+    """
+    weights = np.asarray(weights, dtype=float)
+    rows = _score_rows(params, states, actions)
+    if weights.shape != (rows.shape[0],):
+        raise ValueError("one weight per sample expected")
+    return (weights[:, None] * rows).sum(axis=0, initial=0.0)
 
 
 def policy_log_prob(params: PolicyParams, state, action) -> float:
     """log pi_theta(action|state)."""
-    kind = params.kind
-    if isinstance(kind, TabularSoftmax):
-        probs = _state_probs(params, int(state))
-        p = probs[int(action)]
-        if p <= 0.0:
-            raise ValueError("zero-probability action")
-        return float(np.log(p))
-    w, log_std = _gaussian_parts(params)
-    x = np.asarray(state, dtype=float)
-    a = np.asarray(action, dtype=float)
-    z = (a - w @ x) / np.exp(log_std)
-    return float(
-        -0.5 * z @ z - log_std.sum() - 0.5 * kind.action_dim * math.log(2.0 * math.pi)
-    )
+    return float(policy_log_probs(params, [state], [action])[0])
 
 
 def policy_grad_log_prob(params: PolicyParams, state, action) -> np.ndarray:
     """Exact score d/dtheta log pi_theta(action|state), shaped like theta."""
-    kind = params.kind
-    grad = np.zeros_like(params.theta)
-    if isinstance(kind, TabularSoftmax):
-        s, a = int(state), int(action)
-        probs = _state_probs(params, s)
-        block = grad[s * kind.n_actions : (s + 1) * kind.n_actions]
-        block -= probs
-        block[a] += 1.0
-        return grad
-    w, log_std = _gaussian_parts(params)
-    x = np.asarray(state, dtype=float)
-    a = np.asarray(action, dtype=float)
-    inv_var = np.exp(-2.0 * log_std)
-    resid = (a - w @ x) * inv_var  # (a - m) / sigma^2
-    n = kind.action_dim * kind.feature_dim
-    grad[:n] = np.outer(resid, x).ravel()
-    grad[n:] = (a - w @ x) * resid - 1.0  # ((a - m)/sigma)^2 - 1
-    return grad
+    return policy_score_sum(params, [state], [action], [1.0])

@@ -29,14 +29,22 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cmdp import Cmdp, SamplingConfig, collect_batch, discounted_value
+from .cmdp import (
+    Cmdp,
+    NonFiniteError,
+    SamplingConfig,
+    collect_batch,
+    discounted_value,
+    require_finite,
+    stack_batch,
+)
 from .duals import PidGains, PidState, dual_ascent_step, pid_dual_step, project_nonneg
 from .lagrangian import (
-    AdvantageBatch,
     ConstraintSpec,
     Multiplier,
     PpolConfig,
     advantage_batch,
+    backward_sums,
     ppol_surrogate_grad,
     reinforce_grad_from_batch,
 )
@@ -209,43 +217,20 @@ def _lstsq_values(cmdp: Cmdp, trajs):
 
     Features are one-hot state indicators for tabular models and [s, 1]
     otherwise; one fit per batch, shared by reward and each cost signal.
+    The returns-to-go of all trajectories come from one backward pass.
     """
-    gamma = cmdp.gamma
-
-    def features(state):
-        if cmdp.is_tabular:
-            f = np.zeros(cmdp.n_states)
-            f[int(state)] = 1.0
-            return f
-        s = np.asarray(state, dtype=float)
-        return np.concatenate([s, [1.0]])
-
-    rows = []
-    targets = []
-    for traj in trajs:
-        t = len(traj)
-        togo_r = np.zeros(t)
-        togo_c = np.zeros((t, traj.costs.shape[1]))
-        acc_r = 0.0
-        acc_c = np.zeros(traj.costs.shape[1])
-        for i in range(t - 1, -1, -1):
-            acc_r = traj.rewards[i] + gamma * acc_r
-            acc_c = traj.costs[i] + gamma * acc_c
-            togo_r[i] = acc_r
-            togo_c[i] = acc_c
-        for i in range(t):
-            rows.append(features(traj.states[i]))
-            targets.append(np.concatenate([[togo_r[i]], togo_c[i]]))
-    x = np.asarray(rows)
-    y = np.asarray(targets)
-    w, *_ = np.linalg.lstsq(x, y, rcond=None)
-
-    out = []
-    for traj in trajs:
-        phi = np.asarray([features(s) for s in traj.states])
-        v = phi @ w
-        out.append((v[:, 0], v[:, 1:]))
-    return out
+    states, _, rewards, costs = stack_batch(trajs)
+    n, t, m = costs.shape
+    signals = np.concatenate([rewards[:, :, None], costs], axis=2)
+    togo = backward_sums(signals, cmdp.gamma)
+    if cmdp.is_tabular:
+        phi = np.eye(cmdp.n_states)[states]
+    else:
+        phi = np.concatenate([states, np.ones(states.shape[:2] + (1,))], axis=2)
+    x = phi[:, :t].reshape(n * t, -1)
+    w, *_ = np.linalg.lstsq(x, togo.reshape(n * t, 1 + m), rcond=None)
+    v = phi @ w
+    return [(v[i, :, 0], v[i, :, 1:]) for i in range(n)]
 
 
 def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
@@ -285,29 +270,12 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
         lm = Multiplier(lam)
         eta = cfg.schedule.rate(lm)
         etas[k] = eta
-
-        trajs = collect_batch(cmdp, params, cfg.sampling, (cfg.seed, k))
-        vals = np.empty(len(trajs))
-        cvals = np.empty((len(trajs), m))
-        for i, traj in enumerate(trajs):
-            vals[i], cvals[i] = discounted_value(traj, cmdp.gamma)
-        j_r_hat = float(vals.mean())
-        j_c_hat = cvals.mean(axis=0)
-
-        if cfg.algorithm == "reinforce":
-            grad = reinforce_grad_from_batch(trajs, cmdp.gamma, params, lm, spec)
-            params = params.replace_theta(params.theta - eta * grad)
-        else:
-            params = _ppol_update(cmdp, params, trajs, lm, cfg, eta, k)
-
-        if cfg.fresh_dual_batch:
-            fresh = collect_batch(
-                cmdp, params, cfg.sampling, (cfg.seed, k, FRESH_BATCH_STREAM)
+        try:
+            params, j_r_hat, j_c_hat = _papd_iteration(
+                cmdp, params, lm, spec, cfg, eta, k
             )
-            for i, traj in enumerate(fresh):
-                vals[i], cvals[i] = discounted_value(traj, cmdp.gamma)
-            j_r_hat = float(vals.mean())
-            j_c_hat = cvals.mean(axis=0)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"seed {cfg.seed}, iteration {k}: {exc}") from exc
 
         returns[k] = j_r_hat
         costs[k] = j_c_hat
@@ -329,6 +297,43 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
         "wall_clock_s": time.perf_counter() - start,
     }
     return RunRecord(thetas, lambdas, etas, returns, costs, meta)
+
+
+def _papd_iteration(
+    cmdp: Cmdp,
+    params: PolicyParams,
+    lm: Multiplier,
+    spec: ConstraintSpec,
+    cfg: SolverConfig,
+    eta: float,
+    k: int,
+) -> tuple[PolicyParams, float, np.ndarray]:
+    """Primal step k of papd_run: (new params, J_R estimate, J_C estimate).
+
+    Raises NonFiniteError when a sample, the estimates or theta turn
+    non-finite."""
+    trajs = collect_batch(cmdp, params, cfg.sampling, (cfg.seed, k))
+    vals = np.empty(len(trajs))
+    cvals = np.empty((len(trajs), spec.m))
+    for i, traj in enumerate(trajs):
+        vals[i], cvals[i] = discounted_value(traj, cmdp.gamma)
+
+    if cfg.algorithm == "reinforce":
+        grad = reinforce_grad_from_batch(trajs, cmdp.gamma, params, lm, spec)
+        params = params.replace_theta(params.theta - eta * grad)
+    else:
+        params = _ppol_update(cmdp, params, trajs, lm, cfg, eta, k)
+    require_finite("theta", params.theta)
+
+    if cfg.fresh_dual_batch:
+        fresh = collect_batch(
+            cmdp, params, cfg.sampling, (cfg.seed, k, FRESH_BATCH_STREAM)
+        )
+        for i, traj in enumerate(fresh):
+            vals[i], cvals[i] = discounted_value(traj, cmdp.gamma)
+    require_finite("return estimates", vals)
+    require_finite("cost estimates", cvals)
+    return params, float(vals.mean()), cvals.mean(axis=0)
 
 
 def _ppol_update(
@@ -354,14 +359,7 @@ def _ppol_update(
     for _ in range(cfg.ppol.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, mb):
-            idx = order[lo : lo + mb]
-            sub = AdvantageBatch(
-                [batch.states[i] for i in idx],
-                [batch.actions[i] for i in idx],
-                batch.log_prob_old[idx],
-                batch.adv_r[idx],
-                batch.adv_c[idx],
-            )
+            sub = batch[order[lo : lo + mb]]
             grad = ppol_surrogate_grad(sub, params, lm, cfg.ppol)
             params = params.replace_theta(params.theta + eta * grad)
     return params

@@ -156,16 +156,14 @@ class TestTrajectoryShape:
         with pytest.raises(ValueError):
             Trajectory([0], [0], np.ones(1), np.zeros((1, 1)))
 
-    def test_steps_view(self):
+    def test_step_fields_align(self):
+        # step t of the parallel fields is (s_t, a_t, r(s_t, a_t, s_t+1), c(...))
         cmdp = chain_cmdp()
         traj = sample_trajectory(cmdp, uniform_params(), horizon=5, seed=0)
-        steps = traj.steps
-        assert len(steps) == 5
-        s, a, r, c = steps[2]
-        assert s == traj.states[2]
-        assert a == traj.actions[2]
-        assert r == traj.rewards[2]
-        assert np.array_equal(c, traj.costs[2])
+        for t in range(len(traj)):
+            s, a, nxt = traj.states[t], traj.actions[t], traj.states[t + 1]
+            assert traj.rewards[t] == cmdp.reward(s, a, nxt)
+            assert np.array_equal(traj.costs[t], [cmdp.costs(s, a, nxt)])
 
 
 class TestSeeding:

@@ -12,7 +12,15 @@ import math
 import numpy as np
 import pytest
 
-from apdual.cmdp import SamplingConfig, collect_batch, discounted_value
+from apdual import envs
+from apdual.cmdp import (
+    NonFiniteError,
+    SamplingConfig,
+    collect_batch,
+    derived_seed,
+    discounted_value,
+    sample_trajectory,
+)
 from apdual.envs import (
     GridworldSpec,
     N_ACTIONS,
@@ -149,6 +157,16 @@ class TestPointEnv:
         with pytest.raises(ValueError):
             make_point_env("swim", PointEnvConfig())
 
+    def test_batched_signals_equal_single_calls(self):
+        cfg = PointEnvConfig()
+        rng = np.random.default_rng(5)
+        p_prev, p, v = (rng.normal(size=(50, 2)) * 3.0 for _ in range(3))
+        r_run, c_run = run_reward_cost(p_prev, p, v, cfg)
+        r_circ, c_circ = circle_reward_cost(p, v, cfg)
+        for i in range(50):
+            assert (r_run[i], c_run[i]) == run_reward_cost(p_prev[i], p[i], v[i], cfg)
+            assert (r_circ[i], c_circ[i]) == circle_reward_cost(p[i], v[i], cfg)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PointEnvConfig(y_lim=0.0)
@@ -156,6 +174,55 @@ class TestPointEnv:
             PointEnvConfig(dt=0.0)
         with pytest.raises(ValueError):
             PointEnvConfig(noise_std=-0.1)
+
+
+class TestLockstep:
+    """collect_batch on the point tasks advances all trajectories together;
+    row i must be the per-step sampler's trajectory for derived seed i."""
+
+    @staticmethod
+    def params():
+        kind = LinearGaussian(4, 2)
+        theta = np.random.default_rng(21).normal(size=kind.param_count) * 0.3
+        return PolicyParams(kind, theta)
+
+    @pytest.mark.parametrize("task", ["run", "circle"])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_rows_equal_sample_trajectory(self, task, noise):
+        cmdp = make_point_env(task, PointEnvConfig(noise_std=noise))
+        assert cmdp.vector_step is not None
+        params = self.params()
+        seed = (7, 2)
+        batch = collect_batch(cmdp, params, SamplingConfig(n_traj=5, horizon=30), seed)
+        assert len(batch) == 5
+        for i, traj in enumerate(batch):
+            solo = sample_trajectory(cmdp, params, 30, derived_seed(seed, i))
+            assert np.array_equal(traj.states, np.asarray(solo.states))
+            assert np.array_equal(traj.actions, np.asarray(solo.actions))
+            assert np.array_equal(traj.rewards, solo.rewards)
+            assert np.array_equal(traj.costs, solo.costs)
+
+    def test_one_signal_call_per_time_step(self, monkeypatch):
+        calls = []
+        original = envs.run_reward_cost
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(envs, "run_reward_cost", counted)
+        cmdp = make_point_env("run", PointEnvConfig(noise_std=0.05))
+        collect_batch(cmdp, self.params(), SamplingConfig(n_traj=8, horizon=16), 3)
+        assert len(calls) == 16
+
+    def test_non_finite_state_rejected(self):
+        cmdp = make_point_env("run", PointEnvConfig())
+        params = self.params().replace_theta(np.full(10, 1e200))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteError):
+                collect_batch(cmdp, params, SamplingConfig(n_traj=2, horizon=40), 0)
+            with pytest.raises(NonFiniteError):
+                sample_trajectory(cmdp, params, 40, 0)
 
 
 def uniform_table(spec):

@@ -6,10 +6,12 @@ exit codes.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from apdual import harness
 from apdual.cli import main
 from apdual.harness import (
     CSV_COLUMNS,
@@ -29,6 +31,8 @@ from apdual.harness import (
     verify_dir,
 )
 from apdual.solver import RunRecord
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_testbed_raw(**over):
@@ -349,6 +353,27 @@ class TestCli:
         lines = (out_dir / "aggregate.csv").read_text().splitlines()
         assert len(lines) == 51
         assert lines[0].startswith("step,return_mean,return_min,return_max")
+
+    def test_divergent_run_fails_loudly(self, tmp_path, monkeypatch, capsys):
+        # configs/point_circle_reinforce.json goes non-finite at iteration 19
+        # on seed 0; the run must exit 3 and write no summary
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        raw = json.loads((CONFIGS / "point_circle_reinforce.json").read_text())
+        raw.update(iterations=25, seeds=[0], output_dir="circle_out")
+        with np.errstate(all="ignore"):
+            code = main(["run", self.write_cfg(tmp_path, raw)])
+        assert code == 3
+        assert "seed 0, iteration 19: non-finite rewards" in capsys.readouterr().err
+        assert not (tmp_path / "circle_out" / "summary.json").exists()
+
+    def test_nan_never_written_to_summary(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        monkeypatch.setattr(
+            harness, "_run_single",
+            lambda cfg, seed: synthetic_record([1.0, float("nan")], [0.0, 0.0]),
+        )
+        with pytest.raises(ValueError, match="JSON"):
+            run_experiment(parse_config(make_grid_raw(iterations=2)))
 
     def test_aggregate_empty_dir(self, tmp_path, capsys):
         assert main(["aggregate", str(tmp_path)]) == 2

@@ -16,8 +16,11 @@ from apdual.policy import (
     TabularSoftmax,
     init_params,
     policy_act,
+    policy_act_batch,
     policy_grad_log_prob,
     policy_log_prob,
+    policy_log_probs,
+    policy_score_sum,
     softmax_table,
 )
 
@@ -191,6 +194,103 @@ class TestGaussian:
         params = init_params(LinearGaussian(3, 2))
         with pytest.raises(ValueError):
             policy_act(params, np.zeros(4), np.random.default_rng(0))
+
+
+def reference_log_prob_and_score(params, state, action):
+    """The per-sample formulas as a plain loop body: the oracle the batched
+    forms must reproduce bit for bit."""
+    kind = params.kind
+    grad = np.zeros_like(params.theta)
+    if isinstance(kind, TabularSoftmax):
+        s, a = int(state), int(action)
+        row = params.theta[s * kind.n_actions : (s + 1) * kind.n_actions]
+        z = np.exp(row - row.max())
+        probs = z / z.sum()
+        block = grad[s * kind.n_actions : (s + 1) * kind.n_actions]
+        block -= probs
+        block[a] += 1.0
+        return float(np.log(probs[a])), grad
+    n = kind.action_dim * kind.feature_dim
+    w = params.theta[:n].reshape(kind.action_dim, kind.feature_dim)
+    log_std = params.theta[n:]
+    x = np.asarray(state, dtype=float)
+    a = np.asarray(action, dtype=float)
+    z = (a - w @ x) / np.exp(log_std)
+    lp = float(
+        -0.5 * z @ z - log_std.sum() - 0.5 * kind.action_dim * math.log(2.0 * math.pi)
+    )
+    resid = (a - w @ x) * np.exp(-2.0 * log_std)
+    grad[:n] = np.outer(resid, x).ravel()
+    grad[n:] = (a - w @ x) * resid - 1.0
+    return lp, grad
+
+
+class TestBatchedForms:
+    @pytest.mark.parametrize(
+        "kind",
+        [TabularSoftmax(5, 4), LinearGaussian(4, 2)],
+        ids=["tabular", "gaussian"],
+    )
+    def test_batched_equal_single_calls_and_loop(self, kind):
+        rng = np.random.default_rng(11)
+        params = PolicyParams(kind, rng.normal(size=kind.param_count))
+        n = 257
+        if isinstance(kind, TabularSoftmax):
+            states = rng.integers(0, kind.n_states, size=n)
+            actions = rng.integers(0, kind.n_actions, size=n)
+        else:
+            states = rng.normal(size=(n, kind.feature_dim)) * 3.0
+            actions = rng.normal(size=(n, kind.action_dim))
+        weights = rng.normal(size=n)
+        weights[::7] = 0.0
+
+        single_lp = [policy_log_prob(params, s, a) for s, a in zip(states, actions)]
+        single_score = np.zeros_like(params.theta)
+        loop_score = np.zeros_like(params.theta)
+        for s, a, c in zip(states, actions, weights):
+            single_score += c * policy_grad_log_prob(params, s, a)
+            lp, score = reference_log_prob_and_score(params, s, a)
+            assert policy_log_prob(params, s, a) == lp
+            assert np.array_equal(policy_grad_log_prob(params, s, a), score)
+            loop_score += c * score
+
+        batched_lp = policy_log_probs(params, states, actions)
+        batched_score = policy_score_sum(params, states, actions, weights)
+        assert batched_lp.shape == (n,)
+        assert np.array_equal(batched_lp, single_lp)
+        assert np.array_equal(batched_score, single_score)
+        assert np.array_equal(batched_score, loop_score)
+
+    def test_empty_score_sum_is_zero(self):
+        params = init_params(LinearGaussian(3, 2))
+        got = policy_score_sum(params, np.zeros((0, 3)), np.zeros((0, 2)), [])
+        assert np.array_equal(got, np.zeros(params.theta.size))
+
+    def test_act_batch_rows_equal_policy_act(self):
+        kind = LinearGaussian(4, 2)
+        params = PolicyParams(kind, np.random.default_rng(12).normal(size=10))
+        states = np.random.default_rng(13).normal(size=(6, 4))
+        normals = np.stack(
+            [np.random.default_rng(s).standard_normal(2) for s in range(6)]
+        )
+        got = policy_act_batch(params, states, normals)
+        for i in range(6):
+            want = policy_act(params, states[i], np.random.default_rng(i))
+            assert np.array_equal(got[i], want)
+
+    def test_batch_shapes_checked(self):
+        gauss = init_params(LinearGaussian(3, 2))
+        with pytest.raises(ValueError):
+            policy_log_probs(gauss, np.zeros((4, 2)), np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            policy_log_probs(gauss, np.zeros((4, 3)), np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            policy_score_sum(gauss, np.zeros((4, 3)), np.zeros((4, 2)), np.ones(3))
+        tab = init_params(TabularSoftmax(2, 2))
+        with pytest.raises(ValueError):
+            policy_log_probs(tab, [0, 2], [0, 1])
+        with pytest.raises(TypeError):
+            policy_act_batch(tab, np.zeros((1, 1)), np.zeros((1, 1)))
 
 
 class TestValidation:

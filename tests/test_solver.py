@@ -6,14 +6,24 @@ record engineered to trip the negative-radicand flags, and on records they
 must refuse (sampled, PID, multi-step).
 """
 
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from apdual.cmdp import SamplingConfig
+from apdual.cmdp import Cmdp, NonFiniteError, SamplingConfig, sample_trajectory
 from apdual.duals import PidGains
-from apdual.envs import GridworldSpec, default_hazard_gridworld, make_gridworld
-from apdual.lagrangian import ConstraintSpec, Multiplier
-from apdual.policy import TabularSoftmax, init_params
+from apdual.envs import (
+    GridworldSpec,
+    PointEnvConfig,
+    default_hazard_gridworld,
+    make_gridworld,
+    make_point_env,
+)
+from apdual.lagrangian import ConstraintSpec, Multiplier, PpolConfig
+from apdual.policy import LinearGaussian, TabularSoftmax, init_params
 from apdual.quadprog import quad_default, quad_kkt_solve, quad_make
 from apdual.schedules import LrSchedule, SmoothnessConstants
 from apdual.solver import (
@@ -421,6 +431,99 @@ class TestPapdRun:
                 ConstraintSpec(np.array([1.0, 2.0])),
                 papd_cfg(iterations=5),
             )
+
+
+class TestPapdPointPpol:
+    """Gaussian PPO-Lagrangian on the Run task, the configs/point_run_ppol.json
+    shape shortened to a few iterations."""
+
+    @staticmethod
+    def run(cmdp, seed=3):
+        cfg = SolverConfig(
+            iterations=4,
+            schedule=LrSchedule("invlin-practical", h1=0.001, h2=3.0),
+            dual_variant="pid",
+            gains=PidGains(0.05, 0.0005, 0.1),
+            theta0=init_params(LinearGaussian(4, 2)),
+            sampling=SamplingConfig(n_traj=8, horizon=64),
+            seed=seed,
+            algorithm="ppol",
+            ppol=PpolConfig(minibatch_size=256, epochs=4),
+        )
+        return papd_run(cmdp, ConstraintSpec(np.array([2.0])), cfg)
+
+    def test_finite_repeatable_and_equal_to_per_step_sampling(self):
+        cmdp = make_point_env("run", PointEnvConfig(noise_std=0.05))
+        a = self.run(cmdp)
+        b = self.run(cmdp)
+        # the same run with the lockstep sampler removed: per-step rollouts
+        c = self.run(dataclasses.replace(cmdp, vector_step=None))
+        for name in ("thetas", "lambdas", "etas", "returns", "costs"):
+            got = getattr(a, name)
+            assert np.isfinite(got).all(), name
+            assert np.array_equal(got, getattr(b, name)), name
+            assert np.array_equal(got, getattr(c, name)), name
+        assert not np.array_equal(a.thetas[0], a.thetas[-1])
+
+
+def nan_signal_cmdp(signal: str, bad_call: int) -> Cmdp:
+    """Deterministic counter chain whose reward (or cost) callback returns
+    NaN on its bad_call-th call (0-based), counted over every rollout."""
+    calls = itertools.count()
+
+    def flaky(s, a, nxt):
+        return math.nan if next(calls) == bad_call else 0.5
+
+    def steady(s, a, nxt):
+        return 0.5
+
+    return Cmdp(
+        gamma=0.9,
+        n_costs=1,
+        cost_bound=1.0,
+        initial_dist=lambda rng: 0,
+        transition=lambda s, a, rng: min(s + 1, 9),
+        reward=flaky if signal == "rewards" else steady,
+        costs=flaky if signal == "costs" else steady,
+        n_states=10,
+        n_actions=2,
+    )
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("signal", ["rewards", "costs"])
+    def test_sampler_names_the_step(self, signal):
+        cmdp = nan_signal_cmdp(signal, bad_call=6)
+        params = init_params(TabularSoftmax(10, 2))
+        with pytest.raises(NonFiniteError, match=rf"{signal} at index \(6,"):
+            sample_trajectory(cmdp, params, horizon=9, seed=0)
+
+    @pytest.mark.parametrize("algorithm", ["reinforce", "ppol"])
+    def test_papd_run_names_seed_and_iteration(self, algorithm):
+        # 2 rollouts x 5 steps = 10 reward calls per iteration, so call 37
+        # is step 2 of the second rollout of iteration 3
+        cmdp = nan_signal_cmdp("rewards", bad_call=37)
+        cfg = dataclasses.replace(
+            papd_cfg(iterations=6, algorithm=algorithm, seed=4, n_cells=10),
+            sampling=SamplingConfig(n_traj=2, horizon=5),
+        )
+        want = r"seed 4, iteration 3: non-finite rewards at index \(2,\)"
+        with pytest.raises(NonFiniteError, match=want):
+            papd_run(cmdp, ConstraintSpec(np.array([1.0])), cfg)
+
+    def test_papd_run_rejects_non_finite_theta(self):
+        cmdp = make_point_env("circle", PointEnvConfig(noise_std=0.05))
+        cfg = SolverConfig(
+            iterations=3,
+            schedule=LrSchedule("constant", eta=1e308),
+            dual_variant="pid",
+            theta0=init_params(LinearGaussian(4, 2)),
+            sampling=SamplingConfig(n_traj=4, horizon=16),
+            seed=5,
+        )
+        want = "seed 5, iteration 0: non-finite theta"
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=want):
+            papd_run(cmdp, ConstraintSpec(np.array([5.0])), cfg)
 
 
 class TestSolverConfigValidation:
