@@ -11,6 +11,7 @@ from .cmdp import (
     SamplingConfig,
     Trajectory,
     VectorStep,
+    batch_values,
     collect_batch,
     default_horizon,
     derived_seed,
@@ -65,6 +66,7 @@ from .policy import (
     LinearGaussian,
     PolicyParams,
     TabularSoftmax,
+    action_cdf,
     init_params,
     policy_act,
     policy_act_batch,
@@ -72,6 +74,7 @@ from .policy import (
     policy_log_prob,
     policy_log_probs,
     policy_score_sum,
+    policy_trajectory_scores,
     softmax_table,
 )
 from .quadprog import (

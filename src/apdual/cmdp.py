@@ -20,23 +20,34 @@ of a batch rooted at ``seed`` the derived seed ``(*seed, i)`` (counter
 scheme), so any single trajectory of any batch can be regenerated in
 isolation and batches may be sampled concurrently.
 
-Lockstep batches.  A vector-state CMDP may also carry a ``VectorStep``: one
-transition, reward and cost computation for all n trajectories of a batch
-at once.  ``collect_batch`` then advances the n trajectories of a
-Gaussian-policy batch together over the arrays
+Lockstep batches.  A CMDP may also carry a ``VectorStep``: one transition,
+reward and cost computation for all n trajectories of a batch at once.
+``collect_batch`` then advances the n trajectories together over the arrays
 
-    states  (n, H+1, F)     actions (n, H, A)
+    states  (n, H+1[, F])   actions (n, H[, A])
     rewards (n, H)          costs   (n, H, m)
 
-and returns row i as a ``Trajectory`` of views into them.  Each trajectory
-keeps its own derived-seed Generator: after ``initial_dist`` it draws all
-its standard normals up front as an (H, A + k) block, where row t holds the
-A action normals of step t followed by the k = ``VectorStep.noise_dim``
-transition normals of step t.  That is the order in which
-``sample_trajectory`` draws them one step at a time, so row i of a lockstep
-batch equals ``sample_trajectory(cmdp, params, H, derived_seed(seed, i))``
-bit for bit.  A CMDP without a ``VectorStep`` (tabular models) is sampled
-one trajectory and one step at a time.
+and returns row i as a ``Trajectory`` of views into them.  The point tasks
+(vector states, Gaussian policies) and the slip-free gridworld (integer
+states, tabular policies) have one; a slippery gridworld and the small test
+CMDPs do not, and are sampled one trajectory and one step at a time.
+
+Each trajectory of a lockstep batch keeps its own derived-seed Generator
+and, after ``initial_dist``, draws all its randomness up front in the order
+in which ``sample_trajectory`` draws it one step at a time:
+
+  * Gaussian policy: an (H, A + k) block of standard normals, where row t
+    holds the A action normals of step t followed by the
+    k = ``VectorStep.noise_dim`` transition normals of step t;
+  * tabular policy: ``rng.random(H)``, one action uniform per step (a
+    tabular VectorStep draws no transition noise, k = 0).  The action of
+    step t is the number of entries of the state's action cdf that are
+    <= u_t, ``searchsorted(cdf[s], u_t, side="right")`` bit for bit.
+
+So row i of a lockstep batch equals ``sample_trajectory(cmdp, params, H,
+derived_seed(seed, i))`` bit for bit.  The step loop runs with numpy's
+overflow and invalid-value warnings silenced; a diverging batch is caught
+by the finiteness checks after the loop.
 
 Samplers raise ``NonFiniteError`` on a non-finite reward, cost or vector
 state, and ``ValueError`` on a step cost whose norm exceeds B.
@@ -51,9 +62,9 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .policy import (
-    LinearGaussian,
     PolicyParams,
     TabularSoftmax,
+    action_cdf,
     policy_act_batch,
     softmax_table,
 )
@@ -70,7 +81,9 @@ def require_finite(name: str, values) -> None:
     """Raise NonFiniteError naming the first non-finite entry of values."""
     arr = np.asarray(values, dtype=float)
     flat = arr.reshape(-1)
-    if math.isfinite(flat @ flat):  # cheap screen: then every entry is finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        screen = flat @ flat  # finite only if every entry is finite
+    if math.isfinite(screen):
         return
     bad = ~np.isfinite(arr)
     if bad.any():
@@ -80,14 +93,15 @@ def require_finite(name: str, values) -> None:
 
 @dataclass(frozen=True)
 class VectorStep:
-    """One lockstep transition of n stacked vector states.
+    """One lockstep transition of n stacked states.
 
-    ``fn(states, actions, normals)`` takes (n, F) states, (n, A) actions and
-    (n, noise_dim) standard normals and returns the (n, F) next states with
-    the (n,) rewards and the (n,) or (n, m) costs of the n steps, computed in
-    one pass.  It must agree with the CMDP's per-step ``transition``,
-    ``reward`` and ``costs`` callbacks, where ``transition`` draws
-    ``noise_dim`` standard normals per step from its Generator.
+    ``fn(states, actions, normals)`` takes (n[, F]) states, (n[, A])
+    actions and (n, noise_dim) standard normals and returns the (n[, F])
+    next states with the (n,) rewards and the (n,) or (n, m) costs of the n
+    steps, computed in one pass.  It must agree with the CMDP's per-step
+    ``transition``, ``reward`` and ``costs`` callbacks, where ``transition``
+    draws ``noise_dim`` standard normals per step from its Generator.
+    Tabular CMDPs draw no transition noise (noise_dim 0).
     """
 
     noise_dim: int
@@ -149,7 +163,7 @@ class Trajectory:
     ``states`` has length T+1 (the final entry is the state reached by the
     last transition); ``actions`` has length T; ``rewards`` is (T,) and
     ``costs`` is (T, m).  States and actions are lists from the per-step
-    sampler and (T+1, F) / (T, A) array views from a lockstep batch.
+    sampler and (T+1[, F]) / (T[, A]) array views from a lockstep batch.
     """
 
     states: Sequence
@@ -205,7 +219,7 @@ def sample_trajectory(
         # Tabular fast path: the per-state action cdf is fixed within a
         # rollout, so build it once.  policy_act consumes the identical
         # single uniform draw per step, keeping the two paths bit-equal.
-        cdf = np.cumsum(softmax_table(params), axis=1)
+        cdf = action_cdf(softmax_table(params))
         for _ in range(horizon):
             action = int(np.searchsorted(cdf[state], rng.random(), side="right"))
             nxt = cmdp.transition(state, action, rng)
@@ -265,6 +279,23 @@ def discounted_value(traj: Trajectory, gamma: float) -> tuple[float, np.ndarray]
     return float(w @ traj.rewards), w @ traj.costs
 
 
+def batch_values(trajs, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Discounted returns (n,) and costs (n, m) of equal-length trajectories.
+
+    Row i equals ``discounted_value(trajs[i], gamma)`` bit for bit: stacked
+    (1, T) @ (T, k) products sum each row as the per-trajectory ``w @ x``
+    does, where ``R @ w`` and ``einsum`` do not.
+    """
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must lie in (0, 1)")
+    if len({len(traj) for traj in trajs}) != 1:
+        raise ValueError("a batch needs one or more trajectories of one length")
+    rewards = np.asarray([traj.rewards for traj in trajs], dtype=float)
+    costs = np.asarray([traj.costs for traj in trajs], dtype=float)
+    w = (gamma ** np.arange(rewards.shape[1]))[None, None, :]
+    return (w @ rewards[:, :, None])[:, 0, 0], (w @ costs)[:, 0, :]
+
+
 def collect_batch(
     cmdp: Cmdp, params: PolicyParams, sampling: SamplingConfig, seed: Seed
 ) -> list[Trajectory]:
@@ -283,26 +314,44 @@ def _collect_lockstep(
 ) -> list[Trajectory]:
     """The batch of collect_batch, all trajectories advanced together (see
     the module docstring for the array shapes and the stream layout)."""
-    if not isinstance(params.kind, LinearGaussian):
-        raise TypeError("lockstep sampling needs a Gaussian policy")
     n, horizon = sampling.n_traj, sampling.horizon
-    a_dim = params.kind.action_dim
     step = cmdp.vector_step
     rngs = [np.random.default_rng(derived_seed(seed, i)) for i in range(n)]
-    state = np.array([cmdp.initial_dist(rng) for rng in rngs], dtype=float)
-    # (H, n, A + k): step t of every trajectory is one contiguous block.
-    normals = np.stack(
-        [rng.standard_normal((horizon, a_dim + step.noise_dim)) for rng in rngs],
-        axis=1,
-    )
+    initial = [cmdp.initial_dist(rng) for rng in rngs]
+    # draws[t] holds, per trajectory, the a_dim action draws of step t
+    # followed by its noise_dim transition normals.
+    if isinstance(params.kind, TabularSoftmax):
+        if step.noise_dim:
+            raise ValueError("a tabular VectorStep draws no transition noise")
+        state = np.array(initial, dtype=np.int64)
+        cdf = action_cdf(softmax_table(params))
+        a_dim = 1
+        draws = np.stack([rng.random(horizon) for rng in rngs], axis=1)[:, :, None]
+
+        def act(cells, u):
+            return (cdf[cells] <= u).sum(axis=1)
+
+    else:
+        state = np.array(initial, dtype=float)
+        a_dim = params.kind.action_dim
+        draws = np.stack(
+            [rng.standard_normal((horizon, a_dim + step.noise_dim)) for rng in rngs],
+            axis=1,
+        )
+
+        def act(x, z):
+            return policy_act_batch(params, x, z)
+
     states, actions, rewards, costs = [state], [], [], []
-    for t in range(horizon):
-        action = policy_act_batch(params, state, normals[t, :, :a_dim])
-        state, reward, cost = step.fn(state, action, normals[t, :, a_dim:])
-        states.append(state)
-        actions.append(action)
-        rewards.append(reward)
-        costs.append(cost)
+    # A diverging batch overflows here; the checks after the loop raise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon):
+            action = act(state, draws[t, :, :a_dim])
+            state, reward, cost = step.fn(state, action, draws[t, :, a_dim:])
+            states.append(state)
+            actions.append(action)
+            rewards.append(reward)
+            costs.append(cost)
     states = np.stack(states, axis=1)
     actions = np.stack(actions, axis=1)
     reward_arr = np.stack(rewards, axis=1)
@@ -331,9 +380,7 @@ def estimate_objectives(
     cmdp: Cmdp, params: PolicyParams, sampling: SamplingConfig, seed: Seed
 ) -> tuple[float, np.ndarray]:
     """Sample means (J_R_hat, J_C_hat) over a derived-seed batch."""
-    trajs = collect_batch(cmdp, params, sampling, seed)
-    returns = np.empty(len(trajs))
-    cost_vals = np.empty((len(trajs), cmdp.n_costs))
-    for i, traj in enumerate(trajs):
-        returns[i], cost_vals[i] = discounted_value(traj, cmdp.gamma)
+    returns, cost_vals = batch_values(
+        collect_batch(cmdp, params, sampling, seed), cmdp.gamma
+    )
     return float(returns.mean()), cost_vals.mean(axis=0)

@@ -13,6 +13,9 @@ Gridworld conventions: cell index = y * width + x; actions 0..3 move
 probability slip_prob the commanded direction is replaced by a uniformly
 random other direction.  Entering a hazard cell incurs hazard_cost; the
 goal is absorbing (reward granted on entry, zero reward/cost afterwards).
+A slip-free gridworld is sampled in lockstep from lookup tables; a slippery
+one draws a data-dependent number of variates per step and is sampled one
+step at a time (see make_gridworld).
 """
 
 from __future__ import annotations
@@ -209,12 +212,31 @@ def grid_move_table(spec: GridworldSpec) -> np.ndarray:
 
 
 def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
-    """Tabular Cmdp realizing the slip/hazard/absorbing-goal semantics."""
+    """Tabular Cmdp realizing the slip/hazard/absorbing-goal semantics.
+
+    The per-step ``reward`` / ``costs`` callbacks and, without slip, the
+    lockstep VectorStep share one reward/cost function over cell arrays.
+    Without slip a step draws nothing from the Generator, and the
+    VectorStep looks the n steps up in (S * A) next-state, reward and cost
+    tables built here once; the goal's rows lead back to the goal with zero
+    reward and cost.  With slip_prob > 0 a step draws a uniform and, only
+    when it falls below slip_prob, a second integer, so the number of draws
+    per step depends on the data and cannot be drawn up front per
+    trajectory.  Such a gridworld has no VectorStep and is sampled one step
+    at a time.
+    """
     moves = grid_move_table(spec)
     goal = spec.goal_cell
     hazard = np.zeros(spec.n_cells, dtype=bool)
     hazard[list(spec.hazard_cells)] = True
     slip = spec.slip_prob
+
+    def signals(s, s2):
+        live = np.asarray(s) != goal
+        entry = spec.step_reward + np.where(s2 == goal, spec.goal_reward, 0.0)
+        reward = np.where(live, entry, 0.0)
+        cost = np.where(live & hazard[s2], spec.hazard_cost, 0.0)
+        return reward, cost
 
     def transition(state, action, rng):
         if state == goal:
@@ -225,14 +247,23 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
         return int(moves[state, a])
 
     def reward(s, a, s2):
-        if s == goal:
-            return 0.0
-        return spec.step_reward + (spec.goal_reward if s2 == goal else 0.0)
+        return float(signals(s, s2)[0])
 
     def costs(s, a, s2):
-        if s == goal:
-            return 0.0
-        return spec.hazard_cost if hazard[s2] else 0.0
+        return float(signals(s, s2)[1])
+
+    vector_step = None
+    if slip == 0.0:
+        # Row s * A + a of each table is the step from cell s under action a.
+        cells = np.repeat(np.arange(spec.n_cells), N_ACTIONS)
+        next_cell = np.where(cells == goal, goal, moves.reshape(-1))
+        step_reward, step_cost = signals(cells, next_cell)
+
+        def step(states, actions, normals):
+            rows = states * N_ACTIONS + actions
+            return next_cell[rows], step_reward[rows], step_cost[rows]
+
+        vector_step = VectorStep(0, step)
 
     bound = spec.hazard_cost if spec.hazard_cost > 0.0 else 1.0
     return Cmdp(
@@ -245,6 +276,7 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
         costs=costs,
         n_states=spec.n_cells,
         n_actions=N_ACTIONS,
+        vector_step=vector_step,
     )
 
 

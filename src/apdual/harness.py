@@ -27,8 +27,10 @@ A config is a JSON object with a versioned ``schema_version`` (currently 1):
 Each seed produces runs/seed_<s>.csv with the fixed column order
 step, return, cost, lr, lambda (floats emitted with repr, so parsing
 round-trips exactly), a summary.json, and for testbed runs a bound
-certificate JSON per seed.  The env var APDUAL_OUTPUT_ROOT, when set,
-prefixes every output_dir.
+certificate JSON per seed.  For sampled runs summary.json records, per
+seed, the verdict of solver.feasibility_check ("feasible": both the
+full-run and the final-window average cost are within the limit).  The env
+var APDUAL_OUTPUT_ROOT, when set, prefixes every output_dir.
 
 Final-window statistics use the last ``window`` fraction (default 20%) of
 iterations.
@@ -62,7 +64,14 @@ from .lagrangian import ConstraintSpec, PpolConfig
 from .policy import LinearGaussian, TabularSoftmax, init_params, softmax_table
 from .quadprog import quad_make
 from .schedules import LrSchedule
-from .solver import RunRecord, SolverConfig, apd_run, papd_run, verify_bounds
+from .solver import (
+    RunRecord,
+    SolverConfig,
+    apd_run,
+    feasibility_check,
+    papd_run,
+    verify_bounds,
+)
 
 OUTPUT_ROOT_ENV = "APDUAL_OUTPUT_ROOT"
 SCHEMA_VERSION = 1
@@ -498,6 +507,9 @@ def run_experiment(cfg: ExperimentConfig | str | Path) -> ExperimentResult:
             cert_paths.append(cert_path)
             entry["certificate_passed"] = cert.passed
             certs_ok = certs_ok and cert.passed
+        else:
+            spec = ConstraintSpec(np.array([cfg.cost_limit]))
+            entry["feasible"] = feasibility_check(record, spec, cfg.window).passed
         per_seed_summary[str(seed)] = entry
 
     aggregate = _window_aggregate(records, cfg.window)

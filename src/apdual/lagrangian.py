@@ -15,25 +15,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmdp import (
+# discounted_value, the per-sample policy_log_prob / policy_grad_log_prob
+# and softmax_table are no longer called here but stay importable from this
+# module: perfbench/tracing.py times their calls under these names.
+from .cmdp import (  # noqa: F401
     Cmdp,
     NonFiniteError,
     SamplingConfig,
     Seed,
+    batch_values,
     collect_batch,
     discounted_value,
     stack_batch,
 )
-# The per-sample policy_log_prob / policy_grad_log_prob are no longer called
-# here but stay importable from this module: perfbench/tracing.py counts
-# their calls under these names.
 from .policy import (  # noqa: F401
     PolicyParams,
-    TabularSoftmax,
     policy_grad_log_prob,
     policy_log_prob,
     policy_log_probs,
     policy_score_sum,
+    policy_trajectory_scores,
     softmax_table,
 )
 
@@ -161,19 +162,9 @@ def constraint_value(j_c: np.ndarray, spec: ConstraintSpec) -> np.ndarray:
 
 def trajectory_score(params: PolicyParams, traj) -> np.ndarray:
     """Sum of exact scores d log pi(a_t|s_t) over a rollout."""
-    if isinstance(params.kind, TabularSoftmax):
-        kind = params.kind
-        probs = softmax_table(params)
-        t = len(traj)
-        states = np.asarray(traj.states[:t], dtype=np.int64)
-        actions = np.asarray(traj.actions, dtype=np.int64)
-        counts = np.bincount(
-            states * kind.n_actions + actions, minlength=kind.param_count
-        ).astype(float)
-        visits = np.bincount(states, minlength=kind.n_states).astype(float)
-        return counts - (visits[:, None] * probs).ravel()
     t = len(traj)
-    return policy_score_sum(params, traj.states[:t], traj.actions, np.ones(t))
+    states = np.asarray(traj.states[:t])[None]
+    return policy_trajectory_scores(params, states, np.asarray(traj.actions)[None])[0]
 
 
 def reinforce_grad(
@@ -195,21 +186,33 @@ def reinforce_grad(
 
 
 def reinforce_grad_from_batch(
-    trajs, gamma: float, params: PolicyParams, lm: Multiplier, spec: ConstraintSpec
+    trajs,
+    gamma: float,
+    params: PolicyParams,
+    lm: Multiplier,
+    spec: ConstraintSpec,
+    values: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
+    """The reinforce_grad estimate over a sampled batch.
+
+    ``values`` is ``batch_values(trajs, gamma)`` when the caller has it.
+    The n score rows are weighted and added in batch order from zero, so
+    the result equals the per-trajectory ``grad += c_i * score_i`` bit for
+    bit.
+    """
+    returns, cost_vals = batch_values(trajs, gamma) if values is None else values
+    if cost_vals.shape[1:] != lm.values.shape or lm.values.shape != spec.limits.shape:
+        raise ValueError("J_C, multiplier, and constraint dimensions disagree")
+    # Row i is lagrangian_value(returns[i], cost_vals[i], lm, spec).
+    weights = -returns + np.vecdot(cost_vals - spec.limits, lm.values)
     n = len(trajs)
-    weights = np.empty(n)
-    for i, traj in enumerate(trajs):
-        j_r, j_c = discounted_value(traj, gamma)
-        weights[i] = lagrangian_value(j_r, j_c, lm, spec)
     if n > 1:
         baselines = (weights.sum() - weights) / (n - 1)
     else:
         baselines = np.zeros(1)
-    grad = np.zeros_like(params.theta)
-    for i, traj in enumerate(trajs):
-        grad += (weights[i] - baselines[i]) * trajectory_score(params, traj)
-    return grad / n
+    states, actions, _, _ = stack_batch(trajs)
+    scores = policy_trajectory_scores(params, states[:, :-1], actions)
+    return ((weights - baselines)[:, None] * scores).sum(axis=0, initial=0.0) / n
 
 
 def backward_sums(x: np.ndarray, decay: float) -> np.ndarray:

@@ -87,6 +87,20 @@ def softmax_table(params: PolicyParams) -> np.ndarray:
     return z / z.sum(axis=1, keepdims=True)
 
 
+def action_cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative action probabilities along the last axis of a (..., A)
+    probability table, with the last entry set to exactly 1.
+
+    A uniform u in [0, 1) then always names a valid action, the number of
+    entries <= u (``searchsorted(cdf, u, side="right")``).  A plain cumsum
+    often ends just below 1, where u in [cdf[-1], 1) would give action A;
+    setting the end to 1 changes no other draw.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf
+
+
 def _gaussian_parts(params: PolicyParams):
     kind = params.kind
     n = kind.action_dim * kind.feature_dim
@@ -141,8 +155,8 @@ def policy_act(params: PolicyParams, state, rng: np.random.Generator):
     if isinstance(kind, TabularSoftmax):
         if not 0 <= int(state) < kind.n_states:
             raise ValueError(f"state {state} outside tabular range")
-        probs = softmax_table(params)[int(state)]
-        return int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+        cdf = action_cdf(softmax_table(params)[int(state)])
+        return int(np.searchsorted(cdf, rng.random(), side="right"))
     x = np.asarray(state, dtype=float)
     if x.shape != (kind.feature_dim,):
         raise ValueError("state dimension incompatible with descriptor")
@@ -200,6 +214,37 @@ def policy_score_sum(params: PolicyParams, states, actions, weights) -> np.ndarr
     if weights.shape != (rows.shape[0],):
         raise ValueError("one weight per sample expected")
     return (weights[:, None] * rows).sum(axis=0, initial=0.0)
+
+
+def policy_trajectory_scores(params: PolicyParams, states, actions) -> np.ndarray:
+    """Per-trajectory score sums sum_t d/dtheta log pi_theta(a_it|s_it) of
+    n stacked T-step trajectories: states (n, T[, F]) without the final
+    state, actions (n, T[, A]); shape (n, param_count).
+
+    Row i equals ``policy_score_sum(params, states[i], actions[i], ones)``
+    bit for bit.  Tabular rows are visit counts minus visit-weighted action
+    probabilities, from one bincount over all trajectories.
+    """
+    kind = params.kind
+    states = np.asarray(states)
+    actions = np.asarray(actions)
+    n, t = actions.shape[:2]
+    flat_states = states.reshape(n * t, *states.shape[2:])
+    flat_actions = actions.reshape(n * t, *actions.shape[2:])
+    if isinstance(kind, TabularSoftmax):
+        s, a = _samples(params, flat_states, flat_actions)
+        traj = np.repeat(np.arange(n), t)
+        counts = np.bincount(
+            traj * kind.param_count + s * kind.n_actions + a,
+            minlength=n * kind.param_count,
+        ).astype(float)
+        visits = np.bincount(
+            traj * kind.n_states + s, minlength=n * kind.n_states
+        ).astype(float)
+        expected = visits.reshape(n, kind.n_states, 1) * softmax_table(params)
+        return counts.reshape(n, kind.param_count) - expected.reshape(n, -1)
+    rows = _score_rows(params, flat_states, flat_actions)
+    return rows.reshape(n, t, kind.param_count).sum(axis=1, initial=0.0)
 
 
 def policy_log_prob(params: PolicyParams, state, action) -> float:

@@ -29,10 +29,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cmdp import (
+# discounted_value is no longer called here but stays importable from this
+# module: perfbench/tracing.py times its calls under this name.
+from .cmdp import (  # noqa: F401
     Cmdp,
     NonFiniteError,
     SamplingConfig,
+    batch_values,
     collect_batch,
     discounted_value,
     require_finite,
@@ -195,6 +198,18 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
     thetas[k_iter] = theta
     lambdas[k_iter] = lam
 
+    # One finiteness screen for the whole run, none per iteration: row k
+    # holds theta_{k+1}, J_R and J_C, everything iteration k produced.
+    produced = np.concatenate([thetas[1:], returns[:, None], costs], axis=1)
+    try:
+        require_finite("iterates", produced)
+    except NonFiniteError as exc:
+        k, j = (int(i) for i in np.argwhere(~np.isfinite(produced))[0])
+        what = "theta" if j < theta.size else "return" if j == theta.size else "cost"
+        raise NonFiniteError(
+            f"seed {cfg.seed}, iteration {k}: non-finite {what}"
+        ) from exc
+
     d_vals, _, _ = dual_values_batch(problem, lambdas[:, 0])
     best = int(np.argmax(d_vals))
     meta = {
@@ -313,13 +328,10 @@ def _papd_iteration(
     Raises NonFiniteError when a sample, the estimates or theta turn
     non-finite."""
     trajs = collect_batch(cmdp, params, cfg.sampling, (cfg.seed, k))
-    vals = np.empty(len(trajs))
-    cvals = np.empty((len(trajs), spec.m))
-    for i, traj in enumerate(trajs):
-        vals[i], cvals[i] = discounted_value(traj, cmdp.gamma)
+    values = batch_values(trajs, cmdp.gamma)
 
     if cfg.algorithm == "reinforce":
-        grad = reinforce_grad_from_batch(trajs, cmdp.gamma, params, lm, spec)
+        grad = reinforce_grad_from_batch(trajs, cmdp.gamma, params, lm, spec, values)
         params = params.replace_theta(params.theta - eta * grad)
     else:
         params = _ppol_update(cmdp, params, trajs, lm, cfg, eta, k)
@@ -329,8 +341,8 @@ def _papd_iteration(
         fresh = collect_batch(
             cmdp, params, cfg.sampling, (cfg.seed, k, FRESH_BATCH_STREAM)
         )
-        for i, traj in enumerate(fresh):
-            vals[i], cvals[i] = discounted_value(traj, cmdp.gamma)
+        values = batch_values(fresh, cmdp.gamma)
+    vals, cvals = values
     require_finite("return estimates", vals)
     require_finite("cost estimates", cvals)
     return params, float(vals.mean()), cvals.mean(axis=0)

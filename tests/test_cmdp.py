@@ -6,19 +6,23 @@ two-state chain), not against any library code path.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from apdual.cmdp import (
     Cmdp,
+    NonFiniteError,
     SamplingConfig,
     Trajectory,
+    batch_values,
     collect_batch,
     default_horizon,
     derived_seed,
     discounted_value,
     estimate_objectives,
+    require_finite,
     sample_trajectory,
 )
 from apdual.policy import PolicyParams, TabularSoftmax, init_params
@@ -141,6 +145,34 @@ class TestDiscountedValue:
         traj = Trajectory([0, 0], [0], np.ones(1), np.zeros((1, 1)))
         with pytest.raises(ValueError):
             discounted_value(traj, 1.0)
+        with pytest.raises(ValueError):
+            batch_values([traj], 1.0)
+
+    @pytest.mark.parametrize("t", [1, 24, 64, 200])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_batch_values_equal_per_trajectory(self, t, m):
+        rng = np.random.default_rng(t + m)
+        trajs = [
+            Trajectory(
+                states=list(range(t + 1)),
+                actions=[0] * t,
+                rewards=rng.normal(size=t) * 50.0,
+                costs=rng.random((t, m)) * 4.0,
+            )
+            for _ in range(9)
+        ]
+        returns, costs = batch_values(trajs, 0.99)
+        assert returns.shape == (9,) and costs.shape == (9, m)
+        for i, traj in enumerate(trajs):
+            j_r, j_c = discounted_value(traj, 0.99)
+            assert returns[i] == j_r
+            assert np.array_equal(costs[i], j_c)
+
+    def test_batch_values_need_one_length(self):
+        short = Trajectory([0, 0], [0], np.ones(1), np.zeros((1, 1)))
+        longer = Trajectory([0, 0, 0], [0, 0], np.ones(2), np.zeros((2, 1)))
+        with pytest.raises(ValueError):
+            batch_values([short, longer], GAMMA)
 
 
 class TestTrajectoryShape:
@@ -277,6 +309,14 @@ class TestEstimators:
 
 
 class TestValidation:
+    def test_require_finite_is_silent_on_large_finite_values(self):
+        # the squared-norm screen overflows; that must neither warn nor fail
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            require_finite("values", np.array([1e200, -3.0]))
+            with pytest.raises(NonFiniteError, match=r"values at index \(1,\)"):
+                require_finite("values", np.array([1e200, np.inf]))
+
     def test_cmdp_rejects_bad_fields(self):
         kw = dict(
             initial_dist=lambda rng: 0,

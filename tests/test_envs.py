@@ -225,6 +225,82 @@ class TestLockstep:
                 sample_trajectory(cmdp, params, 40, 0)
 
 
+class TestGridworldLockstep:
+    """A slip-free gridworld samples tabular batches in lockstep from
+    lookup tables; row i must be the per-step sampler's trajectory for
+    derived seed i."""
+
+    @staticmethod
+    def eastward_params(spec, seed=4):
+        # non-uniform logits with a pull east, so rollouts reach the goal
+        # part-way through the horizon and then sit in it
+        kind = TabularSoftmax(spec.n_cells, N_ACTIONS)
+        theta = np.random.default_rng(seed).normal(size=(spec.n_cells, N_ACTIONS))
+        theta[:, 1] += 2.0
+        return PolicyParams(kind, theta.ravel())
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            default_hazard_gridworld(),
+            GridworldSpec(
+                width=4, height=3, start_cell=4, goal_cell=7, hazard_cells=(5, 6)
+            ),
+        ],
+    )
+    def test_rows_equal_sample_trajectory(self, spec):
+        cmdp = make_gridworld(spec)
+        assert cmdp.vector_step is not None
+        params = self.eastward_params(spec)
+        seed, horizon = (11, 3), 24
+        batch = collect_batch(
+            cmdp, params, SamplingConfig(n_traj=16, horizon=horizon), seed
+        )
+        assert len(batch) == 16
+        # some rollouts enter the goal part-way and then sit in it
+        entered = [
+            list(traj.states).index(spec.goal_cell)
+            for traj in batch
+            if spec.goal_cell in traj.states
+        ]
+        assert any(k < horizon // 2 for k in entered)
+        for i, traj in enumerate(batch):
+            solo = sample_trajectory(cmdp, params, horizon, derived_seed(seed, i))
+            assert np.array_equal(traj.states, np.asarray(solo.states))
+            assert np.array_equal(traj.actions, np.asarray(solo.actions))
+            assert np.array_equal(traj.rewards, solo.rewards)
+            assert np.array_equal(traj.costs, solo.costs)
+
+    def test_tables_agree_with_callbacks(self):
+        spec = default_hazard_gridworld()
+        cmdp = make_gridworld(spec)
+        cells = np.repeat(np.arange(spec.n_cells), N_ACTIONS)
+        actions = np.tile(np.arange(N_ACTIONS), spec.n_cells)
+        nxt, rewards, costs = cmdp.vector_step.fn(
+            cells, actions, np.empty((cells.size, 0))
+        )
+        rng = np.random.default_rng(0)
+        for s, a, s2, r, c in zip(cells, actions, nxt, rewards, costs):
+            assert cmdp.transition(int(s), int(a), rng) == s2
+            assert cmdp.reward(int(s), int(a), int(s2)) == r
+            assert cmdp.costs(int(s), int(a), int(s2)) == c
+        goal_rows = cells == spec.goal_cell
+        assert (nxt[goal_rows] == spec.goal_cell).all()
+        assert (rewards[goal_rows] == 0.0).all() and (costs[goal_rows] == 0.0).all()
+
+    def test_slip_gridworld_samples_per_step(self):
+        # with slip the draws per step depend on the data: no lockstep path
+        spec = GridworldSpec(width=4, height=3, goal_cell=7, slip_prob=0.2)
+        cmdp = make_gridworld(spec)
+        assert cmdp.vector_step is None
+        params = self.eastward_params(spec)
+        batch = collect_batch(cmdp, params, SamplingConfig(n_traj=3, horizon=10), 5)
+        for i, traj in enumerate(batch):
+            assert isinstance(traj.states, list)
+            solo = sample_trajectory(cmdp, params, 10, derived_seed(5, i))
+            assert traj.states == solo.states and traj.actions == solo.actions
+
+
 def uniform_table(spec):
     return np.full((spec.n_cells, N_ACTIONS), 1.0 / N_ACTIONS)
 

@@ -6,6 +6,7 @@ exit codes.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from apdual import harness
 from apdual.cli import main
+from apdual.cmdp import NonFiniteError
 from apdual.harness import (
     CSV_COLUMNS,
     OUTPUT_ROOT_ENV,
@@ -250,6 +252,15 @@ class TestRunExperiment:
             cols["return"], result.records[0].returns
         )
 
+    def test_sampled_runs_record_feasibility(self, tmp_path, monkeypatch):
+        # sampled costs of this short run lie between about 3 and 14
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        for limit, want in ((100.0, True), (0.0, False)):
+            raw = make_grid_raw(cost_limit=limit, output_dir=f"grid_{limit:g}")
+            result = run_experiment(parse_config(raw))
+            summary = json.loads(result.summary_path.read_text())
+            assert summary["per_seed"]["0"]["feasible"] is want
+
     def test_verify_dir_reproduces(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
         result = run_experiment(parse_config(make_testbed_raw(seeds=[3])))
@@ -365,6 +376,23 @@ class TestCli:
         assert code == 3
         assert "seed 0, iteration 19: non-finite rewards" in capsys.readouterr().err
         assert not (tmp_path / "circle_out" / "summary.json").exists()
+
+    def test_divergence_emits_no_runtime_warning(self):
+        raw = json.loads((CONFIGS / "point_circle_reinforce.json").read_text())
+        raw.update(iterations=25, seeds=[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="seed 0, iteration 19: "):
+                harness._run_single(parse_config(raw), 0)
+
+    def test_divergent_testbed_run_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        raw = make_testbed_raw(seeds=[7], schedule={"variant": "constant", "eta": 5.0})
+        with np.errstate(all="ignore"):
+            code = main(["run", self.write_cfg(tmp_path, raw)])
+        assert code == 3
+        assert "seed 7, iteration 6: non-finite theta" in capsys.readouterr().err
+        assert not (tmp_path / "testbed_out" / "summary.json").exists()
 
     def test_nan_never_written_to_summary(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))

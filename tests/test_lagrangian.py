@@ -11,7 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from apdual.cmdp import Cmdp, SamplingConfig, Trajectory, collect_batch, discounted_value
+from apdual.cmdp import (
+    Cmdp,
+    SamplingConfig,
+    Trajectory,
+    batch_values,
+    collect_batch,
+    discounted_value,
+)
 from apdual.lagrangian import (
     AdvantageBatch,
     ConstraintSpec,
@@ -27,6 +34,12 @@ from apdual.lagrangian import (
     reinforce_grad_from_batch,
     trajectory_score,
 )
+from apdual.envs import (
+    PointEnvConfig,
+    default_hazard_gridworld,
+    make_gridworld,
+    make_point_env,
+)
 from apdual.policy import (
     LinearGaussian,
     PolicyParams,
@@ -34,6 +47,7 @@ from apdual.policy import (
     init_params,
     policy_grad_log_prob,
     policy_log_prob,
+    policy_score_sum,
     softmax_table,
 )
 
@@ -220,6 +234,76 @@ class TestReinforceBandit:
         want = bandit_exact_grad(params, self.REWARDS, self.COSTS, lam, self.LIMIT)
         se = terms.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(got - want) <= 3.0 * se + 1e-12)
+
+
+def reference_score(params, traj):
+    """Per-rollout score: visit counts minus visit-weighted probabilities
+    for tabular policies, the per-step score sum for Gaussian ones."""
+    t = len(traj)
+    kind = params.kind
+    if isinstance(kind, TabularSoftmax):
+        states = np.asarray(traj.states[:t], dtype=np.int64)
+        actions = np.asarray(traj.actions, dtype=np.int64)
+        counts = np.bincount(
+            states * kind.n_actions + actions, minlength=kind.param_count
+        ).astype(float)
+        visits = np.bincount(states, minlength=kind.n_states).astype(float)
+        return counts - (visits[:, None] * softmax_table(params)).ravel()
+    return policy_score_sum(params, traj.states[:t], traj.actions, np.ones(t))
+
+
+def reference_reinforce_grad(trajs, gamma, params, lm, spec):
+    """The estimator as a per-trajectory loop in batch order."""
+    n = len(trajs)
+    weights = np.array(
+        [lagrangian_value(*discounted_value(t, gamma), lm, spec) for t in trajs]
+    )
+    baselines = (weights.sum() - weights) / (n - 1)
+    grad = np.zeros_like(params.theta)
+    for i, traj in enumerate(trajs):
+        grad += (weights[i] - baselines[i]) * reference_score(params, traj)
+    return grad / n
+
+
+class TestBatchedReinforce:
+    """The one-pass gradient over a batch equals the per-trajectory loop
+    bit for bit, for both policy kinds."""
+
+    @staticmethod
+    def grid_batch():
+        spec = default_hazard_gridworld()
+        kind = TabularSoftmax(spec.n_cells, 4)
+        theta = np.random.default_rng(8).normal(size=(spec.n_cells, 4))
+        theta[:, 1] += 2.0  # some rollouts reach the goal mid-horizon
+        params = PolicyParams(kind, theta.ravel())
+        cmdp = make_gridworld(spec)
+        trajs = collect_batch(cmdp, params, SamplingConfig(16, 24), (3, 1))
+        return cmdp, params, trajs
+
+    @staticmethod
+    def point_batch():
+        cmdp = make_point_env("circle", PointEnvConfig(noise_std=0.05))
+        kind = LinearGaussian(4, 2)
+        theta = np.random.default_rng(9).normal(size=kind.param_count) * 0.3
+        params = PolicyParams(kind, theta)
+        trajs = collect_batch(cmdp, params, SamplingConfig(8, 64), (3, 2))
+        return cmdp, params, trajs
+
+    @pytest.mark.parametrize("batch", ["grid_batch", "point_batch"])
+    def test_equals_per_trajectory_loop(self, batch):
+        cmdp, params, trajs = getattr(self, batch)()
+        spec = ConstraintSpec(np.array([10.0]))
+        lm = Multiplier(np.array([0.7]))
+        want = reference_reinforce_grad(trajs, cmdp.gamma, params, lm, spec)
+        got = reinforce_grad_from_batch(trajs, cmdp.gamma, params, lm, spec)
+        assert np.array_equal(got, want)
+        values = batch_values(trajs, cmdp.gamma)
+        given = reinforce_grad_from_batch(trajs, cmdp.gamma, params, lm, spec, values)
+        assert np.array_equal(given, want)
+        for traj in trajs:
+            assert np.array_equal(
+                trajectory_score(params, traj), reference_score(params, traj)
+            )
 
 
 class TestGae:

@@ -9,11 +9,14 @@ import math
 import numpy as np
 import pytest
 
+from apdual.cmdp import SamplingConfig, collect_batch, sample_trajectory
+from apdual.envs import default_hazard_gridworld, make_gridworld
 from apdual.policy import (
     LOG_STD_INIT,
     LinearGaussian,
     PolicyParams,
     TabularSoftmax,
+    action_cdf,
     init_params,
     policy_act,
     policy_act_batch,
@@ -40,7 +43,44 @@ def fd_grad(params, state, action, h=1e-6):
     return grad
 
 
+class TopUniform:
+    """Stands in for a Generator: every uniform is the largest double
+    below 1."""
+
+    def random(self, size=None):
+        u = np.nextafter(1.0, 0.0)
+        return u if size is None else np.full(size, u)
+
+
+# logits whose plain cumsum of probabilities ends at 0.9999999999999998
+SHORT_CDF_LOGITS = (0.1, -0.1, 0.6, 0.1)
+
+
 class TestTabular:
+    def test_top_uniform_samples_the_last_action(self):
+        params = PolicyParams(TabularSoftmax(1, 4), np.array(SHORT_CDF_LOGITS))
+        plain = np.cumsum(softmax_table(params), axis=1)
+        u = TopUniform().random()
+        assert plain[0, -1] < u  # searchsorted on it would give action 4
+        cdf = action_cdf(softmax_table(params))
+        assert cdf[0, -1] == 1.0
+        np.testing.assert_array_equal(cdf[:, :-1], plain[:, :-1])
+        assert policy_act(params, 0, TopUniform()) == 3
+
+    def test_top_uniform_in_both_samplers(self, monkeypatch):
+        # every row's plain cdf ends below 1; the per-step and the lockstep
+        # sampler must still take action 3 (west) at every step
+        spec = default_hazard_gridworld()
+        cmdp = make_gridworld(spec)
+        kind = TabularSoftmax(spec.n_cells, 4)
+        params = PolicyParams(kind, np.tile(SHORT_CDF_LOGITS, spec.n_cells))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: TopUniform())
+        solo = sample_trajectory(cmdp, params, 6, 0)
+        (row,) = collect_batch(cmdp, params, SamplingConfig(n_traj=1, horizon=6), 0)
+        assert solo.actions == [3] * 6
+        assert np.array_equal(row.actions, solo.actions)
+        assert np.array_equal(row.states, solo.states)
+
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(0)
         kind = TabularSoftmax(5, 4)

@@ -143,6 +143,22 @@ class TestApdRun:
         assert rec.meta["dual"] == "pid"
         assert np.all(rec.lambdas >= 0.0)
 
+    def test_divergence_names_seed_and_iteration(self):
+        # eta (1 + lambda) > 2 makes every primal step expand: theta
+        # overflows at iteration 6
+        eye = np.eye(2)
+        prog = quad_make(eye, np.ones(2), eye, np.zeros(2), 0.5)
+        cfg = SolverConfig(
+            iterations=2000,
+            schedule=LrSchedule("constant", eta=5.0),
+            dual_variant="ascent",
+            zeta=ZETA,
+            seed=7,
+        )
+        want = "seed 7, iteration 6: non-finite theta"
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=want):
+            apd_run(prog, cfg)
+
 
 class TestRunRecordValidation:
     def test_shape_mismatch(self):
