@@ -86,6 +86,7 @@ from .quadprog import (
     quad_kkt_solve,
     quad_make,
     quad_primal_min,
+    quad_testbed,
 )
 from .schedules import (
     LrSchedule,

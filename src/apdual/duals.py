@@ -61,6 +61,14 @@ def pid_dual_step(
     state: PidState, gains: PidGains, j_c: np.ndarray, spec: ConstraintSpec
 ) -> tuple[Multiplier, PidState]:
     """One controller update; applied independently per constraint."""
+    lam, state = pid_dual_values(state, gains, j_c, spec)
+    return Multiplier(lam), state
+
+
+def pid_dual_values(
+    state: PidState, gains: PidGains, j_c: np.ndarray, spec: ConstraintSpec
+) -> tuple[np.ndarray, PidState]:
+    """pid_dual_step with the new multiplier as a plain nonnegative array."""
     j_c = np.atleast_1d(np.asarray(j_c, dtype=float))
     if j_c.shape != spec.limits.shape or state.integral.shape != spec.limits.shape:
         raise ValueError("cost, state, and constraint dimensions disagree")
@@ -71,4 +79,4 @@ def pid_dual_step(
     else:
         deriv = j_c - state.prev_cost
     lam = project_nonneg(gains.k_p * err + gains.k_i * integral + gains.k_d * deriv)
-    return Multiplier(lam), PidState(integral, j_c.copy())
+    return lam, PidState(integral, j_c.copy())

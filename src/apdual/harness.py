@@ -29,8 +29,11 @@ step, return, cost, lr, lambda (floats emitted with repr, so parsing
 round-trips exactly), a summary.json, and for testbed runs a bound
 certificate JSON per seed.  For sampled runs summary.json records, per
 seed, the verdict of solver.feasibility_check ("feasible": both the
-full-run and the final-window average cost are within the limit).  The env
-var APDUAL_OUTPUT_ROOT, when set, prefixes every output_dir.
+full-run and the final-window average cost are within the limit plus
+0.01) and the two averages it compares, "cost_full_avg" and
+"cost_window_avg".  verify_dir names the first CSV row and column that
+differ from the re-run, with both values.  The env var APDUAL_OUTPUT_ROOT,
+when set, prefixes every output_dir.
 
 Final-window statistics use the last ``window`` fraction (default 20%) of
 iterations.
@@ -41,6 +44,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -62,7 +66,7 @@ from .envs import (
 )
 from .lagrangian import ConstraintSpec, PpolConfig
 from .policy import LinearGaussian, TabularSoftmax, init_params, softmax_table
-from .quadprog import quad_make
+from .quadprog import quad_testbed
 from .schedules import LrSchedule
 from .solver import (
     RunRecord,
@@ -292,8 +296,6 @@ def _run_single(cfg: ExperimentConfig, seed: int) -> RunRecord:
     dual_variant, zeta, gains = build_dual(cfg.dual)
 
     if cfg.task == "testbed":
-        eye = np.eye(2)
-        prog = quad_make(eye, np.ones(2), eye, np.zeros(2), cfg.cost_limit)
         solver_cfg = SolverConfig(
             iterations=cfg.iterations,
             schedule=schedule,
@@ -302,7 +304,7 @@ def _run_single(cfg: ExperimentConfig, seed: int) -> RunRecord:
             gains=gains,
             seed=seed,
         )
-        return apd_run(prog, solver_cfg)
+        return apd_run(quad_testbed(cfg.cost_limit), solver_cfg)
 
     sampling = SamplingConfig(
         n_traj=int(cfg.sampling["n_traj"]), horizon=int(cfg.sampling["horizon"])
@@ -495,9 +497,7 @@ def run_experiment(cfg: ExperimentConfig | str | Path) -> ExperimentResult:
     for seed, record in zip(cfg.seeds, records):
         entry = final_window_stats(record, cfg.window)
         if cfg.task == "testbed":
-            eye = np.eye(2)
-            prog = quad_make(eye, np.ones(2), eye, np.zeros(2), cfg.cost_limit)
-            cert = verify_bounds(record, prog)
+            cert = verify_bounds(record, quad_testbed(cfg.cost_limit))
             cert_dir = out_dir / "certificates"
             cert_dir.mkdir(exist_ok=True)
             cert_path = cert_dir / f"seed_{seed}.json"
@@ -509,7 +509,10 @@ def run_experiment(cfg: ExperimentConfig | str | Path) -> ExperimentResult:
             certs_ok = certs_ok and cert.passed
         else:
             spec = ConstraintSpec(np.array([cfg.cost_limit]))
-            entry["feasible"] = feasibility_check(record, spec, cfg.window).passed
+            report = feasibility_check(record, spec, cfg.window)
+            entry["feasible"] = report.passed
+            entry["cost_full_avg"] = float(report.full_avg[0])
+            entry["cost_window_avg"] = float(report.window_avg[0])
         per_seed_summary[str(seed)] = entry
 
     aggregate = _window_aggregate(records, cfg.window)
@@ -630,6 +633,25 @@ def curve_to_csv(stats: CurveStats, path: str | Path) -> None:
             writer.writerow(row)
 
 
+def _first_csv_difference(stored: str, regenerated: str) -> str | None:
+    """Where two CSV texts first differ: the data row (0-based) and column
+    with both values, or the row counts; None when they are equal."""
+    if stored == regenerated:
+        return None
+    old_rows, new_rows = stored.splitlines(), regenerated.splitlines()
+    for i, (old, new) in enumerate(zip(old_rows, new_rows)):
+        cells = itertools.zip_longest(
+            CSV_COLUMNS, old.split(","), new.split(","), fillvalue="<missing>"
+        )
+        for name, a, b in cells:
+            if a != b:
+                where = "header" if i == 0 else f"row {i - 1}"
+                return f"{where}, column {name}: stored {a}, regenerated {b}"
+    if len(old_rows) != len(new_rows):
+        return f"row count: stored {len(old_rows) - 1}, regenerated {len(new_rows) - 1}"
+    return "line endings"
+
+
 def verify_dir(directory: str | Path) -> list[str]:
     """Re-run an experiment directory and re-check its artifacts.
 
@@ -654,14 +676,15 @@ def verify_dir(directory: str | Path) -> list[str]:
             failures.append(f"seed {seed}: missing {stored}")
             continue
         regenerated = record_to_csv(record)
-        if stored.read_text() != regenerated:
-            failures.append(f"seed {seed}: stored CSV differs from regenerated run")
+        mismatch = _first_csv_difference(stored.read_text(), regenerated)
+        if mismatch:
+            failures.append(
+                f"seed {seed}: stored CSV differs from regenerated run at {mismatch}"
+            )
             continue
         line = f"seed {seed}: reproduced ({record.iterations} rows)"
         if cfg.task == "testbed":
-            eye = np.eye(2)
-            prog = quad_make(eye, np.ones(2), eye, np.zeros(2), cfg.cost_limit)
-            cert = verify_bounds(record, prog)
+            cert = verify_bounds(record, quad_testbed(cfg.cost_limit))
             if not cert.passed:
                 failures.append(
                     f"seed {seed}: certificate failed, worst slacks {cert.worst()}"

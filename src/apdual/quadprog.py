@@ -50,9 +50,21 @@ class QuadProgram:
         theta = np.asarray(theta, dtype=float)
         return float(-0.5 * theta @ self.q @ theta + self.b @ theta)
 
+    def j_r_rows(self, thetas: np.ndarray) -> np.ndarray:
+        """J_R of every row of a (K, n) array, bit-equal to K j_r calls.
+
+        The products are stacked (1, n) @ (n, n) @ (n, 1) matmuls, which
+        reduce in the per-row order; ``thetas @ q`` does not for n >= 5."""
+        th = np.asarray(thetas, dtype=float)
+        quad = ((-0.5 * th)[:, None, :] @ self.q @ th[:, :, None])[:, 0, 0]
+        return quad + (th[:, None, :] @ self.b[:, None])[:, 0, 0]
+
+    def j_c_value(self, theta: np.ndarray) -> float:
+        """J_C(theta) of the single constraint as a float."""
+        return float(0.5 * theta @ self.p @ theta + self.c @ theta)
+
     def j_c(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        return np.array([0.5 * theta @ self.p @ theta + self.c @ theta])
+        return np.array([self.j_c_value(np.asarray(theta, dtype=float))])
 
     def constraint_spec(self) -> ConstraintSpec:
         return ConstraintSpec(np.array([self.limit]))
@@ -63,7 +75,10 @@ class QuadProgram:
         )
 
     def grad_lagrangian(self, theta: np.ndarray, lm: Multiplier) -> np.ndarray:
-        lam = float(lm.values[0])
+        return self.grad_at(theta, float(lm.values[0]))
+
+    def grad_at(self, theta: np.ndarray, lam: float) -> np.ndarray:
+        """grad_theta L at a float multiplier (the program has one constraint)."""
         return (self.q + lam * self.p) @ theta - self.b + lam * self.c
 
     def smoothness(self) -> SmoothnessConstants:
@@ -73,9 +88,6 @@ class QuadProgram:
             l_r=float(q_eigs[-1]), l_c=np.array([float(p_eigs[-1])]),
             mu=float(q_eigs[0]),
         )
-
-    # The stochastic solver cannot be certified; mark the exact surface.
-    exact = True
 
 
 def quad_make(q, b, p, c, limit: float) -> QuadProgram:
@@ -98,11 +110,17 @@ def quad_make(q, b, p, c, limit: float) -> QuadProgram:
     return QuadProgram(q, b, p, c, float(limit))
 
 
-def quad_default() -> QuadProgram:
-    """n = 2, Q = I, b = (1, 1), P = I, c = 0, d = 0.5: the constraint is
-    active and lambda* = sqrt(2) - 1, theta* = (1/sqrt 2, 1/sqrt 2)."""
+def quad_testbed(limit: float) -> QuadProgram:
+    """The harness's testbed: n = 2, Q = I, b = (1, 1), P = I, c = 0, with
+    the cost limit d.  The constraint is active for d < 1."""
     eye = np.eye(2)
-    return quad_make(eye, np.ones(2), eye, np.zeros(2), 0.5)
+    return quad_make(eye, np.ones(2), eye, np.zeros(2), limit)
+
+
+def quad_default() -> QuadProgram:
+    """The testbed at d = 0.5: lambda* = sqrt(2) - 1,
+    theta* = (1/sqrt 2, 1/sqrt 2)."""
+    return quad_testbed(0.5)
 
 
 def quad_primal_min(prog: QuadProgram, lm: Multiplier) -> np.ndarray:

@@ -15,11 +15,14 @@ constraint):
     invqua-practical   eta = H1 / (lambda + H2)^2
 
 A constant variant is included as the baseline the sweeps compare against.
+LrSchedule.scalar_rate gives each rule as a function of one float multiplier;
+rate() and practical_lr evaluate it, and the exact loop calls it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -66,16 +69,20 @@ def lipschitz_of_lambda(c: SmoothnessConstants, lm: Multiplier) -> float:
     return float(c.l_r + lm.values @ c.l_c)
 
 
-def exact_lr(variant: str, c: SmoothnessConstants, lm: Multiplier) -> float:
-    """The optimizing step size of the per-iteration error bound."""
-    big_l = lipschitz_of_lambda(c, lm)
+def _exact_eta(variant: str, mu: float, big_l: float) -> float:
+    """The optimizing step size of the per-iteration error bound at L."""
     if big_l <= 0.0:
         raise ValueError("L(lambda) must be positive")
     if variant == "invlin":
         return 1.0 / (2.0 * big_l)
     if variant == "invqua":
-        return c.mu / (2.0 * big_l * big_l)
+        return mu / (2.0 * big_l * big_l)
     raise ValueError(f"unknown exact variant {variant!r}")
+
+
+def exact_lr(variant: str, c: SmoothnessConstants, lm: Multiplier) -> float:
+    """The optimizing step size of the per-iteration error bound."""
+    return _exact_eta(variant, c.mu, lipschitz_of_lambda(c, lm))
 
 
 @dataclass(frozen=True)
@@ -110,25 +117,44 @@ class LrSchedule:
                 # H2 > 0 keeps eta finite at lambda = 0
                 raise ValueError("practical schedule needs H2 > 0")
 
-    def rate(self, lm: Multiplier) -> float:
+    def scalar_rate(self) -> Callable[[float], float]:
+        """eta as a function of one float multiplier, for a single constraint.
+
+        This is the one formula per variant: rate() and practical_lr call
+        it, and the exact loop binds it once and calls it every iteration.
+        """
         if self.variant == "constant":
-            return float(self.eta)
+            eta = float(self.eta)
+            return lambda lam: eta
         if self.variant.endswith("-exact"):
-            if self.constants is None:
+            c = self.constants
+            if c is None:
                 raise ValueError("exact schedule has no SmoothnessConstants attached")
-            return exact_lr(self.variant.split("-")[0], self.constants, lm)
-        return practical_lr(self, lm)
+            if c.l_c.size != 1:
+                raise ValueError("exact schedules take a single constraint's L_C")
+            kind = self.variant.split("-")[0]
+            l_r, l_c, mu = c.l_r, float(c.l_c[0]), c.mu
+            return lambda lam: _exact_eta(kind, mu, l_r + lam * l_c)
+        h1, h2 = self.h1, self.h2
+        if self.variant == "invlin-practical":
+            return lambda lam: h1 / (lam + h2)
+        return lambda lam: h1 / (lam + h2) ** 2
+
+    def rate(self, lm: Multiplier) -> float:
+        if self.variant.endswith("-practical"):
+            return practical_lr(self, lm)
+        rate = self.scalar_rate()
+        if self.variant.endswith("-exact") and lm.m != 1:
+            raise ValueError("multiplier and L_C dimensions disagree")
+        return rate(float(lm.values[0]))
 
 
 def practical_lr(sched: LrSchedule, lm: Multiplier) -> float:
     """Reciprocal-in-lambda step with free constants; single constraint only."""
     if sched.variant == "constant":
-        return float(sched.eta)
+        return sched.rate(lm)
     if not sched.variant.endswith("-practical"):
         raise ValueError("practical_lr applies to practical or constant variants")
     if lm.m != 1:
         raise ValueError("practical schedules are defined for a single constraint")
-    lam = float(lm.values[0])
-    if sched.variant == "invlin-practical":
-        return sched.h1 / (lam + sched.h2)
-    return sched.h1 / (lam + sched.h2) ** 2
+    return sched.scalar_rate()(float(lm.values[0]))

@@ -3,7 +3,13 @@
 apd_run is the exact-gradient loop on a problem exposing closed-form
 J_R, J_C, and grad L (the quadratic testbed): one (or more) primal descent
 steps at the schedule's eta(lambda_k), then projected dual ascent on
-g(theta_{k+1}).  papd_run is the sampled variant for CMDPs: Monte-Carlo
+g(theta_{k+1}).  The testbed has one constraint, so the loop carries the
+multiplier as a Python float: eta comes from LrSchedule.scalar_rate, the
+gradient and J_C from QuadProgram.grad_at / j_c_value, and the ascent is
+max(lambda + zeta (J_C - d), 0.0), the same arithmetic as the Multiplier
+forms, bit for bit.  J_R is not needed inside the loop and is computed once
+afterwards over all theta_{k+1} (QuadProgram.j_r_rows, bit-equal to j_r per
+row).  papd_run is the sampled variant for CMDPs: Monte-Carlo
 estimates, a score-function or clipped-surrogate primal step at the
 practical eta(lambda_k), and a PID dual update on the estimated cost.
 
@@ -41,7 +47,15 @@ from .cmdp import (  # noqa: F401
     require_finite,
     stack_batch,
 )
-from .duals import PidGains, PidState, dual_ascent_step, pid_dual_step, project_nonneg
+# project_nonneg is no longer called here but stays importable from this
+# module: perfbench/tracing.py times its calls under this name.
+from .duals import (  # noqa: F401
+    PidGains,
+    PidState,
+    pid_dual_step,
+    pid_dual_values,
+    project_nonneg,
+)
 from .lagrangian import (
     ConstraintSpec,
     Multiplier,
@@ -152,9 +166,8 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
     """Exact primal descent / projected dual ascent on an analytic program."""
     if cfg.dual_variant == "ascent" and cfg.zeta is None:
         raise ValueError("apd_run with ascent dual needs zeta")
-    sched = _resolve_schedule(cfg, problem)
+    eta_of = _resolve_schedule(cfg, problem).scalar_rate()
     spec = problem.constraint_spec()
-    m = spec.m
     k_iter = cfg.iterations
 
     theta = (
@@ -162,41 +175,45 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
         if cfg.theta0 is None
         else np.asarray(cfg.theta0, dtype=float).copy()
     )
-    lam = (
-        np.zeros(m)
-        if cfg.lambda0 is None
-        else np.atleast_1d(np.asarray(cfg.lambda0, dtype=float)).copy()
+    # The program has one constraint, so the multiplier is a float.
+    lam0 = np.atleast_1d(
+        np.asarray(0.0 if cfg.lambda0 is None else cfg.lambda0, dtype=float)
     )
-    pid_state = PidState.zeros(m)
+    if lam0.shape != (1,) or not lam0[0] >= 0.0:
+        raise ValueError("lambda0 must be one nonnegative multiplier")
+    lam = float(lam0[0])
+    zeta, limit = cfg.zeta, problem.limit
+    grad_at, j_c_at = problem.grad_at, problem.j_c_value
+    inner = range(cfg.inner_steps)
+    pid = cfg.dual_variant == "pid"
+    gains = cfg.gains or PidGains()
+    pid_state = PidState.zeros(1)
 
     thetas = np.empty((k_iter + 1, theta.size))
-    lambdas = np.empty((k_iter + 1, m))
+    lambdas = np.empty((k_iter + 1, 1))
     etas = np.empty(k_iter)
-    returns = np.empty(k_iter)
-    costs = np.empty((k_iter, m))
+    costs = np.empty((k_iter, 1))
 
     start = time.perf_counter()
     for k in range(k_iter):
         thetas[k] = theta
-        lambdas[k] = lam
-        lm = Multiplier(lam)
-        eta = sched.rate(lm)
+        lambdas[k, 0] = lam
+        eta = eta_of(lam)
         etas[k] = eta
-        for _ in range(cfg.inner_steps):
-            theta = theta - eta * problem.grad_lagrangian(theta, lm)
-        j_r = problem.j_r(theta)
-        j_c = problem.j_c(theta)
-        returns[k] = j_r
-        costs[k] = j_c
-        if cfg.dual_variant == "ascent":
-            lam = project_nonneg(lam + cfg.zeta * (j_c - spec.limits))
-        else:
-            lm_next, pid_state = pid_dual_step(
-                pid_state, cfg.gains or PidGains(), j_c, spec
+        for _ in inner:
+            theta = theta - eta * grad_at(theta, lam)
+        j_c = j_c_at(theta)
+        costs[k, 0] = j_c
+        if pid:
+            lam_next, pid_state = pid_dual_values(
+                pid_state, gains, np.array([j_c]), spec
             )
-            lam = lm_next.values
+            lam = float(lam_next[0])
+        else:
+            lam = max(lam + zeta * (j_c - limit), 0.0)
     thetas[k_iter] = theta
     lambdas[k_iter] = lam
+    returns = problem.j_r_rows(thetas[1:])
 
     # One finiteness screen for the whole run, none per iteration: row k
     # holds theta_{k+1}, J_R and J_C, everything iteration k produced.
@@ -219,7 +236,7 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
         "inner_steps": cfg.inner_steps,
         "seed": cfg.seed,
         "cost_limit": spec.limits.tolist(),
-        "schedule_variant": sched.variant,
+        "schedule_variant": cfg.schedule.variant,
         "lambda_best": lambdas[best].tolist(),
         "dual_best": float(d_vals[best]),
         "wall_clock_s": time.perf_counter() - start,

@@ -261,6 +261,20 @@ class TestRunExperiment:
             summary = json.loads(result.summary_path.read_text())
             assert summary["per_seed"]["0"]["feasible"] is want
 
+    def test_sampled_runs_record_the_compared_averages(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        raw = make_grid_raw(iterations=20, window=0.25)
+        result = run_experiment(parse_config(raw))
+        entry = json.loads(result.summary_path.read_text())["per_seed"]["0"]
+        costs = result.records[0].costs[:, 0]
+        assert entry["cost_full_avg"] == float(np.cumsum(costs)[-1] / 20)
+        assert entry["cost_window_avg"] == float(costs[-5:].mean())
+        # the verdict compares exactly these two numbers with d + 0.01
+        limit = raw["cost_limit"] + 1e-2
+        assert entry["feasible"] is (
+            entry["cost_full_avg"] <= limit and entry["cost_window_avg"] <= limit
+        )
+
     def test_verify_dir_reproduces(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
         result = run_experiment(parse_config(make_testbed_raw(seeds=[3])))
@@ -276,6 +290,33 @@ class TestRunExperiment:
         lines[3] = lines[3].replace(lines[3].split(",")[1], "0.123", 1)
         target.write_text("\n".join(lines) + "\n")
         with pytest.raises(VerificationError, match="differs"):
+            verify_dir(result.output_dir)
+
+    def test_verify_dir_names_first_differing_cell(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        result = run_experiment(parse_config(make_testbed_raw(seeds=[3])))
+        target = result.csv_paths[0]
+        lines = target.read_text().splitlines()
+        cells = lines[8].split(",")  # data row 7
+        original = cells[4]  # the lambda column
+        cells[4] = "0.125"
+        lines[8] = ",".join(cells)
+        target.write_text("\n".join(lines) + "\n")
+        want = (
+            f"seed 3: stored CSV differs from regenerated run at row 7, "
+            f"column lambda: stored 0.125, regenerated {original}"
+        )
+        with pytest.raises(VerificationError) as info:
+            verify_dir(result.output_dir)
+        assert str(info.value) == want
+
+    def test_verify_dir_names_row_count(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        result = run_experiment(parse_config(make_testbed_raw(seeds=[0])))
+        target = result.csv_paths[0]
+        target.write_text("".join(target.read_text().splitlines(True)[:-1]))
+        want = "row count: stored 399, regenerated 400"
+        with pytest.raises(VerificationError, match=want):
             verify_dir(result.output_dir)
 
     def test_verify_dir_needs_summary(self, tmp_path):

@@ -156,6 +156,19 @@ class TestGradients:
             np.testing.assert_allclose(g, fd, rtol=1e-8, atol=1e-8)
 
 
+class TestStackedForms:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_j_r_rows_equals_per_row_j_r(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n))
+        prog = quad_make(
+            a @ a.T + np.eye(n), rng.normal(size=n), np.eye(n), np.zeros(n), 1.0
+        )
+        thetas = rng.normal(size=(500, n)) * 5.0
+        want = np.array([prog.j_r(th) for th in thetas])
+        assert np.array_equal(prog.j_r_rows(thetas), want)
+
+
 class TestValidation:
     def test_dimension_checks(self):
         with pytest.raises(ValueError):

@@ -105,6 +105,18 @@ class TestScheduleDispatch:
             lam(7.0)
         ) == pytest.approx(1e-4)
 
+    def test_scalar_exact_rules_equal_exact_lr(self):
+        c = SmoothnessConstants(l_r=1.3, l_c=np.array([0.7]), mu=0.4)
+        for kind in ("invlin", "invqua"):
+            rate = LrSchedule(f"{kind}-exact", constants=c).scalar_rate()
+            for x in np.linspace(0.0, 20.0, 41):
+                assert rate(float(x)) == exact_lr(kind, c, lam(x))
+
+    def test_exact_rate_is_single_constraint(self):
+        c = SmoothnessConstants(l_r=1.0, l_c=np.array([1.0]), mu=1.0)
+        with pytest.raises(ValueError, match="dimensions"):
+            LrSchedule("invlin-exact", constants=c).rate(Multiplier([1.0, 2.0]))
+
     def test_exact_without_constants_raises_at_rate(self):
         sched = LrSchedule("invlin-exact")  # constructible; resolved later
         with pytest.raises(ValueError, match="SmoothnessConstants"):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from apdual.cmdp import Cmdp, NonFiniteError, SamplingConfig, sample_trajectory
-from apdual.duals import PidGains
+from apdual.duals import PidGains, PidState, pid_dual_step, project_nonneg
 from apdual.envs import (
     GridworldSpec,
     PointEnvConfig,
@@ -158,6 +158,113 @@ class TestApdRun:
         want = "seed 7, iteration 6: non-finite theta"
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=want):
             apd_run(prog, cfg)
+
+
+def reference_apd_run(problem, cfg):
+    """The exact loop as it was written before the multiplier became a
+    float: one Multiplier, one LrSchedule.rate, one grad_lagrangian, j_r and
+    j_c call and one array dual update per iteration."""
+    sched = cfg.schedule
+    if sched.variant.endswith("-exact"):
+        sched = dataclasses.replace(sched, constants=problem.smoothness())
+    spec = problem.constraint_spec()
+    theta = (
+        np.zeros(problem.dim)
+        if cfg.theta0 is None
+        else np.asarray(cfg.theta0, dtype=float).copy()
+    )
+    lam = (
+        np.zeros(1)
+        if cfg.lambda0 is None
+        else np.atleast_1d(np.asarray(cfg.lambda0, dtype=float)).copy()
+    )
+    pid_state = PidState.zeros(1)
+    k_iter = cfg.iterations
+    thetas = np.empty((k_iter + 1, theta.size))
+    lambdas = np.empty((k_iter + 1, 1))
+    etas = np.empty(k_iter)
+    returns = np.empty(k_iter)
+    costs = np.empty((k_iter, 1))
+    for k in range(k_iter):
+        thetas[k] = theta
+        lambdas[k] = lam
+        lm = Multiplier(lam)
+        eta = sched.rate(lm)
+        etas[k] = eta
+        for _ in range(cfg.inner_steps):
+            theta = theta - eta * problem.grad_lagrangian(theta, lm)
+        j_c = problem.j_c(theta)
+        returns[k] = problem.j_r(theta)
+        costs[k] = j_c
+        if cfg.dual_variant == "ascent":
+            lam = project_nonneg(lam + cfg.zeta * (j_c - spec.limits))
+        else:
+            lm_next, pid_state = pid_dual_step(
+                pid_state, cfg.gains or PidGains(), j_c, spec
+            )
+            lam = lm_next.values
+    thetas[k_iter] = theta
+    lambdas[k_iter] = lam
+    return thetas, lambdas, etas, returns, costs
+
+
+def random_program(n, seed):
+    """Q and P positive definite, c = 0, so theta = 0 is a Slater point."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    q = a @ a.T / n + 0.5 * np.eye(n)
+    e = rng.normal(size=(n, n))
+    p = e @ e.T / n + 0.1 * np.eye(n)
+    b = rng.normal(size=n) + 1.0
+    return quad_make(q, b, p, np.zeros(n), 0.3)
+
+
+class TestFloatLoopMatchesReference:
+    """apd_run keeps the multiplier as a float and computes J_R once after
+    the loop; every record array must equal the per-iteration reference."""
+
+    CASES = {
+        "invlin-exact": dict(schedule=LrSchedule("invlin-exact")),
+        "invqua-exact": dict(schedule=LrSchedule("invqua-exact")),
+        "constant": dict(schedule=LrSchedule("constant", eta=0.05)),
+        "invlin-practical": dict(
+            schedule=LrSchedule("invlin-practical", h1=0.2, h2=2.0)
+        ),
+        "invqua-practical": dict(
+            schedule=LrSchedule("invqua-practical", h1=0.5, h2=2.0)
+        ),
+        "pid": dict(
+            schedule=LrSchedule("invlin-exact"),
+            dual_variant="pid",
+            zeta=None,
+            gains=PidGains(0.5, 0.05, 0.1),
+        ),
+        "inner-steps": dict(schedule=LrSchedule("invqua-exact"), inner_steps=3),
+        "lambda0": dict(
+            schedule=LrSchedule("invlin-exact"), lambda0=np.array([1.7])
+        ),
+        "theta0": dict(schedule=LrSchedule("invlin-exact"), theta0="given"),
+    }
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_record_arrays_equal(self, case, n):
+        prog = random_program(n, seed=n)
+        kw = dict(dual_variant="ascent", zeta=0.2) | self.CASES[case]
+        if kw.get("theta0") == "given":
+            kw["theta0"] = np.linspace(-1.0, 2.0, n)
+        cfg = SolverConfig(iterations=400, **kw)
+        rec = apd_run(prog, cfg)
+        want = reference_apd_run(prog, cfg)
+        names = ("thetas", "lambdas", "etas", "returns", "costs")
+        for name, expected in zip(names, want):
+            assert np.array_equal(getattr(rec, name), expected), name
+        assert rec.lambdas.max() > 0.0  # the constraint binds at some point
+
+    def test_lambda0_validation(self):
+        for bad in (np.array([-0.1]), np.array([0.1, 0.2])):
+            with pytest.raises(ValueError, match="lambda0"):
+                apd_run(quad_default(), exact_cfg(iterations=3, lambda0=bad))
 
 
 class TestRunRecordValidation:
