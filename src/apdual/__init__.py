@@ -5,6 +5,9 @@ constrained environments, an analytic quadratic testbed, and numerical
 certificates for the method's convergence and feasibility bounds.
 """
 
+# Defined before the submodule imports: harness records it in summary.json.
+__version__ = "0.1.0"
+
 from .cmdp import (
     Cmdp,
     NonFiniteError,
@@ -16,7 +19,6 @@ from .cmdp import (
     default_horizon,
     derived_seed,
     discounted_value,
-    estimate_objectives,
     sample_trajectory,
 )
 from .duals import PidGains, PidState, dual_ascent_step, pid_dual_step, project_nonneg
@@ -106,5 +108,3 @@ from .solver import (
     papd_run,
     verify_bounds,
 )
-
-__version__ = "0.1.0"

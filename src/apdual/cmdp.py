@@ -32,9 +32,9 @@ and returns row i as a ``Trajectory`` of views into them.  The point tasks
 states, tabular policies) have one; a slippery gridworld and the small test
 CMDPs do not, and are sampled one trajectory and one step at a time.
 
-Each trajectory of a lockstep batch keeps its own derived-seed Generator
-and, after ``initial_dist``, draws all its randomness up front in the order
-in which ``sample_trajectory`` draws it one step at a time:
+Each trajectory of a lockstep batch draws all its randomness up front, after
+``initial_dist``, in the order in which ``sample_trajectory`` draws it one
+step at a time from its derived-seed Generator:
 
   * Gaussian policy: an (H, A + k) block of standard normals, where row t
     holds the A action normals of step t followed by the
@@ -49,12 +49,30 @@ derived_seed(seed, i))`` bit for bit.  The step loop runs with numpy's
 overflow and invalid-value warnings silenced; a diverging batch is caught
 by the finiteness checks after the loop.
 
+Counter-based uniforms.  A tabular stream depends only on its derived seed,
+so ``counter_uniforms`` computes the action uniforms of many batches at
+once in numpy, equal to ``default_rng(derived_seed(root, i)).random(H)``
+bit for bit: the ``SeedSequence`` hash of the seed words, PCG64 seeding,
+the 128-bit LCG jumped ahead to every step (O'Neill 2014, PCG), the XSL-RR
+output and ``(x >> 11) * 2**-53``.  ``papd_run`` draws them for a block of
+iterations at a time and hands each batch its (n, H) slice through
+``collect_batch(..., uniforms=)``, which then builds no Generator.  The
+form applies to derived seeds of at most four entries in [0, 2**32) (one
+SeedSequence word each, ``counter_form_fits``) and to a CMDP whose
+``initial_dist`` draws nothing (``initial_dist_draws``); otherwise the
+Generators are used.  Both forms rely on numpy's fixed bit-generator
+streams (NEP 19); on first use a self-check compares a few streams with
+``default_rng`` and raises RuntimeError naming the numpy version if they
+differ.  The Gaussian path keeps its Generators: ziggurat normals take a
+data-dependent number of draws.
+
 Samplers raise ``NonFiniteError`` on a non-finite reward, cost or vector
 state, and ``ValueError`` on a step cost whose norm exceeds B.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -297,12 +315,23 @@ def batch_values(trajs, gamma: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def collect_batch(
-    cmdp: Cmdp, params: PolicyParams, sampling: SamplingConfig, seed: Seed
+    cmdp: Cmdp,
+    params: PolicyParams,
+    sampling: SamplingConfig,
+    seed: Seed,
+    uniforms: np.ndarray | None = None,
 ) -> list[Trajectory]:
     """n_traj independent rollouts with the documented derived seeds;
-    sampled in lockstep when the CMDP has a VectorStep."""
+    sampled in lockstep when the CMDP has a VectorStep.
+
+    ``uniforms``, for a tabular lockstep batch only, is the (n_traj,
+    horizon) slice of ``counter_uniforms`` for root ``seed``; the batch then
+    uses it instead of building Generators, and ``initial_dist`` must draw
+    nothing (``initial_dist_draws``)."""
     if cmdp.vector_step is not None:
-        return _collect_lockstep(cmdp, params, sampling, seed)
+        return _collect_lockstep(cmdp, params, sampling, seed, uniforms)
+    if uniforms is not None:
+        raise ValueError("counter uniforms need a tabular lockstep batch")
     return [
         sample_trajectory(cmdp, params, sampling.horizon, derived_seed(seed, i))
         for i in range(sampling.n_traj)
@@ -310,23 +339,36 @@ def collect_batch(
 
 
 def _collect_lockstep(
-    cmdp: Cmdp, params: PolicyParams, sampling: SamplingConfig, seed: Seed
+    cmdp: Cmdp,
+    params: PolicyParams,
+    sampling: SamplingConfig,
+    seed: Seed,
+    uniforms: np.ndarray | None,
 ) -> list[Trajectory]:
     """The batch of collect_batch, all trajectories advanced together (see
     the module docstring for the array shapes and the stream layout)."""
     n, horizon = sampling.n_traj, sampling.horizon
     step = cmdp.vector_step
-    rngs = [np.random.default_rng(derived_seed(seed, i)) for i in range(n)]
-    initial = [cmdp.initial_dist(rng) for rng in rngs]
+    tabular = isinstance(params.kind, TabularSoftmax)
+    if uniforms is None:
+        rngs = [np.random.default_rng(derived_seed(seed, i)) for i in range(n)]
+        initial = [cmdp.initial_dist(rng) for rng in rngs]
+    elif not tabular or np.shape(uniforms) != (n, horizon):
+        raise ValueError("counter uniforms need a tabular batch and shape (n, H)")
+    else:
+        still = _still_rng()
+        initial = [cmdp.initial_dist(still) for _ in range(n)]
     # draws[t] holds, per trajectory, the a_dim action draws of step t
     # followed by its noise_dim transition normals.
-    if isinstance(params.kind, TabularSoftmax):
+    if tabular:
         if step.noise_dim:
             raise ValueError("a tabular VectorStep draws no transition noise")
         state = np.array(initial, dtype=np.int64)
         cdf = action_cdf(softmax_table(params))
         a_dim = 1
-        draws = np.stack([rng.random(horizon) for rng in rngs], axis=1)[:, :, None]
+        if uniforms is None:
+            uniforms = np.stack([rng.random(horizon) for rng in rngs])
+        draws = uniforms.T[:, :, None]
 
         def act(cells, u):
             return (cdf[cells] <= u).sum(axis=1)
@@ -376,11 +418,161 @@ def stack_batch(trajs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def estimate_objectives(
-    cmdp: Cmdp, params: PolicyParams, sampling: SamplingConfig, seed: Seed
-) -> tuple[float, np.ndarray]:
-    """Sample means (J_R_hat, J_C_hat) over a derived-seed batch."""
-    returns, cost_vals = batch_values(
-        collect_batch(cmdp, params, sampling, seed), cmdp.gamma
+# Counter-based uniforms (see the module docstring).  Constants of numpy's
+# SeedSequence (pool of 4 uint32 words) and of its PCG64 (128-bit LCG
+# multiplier), as in numpy/random/bit_generator.pyx and pcg64.h.
+_POOL_WORDS = 4
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_CHUNK = 4096  # streams x steps per jump-ahead pass, so temporaries stay small
+_counter_checked = False
+
+
+def counter_form_fits(seed: Seed) -> bool:
+    """Whether every ``derived_seed(seed, i)`` hashes as at most four
+    one-word SeedSequence entries, the case ``counter_uniforms`` covers."""
+    root = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    return len(root) < _POOL_WORDS and all(
+        isinstance(e, (int, np.integer)) and 0 <= e <= _M32 for e in root
     )
-    return float(returns.mean()), cost_vals.mean(axis=0)
+
+
+def initial_dist_draws(cmdp: Cmdp) -> bool:
+    """Whether ``cmdp.initial_dist`` draws from its Generator, seen by
+    comparing the Generator's state before and after one call."""
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    cmdp.initial_dist(rng)
+    return rng.bit_generator.state != before
+
+
+@functools.cache
+def _still_rng() -> np.random.Generator:
+    """The Generator that a batch with counter uniforms hands to its
+    ``initial_dist``, which draws nothing from it."""
+    return np.random.default_rng(0)
+
+
+def counter_uniforms(roots: Sequence[Seed], n: int, horizon: int) -> np.ndarray:
+    """Action uniforms of whole batches, shape (len(roots), n, horizon):
+    entry [r, i] equals ``np.random.default_rng(derived_seed(roots[r],
+    i)).random(horizon)`` bit for bit.
+
+    Every root must satisfy ``counter_form_fits``.  The first call checks a
+    few streams against ``default_rng`` and raises RuntimeError if numpy's
+    streams changed."""
+    global _counter_checked
+    if not all(counter_form_fits(root) for root in roots):
+        raise ValueError("a root does not fit the counter form")
+    if not _counter_checked:
+        # Edge words and a four-word stream, against their Generators.
+        probe = [(0, 0), (_M32, 0, 999983), (12345, _M32)]
+        want = [
+            [np.random.default_rng(derived_seed(root, i)).random(5) for i in (0, 2)]
+            for root in probe
+        ]
+        if not np.array_equal(_counter_block(probe, 3, 5)[:, ::2], want):
+            raise RuntimeError(
+                "counter-based uniforms differ from default_rng streams under "
+                f"numpy {np.__version__}"
+            )
+        _counter_checked = True
+    return _counter_block(roots, n, horizon)
+
+
+def _counter_block(roots, n: int, horizon: int) -> np.ndarray:
+    """counter_uniforms without the checks."""
+    u64 = np.uint64
+    words = np.zeros((_POOL_WORDS, len(roots), n), dtype=np.uint32)
+    for j, root in enumerate(roots):
+        root = tuple(root) if isinstance(root, (tuple, list)) else (root,)
+        words[: len(root), j] = np.array(root, dtype=np.uint32)[:, None]
+        words[len(root), j] = np.arange(n, dtype=np.uint32)
+    # Zero words past the entropy hash as SeedSequence's padding does.
+    w = [x.astype(u64) for x in _seed_state(words.reshape(_POOL_WORDS, -1))]
+    # PCG64 seeding: initstate = (v0 << 64) | v1, initseq = (v2 << 64) | v3
+    # with v = generate_state(4, uint64); inc = (initseq << 1) | 1.
+    init_hi, init_lo = w[0] | (w[1] << u64(32)), w[2] | (w[3] << u64(32))
+    seq_hi, seq_lo = w[4] | (w[5] << u64(32)), w[6] | (w[7] << u64(32))
+    inc_hi = (seq_hi << u64(1)) | (seq_lo >> u64(63))
+    inc_lo = (seq_lo << u64(1)) | u64(1)
+    # Seeding steps state 0 -> inc, adds initstate and steps again; draw t
+    # (1-based) steps once more and outputs, so with the LCG s -> M s + inc,
+    # s_t = M^(t+1) initstate + (M^0 + ... + M^(t+1)) inc  (mod 2^128).
+    mask = (1 << 128) - 1
+    power, total = _PCG_MULT, 1 + _PCG_MULT
+    a_t, c_t = [], []
+    for _ in range(horizon):
+        power = power * _PCG_MULT & mask
+        total = (total + power) & mask
+        a_t.append(power)
+        c_t.append(total)
+    a_t, c_t = _quarters(a_t), _quarters(c_t)
+    out = np.empty((horizon, init_hi.size))
+    rows = max(1, _CHUNK // init_hi.size)
+    for t0 in range(0, horizon, rows):
+        part = slice(t0, t0 + rows)
+        hi, lo = _mul128(init_hi, init_lo, a_t[:, part])
+        inc_part_hi, inc_part_lo = _mul128(inc_hi, inc_lo, c_t[:, part])
+        lo += inc_part_lo
+        hi += inc_part_hi + (lo < inc_part_lo)
+        # XSL-RR: rotate hi ^ lo right by the top six bits of the state.
+        x, rot = hi ^ lo, hi >> u64(58)
+        x = (x >> rot) | (x << ((u64(64) - rot) & u64(63)))
+        out[part] = (x >> u64(11)) * (1.0 / 9007199254740992.0)
+    return out.T.reshape(len(roots), n, horizon)
+
+
+def _seed_state(words: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence(entropy).generate_state(8, uint32) for each column of
+    the (4, N) uint32 entropy words, one uint32 array per output word."""
+    u32 = np.uint32
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * u32(hash_const)
+        return value ^ (value >> u32(16))
+
+    pool = [hashmix(word) for word in words]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                mixed = u32(_MIX_L) * pool[dst] - u32(_MIX_R) * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> u32(16))
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL_WORDS] ^ u32(hash_const)
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * u32(hash_const)
+        state.append(value ^ (value >> u32(16)))
+    return state
+
+
+def _quarters(values: list[int]) -> np.ndarray:
+    """128-bit ints as a (4, T, 1) uint64 array of 32-bit limbs, most
+    significant first."""
+    limbs = [[v >> s & _M32 for v in values] for s in (96, 64, 32, 0)]
+    return np.array(limbs, dtype=np.uint64)[:, :, None]
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, const: np.ndarray):
+    """(hi, lo) * const mod 2^128 as (hi, lo) 64-bit halves, for (N,) state
+    halves and (4, T, 1) constant limbs; the result is (T, N).  The high
+    half of lo * const_lo is summed from 32-bit partial products."""
+    u64, m32 = np.uint64, np.uint64(_M32)
+    c3, c2, c1, c0 = const
+    lo_l, lo_h = lo & m32, lo >> u64(32)
+    ll, lh, hl = lo_l * c0, lo_l * c1, lo_h * c0
+    mid = (ll >> u64(32)) + (lh & m32) + (hl & m32)
+    out_hi = lo_h * c1 + (lh >> u64(32)) + (hl >> u64(32)) + (mid >> u64(32))
+    const_lo = (c1 << u64(32)) | c0
+    out_hi += hi * const_lo
+    out_hi += lo * ((c3 << u64(32)) | c2)
+    return out_hi, lo * const_lo

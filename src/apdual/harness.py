@@ -31,9 +31,11 @@ certificate JSON per seed.  For sampled runs summary.json records, per
 seed, the verdict of solver.feasibility_check ("feasible": both the
 full-run and the final-window average cost are within the limit plus
 0.01) and the two averages it compares, "cost_full_avg" and
-"cost_window_avg".  verify_dir names the first CSV row and column that
-differ from the re-run, with both values.  The env var APDUAL_OUTPUT_ROOT,
-when set, prefixes every output_dir.
+"cost_window_avg".  summary.json also records "apdual_version" and
+"numpy_version": sampled runs depend on numpy's fixed bit-generator streams
+(NEP 19).  verify_dir names the first CSV row and column that differ from
+the re-run, with both values, after a numpy version mismatch if there is
+one.  The env var APDUAL_OUTPUT_ROOT, when set, prefixes every output_dir.
 
 Final-window statistics use the last ``window`` fraction (default 20%) of
 iterations.
@@ -54,6 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .cmdp import SamplingConfig
 from .duals import PidGains
 from .envs import (
@@ -518,6 +521,8 @@ def run_experiment(cfg: ExperimentConfig | str | Path) -> ExperimentResult:
     aggregate = _window_aggregate(records, cfg.window)
     summary = {
         "schema_version": SCHEMA_VERSION,
+        "apdual_version": __version__,
+        "numpy_version": np.__version__,
         "config": cfg.raw,
         "per_seed": per_seed_summary,
         "aggregate": aggregate,
@@ -666,6 +671,13 @@ def verify_dir(directory: str | Path) -> list[str]:
         raise ConfigError(f"{directory}: no summary.json to verify against")
     summary = json.loads(summary_path.read_text())
     cfg = parse_config(summary["config"])
+    stored_numpy = summary.get("numpy_version", np.__version__)
+    versions = (
+        ""
+        if stored_numpy == np.__version__
+        else f" (stored under numpy {stored_numpy}, regenerated under numpy "
+        f"{np.__version__})"
+    )
 
     lines = []
     failures = []
@@ -679,7 +691,8 @@ def verify_dir(directory: str | Path) -> list[str]:
         mismatch = _first_csv_difference(stored.read_text(), regenerated)
         if mismatch:
             failures.append(
-                f"seed {seed}: stored CSV differs from regenerated run at {mismatch}"
+                f"seed {seed}: stored CSV differs from regenerated run{versions} "
+                f"at {mismatch}"
             )
             continue
         line = f"seed {seed}: reproduced ({record.iterations} rows)"

@@ -11,7 +11,10 @@ forms, bit for bit.  J_R is not needed inside the loop and is computed once
 afterwards over all theta_{k+1} (QuadProgram.j_r_rows, bit-equal to j_r per
 row).  papd_run is the sampled variant for CMDPs: Monte-Carlo
 estimates, a score-function or clipped-surrogate primal step at the
-practical eta(lambda_k), and a PID dual update on the estimated cost.
+practical eta(lambda_k), and a PID dual update on the estimated cost.  For
+tabular lockstep batches it draws the action uniforms of UNIFORM_BLOCK
+iterations at once with cmdp.counter_uniforms and hands each batch its
+slice, so no batch builds Generators (see the cmdp module docstring).
 
 verify_bounds turns an exact run into a BoundCertificate by recomputing the
 per-iteration primal error
@@ -30,6 +33,7 @@ rather than failed.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -43,7 +47,10 @@ from .cmdp import (  # noqa: F401
     SamplingConfig,
     batch_values,
     collect_batch,
+    counter_form_fits,
+    counter_uniforms,
     discounted_value,
+    initial_dist_draws,
     require_finite,
     stack_batch,
 )
@@ -71,6 +78,9 @@ from .schedules import LrSchedule, SmoothnessConstants
 
 FRESH_BATCH_STREAM = 999983  # substream tag for fresh dual-batch estimation
 SHUFFLE_STREAM = 999979  # substream tag for minibatch shuffling
+# papd_run draws the tabular action uniforms of this many iterations at once:
+# the seed hashing costs about as much for one batch as for a block.
+UNIFORM_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -296,6 +306,7 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
     costs = np.empty((k_iter, m))
 
     start = time.perf_counter()
+    uniforms = _iteration_uniforms(cmdp, params, cfg)
     for k in range(k_iter):
         thetas[k] = params.theta
         lambdas[k] = lam
@@ -304,7 +315,7 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
         etas[k] = eta
         try:
             params, j_r_hat, j_c_hat = _papd_iteration(
-                cmdp, params, lm, spec, cfg, eta, k
+                cmdp, params, lm, spec, cfg, eta, k, next(uniforms)
             )
         except NonFiniteError as exc:
             raise NonFiniteError(f"seed {cfg.seed}, iteration {k}: {exc}") from exc
@@ -331,6 +342,33 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
     return RunRecord(thetas, lambdas, etas, returns, costs, meta)
 
 
+def _iteration_uniforms(cmdp: Cmdp, params: PolicyParams, cfg: SolverConfig):
+    """Per iteration k, the counter uniforms of the batches rooted at
+    (seed, k) and, with fresh_dual_batch, (seed, k, FRESH_BATCH_STREAM),
+    drawn UNIFORM_BLOCK iterations at a time; (None, None) throughout, so
+    that collect_batch builds Generators, unless the batches are tabular
+    lockstep ones, initial_dist draws nothing and the seeds fit the counter
+    form."""
+    longest_root = (cfg.seed, cfg.iterations - 1, FRESH_BATCH_STREAM)
+    if not (
+        cmdp.vector_step is not None
+        and isinstance(params.kind, TabularSoftmax)
+        and counter_form_fits(longest_root)
+        and not initial_dist_draws(cmdp)
+    ):
+        yield from itertools.repeat((None, None), cfg.iterations)
+        return
+    n, horizon = cfg.sampling.n_traj, cfg.sampling.horizon
+    for lo in range(0, cfg.iterations, UNIFORM_BLOCK):
+        ks = range(lo, min(lo + UNIFORM_BLOCK, cfg.iterations))
+        roots = [(cfg.seed, k) for k in ks]
+        if cfg.fresh_dual_batch:
+            roots += [(cfg.seed, k, FRESH_BATCH_STREAM) for k in ks]
+        block = counter_uniforms(roots, n, horizon)
+        for j in range(len(ks)):
+            yield block[j], (block[len(ks) + j] if cfg.fresh_dual_batch else None)
+
+
 def _papd_iteration(
     cmdp: Cmdp,
     params: PolicyParams,
@@ -339,12 +377,15 @@ def _papd_iteration(
     cfg: SolverConfig,
     eta: float,
     k: int,
+    uniforms: tuple,
 ) -> tuple[PolicyParams, float, np.ndarray]:
     """Primal step k of papd_run: (new params, J_R estimate, J_C estimate).
 
-    Raises NonFiniteError when a sample, the estimates or theta turn
-    non-finite."""
-    trajs = collect_batch(cmdp, params, cfg.sampling, (cfg.seed, k))
+    ``uniforms`` holds the counter uniforms of the batch and of the fresh
+    dual batch, or None for either to sample with Generators.  Raises
+    NonFiniteError when a sample, the estimates or theta turn non-finite."""
+    batch_u, fresh_u = uniforms
+    trajs = collect_batch(cmdp, params, cfg.sampling, (cfg.seed, k), batch_u)
     values = batch_values(trajs, cmdp.gamma)
 
     if cfg.algorithm == "reinforce":
@@ -356,7 +397,7 @@ def _papd_iteration(
 
     if cfg.fresh_dual_batch:
         fresh = collect_batch(
-            cmdp, params, cfg.sampling, (cfg.seed, k, FRESH_BATCH_STREAM)
+            cmdp, params, cfg.sampling, (cfg.seed, k, FRESH_BATCH_STREAM), fresh_u
         )
         values = batch_values(fresh, cmdp.gamma)
     vals, cvals = values

@@ -5,6 +5,8 @@ written here in the test (distribution-vector recursion over an explicit
 two-state chain), not against any library code path.
 """
 
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -18,14 +20,23 @@ from apdual.cmdp import (
     Trajectory,
     batch_values,
     collect_batch,
+    counter_form_fits,
+    counter_uniforms,
     default_horizon,
     derived_seed,
     discounted_value,
-    estimate_objectives,
+    initial_dist_draws,
     require_finite,
     sample_trajectory,
 )
+from apdual import cmdp as cmdp_module
+from apdual import solver
+from apdual.duals import PidGains
+from apdual.envs import default_hazard_gridworld, make_gridworld
+from apdual.lagrangian import ConstraintSpec
 from apdual.policy import PolicyParams, TabularSoftmax, init_params
+from apdual.schedules import LrSchedule
+from apdual.solver import FRESH_BATCH_STREAM, UNIFORM_BLOCK, SolverConfig, papd_run
 
 GAMMA = 0.9
 
@@ -77,6 +88,15 @@ def chain_exact(p_jump, gamma, horizon, probs, cost_scale=1.0):
 
 def uniform_params(n_states=2, n_actions=2):
     return init_params(TabularSoftmax(n_states, n_actions))
+
+
+def estimate_objectives(cmdp, params, sampling, seed):
+    """Reference estimator: sample means (J_R_hat, J_C_hat) over a
+    derived-seed batch."""
+    returns, cost_vals = batch_values(
+        collect_batch(cmdp, params, sampling, seed), cmdp.gamma
+    )
+    return float(returns.mean()), cost_vals.mean(axis=0)
 
 
 class TestDefaultHorizon:
@@ -340,3 +360,169 @@ class TestValidation:
     def test_sample_trajectory_rejects_zero_horizon(self):
         with pytest.raises(ValueError):
             sample_trajectory(chain_cmdp(), uniform_params(), 0, seed=0)
+
+
+def generator_uniforms(root, n, horizon):
+    return np.stack(
+        [np.random.default_rng(derived_seed(root, i)).random(horizon) for i in range(n)]
+    )
+
+
+def drawing_start(cmdp):
+    """The CMDP with an initial_dist that draws one (unused) uniform."""
+    start = cmdp.initial_dist
+    return dataclasses.replace(
+        cmdp, initial_dist=lambda rng: start(rng) + int(rng.random() > 2.0)
+    )
+
+
+def grid_papd_cfg(iterations, fresh, seed=3):
+    return SolverConfig(
+        iterations=iterations,
+        schedule=LrSchedule("invlin-practical", h1=0.003, h2=3.0),
+        dual_variant="pid",
+        gains=PidGains(),
+        theta0=init_params(TabularSoftmax(default_hazard_gridworld().n_cells, 4)),
+        sampling=SamplingConfig(n_traj=16, horizon=24),
+        seed=seed,
+        fresh_dual_batch=fresh,
+    )
+
+
+def assert_records_equal(a, b):
+    for name in ("thetas", "lambdas", "etas", "returns", "costs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def generators_only(monkeypatch):
+    """Switch papd_run's counter form off: every batch builds Generators."""
+    monkeypatch.setattr(
+        solver,
+        "_iteration_uniforms",
+        lambda cmdp, params, cfg: itertools.repeat((None, None)),
+    )
+
+
+def count_counter_calls(monkeypatch):
+    calls = []
+
+    def counted(roots, n, horizon):
+        calls.append(len(roots))
+        return counter_uniforms(roots, n, horizon)
+
+    monkeypatch.setattr(solver, "counter_uniforms", counted)
+    return calls
+
+
+GRID_LIMIT = ConstraintSpec(np.array([10.0]))
+
+
+class TestCounterUniforms:
+    def test_bit_equal_on_4096_streams(self):
+        roots = [(7, k) for k in range(1000, 1256)]
+        got = counter_uniforms(roots, 16, 24)
+        assert got.shape == (256, 16, 24)
+        for j, root in enumerate(roots):
+            assert np.array_equal(got[j], generator_uniforms(root, 16, 24)), root
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            [(0, 0), (0, 2**32 - 1), (2**32 - 1, 0), (2**32 - 1, 2**32 - 1)],
+            [0, 2**32 - 1, (5,), [6, 7]],
+            [(s, k, FRESH_BATCH_STREAM) for s in (0, 61) for k in (0, 1, 2**32 - 1)],
+            [(3, 9), (3, 9, FRESH_BATCH_STREAM), (3, 10), (3, 10, FRESH_BATCH_STREAM)],
+        ],
+    )
+    def test_bit_equal_on_edge_and_four_word_seeds(self, roots):
+        got = counter_uniforms(roots, 5, 37)
+        for j, root in enumerate(roots):
+            assert np.array_equal(got[j], generator_uniforms(root, 5, 37)), root
+
+    def test_one_step_and_wide_batch(self):
+        got = counter_uniforms([(1, 2), (1, 3)], 600, 1)
+        for j, root in enumerate([(1, 2), (1, 3)]):
+            assert np.array_equal(got[j], generator_uniforms(root, 600, 1))
+
+    def test_fit_guard(self):
+        assert counter_form_fits((2**32 - 1, 0, FRESH_BATCH_STREAM))
+        assert counter_form_fits(4)
+        for root in ((2**32, 0), (-1, 0), 2**32, (1, 2, 3, 4), (1.0, 2)):
+            assert not counter_form_fits(root), root
+            with pytest.raises(ValueError, match="counter form"):
+                counter_uniforms([(0, 0), root], 2, 3)
+
+    def test_self_check_raises_when_streams_differ(self, monkeypatch):
+        monkeypatch.setattr(cmdp_module, "_counter_checked", False)
+        monkeypatch.setattr(cmdp_module, "_INIT_B", cmdp_module._INIT_B ^ 1)
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            counter_uniforms([(0, 1)], 2, 3)
+
+    def test_initial_dist_draws(self):
+        grid = make_gridworld(default_hazard_gridworld())
+        assert not initial_dist_draws(grid)
+        assert not initial_dist_draws(chain_cmdp())
+        assert initial_dist_draws(drawing_start(grid))
+
+    def test_collect_batch_with_uniforms_equals_generators(self):
+        cmdp = make_gridworld(default_hazard_gridworld())
+        params = init_params(TabularSoftmax(15, 4))
+        params = params.replace_theta(np.random.default_rng(4).normal(size=60))
+        sampling = SamplingConfig(n_traj=6, horizon=30)
+        (u,) = counter_uniforms([(8, 2)], 6, 30)
+        got = collect_batch(cmdp, params, sampling, (8, 2), u)
+        want = collect_batch(cmdp, params, sampling, (8, 2))
+        for a, b in zip(got, want):
+            assert np.array_equal(a.states, b.states)
+            assert np.array_equal(a.actions, b.actions)
+            assert np.array_equal(a.costs, b.costs)
+        with pytest.raises(ValueError, match="shape"):
+            collect_batch(cmdp, params, sampling, (8, 2), u[:, :5])
+        with pytest.raises(ValueError, match="tabular lockstep"):
+            collect_batch(chain_cmdp(), uniform_params(), sampling, (8, 2), u)
+
+
+class TestPapdCounterBlocks:
+    @pytest.mark.parametrize("fresh", [False, True])
+    @pytest.mark.parametrize("iterations", [1, 63, 64, 65, 130])
+    def test_records_equal_generator_loop(self, monkeypatch, iterations, fresh):
+        cmdp = make_gridworld(default_hazard_gridworld())
+        cfg = grid_papd_cfg(iterations, fresh)
+        calls = count_counter_calls(monkeypatch)
+        got = papd_run(cmdp, GRID_LIMIT, cfg)
+        blocks = -(-iterations // UNIFORM_BLOCK)
+        assert len(calls) == blocks
+        assert sum(calls) == iterations * (2 if fresh else 1)
+        generators_only(monkeypatch)
+        assert_records_equal(got, papd_run(cmdp, GRID_LIMIT, cfg))
+
+    def test_no_generator_for_a_drawn_batch(self, monkeypatch):
+        cmdp = make_gridworld(default_hazard_gridworld())
+        cfg = grid_papd_cfg(70, fresh=True)
+        want = papd_run(cmdp, GRID_LIMIT, cfg)  # also runs the self-check
+        built = []
+        default_rng = np.random.default_rng
+
+        def counted(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        assert_records_equal(papd_run(cmdp, GRID_LIMIT, cfg), want)
+        assert built == [0]  # initial_dist_draws' probe, once per run
+
+    def test_large_seed_falls_back_to_generators(self, monkeypatch):
+        cmdp = make_gridworld(default_hazard_gridworld())
+        calls = count_counter_calls(monkeypatch)
+        rec = papd_run(cmdp, GRID_LIMIT, grid_papd_cfg(5, True, seed=2**32))
+        assert calls == [] and rec.iterations == 5
+
+    def test_drawing_initial_dist_falls_back_to_generators(self, monkeypatch):
+        grid = make_gridworld(default_hazard_gridworld())
+        calls = count_counter_calls(monkeypatch)
+        got = papd_run(drawing_start(grid), GRID_LIMIT, grid_papd_cfg(10, True))
+        assert calls == []
+        # The drawn variate shifts every action uniform by one, so the run
+        # differs from one whose initial_dist draws nothing.
+        plain = papd_run(grid, GRID_LIMIT, grid_papd_cfg(10, True))
+        assert not np.array_equal(got.returns, plain.returns)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import apdual
 from apdual import harness
 from apdual.cli import main
 from apdual.cmdp import NonFiniteError
@@ -305,6 +306,36 @@ class TestRunExperiment:
         want = (
             f"seed 3: stored CSV differs from regenerated run at row 7, "
             f"column lambda: stored 0.125, regenerated {original}"
+        )
+        with pytest.raises(VerificationError) as info:
+            verify_dir(result.output_dir)
+        assert str(info.value) == want
+
+    def test_summary_records_versions(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        result = run_experiment(parse_config(make_grid_raw(iterations=3, seeds=[0])))
+        summary = json.loads(result.summary_path.read_text())
+        assert summary["apdual_version"] == apdual.__version__
+        assert summary["numpy_version"] == np.__version__
+
+    def test_verify_dir_names_numpy_version_mismatch(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        result = run_experiment(parse_config(make_grid_raw(iterations=6, seeds=[2])))
+        summary = json.loads(result.summary_path.read_text())
+        summary["numpy_version"] = "1.26.4"
+        result.summary_path.write_text(json.dumps(summary))
+        verify_dir(result.output_dir)  # equal bytes: the version alone passes
+        target = result.csv_paths[0]
+        lines = target.read_text().splitlines()
+        cells = lines[4].split(",")  # data row 3
+        original = cells[2]  # the cost column
+        cells[2] = "0.5"
+        lines[4] = ",".join(cells)
+        target.write_text("\n".join(lines) + "\n")
+        want = (
+            f"seed 2: stored CSV differs from regenerated run (stored under "
+            f"numpy 1.26.4, regenerated under numpy {np.__version__}) at row 3, "
+            f"column cost: stored 0.5, regenerated {original}"
         )
         with pytest.raises(VerificationError) as info:
             verify_dir(result.output_dir)
