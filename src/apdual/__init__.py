@@ -6,13 +6,13 @@ certificates for the method's convergence and feasibility bounds.
 """
 
 # Defined before the submodule imports: harness records it in summary.json.
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .cmdp import (
     Cmdp,
     NonFiniteError,
+    RolloutBatch,
     SamplingConfig,
-    Trajectory,
     VectorStep,
     batch_values,
     collect_batch,
@@ -21,7 +21,7 @@ from .cmdp import (
     discounted_value,
     sample_trajectory,
 )
-from .duals import PidGains, PidState, dual_ascent_step, pid_dual_step, project_nonneg
+from .duals import PidGains, PidState, pid_dual_step, project_nonneg
 from .envs import (
     GridworldSpec,
     N_ACTIONS,
@@ -57,8 +57,6 @@ from .lagrangian import (
     Multiplier,
     PpolConfig,
     advantage_batch,
-    constraint_value,
-    gae_advantages,
     lagrangian_value,
     ppol_surrogate,
     ppol_surrogate_grad,

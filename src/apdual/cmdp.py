@@ -1,10 +1,10 @@
 """Discounted CMDP primitives and Monte-Carlo objective estimators.
 
 A constrained MDP is a plain immutable value: callables for the initial
-distribution, transition kernel, reward, and per-step cost vector, together
-with the discount factor and a bound B on the per-step cost norm.  The two
-objectives are the expected discounted return and the expected discounted
-cost vector,
+distribution, transition kernel, reward, and per-step cost vector, a
+lockstep step function, the discount factor and a bound B on the per-step
+cost norm.  The two objectives are the expected discounted return and the
+expected discounted cost vector,
 
     J_R = E[sum_t gamma^t r_t],      J_C = E[sum_t gamma^t c_t],
 
@@ -20,42 +20,44 @@ of a batch rooted at ``seed`` the derived seed ``(*seed, i)`` (counter
 scheme), so any single trajectory of any batch can be regenerated in
 isolation and batches may be sampled concurrently.
 
-Lockstep batches.  A CMDP may also carry a ``VectorStep``: one transition,
-reward and cost computation for all n trajectories of a batch at once.
-``collect_batch`` then advances the n trajectories together over the arrays
+Rollout batches.  ``collect_batch`` advances the n trajectories of a batch
+together through the CMDP's ``VectorStep`` (one transition, reward and cost
+computation for all n) and returns one ``RolloutBatch`` of arrays
 
     states  (n, H+1[, F])   actions (n, H[, A])
     rewards (n, H)          costs   (n, H, m)
 
-and returns row i as a ``Trajectory`` of views into them.  The point tasks
-(vector states, Gaussian policies) and the slip-free gridworld (integer
-states, tabular policies) have one; a slippery gridworld and the small test
-CMDPs do not, and are sampled one trajectory and one step at a time.
+Every CMDP has a VectorStep: the point tasks (vector states, Gaussian
+policies), the gridworld with or without slip (integer states, tabular
+policies) and the tests' small CMDPs.
 
-Each trajectory of a lockstep batch draws all its randomness up front, after
-``initial_dist``, in the order in which ``sample_trajectory`` draws it one
-step at a time from its derived-seed Generator:
+Each trajectory of a batch draws all its randomness up front, after
+``initial_dist``, a fixed number of variates per step, where
+k = ``VectorStep.noise_dim``:
 
-  * Gaussian policy: an (H, A + k) block of standard normals, where row t
-    holds the A action normals of step t followed by the
-    k = ``VectorStep.noise_dim`` transition normals of step t;
-  * tabular policy: ``rng.random(H)``, one action uniform per step (a
-    tabular VectorStep draws no transition noise, k = 0).  The action of
-    step t is the number of entries of the state's action cdf that are
-    <= u_t, ``searchsorted(cdf[s], u_t, side="right")`` bit for bit.
+  * Gaussian policy: ``rng.standard_normal((H, A + k))``; row t holds the A
+    action normals of step t followed by its k transition normals;
+  * tabular policy: ``rng.random((H, 1 + k))``; row t holds the action
+    uniform u_t of step t followed by its k transition uniforms.  The
+    action of step t is the number of entries of the state's action cdf
+    that are <= u_t, ``searchsorted(cdf[s], u_t, side="right")`` bit for
+    bit.
 
-So row i of a lockstep batch equals ``sample_trajectory(cmdp, params, H,
-derived_seed(seed, i))`` bit for bit.  The step loop runs with numpy's
-overflow and invalid-value warnings silenced; a diverging batch is caught
-by the finiteness checks after the loop.
+``sample_trajectory`` is the per-step reference: it rolls one trajectory
+out through the ``transition``, ``reward`` and ``costs`` callbacks, which
+draw the same variates in the same order (``policy_act``, then
+``transition``).  So row i of a batch equals ``sample_trajectory(cmdp,
+params, H, derived_seed(seed, i))`` bit for bit.  The step loop runs with
+numpy's overflow and invalid-value warnings silenced; a diverging batch is
+caught by the finiteness checks after the loop.
 
 Counter-based uniforms.  A tabular stream depends only on its derived seed,
-so ``counter_uniforms`` computes the action uniforms of many batches at
-once in numpy, equal to ``default_rng(derived_seed(root, i)).random(H)``
+so ``counter_uniforms`` computes the uniforms of many batches at once in
+numpy, equal to ``default_rng(derived_seed(root, i)).random(H * (1 + k))``
 bit for bit: the ``SeedSequence`` hash of the seed words, PCG64 seeding,
-the 128-bit LCG jumped ahead to every step (O'Neill 2014, PCG), the XSL-RR
+the 128-bit LCG jumped ahead to every draw (O'Neill 2014, PCG), the XSL-RR
 output and ``(x >> 11) * 2**-53``.  ``papd_run`` draws them for a block of
-iterations at a time and hands each batch its (n, H) slice through
+iterations at a time and hands each batch its (n, H, 1 + k) slice through
 ``collect_batch(..., uniforms=)``, which then builds no Generator.  The
 form applies to derived seeds of at most four entries in [0, 2**32) (one
 SeedSequence word each, ``counter_form_fits``) and to a CMDP whose
@@ -74,7 +76,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -83,6 +85,7 @@ from .policy import (
     PolicyParams,
     TabularSoftmax,
     action_cdf,
+    policy_act,
     policy_act_batch,
     softmax_table,
 )
@@ -113,13 +116,13 @@ def require_finite(name: str, values) -> None:
 class VectorStep:
     """One lockstep transition of n stacked states.
 
-    ``fn(states, actions, normals)`` takes (n[, F]) states, (n[, A])
-    actions and (n, noise_dim) standard normals and returns the (n[, F])
-    next states with the (n,) rewards and the (n,) or (n, m) costs of the n
+    ``fn(states, actions, noise)`` takes (n[, F]) states, (n[, A]) actions
+    and (n, noise_dim) transition draws, standard normals for vector states
+    and uniforms in [0, 1) for tabular ones.  It returns the (n[, F]) next
+    states with the (n,) rewards and the (n,) or (n, m) costs of the n
     steps, computed in one pass.  It must agree with the CMDP's per-step
     ``transition``, ``reward`` and ``costs`` callbacks, where ``transition``
-    draws ``noise_dim`` standard normals per step from its Generator.
-    Tabular CMDPs draw no transition noise (noise_dim 0).
+    draws the same ``noise_dim`` variates per step from its Generator.
     """
 
     noise_dim: int
@@ -132,8 +135,9 @@ class Cmdp:
 
     States are integer indices for tabular models (``n_states``/``n_actions``
     set) and real vectors otherwise.  ``costs`` may return a scalar when
-    ``n_costs == 1``; samplers normalize to an m-vector.  ``vector_step``,
-    when set, lets ``collect_batch`` sample a batch in lockstep.
+    ``n_costs == 1``; samplers normalize to an m-vector.  ``collect_batch``
+    samples through ``vector_step``; ``sample_trajectory`` through the
+    per-step callbacks.
     """
 
     gamma: float
@@ -143,9 +147,9 @@ class Cmdp:
     transition: Callable[[Any, Any, np.random.Generator], Any]
     reward: Callable[[Any, Any, Any], float]
     costs: Callable[[Any, Any, Any], Any]
+    vector_step: VectorStep
     n_states: int | None = None
     n_actions: int | None = None
-    vector_step: VectorStep | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
@@ -174,28 +178,30 @@ class SamplingConfig:
             raise ValueError("horizon must be >= 1")
 
 
-@dataclass
-class Trajectory:
-    """A fixed-horizon rollout stored as parallel sequences.
+@dataclass(frozen=True)
+class RolloutBatch:
+    """n fixed-horizon rollouts as arrays: states (n, H+1[, F]), whose last
+    column is the state reached by the last transition, actions
+    (n, H[, A]), rewards (n, H) and costs (n, H, m)."""
 
-    ``states`` has length T+1 (the final entry is the state reached by the
-    last transition); ``actions`` has length T; ``rewards`` is (T,) and
-    ``costs`` is (T, m).  States and actions are lists from the per-step
-    sampler and (T+1[, F]) / (T[, A]) array views from a lockstep batch.
-    """
-
-    states: Sequence
-    actions: Sequence
+    states: np.ndarray
+    actions: np.ndarray
     rewards: np.ndarray
     costs: np.ndarray
 
     def __post_init__(self) -> None:
-        t = len(self.actions)
-        if len(self.states) != t + 1 or len(self.rewards) != t or len(self.costs) != t:
-            raise ValueError("inconsistent trajectory field lengths")
+        shape = self.rewards.shape
+        if not (
+            len(shape) == 2
+            and self.states.shape[:2] == (shape[0], shape[1] + 1)
+            and self.actions.shape[:2] == shape
+            and self.costs.shape[:2] == shape
+            and self.costs.ndim == 3
+        ):
+            raise ValueError("inconsistent batch field shapes")
 
     def __len__(self) -> int:
-        return len(self.actions)
+        return self.rewards.shape[0]
 
 
 def default_horizon(gamma: float, rel_tail: float = 1e-3) -> int:
@@ -215,53 +221,34 @@ def derived_seed(seed: Seed, index: int) -> tuple:
 
 def sample_trajectory(
     cmdp: Cmdp, params: PolicyParams, horizon: int, seed: Seed
-) -> Trajectory:
+) -> RolloutBatch:
     """Roll out exactly `horizon` steps of pi_theta in the CMDP, one step at
-    a time.
+    a time through the per-step callbacks, as a one-row batch.
 
     Deterministic in (cmdp, params, horizon, seed).  Raises NonFiniteError on
-    a non-finite reward, cost or vector state, and ValueError if a sampled
-    step cost exceeds the declared bound B.
+    a non-finite reward, cost or state, and ValueError if a sampled step
+    cost exceeds the declared bound B.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
     state = cmdp.initial_dist(rng)
-
-    states = [state]
-    actions: list = []
-    rewards: list = []
-    costs: list = []
-
-    if isinstance(params.kind, TabularSoftmax):
-        # Tabular fast path: the per-state action cdf is fixed within a
-        # rollout, so build it once.  policy_act consumes the identical
-        # single uniform draw per step, keeping the two paths bit-equal.
-        cdf = action_cdf(softmax_table(params))
-        for _ in range(horizon):
-            action = int(np.searchsorted(cdf[state], rng.random(), side="right"))
-            nxt = cmdp.transition(state, action, rng)
-            actions.append(action)
-            rewards.append(cmdp.reward(state, action, nxt))
-            costs.append(cmdp.costs(state, action, nxt))
-            states.append(nxt)
-            state = nxt
-    else:
-        from .policy import policy_act
-
-        for _ in range(horizon):
-            action = policy_act(params, state, rng)
-            nxt = cmdp.transition(state, action, rng)
-            actions.append(action)
-            rewards.append(cmdp.reward(state, action, nxt))
-            costs.append(cmdp.costs(state, action, nxt))
-            states.append(nxt)
-            state = nxt
-        require_finite("states", states)
-
+    states, actions, rewards, costs = [state], [], [], []
+    for _ in range(horizon):
+        action = policy_act(params, state, rng)
+        nxt = cmdp.transition(state, action, rng)
+        actions.append(action)
+        rewards.append(cmdp.reward(state, action, nxt))
+        costs.append(cmdp.costs(state, action, nxt))
+        states.append(nxt)
+        state = nxt
+    states = np.asarray(states)
+    require_finite("states", states)
     reward_arr = np.asarray(rewards, dtype=float)
     cost_arr = _checked_signals(cmdp, reward_arr, costs)
-    return Trajectory(states, actions, reward_arr, cost_arr)
+    return RolloutBatch(
+        states[None], np.asarray(actions)[None], reward_arr[None], cost_arr[None]
+    )
 
 
 def _checked_signals(cmdp: Cmdp, rewards: np.ndarray, costs) -> np.ndarray:
@@ -286,32 +273,28 @@ def _checked_signals(cmdp: Cmdp, rewards: np.ndarray, costs) -> np.ndarray:
     return cost_arr
 
 
-def discounted_value(traj: Trajectory, gamma: float) -> tuple[float, np.ndarray]:
-    """(sum_t gamma^t r_t, sum_t gamma^t c_t) over the trajectory's steps."""
+def discounted_value(
+    rewards: np.ndarray, costs: np.ndarray, gamma: float
+) -> tuple[float, np.ndarray]:
+    """(sum_t gamma^t r_t, sum_t gamma^t c_t) of one rollout's (T,) rewards
+    and (T, m) costs."""
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    t = len(traj)
-    if t == 0:
-        return 0.0, np.zeros(traj.costs.shape[1] if traj.costs.ndim == 2 else 0)
-    w = gamma ** np.arange(t)
-    return float(w @ traj.rewards), w @ traj.costs
+    w = gamma ** np.arange(len(rewards))
+    return float(w @ rewards), w @ costs
 
 
-def batch_values(trajs, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Discounted returns (n,) and costs (n, m) of equal-length trajectories.
+def batch_values(batch: RolloutBatch, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Discounted returns (n,) and costs (n, m) of the rollouts of a batch.
 
-    Row i equals ``discounted_value(trajs[i], gamma)`` bit for bit: stacked
-    (1, T) @ (T, k) products sum each row as the per-trajectory ``w @ x``
-    does, where ``R @ w`` and ``einsum`` do not.
+    Row i equals ``discounted_value(batch.rewards[i], batch.costs[i],
+    gamma)`` bit for bit: stacked (1, T) @ (T, k) products sum each row as
+    the per-row ``w @ x`` does, where ``R @ w`` and ``einsum`` do not.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    if len({len(traj) for traj in trajs}) != 1:
-        raise ValueError("a batch needs one or more trajectories of one length")
-    rewards = np.asarray([traj.rewards for traj in trajs], dtype=float)
-    costs = np.asarray([traj.costs for traj in trajs], dtype=float)
-    w = (gamma ** np.arange(rewards.shape[1]))[None, None, :]
-    return (w @ rewards[:, :, None])[:, 0, 0], (w @ costs)[:, 0, :]
+    w = (gamma ** np.arange(batch.rewards.shape[1]))[None, None, :]
+    return (w @ batch.rewards[:, :, None])[:, 0, 0], (w @ batch.costs)[:, 0, :]
 
 
 def collect_batch(
@@ -320,55 +303,39 @@ def collect_batch(
     sampling: SamplingConfig,
     seed: Seed,
     uniforms: np.ndarray | None = None,
-) -> list[Trajectory]:
-    """n_traj independent rollouts with the documented derived seeds;
-    sampled in lockstep when the CMDP has a VectorStep.
+) -> RolloutBatch:
+    """n_traj independent rollouts with the documented derived seeds, all
+    advanced together (see the module docstring for the array shapes and
+    the stream layout).
 
-    ``uniforms``, for a tabular lockstep batch only, is the (n_traj,
-    horizon) slice of ``counter_uniforms`` for root ``seed``; the batch then
-    uses it instead of building Generators, and ``initial_dist`` must draw
-    nothing (``initial_dist_draws``)."""
-    if cmdp.vector_step is not None:
-        return _collect_lockstep(cmdp, params, sampling, seed, uniforms)
-    if uniforms is not None:
-        raise ValueError("counter uniforms need a tabular lockstep batch")
-    return [
-        sample_trajectory(cmdp, params, sampling.horizon, derived_seed(seed, i))
-        for i in range(sampling.n_traj)
-    ]
-
-
-def _collect_lockstep(
-    cmdp: Cmdp,
-    params: PolicyParams,
-    sampling: SamplingConfig,
-    seed: Seed,
-    uniforms: np.ndarray | None,
-) -> list[Trajectory]:
-    """The batch of collect_batch, all trajectories advanced together (see
-    the module docstring for the array shapes and the stream layout)."""
+    ``uniforms``, for a tabular batch only, is the (n_traj, horizon,
+    1 + noise_dim) slice of ``counter_uniforms`` for root ``seed``; the
+    batch then uses it instead of building Generators, and ``initial_dist``
+    must draw nothing (``initial_dist_draws``)."""
     n, horizon = sampling.n_traj, sampling.horizon
     step = cmdp.vector_step
     tabular = isinstance(params.kind, TabularSoftmax)
     if uniforms is None:
         rngs = [np.random.default_rng(derived_seed(seed, i)) for i in range(n)]
         initial = [cmdp.initial_dist(rng) for rng in rngs]
-    elif not tabular or np.shape(uniforms) != (n, horizon):
-        raise ValueError("counter uniforms need a tabular batch and shape (n, H)")
+    elif not tabular or np.shape(uniforms) != (n, horizon, 1 + step.noise_dim):
+        raise ValueError(
+            "counter uniforms need a tabular batch and shape (n, H, 1 + noise_dim)"
+        )
     else:
         still = _still_rng()
         initial = [cmdp.initial_dist(still) for _ in range(n)]
     # draws[t] holds, per trajectory, the a_dim action draws of step t
-    # followed by its noise_dim transition normals.
+    # followed by its noise_dim transition draws.
     if tabular:
-        if step.noise_dim:
-            raise ValueError("a tabular VectorStep draws no transition noise")
         state = np.array(initial, dtype=np.int64)
         cdf = action_cdf(softmax_table(params))
         a_dim = 1
         if uniforms is None:
-            uniforms = np.stack([rng.random(horizon) for rng in rngs])
-        draws = uniforms.T[:, :, None]
+            uniforms = np.stack(
+                [rng.random((horizon, 1 + step.noise_dim)) for rng in rngs]
+            )
+        draws = uniforms.transpose(1, 0, 2)
 
         def act(cells, u):
             return (cdf[cells] <= u).sum(axis=1)
@@ -395,27 +362,10 @@ def _collect_lockstep(
             rewards.append(reward)
             costs.append(cost)
     states = np.stack(states, axis=1)
-    actions = np.stack(actions, axis=1)
     reward_arr = np.stack(rewards, axis=1)
     cost_arr = _checked_signals(cmdp, reward_arr, np.stack(costs, axis=1))
     require_finite("states", states)
-    return [
-        Trajectory(states[i], actions[i], reward_arr[i], cost_arr[i])
-        for i in range(n)
-    ]
-
-
-def stack_batch(trajs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Equal-length trajectories as (states, actions, rewards, costs) arrays
-    of shapes (n, T+1[, F]), (n, T[, A]), (n, T) and (n, T, m)."""
-    if len({len(traj) for traj in trajs}) != 1:
-        raise ValueError("a batch needs one or more trajectories of one length")
-    return (
-        np.asarray([traj.states for traj in trajs]),
-        np.asarray([traj.actions for traj in trajs]),
-        np.asarray([traj.rewards for traj in trajs], dtype=float),
-        np.asarray([traj.costs for traj in trajs], dtype=float),
-    )
+    return RolloutBatch(states, np.stack(actions, axis=1), reward_arr, cost_arr)
 
 
 # Counter-based uniforms (see the module docstring).  Constants of numpy's
@@ -456,10 +406,11 @@ def _still_rng() -> np.random.Generator:
     return np.random.default_rng(0)
 
 
-def counter_uniforms(roots: Sequence[Seed], n: int, horizon: int) -> np.ndarray:
-    """Action uniforms of whole batches, shape (len(roots), n, horizon):
-    entry [r, i] equals ``np.random.default_rng(derived_seed(roots[r],
-    i)).random(horizon)`` bit for bit.
+def counter_uniforms(roots: Sequence[Seed], n: int, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of every stream of whole batches, shape
+    (len(roots), n, count): entry [r, i] equals
+    ``np.random.default_rng(derived_seed(roots[r], i)).random(count)`` bit
+    for bit.
 
     Every root must satisfy ``counter_form_fits``.  The first call checks a
     few streams against ``default_rng`` and raises RuntimeError if numpy's
@@ -480,10 +431,10 @@ def counter_uniforms(roots: Sequence[Seed], n: int, horizon: int) -> np.ndarray:
                 f"numpy {np.__version__}"
             )
         _counter_checked = True
-    return _counter_block(roots, n, horizon)
+    return _counter_block(roots, n, count)
 
 
-def _counter_block(roots, n: int, horizon: int) -> np.ndarray:
+def _counter_block(roots, n: int, count: int) -> np.ndarray:
     """counter_uniforms without the checks."""
     u64 = np.uint64
     words = np.zeros((_POOL_WORDS, len(roots), n), dtype=np.uint32)
@@ -505,15 +456,15 @@ def _counter_block(roots, n: int, horizon: int) -> np.ndarray:
     mask = (1 << 128) - 1
     power, total = _PCG_MULT, 1 + _PCG_MULT
     a_t, c_t = [], []
-    for _ in range(horizon):
+    for _ in range(count):
         power = power * _PCG_MULT & mask
         total = (total + power) & mask
         a_t.append(power)
         c_t.append(total)
     a_t, c_t = _quarters(a_t), _quarters(c_t)
-    out = np.empty((horizon, init_hi.size))
+    out = np.empty((count, init_hi.size))
     rows = max(1, _CHUNK // init_hi.size)
-    for t0 in range(0, horizon, rows):
+    for t0 in range(0, count, rows):
         part = slice(t0, t0 + rows)
         hi, lo = _mul128(init_hi, init_lo, a_t[:, part])
         inc_part_hi, inc_part_lo = _mul128(inc_hi, inc_lo, c_t[:, part])
@@ -523,7 +474,7 @@ def _counter_block(roots, n: int, horizon: int) -> np.ndarray:
         x, rot = hi ^ lo, hi >> u64(58)
         x = (x >> rot) | (x << ((u64(64) - rot) & u64(63)))
         out[part] = (x >> u64(11)) * (1.0 / 9007199254740992.0)
-    return out.T.reshape(len(roots), n, horizon)
+    return out.T.reshape(len(roots), n, count)
 
 
 def _seed_state(words: np.ndarray) -> list[np.ndarray]:

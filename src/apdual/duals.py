@@ -1,5 +1,7 @@
-"""Dual-variable update rules: projected gradient ascent and the PID
+"""Dual-variable update rules: the projection onto lambda >= 0 and the PID
 controller that recomputes the multiplier from the violation signal.
+Projected dual ascent, lambda <- [lambda + zeta (J_C - d)]_+, runs inside
+solver.apd_run on a float multiplier.
 
 The PID rule is a replacement form, not an increment:
 
@@ -22,16 +24,6 @@ from .lagrangian import ConstraintSpec, Multiplier
 def project_nonneg(x: np.ndarray) -> np.ndarray:
     """Componentwise projection onto the nonnegative orthant."""
     return np.maximum(np.asarray(x, dtype=float), 0.0)
-
-
-def dual_ascent_step(lm: Multiplier, zeta: float, g: np.ndarray) -> Multiplier:
-    """lambda <- [lambda + zeta g]_+."""
-    if zeta <= 0.0:
-        raise ValueError("zeta must be positive")
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    if g.shape != lm.values.shape:
-        raise ValueError("constraint value and multiplier dimensions disagree")
-    return Multiplier(project_nonneg(lm.values + zeta * g))
 
 
 @dataclass(frozen=True)

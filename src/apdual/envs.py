@@ -13,9 +13,9 @@ Gridworld conventions: cell index = y * width + x; actions 0..3 move
 probability slip_prob the commanded direction is replaced by a uniformly
 random other direction.  Entering a hazard cell incurs hazard_cost; the
 goal is absorbing (reward granted on entry, zero reward/cost afterwards).
-A slip-free gridworld is sampled in lockstep from lookup tables; a slippery
-one draws a data-dependent number of variates per step and is sampled one
-step at a time (see make_gridworld).
+Every gridworld is sampled in lockstep from lookup tables; a slippery one
+draws two uniforms per step, the slip test and the direction (see
+make_gridworld).
 """
 
 from __future__ import annotations
@@ -214,22 +214,22 @@ def grid_move_table(spec: GridworldSpec) -> np.ndarray:
 def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
     """Tabular Cmdp realizing the slip/hazard/absorbing-goal semantics.
 
-    The per-step ``reward`` / ``costs`` callbacks and, without slip, the
-    lockstep VectorStep share one reward/cost function over cell arrays.
-    Without slip a step draws nothing from the Generator, and the
-    VectorStep looks the n steps up in (S * A) next-state, reward and cost
-    tables built here once; the goal's rows lead back to the goal with zero
-    reward and cost.  With slip_prob > 0 a step draws a uniform and, only
-    when it falls below slip_prob, a second integer, so the number of draws
-    per step depends on the data and cannot be drawn up front per
-    trajectory.  Such a gridworld has no VectorStep and is sampled one step
-    at a time.
+    One step function serves both the lockstep VectorStep and the per-step
+    ``transition`` callback; the ``reward`` / ``costs`` callbacks share its
+    reward/cost function over cell arrays.  The step looks the n steps up
+    in (S * A) next-state, reward and cost tables built here once; the
+    goal's rows lead back to the goal with zero reward and cost.  Without
+    slip a step draws nothing.  With slip_prob > 0 every step, from the goal
+    too, draws two uniforms (u, v): the move slips when u < slip_prob, and
+    then turns by 1 + floor(3 v) quarter turns, a uniformly random other
+    direction.
     """
     moves = grid_move_table(spec)
     goal = spec.goal_cell
     hazard = np.zeros(spec.n_cells, dtype=bool)
     hazard[list(spec.hazard_cells)] = True
     slip = spec.slip_prob
+    noise_dim = 2 if slip > 0.0 else 0
 
     def signals(s, s2):
         live = np.asarray(s) != goal
@@ -238,32 +238,30 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
         cost = np.where(live & hazard[s2], spec.hazard_cost, 0.0)
         return reward, cost
 
+    # Row s * A + a of each table is the step from cell s in direction a.
+    cells = np.repeat(np.arange(spec.n_cells), N_ACTIONS)
+    next_cell = np.where(cells == goal, goal, moves.reshape(-1))
+    step_reward, step_cost = signals(cells, next_cell)
+
+    def step(states, actions, uniforms):
+        if slip > 0.0:
+            turn = 1 + np.floor(3.0 * uniforms[:, 1]).astype(np.int64)
+            actions = np.where(
+                uniforms[:, 0] < slip, (actions + turn) % N_ACTIONS, actions
+            )
+        rows = states * N_ACTIONS + actions
+        return next_cell[rows], step_reward[rows], step_cost[rows]
+
     def transition(state, action, rng):
-        if state == goal:
-            return goal
-        a = action
-        if slip > 0.0 and rng.random() < slip:
-            a = (a + 1 + int(rng.integers(3))) % N_ACTIONS
-        return int(moves[state, a])
+        uniforms = rng.random((1, noise_dim))
+        nxt, _, _ = step(np.array([state]), np.array([action]), uniforms)
+        return int(nxt[0])
 
     def reward(s, a, s2):
         return float(signals(s, s2)[0])
 
     def costs(s, a, s2):
         return float(signals(s, s2)[1])
-
-    vector_step = None
-    if slip == 0.0:
-        # Row s * A + a of each table is the step from cell s under action a.
-        cells = np.repeat(np.arange(spec.n_cells), N_ACTIONS)
-        next_cell = np.where(cells == goal, goal, moves.reshape(-1))
-        step_reward, step_cost = signals(cells, next_cell)
-
-        def step(states, actions, normals):
-            rows = states * N_ACTIONS + actions
-            return next_cell[rows], step_reward[rows], step_cost[rows]
-
-        vector_step = VectorStep(0, step)
 
     bound = spec.hazard_cost if spec.hazard_cost > 0.0 else 1.0
     return Cmdp(
@@ -274,9 +272,9 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
         transition=transition,
         reward=reward,
         costs=costs,
+        vector_step=VectorStep(noise_dim, step),
         n_states=spec.n_cells,
         n_actions=N_ACTIONS,
-        vector_step=vector_step,
     )
 
 

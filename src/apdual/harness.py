@@ -32,10 +32,11 @@ seed, the verdict of solver.feasibility_check ("feasible": both the
 full-run and the final-window average cost are within the limit plus
 0.01) and the two averages it compares, "cost_full_avg" and
 "cost_window_avg".  summary.json also records "apdual_version" and
-"numpy_version": sampled runs depend on numpy's fixed bit-generator streams
-(NEP 19).  verify_dir names the first CSV row and column that differ from
-the re-run, with both values, after a numpy version mismatch if there is
-one.  The env var APDUAL_OUTPUT_ROOT, when set, prefixes every output_dir.
+"numpy_version": sampled runs depend on apdual's stream layout and on
+numpy's fixed bit-generator streams (NEP 19).  verify_dir names the first
+CSV row and column that differ from the re-run, with both values, after an
+apdual or numpy version mismatch if there is one.  The env var
+APDUAL_OUTPUT_ROOT, when set, prefixes every output_dir.
 
 Final-window statistics use the last ``window`` fraction (default 20%) of
 iterations.
@@ -320,15 +321,11 @@ def _run_single(cfg: ExperimentConfig, seed: int) -> RunRecord:
         params0 = init_params(TabularSoftmax(grid.n_cells, 4))
         if cfg.algorithm == "papd-ppol":
             # exact tabular values for the advantage baseline
-            def values_fn(params, trajs, _grid=grid):
+            def values_fn(params, batch, _grid=grid):
                 v_r, v_c = policy_state_values(
                     _grid, softmax_table(params), cfg.gamma, sampling.horizon
                 )
-                out = []
-                for traj in trajs:
-                    idx = np.asarray(traj.states, dtype=np.int64)
-                    out.append((v_r[idx], v_c[idx][:, None]))
-                return out
+                return np.stack([v_r, v_c], axis=1)[batch.states]
 
     else:
         try:
@@ -671,13 +668,14 @@ def verify_dir(directory: str | Path) -> list[str]:
         raise ConfigError(f"{directory}: no summary.json to verify against")
     summary = json.loads(summary_path.read_text())
     cfg = parse_config(summary["config"])
-    stored_numpy = summary.get("numpy_version", np.__version__)
-    versions = (
-        ""
-        if stored_numpy == np.__version__
-        else f" (stored under numpy {stored_numpy}, regenerated under numpy "
-        f"{np.__version__})"
-    )
+    running = {"apdual": __version__, "numpy": np.__version__}
+    stored = {name: summary.get(f"{name}_version", v) for name, v in running.items()}
+    differ = [name for name in running if stored[name] != running[name]]
+    versions = ""
+    if differ:
+        old = " and ".join(f"{name} {stored[name]}" for name in differ)
+        new = " and ".join(f"{name} {running[name]}" for name in differ)
+        versions = f" (stored under {old}, regenerated under {new})"
 
     lines = []
     failures = []

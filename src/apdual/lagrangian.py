@@ -1,5 +1,5 @@
-"""Lagrangian machinery: value, constraint function, score-function
-gradient, GAE advantages, and the clipped PPO-Lagrangian surrogate.
+"""Lagrangian machinery: value, score-function gradient, GAE advantages,
+and the clipped PPO-Lagrangian surrogate, over rollout batches.
 
 Sign convention throughout: the primal problem is the minimization of
 
@@ -21,12 +21,12 @@ import numpy as np
 from .cmdp import (  # noqa: F401
     Cmdp,
     NonFiniteError,
+    RolloutBatch,
     SamplingConfig,
     Seed,
     batch_values,
     collect_batch,
     discounted_value,
-    stack_batch,
 )
 from .policy import (  # noqa: F401
     PolicyParams,
@@ -152,21 +152,6 @@ def lagrangian_value(
     return float(-j_r + lm.values @ (j_c - spec.limits))
 
 
-def constraint_value(j_c: np.ndarray, spec: ConstraintSpec) -> np.ndarray:
-    """g = J_C - d."""
-    j_c = np.atleast_1d(np.asarray(j_c, dtype=float))
-    if j_c.shape != spec.limits.shape:
-        raise ValueError("J_C and constraint dimensions disagree")
-    return j_c - spec.limits
-
-
-def trajectory_score(params: PolicyParams, traj) -> np.ndarray:
-    """Sum of exact scores d log pi(a_t|s_t) over a rollout."""
-    t = len(traj)
-    states = np.asarray(traj.states[:t])[None]
-    return policy_trajectory_scores(params, states, np.asarray(traj.actions)[None])[0]
-
-
 def reinforce_grad(
     cmdp: Cmdp,
     params: PolicyParams,
@@ -181,12 +166,12 @@ def reinforce_grad(
     minus a leave-one-out batch mean baseline); the leave-one-out form keeps
     the estimator exactly unbiased at finite batch size.
     """
-    trajs = collect_batch(cmdp, params, sampling, seed)
-    return reinforce_grad_from_batch(trajs, cmdp.gamma, params, lm, spec)
+    batch = collect_batch(cmdp, params, sampling, seed)
+    return reinforce_grad_from_batch(batch, cmdp.gamma, params, lm, spec)
 
 
 def reinforce_grad_from_batch(
-    trajs,
+    batch: RolloutBatch,
     gamma: float,
     params: PolicyParams,
     lm: Multiplier,
@@ -195,23 +180,22 @@ def reinforce_grad_from_batch(
 ) -> np.ndarray:
     """The reinforce_grad estimate over a sampled batch.
 
-    ``values`` is ``batch_values(trajs, gamma)`` when the caller has it.
+    ``values`` is ``batch_values(batch, gamma)`` when the caller has it.
     The n score rows are weighted and added in batch order from zero, so
     the result equals the per-trajectory ``grad += c_i * score_i`` bit for
     bit.
     """
-    returns, cost_vals = batch_values(trajs, gamma) if values is None else values
+    returns, cost_vals = batch_values(batch, gamma) if values is None else values
     if cost_vals.shape[1:] != lm.values.shape or lm.values.shape != spec.limits.shape:
         raise ValueError("J_C, multiplier, and constraint dimensions disagree")
     # Row i is lagrangian_value(returns[i], cost_vals[i], lm, spec).
     weights = -returns + np.vecdot(cost_vals - spec.limits, lm.values)
-    n = len(trajs)
+    n = len(batch)
     if n > 1:
         baselines = (weights.sum() - weights) / (n - 1)
     else:
         baselines = np.zeros(1)
-    states, actions, _, _ = stack_batch(trajs)
-    scores = policy_trajectory_scores(params, states[:, :-1], actions)
+    scores = policy_trajectory_scores(params, batch.states[:, :-1], batch.actions)
     return ((weights - baselines)[:, None] * scores).sum(axis=0, initial=0.0) / n
 
 
@@ -226,58 +210,37 @@ def backward_sums(x: np.ndarray, decay: float) -> np.ndarray:
     return out
 
 
-def _gae(
-    signals: np.ndarray, values: np.ndarray, gamma: float, gae_lambda: float
-) -> np.ndarray:
-    """GAE of (n, T, ...) per-step signals against (n, T+1, ...) values."""
-    if values.shape[1] != signals.shape[1] + 1:
-        raise ValueError("values must have length len(rewards) + 1")
-    deltas = signals + gamma * values[:, 1:] - values[:, :-1]
-    return backward_sums(deltas, gamma * gae_lambda)
-
-
-def gae_advantages(traj, values, gamma: float, gae_lambda: float) -> np.ndarray:
-    """A_t = sum_l (gamma * gae_lambda)^l delta_{t+l} with
-    delta_t = r_t + gamma V_{t+1} - V_t; values carries the bootstrap entry."""
-    rewards = np.asarray(traj.rewards, dtype=float)
-    values = np.asarray(values, dtype=float)
-    return _gae(rewards[None], values[None], gamma, gae_lambda)[0]
-
-
 def advantage_batch(
-    trajs,
+    batch: RolloutBatch,
     params_old: PolicyParams,
     gamma: float,
     cfg: PpolConfig,
-    values_fn,
+    values: np.ndarray,
 ) -> AdvantageBatch:
-    """Flatten equal-length rollouts into an AdvantageBatch.
+    """Flatten a rollout batch into an AdvantageBatch.
 
-    values_fn(traj) must return (v_r, v_c) with v_r of length T+1 and v_c of
-    shape (T+1, m).  Reward and cost advantages come from one GAE pass over
-    the whole batch.  Reward advantages are centered by their batch mean, so
-    the assembled batch (and hence the surrogate gradient) is invariant to a
-    constant shift of the raw reward advantages.
+    ``values`` is the (n, H+1, 1+m) array of value estimates at every
+    state of the batch, the reward value and then one per cost; column H
+    is the bootstrap.
+    Reward and cost advantages come from one GAE pass over the whole batch,
+
+        A_t = sum_l (gamma * gae_lambda)^l delta_{t+l},
+        delta_t = r_t + gamma V_{t+1} - V_t.
+
+    Reward advantages are centered by their batch mean, so the assembled
+    batch (and hence the surrogate gradient) is invariant to a constant
+    shift of the raw reward advantages.
     """
-    states, actions, rewards, costs = stack_batch(trajs)
-    n, t, m = costs.shape
-    values = np.empty((n, t + 1, 1 + m))
-    for i, traj in enumerate(trajs):
-        v_r, v_c = values_fn(traj)
-        v_c = np.atleast_2d(np.asarray(v_c, dtype=float))
-        if v_c.shape[0] != t + 1:
-            v_c = v_c.T
-        v_r = np.asarray(v_r, dtype=float)
-        if v_r.shape != (t + 1,) or v_c.shape != (t + 1, m):
-            raise ValueError("values must have length len(rewards) + 1")
-        values[i, :, 0] = v_r
-        values[i, :, 1:] = v_c
-    signals = np.concatenate([rewards[:, :, None], costs], axis=2)
-    adv = _gae(signals, values, gamma, cfg.gae_lambda).reshape(n * t, 1 + m)
+    n, t, m = batch.costs.shape
+    if np.shape(values) != (n, t + 1, 1 + m):
+        raise ValueError(f"values must have shape {(n, t + 1, 1 + m)}")
+    signals = np.concatenate([batch.rewards[:, :, None], batch.costs], axis=2)
+    deltas = signals + gamma * values[:, 1:] - values[:, :-1]
+    adv = backward_sums(deltas, gamma * cfg.gae_lambda).reshape(n * t, 1 + m)
     adv_r = adv[:, 0].copy()
     adv_r = adv_r - adv_r.mean()
-    flat_states = states[:, :t].reshape(n * t, *states.shape[2:])
-    flat_actions = actions.reshape(n * t, *actions.shape[2:])
+    flat_states = batch.states[:, :t].reshape(n * t, *batch.states.shape[2:])
+    flat_actions = batch.actions.reshape(n * t, *batch.actions.shape[2:])
     return AdvantageBatch(
         flat_states,
         flat_actions,

@@ -11,10 +11,12 @@ forms, bit for bit.  J_R is not needed inside the loop and is computed once
 afterwards over all theta_{k+1} (QuadProgram.j_r_rows, bit-equal to j_r per
 row).  papd_run is the sampled variant for CMDPs: Monte-Carlo
 estimates, a score-function or clipped-surrogate primal step at the
-practical eta(lambda_k), and a PID dual update on the estimated cost.  For
-tabular lockstep batches it draws the action uniforms of UNIFORM_BLOCK
-iterations at once with cmdp.counter_uniforms and hands each batch its
-slice, so no batch builds Generators (see the cmdp module docstring).
+practical eta(lambda_k), and a PID dual update on the estimated cost.  Each
+iteration samples one rollout batch, which feeds the primal step and the
+dual update alike.  For tabular batches it draws the uniforms of
+UNIFORM_BLOCK iterations at once with cmdp.counter_uniforms and hands each
+batch its slice, so no batch builds Generators (see the cmdp module
+docstring).
 
 verify_bounds turns an exact run into a BoundCertificate by recomputing the
 per-iteration primal error
@@ -44,6 +46,7 @@ import numpy as np
 from .cmdp import (  # noqa: F401
     Cmdp,
     NonFiniteError,
+    RolloutBatch,
     SamplingConfig,
     batch_values,
     collect_batch,
@@ -52,7 +55,6 @@ from .cmdp import (  # noqa: F401
     discounted_value,
     initial_dist_draws,
     require_finite,
-    stack_batch,
 )
 # project_nonneg is no longer called here but stays importable from this
 # module: perfbench/tracing.py times its calls under this name.
@@ -76,9 +78,8 @@ from .policy import PolicyParams, TabularSoftmax
 from .quadprog import QuadProgram, dual_values_batch, quad_kkt_solve
 from .schedules import LrSchedule, SmoothnessConstants
 
-FRESH_BATCH_STREAM = 999983  # substream tag for fresh dual-batch estimation
 SHUFFLE_STREAM = 999979  # substream tag for minibatch shuffling
-# papd_run draws the tabular action uniforms of this many iterations at once:
+# papd_run draws the tabular uniforms of this many iterations at once:
 # the seed hashing costs about as much for one batch as for a block.
 UNIFORM_BLOCK = 64
 
@@ -97,8 +98,8 @@ class SolverConfig:
     seed: int = 0
     algorithm: str = "reinforce"
     ppol: PpolConfig = field(default_factory=PpolConfig)
-    fresh_dual_batch: bool = False
-    values_fn: object | None = None  # optional exact value provider for GAE
+    # optional exact values for GAE: values_fn(params, batch) -> (n, H+1, 1+m)
+    values_fn: object | None = None
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -205,25 +206,27 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
     costs = np.empty((k_iter, 1))
 
     start = time.perf_counter()
-    for k in range(k_iter):
-        thetas[k] = theta
-        lambdas[k, 0] = lam
-        eta = eta_of(lam)
-        etas[k] = eta
-        for _ in inner:
-            theta = theta - eta * grad_at(theta, lam)
-        j_c = j_c_at(theta)
-        costs[k, 0] = j_c
-        if pid:
-            lam_next, pid_state = pid_dual_values(
-                pid_state, gains, np.array([j_c]), spec
-            )
-            lam = float(lam_next[0])
-        else:
-            lam = max(lam + zeta * (j_c - limit), 0.0)
-    thetas[k_iter] = theta
-    lambdas[k_iter] = lam
-    returns = problem.j_r_rows(thetas[1:])
+    # A diverging run overflows here; the screen after the loop raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k_iter):
+            thetas[k] = theta
+            lambdas[k, 0] = lam
+            eta = eta_of(lam)
+            etas[k] = eta
+            for _ in inner:
+                theta = theta - eta * grad_at(theta, lam)
+            j_c = j_c_at(theta)
+            costs[k, 0] = j_c
+            if pid:
+                lam_next, pid_state = pid_dual_values(
+                    pid_state, gains, np.array([j_c]), spec
+                )
+                lam = float(lam_next[0])
+            else:
+                lam = max(lam + zeta * (j_c - limit), 0.0)
+        thetas[k_iter] = theta
+        lambdas[k_iter] = lam
+        returns = problem.j_r_rows(thetas[1:])
 
     # One finiteness screen for the whole run, none per iteration: row k
     # holds theta_{k+1}, J_R and J_C, everything iteration k produced.
@@ -254,16 +257,17 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
     return RunRecord(thetas, lambdas, etas, returns, costs, meta)
 
 
-def _lstsq_values(cmdp: Cmdp, trajs):
-    """Linear least-squares value fit against discounted returns-to-go.
+def _lstsq_values(cmdp: Cmdp, batch: RolloutBatch) -> np.ndarray:
+    """(n, H+1, 1+m) values from a linear least-squares fit against
+    discounted returns-to-go.
 
     Features are one-hot state indicators for tabular models and [s, 1]
     otherwise; one fit per batch, shared by reward and each cost signal.
     The returns-to-go of all trajectories come from one backward pass.
     """
-    states, _, rewards, costs = stack_batch(trajs)
-    n, t, m = costs.shape
-    signals = np.concatenate([rewards[:, :, None], costs], axis=2)
+    states = batch.states
+    n, t, m = batch.costs.shape
+    signals = np.concatenate([batch.rewards[:, :, None], batch.costs], axis=2)
     togo = backward_sums(signals, cmdp.gamma)
     if cmdp.is_tabular:
         phi = np.eye(cmdp.n_states)[states]
@@ -271,8 +275,7 @@ def _lstsq_values(cmdp: Cmdp, trajs):
         phi = np.concatenate([states, np.ones(states.shape[:2] + (1,))], axis=2)
     x = phi[:, :t].reshape(n * t, -1)
     w, *_ = np.linalg.lstsq(x, togo.reshape(n * t, 1 + m), rcond=None)
-    v = phi @ w
-    return [(v[i, :, 0], v[i, :, 1:]) for i in range(n)]
+    return phi @ w
 
 
 def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
@@ -343,30 +346,24 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
 
 
 def _iteration_uniforms(cmdp: Cmdp, params: PolicyParams, cfg: SolverConfig):
-    """Per iteration k, the counter uniforms of the batches rooted at
-    (seed, k) and, with fresh_dual_batch, (seed, k, FRESH_BATCH_STREAM),
-    drawn UNIFORM_BLOCK iterations at a time; (None, None) throughout, so
-    that collect_batch builds Generators, unless the batches are tabular
-    lockstep ones, initial_dist draws nothing and the seeds fit the counter
-    form."""
-    longest_root = (cfg.seed, cfg.iterations - 1, FRESH_BATCH_STREAM)
+    """Per iteration k, the (n, H, 1 + noise_dim) counter uniforms of the
+    batch rooted at (seed, k), drawn UNIFORM_BLOCK iterations at a time;
+    None throughout, so that collect_batch builds Generators, unless the
+    policy is tabular, initial_dist draws nothing and the seeds fit the
+    counter form."""
     if not (
-        cmdp.vector_step is not None
-        and isinstance(params.kind, TabularSoftmax)
-        and counter_form_fits(longest_root)
+        isinstance(params.kind, TabularSoftmax)
+        and counter_form_fits((cfg.seed, cfg.iterations - 1))
         and not initial_dist_draws(cmdp)
     ):
-        yield from itertools.repeat((None, None), cfg.iterations)
+        yield from itertools.repeat(None, cfg.iterations)
         return
     n, horizon = cfg.sampling.n_traj, cfg.sampling.horizon
+    width = 1 + cmdp.vector_step.noise_dim
     for lo in range(0, cfg.iterations, UNIFORM_BLOCK):
         ks = range(lo, min(lo + UNIFORM_BLOCK, cfg.iterations))
-        roots = [(cfg.seed, k) for k in ks]
-        if cfg.fresh_dual_batch:
-            roots += [(cfg.seed, k, FRESH_BATCH_STREAM) for k in ks]
-        block = counter_uniforms(roots, n, horizon)
-        for j in range(len(ks)):
-            yield block[j], (block[len(ks) + j] if cfg.fresh_dual_batch else None)
+        block = counter_uniforms([(cfg.seed, k) for k in ks], n, horizon * width)
+        yield from block.reshape(len(ks), n, horizon, width)
 
 
 def _papd_iteration(
@@ -377,59 +374,50 @@ def _papd_iteration(
     cfg: SolverConfig,
     eta: float,
     k: int,
-    uniforms: tuple,
+    uniforms: np.ndarray | None,
 ) -> tuple[PolicyParams, float, np.ndarray]:
     """Primal step k of papd_run: (new params, J_R estimate, J_C estimate).
 
-    ``uniforms`` holds the counter uniforms of the batch and of the fresh
-    dual batch, or None for either to sample with Generators.  Raises
-    NonFiniteError when a sample, the estimates or theta turn non-finite."""
-    batch_u, fresh_u = uniforms
-    trajs = collect_batch(cmdp, params, cfg.sampling, (cfg.seed, k), batch_u)
-    values = batch_values(trajs, cmdp.gamma)
+    ``uniforms`` holds the counter uniforms of the batch, or None to sample
+    with Generators.  Raises NonFiniteError when a sample, the estimates or
+    theta turn non-finite."""
+    batch = collect_batch(cmdp, params, cfg.sampling, (cfg.seed, k), uniforms)
+    returns, cost_vals = batch_values(batch, cmdp.gamma)
 
     if cfg.algorithm == "reinforce":
-        grad = reinforce_grad_from_batch(trajs, cmdp.gamma, params, lm, spec, values)
+        grad = reinforce_grad_from_batch(
+            batch, cmdp.gamma, params, lm, spec, (returns, cost_vals)
+        )
         params = params.replace_theta(params.theta - eta * grad)
     else:
-        params = _ppol_update(cmdp, params, trajs, lm, cfg, eta, k)
+        params = _ppol_update(cmdp, params, batch, lm, cfg, eta, k)
     require_finite("theta", params.theta)
-
-    if cfg.fresh_dual_batch:
-        fresh = collect_batch(
-            cmdp, params, cfg.sampling, (cfg.seed, k, FRESH_BATCH_STREAM), fresh_u
-        )
-        values = batch_values(fresh, cmdp.gamma)
-    vals, cvals = values
-    require_finite("return estimates", vals)
-    require_finite("cost estimates", cvals)
-    return params, float(vals.mean()), cvals.mean(axis=0)
+    require_finite("return estimates", returns)
+    require_finite("cost estimates", cost_vals)
+    return params, float(returns.mean()), cost_vals.mean(axis=0)
 
 
 def _ppol_update(
     cmdp: Cmdp,
     params: PolicyParams,
-    trajs,
+    batch: RolloutBatch,
     lm: Multiplier,
     cfg: SolverConfig,
     eta: float,
     k: int,
 ) -> PolicyParams:
     if cfg.values_fn is not None:
-        per_traj = cfg.values_fn(params, trajs)
+        values = cfg.values_fn(params, batch)
     else:
-        per_traj = _lstsq_values(cmdp, trajs)
-    values_iter = iter(per_traj)
-    batch = advantage_batch(
-        trajs, params, cmdp.gamma, cfg.ppol, lambda traj: next(values_iter)
-    )
+        values = _lstsq_values(cmdp, batch)
+    samples = advantage_batch(batch, params, cmdp.gamma, cfg.ppol, values)
     rng = np.random.default_rng((cfg.seed, k, SHUFFLE_STREAM))
-    n = len(batch)
+    n = len(samples)
     mb = min(cfg.ppol.minibatch_size, n)
     for _ in range(cfg.ppol.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, mb):
-            sub = batch[order[lo : lo + mb]]
+            sub = samples[order[lo : lo + mb]]
             grad = ppol_surrogate_grad(sub, params, lm, cfg.ppol)
             params = params.replace_theta(params.theta + eta * grad)
     return params

@@ -12,16 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from apdual.cmdp import SamplingConfig, collect_batch, discounted_value
-from apdual.duals import PidGains, PidState, dual_ascent_step, pid_dual_step
+from apdual.cmdp import SamplingConfig, VectorStep, batch_values, collect_batch
+from apdual.duals import PidGains, PidState, pid_dual_step, project_nonneg
 from apdual.envs import default_hazard_gridworld, make_gridworld
 from apdual.harness import parse_config, read_record_csv, record_to_csv
 from apdual.lagrangian import (
     ConstraintSpec,
     Multiplier,
-    lagrangian_value,
     reinforce_grad,
-    trajectory_score,
 )
 from apdual.policy import (
     PolicyParams,
@@ -29,6 +27,7 @@ from apdual.policy import (
     init_params,
     policy_grad_log_prob,
     policy_log_prob,
+    policy_trajectory_scores,
     softmax_table,
 )
 from apdual.quadprog import quad_default, quad_kkt_solve
@@ -172,7 +171,8 @@ def test_criterion_6_pid_unit_semantics():
     max_gap = 0.0
     for c in costs:
         pid_lm, state = pid_dual_step(state, reduced, np.array([c]), spec)
-        ascent_lm = dual_ascent_step(ascent_lm, zeta, np.array([c - 10.0]))
+        # projected dual ascent, lambda <- [lambda + zeta (J_C - d)]_+
+        ascent_lm = Multiplier(project_nonneg(ascent_lm.values + zeta * (c - 10.0)))
         max_gap = max(max_gap, abs(pid_lm.values[0] - ascent_lm.values[0]))
     ok = worked_err <= 1e-12 and max_gap <= 1e-12
     report(6, ok, f"worked err {worked_err:.1e}, integral-vs-ascent gap {max_gap:.1e}")
@@ -224,6 +224,7 @@ def test_criterion_7_gradient_fidelity():
     from apdual.cmdp import Cmdp
 
     rewards, costs, limit, lam, n = (1.0, 3.0), (2.0, 0.5), 1.0, 0.7, 10_000
+    reward_of, cost_of = np.array(rewards), np.array(costs)
     cmdp = Cmdp(
         gamma=0.9,
         n_costs=1,
@@ -232,6 +233,7 @@ def test_criterion_7_gradient_fidelity():
         transition=lambda s, a, rng: 0,
         reward=lambda s, a, nxt: rewards[a],
         costs=lambda s, a, nxt: costs[a],
+        vector_step=VectorStep(0, lambda s, a, z: (s, reward_of[a], cost_of[a])),
         n_states=1,
         n_actions=2,
     )
@@ -245,17 +247,12 @@ def test_criterion_7_gradient_fidelity():
     for a in range(2):
         w = -rewards[a] + lam * (costs[a] - limit)
         want += probs[a] * w * policy_grad_log_prob(params, 0, a)
-    trajs = collect_batch(cmdp, params, sampling, seed=42)
-    weights = np.array(
-        [lagrangian_value(*discounted_value(t, 0.9), lm, spec) for t in trajs]
-    )
+    batch = collect_batch(cmdp, params, sampling, seed=42)
+    returns, cost_vals = batch_values(batch, 0.9)
+    weights = -returns + lam * (cost_vals[:, 0] - limit)
     baselines = (weights.sum() - weights) / (n - 1)
-    terms = np.stack(
-        [
-            (weights[i] - baselines[i]) * trajectory_score(params, trajs[i])
-            for i in range(n)
-        ]
-    )
+    scores = policy_trajectory_scores(params, batch.states[:, :-1], batch.actions)
+    terms = (weights - baselines)[:, None] * scores
     se = terms.std(axis=0, ddof=1) / math.sqrt(n)
     mc_ok = bool(np.all(np.abs(got - want) <= 3.0 * se + 1e-12))
     sigma = float(np.max(np.abs(got - want) / np.maximum(se, 1e-300)))

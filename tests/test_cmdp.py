@@ -16,8 +16,9 @@ import pytest
 from apdual.cmdp import (
     Cmdp,
     NonFiniteError,
+    RolloutBatch,
     SamplingConfig,
-    Trajectory,
+    VectorStep,
     batch_values,
     collect_batch,
     counter_form_fits,
@@ -34,11 +35,12 @@ from apdual import solver
 from apdual.duals import PidGains
 from apdual.envs import default_hazard_gridworld, make_gridworld
 from apdual.lagrangian import ConstraintSpec
-from apdual.policy import PolicyParams, TabularSoftmax, init_params
+from apdual.policy import LinearGaussian, TabularSoftmax, init_params
 from apdual.schedules import LrSchedule
-from apdual.solver import FRESH_BATCH_STREAM, UNIFORM_BLOCK, SolverConfig, papd_run
+from apdual.solver import UNIFORM_BLOCK, SolverConfig, papd_run
 
 GAMMA = 0.9
+TAG = 999983  # a fourth seed word
 
 
 def chain_cmdp(p_jump=0.3, gamma=GAMMA, cost_scale=1.0):
@@ -46,15 +48,21 @@ def chain_cmdp(p_jump=0.3, gamma=GAMMA, cost_scale=1.0):
 
     Action 0 stays put; action 1 jumps 0 -> 1 with probability p_jump.
     State 1 is absorbing.  Rewards/costs depend only on the source state,
-    so exact values follow from an occupancy recursion.
+    so exact values follow from an occupancy recursion.  Every step draws
+    one uniform u and jumps when u < p_jump.
     """
 
+    def step(states, actions, uniforms):
+        jump = (states == 1) | ((actions == 1) & (uniforms[:, 0] < p_jump))
+        return (
+            jump.astype(np.int64),
+            (states == 1).astype(float),
+            np.where(states == 0, cost_scale, 0.0),
+        )
+
     def transition(s, a, rng):
-        if s == 1:
-            return 1
-        if a == 1 and rng.random() < p_jump:
-            return 1
-        return 0
+        nxt, _, _ = step(np.array([s]), np.array([a]), rng.random((1, 1)))
+        return int(nxt[0])
 
     return Cmdp(
         gamma=gamma,
@@ -64,6 +72,7 @@ def chain_cmdp(p_jump=0.3, gamma=GAMMA, cost_scale=1.0):
         transition=transition,
         reward=lambda s, a, nxt: 1.0 if s == 1 else 0.0,
         costs=lambda s, a, nxt: cost_scale if s == 0 else 0.0,
+        vector_step=VectorStep(1, step),
         n_states=2,
         n_actions=2,
     )
@@ -118,16 +127,19 @@ class TestDefaultHorizon:
             default_horizon(0.0)
 
 
+def one_row(rewards, costs):
+    """A one-rollout batch with the given (T,) rewards and (T, m) costs."""
+    t = len(rewards)
+    return RolloutBatch(
+        np.arange(t + 1)[None], np.zeros((1, t), dtype=np.int64),
+        np.asarray(rewards)[None], np.asarray(costs)[None],
+    )
+
+
 class TestDiscountedValue:
     def test_geometric_sum_closed_form(self):
         t = 50
-        traj = Trajectory(
-            states=list(range(t + 1)),
-            actions=[0] * t,
-            rewards=np.ones(t),
-            costs=np.full((t, 2), [0.5, 2.0]),
-        )
-        j_r, j_c = discounted_value(traj, GAMMA)
+        j_r, j_c = discounted_value(np.ones(t), np.full((t, 2), [0.5, 2.0]), GAMMA)
         geom = (1.0 - GAMMA**t) / (1.0 - GAMMA)
         assert j_r == pytest.approx(geom, rel=1e-12)
         assert j_c == pytest.approx([0.5 * geom, 2.0 * geom], rel=1e-12)
@@ -135,15 +147,10 @@ class TestDiscountedValue:
     def test_matches_bruteforce_loop(self):
         rng = np.random.default_rng(7)
         t = 33
-        traj = Trajectory(
-            states=list(range(t + 1)),
-            actions=[0] * t,
-            rewards=rng.normal(size=t),
-            costs=rng.random((t, 3)),
-        )
-        j_r, j_c = discounted_value(traj, 0.97)
-        want_r = sum(0.97**k * traj.rewards[k] for k in range(t))
-        want_c = sum(0.97**k * traj.costs[k] for k in range(t))
+        rewards, costs = rng.normal(size=t), rng.random((t, 3))
+        j_r, j_c = discounted_value(rewards, costs, 0.97)
+        want_r = sum(0.97**k * rewards[k] for k in range(t))
+        want_c = sum(0.97**k * costs[k] for k in range(t))
         assert j_r == pytest.approx(want_r, rel=1e-12)
         np.testing.assert_allclose(j_c, want_c, rtol=1e-12)
 
@@ -151,71 +158,69 @@ class TestDiscountedValue:
         # constant reward 1: the infinite sum is 1/(1-gamma) and truncation
         # at H removes exactly gamma^H/(1-gamma)
         for h in (10, 100, 688):
-            traj = Trajectory(
-                states=list(range(h + 1)),
-                actions=[0] * h,
-                rewards=np.ones(h),
-                costs=np.zeros((h, 1)),
-            )
-            j_r, _ = discounted_value(traj, 0.99)
+            (j_r,), _ = batch_values(one_row(np.ones(h), np.zeros((h, 1))), 0.99)
             tail = 0.99**h / (1.0 - 0.99)
             assert abs(1.0 / (1.0 - 0.99) - j_r) == pytest.approx(tail, rel=1e-9)
 
     def test_rejects_bad_gamma(self):
-        traj = Trajectory([0, 0], [0], np.ones(1), np.zeros((1, 1)))
         with pytest.raises(ValueError):
-            discounted_value(traj, 1.0)
+            discounted_value(np.ones(1), np.zeros((1, 1)), 1.0)
         with pytest.raises(ValueError):
-            batch_values([traj], 1.0)
+            batch_values(one_row(np.ones(1), np.zeros((1, 1))), 1.0)
 
     @pytest.mark.parametrize("t", [1, 24, 64, 200])
     @pytest.mark.parametrize("m", [1, 3])
     def test_batch_values_equal_per_trajectory(self, t, m):
         rng = np.random.default_rng(t + m)
-        trajs = [
-            Trajectory(
-                states=list(range(t + 1)),
-                actions=[0] * t,
-                rewards=rng.normal(size=t) * 50.0,
-                costs=rng.random((t, m)) * 4.0,
-            )
-            for _ in range(9)
-        ]
-        returns, costs = batch_values(trajs, 0.99)
+        batch = RolloutBatch(
+            np.zeros((9, t + 1), dtype=np.int64),
+            np.zeros((9, t), dtype=np.int64),
+            rng.normal(size=(9, t)) * 50.0,
+            rng.random((9, t, m)) * 4.0,
+        )
+        returns, costs = batch_values(batch, 0.99)
         assert returns.shape == (9,) and costs.shape == (9, m)
-        for i, traj in enumerate(trajs):
-            j_r, j_c = discounted_value(traj, 0.99)
+        for i in range(9):
+            j_r, j_c = discounted_value(batch.rewards[i], batch.costs[i], 0.99)
             assert returns[i] == j_r
             assert np.array_equal(costs[i], j_c)
 
     def test_batch_values_need_one_length(self):
-        short = Trajectory([0, 0], [0], np.ones(1), np.zeros((1, 1)))
-        longer = Trajectory([0, 0, 0], [0, 0], np.ones(2), np.zeros((2, 1)))
+        # every field of a batch covers the same n rollouts of one length
+        states, actions = np.zeros((2, 3)), np.zeros((2, 2))
         with pytest.raises(ValueError):
-            batch_values([short, longer], GAMMA)
+            RolloutBatch(states, actions, np.ones((2, 1)), np.zeros((2, 2, 1)))
+        with pytest.raises(ValueError):
+            RolloutBatch(states, actions, np.ones((2, 2)), np.zeros((2, 1, 1)))
+        with pytest.raises(ValueError):
+            RolloutBatch(states, actions, np.ones((3, 2)), np.zeros((3, 2, 1)))
 
 
 class TestTrajectoryShape:
     def test_lengths(self):
         cmdp = chain_cmdp()
         traj = sample_trajectory(cmdp, uniform_params(), horizon=17, seed=3)
-        assert len(traj) == 17
-        assert len(traj.states) == 18
-        assert traj.rewards.shape == (17,)
-        assert traj.costs.shape == (17, 1)
+        assert len(traj) == 1
+        assert traj.states.shape == (1, 18)
+        assert traj.actions.shape == (1, 17)
+        assert traj.rewards.shape == (1, 17)
+        assert traj.costs.shape == (1, 17, 1)
 
     def test_inconsistent_fields_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory([0], [0], np.ones(1), np.zeros((1, 1)))
+        one_step = np.ones((1, 1))
+        with pytest.raises(ValueError):  # no final state
+            RolloutBatch(np.zeros((1, 1)), one_step, one_step, np.zeros((1, 1, 1)))
+        with pytest.raises(ValueError):  # costs without their m axis
+            RolloutBatch(np.zeros((1, 2)), one_step, one_step, np.zeros((1, 1)))
 
     def test_step_fields_align(self):
         # step t of the parallel fields is (s_t, a_t, r(s_t, a_t, s_t+1), c(...))
         cmdp = chain_cmdp()
         traj = sample_trajectory(cmdp, uniform_params(), horizon=5, seed=0)
-        for t in range(len(traj)):
-            s, a, nxt = traj.states[t], traj.actions[t], traj.states[t + 1]
-            assert traj.rewards[t] == cmdp.reward(s, a, nxt)
-            assert np.array_equal(traj.costs[t], [cmdp.costs(s, a, nxt)])
+        for t in range(5):
+            s, a, nxt = traj.states[0, t], traj.actions[0, t], traj.states[0, t + 1]
+            assert traj.rewards[0, t] == cmdp.reward(s, a, nxt)
+            assert np.array_equal(traj.costs[0, t], [cmdp.costs(s, a, nxt)])
 
 
 class TestSeeding:
@@ -224,8 +229,8 @@ class TestSeeding:
         params = uniform_params()
         a = sample_trajectory(cmdp, params, 40, seed=11)
         b = sample_trajectory(cmdp, params, 40, seed=11)
-        assert a.states == b.states
-        assert a.actions == b.actions
+        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a.actions, b.actions)
         np.testing.assert_array_equal(a.rewards, b.rewards)
         np.testing.assert_array_equal(a.costs, b.costs)
 
@@ -233,7 +238,7 @@ class TestSeeding:
         cmdp = chain_cmdp()
         params = uniform_params()
         rollouts = [sample_trajectory(cmdp, params, 40, seed=s) for s in range(8)]
-        signatures = {tuple(t.actions) + tuple(t.states) for t in rollouts}
+        signatures = {tuple(t.actions[0]) + tuple(t.states[0]) for t in rollouts}
         assert len(signatures) > 1
 
     def test_tuple_seed_accepted(self):
@@ -241,7 +246,7 @@ class TestSeeding:
         params = uniform_params()
         a = sample_trajectory(cmdp, params, 10, seed=(4, 2))
         b = sample_trajectory(cmdp, params, 10, seed=(4, 2))
-        assert a.actions == b.actions
+        np.testing.assert_array_equal(a.actions, b.actions)
 
     def test_derived_seed_scheme(self):
         assert derived_seed(5, 3) == (5, 3)
@@ -254,16 +259,18 @@ class TestSeeding:
         batch = collect_batch(cmdp, params, sampling, seed=9)
         for i in (0, 3, 5):
             solo = sample_trajectory(cmdp, params, 25, seed=(9, i))
-            assert solo.actions == batch[i].actions
-            np.testing.assert_array_equal(solo.costs, batch[i].costs)
+            np.testing.assert_array_equal(solo.states[0], batch.states[i])
+            np.testing.assert_array_equal(solo.actions[0], batch.actions[i])
+            np.testing.assert_array_equal(solo.costs[0], batch.costs[i])
 
     def test_single_trajectory_batch_identity(self):
         cmdp = chain_cmdp()
         params = uniform_params()
         sampling = SamplingConfig(n_traj=1, horizon=12)
-        (only,) = collect_batch(cmdp, params, sampling, seed=2)
+        only = collect_batch(cmdp, params, sampling, seed=2)
         solo = sample_trajectory(cmdp, params, 12, seed=(2, 0))
-        assert only.actions == solo.actions
+        assert len(only) == 1
+        np.testing.assert_array_equal(only.actions, solo.actions)
 
 
 class TestCostBound:
@@ -278,11 +285,14 @@ class TestCostBound:
             transition=cmdp.transition,
             reward=cmdp.reward,
             costs=cmdp.costs,
+            vector_step=cmdp.vector_step,
             n_states=2,
             n_actions=2,
         )
         with pytest.raises(ValueError, match="bound"):
             sample_trajectory(bad, uniform_params(), 30, seed=0)
+        with pytest.raises(ValueError, match="bound"):
+            collect_batch(bad, uniform_params(), SamplingConfig(4, 30), seed=0)
 
     def test_bound_exactly_met_is_fine(self):
         cmdp = chain_cmdp(cost_scale=1.0)  # declared bound equals max cost
@@ -299,9 +309,9 @@ class TestEstimators:
 
         n = 2000
         sampling = SamplingConfig(n_traj=n, horizon=horizon)
-        trajs = collect_batch(cmdp, params, sampling, seed=123)
-        vals = np.array([discounted_value(t, GAMMA)[0] for t in trajs])
-        cvals = np.array([discounted_value(t, GAMMA)[1][0] for t in trajs])
+        batch = collect_batch(cmdp, params, sampling, seed=123)
+        vals, cvals = batch_values(batch, GAMMA)
+        cvals = cvals[:, 0]
         se_r = vals.std(ddof=1) / math.sqrt(n)
         se_c = cvals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - want_r) <= 3.0 * se_r
@@ -343,6 +353,7 @@ class TestValidation:
             transition=lambda s, a, rng: 0,
             reward=lambda s, a, n: 0.0,
             costs=lambda s, a, n: 0.0,
+            vector_step=VectorStep(0, lambda s, a, z: (s, 0.0 * s, 0.0 * s)),
         )
         with pytest.raises(ValueError):
             Cmdp(gamma=1.0, n_costs=1, cost_bound=1.0, **kw)
@@ -376,7 +387,13 @@ def drawing_start(cmdp):
     )
 
 
-def grid_papd_cfg(iterations, fresh, seed=3):
+def grid_cmdp(slip):
+    """The shipped hazard corridor, slippery (slip_prob 0.2) or not."""
+    spec = dataclasses.replace(default_hazard_gridworld(), slip_prob=0.2 * slip)
+    return make_gridworld(spec)
+
+
+def grid_papd_cfg(iterations, seed=3):
     return SolverConfig(
         iterations=iterations,
         schedule=LrSchedule("invlin-practical", h1=0.003, h2=3.0),
@@ -385,7 +402,6 @@ def grid_papd_cfg(iterations, fresh, seed=3):
         theta0=init_params(TabularSoftmax(default_hazard_gridworld().n_cells, 4)),
         sampling=SamplingConfig(n_traj=16, horizon=24),
         seed=seed,
-        fresh_dual_batch=fresh,
     )
 
 
@@ -399,16 +415,16 @@ def generators_only(monkeypatch):
     monkeypatch.setattr(
         solver,
         "_iteration_uniforms",
-        lambda cmdp, params, cfg: itertools.repeat((None, None)),
+        lambda cmdp, params, cfg: itertools.repeat(None),
     )
 
 
 def count_counter_calls(monkeypatch):
     calls = []
 
-    def counted(roots, n, horizon):
+    def counted(roots, n, count):
         calls.append(len(roots))
-        return counter_uniforms(roots, n, horizon)
+        return counter_uniforms(roots, n, count)
 
     monkeypatch.setattr(solver, "counter_uniforms", counted)
     return calls
@@ -430,8 +446,8 @@ class TestCounterUniforms:
         [
             [(0, 0), (0, 2**32 - 1), (2**32 - 1, 0), (2**32 - 1, 2**32 - 1)],
             [0, 2**32 - 1, (5,), [6, 7]],
-            [(s, k, FRESH_BATCH_STREAM) for s in (0, 61) for k in (0, 1, 2**32 - 1)],
-            [(3, 9), (3, 9, FRESH_BATCH_STREAM), (3, 10), (3, 10, FRESH_BATCH_STREAM)],
+            [(s, k, TAG) for s in (0, 61) for k in (0, 1, 2**32 - 1)],
+            [(3, 9), (3, 9, TAG), (3, 10), (3, 10, TAG)],
         ],
     )
     def test_bit_equal_on_edge_and_four_word_seeds(self, roots):
@@ -445,7 +461,7 @@ class TestCounterUniforms:
             assert np.array_equal(got[j], generator_uniforms(root, 600, 1))
 
     def test_fit_guard(self):
-        assert counter_form_fits((2**32 - 1, 0, FRESH_BATCH_STREAM))
+        assert counter_form_fits((2**32 - 1, 0, TAG))
         assert counter_form_fits(4)
         for root in ((2**32, 0), (-1, 0), 2**32, (1, 2, 3, 4), (1.0, 2)):
             assert not counter_form_fits(root), root
@@ -465,40 +481,43 @@ class TestCounterUniforms:
         assert initial_dist_draws(drawing_start(grid))
 
     def test_collect_batch_with_uniforms_equals_generators(self):
-        cmdp = make_gridworld(default_hazard_gridworld())
         params = init_params(TabularSoftmax(15, 4))
         params = params.replace_theta(np.random.default_rng(4).normal(size=60))
         sampling = SamplingConfig(n_traj=6, horizon=30)
-        (u,) = counter_uniforms([(8, 2)], 6, 30)
-        got = collect_batch(cmdp, params, sampling, (8, 2), u)
-        want = collect_batch(cmdp, params, sampling, (8, 2))
-        for a, b in zip(got, want):
-            assert np.array_equal(a.states, b.states)
-            assert np.array_equal(a.actions, b.actions)
-            assert np.array_equal(a.costs, b.costs)
-        with pytest.raises(ValueError, match="shape"):
-            collect_batch(cmdp, params, sampling, (8, 2), u[:, :5])
-        with pytest.raises(ValueError, match="tabular lockstep"):
-            collect_batch(chain_cmdp(), uniform_params(), sampling, (8, 2), u)
+        for slip in (False, True):
+            cmdp = grid_cmdp(slip)
+            width = 1 + cmdp.vector_step.noise_dim  # 1 + 2 slip uniforms
+            (u,) = counter_uniforms([(8, 2)], 6, 30 * width)
+            u = u.reshape(6, 30, width)
+            got = collect_batch(cmdp, params, sampling, (8, 2), u)
+            want = collect_batch(cmdp, params, sampling, (8, 2))
+            for name in ("states", "actions", "rewards", "costs"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            for bad in (u[:, :5], u[:, :, :0], u.reshape(6, -1)):
+                with pytest.raises(ValueError, match="shape"):
+                    collect_batch(cmdp, params, sampling, (8, 2), bad)
+            gaussian = init_params(LinearGaussian(4, 2))
+            with pytest.raises(ValueError, match="tabular batch"):
+                collect_batch(cmdp, gaussian, sampling, (8, 2), u)
 
 
 class TestPapdCounterBlocks:
-    @pytest.mark.parametrize("fresh", [False, True])
+    @pytest.mark.parametrize("slip", [False, True])
     @pytest.mark.parametrize("iterations", [1, 63, 64, 65, 130])
-    def test_records_equal_generator_loop(self, monkeypatch, iterations, fresh):
-        cmdp = make_gridworld(default_hazard_gridworld())
-        cfg = grid_papd_cfg(iterations, fresh)
+    def test_records_equal_generator_loop(self, monkeypatch, iterations, slip):
+        cmdp = grid_cmdp(slip)
+        cfg = grid_papd_cfg(iterations)
         calls = count_counter_calls(monkeypatch)
         got = papd_run(cmdp, GRID_LIMIT, cfg)
         blocks = -(-iterations // UNIFORM_BLOCK)
         assert len(calls) == blocks
-        assert sum(calls) == iterations * (2 if fresh else 1)
+        assert sum(calls) == iterations
         generators_only(monkeypatch)
         assert_records_equal(got, papd_run(cmdp, GRID_LIMIT, cfg))
 
     def test_no_generator_for_a_drawn_batch(self, monkeypatch):
-        cmdp = make_gridworld(default_hazard_gridworld())
-        cfg = grid_papd_cfg(70, fresh=True)
+        cmdp = grid_cmdp(slip=True)
+        cfg = grid_papd_cfg(70)
         want = papd_run(cmdp, GRID_LIMIT, cfg)  # also runs the self-check
         built = []
         default_rng = np.random.default_rng
@@ -514,15 +533,15 @@ class TestPapdCounterBlocks:
     def test_large_seed_falls_back_to_generators(self, monkeypatch):
         cmdp = make_gridworld(default_hazard_gridworld())
         calls = count_counter_calls(monkeypatch)
-        rec = papd_run(cmdp, GRID_LIMIT, grid_papd_cfg(5, True, seed=2**32))
+        rec = papd_run(cmdp, GRID_LIMIT, grid_papd_cfg(5, seed=2**32))
         assert calls == [] and rec.iterations == 5
 
     def test_drawing_initial_dist_falls_back_to_generators(self, monkeypatch):
         grid = make_gridworld(default_hazard_gridworld())
         calls = count_counter_calls(monkeypatch)
-        got = papd_run(drawing_start(grid), GRID_LIMIT, grid_papd_cfg(10, True))
+        got = papd_run(drawing_start(grid), GRID_LIMIT, grid_papd_cfg(10))
         assert calls == []
         # The drawn variate shifts every action uniform by one, so the run
         # differs from one whose initial_dist draws nothing.
-        plain = papd_run(grid, GRID_LIMIT, grid_papd_cfg(10, True))
+        plain = papd_run(grid, GRID_LIMIT, grid_papd_cfg(10))
         assert not np.array_equal(got.returns, plain.returns)

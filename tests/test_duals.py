@@ -6,7 +6,6 @@ import pytest
 from apdual.duals import (
     PidGains,
     PidState,
-    dual_ascent_step,
     pid_dual_step,
     project_nonneg,
 )
@@ -30,6 +29,16 @@ class TestProjection:
             assert np.linalg.norm(project_nonneg(x) - project_nonneg(y)) <= (
                 np.linalg.norm(x - y) + 1e-15
             )
+
+
+def dual_ascent_step(lm, zeta, g):
+    """Reference projected dual ascent, lambda <- [lambda + zeta g]_+."""
+    if zeta <= 0.0:
+        raise ValueError("zeta must be positive")
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    if g.shape != lm.values.shape:
+        raise ValueError("constraint value and multiplier dimensions disagree")
+    return Multiplier(project_nonneg(lm.values + zeta * g))
 
 
 class TestDualAscent:

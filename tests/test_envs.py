@@ -16,9 +16,9 @@ from apdual import envs
 from apdual.cmdp import (
     NonFiniteError,
     SamplingConfig,
+    batch_values,
     collect_batch,
     derived_seed,
-    discounted_value,
     sample_trajectory,
 )
 from apdual.envs import (
@@ -121,12 +121,10 @@ class TestPointEnv:
         cfg = PointEnvConfig(noise_std=0.1)
         cmdp = make_point_env("run", cfg)
         params = init_params(LinearGaussian(4, 2))
-        from apdual.cmdp import sample_trajectory
-
         traj = sample_trajectory(cmdp, params, horizon=40, seed=5)
         g = np.asarray(cfg.goal)
-        first = np.linalg.norm(np.asarray(traj.states[0][:2]) - g)
-        last = np.linalg.norm(np.asarray(traj.states[-1][:2]) - g)
+        first = np.linalg.norm(traj.states[0, 0, :2] - g)
+        last = np.linalg.norm(traj.states[0, -1, :2] - g)
         assert traj.rewards.sum() == pytest.approx(first - last, abs=1e-9)
 
     def test_start_states(self):
@@ -190,17 +188,11 @@ class TestLockstep:
     @pytest.mark.parametrize("noise", [0.0, 0.05])
     def test_rows_equal_sample_trajectory(self, task, noise):
         cmdp = make_point_env(task, PointEnvConfig(noise_std=noise))
-        assert cmdp.vector_step is not None
         params = self.params()
         seed = (7, 2)
         batch = collect_batch(cmdp, params, SamplingConfig(n_traj=5, horizon=30), seed)
         assert len(batch) == 5
-        for i, traj in enumerate(batch):
-            solo = sample_trajectory(cmdp, params, 30, derived_seed(seed, i))
-            assert np.array_equal(traj.states, np.asarray(solo.states))
-            assert np.array_equal(traj.actions, np.asarray(solo.actions))
-            assert np.array_equal(traj.rewards, solo.rewards)
-            assert np.array_equal(traj.costs, solo.costs)
+        assert_rows_equal_sample_trajectory(cmdp, params, batch, seed)
 
     def test_one_signal_call_per_time_step(self, monkeypatch):
         calls = []
@@ -226,9 +218,9 @@ class TestLockstep:
 
 
 class TestGridworldLockstep:
-    """A slip-free gridworld samples tabular batches in lockstep from
-    lookup tables; row i must be the per-step sampler's trajectory for
-    derived seed i."""
+    """The gridworld samples tabular batches in lockstep from lookup
+    tables, with or without slip; row i must be the per-step sampler's
+    trajectory for derived seed i."""
 
     @staticmethod
     def eastward_params(spec, seed=4):
@@ -250,7 +242,6 @@ class TestGridworldLockstep:
     )
     def test_rows_equal_sample_trajectory(self, spec):
         cmdp = make_gridworld(spec)
-        assert cmdp.vector_step is not None
         params = self.eastward_params(spec)
         seed, horizon = (11, 3), 24
         batch = collect_batch(
@@ -259,17 +250,12 @@ class TestGridworldLockstep:
         assert len(batch) == 16
         # some rollouts enter the goal part-way and then sit in it
         entered = [
-            list(traj.states).index(spec.goal_cell)
-            for traj in batch
-            if spec.goal_cell in traj.states
+            list(row).index(spec.goal_cell)
+            for row in batch.states
+            if spec.goal_cell in row
         ]
         assert any(k < horizon // 2 for k in entered)
-        for i, traj in enumerate(batch):
-            solo = sample_trajectory(cmdp, params, horizon, derived_seed(seed, i))
-            assert np.array_equal(traj.states, np.asarray(solo.states))
-            assert np.array_equal(traj.actions, np.asarray(solo.actions))
-            assert np.array_equal(traj.rewards, solo.rewards)
-            assert np.array_equal(traj.costs, solo.costs)
+        assert_rows_equal_sample_trajectory(cmdp, params, batch, seed)
 
     def test_tables_agree_with_callbacks(self):
         spec = default_hazard_gridworld()
@@ -288,17 +274,49 @@ class TestGridworldLockstep:
         assert (nxt[goal_rows] == spec.goal_cell).all()
         assert (rewards[goal_rows] == 0.0).all() and (costs[goal_rows] == 0.0).all()
 
-    def test_slip_gridworld_samples_per_step(self):
-        # with slip the draws per step depend on the data: no lockstep path
-        spec = GridworldSpec(width=4, height=3, goal_cell=7, slip_prob=0.2)
+    def test_slip_rows_equal_sample_trajectory(self):
+        # every step draws (action, slip, direction) uniforms, from the goal
+        # too, so slippery rows line up with the per-step sampler as well
+        spec = GridworldSpec(
+            width=4, height=3, start_cell=4, goal_cell=7, hazard_cells=(5, 6),
+            slip_prob=0.2,
+        )
         cmdp = make_gridworld(spec)
-        assert cmdp.vector_step is None
+        assert cmdp.vector_step.noise_dim == 2
         params = self.eastward_params(spec)
-        batch = collect_batch(cmdp, params, SamplingConfig(n_traj=3, horizon=10), 5)
-        for i, traj in enumerate(batch):
-            assert isinstance(traj.states, list)
-            solo = sample_trajectory(cmdp, params, 10, derived_seed(5, i))
-            assert traj.states == solo.states and traj.actions == solo.actions
+        seed, horizon = (5, 1), 24
+        batch = collect_batch(
+            cmdp, params, SamplingConfig(n_traj=16, horizon=horizon), seed
+        )
+        assert_rows_equal_sample_trajectory(cmdp, params, batch, seed)
+        # some moves slipped: the cell reached is not the commanded one
+        moves = grid_move_table(spec)
+        live = batch.states[:, :-1] != spec.goal_cell
+        commanded = moves[batch.states[:, :-1], batch.actions]
+        assert (live & (commanded != batch.states[:, 1:])).any()
+
+    def test_slip_step_turns_to_each_other_direction(self):
+        spec = GridworldSpec(width=3, height=3, goal_cell=8, slip_prob=0.3)
+        cmdp = make_gridworld(spec)
+        moves = grid_move_table(spec)
+        # u = 0.25 < slip_prob turns by 1 + floor(3 v); u = 0.3 does not slip
+        v = np.array([0.0, 0.34, 0.67, 0.99, 0.5])
+        u = np.array([0.25, 0.25, 0.25, 0.25, 0.3])
+        nxt, _, _ = cmdp.vector_step.fn(
+            np.full(5, 4), np.zeros(5, dtype=np.int64), np.stack([u, v], axis=1)
+        )
+        want = moves[4, [1, 2, 3, 3, 0]]
+        np.testing.assert_array_equal(nxt, want)
+
+
+def assert_rows_equal_sample_trajectory(cmdp, params, batch, seed):
+    """Row i of a collect_batch batch is the per-step sampler's trajectory
+    for derived seed i, bit for bit."""
+    horizon = batch.rewards.shape[1]
+    for i in range(len(batch)):
+        solo = sample_trajectory(cmdp, params, horizon, derived_seed(seed, i))
+        for name in ("states", "actions", "rewards", "costs"):
+            assert np.array_equal(getattr(batch, name)[i], getattr(solo, name)[0]), name
 
 
 def uniform_table(spec):
@@ -443,11 +461,11 @@ class TestGridworldKernel:
         want_r, want_c = exact_policy_eval(
             spec, softmax_table(params), 0.95, horizon
         )
-        trajs = collect_batch(
+        batch = collect_batch(
             cmdp, params, SamplingConfig(n_traj=2000, horizon=horizon), seed=3
         )
-        vals = np.array([discounted_value(t, 0.95)[0] for t in trajs])
-        cvals = np.array([discounted_value(t, 0.95)[1][0] for t in trajs])
+        vals, cvals = batch_values(batch, 0.95)
+        cvals = cvals[:, 0]
         assert abs(vals.mean() - want_r) <= 3.0 * vals.std(ddof=1) / math.sqrt(2000)
         assert abs(cvals.mean() - want_c) <= 3.0 * cvals.std(ddof=1) / math.sqrt(2000)
 

@@ -16,6 +16,7 @@ import apdual
 from apdual import harness
 from apdual.cli import main
 from apdual.cmdp import NonFiniteError
+from apdual.envs import policy_state_values
 from apdual.harness import (
     CSV_COLUMNS,
     OUTPUT_ROOT_ENV,
@@ -33,6 +34,7 @@ from apdual.harness import (
     sweep,
     verify_dir,
 )
+from apdual.policy import softmax_table
 from apdual.solver import RunRecord
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -321,25 +323,67 @@ class TestRunExperiment:
     def test_verify_dir_names_numpy_version_mismatch(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
         result = run_experiment(parse_config(make_grid_raw(iterations=6, seeds=[2])))
-        summary = json.loads(result.summary_path.read_text())
-        summary["numpy_version"] = "1.26.4"
-        result.summary_path.write_text(json.dumps(summary))
-        verify_dir(result.output_dir)  # equal bytes: the version alone passes
         target = result.csv_paths[0]
-        lines = target.read_text().splitlines()
-        cells = lines[4].split(",")  # data row 3
-        original = cells[2]  # the cost column
-        cells[2] = "0.5"
-        lines[4] = ",".join(cells)
-        target.write_text("\n".join(lines) + "\n")
-        want = (
-            f"seed 2: stored CSV differs from regenerated run (stored under "
-            f"numpy 1.26.4, regenerated under numpy {np.__version__}) at row 3, "
-            f"column cost: stored 0.5, regenerated {original}"
+        stored_csv = target.read_text()
+        summary = json.loads(result.summary_path.read_text())
+        ours = f"apdual {apdual.__version__}"
+        theirs = f"numpy {np.__version__}"
+        doctored = [
+            ({"numpy_version": "1.26.4"}, "numpy 1.26.4", theirs),
+            ({"apdual_version": "0.1.0"}, "apdual 0.1.0", ours),
+            (
+                {"apdual_version": "0.1.0", "numpy_version": "1.26.4"},
+                "apdual 0.1.0 and numpy 1.26.4",
+                f"{ours} and {theirs}",
+            ),
+        ]
+        for versions, stored_under, regenerated_under in doctored:
+            result.summary_path.write_text(json.dumps({**summary, **versions}))
+            target.write_text(stored_csv)
+            verify_dir(result.output_dir)  # equal bytes: the version alone passes
+            lines = stored_csv.splitlines()
+            cells = lines[4].split(",")  # data row 3
+            original = cells[2]  # the cost column
+            cells[2] = "0.5"
+            lines[4] = ",".join(cells)
+            target.write_text("\n".join(lines) + "\n")
+            want = (
+                f"seed 2: stored CSV differs from regenerated run (stored under "
+                f"{stored_under}, regenerated under {regenerated_under}) at row 3, "
+                f"column cost: stored 0.5, regenerated {original}"
+            )
+            with pytest.raises(VerificationError) as info:
+                verify_dir(result.output_dir)
+            assert str(info.value) == want
+
+    def test_grid_ppol_exact_values_equal_per_rollout_lookup(self, monkeypatch):
+        # the harness's exact-values callback indexes v_R and v_C by the
+        # batch's states; a per-rollout lookup gives the same run
+        cfg = parse_config(
+            make_grid_raw(algorithm="papd-ppol", iterations=5, seeds=[1])
         )
-        with pytest.raises(VerificationError) as info:
-            verify_dir(result.output_dir)
-        assert str(info.value) == want
+        got = harness._run_single(cfg, 1)
+        assert got.meta["algorithm"] == "ppol"
+        grid = harness.build_gridworld_spec({})
+        calls = []
+
+        def per_rollout(params, batch):
+            calls.append(1)
+            v_r, v_c = policy_state_values(grid, softmax_table(params), 0.99, 12)
+            return np.stack(
+                [np.stack([v_r[row], v_c[row]], axis=1) for row in batch.states]
+            )
+
+        solver_config = harness.SolverConfig
+        monkeypatch.setattr(
+            harness,
+            "SolverConfig",
+            lambda **kw: solver_config(**{**kw, "values_fn": per_rollout}),
+        )
+        want = harness._run_single(cfg, 1)
+        assert len(calls) == 5
+        for name in ("thetas", "lambdas", "etas", "returns", "costs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_verify_dir_names_row_count(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))

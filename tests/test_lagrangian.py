@@ -13,8 +13,9 @@ import pytest
 
 from apdual.cmdp import (
     Cmdp,
+    RolloutBatch,
     SamplingConfig,
-    Trajectory,
+    VectorStep,
     batch_values,
     collect_batch,
     discounted_value,
@@ -25,14 +26,11 @@ from apdual.lagrangian import (
     Multiplier,
     PpolConfig,
     advantage_batch,
-    constraint_value,
-    gae_advantages,
     lagrangian_value,
     ppol_surrogate,
     ppol_surrogate_grad,
     reinforce_grad,
     reinforce_grad_from_batch,
-    trajectory_score,
 )
 from apdual.envs import (
     PointEnvConfig,
@@ -48,15 +46,48 @@ from apdual.policy import (
     policy_grad_log_prob,
     policy_log_prob,
     policy_score_sum,
+    policy_trajectory_scores,
     softmax_table,
 )
 
 GAMMA = 0.9
 
 
+def constraint_value(j_c, spec):
+    """Reference g = J_C - d."""
+    j_c = np.atleast_1d(np.asarray(j_c, dtype=float))
+    if j_c.shape != spec.limits.shape:
+        raise ValueError("J_C and constraint dimensions disagree")
+    return j_c - spec.limits
+
+
+def trajectory_score(params, states, actions):
+    """Reference sum of exact scores d log pi(a_t|s_t) over one rollout's
+    T + 1 states and T actions."""
+    t = len(actions)
+    return policy_trajectory_scores(
+        params, np.asarray(states[:t])[None], np.asarray(actions)[None]
+    )[0]
+
+
+def gae_advantages(rewards, values, gamma, gae_lambda):
+    """Reference GAE of one rollout: A_t = sum_l (gamma gae_lambda)^l
+    delta_{t+l} with delta_t = r_t + gamma V_{t+1} - V_t, by a backward
+    loop; values carries the bootstrap entry."""
+    if len(values) != len(rewards) + 1:
+        raise ValueError("values must have length len(rewards) + 1")
+    adv = np.empty(len(rewards))
+    acc = 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        acc = rewards[t] + gamma * values[t + 1] - values[t] + gamma * gae_lambda * acc
+        adv[t] = acc
+    return adv
+
+
 def bandit_cmdp(rewards, costs, gamma=GAMMA):
     """One state, two actions, deterministic reward/cost, horizon-1 use."""
     bound = max(abs(float(c)) for c in costs) or 1.0
+    reward_of, cost_of = np.asarray(rewards, float), np.asarray(costs, float)
     return Cmdp(
         gamma=gamma,
         n_costs=1,
@@ -65,17 +96,20 @@ def bandit_cmdp(rewards, costs, gamma=GAMMA):
         transition=lambda s, a, rng: 0,
         reward=lambda s, a, nxt: float(rewards[a]),
         costs=lambda s, a, nxt: float(costs[a]),
+        vector_step=VectorStep(0, lambda s, a, z: (s, reward_of[a], cost_of[a])),
         n_states=1,
         n_actions=2,
     )
 
 
-def bandit_traj(action, rewards, costs):
-    return Trajectory(
-        states=[0, 0],
-        actions=[action],
-        rewards=np.array([float(rewards[action])]),
-        costs=np.array([[float(costs[action])]]),
+def bandit_batch(actions, rewards, costs):
+    """One-step bandit rollouts, one per entry of actions."""
+    a = np.asarray(actions, dtype=np.int64)[:, None]
+    return RolloutBatch(
+        np.zeros((len(a), 2), dtype=np.int64),
+        a,
+        np.asarray(rewards, dtype=float)[a],
+        np.asarray(costs, dtype=float)[a][:, :, None],
     )
 
 
@@ -129,8 +163,7 @@ class TestTrajectoryScore:
         t = 15
         states = list(rng.integers(0, 4, size=t + 1))
         actions = list(rng.integers(0, 3, size=t))
-        traj = Trajectory(states, actions, np.zeros(t), np.zeros((t, 1)))
-        fast = trajectory_score(params, traj)
+        fast = trajectory_score(params, states, actions)
         slow = sum(
             policy_grad_log_prob(params, states[i], actions[i]) for i in range(t)
         )
@@ -143,8 +176,7 @@ class TestTrajectoryScore:
         t = 5
         states = [rng.normal(size=2) for _ in range(t + 1)]
         actions = [rng.normal(size=2) for _ in range(t)]
-        traj = Trajectory(states, actions, np.zeros(t), np.zeros((t, 1)))
-        got = trajectory_score(params, traj)
+        got = trajectory_score(params, states, actions)
         want = sum(
             policy_grad_log_prob(params, states[i], actions[i]) for i in range(t)
         )
@@ -168,8 +200,8 @@ class TestReinforceBandit:
         for key in range(2**n):
             acts = [(key >> i) & 1 for i in range(n)]
             weight = math.prod(probs[a] for a in acts)
-            trajs = [bandit_traj(a, self.REWARDS, self.COSTS) for a in acts]
-            est = reinforce_grad_from_batch(trajs, GAMMA, params, lm, spec)
+            batch = bandit_batch(acts, self.REWARDS, self.COSTS)
+            est = reinforce_grad_from_batch(batch, GAMMA, params, lm, spec)
             total += weight * est
         return total
 
@@ -187,19 +219,19 @@ class TestReinforceBandit:
         spec = ConstraintSpec(np.array([0.0]))
         lm = Multiplier(np.array([2.0]))
         rewards, costs = (1.0, 1.0), (0.5, 0.5)
-        trajs = [bandit_traj(a, rewards, costs) for a in (0, 1, 1, 0)]
-        got = reinforce_grad_from_batch(trajs, GAMMA, params, lm, spec)
+        batch = bandit_batch((0, 1, 1, 0), rewards, costs)
+        got = reinforce_grad_from_batch(batch, GAMMA, params, lm, spec)
         np.testing.assert_array_equal(got, np.zeros(2))
 
     def test_estimator_affine_in_lambda(self):
         # w_i is affine in lambda, so on a fixed batch the estimate is too
         params = self._params()
         spec = ConstraintSpec(np.array([self.LIMIT]))
-        trajs = [bandit_traj(a, self.REWARDS, self.COSTS) for a in (0, 1, 1)]
+        batch = bandit_batch((0, 1, 1), self.REWARDS, self.COSTS)
 
         def grad(lam):
             return reinforce_grad_from_batch(
-                trajs, GAMMA, params, Multiplier(np.array([lam])), spec
+                batch, GAMMA, params, Multiplier(np.array([lam])), spec
             )
 
         g0, g1, g2 = grad(0.0), grad(1.0), grad(2.0)
@@ -216,17 +248,20 @@ class TestReinforceBandit:
 
         # rebuild the same batch from the documented derived seeds and form
         # the per-trajectory terms to get an empirical standard error
-        trajs = collect_batch(cmdp, params, sampling, seed=42)
+        batch = collect_batch(cmdp, params, sampling, seed=42)
         weights = np.array(
             [
-                lagrangian_value(*discounted_value(t, GAMMA), lm, spec)
-                for t in trajs
+                lagrangian_value(
+                    *discounted_value(batch.rewards[i], batch.costs[i], GAMMA), lm, spec
+                )
+                for i in range(n)
             ]
         )
         baselines = (weights.sum() - weights) / (n - 1)
         terms = np.stack(
             [
-                (weights[i] - baselines[i]) * trajectory_score(params, trajs[i])
+                (weights[i] - baselines[i])
+                * trajectory_score(params, batch.states[i], batch.actions[i])
                 for i in range(n)
             ]
         )
@@ -236,32 +271,38 @@ class TestReinforceBandit:
         assert np.all(np.abs(got - want) <= 3.0 * se + 1e-12)
 
 
-def reference_score(params, traj):
+def reference_score(params, states, actions):
     """Per-rollout score: visit counts minus visit-weighted probabilities
     for tabular policies, the per-step score sum for Gaussian ones."""
-    t = len(traj)
+    t = len(actions)
     kind = params.kind
     if isinstance(kind, TabularSoftmax):
-        states = np.asarray(traj.states[:t], dtype=np.int64)
-        actions = np.asarray(traj.actions, dtype=np.int64)
+        states = np.asarray(states[:t], dtype=np.int64)
+        actions = np.asarray(actions, dtype=np.int64)
         counts = np.bincount(
             states * kind.n_actions + actions, minlength=kind.param_count
         ).astype(float)
         visits = np.bincount(states, minlength=kind.n_states).astype(float)
         return counts - (visits[:, None] * softmax_table(params)).ravel()
-    return policy_score_sum(params, traj.states[:t], traj.actions, np.ones(t))
+    return policy_score_sum(params, states[:t], actions, np.ones(t))
 
 
-def reference_reinforce_grad(trajs, gamma, params, lm, spec):
+def reference_reinforce_grad(batch, gamma, params, lm, spec):
     """The estimator as a per-trajectory loop in batch order."""
-    n = len(trajs)
+    n = len(batch)
     weights = np.array(
-        [lagrangian_value(*discounted_value(t, gamma), lm, spec) for t in trajs]
+        [
+            lagrangian_value(
+                *discounted_value(batch.rewards[i], batch.costs[i], gamma), lm, spec
+            )
+            for i in range(n)
+        ]
     )
     baselines = (weights.sum() - weights) / (n - 1)
     grad = np.zeros_like(params.theta)
-    for i, traj in enumerate(trajs):
-        grad += (weights[i] - baselines[i]) * reference_score(params, traj)
+    for i in range(n):
+        score = reference_score(params, batch.states[i], batch.actions[i])
+        grad += (weights[i] - baselines[i]) * score
     return grad / n
 
 
@@ -277,8 +318,8 @@ class TestBatchedReinforce:
         theta[:, 1] += 2.0  # some rollouts reach the goal mid-horizon
         params = PolicyParams(kind, theta.ravel())
         cmdp = make_gridworld(spec)
-        trajs = collect_batch(cmdp, params, SamplingConfig(16, 24), (3, 1))
-        return cmdp, params, trajs
+        batch = collect_batch(cmdp, params, SamplingConfig(16, 24), (3, 1))
+        return cmdp, params, batch
 
     @staticmethod
     def point_batch():
@@ -286,23 +327,26 @@ class TestBatchedReinforce:
         kind = LinearGaussian(4, 2)
         theta = np.random.default_rng(9).normal(size=kind.param_count) * 0.3
         params = PolicyParams(kind, theta)
-        trajs = collect_batch(cmdp, params, SamplingConfig(8, 64), (3, 2))
-        return cmdp, params, trajs
+        batch = collect_batch(cmdp, params, SamplingConfig(8, 64), (3, 2))
+        return cmdp, params, batch
 
     @pytest.mark.parametrize("batch", ["grid_batch", "point_batch"])
     def test_equals_per_trajectory_loop(self, batch):
-        cmdp, params, trajs = getattr(self, batch)()
+        cmdp, params, rollouts = getattr(self, batch)()
         spec = ConstraintSpec(np.array([10.0]))
         lm = Multiplier(np.array([0.7]))
-        want = reference_reinforce_grad(trajs, cmdp.gamma, params, lm, spec)
-        got = reinforce_grad_from_batch(trajs, cmdp.gamma, params, lm, spec)
+        want = reference_reinforce_grad(rollouts, cmdp.gamma, params, lm, spec)
+        got = reinforce_grad_from_batch(rollouts, cmdp.gamma, params, lm, spec)
         assert np.array_equal(got, want)
-        values = batch_values(trajs, cmdp.gamma)
-        given = reinforce_grad_from_batch(trajs, cmdp.gamma, params, lm, spec, values)
+        values = batch_values(rollouts, cmdp.gamma)
+        given = reinforce_grad_from_batch(
+            rollouts, cmdp.gamma, params, lm, spec, values
+        )
         assert np.array_equal(given, want)
-        for traj in trajs:
+        for states, actions in zip(rollouts.states, rollouts.actions):
             assert np.array_equal(
-                trajectory_score(params, traj), reference_score(params, traj)
+                trajectory_score(params, states, actions),
+                reference_score(params, states, actions),
             )
 
 
@@ -312,8 +356,7 @@ class TestGae:
         t = 8
         rewards = rng.normal(size=t)
         values = rng.normal(size=t + 1)
-        traj = Trajectory(list(range(t + 1)), [0] * t, rewards, np.zeros((t, 1)))
-        adv = gae_advantages(traj, values, GAMMA, 0.0)
+        adv = gae_advantages(rewards, values, GAMMA, 0.0)
         want = rewards + GAMMA * values[1:] - values[:-1]
         np.testing.assert_allclose(adv, want, rtol=1e-12)
 
@@ -322,17 +365,48 @@ class TestGae:
         t = 8
         rewards = rng.normal(size=t)
         values = rng.normal(size=t + 1)
-        traj = Trajectory(list(range(t + 1)), [0] * t, rewards, np.zeros((t, 1)))
-        adv = gae_advantages(traj, values, GAMMA, 1.0)
+        adv = gae_advantages(rewards, values, GAMMA, 1.0)
         for i in range(t):
             ret = sum(GAMMA ** (k - i) * rewards[k] for k in range(i, t))
             ret += GAMMA ** (t - i) * values[t]
             assert adv[i] == pytest.approx(ret - values[i], rel=1e-10, abs=1e-12)
 
     def test_values_length_checked(self):
-        traj = Trajectory([0, 0], [0], np.ones(1), np.zeros((1, 1)))
-        with pytest.raises(ValueError):
-            gae_advantages(traj, np.zeros(3), GAMMA, 0.5)
+        batch = RolloutBatch(
+            np.zeros((1, 2), dtype=np.int64), np.zeros((1, 1), dtype=np.int64),
+            np.ones((1, 1)), np.zeros((1, 1, 1)),
+        )
+        params = init_params(TabularSoftmax(1, 1))
+        for shape in ((1, 3, 2), (1, 2, 1), (2, 2, 2)):
+            with pytest.raises(ValueError, match="values must have shape"):
+                advantage_batch(batch, params, GAMMA, PpolConfig(), np.zeros(shape))
+
+    @pytest.mark.parametrize("gae_lambda", [0.0, 0.95, 1.0])
+    def test_batch_pass_matches_per_rollout_reference(self, gae_lambda):
+        # advantage_batch's one backward pass, before centering, against the
+        # per-rollout loop for the reward and the cost signal
+        rng = np.random.default_rng(4)
+        n, t = 5, 7
+        batch = RolloutBatch(
+            rng.integers(0, 3, size=(n, t + 1)), rng.integers(0, 2, size=(n, t)),
+            rng.normal(size=(n, t)), rng.random((n, t, 1)),
+        )
+        values = rng.normal(size=(n, t + 1, 2))
+        params = init_params(TabularSoftmax(3, 2))
+        cfg = PpolConfig(gae_lambda=gae_lambda)
+        got = advantage_batch(batch, params, GAMMA, cfg, values)
+
+        def per_rollout(signal, column):
+            return np.concatenate([
+                gae_advantages(signal[i], values[i, :, column], GAMMA, gae_lambda)
+                for i in range(n)
+            ])
+
+        adv_r = per_rollout(batch.rewards, 0)
+        adv_c = per_rollout(batch.costs[:, :, 0], 1)
+        tol = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got.adv_r, adv_r - adv_r.mean(), **tol)
+        np.testing.assert_allclose(got.adv_c[:, 0], adv_c, **tol)
 
 
 def one_step_batch(params, samples, rho=None):
@@ -459,43 +533,41 @@ class TestAdvantageBatchAssembly:
         rng = np.random.default_rng(8)
         kind = TabularSoftmax(3, 2)
         params = PolicyParams(kind, rng.normal(size=kind.param_count))
-        trajs = []
-        for _ in range(4):
-            t = 3
-            states = list(rng.integers(0, 3, size=t + 1))
-            actions = list(rng.integers(0, 2, size=t))
-            trajs.append(
-                Trajectory(
-                    states, actions, rng.normal(size=t), rng.random((t, 1))
-                )
-            )
-        return params, trajs
+        n, t = 4, 3
+        rollouts = RolloutBatch(
+            rng.integers(0, 3, size=(n, t + 1)),
+            rng.integers(0, 2, size=(n, t)),
+            rng.normal(size=(n, t)),
+            rng.random((n, t, 1)),
+        )
+        return params, rollouts
 
     def test_flattening_and_log_probs(self):
-        params, trajs = self._setup()
-        values_fn = lambda traj: (np.zeros(len(traj) + 1), np.zeros((len(traj) + 1, 1)))
-        batch = advantage_batch(trajs, params, GAMMA, PpolConfig(), values_fn)
-        assert len(batch) == sum(len(t) for t in trajs)
+        params, rollouts = self._setup()
+        zeros = np.zeros((4, 4, 2))
+        batch = advantage_batch(rollouts, params, GAMMA, PpolConfig(), zeros)
+        assert len(batch) == rollouts.actions.size
         k = 0
-        for traj in trajs:
-            for t in range(len(traj)):
-                assert batch.states[k] == traj.states[t]
-                assert batch.actions[k] == traj.actions[t]
+        for i in range(4):
+            for t in range(3):
+                state, action = rollouts.states[i, t], rollouts.actions[i, t]
+                assert batch.states[k] == state
+                assert batch.actions[k] == action
                 assert batch.log_prob_old[k] == pytest.approx(
-                    policy_log_prob(params, traj.states[t], traj.actions[t])
+                    policy_log_prob(params, state, action)
                 )
                 k += 1
 
     def test_reward_advantages_centered(self):
-        params, trajs = self._setup()
-        values_fn = lambda traj: (np.zeros(len(traj) + 1), np.zeros((len(traj) + 1, 1)))
-        batch = advantage_batch(trajs, params, GAMMA, PpolConfig(), values_fn)
+        params, rollouts = self._setup()
+        zeros = np.zeros((4, 4, 2))
+        batch = advantage_batch(rollouts, params, GAMMA, PpolConfig(), zeros)
         assert abs(batch.adv_r.mean()) < 1e-12
 
     def test_cost_advantages_not_centered(self):
-        params, trajs = self._setup()
-        values_fn = lambda traj: (np.zeros(len(traj) + 1), np.zeros((len(traj) + 1, 1)))
-        batch = advantage_batch(trajs, params, GAMMA, PpolConfig(), values_fn)
+        params, rollouts = self._setup()
+        zeros = np.zeros((4, 4, 2))
+        batch = advantage_batch(rollouts, params, GAMMA, PpolConfig(), zeros)
         # positive step costs with zero values give positive advantages
         assert batch.adv_c.mean() > 0.0
 
@@ -505,20 +577,19 @@ class TestAdvantageBatchAssembly:
         rng = np.random.default_rng(9)
         kind = TabularSoftmax(2, 2)
         params = PolicyParams(kind, rng.normal(size=kind.param_count))
-        trajs = [
-            Trajectory([0, 1], [1], rng.normal(size=1), rng.random((1, 1)))
-            for _ in range(6)
-        ]
+        rollouts = RolloutBatch(
+            np.tile([0, 1], (6, 1)),
+            np.ones((6, 1), dtype=np.int64),
+            rng.normal(size=(6, 1)),
+            rng.random((6, 1, 1)),
+        )
         cfg = PpolConfig(gae_lambda=1.0)
+        values_plain = np.zeros((6, 2, 2))
+        values_shifted = values_plain.copy()
+        values_shifted[:, 0, 0] = -5.0
 
-        def values_plain(traj):
-            return np.zeros(2), np.zeros((2, 1))
-
-        def values_shifted(traj):
-            return np.array([-5.0, 0.0]), np.zeros((2, 1))
-
-        a = advantage_batch(trajs, params, GAMMA, cfg, values_plain)
-        b = advantage_batch(trajs, params, GAMMA, cfg, values_shifted)
+        a = advantage_batch(rollouts, params, GAMMA, cfg, values_plain)
+        b = advantage_batch(rollouts, params, GAMMA, cfg, values_shifted)
         np.testing.assert_allclose(a.adv_r, b.adv_r, rtol=1e-12, atol=1e-12)
 
     def test_non_finite_rejected(self):

@@ -9,11 +9,21 @@ must refuse (sampled, PID, multi-step).
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from apdual.cmdp import Cmdp, NonFiniteError, SamplingConfig, sample_trajectory
+from apdual import solver
+from apdual.cmdp import (
+    Cmdp,
+    NonFiniteError,
+    RolloutBatch,
+    SamplingConfig,
+    VectorStep,
+    derived_seed,
+    sample_trajectory,
+)
 from apdual.duals import PidGains, PidState, pid_dual_step, project_nonneg
 from apdual.envs import (
     GridworldSpec,
@@ -24,7 +34,7 @@ from apdual.envs import (
 )
 from apdual.lagrangian import ConstraintSpec, Multiplier, PpolConfig
 from apdual.policy import LinearGaussian, TabularSoftmax, init_params
-from apdual.quadprog import quad_default, quad_kkt_solve, quad_make
+from apdual.quadprog import quad_default, quad_kkt_solve, quad_make, quad_testbed
 from apdual.schedules import LrSchedule, SmoothnessConstants
 from apdual.solver import (
     RunRecord,
@@ -158,6 +168,22 @@ class TestApdRun:
         want = "seed 7, iteration 6: non-finite theta"
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=want):
             apd_run(prog, cfg)
+
+    def test_divergence_raises_without_numpy_warnings(self):
+        # the overflow inside the loop is not reported as a RuntimeWarning;
+        # the finiteness screen after the loop names seed and iteration
+        cfg = SolverConfig(
+            iterations=50,
+            schedule=LrSchedule("constant", eta=50.0),
+            dual_variant="ascent",
+            zeta=0.1,
+        )
+        # theta overflows in the loop, J_R in j_r_rows after it
+        want = "seed 0, iteration 4: non-finite return"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=want):
+                apd_run(quad_testbed(0.5), cfg)
 
 
 def reference_apd_run(problem, cfg):
@@ -488,17 +514,6 @@ class TestPapdRun:
         np.testing.assert_array_equal(a.thetas, b.thetas)
         assert a.meta["algorithm"] == "ppol"
 
-    def test_fresh_dual_batch_changes_cost_stream(self):
-        base = papd_run(self.cmdp, self.constraint, papd_cfg(iterations=12))
-        fresh = papd_run(
-            self.cmdp, self.constraint, papd_cfg(iterations=12, fresh_dual_batch=True)
-        )
-        assert not np.array_equal(base.costs, fresh.costs)
-        again = papd_run(
-            self.cmdp, self.constraint, papd_cfg(iterations=12, fresh_dual_batch=True)
-        )
-        np.testing.assert_array_equal(fresh.costs, again.costs)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="PID"):
             papd_run(
@@ -575,12 +590,13 @@ class TestPapdPointPpol:
         )
         return papd_run(cmdp, ConstraintSpec(np.array([2.0])), cfg)
 
-    def test_finite_repeatable_and_equal_to_per_step_sampling(self):
+    def test_finite_repeatable_and_equal_to_per_step_sampling(self, monkeypatch):
         cmdp = make_point_env("run", PointEnvConfig(noise_std=0.05))
         a = self.run(cmdp)
         b = self.run(cmdp)
-        # the same run with the lockstep sampler removed: per-step rollouts
-        c = self.run(dataclasses.replace(cmdp, vector_step=None))
+        # the same run with every batch stacked from per-step rollouts
+        monkeypatch.setattr(solver, "collect_batch", per_step_batch)
+        c = self.run(cmdp)
         for name in ("thetas", "lambdas", "etas", "returns", "costs"):
             got = getattr(a, name)
             assert np.isfinite(got).all(), name
@@ -589,9 +605,25 @@ class TestPapdPointPpol:
         assert not np.array_equal(a.thetas[0], a.thetas[-1])
 
 
+def per_step_batch(cmdp, params, sampling, seed, uniforms=None):
+    """collect_batch's batch with every row from sample_trajectory."""
+    rows = [
+        sample_trajectory(cmdp, params, sampling.horizon, derived_seed(seed, i))
+        for i in range(sampling.n_traj)
+    ]
+    return RolloutBatch(
+        *(
+            np.concatenate([getattr(row, name) for row in rows])
+            for name in ("states", "actions", "rewards", "costs")
+        )
+    )
+
+
 def nan_signal_cmdp(signal: str, bad_call: int) -> Cmdp:
     """Deterministic counter chain whose reward (or cost) callback returns
-    NaN on its bad_call-th call (0-based), counted over every rollout."""
+    NaN on its bad_call-th call (0-based), counted over every step.  The
+    vector step calls the callbacks row by row, so a lockstep batch counts
+    its steps time-major."""
     calls = itertools.count()
 
     def flaky(s, a, nxt):
@@ -600,14 +632,27 @@ def nan_signal_cmdp(signal: str, bad_call: int) -> Cmdp:
     def steady(s, a, nxt):
         return 0.5
 
+    reward = flaky if signal == "rewards" else steady
+    costs = flaky if signal == "costs" else steady
+
+    def step(states, actions, noise):
+        nxt = np.minimum(states + 1, 9)
+        rows = list(zip(states, actions, nxt))
+        return (
+            nxt,
+            np.array([reward(*row) for row in rows]),
+            np.array([costs(*row) for row in rows]),
+        )
+
     return Cmdp(
         gamma=0.9,
         n_costs=1,
         cost_bound=1.0,
         initial_dist=lambda rng: 0,
         transition=lambda s, a, rng: min(s + 1, 9),
-        reward=flaky if signal == "rewards" else steady,
-        costs=flaky if signal == "costs" else steady,
+        reward=reward,
+        costs=costs,
+        vector_step=VectorStep(0, step),
         n_states=10,
         n_actions=2,
     )
@@ -623,14 +668,15 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("algorithm", ["reinforce", "ppol"])
     def test_papd_run_names_seed_and_iteration(self, algorithm):
-        # 2 rollouts x 5 steps = 10 reward calls per iteration, so call 37
-        # is step 2 of the second rollout of iteration 3
+        # 2 rollouts x 5 steps = 10 reward calls per iteration, two per time
+        # step, so call 37 is step 3 of the second rollout (row 1) of
+        # iteration 3
         cmdp = nan_signal_cmdp("rewards", bad_call=37)
         cfg = dataclasses.replace(
             papd_cfg(iterations=6, algorithm=algorithm, seed=4, n_cells=10),
             sampling=SamplingConfig(n_traj=2, horizon=5),
         )
-        want = r"seed 4, iteration 3: non-finite rewards at index \(2,\)"
+        want = r"seed 4, iteration 3: non-finite rewards at index \(1, 3\)"
         with pytest.raises(NonFiniteError, match=want):
             papd_run(cmdp, ConstraintSpec(np.array([1.0])), cfg)
 
