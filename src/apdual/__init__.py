@@ -1,8 +1,8 @@
 """Adaptive primal-dual methods for constrained MDPs.
 
-Multiplier-dependent learning-rate schedules, PID dual control, desk-scale
-constrained environments, an analytic quadratic testbed, and numerical
-certificates for the method's convergence and feasibility bounds.
+Learning-rate schedules that depend on the multiplier, PID dual control,
+desk-scale constrained environments, an analytic quadratic testbed, and
+numerical certificates for the method's convergence and feasibility bounds.
 """
 
 # Defined before the submodule imports: harness records it in summary.json.
@@ -54,7 +54,6 @@ from .harness import (
 from .lagrangian import (
     AdvantageBatch,
     ConstraintSpec,
-    Multiplier,
     PpolConfig,
     advantage_batch,
     lagrangian_value,
@@ -88,13 +87,7 @@ from .quadprog import (
     quad_primal_min,
     quad_testbed,
 )
-from .schedules import (
-    LrSchedule,
-    SmoothnessConstants,
-    exact_lr,
-    lipschitz_of_lambda,
-    practical_lr,
-)
+from .schedules import LrSchedule, SmoothnessConstants
 from .solver import (
     BoundCertificate,
     FeasibilityReport,

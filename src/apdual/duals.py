@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lagrangian import ConstraintSpec, Multiplier
+from .lagrangian import ConstraintSpec
 
 
 def project_nonneg(x: np.ndarray) -> np.ndarray:
@@ -51,16 +51,9 @@ class PidState:
 
 def pid_dual_step(
     state: PidState, gains: PidGains, j_c: np.ndarray, spec: ConstraintSpec
-) -> tuple[Multiplier, PidState]:
-    """One controller update; applied independently per constraint."""
-    lam, state = pid_dual_values(state, gains, j_c, spec)
-    return Multiplier(lam), state
-
-
-def pid_dual_values(
-    state: PidState, gains: PidGains, j_c: np.ndarray, spec: ConstraintSpec
 ) -> tuple[np.ndarray, PidState]:
-    """pid_dual_step with the new multiplier as a plain nonnegative array."""
+    """One controller update, applied independently per constraint: the new
+    multiplier as a nonnegative (m,) array, and the new state."""
     j_c = np.atleast_1d(np.asarray(j_c, dtype=float))
     if j_c.shape != spec.limits.shape or state.integral.shape != spec.limits.shape:
         raise ValueError("cost, state, and constraint dimensions disagree")

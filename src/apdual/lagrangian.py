@@ -55,23 +55,6 @@ class ConstraintSpec:
 
 
 @dataclass(frozen=True)
-class Multiplier:
-    """Nonnegative dual variables, one per constraint."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "values", values)
-        if (values < 0.0).any():
-            raise ValueError("multiplier components must be nonnegative")
-
-    @property
-    def m(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
 class PpolConfig:
     clip_ratio: float = 0.2
     gae_lambda: float = 0.95
@@ -143,19 +126,19 @@ class AdvantageBatch:
 
 
 def lagrangian_value(
-    j_r: float, j_c: np.ndarray, lm: Multiplier, spec: ConstraintSpec
+    j_r: float, j_c: np.ndarray, lam: np.ndarray, spec: ConstraintSpec
 ) -> float:
-    """-J_R + lambda . (J_C - d)."""
+    """-J_R + lambda . (J_C - d), for the (m,) multiplier array lambda."""
     j_c = np.atleast_1d(np.asarray(j_c, dtype=float))
-    if j_c.shape != lm.values.shape or lm.values.shape != spec.limits.shape:
+    if j_c.shape != lam.shape or lam.shape != spec.limits.shape:
         raise ValueError("J_C, multiplier, and constraint dimensions disagree")
-    return float(-j_r + lm.values @ (j_c - spec.limits))
+    return float(-j_r + lam @ (j_c - spec.limits))
 
 
 def reinforce_grad(
     cmdp: Cmdp,
     params: PolicyParams,
-    lm: Multiplier,
+    lam: np.ndarray,
     spec: ConstraintSpec,
     sampling: SamplingConfig,
     seed: Seed,
@@ -167,14 +150,14 @@ def reinforce_grad(
     the estimator exactly unbiased at finite batch size.
     """
     batch = collect_batch(cmdp, params, sampling, seed)
-    return reinforce_grad_from_batch(batch, cmdp.gamma, params, lm, spec)
+    return reinforce_grad_from_batch(batch, cmdp.gamma, params, lam, spec)
 
 
 def reinforce_grad_from_batch(
     batch: RolloutBatch,
     gamma: float,
     params: PolicyParams,
-    lm: Multiplier,
+    lam: np.ndarray,
     spec: ConstraintSpec,
     values: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
@@ -186,10 +169,10 @@ def reinforce_grad_from_batch(
     bit.
     """
     returns, cost_vals = batch_values(batch, gamma) if values is None else values
-    if cost_vals.shape[1:] != lm.values.shape or lm.values.shape != spec.limits.shape:
+    if cost_vals.shape[1:] != lam.shape or lam.shape != spec.limits.shape:
         raise ValueError("J_C, multiplier, and constraint dimensions disagree")
-    # Row i is lagrangian_value(returns[i], cost_vals[i], lm, spec).
-    weights = -returns + np.vecdot(cost_vals - spec.limits, lm.values)
+    # Row i is lagrangian_value(returns[i], cost_vals[i], lam, spec).
+    weights = -returns + np.vecdot(cost_vals - spec.limits, lam)
     n = len(batch)
     if n > 1:
         baselines = (weights.sum() - weights) / (n - 1)
@@ -256,15 +239,15 @@ def _ratios(batch: AdvantageBatch, params: PolicyParams) -> np.ndarray:
 
 
 def ppol_surrogate(
-    batch: AdvantageBatch, params: PolicyParams, lm: Multiplier, cfg: PpolConfig
+    batch: AdvantageBatch, params: PolicyParams, lam: np.ndarray, cfg: PpolConfig
 ) -> float:
     """Batch mean of (1/(1+lambda)) (min(rho A_R, clip(rho) A_R) - lambda A_C).
 
     Scalar-multiplier form; maximized by the practical solver's primal step.
     """
-    if lm.m != 1 or batch.adv_c.shape[1] != 1:
+    if lam.shape != (1,) or batch.adv_c.shape[1] != 1:
         raise ValueError("the surrogate is defined for a single constraint")
-    lam = float(lm.values[0])
+    lam = float(lam[0])
     rho = _ratios(batch, params)
     clipped = np.clip(rho, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
     obj = np.minimum(rho * batch.adv_r, clipped * batch.adv_r)
@@ -272,7 +255,7 @@ def ppol_surrogate(
 
 
 def ppol_surrogate_grad(
-    batch: AdvantageBatch, params: PolicyParams, lm: Multiplier, cfg: PpolConfig
+    batch: AdvantageBatch, params: PolicyParams, lam: np.ndarray, cfg: PpolConfig
 ) -> np.ndarray:
     """Ascent direction for the surrogate.
 
@@ -282,9 +265,9 @@ def ppol_surrogate_grad(
     theta, so we keep its importance-weighted realization, which at
     theta = theta_old has expectation -lambda grad J_C.
     """
-    if lm.m != 1 or batch.adv_c.shape[1] != 1:
+    if lam.shape != (1,) or batch.adv_c.shape[1] != 1:
         raise ValueError("the surrogate is defined for a single constraint")
-    lam = float(lm.values[0])
+    lam = float(lam[0])
     rho = _ratios(batch, params)
     upper = 1.0 + cfg.clip_ratio
     lower = 1.0 - cfg.clip_ratio

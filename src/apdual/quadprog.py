@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lagrangian import ConstraintSpec, Multiplier
+from .lagrangian import ConstraintSpec
 from .schedules import SmoothnessConstants
 
 DEFINITENESS_TOL = 1e-10
@@ -59,26 +59,18 @@ class QuadProgram:
         quad = ((-0.5 * th)[:, None, :] @ self.q @ th[:, :, None])[:, 0, 0]
         return quad + (th[:, None, :] @ self.b[:, None])[:, 0, 0]
 
-    def j_c_value(self, theta: np.ndarray) -> float:
-        """J_C(theta) of the single constraint as a float."""
+    def j_c(self, theta: np.ndarray) -> float:
+        """J_C(theta) of the program's one constraint."""
         return float(0.5 * theta @ self.p @ theta + self.c @ theta)
-
-    def j_c(self, theta: np.ndarray) -> np.ndarray:
-        return np.array([self.j_c_value(np.asarray(theta, dtype=float))])
 
     def constraint_spec(self) -> ConstraintSpec:
         return ConstraintSpec(np.array([self.limit]))
 
-    def lagrangian(self, theta: np.ndarray, lm: Multiplier) -> float:
-        return float(
-            -self.j_r(theta) + lm.values @ (self.j_c(theta) - self.limit)
-        )
+    def lagrangian(self, theta: np.ndarray, lam: float) -> float:
+        return -self.j_r(theta) + lam * (self.j_c(theta) - self.limit)
 
-    def grad_lagrangian(self, theta: np.ndarray, lm: Multiplier) -> np.ndarray:
-        return self.grad_at(theta, float(lm.values[0]))
-
-    def grad_at(self, theta: np.ndarray, lam: float) -> np.ndarray:
-        """grad_theta L at a float multiplier (the program has one constraint)."""
+    def grad_lagrangian(self, theta: np.ndarray, lam: float) -> np.ndarray:
+        """grad_theta L at the float multiplier lam."""
         return (self.q + lam * self.p) @ theta - self.b + lam * self.c
 
     def smoothness(self) -> SmoothnessConstants:
@@ -123,15 +115,14 @@ def quad_default() -> QuadProgram:
     return quad_testbed(0.5)
 
 
-def quad_primal_min(prog: QuadProgram, lm: Multiplier) -> np.ndarray:
+def quad_primal_min(prog: QuadProgram, lam: float) -> np.ndarray:
     """theta*(lambda) by direct linear solve."""
-    lam = float(lm.values[0])
     return np.linalg.solve(prog.q + lam * prog.p, prog.b - lam * prog.c)
 
 
-def quad_dual_value(prog: QuadProgram, lm: Multiplier) -> float:
+def quad_dual_value(prog: QuadProgram, lam: float) -> float:
     """d(lambda) = L(theta*(lambda), lambda)."""
-    return prog.lagrangian(quad_primal_min(prog, lm), lm)
+    return prog.lagrangian(quad_primal_min(prog, lam), lam)
 
 
 def dual_values_batch(
@@ -157,7 +148,7 @@ def _constraint_infimum(prog: QuadProgram) -> float:
         return -np.inf  # linear escape direction in the null space
     theta_rot = np.where(null, 0.0, -c_rot / np.where(null, 1.0, eigvals))
     theta = eigvecs @ theta_rot
-    return float(prog.j_c(theta)[0])
+    return prog.j_c(theta)
 
 
 def quad_kkt_solve(prog: QuadProgram) -> KktSolution:
@@ -173,11 +164,10 @@ def quad_kkt_solve(prog: QuadProgram) -> KktSolution:
 
     def violation(lam: float) -> float:
         theta = np.linalg.solve(prog.q + lam * prog.p, prog.b - lam * prog.c)
-        return float(prog.j_c(theta)[0]) - prog.limit
+        return prog.j_c(theta) - prog.limit
 
     if violation(0.0) <= 0.0:
-        theta = quad_primal_min(prog, Multiplier(np.zeros(1)))
-        return KktSolution(theta, 0.0, quad_dual_value(prog, Multiplier(np.zeros(1))))
+        return KktSolution(quad_primal_min(prog, 0.0), 0.0, quad_dual_value(prog, 0.0))
 
     hi = 1.0
     for _ in range(200):
@@ -194,5 +184,4 @@ def quad_kkt_solve(prog: QuadProgram) -> KktSolution:
         else:
             hi = mid
     lam = 0.5 * (lo + hi)
-    lm = Multiplier(np.array([lam]))
-    return KktSolution(quad_primal_min(prog, lm), lam, quad_dual_value(prog, lm))
+    return KktSolution(quad_primal_min(prog, lam), lam, quad_dual_value(prog, lam))

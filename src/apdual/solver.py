@@ -1,19 +1,17 @@
 """Primal-dual solver loops and numerical certificates.
 
 apd_run is the exact-gradient loop on a problem exposing closed-form
-J_R, J_C, and grad L (the quadratic testbed): one (or more) primal descent
-steps at the schedule's eta(lambda_k), then projected dual ascent on
-g(theta_{k+1}).  The testbed has one constraint, so the loop carries the
-multiplier as a Python float: eta comes from LrSchedule.scalar_rate, the
-gradient and J_C from QuadProgram.grad_at / j_c_value, and the ascent is
-max(lambda + zeta (J_C - d), 0.0), the same arithmetic as the Multiplier
-forms, bit for bit.  J_R is not needed inside the loop and is computed once
-afterwards over all theta_{k+1} (QuadProgram.j_r_rows, bit-equal to j_r per
-row).  papd_run is the sampled variant for CMDPs: Monte-Carlo
-estimates, a score-function or clipped-surrogate primal step at the
-practical eta(lambda_k), and a PID dual update on the estimated cost.  Each
-iteration samples one rollout batch, which feeds the primal step and the
-dual update alike.  For tabular batches it draws the uniforms of
+J_R, J_C, and grad L (the quadratic testbed): one primal descent step at
+the schedule's eta(lambda_k), then projected dual ascent on g(theta_{k+1}).
+The testbed has one constraint, so the loop carries the multiplier as a
+Python float and the ascent is max(lambda + zeta (J_C - d), 0.0).  J_R is
+not needed inside the loop and is computed once afterwards over all
+theta_{k+1} (QuadProgram.j_r_rows, bit-equal to j_r per row).  papd_run is
+the sampled variant for CMDPs: Monte-Carlo estimates, a score-function or
+clipped-surrogate primal step at the practical eta(lambda_k), and a PID
+dual update on the estimated cost; it carries the m multipliers as an (m,)
+array.  Each iteration samples one rollout batch, which feeds the primal
+step and the dual update alike.  For tabular batches it draws the uniforms of
 UNIFORM_BLOCK iterations at once with cmdp.counter_uniforms and hands each
 batch its slice, so no batch builds Generators (see the cmdp module
 docstring).
@@ -62,12 +60,10 @@ from .duals import (  # noqa: F401
     PidGains,
     PidState,
     pid_dual_step,
-    pid_dual_values,
     project_nonneg,
 )
 from .lagrangian import (
     ConstraintSpec,
-    Multiplier,
     PpolConfig,
     advantage_batch,
     backward_sums,
@@ -93,7 +89,6 @@ class SolverConfig:
     gains: PidGains | None = None
     lambda0: np.ndarray | None = None
     theta0: object | None = None  # vector (apd) or PolicyParams (papd)
-    inner_steps: int = 1
     sampling: SamplingConfig | None = None
     seed: int = 0
     algorithm: str = "reinforce"
@@ -108,8 +103,6 @@ class SolverConfig:
             raise ValueError(f"unknown dual variant {self.dual_variant!r}")
         if self.dual_variant == "ascent" and (self.zeta is None or self.zeta <= 0):
             raise ValueError("ascent dual update needs zeta > 0")
-        if self.inner_steps < 1:
-            raise ValueError("inner_steps must be >= 1")
         if self.algorithm not in ("reinforce", "ppol"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
@@ -173,11 +166,22 @@ def _resolve_schedule(cfg: SolverConfig, problem: QuadProgram) -> LrSchedule:
     return sched
 
 
+def _initial_multiplier(lambda0, m: int) -> np.ndarray:
+    """cfg.lambda0 as an (m,) array, zeros when unset.  Every later
+    multiplier comes out of a projection; this one comes from outside."""
+    if lambda0 is None:
+        return np.zeros(m)
+    lam = np.atleast_1d(np.asarray(lambda0, dtype=float))
+    if lam.shape != (m,) or not (np.isfinite(lam) & (lam >= 0.0)).all():
+        raise ValueError(
+            f"lambda0 must be {m} finite nonnegative multiplier(s), got {lambda0!r}"
+        )
+    return lam
+
+
 def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
     """Exact primal descent / projected dual ascent on an analytic program."""
-    if cfg.dual_variant == "ascent" and cfg.zeta is None:
-        raise ValueError("apd_run with ascent dual needs zeta")
-    eta_of = _resolve_schedule(cfg, problem).scalar_rate()
+    eta_of = _resolve_schedule(cfg, problem).rate
     spec = problem.constraint_spec()
     k_iter = cfg.iterations
 
@@ -187,15 +191,9 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
         else np.asarray(cfg.theta0, dtype=float).copy()
     )
     # The program has one constraint, so the multiplier is a float.
-    lam0 = np.atleast_1d(
-        np.asarray(0.0 if cfg.lambda0 is None else cfg.lambda0, dtype=float)
-    )
-    if lam0.shape != (1,) or not lam0[0] >= 0.0:
-        raise ValueError("lambda0 must be one nonnegative multiplier")
-    lam = float(lam0[0])
+    lam = float(_initial_multiplier(cfg.lambda0, 1)[0])
     zeta, limit = cfg.zeta, problem.limit
-    grad_at, j_c_at = problem.grad_at, problem.j_c_value
-    inner = range(cfg.inner_steps)
+    grad, j_c_at = problem.grad_lagrangian, problem.j_c
     pid = cfg.dual_variant == "pid"
     gains = cfg.gains or PidGains()
     pid_state = PidState.zeros(1)
@@ -213,12 +211,11 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
             lambdas[k, 0] = lam
             eta = eta_of(lam)
             etas[k] = eta
-            for _ in inner:
-                theta = theta - eta * grad_at(theta, lam)
+            theta = theta - eta * grad(theta, lam)
             j_c = j_c_at(theta)
             costs[k, 0] = j_c
             if pid:
-                lam_next, pid_state = pid_dual_values(
+                lam_next, pid_state = pid_dual_step(
                     pid_state, gains, np.array([j_c]), spec
                 )
                 lam = float(lam_next[0])
@@ -246,7 +243,6 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
         "kind": "apd",
         "dual": cfg.dual_variant,
         "zeta": cfg.zeta,
-        "inner_steps": cfg.inner_steps,
         "seed": cfg.seed,
         "cost_limit": spec.limits.tolist(),
         "schedule_variant": cfg.schedule.variant,
@@ -295,11 +291,7 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
     params = cfg.theta0
     m = spec.m
     k_iter = cfg.iterations
-    lam = (
-        np.zeros(m)
-        if cfg.lambda0 is None
-        else np.atleast_1d(np.asarray(cfg.lambda0, dtype=float)).copy()
-    )
+    lam = _initial_multiplier(cfg.lambda0, m)
     pid_state = PidState.zeros(m)
 
     thetas = np.empty((k_iter + 1, params.theta.size))
@@ -313,20 +305,19 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
     for k in range(k_iter):
         thetas[k] = params.theta
         lambdas[k] = lam
-        lm = Multiplier(lam)
-        eta = cfg.schedule.rate(lm)
+        # Practical schedules have one constraint; a constant one ignores lam.
+        eta = cfg.schedule.rate(lam[0])
         etas[k] = eta
         try:
             params, j_r_hat, j_c_hat = _papd_iteration(
-                cmdp, params, lm, spec, cfg, eta, k, next(uniforms)
+                cmdp, params, lam, spec, cfg, eta, k, next(uniforms)
             )
         except NonFiniteError as exc:
             raise NonFiniteError(f"seed {cfg.seed}, iteration {k}: {exc}") from exc
 
         returns[k] = j_r_hat
         costs[k] = j_c_hat
-        lm_next, pid_state = pid_dual_step(pid_state, gains, j_c_hat, spec)
-        lam = lm_next.values
+        lam, pid_state = pid_dual_step(pid_state, gains, j_c_hat, spec)
     thetas[k_iter] = params.theta
     lambdas[k_iter] = lam
 
@@ -335,7 +326,6 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
         "dual": "pid",
         "zeta": None,
         "gains": [gains.k_p, gains.k_i, gains.k_d],
-        "inner_steps": 1,
         "seed": cfg.seed,
         "algorithm": cfg.algorithm,
         "cost_limit": spec.limits.tolist(),
@@ -369,7 +359,7 @@ def _iteration_uniforms(cmdp: Cmdp, params: PolicyParams, cfg: SolverConfig):
 def _papd_iteration(
     cmdp: Cmdp,
     params: PolicyParams,
-    lm: Multiplier,
+    lam: np.ndarray,
     spec: ConstraintSpec,
     cfg: SolverConfig,
     eta: float,
@@ -386,11 +376,11 @@ def _papd_iteration(
 
     if cfg.algorithm == "reinforce":
         grad = reinforce_grad_from_batch(
-            batch, cmdp.gamma, params, lm, spec, (returns, cost_vals)
+            batch, cmdp.gamma, params, lam, spec, (returns, cost_vals)
         )
         params = params.replace_theta(params.theta - eta * grad)
     else:
-        params = _ppol_update(cmdp, params, batch, lm, cfg, eta, k)
+        params = _ppol_update(cmdp, params, batch, lam, cfg, eta, k)
     require_finite("theta", params.theta)
     require_finite("return estimates", returns)
     require_finite("cost estimates", cost_vals)
@@ -401,7 +391,7 @@ def _ppol_update(
     cmdp: Cmdp,
     params: PolicyParams,
     batch: RolloutBatch,
-    lm: Multiplier,
+    lam: np.ndarray,
     cfg: SolverConfig,
     eta: float,
     k: int,
@@ -418,7 +408,7 @@ def _ppol_update(
         order = rng.permutation(n)
         for lo in range(0, n, mb):
             sub = samples[order[lo : lo + mb]]
-            grad = ppol_surrogate_grad(sub, params, lm, cfg.ppol)
+            grad = ppol_surrogate_grad(sub, params, lam, cfg.ppol)
             params = params.replace_theta(params.theta + eta * grad)
     return params
 
@@ -493,8 +483,6 @@ def verify_bounds(
         raise ValueError("bound certificates require an exact (apd) record")
     if record.meta.get("dual") != "ascent":
         raise ValueError("bound certificates require the ascent dual update")
-    if record.meta.get("inner_steps", 1) != 1:
-        raise ValueError("bound algebra assumes one primal step per iteration")
     c = constants or problem.smoothness()
     if zeta is None:
         zeta = record.meta["zeta"]

@@ -16,11 +16,7 @@ from apdual.cmdp import SamplingConfig, VectorStep, batch_values, collect_batch
 from apdual.duals import PidGains, PidState, pid_dual_step, project_nonneg
 from apdual.envs import default_hazard_gridworld, make_gridworld
 from apdual.harness import parse_config, read_record_csv, record_to_csv
-from apdual.lagrangian import (
-    ConstraintSpec,
-    Multiplier,
-    reinforce_grad,
-)
+from apdual.lagrangian import ConstraintSpec, reinforce_grad
 from apdual.policy import (
     PolicyParams,
     TabularSoftmax,
@@ -31,7 +27,7 @@ from apdual.policy import (
     softmax_table,
 )
 from apdual.quadprog import quad_default, quad_kkt_solve
-from apdual.schedules import LrSchedule, practical_lr
+from apdual.schedules import LrSchedule
 from apdual.solver import (
     SolverConfig,
     apd_run,
@@ -139,13 +135,13 @@ def test_criterion_5_schedule_arithmetic():
     lin = LrSchedule("invlin-practical", h1=0.001, h2=3.0)
     qua = LrSchedule("invqua-practical", h1=0.015, h2=6.0)
     vals = (
-        abs(practical_lr(lin, Multiplier([0.0])) - 1.0 / 3000.0),
-        abs(practical_lr(lin, Multiplier([7.0])) - 1e-4),
-        abs(practical_lr(qua, Multiplier([0.0])) - 0.015 / 36.0),
+        abs(lin.rate(0.0) - 1.0 / 3000.0),
+        abs(lin.rate(7.0) - 1e-4),
+        abs(qua.rate(0.0) - 0.015 / 36.0),
     )
     grid = np.linspace(0.0, 10.0, 100)
-    lin_curve = np.array([practical_lr(lin, Multiplier([g])) for g in grid])
-    qua_curve = np.array([practical_lr(qua, Multiplier([g])) for g in grid])
+    lin_curve = np.array([lin.rate(float(g)) for g in grid])
+    qua_curve = np.array([qua.rate(float(g)) for g in grid])
     decreasing = bool(np.all(np.diff(lin_curve) < 0) and np.all(np.diff(qua_curve) < 0))
     ok = max(vals) <= 1e-12 and decreasing
     report(
@@ -157,8 +153,8 @@ def test_criterion_5_schedule_arithmetic():
 
 def test_criterion_6_pid_unit_semantics():
     spec = ConstraintSpec(np.array([10.0]))
-    lm, _ = pid_dual_step(PidState.zeros(1), PID_GAINS, np.array([20.0]), spec)
-    worked_err = abs(lm.values[0] - 0.505)
+    lam, _ = pid_dual_step(PidState.zeros(1), PID_GAINS, np.array([20.0]), spec)
+    worked_err = abs(lam[0] - 0.505)
 
     # with only the integral gain active the controller must retrace
     # projected dual ascent at step size K_I
@@ -167,13 +163,13 @@ def test_criterion_6_pid_unit_semantics():
     zeta = 0.07
     reduced = PidGains(k_p=0.0, k_i=zeta, k_d=0.0)
     state = PidState.zeros(1)
-    ascent_lm = Multiplier(np.zeros(1))
+    ascent_lam = np.zeros(1)
     max_gap = 0.0
     for c in costs:
-        pid_lm, state = pid_dual_step(state, reduced, np.array([c]), spec)
+        pid_lam, state = pid_dual_step(state, reduced, np.array([c]), spec)
         # projected dual ascent, lambda <- [lambda + zeta (J_C - d)]_+
-        ascent_lm = Multiplier(project_nonneg(ascent_lm.values + zeta * (c - 10.0)))
-        max_gap = max(max_gap, abs(pid_lm.values[0] - ascent_lm.values[0]))
+        ascent_lam = project_nonneg(ascent_lam + zeta * (c - 10.0))
+        max_gap = max(max_gap, abs(pid_lam[0] - ascent_lam[0]))
     ok = worked_err <= 1e-12 and max_gap <= 1e-12
     report(6, ok, f"worked err {worked_err:.1e}, integral-vs-ascent gap {max_gap:.1e}")
 
@@ -208,14 +204,14 @@ def test_criterion_7_gradient_fidelity():
     worst_quad = 0.0
     for _ in range(100):
         theta = rng.normal(size=2) * 2.0
-        lm = Multiplier([float(rng.random() * 3.0)])
-        got = prog.grad_lagrangian(theta, lm)
+        lam = float(rng.random() * 3.0)
+        got = prog.grad_lagrangian(theta, lam)
         fd = np.empty(2)
         for i in range(2):
             up, dn = theta.copy(), theta.copy()
             up[i] += h
             dn[i] -= h
-            fd[i] = (prog.lagrangian(up, lm) - prog.lagrangian(dn, lm)) / (2 * h)
+            fd[i] = (prog.lagrangian(up, lam) - prog.lagrangian(dn, lam)) / (2 * h)
         denom = max(np.abs(fd).max(), 1.0)
         worst_quad = max(worst_quad, float(np.abs(got - fd).max() / denom))
     quad_ok = worst_quad <= 1e-8
@@ -239,9 +235,8 @@ def test_criterion_7_gradient_fidelity():
     )
     params = PolicyParams(TabularSoftmax(1, 2), np.array([0.4, -0.3]))
     spec = ConstraintSpec(np.array([limit]))
-    lm = Multiplier(np.array([lam]))
     sampling = SamplingConfig(n_traj=n, horizon=1)
-    got = reinforce_grad(cmdp, params, lm, spec, sampling, seed=42)
+    got = reinforce_grad(cmdp, params, np.array([lam]), spec, sampling, seed=42)
     probs = softmax_table(params)[0]
     want = np.zeros_like(params.theta)
     for a in range(2):

@@ -23,7 +23,6 @@ from apdual.cmdp import (
 from apdual.lagrangian import (
     AdvantageBatch,
     ConstraintSpec,
-    Multiplier,
     PpolConfig,
     advantage_batch,
     lagrangian_value,
@@ -126,15 +125,15 @@ def bandit_exact_grad(params, rewards, costs, lam, d):
 class TestValueArithmetic:
     def test_lagrangian_value(self):
         spec = ConstraintSpec(np.array([1.0]))
-        lm = Multiplier(np.array([0.5]))
-        assert lagrangian_value(2.0, np.array([3.0]), lm, spec) == pytest.approx(
+        lam = np.array([0.5])
+        assert lagrangian_value(2.0, np.array([3.0]), lam, spec) == pytest.approx(
             -2.0 + 0.5 * 2.0
         )
 
     def test_multiple_constraints(self):
         spec = ConstraintSpec(np.array([1.0, 2.0]))
-        lm = Multiplier(np.array([0.5, 2.0]))
-        val = lagrangian_value(1.0, np.array([2.0, 1.0]), lm, spec)
+        lam = np.array([0.5, 2.0])
+        val = lagrangian_value(1.0, np.array([2.0, 1.0]), lam, spec)
         assert val == pytest.approx(-1.0 + 0.5 * 1.0 + 2.0 * (-1.0))
 
     def test_constraint_value(self):
@@ -146,13 +145,9 @@ class TestValueArithmetic:
     def test_dimension_mismatch(self):
         spec = ConstraintSpec(np.array([1.0]))
         with pytest.raises(ValueError):
-            lagrangian_value(0.0, np.array([1.0, 2.0]), Multiplier([0.1]), spec)
+            lagrangian_value(0.0, np.array([1.0, 2.0]), np.array([0.1]), spec)
         with pytest.raises(ValueError):
             constraint_value(np.array([1.0, 2.0]), spec)
-
-    def test_multiplier_nonnegative(self):
-        with pytest.raises(ValueError):
-            Multiplier(np.array([-0.1]))
 
 
 class TestTrajectoryScore:
@@ -195,13 +190,13 @@ class TestReinforceBandit:
         """Expectation of the estimator over every n-trajectory outcome."""
         probs = softmax_table(params)[0]
         spec = ConstraintSpec(np.array([self.LIMIT]))
-        lm = Multiplier(np.array([lam]))
+        lam_vec = np.array([lam])
         total = np.zeros_like(params.theta)
         for key in range(2**n):
             acts = [(key >> i) & 1 for i in range(n)]
             weight = math.prod(probs[a] for a in acts)
             batch = bandit_batch(acts, self.REWARDS, self.COSTS)
-            est = reinforce_grad_from_batch(batch, GAMMA, params, lm, spec)
+            est = reinforce_grad_from_batch(batch, GAMMA, params, lam_vec, spec)
             total += weight * est
         return total
 
@@ -217,10 +212,10 @@ class TestReinforceBandit:
         # with w(a) identical across actions the LOO weights vanish
         params = self._params()
         spec = ConstraintSpec(np.array([0.0]))
-        lm = Multiplier(np.array([2.0]))
+        lam = np.array([2.0])
         rewards, costs = (1.0, 1.0), (0.5, 0.5)
         batch = bandit_batch((0, 1, 1, 0), rewards, costs)
-        got = reinforce_grad_from_batch(batch, GAMMA, params, lm, spec)
+        got = reinforce_grad_from_batch(batch, GAMMA, params, lam, spec)
         np.testing.assert_array_equal(got, np.zeros(2))
 
     def test_estimator_affine_in_lambda(self):
@@ -231,7 +226,7 @@ class TestReinforceBandit:
 
         def grad(lam):
             return reinforce_grad_from_batch(
-                batch, GAMMA, params, Multiplier(np.array([lam])), spec
+                batch, GAMMA, params, np.array([lam]), spec
             )
 
         g0, g1, g2 = grad(0.0), grad(1.0), grad(2.0)
@@ -242,9 +237,9 @@ class TestReinforceBandit:
         lam, n = 0.7, 10_000
         cmdp = bandit_cmdp(self.REWARDS, self.COSTS)
         spec = ConstraintSpec(np.array([self.LIMIT]))
-        lm = Multiplier(np.array([lam]))
+        lam_vec = np.array([lam])
         sampling = SamplingConfig(n_traj=n, horizon=1)
-        got = reinforce_grad(cmdp, params, lm, spec, sampling, seed=42)
+        got = reinforce_grad(cmdp, params, lam_vec, spec, sampling, seed=42)
 
         # rebuild the same batch from the documented derived seeds and form
         # the per-trajectory terms to get an empirical standard error
@@ -252,7 +247,9 @@ class TestReinforceBandit:
         weights = np.array(
             [
                 lagrangian_value(
-                    *discounted_value(batch.rewards[i], batch.costs[i], GAMMA), lm, spec
+                    *discounted_value(batch.rewards[i], batch.costs[i], GAMMA),
+                    lam_vec,
+                    spec,
                 )
                 for i in range(n)
             ]
@@ -287,13 +284,13 @@ def reference_score(params, states, actions):
     return policy_score_sum(params, states[:t], actions, np.ones(t))
 
 
-def reference_reinforce_grad(batch, gamma, params, lm, spec):
+def reference_reinforce_grad(batch, gamma, params, lam, spec):
     """The estimator as a per-trajectory loop in batch order."""
     n = len(batch)
     weights = np.array(
         [
             lagrangian_value(
-                *discounted_value(batch.rewards[i], batch.costs[i], gamma), lm, spec
+                *discounted_value(batch.rewards[i], batch.costs[i], gamma), lam, spec
             )
             for i in range(n)
         ]
@@ -334,13 +331,13 @@ class TestBatchedReinforce:
     def test_equals_per_trajectory_loop(self, batch):
         cmdp, params, rollouts = getattr(self, batch)()
         spec = ConstraintSpec(np.array([10.0]))
-        lm = Multiplier(np.array([0.7]))
-        want = reference_reinforce_grad(rollouts, cmdp.gamma, params, lm, spec)
-        got = reinforce_grad_from_batch(rollouts, cmdp.gamma, params, lm, spec)
+        lam = np.array([0.7])
+        want = reference_reinforce_grad(rollouts, cmdp.gamma, params, lam, spec)
+        got = reinforce_grad_from_batch(rollouts, cmdp.gamma, params, lam, spec)
         assert np.array_equal(got, want)
         values = batch_values(rollouts, cmdp.gamma)
         given = reinforce_grad_from_batch(
-            rollouts, cmdp.gamma, params, lm, spec, values
+            rollouts, cmdp.gamma, params, lam, spec, values
         )
         assert np.array_equal(given, want)
         for states, actions in zip(rollouts.states, rollouts.actions):
@@ -434,21 +431,21 @@ class TestPpolSurrogate:
         params = self._params()
         batch = one_step_batch(params, [(0, 1, 2.0, 1.0)])
         cfg = PpolConfig()
-        val = ppol_surrogate(batch, params, Multiplier([1.0]), cfg)
+        val = ppol_surrogate(batch, params, np.array([1.0]), cfg)
         assert val == pytest.approx(0.5, rel=1e-12)
 
     def test_worked_example_clip_active(self):
         # rho = 1.5, eps = 0.2, A_R = 1, lambda = 0 -> min(1.5, 1.2) = 1.2
         params = self._params()
         batch = one_step_batch(params, [(0, 1, 1.0, 0.0)], rho=np.array([1.5]))
-        val = ppol_surrogate(batch, params, Multiplier([0.0]), PpolConfig(clip_ratio=0.2))
+        val = ppol_surrogate(batch, params, np.array([0.0]), PpolConfig(clip_ratio=0.2))
         assert val == pytest.approx(1.2, rel=1e-12)
 
     def test_negative_advantage_clips_from_below(self):
         # rho = 0.5, A_R = -1 -> min(-0.5, -0.8) = -0.8
         params = self._params()
         batch = one_step_batch(params, [(1, 0, -1.0, 0.0)], rho=np.array([0.5]))
-        val = ppol_surrogate(batch, params, Multiplier([0.0]), PpolConfig(clip_ratio=0.2))
+        val = ppol_surrogate(batch, params, np.array([0.0]), PpolConfig(clip_ratio=0.2))
         assert val == pytest.approx(-0.8, rel=1e-12)
 
     def test_lambda_zero_reduces_to_ppo(self):
@@ -460,7 +457,7 @@ class TestPpolSurrogate:
         ]
         batch = one_step_batch(params, samples)
         cfg = PpolConfig()
-        val = ppol_surrogate(batch, params, Multiplier([0.0]), cfg)
+        val = ppol_surrogate(batch, params, np.array([0.0]), cfg)
         plain_ppo = float(
             np.minimum(batch.adv_r, batch.adv_r).mean()
         )  # rho = 1: min(rho A, clip A) = A
@@ -471,7 +468,7 @@ class TestPpolSurrogate:
         batch = one_step_batch(params, [(0, 0, 1.0, 0.0)])
         batch.adv_c = np.zeros((1, 2))
         with pytest.raises(ValueError):
-            ppol_surrogate(batch, params, Multiplier([0.1, 0.2]), PpolConfig())
+            ppol_surrogate(batch, params, np.array([0.1, 0.2]), PpolConfig())
 
     def test_grad_matches_fd_at_lambda_zero(self):
         # at lambda = 0 the surrogate is an exact function of theta away
@@ -484,8 +481,8 @@ class TestPpolSurrogate:
         ]
         batch = one_step_batch(params, samples)
         cfg = PpolConfig(clip_ratio=0.5)  # wide clip: stay on smooth branch
-        lm = Multiplier([0.0])
-        g = ppol_surrogate_grad(batch, params, lm, cfg)
+        lam = np.array([0.0])
+        g = ppol_surrogate_grad(batch, params, lam, cfg)
         h = 1e-6
         fd = np.empty_like(params.theta)
         for i in range(params.theta.size):
@@ -494,8 +491,8 @@ class TestPpolSurrogate:
             dn = params.theta.copy()
             dn[i] -= h
             fd[i] = (
-                ppol_surrogate(batch, params.replace_theta(up), lm, cfg)
-                - ppol_surrogate(batch, params.replace_theta(dn), lm, cfg)
+                ppol_surrogate(batch, params.replace_theta(up), lam, cfg)
+                - ppol_surrogate(batch, params.replace_theta(dn), lam, cfg)
             ) / (2.0 * h)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
 
@@ -511,7 +508,7 @@ class TestPpolSurrogate:
         batch = one_step_batch(params, samples, rho=np.full(10, 1.3))
         lam = 0.8
         cfg = PpolConfig()
-        g = ppol_surrogate_grad(batch, params, Multiplier([lam]), cfg)
+        g = ppol_surrogate_grad(batch, params, np.array([lam]), cfg)
         want = np.zeros_like(params.theta)
         for i in range(10):
             score = policy_grad_log_prob(params, batch.states[i], batch.actions[i])
@@ -524,7 +521,7 @@ class TestPpolSurrogate:
         # flat clipped branch: zero gradient from the reward part
         params = self._params()
         batch = one_step_batch(params, [(0, 1, 2.0, 0.0)], rho=np.array([1.5]))
-        g = ppol_surrogate_grad(batch, params, Multiplier([0.0]), PpolConfig())
+        g = ppol_surrogate_grad(batch, params, np.array([0.0]), PpolConfig())
         np.testing.assert_array_equal(g, np.zeros_like(params.theta))
 
 

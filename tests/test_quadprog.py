@@ -11,7 +11,6 @@ import math
 import numpy as np
 import pytest
 
-from apdual.lagrangian import Multiplier
 from apdual.quadprog import (
     QuadProgram,
     dual_values_batch,
@@ -41,18 +40,18 @@ class TestDefaultInstance:
     def test_constraint_active_at_solution(self):
         prog = quad_default()
         sol = quad_kkt_solve(prog)
-        assert prog.j_c(sol.theta_star)[0] == pytest.approx(0.5, abs=1e-9)
+        assert prog.j_c(sol.theta_star) == pytest.approx(0.5, abs=1e-9)
 
     def test_complementary_slackness(self):
         prog = quad_default()
         sol = quad_kkt_solve(prog)
-        slack = prog.j_c(sol.theta_star)[0] - prog.limit
+        slack = prog.j_c(sol.theta_star) - prog.limit
         assert abs(sol.lambda_star * slack) < 1e-10
 
     def test_stationarity(self):
         prog = quad_default()
         sol = quad_kkt_solve(prog)
-        g = prog.grad_lagrangian(sol.theta_star, Multiplier([sol.lambda_star]))
+        g = prog.grad_lagrangian(sol.theta_star, sol.lambda_star)
         assert np.linalg.norm(g) < 1e-9
 
     def test_smoothness_constants(self):
@@ -82,22 +81,20 @@ class TestDualGeometry:
         p = g @ g.T
         prog = quad_make(q, rng.normal(size=3), p, rng.normal(size=3), 1.0)
         for lam in (0.0, 0.3, 2.0):
-            lm = Multiplier([lam])
-            theta = quad_primal_min(prog, lm)
+            theta = quad_primal_min(prog, lam)
             np.testing.assert_allclose(
-                prog.grad_lagrangian(theta, lm), 0.0, atol=1e-10
+                prog.grad_lagrangian(theta, lam), 0.0, atol=1e-10
             )
 
     def test_dual_value_is_global_minimum(self):
         prog = quad_default()
         rng = np.random.default_rng(1)
         for lam in (0.0, 0.5, 3.0):
-            lm = Multiplier([lam])
-            d_val = quad_dual_value(prog, lm)
-            theta = quad_primal_min(prog, lm)
+            d_val = quad_dual_value(prog, lam)
+            theta = quad_primal_min(prog, lam)
             for _ in range(25):
                 other = theta + rng.normal(size=2)
-                assert prog.lagrangian(other, lm) >= d_val - 1e-12
+                assert prog.lagrangian(other, lam) >= d_val - 1e-12
 
     def test_dual_concavity_on_grid(self):
         # midpoint value above the chord, for several random instances
@@ -129,10 +126,9 @@ class TestDualGeometry:
         lams = np.array([0.0, 0.7, 2.5])
         d_vals, th, j_c = dual_values_batch(prog, lams)
         for i, lam in enumerate(lams):
-            lm = Multiplier([lam])
-            assert d_vals[i] == pytest.approx(quad_dual_value(prog, lm), rel=1e-12)
-            np.testing.assert_allclose(th[i], quad_primal_min(prog, lm), rtol=1e-12)
-            assert j_c[i] == pytest.approx(prog.j_c(th[i])[0], rel=1e-12)
+            assert d_vals[i] == pytest.approx(quad_dual_value(prog, lam), rel=1e-12)
+            np.testing.assert_allclose(th[i], quad_primal_min(prog, lam), rtol=1e-12)
+            assert j_c[i] == pytest.approx(prog.j_c(th[i]), rel=1e-12)
 
 
 class TestGradients:
@@ -145,14 +141,13 @@ class TestGradients:
         for _ in range(100):
             theta = rng.normal(size=2) * 2.0
             lam = float(rng.random() * 3.0)
-            lm = Multiplier([lam])
-            g = prog.grad_lagrangian(theta, lm)
+            g = prog.grad_lagrangian(theta, lam)
             fd = np.empty(2)
             for i in range(2):
                 up, dn = theta.copy(), theta.copy()
                 up[i] += h
                 dn[i] -= h
-                fd[i] = (prog.lagrangian(up, lm) - prog.lagrangian(dn, lm)) / (2 * h)
+                fd[i] = (prog.lagrangian(up, lam) - prog.lagrangian(dn, lam)) / (2 * h)
             np.testing.assert_allclose(g, fd, rtol=1e-8, atol=1e-8)
 
 

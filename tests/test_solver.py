@@ -3,7 +3,7 @@
 The exact loop is checked against hand-stepped iterations and saddle-point
 fixed points; certificates are exercised on healthy runs, on a synthetic
 record engineered to trip the negative-radicand flags, and on records they
-must refuse (sampled, PID, multi-step).
+must refuse (sampled, PID).
 """
 
 import dataclasses
@@ -32,7 +32,7 @@ from apdual.envs import (
     make_gridworld,
     make_point_env,
 )
-from apdual.lagrangian import ConstraintSpec, Multiplier, PpolConfig
+from apdual.lagrangian import ConstraintSpec, PpolConfig
 from apdual.policy import LinearGaussian, TabularSoftmax, init_params
 from apdual.quadprog import quad_default, quad_kkt_solve, quad_make, quad_testbed
 from apdual.schedules import LrSchedule, SmoothnessConstants
@@ -187,9 +187,9 @@ class TestApdRun:
 
 
 def reference_apd_run(problem, cfg):
-    """The exact loop as it was written before the multiplier became a
-    float: one Multiplier, one LrSchedule.rate, one grad_lagrangian, j_r and
-    j_c call and one array dual update per iteration."""
+    """The exact loop with the multiplier as a (1,) array: one
+    LrSchedule.rate, one grad_lagrangian, j_r and j_c call and one array
+    dual update per iteration."""
     sched = cfg.schedule
     if sched.variant.endswith("-exact"):
         sched = dataclasses.replace(sched, constants=problem.smoothness())
@@ -214,21 +214,18 @@ def reference_apd_run(problem, cfg):
     for k in range(k_iter):
         thetas[k] = theta
         lambdas[k] = lam
-        lm = Multiplier(lam)
-        eta = sched.rate(lm)
+        eta = sched.rate(lam[0])
         etas[k] = eta
-        for _ in range(cfg.inner_steps):
-            theta = theta - eta * problem.grad_lagrangian(theta, lm)
+        theta = theta - eta * problem.grad_lagrangian(theta, lam[0])
         j_c = problem.j_c(theta)
         returns[k] = problem.j_r(theta)
         costs[k] = j_c
         if cfg.dual_variant == "ascent":
             lam = project_nonneg(lam + cfg.zeta * (j_c - spec.limits))
         else:
-            lm_next, pid_state = pid_dual_step(
+            lam, pid_state = pid_dual_step(
                 pid_state, cfg.gains or PidGains(), j_c, spec
             )
-            lam = lm_next.values
     thetas[k_iter] = theta
     lambdas[k_iter] = lam
     return thetas, lambdas, etas, returns, costs
@@ -265,7 +262,6 @@ class TestFloatLoopMatchesReference:
             zeta=None,
             gains=PidGains(0.5, 0.05, 0.1),
         ),
-        "inner-steps": dict(schedule=LrSchedule("invqua-exact"), inner_steps=3),
         "lambda0": dict(
             schedule=LrSchedule("invlin-exact"), lambda0=np.array([1.7])
         ),
@@ -288,7 +284,7 @@ class TestFloatLoopMatchesReference:
         assert rec.lambdas.max() > 0.0  # the constraint binds at some point
 
     def test_lambda0_validation(self):
-        for bad in (np.array([-0.1]), np.array([0.1, 0.2])):
+        for bad in ([-0.1], [0.1, 0.2], [math.nan], [math.inf]):
             with pytest.raises(ValueError, match="lambda0"):
                 apd_run(quad_default(), exact_cfg(iterations=3, lambda0=bad))
 
@@ -382,11 +378,6 @@ class TestBoundCertificates:
         )
         rec = apd_run(quad_default(), cfg)
         with pytest.raises(ValueError, match="ascent"):
-            verify_bounds(rec, quad_default())
-
-    def test_rejects_multi_step_records(self):
-        rec = apd_run(quad_default(), exact_cfg(iterations=5, inner_steps=3))
-        with pytest.raises(ValueError, match="one primal step"):
             verify_bounds(rec, quad_default())
 
     def test_certificate_serializable(self):
@@ -569,6 +560,11 @@ class TestPapdRun:
                 ConstraintSpec(np.array([1.0, 2.0])),
                 papd_cfg(iterations=5),
             )
+
+    @pytest.mark.parametrize("bad", [[math.nan], [-1.0], [0.5, 0.5]])
+    def test_lambda0_validation(self, bad):
+        with pytest.raises(ValueError, match="lambda0"):
+            papd_run(self.cmdp, self.constraint, papd_cfg(iterations=3, lambda0=bad))
 
 
 class TestPapdPointPpol:
