@@ -56,8 +56,6 @@ from .lagrangian import (
     ConstraintSpec,
     PpolConfig,
     advantage_batch,
-    lagrangian_value,
-    ppol_surrogate,
     ppol_surrogate_grad,
     reinforce_grad,
 )
@@ -66,9 +64,9 @@ from .policy import (
     PolicyParams,
     TabularSoftmax,
     action_cdf,
+    gaussian_actor,
     init_params,
     policy_act,
-    policy_act_batch,
     policy_grad_log_prob,
     policy_log_prob,
     policy_log_probs,

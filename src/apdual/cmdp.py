@@ -2,9 +2,9 @@
 
 A constrained MDP is a plain immutable value: callables for the initial
 distribution, transition kernel, reward, and per-step cost vector, a
-lockstep step function, the discount factor and a bound B on the per-step
-cost norm.  The two objectives are the expected discounted return and the
-expected discounted cost vector,
+lockstep step function with its batch signals, the discount factor and a
+bound B on the per-step cost norm.  The two objectives are the expected
+discounted return and the expected discounted cost vector,
 
     J_R = E[sum_t gamma^t r_t],      J_C = E[sum_t gamma^t c_t],
 
@@ -21,8 +21,12 @@ scheme), so any single trajectory of any batch can be regenerated in
 isolation and batches may be sampled concurrently.
 
 Rollout batches.  ``collect_batch`` advances the n trajectories of a batch
-together through the CMDP's ``VectorStep`` (one transition, reward and cost
-computation for all n) and returns one ``RolloutBatch`` of arrays
+together through the CMDP's ``VectorStep``.  The step loop does only the
+work that depends on the previous step: the actions (a Gaussian policy's
+mean W s_t plus action normals scaled once per batch, ``gaussian_actor``)
+and the dynamics ``fn``.  The rewards and costs of the whole batch then
+come from one ``signals`` call over the stacked arrays.  The result is one
+``RolloutBatch`` of arrays
 
     states  (n, H+1[, F])   actions (n, H[, A])
     rewards (n, H)          costs   (n, H, m)
@@ -47,9 +51,10 @@ k = ``VectorStep.noise_dim``:
 out through the ``transition``, ``reward`` and ``costs`` callbacks, which
 draw the same variates in the same order (``policy_act``, then
 ``transition``).  So row i of a batch equals ``sample_trajectory(cmdp,
-params, H, derived_seed(seed, i))`` bit for bit.  The step loop runs with
-numpy's overflow and invalid-value warnings silenced; a diverging batch is
-caught by the finiteness checks after the loop.
+params, H, derived_seed(seed, i))`` bit for bit.  The scaled normals, the
+step loop and the signals run with numpy's overflow and invalid-value
+warnings silenced; a diverging batch is caught by the finiteness checks
+after them.
 
 Counter-based uniforms.  A tabular stream depends only on its derived seed,
 so ``counter_uniforms`` computes the uniforms of many batches at once in
@@ -85,8 +90,8 @@ from .policy import (
     PolicyParams,
     TabularSoftmax,
     action_cdf,
+    gaussian_actor,
     policy_act,
-    policy_act_batch,
     softmax_table,
 )
 
@@ -114,19 +119,24 @@ def require_finite(name: str, values) -> None:
 
 @dataclass(frozen=True)
 class VectorStep:
-    """One lockstep transition of n stacked states.
+    """The lockstep dynamics and the batch signals of a CMDP.
 
-    ``fn(states, actions, noise)`` takes (n[, F]) states, (n[, A]) actions
-    and (n, noise_dim) transition draws, standard normals for vector states
-    and uniforms in [0, 1) for tabular ones.  It returns the (n[, F]) next
-    states with the (n,) rewards and the (n,) or (n, m) costs of the n
-    steps, computed in one pass.  It must agree with the CMDP's per-step
-    ``transition``, ``reward`` and ``costs`` callbacks, where ``transition``
-    draws the same ``noise_dim`` variates per step from its Generator.
+    ``fn(states, actions, noise)`` advances n stacked states by one step.
+    It takes (n[, F]) states, (n[, A]) actions and (n, noise_dim)
+    transition draws, standard normals for vector states and uniforms in
+    [0, 1) for tabular ones, and returns the (n[, F]) next states.  It must
+    agree with the CMDP's ``transition`` callback, which draws the same
+    ``noise_dim`` variates per step from its Generator.
+
+    ``signals(s, a, s2)`` takes the (n, H[, F]) states, (n, H[, A]) actions
+    and (n, H[, F]) next states of a whole batch and returns the (n, H)
+    rewards and the (n, H) or (n, H, m) costs of all its steps, each entry
+    equal to the ``reward`` / ``costs`` callbacks of that step.
     """
 
     noise_dim: int
-    fn: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
+    fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    signals: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
 
 
 @dataclass(frozen=True)
@@ -336,9 +346,10 @@ def collect_batch(
                 [rng.random((horizon, 1 + step.noise_dim)) for rng in rngs]
             )
         draws = uniforms.transpose(1, 0, 2)
+        u = draws[:, :, :1]
 
-        def act(cells, u):
-            return (cdf[cells] <= u).sum(axis=1)
+        def act(cells, t):
+            return (cdf[cells] <= u[t]).sum(axis=1)
 
     else:
         state = np.array(initial, dtype=float)
@@ -347,25 +358,25 @@ def collect_batch(
             [rng.standard_normal((horizon, a_dim + step.noise_dim)) for rng in rngs],
             axis=1,
         )
+        # exp(log_std) of a diverging policy overflows; the checks below raise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            act = gaussian_actor(params, draws[:, :, :a_dim])
+    noise = draws[:, :, a_dim:]
 
-        def act(x, z):
-            return policy_act_batch(params, x, z)
-
-    states, actions, rewards, costs = [state], [], [], []
-    # A diverging batch overflows here; the checks after the loop raise.
+    states, actions = [state], []
+    # A diverging batch overflows here; the checks after the block raise.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
-            action = act(state, draws[t, :, :a_dim])
-            state, reward, cost = step.fn(state, action, draws[t, :, a_dim:])
+            action = act(state, t)
+            state = step.fn(state, action, noise[t])
             states.append(state)
             actions.append(action)
-            rewards.append(reward)
-            costs.append(cost)
-    states = np.stack(states, axis=1)
-    reward_arr = np.stack(rewards, axis=1)
-    cost_arr = _checked_signals(cmdp, reward_arr, np.stack(costs, axis=1))
+        states = np.stack(states, axis=1)
+        actions = np.stack(actions, axis=1)
+        rewards, costs = step.signals(states[:, :-1], actions, states[:, 1:])
+    cost_arr = _checked_signals(cmdp, rewards, costs)
     require_finite("states", states)
-    return RolloutBatch(states, np.stack(actions, axis=1), reward_arr, cost_arr)
+    return RolloutBatch(states, actions, rewards, cost_arr)
 
 
 # Counter-based uniforms (see the module docstring).  Constants of numpy's

@@ -13,8 +13,8 @@ Gridworld conventions: cell index = y * width + x; actions 0..3 move
 probability slip_prob the commanded direction is replaced by a uniformly
 random other direction.  Entering a hazard cell incurs hazard_cost; the
 goal is absorbing (reward granted on entry, zero reward/cost afterwards).
-Every gridworld is sampled in lockstep from lookup tables; a slippery one
-draws two uniforms per step, the slip test and the direction (see
+Every gridworld is sampled in lockstep from a next-cell table; a slippery
+one draws two uniforms per step, the slip test and the direction (see
 make_gridworld).
 """
 
@@ -103,10 +103,10 @@ def make_point_env(task: str, cfg: PointEnvConfig, gamma: float = 0.99) -> Cmdp:
     """Cmdp over states (p, v) in R^4 with actions in R^2, m = 1.
 
     The Run task starts at the origin at rest; the Circle task starts on the
-    circle at (o, 0) at rest.  The per-step callbacks and the lockstep
-    VectorStep share one dynamics and one reward/cost function, both written
-    over (..., 4) state arrays; the VectorStep computes reward and cost of n
-    steps in a single call.
+    circle at (o, 0) at rest.  The VectorStep is the dynamics ``move`` and
+    the task's ``signals``, both written over (..., 4) state arrays; the
+    per-step callbacks call the same two functions, so ``signals`` gives
+    the rewards and costs of a whole (n, H) batch in one call.
     """
     if task not in ("run", "circle"):
         raise ValueError(f"unknown point task {task!r}")
@@ -125,30 +125,19 @@ def make_point_env(task: str, cfg: PointEnvConfig, gamma: float = 0.99) -> Cmdp:
         start = np.zeros(4)
         bound = 2.0  # both indicators can fire
 
-        def signals(s, s2):
+        def signals(s, a, s2):
             return run_reward_cost(s[..., :2], s2[..., :2], s2[..., 2:], cfg)
 
     else:
         start = np.array([cfg.circle_radius, 0.0, 0.0, 0.0])
         bound = 1.0
 
-        def signals(s, s2):
+        def signals(s, a, s2):
             return circle_reward_cost(s2[..., :2], s2[..., 2:], cfg)
 
     def transition(state, action, rng):
         normals = rng.standard_normal(noise_dim) if noise_dim else None
         return move(state, np.asarray(action, dtype=float), normals)
-
-    def reward(s, a, s2):
-        return signals(s, s2)[0]
-
-    def costs(s, a, s2):
-        return signals(s, s2)[1]
-
-    def step(states, actions, normals):
-        nxt = move(states, actions, normals)
-        reward_arr, cost_arr = signals(states, nxt)
-        return nxt, reward_arr, cost_arr
 
     return Cmdp(
         gamma=gamma,
@@ -156,9 +145,9 @@ def make_point_env(task: str, cfg: PointEnvConfig, gamma: float = 0.99) -> Cmdp:
         cost_bound=bound,
         initial_dist=lambda rng: start.copy(),
         transition=transition,
-        reward=reward,
-        costs=costs,
-        vector_step=VectorStep(noise_dim, step),
+        reward=lambda s, a, s2: signals(s, a, s2)[0],
+        costs=lambda s, a, s2: signals(s, a, s2)[1],
+        vector_step=VectorStep(noise_dim, move, signals),
     )
 
 
@@ -215,14 +204,15 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
     """Tabular Cmdp realizing the slip/hazard/absorbing-goal semantics.
 
     One step function serves both the lockstep VectorStep and the per-step
-    ``transition`` callback; the ``reward`` / ``costs`` callbacks share its
-    reward/cost function over cell arrays.  The step looks the n steps up
-    in (S * A) next-state, reward and cost tables built here once; the
-    goal's rows lead back to the goal with zero reward and cost.  Without
-    slip a step draws nothing.  With slip_prob > 0 every step, from the goal
-    too, draws two uniforms (u, v): the move slips when u < slip_prob, and
-    then turns by 1 + floor(3 v) quarter turns, a uniformly random other
-    direction.
+    ``transition`` callback: it looks the n next cells up in an (S * A)
+    next-cell table built here once, whose goal rows lead back to the goal.
+    Without slip a step draws nothing.  With slip_prob > 0 every step, from
+    the goal too, draws two uniforms (u, v): the move slips when
+    u < slip_prob, and then turns by 1 + floor(3 v) quarter turns, a
+    uniformly random other direction.  The reward and cost of a step depend
+    only on its cells s and s2, elementwise, so one ``signals`` function
+    serves the ``reward`` / ``costs`` callbacks and a whole (n, H) batch;
+    steps from the goal have zero reward and cost.
     """
     moves = grid_move_table(spec)
     goal = spec.goal_cell
@@ -231,17 +221,16 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
     slip = spec.slip_prob
     noise_dim = 2 if slip > 0.0 else 0
 
-    def signals(s, s2):
+    def signals(s, a, s2):
         live = np.asarray(s) != goal
         entry = spec.step_reward + np.where(s2 == goal, spec.goal_reward, 0.0)
         reward = np.where(live, entry, 0.0)
         cost = np.where(live & hazard[s2], spec.hazard_cost, 0.0)
         return reward, cost
 
-    # Row s * A + a of each table is the step from cell s in direction a.
+    # Row s * A + a is the step from cell s in direction a.
     cells = np.repeat(np.arange(spec.n_cells), N_ACTIONS)
     next_cell = np.where(cells == goal, goal, moves.reshape(-1))
-    step_reward, step_cost = signals(cells, next_cell)
 
     def step(states, actions, uniforms):
         if slip > 0.0:
@@ -249,19 +238,11 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
             actions = np.where(
                 uniforms[:, 0] < slip, (actions + turn) % N_ACTIONS, actions
             )
-        rows = states * N_ACTIONS + actions
-        return next_cell[rows], step_reward[rows], step_cost[rows]
+        return next_cell[states * N_ACTIONS + actions]
 
     def transition(state, action, rng):
         uniforms = rng.random((1, noise_dim))
-        nxt, _, _ = step(np.array([state]), np.array([action]), uniforms)
-        return int(nxt[0])
-
-    def reward(s, a, s2):
-        return float(signals(s, s2)[0])
-
-    def costs(s, a, s2):
-        return float(signals(s, s2)[1])
+        return int(step(np.array([state]), np.array([action]), uniforms)[0])
 
     bound = spec.hazard_cost if spec.hazard_cost > 0.0 else 1.0
     return Cmdp(
@@ -270,9 +251,9 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
         cost_bound=bound,
         initial_dist=lambda rng: spec.start_cell,
         transition=transition,
-        reward=reward,
-        costs=costs,
-        vector_step=VectorStep(noise_dim, step),
+        reward=lambda s, a, s2: float(signals(s, a, s2)[0]),
+        costs=lambda s, a, s2: float(signals(s, a, s2)[1]),
+        vector_step=VectorStep(noise_dim, step, signals),
         n_states=spec.n_cells,
         n_actions=N_ACTIONS,
     )

@@ -103,6 +103,20 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _reject_booleans(value, path: str) -> None:
+    """Raise ConfigError naming the first JSON boolean in value.  No config
+    field is a boolean, and Python reads true and false as the ints 1 and
+    0, so every numeric check would pass them."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{path}: expected a number, got a JSON boolean")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_booleans(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_booleans(item, f"{path}[{i}]")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     task: str
@@ -125,6 +139,8 @@ class ExperimentConfig:
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON object; messages name the offending field."""
     _require(isinstance(raw, dict), "top level: expected a JSON object")
+    for key, value in raw.items():
+        _reject_booleans(value, key)
     version = raw.get("schema_version")
     _require(
         version == SCHEMA_VERSION,
@@ -154,8 +170,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(
         isinstance(seeds, list)
         and len(seeds) >= 1
-        and all(isinstance(s, int) for s in seeds),
-        "seeds: expected a non-empty list of integers",
+        and all(isinstance(s, int) and s >= 0 for s in seeds),
+        "seeds: expected a non-empty list of non-negative integers",
     )
     _require(len(set(seeds)) == len(seeds), "seeds: duplicates not allowed")
     cost_limit = raw.get("cost_limit")
@@ -189,12 +205,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sampling = raw.get("sampling")
     if algorithm != "apd":
         _require(isinstance(sampling, dict), "sampling: required for papd algorithms")
-        try:
-            SamplingConfig(
-                n_traj=int(sampling.get("n_traj", 0)),
-                horizon=int(sampling.get("horizon", 0)),
+        for key in ("n_traj", "horizon"):
+            _require(
+                isinstance(sampling.get(key), int),
+                f"sampling: {key} must be an integer",
             )
-        except (ValueError, TypeError) as exc:
+        try:
+            SamplingConfig(n_traj=sampling["n_traj"], horizon=sampling["horizon"])
+        except ValueError as exc:
             raise ConfigError(f"sampling: {exc}") from exc
 
     ppol = raw.get("ppol", {})

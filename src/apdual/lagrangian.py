@@ -1,5 +1,5 @@
-"""Lagrangian machinery: value, score-function gradient, GAE advantages,
-and the clipped PPO-Lagrangian surrogate, over rollout batches.
+"""Lagrangian machinery: score-function gradient, GAE advantages and the
+gradient of the clipped PPO-Lagrangian surrogate, over rollout batches.
 
 Sign convention throughout: the primal problem is the minimization of
 
@@ -125,16 +125,6 @@ class AdvantageBatch:
         return sub
 
 
-def lagrangian_value(
-    j_r: float, j_c: np.ndarray, lam: np.ndarray, spec: ConstraintSpec
-) -> float:
-    """-J_R + lambda . (J_C - d), for the (m,) multiplier array lambda."""
-    j_c = np.atleast_1d(np.asarray(j_c, dtype=float))
-    if j_c.shape != lam.shape or lam.shape != spec.limits.shape:
-        raise ValueError("J_C, multiplier, and constraint dimensions disagree")
-    return float(-j_r + lam @ (j_c - spec.limits))
-
-
 def reinforce_grad(
     cmdp: Cmdp,
     params: PolicyParams,
@@ -171,7 +161,7 @@ def reinforce_grad_from_batch(
     returns, cost_vals = batch_values(batch, gamma) if values is None else values
     if cost_vals.shape[1:] != lam.shape or lam.shape != spec.limits.shape:
         raise ValueError("J_C, multiplier, and constraint dimensions disagree")
-    # Row i is lagrangian_value(returns[i], cost_vals[i], lam, spec).
+    # Row i is the trajectory's Lagrangian value -J_R + lambda . (J_C - d).
     weights = -returns + np.vecdot(cost_vals - spec.limits, lam)
     n = len(batch)
     if n > 1:
@@ -233,32 +223,14 @@ def advantage_batch(
     )
 
 
-def _ratios(batch: AdvantageBatch, params: PolicyParams) -> np.ndarray:
-    lp = policy_log_probs(params, batch.states, batch.actions)
-    return np.exp(lp - batch.log_prob_old)
-
-
-def ppol_surrogate(
-    batch: AdvantageBatch, params: PolicyParams, lam: np.ndarray, cfg: PpolConfig
-) -> float:
-    """Batch mean of (1/(1+lambda)) (min(rho A_R, clip(rho) A_R) - lambda A_C).
-
-    Scalar-multiplier form; maximized by the practical solver's primal step.
-    """
-    if lam.shape != (1,) or batch.adv_c.shape[1] != 1:
-        raise ValueError("the surrogate is defined for a single constraint")
-    lam = float(lam[0])
-    rho = _ratios(batch, params)
-    clipped = np.clip(rho, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
-    obj = np.minimum(rho * batch.adv_r, clipped * batch.adv_r)
-    return float((obj - lam * batch.adv_c[:, 0]).mean() / (1.0 + lam))
-
-
 def ppol_surrogate_grad(
     batch: AdvantageBatch, params: PolicyParams, lam: np.ndarray, cfg: PpolConfig
 ) -> np.ndarray:
-    """Ascent direction for the surrogate.
+    """Ascent direction for the surrogate, the batch mean of
 
+        (1/(1+lambda)) (min(rho A_R, clip(rho) A_R) - lambda A_C)
+
+    with rho = pi_theta(a|s) / pi_old(a|s); the primal step maximizes it.
     The reward term differentiates the min/clip exactly (zero where the
     clipped branch is active).  The penalty term is the score-function form
     -lambda A_C rho d log pi: the surrogate's written penalty is constant in
@@ -268,7 +240,8 @@ def ppol_surrogate_grad(
     if lam.shape != (1,) or batch.adv_c.shape[1] != 1:
         raise ValueError("the surrogate is defined for a single constraint")
     lam = float(lam[0])
-    rho = _ratios(batch, params)
+    lp = policy_log_probs(params, batch.states, batch.actions)
+    rho = np.exp(lp - batch.log_prob_old)
     upper = 1.0 + cfg.clip_ratio
     lower = 1.0 - cfg.clip_ratio
     clipped = np.clip(rho, lower, upper)

@@ -138,15 +138,27 @@ def _samples(params: PolicyParams, states, actions):
     return x, a
 
 
-def policy_act_batch(params: PolicyParams, states, normals) -> np.ndarray:
-    """Gaussian actions W s_i + exp(log_std) * normals_i for stacked (N, F)
-    states and (N, A) standard normals."""
+def gaussian_actor(params: PolicyParams, normals):
+    """The action rule of a linear Gaussian policy for pre-drawn (..., N, A)
+    standard normals: ``act(states, k)`` returns W s_i + exp(log_std) *
+    normals[k][i] for stacked (N, F) states.
+
+    W and the scaled normals are computed once here, so a lockstep loop
+    pays only the mean W s per step.
+    """
     kind = params.kind
     if not isinstance(kind, LinearGaussian):
-        raise TypeError("policy_act_batch requires a Gaussian descriptor")
+        raise TypeError("gaussian_actor requires a Gaussian descriptor")
+    normals = np.asarray(normals, dtype=float)
+    if normals.shape[-1:] != (kind.action_dim,):
+        raise ValueError("action dimension incompatible with descriptor")
     w, log_std = _gaussian_parts(params)
-    x, z = _samples(params, states, normals)
-    return _gaussian_means(w, x) + np.exp(log_std) * z
+    scaled = np.exp(log_std) * normals
+
+    def act(states, k):
+        return _gaussian_means(w, states) + scaled[k]
+
+    return act
 
 
 def policy_act(params: PolicyParams, state, rng: np.random.Generator):
@@ -161,7 +173,7 @@ def policy_act(params: PolicyParams, state, rng: np.random.Generator):
     if x.shape != (kind.feature_dim,):
         raise ValueError("state dimension incompatible with descriptor")
     z = rng.standard_normal(kind.action_dim)
-    return policy_act_batch(params, x[None], z[None])[0]
+    return gaussian_actor(params, z[None, None])(x[None], 0)[0]
 
 
 def policy_log_probs(params: PolicyParams, states, actions) -> np.ndarray:

@@ -229,7 +229,9 @@ def test_criterion_7_gradient_fidelity():
         transition=lambda s, a, rng: 0,
         reward=lambda s, a, nxt: rewards[a],
         costs=lambda s, a, nxt: costs[a],
-        vector_step=VectorStep(0, lambda s, a, z: (s, reward_of[a], cost_of[a])),
+        vector_step=VectorStep(
+            0, lambda s, a, z: s, lambda s, a, s2: (reward_of[a], cost_of[a])
+        ),
         n_states=1,
         n_actions=2,
     )

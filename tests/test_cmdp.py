@@ -54,15 +54,13 @@ def chain_cmdp(p_jump=0.3, gamma=GAMMA, cost_scale=1.0):
 
     def step(states, actions, uniforms):
         jump = (states == 1) | ((actions == 1) & (uniforms[:, 0] < p_jump))
-        return (
-            jump.astype(np.int64),
-            (states == 1).astype(float),
-            np.where(states == 0, cost_scale, 0.0),
-        )
+        return jump.astype(np.int64)
+
+    def signals(states, actions, nxt):
+        return (states == 1).astype(float), np.where(states == 0, cost_scale, 0.0)
 
     def transition(s, a, rng):
-        nxt, _, _ = step(np.array([s]), np.array([a]), rng.random((1, 1)))
-        return int(nxt[0])
+        return int(step(np.array([s]), np.array([a]), rng.random((1, 1)))[0])
 
     return Cmdp(
         gamma=gamma,
@@ -72,7 +70,7 @@ def chain_cmdp(p_jump=0.3, gamma=GAMMA, cost_scale=1.0):
         transition=transition,
         reward=lambda s, a, nxt: 1.0 if s == 1 else 0.0,
         costs=lambda s, a, nxt: cost_scale if s == 0 else 0.0,
-        vector_step=VectorStep(1, step),
+        vector_step=VectorStep(1, step, signals),
         n_states=2,
         n_actions=2,
     )
@@ -353,7 +351,9 @@ class TestValidation:
             transition=lambda s, a, rng: 0,
             reward=lambda s, a, n: 0.0,
             costs=lambda s, a, n: 0.0,
-            vector_step=VectorStep(0, lambda s, a, z: (s, 0.0 * s, 0.0 * s)),
+            vector_step=VectorStep(
+                0, lambda s, a, z: s, lambda s, a, s2: (0.0 * s, 0.0 * s)
+            ),
         )
         with pytest.raises(ValueError):
             Cmdp(gamma=1.0, n_costs=1, cost_bound=1.0, **kw)

@@ -8,6 +8,7 @@ solver code.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ class TestLockstep:
         assert len(batch) == 5
         assert_rows_equal_sample_trajectory(cmdp, params, batch, seed)
 
-    def test_one_signal_call_per_time_step(self, monkeypatch):
+    def test_one_signal_call_per_batch(self, monkeypatch):
         calls = []
         original = envs.run_reward_cost
 
@@ -205,7 +206,19 @@ class TestLockstep:
         monkeypatch.setattr(envs, "run_reward_cost", counted)
         cmdp = make_point_env("run", PointEnvConfig(noise_std=0.05))
         collect_batch(cmdp, self.params(), SamplingConfig(n_traj=8, horizon=16), 3)
-        assert len(calls) == 16
+        assert len(calls) == 1
+
+    def test_overflowing_std_raises_without_numpy_warnings(self):
+        # exp(log_std) overflows to inf: collect_batch must raise
+        # NonFiniteError, with numpy's overflow warning silenced
+        cmdp = make_point_env("run", PointEnvConfig())
+        theta = self.params().theta.copy()
+        theta[8:] = 1e3
+        params = self.params().replace_theta(theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                collect_batch(cmdp, params, SamplingConfig(n_traj=2, horizon=4), 0)
 
     def test_non_finite_state_rejected(self):
         cmdp = make_point_env("run", PointEnvConfig())
@@ -262,9 +275,8 @@ class TestGridworldLockstep:
         cmdp = make_gridworld(spec)
         cells = np.repeat(np.arange(spec.n_cells), N_ACTIONS)
         actions = np.tile(np.arange(N_ACTIONS), spec.n_cells)
-        nxt, rewards, costs = cmdp.vector_step.fn(
-            cells, actions, np.empty((cells.size, 0))
-        )
+        nxt = cmdp.vector_step.fn(cells, actions, np.empty((cells.size, 0)))
+        rewards, costs = cmdp.vector_step.signals(cells, actions, nxt)
         rng = np.random.default_rng(0)
         for s, a, s2, r, c in zip(cells, actions, nxt, rewards, costs):
             assert cmdp.transition(int(s), int(a), rng) == s2
@@ -302,7 +314,7 @@ class TestGridworldLockstep:
         # u = 0.25 < slip_prob turns by 1 + floor(3 v); u = 0.3 does not slip
         v = np.array([0.0, 0.34, 0.67, 0.99, 0.5])
         u = np.array([0.25, 0.25, 0.25, 0.25, 0.3])
-        nxt, _, _ = cmdp.vector_step.fn(
+        nxt = cmdp.vector_step.fn(
             np.full(5, 4), np.zeros(5, dtype=np.int64), np.stack([u, v], axis=1)
         )
         want = moves[4, [1, 2, 3, 3, 0]]
@@ -317,6 +329,35 @@ def assert_rows_equal_sample_trajectory(cmdp, params, batch, seed):
         solo = sample_trajectory(cmdp, params, horizon, derived_seed(seed, i))
         for name in ("states", "actions", "rewards", "costs"):
             assert np.array_equal(getattr(batch, name)[i], getattr(solo, name)[0]), name
+
+
+@pytest.mark.parametrize("env", ["run", "circle", "slip-grid"])
+def test_batch_signals_equal_per_step_callbacks(env):
+    """One VectorStep.signals call over a whole sampled batch gives, entry
+    by entry, the per-step reward and costs callbacks of every step."""
+    if env == "slip-grid":
+        spec = GridworldSpec(
+            width=4, height=3, start_cell=4, goal_cell=7, hazard_cells=(5, 6),
+            slip_prob=0.2,
+        )
+        cmdp = make_gridworld(spec)
+        params = TestGridworldLockstep.eastward_params(spec)
+    else:
+        cmdp = make_point_env(env, PointEnvConfig(noise_std=0.05))
+        params = TestLockstep.params()
+    batch = collect_batch(cmdp, params, SamplingConfig(n_traj=6, horizon=40), (3, 1))
+    s, s2 = batch.states[:, :-1], batch.states[:, 1:]
+    rewards, costs = cmdp.vector_step.signals(s, batch.actions, s2)
+    assert rewards.shape == costs.shape == (6, 40)
+    assert costs.any() and len(np.unique(rewards)) > 1
+    for i, t in np.ndindex(6, 40):
+        step = (s[i, t], batch.actions[i, t], s2[i, t])
+        if cmdp.is_tabular:
+            step = tuple(int(x) for x in step)
+        assert rewards[i, t] == cmdp.reward(*step)
+        assert costs[i, t] == cmdp.costs(*step)
+    assert np.array_equal(rewards, batch.rewards)
+    assert np.array_equal(costs, batch.costs[:, :, 0])
 
 
 def uniform_table(spec):

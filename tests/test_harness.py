@@ -119,6 +119,35 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(make_testbed_raw(**patch))
 
+    @pytest.mark.parametrize(
+        "patch, fragment",
+        [
+            ({"iterations": True}, "iterations"),
+            ({"seeds": [True]}, "seeds"),
+            ({"seeds": [3, False]}, "seeds"),
+            ({"seeds": [-1]}, "seeds"),
+            ({"cost_limit": True}, "cost_limit"),
+            ({"gamma": True}, "gamma"),
+            ({"workers": True}, "workers"),
+            ({"window": True}, "window"),
+            ({"sampling": {"n_traj": True, "horizon": 12}}, "sampling.n_traj"),
+            ({"sampling": {"n_traj": 4, "horizon": True}}, "sampling.horizon"),
+            ({"sampling": {"n_traj": "4", "horizon": 12}}, "sampling: n_traj"),
+            ({"sampling": {"n_traj": 4, "horizon": 12.0}}, "sampling: horizon"),
+            ({"schedule": {"variant": "invlin-practical", "h1": True, "h2": 3}},
+             "schedule.h1"),
+            ({"dual": {"variant": "pid", "kp": 0.05, "ki": False, "kd": 0.1}},
+             "dual.ki"),
+            ({"ppol": {"epochs": True}}, "ppol.epochs"),
+            ({"task_params": {"slip_prob": False}}, "task_params.slip_prob"),
+            ({"schema_version": True}, "schema_version"),
+        ],
+    )
+    def test_booleans_and_negative_seeds_rejected(self, patch, fragment):
+        # JSON true/false parse as bool, a subclass of int
+        with pytest.raises(ConfigError, match=fragment):
+            parse_config(make_grid_raw(**patch))
+
     def test_sampled_task_errors(self):
         with pytest.raises(ConfigError, match="papd"):
             parse_config(make_grid_raw(algorithm="apd"))
@@ -456,6 +485,13 @@ class TestCli:
         code = main(["run", self.write_cfg(tmp_path, make_testbed_raw(seeds=[]))])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_run_boolean_seed_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        code = main(["run", self.write_cfg(tmp_path, make_grid_raw(seeds=[True]))])
+        assert code == 2
+        assert "seeds" in capsys.readouterr().err
+        assert not (tmp_path / "grid_out").exists()
 
     def test_run_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

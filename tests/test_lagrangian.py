@@ -25,8 +25,6 @@ from apdual.lagrangian import (
     ConstraintSpec,
     PpolConfig,
     advantage_batch,
-    lagrangian_value,
-    ppol_surrogate,
     ppol_surrogate_grad,
     reinforce_grad,
     reinforce_grad_from_batch,
@@ -44,12 +42,36 @@ from apdual.policy import (
     init_params,
     policy_grad_log_prob,
     policy_log_prob,
+    policy_log_probs,
     policy_score_sum,
     policy_trajectory_scores,
     softmax_table,
 )
 
 GAMMA = 0.9
+
+
+def lagrangian_value(j_r, j_c, lam, spec):
+    """Reference -J_R + lambda . (J_C - d), for the (m,) multiplier array
+    lambda."""
+    j_c = np.atleast_1d(np.asarray(j_c, dtype=float))
+    if j_c.shape != lam.shape or lam.shape != spec.limits.shape:
+        raise ValueError("J_C, multiplier, and constraint dimensions disagree")
+    return float(-j_r + lam @ (j_c - spec.limits))
+
+
+def ppol_surrogate(batch, params, lam, cfg):
+    """Reference surrogate, the batch mean of
+    (1/(1+lambda)) (min(rho A_R, clip(rho) A_R) - lambda A_C) for a single
+    constraint; ppol_surrogate_grad is its ascent direction."""
+    if lam.shape != (1,) or batch.adv_c.shape[1] != 1:
+        raise ValueError("the surrogate is defined for a single constraint")
+    lam = float(lam[0])
+    lp = policy_log_probs(params, batch.states, batch.actions)
+    rho = np.exp(lp - batch.log_prob_old)
+    clipped = np.clip(rho, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
+    obj = np.minimum(rho * batch.adv_r, clipped * batch.adv_r)
+    return float((obj - lam * batch.adv_c[:, 0]).mean() / (1.0 + lam))
 
 
 def constraint_value(j_c, spec):
@@ -95,7 +117,9 @@ def bandit_cmdp(rewards, costs, gamma=GAMMA):
         transition=lambda s, a, rng: 0,
         reward=lambda s, a, nxt: float(rewards[a]),
         costs=lambda s, a, nxt: float(costs[a]),
-        vector_step=VectorStep(0, lambda s, a, z: (s, reward_of[a], cost_of[a])),
+        vector_step=VectorStep(
+            0, lambda s, a, z: s, lambda s, a, s2: (reward_of[a], cost_of[a])
+        ),
         n_states=1,
         n_actions=2,
     )

@@ -17,9 +17,9 @@ from apdual.policy import (
     PolicyParams,
     TabularSoftmax,
     action_cdf,
+    gaussian_actor,
     init_params,
     policy_act,
-    policy_act_batch,
     policy_grad_log_prob,
     policy_log_prob,
     policy_log_probs,
@@ -306,17 +306,24 @@ class TestBatchedForms:
         got = policy_score_sum(params, np.zeros((0, 3)), np.zeros((0, 2)), [])
         assert np.array_equal(got, np.zeros(params.theta.size))
 
-    def test_act_batch_rows_equal_policy_act(self):
+    def test_actor_rows_equal_policy_act(self):
+        # normals[k, i] is the first draw of stream 6 k + i; act(states, k)
+        # must give row i policy_act's action from that stream
         kind = LinearGaussian(4, 2)
         params = PolicyParams(kind, np.random.default_rng(12).normal(size=10))
-        states = np.random.default_rng(13).normal(size=(6, 4))
-        normals = np.stack(
-            [np.random.default_rng(s).standard_normal(2) for s in range(6)]
+        states = np.random.default_rng(13).normal(size=(3, 6, 4))
+        normals = np.array(
+            [
+                [np.random.default_rng(6 * k + i).standard_normal(2) for i in range(6)]
+                for k in range(3)
+            ]
         )
-        got = policy_act_batch(params, states, normals)
-        for i in range(6):
-            want = policy_act(params, states[i], np.random.default_rng(i))
-            assert np.array_equal(got[i], want)
+        act = gaussian_actor(params, normals)
+        for k in range(3):
+            got = act(states[k], k)
+            for i in range(6):
+                rng = np.random.default_rng(6 * k + i)
+                assert np.array_equal(got[i], policy_act(params, states[k, i], rng))
 
     def test_batch_shapes_checked(self):
         gauss = init_params(LinearGaussian(3, 2))
@@ -330,7 +337,9 @@ class TestBatchedForms:
         with pytest.raises(ValueError):
             policy_log_probs(tab, [0, 2], [0, 1])
         with pytest.raises(TypeError):
-            policy_act_batch(tab, np.zeros((1, 1)), np.zeros((1, 1)))
+            gaussian_actor(tab, np.zeros((1, 1)))
+        with pytest.raises(ValueError):
+            gaussian_actor(gauss, np.zeros((4, 3)))
 
 
 class TestValidation:

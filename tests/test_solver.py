@@ -618,8 +618,8 @@ def per_step_batch(cmdp, params, sampling, seed, uniforms=None):
 def nan_signal_cmdp(signal: str, bad_call: int) -> Cmdp:
     """Deterministic counter chain whose reward (or cost) callback returns
     NaN on its bad_call-th call (0-based), counted over every step.  The
-    vector step calls the callbacks row by row, so a lockstep batch counts
-    its steps time-major."""
+    batch signals call the callbacks time step by time step, so a lockstep
+    batch counts its steps time-major, in the order they were taken."""
     calls = itertools.count()
 
     def flaky(s, a, nxt):
@@ -631,13 +631,11 @@ def nan_signal_cmdp(signal: str, bad_call: int) -> Cmdp:
     reward = flaky if signal == "rewards" else steady
     costs = flaky if signal == "costs" else steady
 
-    def step(states, actions, noise):
-        nxt = np.minimum(states + 1, 9)
-        rows = list(zip(states, actions, nxt))
+    def signals(s, a, s2):
+        rows = list(zip(s.T.ravel(), a.T.ravel(), s2.T.ravel()))
         return (
-            nxt,
-            np.array([reward(*row) for row in rows]),
-            np.array([costs(*row) for row in rows]),
+            np.array([reward(*row) for row in rows]).reshape(s.T.shape).T,
+            np.array([costs(*row) for row in rows]).reshape(s.T.shape).T,
         )
 
     return Cmdp(
@@ -648,7 +646,7 @@ def nan_signal_cmdp(signal: str, bad_call: int) -> Cmdp:
         transition=lambda s, a, rng: min(s + 1, 9),
         reward=reward,
         costs=costs,
-        vector_step=VectorStep(0, step),
+        vector_step=VectorStep(0, lambda s, a, z: np.minimum(s + 1, 9), signals),
         n_states=10,
         n_actions=2,
     )
