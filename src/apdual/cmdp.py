@@ -21,12 +21,25 @@ scheme), so any single trajectory of any batch can be regenerated in
 isolation and batches may be sampled concurrently.
 
 Rollout batches.  ``collect_batch`` advances the n trajectories of a batch
-together through the CMDP's ``VectorStep``.  The step loop does only the
-work that depends on the previous step: the actions (a Gaussian policy's
-mean W s_t plus action normals scaled once per batch, ``gaussian_actor``)
-and the dynamics ``fn``.  The rewards and costs of the whole batch then
-come from one ``signals`` call over the stacked arrays.  The result is one
-``RolloutBatch`` of arrays
+together through the CMDP's ``VectorStep``.  A Gaussian batch steps in a
+loop that does only the work that depends on the previous step: the
+actions (the mean W s_t plus action normals scaled once per batch,
+``gaussian_actor``) and the dynamics ``fn``.  A tabular batch first builds
+a successor table: the action that each step's uniform picks in every one
+of the S cells, and, from one ``fn`` call over all S * H * n (cell, step,
+trajectory) rows, the next cell, with the offset of the next step folded
+in.  A step of all n trajectories is then one gather ``cur = link[cur]``,
+and the visited entries give the states and actions.  The table costs
+O(n * H * S * A) per batch, where a step-by-step loop pays O(n * A) per
+step plus a fixed numpy overhead per call, so it wins on small grids and
+loses on large ones.  Measured at n = 16, H = 24 on a 2-core machine
+(best of 6 runs, table against loop): 177 against 264 us per batch on the
+shipped 15-cell grid, 212 against 272 at S = 36, 333 against 268 at
+S = 49, 374 against 281 at S = 64 and 2.5 ms against 0.30 ms at S = 400,
+so the crossover lies near 40 cells.  The table is built a span of steps
+at a time, at most ``_TABLE`` entries per pass.  The rewards and costs of
+the whole batch then come from one ``signals`` call over the stacked
+arrays.  The result is one ``RolloutBatch`` of arrays
 
     states  (n, H+1[, F])   actions (n, H[, A])
     rewards (n, H)          costs   (n, H, m)
@@ -74,7 +87,8 @@ differ.  The Gaussian path keeps its Generators: ziggurat normals take a
 data-dependent number of draws.
 
 Samplers raise ``NonFiniteError`` on a non-finite reward, cost or vector
-state, and ``ValueError`` on a step cost whose norm exceeds B.
+state, and ``ValueError`` on a step cost whose norm exceeds B or on a
+tabular cell outside [0, S).
 """
 
 from __future__ import annotations
@@ -126,7 +140,11 @@ class VectorStep:
     transition draws, standard normals for vector states and uniforms in
     [0, 1) for tabular ones, and returns the (n[, F]) next states.  It must
     agree with the CMDP's ``transition`` callback, which draws the same
-    ``noise_dim`` variates per step from its Generator.
+    ``noise_dim`` variates per step from its Generator.  The n rows are any
+    flat batch, not only the trajectories of one step: a tabular batch
+    calls ``fn`` once on every (cell, step, trajectory) row of its
+    successor table.  So row j of the output may depend only on row j of
+    the inputs.
 
     ``signals(s, a, s2)`` takes the (n, H[, F]) states, (n, H[, A]) actions
     and (n, H[, F]) next states of a whole batch and returns the (n, H)
@@ -335,48 +353,104 @@ def collect_batch(
     else:
         still = _still_rng()
         initial = [cmdp.initial_dist(still) for _ in range(n)]
-    # draws[t] holds, per trajectory, the a_dim action draws of step t
-    # followed by its noise_dim transition draws.
     if tabular:
-        state = np.array(initial, dtype=np.int64)
-        cdf = action_cdf(softmax_table(params))
-        a_dim = 1
         if uniforms is None:
             uniforms = np.stack(
                 [rng.random((horizon, 1 + step.noise_dim)) for rng in rngs]
             )
-        draws = uniforms.transpose(1, 0, 2)
-        u = draws[:, :, :1]
-
-        def act(cells, t):
-            return (cdf[cells] <= u[t]).sum(axis=1)
-
+        cdf = action_cdf(softmax_table(params))
+        states, actions = _tabular_paths(step, cdf, initial, uniforms)
     else:
         state = np.array(initial, dtype=float)
         a_dim = params.kind.action_dim
+        # draws[t] holds, per trajectory, the a_dim action normals of step t
+        # followed by its noise_dim transition normals.
         draws = np.stack(
             [rng.standard_normal((horizon, a_dim + step.noise_dim)) for rng in rngs],
             axis=1,
         )
-        # exp(log_std) of a diverging policy overflows; the checks below raise.
+        noise = draws[:, :, a_dim:]
+        states, actions = [state], []
+        # A diverging batch overflows here; the checks after the block raise.
         with np.errstate(over="ignore", invalid="ignore"):
             act = gaussian_actor(params, draws[:, :, :a_dim])
-    noise = draws[:, :, a_dim:]
-
-    states, actions = [state], []
-    # A diverging batch overflows here; the checks after the block raise.
+            for t in range(horizon):
+                action = act(state, t)
+                state = step.fn(state, action, noise[t])
+                states.append(state)
+                actions.append(action)
+            states = np.stack(states, axis=1)
+            actions = np.stack(actions, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(horizon):
-            action = act(state, t)
-            state = step.fn(state, action, noise[t])
-            states.append(state)
-            actions.append(action)
-        states = np.stack(states, axis=1)
-        actions = np.stack(actions, axis=1)
         rewards, costs = step.signals(states[:, :-1], actions, states[:, 1:])
     cost_arr = _checked_signals(cmdp, rewards, costs)
-    require_finite("states", states)
+    if not tabular:
+        require_finite("states", states)
     return RolloutBatch(states, actions, rewards, cost_arr)
+
+
+_TABLE = 1 << 14  # successor-table entries (cells x steps x trajectories) per pass
+
+
+def _tabular_paths(
+    step: VectorStep, cdf: np.ndarray, initial, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, H+1) states and (n, H) actions of a tabular batch from its n
+    initial cells, its (S, A) action cdf and its (n, H, 1 + k) uniforms.
+
+    A pass over a span of T steps tabulates, for every (cell c, step t,
+    trajectory i), the action that u[i, t] picks in cell c and, from one
+    ``step.fn`` call over all S * T * n rows, the successor cell.  Entry
+    (c, t, i) has the flat index (c * T + t) * n + i and link holds the
+    index of (successor, t + 1, i), so a step of all n trajectories is one
+    gather ``cur = link[cur]``; the visited entries give the actions and
+    the next cells.  Raises ValueError naming the trajectory, the step and
+    the cell of the first initial or successor cell outside [0, S)."""
+    n_states = cdf.shape[0]
+    n, horizon, width = uniforms.shape
+    traj = np.arange(n)
+    states = np.empty((n, horizon + 1), dtype=np.int64)
+    actions = np.empty((n, horizon), dtype=np.int64)
+    states[:, 0] = initial
+    bad = np.flatnonzero((states[:, 0] < 0) | (states[:, 0] >= n_states))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"trajectory {i}, step 0: initial cell {states[i, 0]} outside "
+            f"[0, {n_states})"
+        )
+    # The last cdf entry is 1 and u < 1, so only the first A - 1 can count.
+    bounds = cdf[:, :-1].T[:, :, None]
+    span = max(1, _TABLE // (n_states * n))
+    for t0 in range(0, horizon, span):
+        draws = uniforms[:, t0 : t0 + span].transpose(1, 0, 2)  # (T, n, 1 + k)
+        steps = draws.shape[0]
+        block = steps * n
+        rows = n_states * block
+        # act[c, t * n + i] counts the cdf entries of cell c that are <= u[i, t].
+        act = (bounds <= draws[:, :, 0].reshape(1, 1, block)).sum(axis=0)
+        noise = np.tile(draws[:, :, 1:].reshape(block, width - 1), (n_states, 1))
+        succ = np.asarray(
+            step.fn(np.repeat(np.arange(n_states), block), act.reshape(rows), noise)
+        ).reshape(rows)
+        if succ.min() < 0 or succ.max() >= n_states:
+            table = succ.reshape(n_states, steps, n)
+            bad = (table < 0) | (table >= n_states)
+            t, i, c = np.argwhere(bad.transpose(1, 2, 0))[0]  # earliest step
+            raise ValueError(
+                f"trajectory {i}, step {t0 + t}: cell {c} steps to cell "
+                f"{table[c, t, i]}, outside [0, {n_states})"
+            )
+        # Entries of the last step link past their block; no gather reads them.
+        link = succ.reshape(n_states, block) * block + np.arange(n, block + n)
+        link = link.reshape(rows)
+        path = np.empty((steps, n), dtype=np.int64)
+        path[0] = states[:, t0] * block + traj
+        for t in range(1, steps):
+            path[t] = link[path[t - 1]]
+        states[:, t0 + 1 : t0 + 1 + steps] = succ[path].T
+        actions[:, t0 : t0 + steps] = act.reshape(rows)[path].T
+    return states, actions
 
 
 # Counter-based uniforms (see the module docstring).  Constants of numpy's

@@ -31,12 +31,16 @@ certificate JSON per seed.  For sampled runs summary.json records, per
 seed, the verdict of solver.feasibility_check ("feasible": both the
 full-run and the final-window average cost are within the limit plus
 0.01) and the two averages it compares, "cost_full_avg" and
-"cost_window_avg".  summary.json also records "apdual_version" and
-"numpy_version": sampled runs depend on apdual's stream layout and on
-numpy's fixed bit-generator streams (NEP 19).  verify_dir names the first
-CSV row and column that differ from the re-run, with both values, after an
-apdual or numpy version mismatch if there is one.  The env var
-APDUAL_OUTPUT_ROOT, when set, prefixes every output_dir.
+"cost_window_avg".  Beside the verdict, which they do not change, are the
+Monte-Carlo error of the window average, "cost_window_se" (batch means over
+at most 20 batches, window_cost_se), and "cost_window_margin", the window
+average minus the limit in units of that SE; both are null when the window
+gives fewer than 2 batches or a zero SE.  summary.json also records
+"apdual_version" and "numpy_version": sampled runs depend on apdual's
+stream layout and on numpy's fixed bit-generator streams (NEP 19).
+verify_dir names the first CSV row and column that differ from the re-run,
+with both values, after an apdual or numpy version mismatch if there is
+one.  The env var APDUAL_OUTPUT_ROOT, when set, prefixes every output_dir.
 
 Final-window statistics use the last ``window`` fraction (default 20%) of
 iterations.
@@ -46,7 +50,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
-import io
 import itertools
 import json
 import math
@@ -371,19 +374,27 @@ def _run_single(cfg: ExperimentConfig, seed: int) -> RunRecord:
     return papd_run(cmdp, spec, solver_cfg)
 
 
+_CSV_ROWS = 1024  # rows formatted per chunk, so the temporaries stay small
+
+
 def record_to_csv(record: RunRecord) -> str:
-    """Fixed-column CSV text; floats use repr so parsing is lossless."""
+    """Fixed-column CSV text; floats use repr so parsing is lossless.
+
+    The text of f"{float(x)!r}" per value, built _CSV_ROWS rows at a time
+    from the columns' Python floats with one join per chunk."""
     if record.costs.shape[1] != 1 or record.lambdas.shape[1] != 1:
         raise ValueError("CSV emission is defined for single-constraint records")
-    buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
     k_iter = record.iterations
-    for k in range(k_iter):
-        buf.write(
-            f"{k},{float(record.returns[k])!r},{float(record.costs[k, 0])!r},"
-            f"{float(record.etas[k])!r},{float(record.lambdas[k, 0])!r}\n"
-        )
-    return buf.getvalue()
+    values = np.stack(
+        [record.returns, record.costs[:, 0], record.etas, record.lambdas[:k_iter, 0]],
+        dtype=float,
+    )
+    parts = [",".join(CSV_COLUMNS) + "\n"]
+    for lo in range(0, k_iter, _CSV_ROWS):
+        columns = [map(repr, col) for col in values[:, lo : lo + _CSV_ROWS].tolist()]
+        rows = zip(map(str, range(lo, k_iter)), *columns)
+        parts.append("\n".join(map(",".join, rows)) + "\n")
+    return "".join(parts)
 
 
 def read_record_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -452,6 +463,26 @@ def final_window_stats(record: RunRecord, window: float) -> dict[str, float]:
         "lambda_final": float(record.lambdas[-1, 0]),
         "wall_clock_s": float(record.meta.get("wall_clock_s", 0.0)),
     }
+
+
+WINDOW_BATCHES = 20
+
+
+def window_cost_se(record: RunRecord, window: float) -> float | None:
+    """Batch-means standard error of the final-window average cost.
+
+    The last b * (L // b) costs of the L-iteration window, b =
+    min(WINDOW_BATCHES, L), split into b equal consecutive batches: SE =
+    std(batch means, ddof=1) / sqrt(b).  None when b < 2 or the SE is not
+    positive."""
+    tail = max(1, int(round(window * record.iterations)))
+    b = min(WINDOW_BATCHES, tail)
+    if b < 2:
+        return None
+    size = tail // b
+    means = record.costs[-b * size :, 0].reshape(b, size).mean(axis=1)
+    se = float(means.std(ddof=1)) / math.sqrt(b)
+    return se if se > 0.0 else None
 
 
 def _window_aggregate(records: list[RunRecord], window: float) -> dict[str, float]:
@@ -531,6 +562,11 @@ def run_experiment(cfg: ExperimentConfig | str | Path) -> ExperimentResult:
             entry["feasible"] = report.passed
             entry["cost_full_avg"] = float(report.full_avg[0])
             entry["cost_window_avg"] = float(report.window_avg[0])
+            se = window_cost_se(record, cfg.window)
+            entry["cost_window_se"] = se
+            entry["cost_window_margin"] = (
+                None if se is None else (entry["cost_window_avg"] - cfg.cost_limit) / se
+            )
         per_seed_summary[str(seed)] = entry
 
     aggregate = _window_aggregate(records, cfg.window)

@@ -545,3 +545,126 @@ class TestPapdCounterBlocks:
         # differs from one whose initial_dist draws nothing.
         plain = papd_run(grid, GRID_LIMIT, grid_papd_cfg(10))
         assert not np.array_equal(got.returns, plain.returns)
+
+
+def eastward_grid_params(n_cells, seed=4):
+    """Random logits with a pull east, so grid rollouts reach the goal part-way
+    through the horizon and then sit in it."""
+    theta = np.random.default_rng(seed).normal(size=(n_cells, 4))
+    theta[:, 1] += 2.0
+    return init_params(TabularSoftmax(n_cells, 4)).replace_theta(theta.ravel())
+
+
+def counter_cmdp(successor, noise_dim=0, start=0):
+    """Three cells; the step function sends cell s to successor(s, u), u the
+    step's transition uniforms, whatever the action.  Every reward and cost
+    is zero."""
+
+    def step(states, actions, uniforms):
+        return successor(states, uniforms)
+
+    def transition(s, a, rng):
+        return int(successor(np.array([s]), rng.random((1, noise_dim)))[0])
+
+    def signals(s, a, s2):
+        return np.zeros(s.shape), np.zeros(s.shape)
+
+    return Cmdp(
+        gamma=GAMMA,
+        n_costs=1,
+        cost_bound=1.0,
+        initial_dist=lambda rng: start,
+        transition=transition,
+        reward=lambda s, a, nxt: 0.0,
+        costs=lambda s, a, nxt: 0.0,
+        vector_step=VectorStep(noise_dim, step, signals),
+        n_states=3,
+        n_actions=2,
+    )
+
+
+TABLE_CASES = {
+    # name: (cmdp, params, n_traj, horizon)
+    "chain": (chain_cmdp(), uniform_params(), 6, 25),
+    "grid": (grid_cmdp(False), eastward_grid_params(15), 16, 24),
+    "slip-grid": (grid_cmdp(True), eastward_grid_params(15), 16, 24),
+    "one-trajectory": (grid_cmdp(True), eastward_grid_params(15), 1, 24),
+    "one-step": (grid_cmdp(True), eastward_grid_params(15), 16, 1),
+}
+
+
+class TestSuccessorTable:
+    """Tabular collect_batch steps all trajectories through a successor table
+    built a span of steps at a time; row i must be the per-step sampler's
+    trajectory for derived seed i, however the horizon splits into passes."""
+
+    @pytest.mark.parametrize("table", [None, 1, 1200])
+    @pytest.mark.parametrize("case", list(TABLE_CASES))
+    def test_rows_equal_sample_trajectory(self, monkeypatch, case, table):
+        cmdp, params, n, horizon = TABLE_CASES[case]
+        if table is not None:
+            # 1: one step per pass; 1200: 5-step passes on the 15-cell grid
+            # with 16 trajectories, 4 on the chain with 6, short last pass.
+            monkeypatch.setattr(cmdp_module, "_TABLE", table)
+        seed = (11, 3)
+        batch = collect_batch(cmdp, params, SamplingConfig(n, horizon), seed)
+        assert batch.states.dtype == batch.actions.dtype == np.int64
+        for i in range(n):
+            solo = sample_trajectory(cmdp, params, horizon, derived_seed(seed, i))
+            for name in ("states", "actions", "rewards", "costs"):
+                assert np.array_equal(getattr(batch, name)[i], getattr(solo, name)[0])
+        if case in ("grid", "slip-grid"):
+            goal = default_hazard_gridworld().goal_cell
+            entered = [list(row).index(goal) for row in batch.states if goal in row]
+            assert any(k < horizon // 2 for k in entered)
+            assert batch.states[:, -1].tolist().count(goal) < n  # not all there
+
+    @pytest.mark.parametrize("table, calls", [(None, 1), (1200, 5), (1, 24)])
+    def test_one_step_call_per_pass(self, monkeypatch, table, calls):
+        if table is not None:
+            monkeypatch.setattr(cmdp_module, "_TABLE", table)
+        cmdp = grid_cmdp(True)
+        fn, rows = cmdp.vector_step.fn, []
+
+        def counted(states, actions, noise):
+            rows.append(len(states))
+            return fn(states, actions, noise)
+
+        step = dataclasses.replace(cmdp.vector_step, fn=counted)
+        counted_cmdp = dataclasses.replace(cmdp, vector_step=step)
+        collect_batch(counted_cmdp, eastward_grid_params(15), SamplingConfig(16, 24), 0)
+        assert len(rows) == calls
+        assert sum(rows) == 15 * 24 * 16  # every cell, step and trajectory once
+
+    @pytest.mark.parametrize(
+        "successor, message",
+        [
+            (lambda s, u: np.where(s == 2, -1, s + 1), "cell 2 steps to cell -1"),
+            (lambda s, u: s + 1, "cell 2 steps to cell 3"),
+        ],
+        ids=["below-zero", "past-the-last-cell"],
+    )
+    def test_successor_outside_the_grid_raises(self, successor, message):
+        # Cell 2 leaves the grid; a wrapped cdf[-1] lookup used to carry on
+        # with the states 0 1 2 -1 0 1 2.
+        cmdp = counter_cmdp(successor)
+        with pytest.raises(ValueError, match=rf"trajectory 0, step 0: {message}, "):
+            collect_batch(cmdp, uniform_params(3, 2), SamplingConfig(2, 6), 0)
+
+    def test_successor_error_names_the_earliest_step(self, monkeypatch):
+        # Only trajectory 1's step-3 transition uniform (>= 0.5) sends a cell
+        # off the grid, in the second of three 2-step passes.
+        monkeypatch.setattr(cmdp_module, "_TABLE", 3 * 2 * 2)
+        cmdp = counter_cmdp(lambda s, u: np.where(u[:, 0] < 0.5, s, 7), noise_dim=1)
+        u = np.full((2, 5, 2), 0.25)
+        u[1, 3, 1] = 0.75
+        with pytest.raises(ValueError, match="trajectory 1, step 3: cell 0 steps"):
+            collect_batch(cmdp, uniform_params(3, 2), SamplingConfig(2, 5), 0, u)
+
+    @pytest.mark.parametrize("start", [-1, 3])
+    def test_initial_cell_outside_the_grid_raises(self, start):
+        cmdp = counter_cmdp(lambda s, u: np.minimum(s + 1, 2), start=start)
+        with pytest.raises(
+            ValueError, match=rf"trajectory 0, step 0: initial cell {start} outside"
+        ):
+            collect_batch(cmdp, uniform_params(3, 2), SamplingConfig(2, 6), 0)

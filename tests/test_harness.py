@@ -5,6 +5,7 @@ hand-built records, reproducibility of stored artifacts, sweeps, and CLI
 exit codes.
 """
 
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -33,6 +34,7 @@ from apdual.harness import (
     run_experiment,
     sweep,
     verify_dir,
+    window_cost_se,
 )
 from apdual.policy import softmax_table
 from apdual.solver import RunRecord
@@ -200,6 +202,29 @@ class TestCsvRoundTrip:
         with pytest.raises(VerificationError, match="header"):
             read_record_csv(path)
 
+    @pytest.mark.parametrize("kind", ["edge-values", "empty", "testbed"])
+    def test_text_equals_per_row_formula(self, kind):
+        if kind == "edge-values":
+            values = [-0.0, 1e-300, 1e22, 2.0, 0.1 + 1e-17]
+            rec = synthetic_record(values, values[::-1])
+            rec.etas[:] = values
+            rec.lambdas[:, 0] = [*values, 5.0]
+        elif kind == "empty":
+            rec = synthetic_record([], [])
+        else:  # 2500 rows: two whole chunks of rows and a part
+            raw = make_testbed_raw(iterations=2500)
+            rec = harness._run_single(parse_config(raw), 0)
+        # The per-row formula record_to_csv used to write, kept as reference.
+        want = ",".join(CSV_COLUMNS) + "\n" + "".join(
+            f"{k},{float(rec.returns[k])!r},{float(rec.costs[k, 0])!r},"
+            f"{float(rec.etas[k])!r},{float(rec.lambdas[k, 0])!r}\n"
+            for k in range(rec.iterations)
+        )
+        got, want = record_to_csv(rec).splitlines(), want.splitlines()
+        first = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        same = got == want  # a bool, so pytest does not diff two long texts
+        assert same, f"{len(got)} vs {len(want)} lines, first differing line {first}"
+
     def test_multi_constraint_rejected(self):
         rec = RunRecord(
             thetas=np.zeros((2, 2)),
@@ -248,6 +273,101 @@ class TestAggregation:
         # window rounding never drops to zero rows
         tiny = final_window_stats(rec, 0.01)
         assert tiny["return_mean"] == pytest.approx(9.0)
+
+
+class TestWindowCostSe:
+    def test_known_batch_means(self):
+        # 100 iterations, window 0.45: 45 window costs, 20 batches of 2 from
+        # its last 40; batch j holds j - 0.5 and j + 0.5, so its mean is j.
+        tail = np.repeat(np.arange(20.0), 2) + np.tile([-0.5, 0.5], 20)
+        costs = np.concatenate([np.full(55, 1e6), np.full(5, -1e6), tail])
+        rec = synthetic_record(np.zeros(100), costs)
+        want = np.arange(20.0).std(ddof=1) / np.sqrt(20)  # sqrt(35 / 20)
+        assert window_cost_se(rec, 0.45) == pytest.approx(want, rel=1e-14)
+
+    def test_short_window_uses_single_iterations(self):
+        costs = np.array([9.0, 9.0, 9.0, 9.0, 1.0, 2.0, 4.0, 8.0])
+        rec = synthetic_record(np.zeros(8), costs)
+        want = np.array([1.0, 2.0, 4.0, 8.0]).std(ddof=1) / 2.0
+        assert window_cost_se(rec, 0.5) == pytest.approx(want, rel=1e-14)
+
+    def test_none_without_two_batches_or_spread(self):
+        rec = synthetic_record(np.zeros(10), np.arange(10.0))
+        assert window_cost_se(rec, 0.01) is None  # a 1-iteration window
+        assert window_cost_se(synthetic_record(np.zeros(10), np.ones(10)), 0.5) is None
+
+    def test_summary_reports_se_and_margin(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        raw = make_grid_raw(iterations=40, window=0.5)
+        result = run_experiment(parse_config(raw))
+        entry = json.loads(result.summary_path.read_text())["per_seed"]["0"]
+        se = window_cost_se(result.records[0], 0.5)
+        assert se is not None and entry["cost_window_se"] == se
+        margin = (entry["cost_window_avg"] - raw["cost_limit"]) / se
+        assert entry["cost_window_margin"] == margin
+
+    def test_summary_writes_null_for_a_zero_se(self, tmp_path, monkeypatch):
+        # no hazard cost: every sampled cost is 0, so is the SE
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        raw = make_grid_raw(task_params={"hazard_cost": 0.0})
+        result = run_experiment(parse_config(raw))
+        text = result.summary_path.read_text()
+        entry = json.loads(text)["per_seed"]["0"]
+        assert entry["cost_window_se"] is None and entry["cost_window_margin"] is None
+        assert '"cost_window_se": null' in text
+        assert entry["feasible"] is True
+
+
+# SHA-256 of record_to_csv for seed 0 of short runs of every sampled path.
+PINNED_CSV = {
+    "grid-reinforce": (
+        "a5e00990e6c394f9dc397202ef4187922f8b34d9fdc3aab3aeb7b17b868da240"
+    ),
+    "grid-reinforce-slip": (
+        "eaa8612b0564102092cb99fd8eb6f6bbfd6c9cc97f76a76bf468816cb952b30b"
+    ),
+    "grid-ppol-exact-values": (
+        "433fa9b60ffd4438b4840dce53235b1c17a206941149fb9375fabb792adae37d"
+    ),
+    "point-run-ppol": (
+        "f6a9458203ff6a3fd38e1684d54b3977f5601afdb1565a3745884ac86fe3b45c"
+    ),
+}
+PINNED_NUMPY = "2.4.6"
+
+
+def pinned_run_raw(name):
+    ppol = {"clip_ratio": 0.2, "gae_lambda": 0.95, "minibatch_size": 64, "epochs": 2}
+    grid = make_grid_raw(iterations=200, sampling={"n_traj": 16, "horizon": 24})
+    return {
+        "grid-reinforce": grid,
+        "grid-reinforce-slip": dict(grid, task_params={"slip_prob": 0.2}),
+        "grid-ppol-exact-values": dict(
+            grid, algorithm="papd-ppol", iterations=40, ppol=ppol
+        ),
+        "point-run-ppol": dict(
+            grid,
+            task="point-run",
+            algorithm="papd-ppol",
+            iterations=5,
+            cost_limit=2.0,
+            sampling={"n_traj": 8, "horizon": 64},
+            ppol=dict(ppol, minibatch_size=256),
+            task_params={"noise_std": 0.05},
+        ),
+    }[name]
+
+
+@pytest.mark.parametrize("name", list(PINNED_CSV))
+def test_sampled_csv_digest_pinned(name):
+    """The CSV of each sampled path is byte-identical to the one pinned under
+    numpy 2.4.6: sampling, gradients, duals and the CSV text all feed it."""
+    text = record_to_csv(harness._run_single(parse_config(pinned_run_raw(name)), 0))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == PINNED_CSV[name], (
+        f"{name}: CSV digest {digest} under numpy {np.__version__} differs from "
+        f"the one pinned under numpy {PINNED_NUMPY}"
+    )
 
 
 class TestRunExperiment:
