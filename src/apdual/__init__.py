@@ -37,12 +37,10 @@ from .envs import (
 )
 from .harness import (
     ConfigError,
-    CurveStats,
     ExperimentConfig,
     ExperimentResult,
     VerificationError,
-    aggregate_seeds,
-    final_window_stats,
+    aggregate_dir,
     load_config,
     parse_config,
     read_record_csv,
@@ -57,7 +55,7 @@ from .lagrangian import (
     PpolConfig,
     advantage_batch,
     ppol_surrogate_grad,
-    reinforce_grad,
+    reinforce_grad_from_batch,
 )
 from .policy import (
     LinearGaussian,
@@ -78,7 +76,6 @@ from .quadprog import (
     KktSolution,
     QuadProgram,
     dual_values_batch,
-    quad_default,
     quad_dual_value,
     quad_kkt_solve,
     quad_make,

@@ -4,9 +4,10 @@ Subcommands:
     run <config.json>            run an experiment, write CSVs + summary
     sweep <config.json> --grid p:f1,f2,...   robustness sweep over a
                                  schedule parameter (factors on eta/h1/h2)
-    verify <output-dir>          re-run from the stored config and check
-                                 CSV bytes and bound certificates
-    aggregate <output-dir>       pointwise across-seed curves -> aggregate.csv
+    verify <output-dir>          re-run the stored config; check CSV bytes,
+                                 summary.json and bound certificates
+    aggregate <output-dir>       pointwise across-seed curves of the runs
+                                 summary.json lists -> aggregate.csv
 
 Exit codes: 0 success, 2 config error, 3 runtime or verification failure.
 """
@@ -15,15 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .harness import (
     ConfigError,
     VerificationError,
-    curve_stats,
-    curve_to_csv,
+    aggregate_dir,
     load_config,
-    read_record_csv,
     run_experiment,
     sweep,
     verify_dir,
@@ -65,15 +63,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
-    directory = Path(args.directory)
-    runs = sorted((directory / "runs").glob("seed_*.csv"))
-    if not runs:
-        raise ConfigError(f"{directory}: no runs/seed_*.csv files found")
-    # Rebuild per-seed curves straight from the stored CSVs.
-    stats = curve_stats([read_record_csv(p) for p in runs])
-    out = directory / "aggregate.csv"
-    curve_to_csv(stats, out)
-    print(f"wrote {out}")
+    print(f"wrote {aggregate_dir(args.directory)}")
     return EXIT_OK
 
 

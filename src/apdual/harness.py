@@ -24,26 +24,27 @@ A config is a JSON object with a versioned ``schema_version`` (currently 1):
       "window": 0.2
     }
 
-Each seed produces runs/seed_<s>.csv with the fixed column order
-step, return, cost, lr, lambda (floats emitted with repr, so parsing
-round-trips exactly), a summary.json, and for testbed runs a bound
-certificate JSON per seed.  For sampled runs summary.json records, per
-seed, the verdict of solver.feasibility_check ("feasible": both the
-full-run and the final-window average cost are within the limit plus
-0.01) and the two averages it compares, "cost_full_avg" and
-"cost_window_avg".  Beside the verdict, which they do not change, are the
-Monte-Carlo error of the window average, "cost_window_se" (batch means over
-at most 20 batches, window_cost_se), and "cost_window_margin", the window
-average minus the limit in units of that SE; both are null when the window
-gives fewer than 2 batches or a zero SE.  summary.json also records
-"apdual_version" and "numpy_version": sampled runs depend on apdual's
-stream layout and on numpy's fixed bit-generator streams (NEP 19).
-verify_dir names the first CSV row and column that differ from the re-run,
-with both values, after an apdual or numpy version mismatch if there is
-one.  The env var APDUAL_OUTPUT_ROOT, when set, prefixes every output_dir.
-
-Final-window statistics use the last ``window`` fraction (default 20%) of
-iterations.
+Each seed produces runs/seed_<s>.csv with the fixed column order step,
+return, cost, lr, lambda (floats emitted with repr, so parsing round-trips
+exactly), and for testbed runs a bound certificate JSON.  summary.json holds
+"schema_version", "config", "csv" (the run files in seed order),
+"wall_clock_s", "per_seed", "aggregate", "apdual_version" and
+"numpy_version" (sampled runs depend on apdual's stream layout and on
+numpy's fixed bit-generator streams, NEP 19).  seed_summary builds a seed's
+entry from one solver.feasibility_check over the last ``window`` fraction
+(default 20%) of iterations: the window averages "return_mean" and
+"cost_mean", "lambda_final", "wall_clock_s", and for a testbed run
+"certificate_passed".  A sampled entry adds the verdict "feasible" (full-run
+and window cost both within the limit plus 0.01), the two averages it
+compares, "cost_full_avg" and "cost_window_avg" (equal to "cost_mean"), the
+window cost's batch-means SE "cost_window_se", and "cost_window_margin", the
+window cost minus the limit in SEs; both are null for a zero SE or fewer
+than 2 batches.  "aggregate" is the across-seed mean and std of
+"return_mean" and "cost_mean".  verify_dir re-runs every seed and names the
+first CSV cell that differs (after an apdual or numpy version mismatch, if
+any), then the first summary.json key, wall-clock times aside, that differs.
+aggregate_dir reads only the CSVs that "csv" lists.  The env var
+APDUAL_OUTPUT_ROOT, when set, prefixes every output_dir.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from .policy import LinearGaussian, TabularSoftmax, init_params, softmax_table
 from .quadprog import quad_testbed
 from .schedules import LrSchedule
 from .solver import (
+    BoundCertificate,
     RunRecord,
     SolverConfig,
     apd_run,
@@ -405,96 +407,49 @@ def read_record_csv(path: str | Path) -> dict[str, np.ndarray]:
         if tuple(header) != CSV_COLUMNS:
             raise VerificationError(f"{path}: unexpected CSV header {header}")
         rows = [row for row in reader]
-    cols: dict[str, np.ndarray] = {
-        "step": np.array([int(r[0]) for r in rows], dtype=np.int64)
-    }
-    for j, name in enumerate(CSV_COLUMNS[1:], start=1):
+    cols = {"step": np.array([int(r[0]) for r in rows], dtype=np.int64)}
+    for j, name in enumerate(CURVE_NAMES, start=1):
         cols[name] = np.array([float(r[j]) for r in rows])
     return cols
 
 
-@dataclass
-class CurveStats:
-    """Pointwise across-seed statistics per metric (return, cost, lr,
-    lambda), each an array of length K."""
-
-    mean: dict
-    low: dict
-    high: dict
-
-    def n_steps(self) -> int:
-        return len(next(iter(self.mean.values())))
-
-
-def _record_metrics(record: RunRecord) -> dict[str, np.ndarray]:
-    return {
-        "return": record.returns,
-        "cost": record.costs[:, 0],
-        "lr": record.etas,
-        "lambda": record.lambdas[:-1, 0],
-    }
-
-
-def curve_stats(curves: list[dict[str, np.ndarray]]) -> CurveStats:
-    """Pointwise mean/min/max across per-seed curves, each a mapping from
-    the CURVE_NAMES to equal-length arrays (records or parsed CSVs)."""
-    if not curves:
-        raise ValueError("no records to aggregate")
-    k_iter = len(curves[0]["return"])
-    if any(len(c[name]) != k_iter for c in curves for name in CURVE_NAMES):
-        raise ValueError("records disagree on iteration count")
-    stacks = {name: np.stack([c[name] for c in curves]) for name in CURVE_NAMES}
-    return CurveStats(
-        mean={k: v.mean(axis=0) for k, v in stacks.items()},
-        low={k: v.min(axis=0) for k, v in stacks.items()},
-        high={k: v.max(axis=0) for k, v in stacks.items()},
+def seed_summary(
+    cfg: ExperimentConfig, record: RunRecord
+) -> tuple[dict, BoundCertificate | None]:
+    """One seed's summary.json entry, and for a testbed run its bound
+    certificate.  Every window number comes from one feasibility_check."""
+    report = feasibility_check(
+        record, ConstraintSpec(np.array([cfg.cost_limit])), cfg.window
     )
-
-
-def aggregate_seeds(records: list[RunRecord]) -> CurveStats:
-    return curve_stats([_record_metrics(r) for r in records])
-
-
-def final_window_stats(record: RunRecord, window: float) -> dict[str, float]:
-    tail = max(1, int(round(window * record.iterations)))
-    return {
-        "return_mean": float(record.returns[-tail:].mean()),
-        "cost_mean": float(record.costs[-tail:, 0].mean()),
+    cost = float(report.window_avg[0])
+    entry = {
+        "return_mean": report.window_return,
+        "cost_mean": cost,
         "lambda_final": float(record.lambdas[-1, 0]),
         "wall_clock_s": float(record.meta.get("wall_clock_s", 0.0)),
     }
+    if cfg.task == "testbed":
+        cert = verify_bounds(record, quad_testbed(cfg.cost_limit))
+        entry["certificate_passed"] = cert.passed
+        return entry, cert
+    se = float(report.window_se[0]) or None
+    entry.update(
+        feasible=report.passed,
+        cost_full_avg=float(report.full_avg[0]),
+        cost_window_avg=cost,
+        cost_window_se=se,
+        cost_window_margin=None if se is None else (cost - cfg.cost_limit) / se,
+    )
+    return entry, None
 
 
-WINDOW_BATCHES = 20
-
-
-def window_cost_se(record: RunRecord, window: float) -> float | None:
-    """Batch-means standard error of the final-window average cost.
-
-    The last b * (L // b) costs of the L-iteration window, b =
-    min(WINDOW_BATCHES, L), split into b equal consecutive batches: SE =
-    std(batch means, ddof=1) / sqrt(b).  None when b < 2 or the SE is not
-    positive."""
-    tail = max(1, int(round(window * record.iterations)))
-    b = min(WINDOW_BATCHES, tail)
-    if b < 2:
-        return None
-    size = tail // b
-    means = record.costs[-b * size :, 0].reshape(b, size).mean(axis=1)
-    se = float(means.std(ddof=1)) / math.sqrt(b)
-    return se if se > 0.0 else None
-
-
-def _window_aggregate(records: list[RunRecord], window: float) -> dict[str, float]:
-    per_seed = [final_window_stats(r, window) for r in records]
-    rets = np.array([s["return_mean"] for s in per_seed])
-    csts = np.array([s["cost_mean"] for s in per_seed])
-    return {
-        "return_mean": float(rets.mean()),
-        "return_std": float(rets.std()),
-        "cost_mean": float(csts.mean()),
-        "cost_std": float(csts.std()),
-    }
+def seed_aggregate(entries: list[dict]) -> dict[str, float]:
+    """Across-seed mean and std of the per-seed window averages."""
+    out = {}
+    for name in ("return", "cost"):
+        m = np.array([e[f"{name}_mean"] for e in entries])
+        out[f"{name}_mean"], out[f"{name}_std"] = float(m.mean()), float(m.std())
+    return out
 
 
 def resolve_output_dir(cfg: ExperimentConfig) -> Path:
@@ -534,42 +489,22 @@ def run_experiment(cfg: ExperimentConfig | str | Path) -> ExperimentResult:
     started = time.perf_counter()
     records = _collect_records(cfg)
 
-    csv_paths = []
+    csv_paths, cert_paths, per_seed_summary = [], [], {}
     for seed, record in zip(cfg.seeds, records):
-        path = runs_dir / f"seed_{seed}.csv"
-        path.write_text(record_to_csv(record))
-        csv_paths.append(path)
-
-    cert_paths = []
-    certs_ok = True
-    per_seed_summary = {}
-    for seed, record in zip(cfg.seeds, records):
-        entry = final_window_stats(record, cfg.window)
-        if cfg.task == "testbed":
-            cert = verify_bounds(record, quad_testbed(cfg.cost_limit))
-            cert_dir = out_dir / "certificates"
-            cert_dir.mkdir(exist_ok=True)
-            cert_path = cert_dir / f"seed_{seed}.json"
+        csv_path = runs_dir / f"seed_{seed}.csv"
+        csv_path.write_text(record_to_csv(record))
+        csv_paths.append(csv_path)
+        entry, cert = seed_summary(cfg, record)
+        per_seed_summary[str(seed)] = entry
+        if cert is not None:
+            cert_path = out_dir / "certificates" / f"seed_{seed}.json"
+            cert_path.parent.mkdir(exist_ok=True)
             cert_path.write_text(
                 json.dumps(cert.to_dict(), indent=2, sort_keys=True, allow_nan=False)
             )
             cert_paths.append(cert_path)
-            entry["certificate_passed"] = cert.passed
-            certs_ok = certs_ok and cert.passed
-        else:
-            spec = ConstraintSpec(np.array([cfg.cost_limit]))
-            report = feasibility_check(record, spec, cfg.window)
-            entry["feasible"] = report.passed
-            entry["cost_full_avg"] = float(report.full_avg[0])
-            entry["cost_window_avg"] = float(report.window_avg[0])
-            se = window_cost_se(record, cfg.window)
-            entry["cost_window_se"] = se
-            entry["cost_window_margin"] = (
-                None if se is None else (entry["cost_window_avg"] - cfg.cost_limit) / se
-            )
-        per_seed_summary[str(seed)] = entry
 
-    aggregate = _window_aggregate(records, cfg.window)
+    aggregate = seed_aggregate(list(per_seed_summary.values()))
     summary = {
         "schema_version": SCHEMA_VERSION,
         "apdual_version": __version__,
@@ -590,7 +525,9 @@ def run_experiment(cfg: ExperimentConfig | str | Path) -> ExperimentResult:
         csv_paths=csv_paths,
         summary_path=summary_path,
         certificate_paths=cert_paths,
-        certificates_passed=certs_ok,
+        certificates_passed=all(
+            e.get("certificate_passed", True) for e in per_seed_summary.values()
+        ),
         aggregate=aggregate,
     )
 
@@ -614,7 +551,17 @@ def parse_grid(text: str) -> tuple[str, list[float]]:
         raise ConfigError("grid: needs at least one factor")
     if any(f <= 0.0 for f in factors):
         raise ConfigError("grid: factors must be positive")
+    cells = {}
+    for f in factors:
+        name = _cell_name(head, f)
+        if name in cells:
+            raise ConfigError(f"grid: factors {cells[name]!r} and {f!r} share {name}")
+        cells[name] = f
     return head, factors
+
+
+def _cell_name(param: str, factor: float) -> str:
+    return f"cell_{param}_{factor:g}"
 
 
 def sweep(
@@ -633,7 +580,7 @@ def sweep(
             variant in ("invlin-practical", "invqua-practical"),
             f"grid: {param} factors need a practical schedule",
         )
-    base_value = float(cfg.schedule[param if param != "eta" else "eta"])
+    base_value = float(cfg.schedule[param])
 
     out_dir = resolve_output_dir(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -643,7 +590,7 @@ def sweep(
         cell_schedule[param] = base_value * factor
         cell_raw = dict(cfg.raw)
         cell_raw["schedule"] = cell_schedule
-        cell_raw["output_dir"] = str(Path(cfg.output_dir) / f"cell_{param}_{factor:g}")
+        cell_raw["output_dir"] = str(Path(cfg.output_dir) / _cell_name(param, factor))
         cell_cfg = parse_config(cell_raw)
         result = run_experiment(cell_cfg)
         stats = result.aggregate
@@ -671,22 +618,34 @@ def sweep(
     return table
 
 
-def curve_to_csv(stats: CurveStats, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+def aggregate_dir(directory: str | Path) -> Path:
+    """Pointwise across-seed mean, min and max of every CSV curve of the
+    runs that summary.json lists, in its order, written to aggregate.csv."""
+    directory = Path(directory)
+    summary_path = directory / "summary.json"
+    if not summary_path.exists():
+        raise ConfigError(f"{directory}: no summary.json to aggregate")
+    listed = json.loads(summary_path.read_text())["csv"]
+    paths = [directory / "runs" / name for name in listed]
+    if not paths:
+        raise VerificationError(f"{summary_path}: lists no records to aggregate")
+    for path in paths:
+        if not path.exists():
+            raise VerificationError(f"{summary_path} lists {path}, which is missing")
+    curves = [read_record_csv(path) for path in paths]
+    rows = [len(c["step"]) for c in curves]
+    if len(set(rows)) > 1:
+        raise VerificationError(f"{directory}: runs disagree on iteration count {rows}")
+    stats = ("mean", "min", "max")
+    stacks = [np.stack([c[name] for c in curves]) for name in CURVE_NAMES]
+    columns = [getattr(np, f)(x, axis=0) for x in stacks for f in stats]
+    out = directory / "aggregate.csv"
+    with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["step"]
-        for name in CURVE_NAMES:
-            header += [f"{name}_mean", f"{name}_min", f"{name}_max"]
-        writer.writerow(header)
-        for k in range(stats.n_steps()):
-            row = [k]
-            for name in CURVE_NAMES:
-                row += [
-                    repr(float(stats.mean[name][k])),
-                    repr(float(stats.low[name][k])),
-                    repr(float(stats.high[name][k])),
-                ]
-            writer.writerow(row)
+        writer.writerow(["step"] + [f"{n}_{f}" for n in CURVE_NAMES for f in stats])
+        for k, row in enumerate(zip(*columns)):
+            writer.writerow([k] + [repr(float(v)) for v in row])
+    return out
 
 
 def _first_csv_difference(stored: str, regenerated: str) -> str | None:
@@ -708,11 +667,21 @@ def _first_csv_difference(stored: str, regenerated: str) -> str | None:
     return "line endings"
 
 
+def _first_summary_difference(stored: dict, regenerated: dict) -> str | None:
+    """The first key but wall_clock_s whose values differ, with both values."""
+    for key in sorted((stored.keys() | regenerated.keys()) - {"wall_clock_s"}):
+        a, b = stored.get(key, "<missing>"), regenerated.get(key, "<missing>")
+        if a != b:
+            return f"key {key}: stored {a}, regenerated {b}"
+    return None
+
+
 def verify_dir(directory: str | Path) -> list[str]:
     """Re-run an experiment directory and re-check its artifacts.
 
     Reproduces every seed from the stored config, compares the regenerated
-    CSV bytes with the stored files, and recomputes bound certificates for
+    CSV bytes with the stored files and each seed's summary.json entry, then
+    the aggregate, with seed_summary's, and recomputes bound certificates for
     testbed runs.  Returns human-readable per-seed lines; raises
     VerificationError on any mismatch or failed certificate.
     """
@@ -731,8 +700,7 @@ def verify_dir(directory: str | Path) -> list[str]:
         new = " and ".join(f"{name} {running[name]}" for name in differ)
         versions = f" (stored under {old}, regenerated under {new})"
 
-    lines = []
-    failures = []
+    lines, failures, entries = [], [], []
     for seed in cfg.seeds:
         record = _run_single(cfg, seed)
         stored = directory / "runs" / f"seed_{seed}.csv"
@@ -747,16 +715,25 @@ def verify_dir(directory: str | Path) -> list[str]:
                 f"at {mismatch}"
             )
             continue
-        line = f"seed {seed}: reproduced ({record.iterations} rows)"
-        if cfg.task == "testbed":
-            cert = verify_bounds(record, quad_testbed(cfg.cost_limit))
-            if not cert.passed:
-                failures.append(
-                    f"seed {seed}: certificate failed, worst slacks {cert.worst()}"
-                )
-                continue
-            line += ", certificate passed"
-        lines.append(line)
+        entry, cert = seed_summary(cfg, record)
+        entries.append(entry)
+        stored_entry = summary.get("per_seed", {}).get(str(seed), {})
+        differ = _first_summary_difference(stored_entry, entry)
+        if differ:
+            failures.append(f"seed {seed}: summary.json {differ}")
+            continue
+        if cert is not None and not cert.passed:
+            worst = cert.worst()
+            failures.append(f"seed {seed}: certificate failed, worst slacks {worst}")
+            continue
+        passed = "" if cert is None else ", certificate passed"
+        lines.append(f"seed {seed}: reproduced ({record.iterations} rows){passed}")
+    if not failures:
+        differ = _first_summary_difference(
+            summary.get("aggregate", {}), seed_aggregate(entries)
+        )
+        if differ:
+            failures.append(f"summary.json aggregate {differ}")
     if failures:
         raise VerificationError("; ".join(failures))
     return lines

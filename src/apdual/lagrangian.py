@@ -19,13 +19,9 @@ import numpy as np
 # and softmax_table are no longer called here but stay importable from this
 # module: perfbench/tracing.py times their calls under these names.
 from .cmdp import (  # noqa: F401
-    Cmdp,
     NonFiniteError,
     RolloutBatch,
-    SamplingConfig,
-    Seed,
     batch_values,
-    collect_batch,
     discounted_value,
 )
 from .policy import (  # noqa: F401
@@ -125,24 +121,6 @@ class AdvantageBatch:
         return sub
 
 
-def reinforce_grad(
-    cmdp: Cmdp,
-    params: PolicyParams,
-    lam: np.ndarray,
-    spec: ConstraintSpec,
-    sampling: SamplingConfig,
-    seed: Seed,
-) -> np.ndarray:
-    """Score-function estimate of grad_theta L(theta, lambda).
-
-    Each trajectory contributes (full-rollout score) x (its Lagrangian value
-    minus a leave-one-out batch mean baseline); the leave-one-out form keeps
-    the estimator exactly unbiased at finite batch size.
-    """
-    batch = collect_batch(cmdp, params, sampling, seed)
-    return reinforce_grad_from_batch(batch, cmdp.gamma, params, lam, spec)
-
-
 def reinforce_grad_from_batch(
     batch: RolloutBatch,
     gamma: float,
@@ -151,12 +129,15 @@ def reinforce_grad_from_batch(
     spec: ConstraintSpec,
     values: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """The reinforce_grad estimate over a sampled batch.
+    """Score-function estimate of grad_theta L(theta, lambda) over a
+    sampled batch.
 
-    ``values`` is ``batch_values(batch, gamma)`` when the caller has it.
-    The n score rows are weighted and added in batch order from zero, so
-    the result equals the per-trajectory ``grad += c_i * score_i`` bit for
-    bit.
+    Each trajectory contributes (full-rollout score) x (its Lagrangian value
+    minus a leave-one-out batch mean baseline); the leave-one-out form keeps
+    the estimator exactly unbiased at finite batch size.  ``values`` is
+    ``batch_values(batch, gamma)`` when the caller has it.  The n score rows
+    are weighted and added in batch order from zero, so the result equals
+    the per-trajectory ``grad += c_i * score_i`` bit for bit.
     """
     returns, cost_vals = batch_values(batch, gamma) if values is None else values
     if cost_vals.shape[1:] != lam.shape or lam.shape != spec.limits.shape:

@@ -104,15 +104,10 @@ def quad_make(q, b, p, c, limit: float) -> QuadProgram:
 
 def quad_testbed(limit: float) -> QuadProgram:
     """The harness's testbed: n = 2, Q = I, b = (1, 1), P = I, c = 0, with
-    the cost limit d.  The constraint is active for d < 1."""
+    the cost limit d.  The constraint is active for d < 1; at d = 0.5,
+    lambda* = sqrt(2) - 1 and theta* = (1/sqrt 2, 1/sqrt 2)."""
     eye = np.eye(2)
     return quad_make(eye, np.ones(2), eye, np.zeros(2), limit)
-
-
-def quad_default() -> QuadProgram:
-    """The testbed at d = 0.5: lambda* = sqrt(2) - 1,
-    theta* = (1/sqrt 2, 1/sqrt 2)."""
-    return quad_testbed(0.5)
 
 
 def quad_primal_min(prog: QuadProgram, lam: float) -> np.ndarray:

@@ -29,6 +29,11 @@ and checking, with measured slack per iteration:
   (d)  the average-return rate bound at every prefix.
 Iterations where a bound's radicand is negative are flagged and excluded
 rather than failed.
+
+feasibility_check is the one place that applies the final-window rule: its
+report carries the window averages of J_R and J_C, the batch-means SE of
+the window cost, the full-run average cost, the average-feasibility verdict
+and, for ascent runs, the transient envelope.
 """
 
 from __future__ import annotations
@@ -620,13 +625,15 @@ def verify_bounds(
     )
 
 
+WINDOW_BATCHES = 20  # at most this many batch means behind window_se
+
+
 @dataclass
 class FeasibilityReport:
-    running_avg: np.ndarray
     full_avg: np.ndarray
     window_avg: np.ndarray
-    limits: np.ndarray
-    tol: float
+    window_return: float
+    window_se: np.ndarray
     passed: bool
     envelope_slack: np.ndarray | None = None
     envelope_ok: bool | None = None
@@ -635,12 +642,18 @@ class FeasibilityReport:
 def feasibility_check(
     record: RunRecord, spec: ConstraintSpec, window: float = 0.2, tol: float = 1e-2
 ) -> FeasibilityReport:
-    """Average-feasibility report.
+    """Average-feasibility report, and every final-window statistic.
 
-    Passes iff both the full-run average and the trailing-window average of
-    J_C are within d + tol, componentwise.  For ascent records the exact
-    transient envelope avg(g)[K'] <= (lambda_K' - lambda_0)/(zeta K') is
-    also evaluated; envelope_ok checks it from 10% of the run onward.
+    The window is the last L = max(1, round(window * K)) iterations.
+    window_avg and window_return average J_C and J_R over it; window_se is
+    the batch-means SE of window_avg: std(means, ddof=1) / sqrt(b) of b =
+    min(WINDOW_BATCHES, L) equal consecutive batches of the last b * (L // b)
+    costs, and 0 when b < 2.
+
+    Passes iff both the full-run average and the window average of J_C are
+    within d + tol, componentwise.  For ascent records the exact transient
+    envelope avg(g)[K'] <= (lambda_K' - lambda_0)/(zeta K') is also
+    evaluated; envelope_ok checks it from 10% of the run onward.
     """
     k_iter = record.iterations
     if k_iter == 0:
@@ -651,6 +664,10 @@ def feasibility_check(
     running = np.cumsum(record.costs, axis=0) / counts
     tail = max(1, int(round(window * k_iter)))
     window_avg = record.costs[-tail:].mean(axis=0)
+    b = min(WINDOW_BATCHES, tail)
+    size = tail // b
+    means = record.costs[-b * size :].reshape(b, size, -1).mean(axis=1)
+    se = means.std(axis=0, ddof=1) / np.sqrt(b) if b > 1 else np.zeros_like(window_avg)
     full_avg = running[-1]
     passed = bool(
         (full_avg <= spec.limits + tol).all()
@@ -666,11 +683,10 @@ def feasibility_check(
         start = max(1, int(np.ceil(0.1 * k_iter))) - 1
         env_ok = bool((env_slack[start:] >= -1e-9).all())
     return FeasibilityReport(
-        running_avg=running,
         full_avg=full_avg,
         window_avg=window_avg,
-        limits=spec.limits,
-        tol=tol,
+        window_return=float(record.returns[-tail:].mean()),
+        window_se=se,
         passed=passed,
         envelope_slack=env_slack,
         envelope_ok=env_ok,

@@ -16,7 +16,7 @@ from apdual.cmdp import SamplingConfig, VectorStep, batch_values, collect_batch
 from apdual.duals import PidGains, PidState, pid_dual_step, project_nonneg
 from apdual.envs import default_hazard_gridworld, make_gridworld
 from apdual.harness import parse_config, read_record_csv, record_to_csv
-from apdual.lagrangian import ConstraintSpec, reinforce_grad
+from apdual.lagrangian import ConstraintSpec, reinforce_grad_from_batch
 from apdual.policy import (
     PolicyParams,
     TabularSoftmax,
@@ -26,7 +26,7 @@ from apdual.policy import (
     policy_trajectory_scores,
     softmax_table,
 )
-from apdual.quadprog import quad_default, quad_kkt_solve
+from apdual.quadprog import quad_kkt_solve, quad_testbed
 from apdual.schedules import LrSchedule
 from apdual.solver import (
     SolverConfig,
@@ -48,7 +48,7 @@ def report(criterion, ok, detail):
 @pytest.fixture(scope="module")
 def testbed_runs():
     """Both exact schedules, zeta = 0.05, K = 10^4, with per-run wall time."""
-    prog = quad_default()
+    prog = quad_testbed(0.5)
     out = {}
     for variant in ("invlin-exact", "invqua-exact"):
         cfg = SolverConfig(
@@ -200,7 +200,7 @@ def test_criterion_7_gradient_fidelity():
     policy_ok = worst_policy <= 1e-5
 
     # b) analytic testbed gradient vs central differences
-    prog = quad_default()
+    prog = quad_testbed(0.5)
     worst_quad = 0.0
     for _ in range(100):
         theta = rng.normal(size=2) * 2.0
@@ -238,13 +238,13 @@ def test_criterion_7_gradient_fidelity():
     params = PolicyParams(TabularSoftmax(1, 2), np.array([0.4, -0.3]))
     spec = ConstraintSpec(np.array([limit]))
     sampling = SamplingConfig(n_traj=n, horizon=1)
-    got = reinforce_grad(cmdp, params, np.array([lam]), spec, sampling, seed=42)
+    batch = collect_batch(cmdp, params, sampling, seed=42)
+    got = reinforce_grad_from_batch(batch, cmdp.gamma, params, np.array([lam]), spec)
     probs = softmax_table(params)[0]
     want = np.zeros_like(params.theta)
     for a in range(2):
         w = -rewards[a] + lam * (costs[a] - limit)
         want += probs[a] * w * policy_grad_log_prob(params, 0, a)
-    batch = collect_batch(cmdp, params, sampling, seed=42)
     returns, cost_vals = batch_values(batch, 0.9)
     weights = -returns + lam * (cost_vals[:, 0] - limit)
     baselines = (weights.sum() - weights) / (n - 1)
@@ -285,11 +285,6 @@ def _study_cfg(schedule, seed):
     )
 
 
-def _window_means(record):
-    tail = max(1, int(round(STUDY_WINDOW * record.iterations)))
-    return float(record.returns[-tail:].mean()), float(record.costs[-tail:, 0].mean())
-
-
 @pytest.fixture(scope="module")
 def gridworld_study():
     """PAPD plus the four constant-rate baselines, five seeds each."""
@@ -301,9 +296,9 @@ def gridworld_study():
         rets, csts = [], []
         for seed in STUDY_SEEDS:
             rec = papd_run(cmdp, spec, _study_cfg(schedule, seed))
-            r, c = _window_means(rec)
-            rets.append(r)
-            csts.append(c)
+            window = feasibility_check(rec, spec, STUDY_WINDOW)
+            rets.append(window.window_return)
+            csts.append(float(window.window_avg[0]))
         return float(np.mean(rets)), float(np.mean(csts))
 
     papd_cell = cell(LrSchedule("invlin-practical", h1=0.003, h2=3.0))

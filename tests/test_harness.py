@@ -5,6 +5,7 @@ hand-built records, reproducibility of stored artifacts, sweeps, and CLI
 exit codes.
 """
 
+import csv
 import hashlib
 import json
 import warnings
@@ -23,9 +24,8 @@ from apdual.harness import (
     OUTPUT_ROOT_ENV,
     ConfigError,
     VerificationError,
-    aggregate_seeds,
+    aggregate_dir,
     build_gridworld_spec,
-    final_window_stats,
     load_config,
     parse_config,
     parse_grid,
@@ -34,10 +34,10 @@ from apdual.harness import (
     run_experiment,
     sweep,
     verify_dir,
-    window_cost_se,
 )
+from apdual.lagrangian import ConstraintSpec
 from apdual.policy import softmax_table
-from apdual.solver import RunRecord
+from apdual.solver import RunRecord, feasibility_check
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -88,6 +88,26 @@ def synthetic_record(returns, costs, lam_final=0.25):
         costs=np.asarray(costs, dtype=float).reshape(k, 1),
         meta={"kind": "synthetic"},
     )
+
+
+def aggregate_records(directory, records):
+    """aggregate_dir over the records stored as the CSVs of one results
+    directory: every aggregate.csv column, by header name, as an array."""
+    names = [f"seed_{i}.csv" for i in range(len(records))]
+    (directory / "runs").mkdir(parents=True)
+    for name, rec in zip(names, records):
+        (directory / "runs" / name).write_text(record_to_csv(rec))
+    (directory / "summary.json").write_text(json.dumps({"csv": names}))
+    with open(aggregate_dir(directory), newline="") as fh:
+        header, *rows = csv.reader(fh)
+    columns = np.array(rows, dtype=float).reshape(len(rows), len(header)).T
+    return dict(zip(header, columns))
+
+
+def summary_cost_se(rec, window):
+    """The cost_window_se that the summary of a sampled run records for rec."""
+    entry, _ = harness.seed_summary(parse_config(make_grid_raw(window=window)), rec)
+    return entry["cost_window_se"]
 
 
 class TestParseConfig:
@@ -239,40 +259,61 @@ class TestCsvRoundTrip:
 
 
 class TestAggregation:
-    def test_identical_records_collapse(self):
+    def test_identical_records_collapse(self, tmp_path):
         rec = synthetic_record([1.0, 2.0], [3.0, 4.0])
-        stats = aggregate_seeds([rec, rec])
+        stats = aggregate_records(tmp_path, [rec, rec])
         for name in ("return", "cost", "lr", "lambda"):
-            np.testing.assert_array_equal(stats.mean[name], stats.low[name])
-            np.testing.assert_array_equal(stats.mean[name], stats.high[name])
-        assert stats.n_steps() == 2
+            np.testing.assert_array_equal(stats[f"{name}_mean"], stats[f"{name}_min"])
+            np.testing.assert_array_equal(stats[f"{name}_mean"], stats[f"{name}_max"])
+        assert stats["step"].size == 2
 
-    def test_hand_computed_envelope(self):
+    def test_hand_computed_envelope(self, tmp_path):
         a = synthetic_record([1.0, 5.0], [0.0, 2.0])
         b = synthetic_record([3.0, 1.0], [4.0, 0.0])
-        stats = aggregate_seeds([a, b])
-        np.testing.assert_array_equal(stats.mean["return"], [2.0, 3.0])
-        np.testing.assert_array_equal(stats.low["return"], [1.0, 1.0])
-        np.testing.assert_array_equal(stats.high["return"], [3.0, 5.0])
-        np.testing.assert_array_equal(stats.mean["cost"], [2.0, 1.0])
+        stats = aggregate_records(tmp_path, [a, b])
+        np.testing.assert_array_equal(stats["return_mean"], [2.0, 3.0])
+        np.testing.assert_array_equal(stats["return_min"], [1.0, 1.0])
+        np.testing.assert_array_equal(stats["return_max"], [3.0, 5.0])
+        np.testing.assert_array_equal(stats["cost_mean"], [2.0, 1.0])
 
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError, match="iteration count"):
-            aggregate_seeds(
-                [synthetic_record([1.0], [1.0]), synthetic_record([1.0, 2.0], [1, 2])]
+    def test_mismatched_lengths_rejected(self, tmp_path):
+        with pytest.raises(VerificationError, match="iteration count"):
+            aggregate_records(
+                tmp_path / "a",
+                [synthetic_record([1.0], [1.0]), synthetic_record([1.0, 2.0], [1, 2])],
             )
-        with pytest.raises(ValueError, match="no records"):
-            aggregate_seeds([])
+        with pytest.raises(VerificationError, match="no records"):
+            aggregate_records(tmp_path / "b", [])
 
     def test_final_window(self):
         rec = synthetic_record(np.arange(10.0), np.arange(10.0) * 2, lam_final=0.7)
-        stats = final_window_stats(rec, 0.2)
+        stats, _ = harness.seed_summary(parse_config(make_grid_raw(window=0.2)), rec)
         assert stats["return_mean"] == pytest.approx(8.5)
         assert stats["cost_mean"] == pytest.approx(17.0)
         assert stats["lambda_final"] == pytest.approx(0.7)
         # window rounding never drops to zero rows
-        tiny = final_window_stats(rec, 0.01)
+        tiny, _ = harness.seed_summary(parse_config(make_grid_raw(window=0.01)), rec)
         assert tiny["return_mean"] == pytest.approx(9.0)
+
+    def test_only_the_runs_in_the_summary(self, tmp_path, monkeypatch):
+        # a 1-seed run over a 3-seed run's directory leaves two stale CSVs
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        run_experiment(parse_config(make_testbed_raw(seeds=[0, 1, 2], output_dir="a")))
+        rerun = dict(seeds=[1], cost_limit=0.8)
+        run_experiment(parse_config(make_testbed_raw(output_dir="a", **rerun)))
+        run_experiment(parse_config(make_testbed_raw(output_dir="b", **rerun)))
+        assert (tmp_path / "a" / "runs" / "seed_2.csv").exists()
+        for name in ("a", "b"):
+            assert main(["aggregate", str(tmp_path / name)]) == 0
+        got, want = (tmp_path / "a" / "aggregate.csv", tmp_path / "b" / "aggregate.csv")
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_missing_listed_csv_is_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        result = run_experiment(parse_config(make_testbed_raw(iterations=20)))
+        result.csv_paths[1].unlink()
+        assert main(["aggregate", str(result.output_dir)]) == 3
+        assert str(result.csv_paths[1]) in capsys.readouterr().err
 
 
 class TestWindowCostSe:
@@ -283,26 +324,27 @@ class TestWindowCostSe:
         costs = np.concatenate([np.full(55, 1e6), np.full(5, -1e6), tail])
         rec = synthetic_record(np.zeros(100), costs)
         want = np.arange(20.0).std(ddof=1) / np.sqrt(20)  # sqrt(35 / 20)
-        assert window_cost_se(rec, 0.45) == pytest.approx(want, rel=1e-14)
+        assert summary_cost_se(rec, 0.45) == pytest.approx(want, rel=1e-14)
 
     def test_short_window_uses_single_iterations(self):
         costs = np.array([9.0, 9.0, 9.0, 9.0, 1.0, 2.0, 4.0, 8.0])
         rec = synthetic_record(np.zeros(8), costs)
         want = np.array([1.0, 2.0, 4.0, 8.0]).std(ddof=1) / 2.0
-        assert window_cost_se(rec, 0.5) == pytest.approx(want, rel=1e-14)
+        assert summary_cost_se(rec, 0.5) == pytest.approx(want, rel=1e-14)
 
     def test_none_without_two_batches_or_spread(self):
         rec = synthetic_record(np.zeros(10), np.arange(10.0))
-        assert window_cost_se(rec, 0.01) is None  # a 1-iteration window
-        assert window_cost_se(synthetic_record(np.zeros(10), np.ones(10)), 0.5) is None
+        assert summary_cost_se(rec, 0.01) is None  # a 1-iteration window
+        assert summary_cost_se(synthetic_record(np.zeros(10), np.ones(10)), 0.5) is None
 
     def test_summary_reports_se_and_margin(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
         raw = make_grid_raw(iterations=40, window=0.5)
         result = run_experiment(parse_config(raw))
         entry = json.loads(result.summary_path.read_text())["per_seed"]["0"]
-        se = window_cost_se(result.records[0], 0.5)
-        assert se is not None and entry["cost_window_se"] == se
+        spec = ConstraintSpec(np.array([raw["cost_limit"]]))
+        se = float(feasibility_check(result.records[0], spec, 0.5).window_se[0])
+        assert se > 0.0 and entry["cost_window_se"] == se
         margin = (entry["cost_window_avg"] - raw["cost_limit"]) / se
         assert entry["cost_window_margin"] == margin
 
@@ -462,6 +504,73 @@ class TestRunExperiment:
             verify_dir(result.output_dir)
         assert str(info.value) == want
 
+    def test_verify_dir_checks_the_verdict(self, tmp_path, monkeypatch, capsys):
+        # the CSV bytes do not cover the feasibility verdict
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        raw = make_grid_raw(cost_limit=0.0, seeds=[0, 4])
+        result = run_experiment(parse_config(raw))
+        summary = json.loads(result.summary_path.read_text())
+        assert summary["per_seed"]["4"]["feasible"] is False
+        summary["per_seed"]["4"]["feasible"] = True
+        result.summary_path.write_text(json.dumps(summary))
+        assert main(["verify", str(result.output_dir)]) == 3
+        want = "seed 4: summary.json key feasible: stored True, regenerated False"
+        assert want in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "keys, value, want",
+        [
+            (("per_seed", "0", "lambda_final"), 0.125, "seed 0: summary.json key "
+             "lambda_final: stored 0.125, regenerated "),
+            (("per_seed", "0", "cost_window_se"), None, "seed 0: summary.json key "
+             "cost_window_se: stored None, regenerated "),
+            (("per_seed", "0", "cost_full_avg"), "<drop>", "seed 0: summary.json key "
+             "cost_full_avg: stored <missing>, regenerated "),
+            (("aggregate", "cost_mean"), 1.5, "summary.json aggregate key "
+             "cost_mean: stored 1.5, regenerated "),
+            (("per_seed", "0", "wall_clock_s"), 1e9, None),
+            (("wall_clock_s",), 1e9, None),
+        ],
+    )
+    def test_verify_dir_compares_summary_keys(
+        self, tmp_path, monkeypatch, keys, value, want
+    ):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        result = run_experiment(parse_config(make_grid_raw(iterations=20)))
+        summary = json.loads(result.summary_path.read_text())
+        *path, last = keys
+        target = summary
+        for key in path:
+            target = target[key]
+        if value == "<drop>":
+            del target[last]
+        else:
+            target[last] = value
+        result.summary_path.write_text(json.dumps(summary))
+        if want is None:  # wall-clock times are not reproducible
+            verify_dir(result.output_dir)
+            return
+        with pytest.raises(VerificationError) as info:
+            verify_dir(result.output_dir)
+        assert str(info.value).startswith(want)
+
+    def test_verify_dir_checks_each_certificate_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        result = run_experiment(parse_config(make_testbed_raw(iterations=50)))
+        summary = json.loads(result.summary_path.read_text())
+        calls = []
+        check = harness.verify_bounds
+        monkeypatch.setattr(
+            harness, "verify_bounds", lambda *a: calls.append(1) or check(*a)
+        )
+        assert len(verify_dir(result.output_dir)) == 2
+        assert len(calls) == 2
+        summary["per_seed"]["1"]["certificate_passed"] = False
+        result.summary_path.write_text(json.dumps(summary))
+        with pytest.raises(VerificationError, match="seed 1: summary.json key "
+                           "certificate_passed: stored False, regenerated True"):
+            verify_dir(result.output_dir)
+
     def test_summary_records_versions(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
         result = run_experiment(parse_config(make_grid_raw(iterations=3, seeds=[0])))
@@ -564,6 +673,14 @@ class TestSweep:
         assert parse_grid("eta:0.5,1,2") == ("eta", [0.5, 1.0, 2.0])
         for bad in ("lr:1,2", "eta", "eta:", "eta:0,-1", "h1:a,b"):
             with pytest.raises(ConfigError):
+                parse_grid(bad)
+        # factors that format alike would share one cell directory
+        for bad, pair in (
+            ("h1:1,1.0000001", "1.0 and 1.0000001"),
+            ("eta:2,0.5,2", "2.0 and 2.0"),
+            ("h2:1e-7,1.00000001e-7", "1e-07 and 1.00000001e-07"),
+        ):
+            with pytest.raises(ConfigError, match=f"factors {pair} share cell_"):
                 parse_grid(bad)
 
     def test_sweep_table(self, tmp_path, monkeypatch):

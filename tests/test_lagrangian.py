@@ -26,7 +26,6 @@ from apdual.lagrangian import (
     PpolConfig,
     advantage_batch,
     ppol_surrogate_grad,
-    reinforce_grad,
     reinforce_grad_from_batch,
 )
 from apdual.envs import (
@@ -263,11 +262,11 @@ class TestReinforceBandit:
         spec = ConstraintSpec(np.array([self.LIMIT]))
         lam_vec = np.array([lam])
         sampling = SamplingConfig(n_traj=n, horizon=1)
-        got = reinforce_grad(cmdp, params, lam_vec, spec, sampling, seed=42)
-
-        # rebuild the same batch from the documented derived seeds and form
-        # the per-trajectory terms to get an empirical standard error
         batch = collect_batch(cmdp, params, sampling, seed=42)
+        got = reinforce_grad_from_batch(batch, cmdp.gamma, params, lam_vec, spec)
+
+        # the per-trajectory terms of the same batch give an empirical
+        # standard error
         weights = np.array(
             [
                 lagrangian_value(

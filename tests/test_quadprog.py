@@ -14,11 +14,11 @@ import pytest
 from apdual.quadprog import (
     QuadProgram,
     dual_values_batch,
-    quad_default,
     quad_dual_value,
     quad_kkt_solve,
     quad_make,
     quad_primal_min,
+    quad_testbed,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -26,36 +26,36 @@ SQ2 = math.sqrt(2.0)
 
 class TestDefaultInstance:
     def test_frozen_kkt_solution(self):
-        sol = quad_kkt_solve(quad_default())
+        sol = quad_kkt_solve(quad_testbed(0.5))
         assert sol.lambda_star == pytest.approx(SQ2 - 1.0, abs=1e-10)
         np.testing.assert_allclose(
             sol.theta_star, [1.0 / SQ2, 1.0 / SQ2], atol=1e-10
         )
         # D* = L(theta*, lambda*) = -J_R* with the constraint active
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         j_r_star = prog.j_r(sol.theta_star)
         assert sol.dual_opt == pytest.approx(-j_r_star, abs=1e-9)
         assert sol.dual_opt == pytest.approx(0.5 - SQ2, abs=1e-9)
 
     def test_constraint_active_at_solution(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         sol = quad_kkt_solve(prog)
         assert prog.j_c(sol.theta_star) == pytest.approx(0.5, abs=1e-9)
 
     def test_complementary_slackness(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         sol = quad_kkt_solve(prog)
         slack = prog.j_c(sol.theta_star) - prog.limit
         assert abs(sol.lambda_star * slack) < 1e-10
 
     def test_stationarity(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         sol = quad_kkt_solve(prog)
         g = prog.grad_lagrangian(sol.theta_star, sol.lambda_star)
         assert np.linalg.norm(g) < 1e-9
 
     def test_smoothness_constants(self):
-        c = quad_default().smoothness()
+        c = quad_testbed(0.5).smoothness()
         assert c.l_r == pytest.approx(1.0)
         assert c.mu == pytest.approx(1.0)
         np.testing.assert_allclose(c.l_c, [1.0])
@@ -87,7 +87,7 @@ class TestDualGeometry:
             )
 
     def test_dual_value_is_global_minimum(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         rng = np.random.default_rng(1)
         for lam in (0.0, 0.5, 3.0):
             d_val = quad_dual_value(prog, lam)
@@ -109,20 +109,20 @@ class TestDualGeometry:
             assert np.all(d_vals[1:-1] >= mid - 1e-12)
 
     def test_dual_maximized_at_lambda_star(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         sol = quad_kkt_solve(prog)
         lams = np.linspace(0.0, 3.0, 301)
         d_vals, _, _ = dual_values_batch(prog, lams)
         assert sol.dual_opt >= d_vals.max() - 1e-9
 
     def test_constraint_value_nonincreasing_in_lambda(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         lams = np.linspace(0.0, 10.0, 200)
         _, _, j_c = dual_values_batch(prog, lams)
         assert np.all(np.diff(j_c) <= 1e-12)
 
     def test_batch_matches_scalar_routes(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         lams = np.array([0.0, 0.7, 2.5])
         d_vals, th, j_c = dual_values_batch(prog, lams)
         for i, lam in enumerate(lams):

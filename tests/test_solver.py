@@ -34,7 +34,7 @@ from apdual.envs import (
 )
 from apdual.lagrangian import ConstraintSpec, PpolConfig
 from apdual.policy import LinearGaussian, TabularSoftmax, init_params
-from apdual.quadprog import quad_default, quad_kkt_solve, quad_make, quad_testbed
+from apdual.quadprog import quad_kkt_solve, quad_make, quad_testbed
 from apdual.schedules import LrSchedule, SmoothnessConstants
 from apdual.solver import (
     RunRecord,
@@ -61,7 +61,7 @@ def exact_cfg(variant="invlin-exact", iterations=300, **kw):
 
 class TestApdRun:
     def test_single_step_hand_computed(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         cfg = exact_cfg(iterations=1)
         rec = apd_run(prog, cfg)
         # theta_0 = 0, lambda_0 = 0, L(0) = 1 -> eta = 1/2
@@ -77,7 +77,7 @@ class TestApdRun:
         assert rec.lambdas[1, 0] == 0.0
 
     def test_saddle_point_is_fixed(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         sol = quad_kkt_solve(prog)
         cfg = exact_cfg(
             iterations=100, theta0=sol.theta_star, lambda0=np.array([sol.lambda_star])
@@ -87,7 +87,7 @@ class TestApdRun:
         assert rec.final_lambda[0] == pytest.approx(sol.lambda_star, abs=1e-9)
 
     def test_vanishing_zeta_recovers_unconstrained_optimum(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         cfg = SolverConfig(
             iterations=200,
             schedule=LrSchedule("invlin-exact"),
@@ -100,14 +100,14 @@ class TestApdRun:
         assert rec.final_lambda[0] < 1e-8
 
     def test_deterministic(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         a = apd_run(prog, exact_cfg())
         b = apd_run(prog, exact_cfg())
         np.testing.assert_array_equal(a.thetas, b.thetas)
         np.testing.assert_array_equal(a.lambdas, b.lambdas)
 
     def test_converges_to_kkt_both_schedules(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         sol = quad_kkt_solve(prog)
         for variant in ("invlin-exact", "invqua-exact"):
             rec = apd_run(prog, exact_cfg(variant, iterations=3000))
@@ -115,7 +115,7 @@ class TestApdRun:
             assert np.linalg.norm(rec.final_theta - sol.theta_star) < 1e-3
 
     def test_meta_best_dual_consistent(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         rec = apd_run(prog, exact_cfg(iterations=50))
         from apdual.quadprog import dual_values_batch
 
@@ -123,7 +123,7 @@ class TestApdRun:
         assert rec.meta["dual_best"] == pytest.approx(float(d_vals.max()), rel=1e-12)
 
     def test_schedule_constants_mismatch_rejected(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         wrong = SmoothnessConstants(l_r=3.0, l_c=np.array([1.0]), mu=1.0)
         cfg = SolverConfig(
             iterations=5,
@@ -135,7 +135,7 @@ class TestApdRun:
             apd_run(prog, cfg)
 
     def test_record_shapes(self):
-        rec = apd_run(quad_default(), exact_cfg(iterations=7))
+        rec = apd_run(quad_testbed(0.5), exact_cfg(iterations=7))
         assert rec.iterations == 7
         assert rec.thetas.shape == (8, 2)
         assert rec.lambdas.shape == (8, 1)
@@ -149,7 +149,7 @@ class TestApdRun:
             dual_variant="pid",
             gains=PidGains(0.5, 0.01, 0.1),
         )
-        rec = apd_run(quad_default(), cfg)
+        rec = apd_run(quad_testbed(0.5), cfg)
         assert rec.meta["dual"] == "pid"
         assert np.all(rec.lambdas >= 0.0)
 
@@ -286,7 +286,7 @@ class TestFloatLoopMatchesReference:
     def test_lambda0_validation(self):
         for bad in ([-0.1], [0.1, 0.2], [math.nan], [math.inf]):
             with pytest.raises(ValueError, match="lambda0"):
-                apd_run(quad_default(), exact_cfg(iterations=3, lambda0=bad))
+                apd_run(quad_testbed(0.5), exact_cfg(iterations=3, lambda0=bad))
 
 
 class TestRunRecordValidation:
@@ -316,7 +316,7 @@ class TestRunRecordValidation:
 class TestBoundCertificates:
     @pytest.mark.parametrize("variant", ["invlin-exact", "invqua-exact"])
     def test_certificate_passes_on_healthy_run(self, variant):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         rec = apd_run(prog, exact_cfg(variant, iterations=400))
         cert = verify_bounds(rec, prog)
         assert cert.passed
@@ -329,14 +329,14 @@ class TestBoundCertificates:
 
     def test_optimality_check_nontrivial(self):
         # away from convergence the optimizer strictly beats 2x and 0.5x
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         rec = apd_run(prog, exact_cfg(iterations=30))
         cert = verify_bounds(rec, prog)
         assert np.nanmax(cert.slacks["opt-invlin"]) > 0.0
         assert np.nanmax(cert.slacks["opt-invqua"]) > 0.0
 
     def test_optimized_step_bound_needs_matching_eta(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         rec = apd_run(prog, exact_cfg("invlin-exact", iterations=60))
         cert = verify_bounds(rec, prog)
         lin = cert.slacks["eps-opt-invlin"]
@@ -352,7 +352,7 @@ class TestBoundCertificates:
         # feeding the checker understated smoothness constants makes the
         # invlin radicand negative wherever delta > 0; those iterations must
         # be flagged and excluded, not scored
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         rec = apd_run(prog, exact_cfg("invlin-exact", iterations=40))
         lied = SmoothnessConstants(l_r=0.3, l_c=np.array([0.3]), mu=0.3)
         cert = verify_bounds(rec, prog, constants=lied)
@@ -363,7 +363,7 @@ class TestBoundCertificates:
         assert cert.to_dict()["flagged_iterations"]["eps-invlin"] == n_flagged
 
     def test_rejects_non_exact_records(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         rec = apd_run(prog, exact_cfg(iterations=5))
         rec.meta["kind"] = "papd"
         with pytest.raises(ValueError, match="exact"):
@@ -376,14 +376,14 @@ class TestBoundCertificates:
             dual_variant="pid",
             gains=PidGains(),
         )
-        rec = apd_run(quad_default(), cfg)
+        rec = apd_run(quad_testbed(0.5), cfg)
         with pytest.raises(ValueError, match="ascent"):
-            verify_bounds(rec, quad_default())
+            verify_bounds(rec, quad_testbed(0.5))
 
     def test_certificate_serializable(self):
         import json
 
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         rec = apd_run(prog, exact_cfg(iterations=20))
         cert = verify_bounds(rec, prog)
         text = json.dumps(cert.to_dict())
@@ -392,7 +392,7 @@ class TestBoundCertificates:
 
 class TestFeasibility:
     def test_running_average_settles_below_limit(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         rec = apd_run(prog, exact_cfg(iterations=2000))
         report = feasibility_check(rec, prog.constraint_spec())
         assert report.passed
@@ -402,7 +402,7 @@ class TestFeasibility:
     def test_envelope_exact_while_unclipped(self):
         # while lambda never hits the projection boundary the transient
         # envelope is an identity: avg g = (lambda_K' - lambda_0)/(zeta K')
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         cfg = exact_cfg(iterations=50, theta0=np.array([2.0, 2.0]))
         rec = apd_run(prog, cfg)
         report = feasibility_check(rec, prog.constraint_spec())
@@ -429,7 +429,7 @@ class TestFeasibility:
         assert feasibility_check(low, spec).passed
 
     def test_window_validation(self):
-        prog = quad_default()
+        prog = quad_testbed(0.5)
         rec = apd_run(prog, exact_cfg(iterations=10))
         with pytest.raises(ValueError):
             feasibility_check(rec, prog.constraint_spec(), window=0.0)
