@@ -68,6 +68,7 @@ from .policy import (
     policy_grad_log_prob,
     policy_log_prob,
     policy_log_probs,
+    policy_sample_terms,
     policy_score_sum,
     policy_trajectory_scores,
     softmax_table,

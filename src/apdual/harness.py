@@ -42,8 +42,10 @@ window cost minus the limit in SEs; both are null for a zero SE or fewer
 than 2 batches.  "aggregate" is the across-seed mean and std of
 "return_mean" and "cost_mean".  verify_dir re-runs every seed and names the
 first CSV cell that differs (after an apdual or numpy version mismatch, if
-any), then the first summary.json key, wall-clock times aside, that differs.
-aggregate_dir reads only the CSVs that "csv" lists.  The env var
+any), then the first summary.json key, wall-clock times aside, that differs,
+then the first key of a testbed seed's stored certificate that differs from
+the recomputed one; it also checks that "csv" lists the config's seeds in
+order.  aggregate_dir reads only the CSVs that "csv" lists.  The env var
 APDUAL_OUTPUT_ROOT, when set, prefixes every output_dir.
 """
 
@@ -443,6 +445,11 @@ def seed_summary(
     return entry, None
 
 
+def certificate_json(cert: BoundCertificate) -> str:
+    """The text of certificates/seed_<s>.json."""
+    return json.dumps(cert.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+
+
 def seed_aggregate(entries: list[dict]) -> dict[str, float]:
     """Across-seed mean and std of the per-seed window averages."""
     out = {}
@@ -499,9 +506,7 @@ def run_experiment(cfg: ExperimentConfig | str | Path) -> ExperimentResult:
         if cert is not None:
             cert_path = out_dir / "certificates" / f"seed_{seed}.json"
             cert_path.parent.mkdir(exist_ok=True)
-            cert_path.write_text(
-                json.dumps(cert.to_dict(), indent=2, sort_keys=True, allow_nan=False)
-            )
+            cert_path.write_text(certificate_json(cert))
             cert_paths.append(cert_path)
 
     aggregate = seed_aggregate(list(per_seed_summary.values()))
@@ -667,13 +672,38 @@ def _first_csv_difference(stored: str, regenerated: str) -> str | None:
     return "line endings"
 
 
-def _first_summary_difference(stored: dict, regenerated: dict) -> str | None:
-    """The first key but wall_clock_s whose values differ, with both values."""
+def _first_key_difference(
+    stored: dict, regenerated: dict, prefix: str = ""
+) -> str | None:
+    """The first key but wall_clock_s whose values differ, with both values.
+    Nested objects are compared key by key and named by dotted paths."""
     for key in sorted((stored.keys() | regenerated.keys()) - {"wall_clock_s"}):
         a, b = stored.get(key, "<missing>"), regenerated.get(key, "<missing>")
-        if a != b:
-            return f"key {key}: stored {a}, regenerated {b}"
+        if isinstance(a, dict) and isinstance(b, dict):
+            inner = _first_key_difference(a, b, f"{prefix}{key}.")
+            if inner:
+                return inner
+        elif a != b:
+            return f"key {prefix}{key}: stored {a}, regenerated {b}"
     return None
+
+
+def _certificate_difference(path: Path, cert: BoundCertificate) -> str | None:
+    """How the stored certificate file differs from the recomputed one: its
+    absence, the first differing key with both values, or its text alone."""
+    if not path.exists():
+        return f"missing {path}"
+    text = path.read_text()
+    if text == certificate_json(cert):
+        return None
+    try:
+        stored = json.loads(text)
+    except json.JSONDecodeError:
+        stored = None
+    if not isinstance(stored, dict):
+        return f"{path} is not a JSON object"
+    differ = _first_key_difference(stored, cert.to_dict())
+    return f"{path.name} {differ or 'text differs in layout only'}"
 
 
 def verify_dir(directory: str | Path) -> list[str]:
@@ -681,9 +711,11 @@ def verify_dir(directory: str | Path) -> list[str]:
 
     Reproduces every seed from the stored config, compares the regenerated
     CSV bytes with the stored files and each seed's summary.json entry, then
-    the aggregate, with seed_summary's, and recomputes bound certificates for
-    testbed runs.  Returns human-readable per-seed lines; raises
-    VerificationError on any mismatch or failed certificate.
+    the aggregate, with seed_summary's, and for testbed runs compares each
+    stored certificate file with the text of the recomputed certificate.
+    summary.json's "csv" must list the config's seeds in order.  Returns
+    human-readable per-seed lines; raises VerificationError on any mismatch,
+    missing file or failed certificate.
     """
     directory = Path(directory)
     summary_path = directory / "summary.json"
@@ -701,6 +733,9 @@ def verify_dir(directory: str | Path) -> list[str]:
         versions = f" (stored under {old}, regenerated under {new})"
 
     lines, failures, entries = [], [], []
+    listed, expected = summary.get("csv"), [f"seed_{s}.csv" for s in cfg.seeds]
+    if listed != expected:
+        failures.append(f"summary.json key csv: stored {listed}, expected {expected}")
     for seed in cfg.seeds:
         record = _run_single(cfg, seed)
         stored = directory / "runs" / f"seed_{seed}.csv"
@@ -718,9 +753,14 @@ def verify_dir(directory: str | Path) -> list[str]:
         entry, cert = seed_summary(cfg, record)
         entries.append(entry)
         stored_entry = summary.get("per_seed", {}).get(str(seed), {})
-        differ = _first_summary_difference(stored_entry, entry)
+        differ = _first_key_difference(stored_entry, entry)
         if differ:
             failures.append(f"seed {seed}: summary.json {differ}")
+            continue
+        cert_path = directory / "certificates" / f"seed_{seed}.json"
+        differ = None if cert is None else _certificate_difference(cert_path, cert)
+        if differ:
+            failures.append(f"seed {seed}: certificate {differ}")
             continue
         if cert is not None and not cert.passed:
             worst = cert.worst()
@@ -729,7 +769,7 @@ def verify_dir(directory: str | Path) -> list[str]:
         passed = "" if cert is None else ", certificate passed"
         lines.append(f"seed {seed}: reproduced ({record.iterations} rows){passed}")
     if not failures:
-        differ = _first_summary_difference(
+        differ = _first_key_difference(
             summary.get("aggregate", {}), seed_aggregate(entries)
         )
         if differ:

@@ -1,6 +1,13 @@
 """Lagrangian machinery: score-function gradient, GAE advantages and the
 gradient of the clipped PPO-Lagrangian surrogate, over rollout batches.
 
+A PPO iteration assembles one AdvantageBatch; each minibatch is an index
+array into it, and ppol_surrogate_grad gathers those rows and gets their
+log-probs and score sum from one policy_sample_terms call.  backward_sums,
+the discounted backward pass behind GAE and the value fit's returns-to-go,
+runs in place on a time-major copy with the same floating-point operations
+as a plain per-step loop.
+
 Sign convention throughout: the primal problem is the minimization of
 
     L(theta, lambda) = -J_R + lambda . (J_C - d),
@@ -10,7 +17,6 @@ so gradient descent on L maximizes return while penalizing violation.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +35,7 @@ from .policy import (  # noqa: F401
     policy_grad_log_prob,
     policy_log_prob,
     policy_log_probs,
-    policy_score_sum,
+    policy_sample_terms,
     policy_trajectory_scores,
     softmax_table,
 )
@@ -73,8 +79,8 @@ class AdvantageBatch:
     (N, A), log_prob_old and adv_r (N,), adv_c (N, m).
 
     adv_r is centered by its batch mean at assembly (see advantage_batch);
-    adv_c is left uncentered since its sign drives the penalty.  Indexing
-    with an index array gives the minibatch of those rows.
+    adv_c is left uncentered since its sign drives the penalty.  A
+    minibatch is an index array into these rows (see ppol_surrogate_grad).
     """
 
     states: np.ndarray
@@ -108,17 +114,6 @@ class AdvantageBatch:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def __getitem__(self, idx: np.ndarray) -> "AdvantageBatch":
-        # Rows of a checked batch need no second check: copy.copy skips
-        # __post_init__.
-        sub = copy.copy(self)
-        sub.states = self.states[idx]
-        sub.actions = self.actions[idx]
-        sub.log_prob_old = self.log_prob_old[idx]
-        sub.adv_r = self.adv_r[idx]
-        sub.adv_c = self.adv_c[idx]
-        return sub
 
 
 def reinforce_grad_from_batch(
@@ -155,13 +150,25 @@ def reinforce_grad_from_batch(
 
 def backward_sums(x: np.ndarray, decay: float) -> np.ndarray:
     """y[:, t] = x[:, t] + decay * y[:, t+1] with y[:, T] = 0: one backward
-    pass over all n rows of an (n, T, ...) array."""
-    out = np.empty_like(x)
-    acc = np.zeros_like(x[:, 0])
-    for t in range(x.shape[1] - 1, -1, -1):
-        acc = x[:, t] + decay * acc
-        out[:, t] = acc
-    return out
+    pass over all n rows of an (n, T, ...) array.
+
+    The pass runs in place on a time-major contiguous float copy, so step t
+    reads and writes whole contiguous rows.  Every entry takes the same two
+    IEEE operations as the plain loop, decay * y[t+1] and then x[t] plus that
+    (so a -0.0 at t = T - 1 becomes +0.0 there too); the result equals it bit
+    for bit.  Returns an (n, T, ...) view of that copy.
+    """
+    t_len = x.shape[1]
+    y = np.zeros((t_len + 1, x.shape[0], *x.shape[2:]))
+    y[:t_len] = np.moveaxis(x, 1, 0)
+    step = np.empty_like(y[0])
+    rows = list(y)  # row views made once, not per step
+    later = rows[t_len]
+    for row in reversed(rows[:t_len]):
+        np.multiply(later, decay, out=step)
+        np.add(row, step, out=row)
+        later = row
+    return np.moveaxis(y[:t_len], 0, 1)
 
 
 def advantage_batch(
@@ -205,9 +212,14 @@ def advantage_batch(
 
 
 def ppol_surrogate_grad(
-    batch: AdvantageBatch, params: PolicyParams, lam: np.ndarray, cfg: PpolConfig
+    batch: AdvantageBatch,
+    rows: np.ndarray,
+    params: PolicyParams,
+    lam: np.ndarray,
+    cfg: PpolConfig,
 ) -> np.ndarray:
-    """Ascent direction for the surrogate, the batch mean of
+    """Ascent direction for the surrogate over the minibatch ``rows`` (an
+    index array into ``batch``), the minibatch mean of
 
         (1/(1+lambda)) (min(rho A_R, clip(rho) A_R) - lambda A_C)
 
@@ -217,17 +229,25 @@ def ppol_surrogate_grad(
     -lambda A_C rho d log pi: the surrogate's written penalty is constant in
     theta, so we keep its importance-weighted realization, which at
     theta = theta_old has expectation -lambda grad J_C.
+
+    The log-probs and the score sum over the rows of nonzero coefficient come
+    from one policy_sample_terms call, so the minibatch is gathered,
+    validated and its Gaussian means computed once.
     """
     if lam.shape != (1,) or batch.adv_c.shape[1] != 1:
         raise ValueError("the surrogate is defined for a single constraint")
     lam = float(lam[0])
-    lp = policy_log_probs(params, batch.states, batch.actions)
-    rho = np.exp(lp - batch.log_prob_old)
+    # take gathers the rows as indexing does, several times faster on 2-d arrays
+    lp, score_sum = policy_sample_terms(
+        params, batch.states.take(rows, axis=0), batch.actions.take(rows, axis=0)
+    )
+    adv_r = batch.adv_r.take(rows)
+    rho = np.exp(lp - batch.log_prob_old.take(rows))
     upper = 1.0 + cfg.clip_ratio
     lower = 1.0 - cfg.clip_ratio
     clipped = np.clip(rho, lower, upper)
-    active = rho * batch.adv_r <= clipped * batch.adv_r  # unclipped branch is the min
-    coeff = (active * rho * batch.adv_r - lam * rho * batch.adv_c[:, 0]) / (1.0 + lam)
+    active = rho * adv_r <= clipped * adv_r  # unclipped branch is the min
+    adv_c = batch.adv_c[:, 0].take(rows)
+    coeff = (active * rho * adv_r - lam * rho * adv_c) / (1.0 + lam)
     nz = np.flatnonzero(coeff)
-    grad = policy_score_sum(params, batch.states[nz], batch.actions[nz], coeff[nz])
-    return grad / len(batch)
+    return score_sum(nz, coeff[nz]) / len(rows)

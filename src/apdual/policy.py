@@ -7,6 +7,13 @@ Two families, both with theta a flat real vector:
 
 The Gaussian log standard deviations are learned entries appended to theta
 (initialized to log 0.5), so score functions cover them too.
+
+policy_sample_terms is the one place that turns stacked samples into
+log-probs and weighted score sums: it validates the samples once and
+computes one residual a - W s (Gaussian) or one softmax table (tabular),
+from which both follow.  policy_log_probs and policy_score_sum are calls of
+it; the per-sample policy_log_prob and policy_grad_log_prob are N = 1 calls
+of those.
 """
 
 from __future__ import annotations
@@ -111,8 +118,35 @@ def _gaussian_parts(params: PolicyParams):
 
 def _gaussian_means(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     # Stacked (1, A, F) @ (N, F, 1) products give every row bit-for-bit the
-    # value of w @ x_i; x @ w.T does not.
+    # value of w @ x_i, whatever the other rows; x @ w.T does not.
     return (w[None] @ x[:, :, None])[..., 0]
+
+
+def _gaussian_residual(params: PolicyParams, x: np.ndarray, a: np.ndarray):
+    """The residuals a_i - W x_i of stacked samples, and log_std."""
+    w, log_std = _gaussian_parts(params)
+    return a - _gaussian_means(w, x), log_std
+
+
+def _gaussian_score_rows(x: np.ndarray, diff: np.ndarray, log_std: np.ndarray):
+    """(N, param_count) Gaussian scores from states x and residuals diff."""
+    n_samples, f = x.shape
+    n = diff.shape[1] * f
+    resid = diff * np.exp(-2.0 * log_std)  # (a - m) / sigma^2
+    rows = np.empty((n_samples, n + diff.shape[1]))
+    rows[:, :n] = (resid[:, :, None] * x[:, None, :]).reshape(n_samples, n)
+    rows[:, n:] = diff * resid - 1.0  # ((a - m)/sigma)^2 - 1
+    return rows
+
+
+def _tabular_score_rows(kind: TabularSoftmax, probs: np.ndarray, s, a) -> np.ndarray:
+    """(N, param_count) softmax scores, one-hot(s, a) minus probs[s] in row s."""
+    n_samples = s.shape[0]
+    rows = np.zeros((n_samples, kind.n_states, kind.n_actions))
+    idx = np.arange(n_samples)
+    rows[idx, s] -= probs[s]
+    rows[idx, s, a] += 1.0
+    return rows.reshape(n_samples, kind.param_count)
 
 
 def _samples(params: PolicyParams, states, actions):
@@ -176,43 +210,57 @@ def policy_act(params: PolicyParams, state, rng: np.random.Generator):
     return gaussian_actor(params, z[None, None])(x[None], 0)[0]
 
 
-def policy_log_probs(params: PolicyParams, states, actions) -> np.ndarray:
-    """log pi_theta(a_i|s_i) for N stacked samples, shape (N,)."""
+def policy_sample_terms(params: PolicyParams, states, actions):
+    """Log-probs and score sums of N stacked samples from one pass over them:
+    returns ``(log_probs, score_sum)``.
+
+    log_probs is the (N,) array log pi_theta(a_i|s_i).  ``score_sum(rows,
+    weights)`` is sum_j weights[j] * d/dtheta log pi_theta(a_i|s_i) over
+    i = rows[j] for an index array ``rows``, shaped like theta; the rows are
+    added in order starting from zero, so the result equals the sequential
+    ``grad += weights[j] * score_i`` bit for bit.  Both come from one
+    validation of the samples and one residual a - W s (Gaussian) or one
+    softmax table (tabular).  An action of probability zero raises
+    ValueError.
+    """
     kind = params.kind
     s, a = _samples(params, states, actions)
     if isinstance(kind, TabularSoftmax):
-        p = softmax_table(params)[s, a]
+        probs = softmax_table(params)
+        p = probs[s, a]
         if (p <= 0.0).any():
             raise ValueError("zero-probability action")
-        return np.log(p)
-    w, log_std = _gaussian_parts(params)
-    z = (a - _gaussian_means(w, s)) / np.exp(log_std)
-    return (
-        np.vecdot(-0.5 * z, z)
-        - log_std.sum()
-        - 0.5 * kind.action_dim * math.log(2.0 * math.pi)
-    )
+        log_probs = np.log(p)
+
+        def score_rows(rows):
+            return _tabular_score_rows(kind, probs, s.take(rows), a.take(rows))
+
+    else:
+        diff, log_std = _gaussian_residual(params, s, a)
+        z = diff / np.exp(log_std)
+        log_probs = (
+            np.vecdot(-0.5 * z, z)
+            - log_std.sum()
+            - 0.5 * kind.action_dim * math.log(2.0 * math.pi)
+        )
+
+        def score_rows(rows):
+            x, d = s.take(rows, axis=0), diff.take(rows, axis=0)
+            return _gaussian_score_rows(x, d, log_std)
+
+    def score_sum(rows, weights) -> np.ndarray:
+        weights = np.asarray(weights, dtype=float)
+        scores = score_rows(rows)
+        if weights.shape != (scores.shape[0],):
+            raise ValueError("one weight per sample expected")
+        return (weights[:, None] * scores).sum(axis=0, initial=0.0)
+
+    return log_probs, score_sum
 
 
-def _score_rows(params: PolicyParams, states, actions) -> np.ndarray:
-    """(N, param_count) exact scores d/dtheta log pi_theta(a_i|s_i)."""
-    kind = params.kind
-    s, a = _samples(params, states, actions)
-    n_samples = s.shape[0]
-    if isinstance(kind, TabularSoftmax):
-        rows = np.zeros((n_samples, kind.n_states, kind.n_actions))
-        idx = np.arange(n_samples)
-        rows[idx, s] -= softmax_table(params)[s]
-        rows[idx, s, a] += 1.0
-        return rows.reshape(n_samples, kind.param_count)
-    w, log_std = _gaussian_parts(params)
-    diff = a - _gaussian_means(w, s)
-    resid = diff * np.exp(-2.0 * log_std)  # (a - m) / sigma^2
-    n = kind.action_dim * kind.feature_dim
-    rows = np.empty((n_samples, kind.param_count))
-    rows[:, :n] = (resid[:, :, None] * s[:, None, :]).reshape(n_samples, n)
-    rows[:, n:] = diff * resid - 1.0  # ((a - m)/sigma)^2 - 1
-    return rows
+def policy_log_probs(params: PolicyParams, states, actions) -> np.ndarray:
+    """log pi_theta(a_i|s_i) for N stacked samples, shape (N,)."""
+    return policy_sample_terms(params, states, actions)[0]
 
 
 def policy_score_sum(params: PolicyParams, states, actions, weights) -> np.ndarray:
@@ -221,11 +269,8 @@ def policy_score_sum(params: PolicyParams, states, actions, weights) -> np.ndarr
     Rows are added in sample order starting from zero, so the result equals
     the sequential ``grad += weights[i] * score_i`` bit for bit.
     """
-    weights = np.asarray(weights, dtype=float)
-    rows = _score_rows(params, states, actions)
-    if weights.shape != (rows.shape[0],):
-        raise ValueError("one weight per sample expected")
-    return (weights[:, None] * rows).sum(axis=0, initial=0.0)
+    log_probs, score_sum = policy_sample_terms(params, states, actions)
+    return score_sum(np.arange(log_probs.size), weights)
 
 
 def policy_trajectory_scores(params: PolicyParams, states, actions) -> np.ndarray:
@@ -255,7 +300,9 @@ def policy_trajectory_scores(params: PolicyParams, states, actions) -> np.ndarra
         ).astype(float)
         expected = visits.reshape(n, kind.n_states, 1) * softmax_table(params)
         return counts.reshape(n, kind.param_count) - expected.reshape(n, -1)
-    rows = _score_rows(params, flat_states, flat_actions)
+    x, a = _samples(params, flat_states, flat_actions)
+    diff, log_std = _gaussian_residual(params, x, a)
+    rows = _gaussian_score_rows(x, diff, log_std)
     return rows.reshape(n, t, kind.param_count).sum(axis=1, initial=0.0)
 
 

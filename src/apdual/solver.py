@@ -242,8 +242,6 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
             f"seed {cfg.seed}, iteration {k}: non-finite {what}"
         ) from exc
 
-    d_vals, _, _ = dual_values_batch(problem, lambdas[:, 0])
-    best = int(np.argmax(d_vals))
     meta = {
         "kind": "apd",
         "dual": cfg.dual_variant,
@@ -251,8 +249,6 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
         "seed": cfg.seed,
         "cost_limit": spec.limits.tolist(),
         "schedule_variant": cfg.schedule.variant,
-        "lambda_best": lambdas[best].tolist(),
-        "dual_best": float(d_vals[best]),
         "wall_clock_s": time.perf_counter() - start,
     }
     return RunRecord(thetas, lambdas, etas, returns, costs, meta)
@@ -412,8 +408,9 @@ def _ppol_update(
     for _ in range(cfg.ppol.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, mb):
-            sub = samples[order[lo : lo + mb]]
-            grad = ppol_surrogate_grad(sub, params, lam, cfg.ppol)
+            grad = ppol_surrogate_grad(
+                samples, order[lo : lo + mb], params, lam, cfg.ppol
+            )
             params = params.replace_theta(params.theta + eta * grad)
     return params
 

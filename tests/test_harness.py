@@ -571,6 +571,58 @@ class TestRunExperiment:
                            "certificate_passed: stored False, regenerated True"):
             verify_dir(result.output_dir)
 
+    @pytest.mark.parametrize(
+        "edit, want",
+        [
+            ("passed", "seed 0: certificate seed_0.json key passed: "
+             "stored False, regenerated True"),
+            ("dual-gap", "seed 0: certificate seed_0.json key "
+             "worst_slack.dual-gap: stored -5.0, regenerated "),
+            ("layout", "seed 0: certificate seed_0.json text differs in layout only"),
+            ("not-json", "seed_0.json is not a JSON object"),
+            ("missing", "seed 0: certificate missing "),
+        ],
+        ids=["passed", "dual-gap", "layout", "not-json", "missing"],
+    )
+    def test_verify_dir_checks_stored_certificates(
+        self, tmp_path, monkeypatch, capsys, edit, want
+    ):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        result = run_experiment(parse_config(make_testbed_raw()))
+        assert main(["verify", str(result.output_dir)]) == 0
+        path = result.output_dir / "certificates" / "seed_0.json"
+        cert = json.loads(path.read_text())
+        text = json.dumps(cert, indent=4, sort_keys=True)  # "layout"
+        if edit == "passed":
+            cert["passed"] = False
+        elif edit == "dual-gap":
+            cert["worst_slack"]["dual-gap"] = -5.0
+        if edit in ("passed", "dual-gap"):
+            text = json.dumps(cert, indent=2, sort_keys=True)
+        elif edit == "not-json":
+            text = "[]"
+        if edit == "missing":
+            path.unlink()
+        else:
+            path.write_text(text)
+        assert main(["verify", str(result.output_dir)]) == 3
+        assert want in capsys.readouterr().err
+
+    def test_verify_dir_checks_the_csv_list(self, tmp_path, monkeypatch, capsys):
+        # aggregate_dir reads exactly the CSVs that summary.json lists
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        result = run_experiment(parse_config(make_testbed_raw()))
+        summary = json.loads(result.summary_path.read_text())
+        assert summary["csv"] == ["seed_0.csv", "seed_1.csv"]
+        summary["csv"] = ["seed_0.csv"]
+        result.summary_path.write_text(json.dumps(summary))
+        assert main(["verify", str(result.output_dir)]) == 3
+        want = (
+            "summary.json key csv: stored ['seed_0.csv'], "
+            "expected ['seed_0.csv', 'seed_1.csv']"
+        )
+        assert want in capsys.readouterr().err
+
     def test_summary_records_versions(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
         result = run_experiment(parse_config(make_grid_raw(iterations=3, seeds=[0])))

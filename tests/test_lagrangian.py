@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from apdual import lagrangian, solver
 from apdual.cmdp import (
     Cmdp,
     RolloutBatch,
@@ -25,6 +26,7 @@ from apdual.lagrangian import (
     ConstraintSpec,
     PpolConfig,
     advantage_batch,
+    backward_sums,
     ppol_surrogate_grad,
     reinforce_grad_from_batch,
 )
@@ -34,6 +36,7 @@ from apdual.envs import (
     make_gridworld,
     make_point_env,
 )
+from apdual.duals import PidGains
 from apdual.policy import (
     LinearGaussian,
     PolicyParams,
@@ -46,6 +49,8 @@ from apdual.policy import (
     policy_trajectory_scores,
     softmax_table,
 )
+from apdual.schedules import LrSchedule
+from apdual.solver import SolverConfig, papd_run
 
 GAMMA = 0.9
 
@@ -505,7 +510,7 @@ class TestPpolSurrogate:
         batch = one_step_batch(params, samples)
         cfg = PpolConfig(clip_ratio=0.5)  # wide clip: stay on smooth branch
         lam = np.array([0.0])
-        g = ppol_surrogate_grad(batch, params, lam, cfg)
+        g = ppol_surrogate_grad(batch, np.arange(len(batch)), params, lam, cfg)
         h = 1e-6
         fd = np.empty_like(params.theta)
         for i in range(params.theta.size):
@@ -531,7 +536,9 @@ class TestPpolSurrogate:
         batch = one_step_batch(params, samples, rho=np.full(10, 1.3))
         lam = 0.8
         cfg = PpolConfig()
-        g = ppol_surrogate_grad(batch, params, np.array([lam]), cfg)
+        g = ppol_surrogate_grad(
+            batch, np.arange(len(batch)), params, np.array([lam]), cfg
+        )
         want = np.zeros_like(params.theta)
         for i in range(10):
             score = policy_grad_log_prob(params, batch.states[i], batch.actions[i])
@@ -544,7 +551,9 @@ class TestPpolSurrogate:
         # flat clipped branch: zero gradient from the reward part
         params = self._params()
         batch = one_step_batch(params, [(0, 1, 2.0, 0.0)], rho=np.array([1.5]))
-        g = ppol_surrogate_grad(batch, params, np.array([0.0]), PpolConfig())
+        g = ppol_surrogate_grad(
+            batch, np.arange(len(batch)), params, np.array([0.0]), PpolConfig()
+        )
         np.testing.assert_array_equal(g, np.zeros_like(params.theta))
 
 
@@ -619,3 +628,201 @@ class TestAdvantageBatchAssembly:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             AdvantageBatch([0, 1], [0], np.zeros(2), np.zeros(2), np.zeros((2, 1)))
+
+
+def reference_backward_sums(x, decay):
+    """The plain backward loop y[:, t] = x[:, t] + decay * y[:, t+1] over
+    strided time columns, with y[:, T] = 0."""
+    out = np.empty_like(x)
+    acc = np.zeros_like(x[:, 0])
+    for t in range(x.shape[1] - 1, -1, -1):
+        acc = x[:, t] + decay * acc
+        out[:, t] = acc
+    return out
+
+
+def same_bits(a, b):
+    """Equal shapes and float64 bit patterns, so -0.0 differs from 0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype == np.float64
+        and np.array_equal(a.view(np.int64), b.view(np.int64))
+    )
+
+
+class TestBackwardSums:
+    @staticmethod
+    def signed_zeros(shape, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape)
+        x[rng.random(shape) < 0.3] = -0.0
+        x[:, -1] = -0.0  # the last step of every row
+        return x
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 7), (3, 7, 2), (4, 1), (2, 1, 3), (1, 64, 2)]
+    )
+    @pytest.mark.parametrize("decay", [0.9 * 0.95, 1.0, 0.0])
+    def test_equals_per_step_loop(self, shape, decay):
+        x = self.signed_zeros(shape, seed=len(shape) + shape[1])
+        got = backward_sums(x, decay)
+        assert same_bits(got, reference_backward_sums(x, decay))
+        assert not np.signbit(got[:, -1]).any()  # -0.0 + 0.0 is +0.0
+
+    def test_non_contiguous_input(self):
+        big = self.signed_zeros((5, 12, 4), seed=3)
+        x = big[::2, ::3, 1:3]  # strided on every axis
+        assert not x.flags.c_contiguous
+        assert same_bits(backward_sums(x, 0.7), reference_backward_sums(x, 0.7))
+        t = self.signed_zeros((6, 3), seed=4).T.copy().T  # Fortran order
+        assert same_bits(backward_sums(t, 0.7), reference_backward_sums(t, 0.7))
+
+    def test_input_untouched(self):
+        x = self.signed_zeros((3, 5, 2), seed=5)
+        before = x.copy()
+        backward_sums(x, 0.9)
+        assert same_bits(x, before)
+
+
+def reference_surrogate_grad(batch, params, lam, cfg):
+    """The surrogate gradient of a minibatch copy by the separate chain:
+    policy_log_probs, the ratios, then policy_score_sum on the rows whose
+    coefficient is nonzero."""
+    lam = float(lam[0])
+    lp = policy_log_probs(params, batch.states, batch.actions)
+    rho = np.exp(lp - batch.log_prob_old)
+    clipped = np.clip(rho, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
+    active = rho * batch.adv_r <= clipped * batch.adv_r
+    coeff = (active * rho * batch.adv_r - lam * rho * batch.adv_c[:, 0]) / (1.0 + lam)
+    nz = np.flatnonzero(coeff)
+    grad = policy_score_sum(params, batch.states[nz], batch.actions[nz], coeff[nz])
+    return grad / len(batch)
+
+
+def minibatch_copy(batch, rows):
+    """The rows of an AdvantageBatch as a batch of their own."""
+    return AdvantageBatch(
+        batch.states[rows],
+        batch.actions[rows],
+        batch.log_prob_old[rows],
+        batch.adv_r[rows],
+        batch.adv_c[rows],
+    )
+
+
+def random_advantage_batch(params, n, seed):
+    """n samples whose ratios spread over (0.5, 1.6), so that clip_ratio 0.2
+    clips a good share of them in both directions."""
+    rng = np.random.default_rng(seed)
+    kind = params.kind
+    if isinstance(kind, TabularSoftmax):
+        states = rng.integers(0, kind.n_states, size=n)
+        actions = rng.integers(0, kind.n_actions, size=n)
+    else:
+        states = rng.normal(size=(n, kind.feature_dim))
+        actions = rng.normal(size=(n, kind.action_dim))
+    rho = rng.uniform(0.5, 1.6, size=n)
+    lp_old = policy_log_probs(params, states, actions) - np.log(rho)
+    adv_r = rng.normal(size=n)
+    adv_c = rng.normal(size=(n, 1))
+    return AdvantageBatch(states, actions, lp_old, adv_r, adv_c)
+
+
+class TestFusedSurrogateGrad:
+    KINDS = {"gaussian": LinearGaussian(4, 2), "tabular": TabularSoftmax(6, 3)}
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_equals_separate_chain_on_a_copy(self, kind, lam):
+        kind = self.KINDS[kind]
+        params = PolicyParams(
+            kind, np.random.default_rng(1).normal(size=kind.param_count) * 0.3
+        )
+        batch = random_advantage_batch(params, 300, seed=2)
+        cfg = PpolConfig(clip_ratio=0.2)
+        lam = np.array([lam])
+        order = np.random.default_rng(3).permutation(len(batch))
+        zero_rows = 0
+        for rows in (order[:128], order[128:256], order[256:], order[:1], order):
+            got = ppol_surrogate_grad(batch, rows, params, lam, cfg)
+            sub = minibatch_copy(batch, rows)
+            want = reference_surrogate_grad(sub, params, lam, cfg)
+            assert np.array_equal(got, want)
+            lp = policy_log_probs(params, sub.states, sub.actions)
+            rho = np.exp(lp - sub.log_prob_old)
+            clipped = np.clip(rho, 0.8, 1.2)
+            zero_rows += int((rho * sub.adv_r > clipped * sub.adv_r).sum())
+        if lam[0] == 0.0:
+            assert zero_rows > 0  # clipped rows have coefficient zero
+
+    def test_all_rows_clipped_gives_zero(self):
+        params = PolicyParams(TabularSoftmax(2, 2), np.zeros(4))
+        samples = [(0, 1, 2.0, 0.0), (1, 0, -1.0, 0.0)]
+        batch = one_step_batch(params, samples, rho=np.array([1.5, 0.5]))
+        lam = np.array([0.0])
+        got = ppol_surrogate_grad(batch, np.arange(2), params, lam, PpolConfig())
+        assert same_bits(got, np.zeros(4))
+
+
+def reference_ppol_update(cmdp, params, batch, lam, cfg, eta, k):
+    """The PPO primal step with one AdvantageBatch copy per minibatch and
+    the separate surrogate chain (run with reference_backward_sums)."""
+    if cfg.values_fn is not None:
+        values = cfg.values_fn(params, batch)
+    else:
+        values = solver._lstsq_values(cmdp, batch)
+    samples = advantage_batch(batch, params, cmdp.gamma, cfg.ppol, values)
+    rng = np.random.default_rng((cfg.seed, k, solver.SHUFFLE_STREAM))
+    n = len(samples)
+    mb = min(cfg.ppol.minibatch_size, n)
+    for _ in range(cfg.ppol.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, mb):
+            sub = minibatch_copy(samples, order[lo : lo + mb])
+            grad = reference_surrogate_grad(sub, params, lam, cfg.ppol)
+            params = params.replace_theta(params.theta + eta * grad)
+    return params
+
+
+class TestPpolRunMatchesReference:
+    """papd_run with PPO gives the same RunRecord, array for array, as the
+    same run through reference_ppol_update and reference_backward_sums."""
+
+    @staticmethod
+    def setup(task):
+        if task == "point-run":
+            cmdp = make_point_env("run", PointEnvConfig(noise_std=0.05))
+            theta0 = init_params(LinearGaussian(4, 2))
+            sampling, limit = SamplingConfig(n_traj=8, horizon=64), 2.0
+            ppol, iterations = PpolConfig(minibatch_size=200, epochs=2), 4
+        else:
+            cmdp = make_gridworld(default_hazard_gridworld())
+            theta0 = init_params(TabularSoftmax(cmdp.n_states, cmdp.n_actions))
+            sampling, limit = SamplingConfig(n_traj=8, horizon=20), 1.0
+            ppol, iterations = PpolConfig(minibatch_size=48, epochs=2), 12
+        cfg = SolverConfig(
+            iterations=iterations,
+            schedule=LrSchedule("invlin-practical", h1=0.05, h2=3.0),
+            dual_variant="pid",
+            gains=PidGains(0.5, 0.05, 0.1),
+            theta0=theta0,
+            sampling=sampling,
+            seed=3,
+            algorithm="ppol",
+            ppol=ppol,
+        )
+        return cmdp, ConstraintSpec(np.array([limit])), cfg
+
+    @pytest.mark.parametrize("task", ["point-run", "grid"])
+    def test_record_equals_reference(self, task, monkeypatch):
+        cmdp, spec, cfg = self.setup(task)
+        got = papd_run(cmdp, spec, cfg)
+        monkeypatch.setattr(solver, "_ppol_update", reference_ppol_update)
+        monkeypatch.setattr(solver, "backward_sums", reference_backward_sums)
+        monkeypatch.setattr(lagrangian, "backward_sums", reference_backward_sums)
+        want = papd_run(cmdp, spec, cfg)
+        for name in ("thetas", "lambdas", "etas", "returns", "costs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.lambdas.max() > 0.0  # the penalty term takes part
+        assert not np.array_equal(got.thetas[0], got.thetas[-1])

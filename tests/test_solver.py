@@ -114,14 +114,6 @@ class TestApdRun:
             assert abs(rec.final_lambda[0] - sol.lambda_star) < 1e-3
             assert np.linalg.norm(rec.final_theta - sol.theta_star) < 1e-3
 
-    def test_meta_best_dual_consistent(self):
-        prog = quad_testbed(0.5)
-        rec = apd_run(prog, exact_cfg(iterations=50))
-        from apdual.quadprog import dual_values_batch
-
-        d_vals, _, _ = dual_values_batch(prog, rec.lambdas[:, 0])
-        assert rec.meta["dual_best"] == pytest.approx(float(d_vals.max()), rel=1e-12)
-
     def test_schedule_constants_mismatch_rejected(self):
         prog = quad_testbed(0.5)
         wrong = SmoothnessConstants(l_r=3.0, l_c=np.array([1.0]), mu=1.0)
