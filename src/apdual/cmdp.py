@@ -1,10 +1,10 @@
 """Discounted CMDP primitives and Monte-Carlo objective estimators.
 
-A constrained MDP is a plain immutable value: callables for the initial
-distribution, transition kernel, reward, and per-step cost vector, a
-lockstep step function with its batch signals, the discount factor and a
-bound B on the per-step cost norm.  The two objectives are the expected
-discounted return and the expected discounted cost vector,
+A constrained MDP is a plain immutable value: a fixed start state, a
+lockstep step function with its batch signals (``VectorStep``), the
+discount factor and a bound B on the per-step cost norm.  The two
+objectives are the expected discounted return and the expected discounted
+cost vector,
 
     J_R = E[sum_t gamma^t r_t],      J_C = E[sum_t gamma^t c_t],
 
@@ -44,28 +44,22 @@ arrays.  The result is one ``RolloutBatch`` of arrays
     states  (n, H+1[, F])   actions (n, H[, A])
     rewards (n, H)          costs   (n, H, m)
 
-Every CMDP has a VectorStep: the point tasks (vector states, Gaussian
-policies), the gridworld with or without slip (integer states, tabular
-policies) and the tests' small CMDPs.
-
-Each trajectory of a batch draws all its randomness up front, after
-``initial_dist``, a fixed number of variates per step, where
-k = ``VectorStep.noise_dim``:
+Each trajectory of a batch draws a fixed number of variates per step,
+where k = ``VectorStep.noise_dim``:
 
   * Gaussian policy: ``rng.standard_normal((H, A + k))``; row t holds the A
     action normals of step t followed by its k transition normals;
-  * tabular policy: ``rng.random((H, 1 + k))``; row t holds the action
-    uniform u_t of step t followed by its k transition uniforms.  The
-    action of step t is the number of entries of the state's action cdf
-    that are <= u_t, ``searchsorted(cdf[s], u_t, side="right")`` bit for
-    bit.
+  * tabular policy: H * (1 + k) uniforms; row t holds the action uniform
+    u_t of step t followed by its k transition uniforms.  The action of
+    step t is the number of entries of the state's action cdf that are
+    <= u_t, ``searchsorted(cdf[s], u_t, side="right")`` bit for bit.
 
-``sample_trajectory`` is the per-step reference: it rolls one trajectory
-out through the ``transition``, ``reward`` and ``costs`` callbacks, which
-draw the same variates in the same order (``policy_act``, then
-``transition``).  So row i of a batch equals ``sample_trajectory(cmdp,
-params, H, derived_seed(seed, i))`` bit for bit.  The scaled normals, the
-step loop and the signals run with numpy's overflow and invalid-value
+``sample_trajectory`` is the per-step reference: one-row ``fn`` calls
+that draw the same variates in the same order (``policy_act``, then
+``random((1, k))`` or ``standard_normal((1, k))``), then one ``signals``
+call.  So row i of a batch equals ``sample_trajectory(cmdp, params, H,
+derived_seed(seed, i))`` bit for bit.  The scaled normals, the step loop
+and the signals of a batch run with numpy's overflow and invalid-value
 warnings silenced; a diverging batch is caught by the finiteness checks
 after them.
 
@@ -74,26 +68,24 @@ so ``counter_uniforms`` computes the uniforms of many batches at once in
 numpy, equal to ``default_rng(derived_seed(root, i)).random(H * (1 + k))``
 bit for bit: the ``SeedSequence`` hash of the seed words, PCG64 seeding,
 the 128-bit LCG jumped ahead to every draw (O'Neill 2014, PCG), the XSL-RR
-output and ``(x >> 11) * 2**-53``.  ``papd_run`` draws them for a block of
-iterations at a time and hands each batch its (n, H, 1 + k) slice through
-``collect_batch(..., uniforms=)``, which then builds no Generator.  The
-form applies to derived seeds of at most four entries in [0, 2**32) (one
-SeedSequence word each, ``counter_form_fits``) and to a CMDP whose
-``initial_dist`` draws nothing (``initial_dist_draws``); otherwise the
-Generators are used.  Both forms rely on numpy's fixed bit-generator
-streams (NEP 19); on first use a self-check compares a few streams with
-``default_rng`` and raises RuntimeError naming the numpy version if they
-differ.  The Gaussian path keeps its Generators: ziggurat normals take a
-data-dependent number of draws.
+output and ``(x >> 11) * 2**-53``.  They are the only uniforms of tabular
+batches: ``papd_run`` hands each batch its (n, H, 1 + k) slice of a block
+of iterations (``collect_batch(..., uniforms=)``), and a batch without one
+computes its own.  Derived seeds must have at most four entries in
+[0, 2**32), one SeedSequence word each (``counter_form_fits``).  On first
+use a self-check compares a few streams with ``default_rng`` (numpy keeps
+them fixed, NEP 19) and raises RuntimeError naming the numpy version if
+they differ.  Gaussian batches keep one Generator per trajectory: ziggurat
+normals take a data-dependent number of draws.
 
 Samplers raise ``NonFiniteError`` on a non-finite reward, cost or vector
 state, and ``ValueError`` on a step cost whose norm exceeds B or on a
-tabular cell outside [0, S).
+tabular successor cell outside [0, S).  ``Cmdp`` checks its start state
+when it is built.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -138,18 +130,16 @@ class VectorStep:
     ``fn(states, actions, noise)`` advances n stacked states by one step.
     It takes (n[, F]) states, (n[, A]) actions and (n, noise_dim)
     transition draws, standard normals for vector states and uniforms in
-    [0, 1) for tabular ones, and returns the (n[, F]) next states.  It must
-    agree with the CMDP's ``transition`` callback, which draws the same
-    ``noise_dim`` variates per step from its Generator.  The n rows are any
-    flat batch, not only the trajectories of one step: a tabular batch
-    calls ``fn`` once on every (cell, step, trajectory) row of its
-    successor table.  So row j of the output may depend only on row j of
-    the inputs.
+    [0, 1) for tabular ones, and returns the (n[, F]) next states.  The n
+    rows are any flat batch, not only the trajectories of one step: a
+    tabular batch calls ``fn`` once on every (cell, step, trajectory) row
+    of its successor table, and ``sample_trajectory`` on one row.  So row j
+    of the output may depend only on row j of the inputs.
 
     ``signals(s, a, s2)`` takes the (n, H[, F]) states, (n, H[, A]) actions
     and (n, H[, F]) next states of a whole batch and returns the (n, H)
-    rewards and the (n, H) or (n, H, m) costs of all its steps, each entry
-    equal to the ``reward`` / ``costs`` callbacks of that step.
+    rewards and the (n, H) or (n, H, m) costs of all its steps, entry
+    (i, t) a function of step (i, t) alone.
     """
 
     noise_dim: int
@@ -157,27 +147,29 @@ class VectorStep:
     signals: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity: initial_state may be an array
 class Cmdp:
-    """Immutable CMDP specification.
+    """Immutable CMDP specification: a start state and a ``VectorStep``.
 
-    States are integer indices for tabular models (``n_states``/``n_actions``
-    set) and real vectors otherwise.  ``costs`` may return a scalar when
-    ``n_costs == 1``; samplers normalize to an m-vector.  ``collect_batch``
-    samples through ``vector_step``; ``sample_trajectory`` through the
-    per-step callbacks.
+    States are integer cells for tabular models (``n_states``/``n_actions``
+    set), whose ``initial_state`` must be an int in [0, n_states), and real
+    vectors otherwise, whose (F,) ``initial_state`` must be finite.
+    ``signals`` may return (n, H) costs when ``n_costs == 1``; samplers
+    normalize to an m axis.
     """
 
     gamma: float
     n_costs: int
     cost_bound: float
-    initial_dist: Callable[[np.random.Generator], Any]
-    transition: Callable[[Any, Any, np.random.Generator], Any]
-    reward: Callable[[Any, Any, Any], float]
-    costs: Callable[[Any, Any, Any], Any]
+    initial_state: Any
     vector_step: VectorStep
     n_states: int | None = None
     n_actions: int | None = None
+    # Never read here: perfbench/tracing.py passes these three to
+    # dataclasses.replace.  They go once its tracer wraps vector_step.
+    transition: Any = None
+    reward: Any = None
+    costs: Any = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
@@ -186,6 +178,11 @@ class Cmdp:
             raise ValueError("n_costs must be >= 1")
         if self.cost_bound <= 0.0:
             raise ValueError("cost_bound B must be positive")
+        cell = self.initial_state
+        if not self.is_tabular:
+            require_finite("initial state", cell)
+        elif not (isinstance(cell, (int, np.integer)) and 0 <= cell < self.n_states):
+            raise ValueError(f"initial cell {cell} outside [0, {self.n_states})")
 
     @property
     def is_tabular(self) -> bool:
@@ -251,7 +248,7 @@ def sample_trajectory(
     cmdp: Cmdp, params: PolicyParams, horizon: int, seed: Seed
 ) -> RolloutBatch:
     """Roll out exactly `horizon` steps of pi_theta in the CMDP, one step at
-    a time through the per-step callbacks, as a one-row batch.
+    a time through one-row calls of ``vector_step.fn``, as a one-row batch.
 
     Deterministic in (cmdp, params, horizon, seed).  Raises NonFiniteError on
     a non-finite reward, cost or state, and ValueError if a sampled step
@@ -260,23 +257,32 @@ def sample_trajectory(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
-    state = cmdp.initial_dist(rng)
-    states, actions, rewards, costs = [state], [], [], []
+    step = cmdp.vector_step
+    tabular = isinstance(params.kind, TabularSoftmax)
+    draw = rng.random if tabular else rng.standard_normal
+    state = np.asarray(cmdp.initial_state)[None]
+    states, actions = [state], []
     for _ in range(horizon):
-        action = policy_act(params, state, rng)
-        nxt = cmdp.transition(state, action, rng)
+        action = np.asarray(policy_act(params, state[0], rng))[None]
+        state = step.fn(state, action, draw((1, step.noise_dim)))
+        states.append(state)
         actions.append(action)
-        rewards.append(cmdp.reward(state, action, nxt))
-        costs.append(cmdp.costs(state, action, nxt))
-        states.append(nxt)
-        state = nxt
-    states = np.asarray(states)
-    require_finite("states", states)
-    reward_arr = np.asarray(rewards, dtype=float)
-    cost_arr = _checked_signals(cmdp, reward_arr, costs)
-    return RolloutBatch(
-        states[None], np.asarray(actions)[None], reward_arr[None], cost_arr[None]
-    )
+    return _finish(cmdp, np.stack(states, axis=1), np.stack(actions, axis=1), tabular)
+
+
+def _finish(
+    cmdp: Cmdp, states: np.ndarray, actions: np.ndarray, tabular: bool
+) -> RolloutBatch:
+    """The batch of the sampled states and actions, with the rewards and
+    costs of one ``signals`` call, once every sampled number is checked."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rewards, costs = cmdp.vector_step.signals(
+            states[:, :-1], actions, states[:, 1:]
+        )
+    cost_arr = _checked_signals(cmdp, rewards, costs)
+    if not tabular:
+        require_finite("states", states)
+    return RolloutBatch(states, actions, rewards, cost_arr)
 
 
 def _checked_signals(cmdp: Cmdp, rewards: np.ndarray, costs) -> np.ndarray:
@@ -337,66 +343,50 @@ def collect_batch(
     the stream layout).
 
     ``uniforms``, for a tabular batch only, is the (n_traj, horizon,
-    1 + noise_dim) slice of ``counter_uniforms`` for root ``seed``; the
-    batch then uses it instead of building Generators, and ``initial_dist``
-    must draw nothing (``initial_dist_draws``)."""
+    1 + noise_dim) slice of ``counter_uniforms`` for root ``seed``; a
+    tabular batch called without it computes that slice itself."""
     n, horizon = sampling.n_traj, sampling.horizon
     step = cmdp.vector_step
+    shape = (n, horizon, 1 + step.noise_dim)
     tabular = isinstance(params.kind, TabularSoftmax)
-    if uniforms is None:
-        rngs = [np.random.default_rng(derived_seed(seed, i)) for i in range(n)]
-        initial = [cmdp.initial_dist(rng) for rng in rngs]
-    elif not tabular or np.shape(uniforms) != (n, horizon, 1 + step.noise_dim):
-        raise ValueError(
-            "counter uniforms need a tabular batch and shape (n, H, 1 + noise_dim)"
-        )
-    else:
-        still = _still_rng()
-        initial = [cmdp.initial_dist(still) for _ in range(n)]
+    if tabular and uniforms is None:
+        uniforms = counter_uniforms([seed], n, horizon * shape[2]).reshape(shape)
+    elif uniforms is not None and (not tabular or np.shape(uniforms) != shape):
+        raise ValueError("uniforms need a tabular batch and shape (n, H, 1 + k)")
     if tabular:
-        if uniforms is None:
-            uniforms = np.stack(
-                [rng.random((horizon, 1 + step.noise_dim)) for rng in rngs]
-            )
         cdf = action_cdf(softmax_table(params))
-        states, actions = _tabular_paths(step, cdf, initial, uniforms)
-    else:
-        state = np.array(initial, dtype=float)
-        a_dim = params.kind.action_dim
-        # draws[t] holds, per trajectory, the a_dim action normals of step t
-        # followed by its noise_dim transition normals.
-        draws = np.stack(
-            [rng.standard_normal((horizon, a_dim + step.noise_dim)) for rng in rngs],
-            axis=1,
-        )
-        noise = draws[:, :, a_dim:]
-        states, actions = [state], []
-        # A diverging batch overflows here; the checks after the block raise.
-        with np.errstate(over="ignore", invalid="ignore"):
-            act = gaussian_actor(params, draws[:, :, :a_dim])
-            for t in range(horizon):
-                action = act(state, t)
-                state = step.fn(state, action, noise[t])
-                states.append(state)
-                actions.append(action)
-            states = np.stack(states, axis=1)
-            actions = np.stack(actions, axis=1)
+        states, actions = _tabular_paths(step, cdf, cmdp.initial_state, uniforms)
+        return _finish(cmdp, states, actions, tabular)
+    rngs = [np.random.default_rng(derived_seed(seed, i)) for i in range(n)]
+    state = np.full((n, *np.shape(cmdp.initial_state)), cmdp.initial_state, float)
+    a_dim = params.kind.action_dim
+    # draws[t] holds, per trajectory, the a_dim action normals of step t
+    # followed by its noise_dim transition normals.
+    draws = np.stack(
+        [rng.standard_normal((horizon, a_dim + step.noise_dim)) for rng in rngs],
+        axis=1,
+    )
+    noise = draws[:, :, a_dim:]
+    states, actions = [state], []
+    # A diverging batch overflows here; the checks in _finish raise.
     with np.errstate(over="ignore", invalid="ignore"):
-        rewards, costs = step.signals(states[:, :-1], actions, states[:, 1:])
-    cost_arr = _checked_signals(cmdp, rewards, costs)
-    if not tabular:
-        require_finite("states", states)
-    return RolloutBatch(states, actions, rewards, cost_arr)
+        act = gaussian_actor(params, draws[:, :, :a_dim])
+        for t in range(horizon):
+            action = act(state, t)
+            state = step.fn(state, action, noise[t])
+            states.append(state)
+            actions.append(action)
+    return _finish(cmdp, np.stack(states, axis=1), np.stack(actions, axis=1), tabular)
 
 
 _TABLE = 1 << 14  # successor-table entries (cells x steps x trajectories) per pass
 
 
 def _tabular_paths(
-    step: VectorStep, cdf: np.ndarray, initial, uniforms: np.ndarray
+    step: VectorStep, cdf: np.ndarray, start: int, uniforms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, H+1) states and (n, H) actions of a tabular batch from its n
-    initial cells, its (S, A) action cdf and its (n, H, 1 + k) uniforms.
+    """The (n, H+1) states and (n, H) actions of a tabular batch from its
+    start cell, its (S, A) action cdf and its (n, H, 1 + k) uniforms.
 
     A pass over a span of T steps tabulates, for every (cell c, step t,
     trajectory i), the action that u[i, t] picks in cell c and, from one
@@ -405,20 +395,13 @@ def _tabular_paths(
     index of (successor, t + 1, i), so a step of all n trajectories is one
     gather ``cur = link[cur]``; the visited entries give the actions and
     the next cells.  Raises ValueError naming the trajectory, the step and
-    the cell of the first initial or successor cell outside [0, S)."""
+    the cell of the first successor cell outside [0, S)."""
     n_states = cdf.shape[0]
     n, horizon, width = uniforms.shape
     traj = np.arange(n)
     states = np.empty((n, horizon + 1), dtype=np.int64)
     actions = np.empty((n, horizon), dtype=np.int64)
-    states[:, 0] = initial
-    bad = np.flatnonzero((states[:, 0] < 0) | (states[:, 0] >= n_states))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(
-            f"trajectory {i}, step 0: initial cell {states[i, 0]} outside "
-            f"[0, {n_states})"
-        )
+    states[:, 0] = start
     # The last cdf entry is 1 and u < 1, so only the first A - 1 can count.
     bounds = cdf[:, :-1].T[:, :, None]
     span = max(1, _TABLE // (n_states * n))
@@ -473,22 +456,6 @@ def counter_form_fits(seed: Seed) -> bool:
     return len(root) < _POOL_WORDS and all(
         isinstance(e, (int, np.integer)) and 0 <= e <= _M32 for e in root
     )
-
-
-def initial_dist_draws(cmdp: Cmdp) -> bool:
-    """Whether ``cmdp.initial_dist`` draws from its Generator, seen by
-    comparing the Generator's state before and after one call."""
-    rng = np.random.default_rng(0)
-    before = rng.bit_generator.state
-    cmdp.initial_dist(rng)
-    return rng.bit_generator.state != before
-
-
-@functools.cache
-def _still_rng() -> np.random.Generator:
-    """The Generator that a batch with counter uniforms hands to its
-    ``initial_dist``, which draws nothing from it."""
-    return np.random.default_rng(0)
 
 
 def counter_uniforms(roots: Sequence[Seed], n: int, count: int) -> np.ndarray:

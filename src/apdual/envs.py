@@ -13,9 +13,9 @@ Gridworld conventions: cell index = y * width + x; actions 0..3 move
 probability slip_prob the commanded direction is replaced by a uniformly
 random other direction.  Entering a hazard cell incurs hazard_cost; the
 goal is absorbing (reward granted on entry, zero reward/cost afterwards).
-Every gridworld is sampled in lockstep from a next-cell table; a slippery
-one draws two uniforms per step, the slip test and the direction (see
-make_gridworld).
+Each environment is a fixed start state and one VectorStep; the gridworld's
+step reads a next-cell table, and a slippery one draws two uniforms per
+step, the slip test and the direction (see make_gridworld).
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ def make_point_env(task: str, cfg: PointEnvConfig, gamma: float = 0.99) -> Cmdp:
 
     The Run task starts at the origin at rest; the Circle task starts on the
     circle at (o, 0) at rest.  The VectorStep is the dynamics ``move`` and
-    the task's ``signals``, both written over (..., 4) state arrays; the
-    per-step callbacks call the same two functions, so ``signals`` gives
-    the rewards and costs of a whole (n, H) batch in one call.
+    the task's ``signals``, both written over (..., 4) state arrays, so
+    ``signals`` gives the rewards and costs of a whole (n, H) batch in one
+    call.
     """
     if task not in ("run", "circle"):
         raise ValueError(f"unknown point task {task!r}")
@@ -135,18 +135,11 @@ def make_point_env(task: str, cfg: PointEnvConfig, gamma: float = 0.99) -> Cmdp:
         def signals(s, a, s2):
             return circle_reward_cost(s2[..., :2], s2[..., 2:], cfg)
 
-    def transition(state, action, rng):
-        normals = rng.standard_normal(noise_dim) if noise_dim else None
-        return move(state, np.asarray(action, dtype=float), normals)
-
     return Cmdp(
         gamma=gamma,
         n_costs=1,
         cost_bound=bound,
-        initial_dist=lambda rng: start.copy(),
-        transition=transition,
-        reward=lambda s, a, s2: signals(s, a, s2)[0],
-        costs=lambda s, a, s2: signals(s, a, s2)[1],
+        initial_state=start,
         vector_step=VectorStep(noise_dim, move, signals),
     )
 
@@ -203,16 +196,14 @@ def grid_move_table(spec: GridworldSpec) -> np.ndarray:
 def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
     """Tabular Cmdp realizing the slip/hazard/absorbing-goal semantics.
 
-    One step function serves both the lockstep VectorStep and the per-step
-    ``transition`` callback: it looks the n next cells up in an (S * A)
-    next-cell table built here once, whose goal rows lead back to the goal.
-    Without slip a step draws nothing.  With slip_prob > 0 every step, from
-    the goal too, draws two uniforms (u, v): the move slips when
+    The step function of the VectorStep looks the n next cells up in an
+    (S * A) next-cell table built here once, whose goal rows lead back to
+    the goal.  Without slip a step draws nothing.  With slip_prob > 0 every
+    step, from the goal too, draws two uniforms (u, v): the move slips when
     u < slip_prob, and then turns by 1 + floor(3 v) quarter turns, a
     uniformly random other direction.  The reward and cost of a step depend
-    only on its cells s and s2, elementwise, so one ``signals`` function
-    serves the ``reward`` / ``costs`` callbacks and a whole (n, H) batch;
-    steps from the goal have zero reward and cost.
+    only on its cells s and s2, elementwise, so one ``signals`` call serves
+    a whole (n, H) batch; steps from the goal have zero reward and cost.
     """
     moves = grid_move_table(spec)
     goal = spec.goal_cell
@@ -240,19 +231,12 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
             )
         return next_cell[states * N_ACTIONS + actions]
 
-    def transition(state, action, rng):
-        uniforms = rng.random((1, noise_dim))
-        return int(step(np.array([state]), np.array([action]), uniforms)[0])
-
     bound = spec.hazard_cost if spec.hazard_cost > 0.0 else 1.0
     return Cmdp(
         gamma=gamma,
         n_costs=1,
         cost_bound=bound,
-        initial_dist=lambda rng: spec.start_cell,
-        transition=transition,
-        reward=lambda s, a, s2: float(signals(s, a, s2)[0]),
-        costs=lambda s, a, s2: float(signals(s, a, s2)[1]),
+        initial_state=spec.start_cell,
         vector_step=VectorStep(noise_dim, step, signals),
         n_states=spec.n_cells,
         n_actions=N_ACTIONS,

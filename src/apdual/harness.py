@@ -24,6 +24,9 @@ A config is a JSON object with a versioned ``schema_version`` (currently 1):
       "window": 0.2
     }
 
+Unknown keys, PID gains that are not finite numbers and seeds outside
+[0, 2^32) are rejected with a ConfigError naming them.
+
 Each seed produces runs/seed_<s>.csv with the fixed column order step,
 return, cost, lr, lambda (floats emitted with repr, so parsing round-trips
 exactly), and for testbed runs a bound certificate JSON.  summary.json holds
@@ -95,6 +98,10 @@ CURVE_NAMES = CSV_COLUMNS[1:]
 
 TASKS = ("testbed", "gridworld", "point-run", "point-circle")
 ALGORITHMS = ("apd", "papd-reinforce", "papd-ppol")
+# The fields of each schedule variant besides "variant", as LrSchedule takes them.
+SCHEDULE_KEYS = {"constant": ("eta",), "invlin-exact": (), "invqua-exact": (),
+                 "invlin-practical": ("h1", "h2"), "invqua-practical": ("h1", "h2")}
+PID_DEFAULTS = {"kp": 0.05, "ki": 0.0005, "kd": 0.1}
 
 
 class ConfigError(Exception):
@@ -108,6 +115,12 @@ class VerificationError(Exception):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _reject_unknown(obj: dict, known, path: str) -> None:
+    """Raise ConfigError naming every key of obj outside known."""
+    unknown = sorted(set(obj) - set(known))
+    _require(not unknown, f"{path}: unknown keys {unknown}")
 
 
 def _reject_booleans(value, path: str) -> None:
@@ -146,6 +159,9 @@ class ExperimentConfig:
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON object; messages name the offending field."""
     _require(isinstance(raw, dict), "top level: expected a JSON object")
+    # The keys are schema_version and the ExperimentConfig fields but raw.
+    known = {"schema_version", *ExperimentConfig.__dataclass_fields__} - {"raw"}
+    _reject_unknown(raw, known, "top level")
     for key, value in raw.items():
         _reject_booleans(value, key)
     version = raw.get("schema_version")
@@ -177,8 +193,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(
         isinstance(seeds, list)
         and len(seeds) >= 1
-        and all(isinstance(s, int) and s >= 0 for s in seeds),
-        "seeds: expected a non-empty list of non-negative integers",
+        and all(isinstance(s, int) and 0 <= s < 2**32 for s in seeds),
+        "seeds: expected a non-empty list of integers in [0, 2^32)",
     )
     _require(len(set(seeds)) == len(seeds), "seeds: duplicates not allowed")
     cost_limit = raw.get("cost_limit")
@@ -212,6 +228,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sampling = raw.get("sampling")
     if algorithm != "apd":
         _require(isinstance(sampling, dict), "sampling: required for papd algorithms")
+        _reject_unknown(sampling, ("n_traj", "horizon"), "sampling")
         for key in ("n_traj", "horizon"):
             _require(
                 isinstance(sampling.get(key), int),
@@ -224,6 +241,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     ppol = raw.get("ppol", {})
     _require(isinstance(ppol, dict), "ppol: expected an object")
+    _reject_unknown(ppol, PpolConfig.__dataclass_fields__, "ppol")
     if ppol:
         try:
             PpolConfig(**ppol)
@@ -278,29 +296,28 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def build_schedule(spec: dict) -> LrSchedule:
     variant = spec.get("variant")
-    if variant == "constant":
-        return LrSchedule("constant", eta=spec.get("eta"))
-    if variant in ("invlin-exact", "invqua-exact"):
-        return LrSchedule(variant)
-    if variant in ("invlin-practical", "invqua-practical"):
-        return LrSchedule(variant, h1=spec.get("h1"), h2=spec.get("h2"))
-    raise ValueError(f"unknown schedule variant {variant!r}")
+    if variant not in SCHEDULE_KEYS:
+        raise ValueError(f"unknown schedule variant {variant!r}")
+    keys = SCHEDULE_KEYS[variant]
+    _reject_unknown(spec, ("variant", *keys), "schedule")
+    return LrSchedule(variant, **{key: spec.get(key) for key in keys})
 
 
 def build_dual(spec: dict) -> tuple[str, float | None, PidGains | None]:
     variant = spec.get("variant")
     if variant == "ascent":
+        _reject_unknown(spec, ("variant", "zeta"), "dual")
         zeta = spec.get("zeta")
         if not isinstance(zeta, (int, float)) or zeta <= 0.0:
             raise ValueError("ascent dual needs zeta > 0")
         return "ascent", float(zeta), None
     if variant == "pid":
-        gains = PidGains(
-            k_p=float(spec.get("kp", 0.05)),
-            k_i=float(spec.get("ki", 0.0005)),
-            k_d=float(spec.get("kd", 0.1)),
-        )
-        return "pid", None, gains
+        _reject_unknown(spec, ("variant", *PID_DEFAULTS), "dual")
+        gains = {key: spec.get(key, value) for key, value in PID_DEFAULTS.items()}
+        for key, value in gains.items():
+            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
+        return "pid", None, PidGains(*map(float, gains.values()))
     raise ValueError(f"unknown dual variant {variant!r}")
 
 

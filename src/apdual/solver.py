@@ -53,10 +53,8 @@ from .cmdp import (  # noqa: F401
     SamplingConfig,
     batch_values,
     collect_batch,
-    counter_form_fits,
     counter_uniforms,
     discounted_value,
-    initial_dist_draws,
     require_finite,
 )
 # project_nonneg is no longer called here but stays importable from this
@@ -287,6 +285,8 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
         raise ValueError("papd_run takes a practical or constant schedule")
     if cfg.schedule.variant.endswith("-practical") and spec.m != 1:
         raise ValueError("practical schedules are single-constraint")
+    if not 0 <= cfg.seed < 2**32:
+        raise ValueError(f"seed {cfg.seed} outside [0, 2^32)")
 
     gains = cfg.gains or PidGains()
     params = cfg.theta0
@@ -338,15 +338,10 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
 
 def _iteration_uniforms(cmdp: Cmdp, params: PolicyParams, cfg: SolverConfig):
     """Per iteration k, the (n, H, 1 + noise_dim) counter uniforms of the
-    batch rooted at (seed, k), drawn UNIFORM_BLOCK iterations at a time;
-    None throughout, so that collect_batch builds Generators, unless the
-    policy is tabular, initial_dist draws nothing and the seeds fit the
-    counter form."""
-    if not (
-        isinstance(params.kind, TabularSoftmax)
-        and counter_form_fits((cfg.seed, cfg.iterations - 1))
-        and not initial_dist_draws(cmdp)
-    ):
+    batch rooted at (seed, k), drawn UNIFORM_BLOCK iterations at a time for
+    a tabular policy; None throughout for a Gaussian one, whose batches
+    draw from Generators."""
+    if not isinstance(params.kind, TabularSoftmax):
         yield from itertools.repeat(None, cfg.iterations)
         return
     n, horizon = cfg.sampling.n_traj, cfg.sampling.horizon
@@ -369,8 +364,8 @@ def _papd_iteration(
 ) -> tuple[PolicyParams, float, np.ndarray]:
     """Primal step k of papd_run: (new params, J_R estimate, J_C estimate).
 
-    ``uniforms`` holds the counter uniforms of the batch, or None to sample
-    with Generators.  Raises NonFiniteError when a sample, the estimates or
+    ``uniforms`` holds the counter uniforms of a tabular batch, None for a
+    Gaussian one.  Raises NonFiniteError when a sample, the estimates or
     theta turn non-finite."""
     batch = collect_batch(cmdp, params, cfg.sampling, (cfg.seed, k), uniforms)
     returns, cost_vals = batch_values(batch, cmdp.gamma)

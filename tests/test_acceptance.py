@@ -225,10 +225,7 @@ def test_criterion_7_gradient_fidelity():
         gamma=0.9,
         n_costs=1,
         cost_bound=2.0,
-        initial_dist=lambda rng: 0,
-        transition=lambda s, a, rng: 0,
-        reward=lambda s, a, nxt: rewards[a],
-        costs=lambda s, a, nxt: costs[a],
+        initial_state=0,
         vector_step=VectorStep(
             0, lambda s, a, z: s, lambda s, a, s2: (reward_of[a], cost_of[a])
         ),

@@ -6,7 +6,6 @@ two-state chain), not against any library code path.
 """
 
 import dataclasses
-import itertools
 import math
 import warnings
 
@@ -26,7 +25,6 @@ from apdual.cmdp import (
     default_horizon,
     derived_seed,
     discounted_value,
-    initial_dist_draws,
     require_finite,
     sample_trajectory,
 )
@@ -59,17 +57,11 @@ def chain_cmdp(p_jump=0.3, gamma=GAMMA, cost_scale=1.0):
     def signals(states, actions, nxt):
         return (states == 1).astype(float), np.where(states == 0, cost_scale, 0.0)
 
-    def transition(s, a, rng):
-        return int(step(np.array([s]), np.array([a]), rng.random((1, 1)))[0])
-
     return Cmdp(
         gamma=gamma,
         n_costs=1,
         cost_bound=max(cost_scale, 1e-9),
-        initial_dist=lambda rng: 0,
-        transition=transition,
-        reward=lambda s, a, nxt: 1.0 if s == 1 else 0.0,
-        costs=lambda s, a, nxt: cost_scale if s == 0 else 0.0,
+        initial_state=0,
         vector_step=VectorStep(1, step, signals),
         n_states=2,
         n_actions=2,
@@ -215,10 +207,11 @@ class TestTrajectoryShape:
         # step t of the parallel fields is (s_t, a_t, r(s_t, a_t, s_t+1), c(...))
         cmdp = chain_cmdp()
         traj = sample_trajectory(cmdp, uniform_params(), horizon=5, seed=0)
+        s, a, s2 = traj.states[:, :-1], traj.actions, traj.states[:, 1:]
         for t in range(5):
-            s, a, nxt = traj.states[0, t], traj.actions[0, t], traj.states[0, t + 1]
-            assert traj.rewards[0, t] == cmdp.reward(s, a, nxt)
-            assert np.array_equal(traj.costs[0, t], [cmdp.costs(s, a, nxt)])
+            reward, cost = cmdp.vector_step.signals(s[:, [t]], a[:, [t]], s2[:, [t]])
+            assert traj.rewards[0, t] == reward[0, 0]
+            assert np.array_equal(traj.costs[0, t], cost[0])
 
 
 class TestSeeding:
@@ -275,18 +268,7 @@ class TestCostBound:
     def test_violating_cost_raises(self):
         cmdp = chain_cmdp(cost_scale=1.0)
         # same dynamics but declare a bound below the actual per-step cost
-        bad = Cmdp(
-            gamma=cmdp.gamma,
-            n_costs=1,
-            cost_bound=0.5,
-            initial_dist=cmdp.initial_dist,
-            transition=cmdp.transition,
-            reward=cmdp.reward,
-            costs=cmdp.costs,
-            vector_step=cmdp.vector_step,
-            n_states=2,
-            n_actions=2,
-        )
+        bad = dataclasses.replace(cmdp, cost_bound=0.5)
         with pytest.raises(ValueError, match="bound"):
             sample_trajectory(bad, uniform_params(), 30, seed=0)
         with pytest.raises(ValueError, match="bound"):
@@ -347,10 +329,7 @@ class TestValidation:
 
     def test_cmdp_rejects_bad_fields(self):
         kw = dict(
-            initial_dist=lambda rng: 0,
-            transition=lambda s, a, rng: 0,
-            reward=lambda s, a, n: 0.0,
-            costs=lambda s, a, n: 0.0,
+            initial_state=0,
             vector_step=VectorStep(
                 0, lambda s, a, z: s, lambda s, a, s2: (0.0 * s, 0.0 * s)
             ),
@@ -361,6 +340,12 @@ class TestValidation:
             Cmdp(gamma=0.9, n_costs=0, cost_bound=1.0, **kw)
         with pytest.raises(ValueError):
             Cmdp(gamma=0.9, n_costs=1, cost_bound=0.0, **kw)
+        kw["initial_state"] = np.array([0.0, np.nan])
+        with pytest.raises(NonFiniteError, match=r"initial state at index \(1,\)"):
+            Cmdp(gamma=0.9, n_costs=1, cost_bound=1.0, **kw)
+        kw["initial_state"] = 1.0
+        with pytest.raises(ValueError, match="initial cell 1.0 outside"):
+            Cmdp(gamma=0.9, n_costs=1, cost_bound=1.0, n_states=2, n_actions=2, **kw)
 
     def test_sampling_config_rejects_bad_fields(self):
         with pytest.raises(ValueError):
@@ -376,14 +361,6 @@ class TestValidation:
 def generator_uniforms(root, n, horizon):
     return np.stack(
         [np.random.default_rng(derived_seed(root, i)).random(horizon) for i in range(n)]
-    )
-
-
-def drawing_start(cmdp):
-    """The CMDP with an initial_dist that draws one (unused) uniform."""
-    start = cmdp.initial_dist
-    return dataclasses.replace(
-        cmdp, initial_dist=lambda rng: start(rng) + int(rng.random() > 2.0)
     )
 
 
@@ -411,12 +388,17 @@ def assert_records_equal(a, b):
 
 
 def generators_only(monkeypatch):
-    """Switch papd_run's counter form off: every batch builds Generators."""
-    monkeypatch.setattr(
-        solver,
-        "_iteration_uniforms",
-        lambda cmdp, params, cfg: itertools.repeat(None),
-    )
+    """Hand every batch of papd_run uniforms drawn by default_rng Generators
+    instead of counter uniforms."""
+
+    def drawn(cmdp, params, cfg):
+        n, horizon = cfg.sampling.n_traj, cfg.sampling.horizon
+        width = 1 + cmdp.vector_step.noise_dim
+        for k in range(cfg.iterations):
+            u = generator_uniforms((cfg.seed, k), n, horizon * width)
+            yield u.reshape(n, horizon, width)
+
+    monkeypatch.setattr(solver, "_iteration_uniforms", drawn)
 
 
 def count_counter_calls(monkeypatch):
@@ -474,12 +456,6 @@ class TestCounterUniforms:
         with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
             counter_uniforms([(0, 1)], 2, 3)
 
-    def test_initial_dist_draws(self):
-        grid = make_gridworld(default_hazard_gridworld())
-        assert not initial_dist_draws(grid)
-        assert not initial_dist_draws(chain_cmdp())
-        assert initial_dist_draws(drawing_start(grid))
-
     def test_collect_batch_with_uniforms_equals_generators(self):
         params = init_params(TabularSoftmax(15, 4))
         params = params.replace_theta(np.random.default_rng(4).normal(size=60))
@@ -487,10 +463,9 @@ class TestCounterUniforms:
         for slip in (False, True):
             cmdp = grid_cmdp(slip)
             width = 1 + cmdp.vector_step.noise_dim  # 1 + 2 slip uniforms
-            (u,) = counter_uniforms([(8, 2)], 6, 30 * width)
-            u = u.reshape(6, 30, width)
-            got = collect_batch(cmdp, params, sampling, (8, 2), u)
-            want = collect_batch(cmdp, params, sampling, (8, 2))
+            u = generator_uniforms((8, 2), 6, 30 * width).reshape(6, 30, width)
+            got = collect_batch(cmdp, params, sampling, (8, 2))  # counter uniforms
+            want = collect_batch(cmdp, params, sampling, (8, 2), u)
             for name in ("states", "actions", "rewards", "costs"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
             for bad in (u[:, :5], u[:, :, :0], u.reshape(6, -1)):
@@ -528,23 +503,13 @@ class TestPapdCounterBlocks:
 
         monkeypatch.setattr(np.random, "default_rng", counted)
         assert_records_equal(papd_run(cmdp, GRID_LIMIT, cfg), want)
-        assert built == [0]  # initial_dist_draws' probe, once per run
+        assert built == []
 
-    def test_large_seed_falls_back_to_generators(self, monkeypatch):
+    def test_large_seed_raises(self):
         cmdp = make_gridworld(default_hazard_gridworld())
-        calls = count_counter_calls(monkeypatch)
-        rec = papd_run(cmdp, GRID_LIMIT, grid_papd_cfg(5, seed=2**32))
-        assert calls == [] and rec.iterations == 5
-
-    def test_drawing_initial_dist_falls_back_to_generators(self, monkeypatch):
-        grid = make_gridworld(default_hazard_gridworld())
-        calls = count_counter_calls(monkeypatch)
-        got = papd_run(drawing_start(grid), GRID_LIMIT, grid_papd_cfg(10))
-        assert calls == []
-        # The drawn variate shifts every action uniform by one, so the run
-        # differs from one whose initial_dist draws nothing.
-        plain = papd_run(grid, GRID_LIMIT, grid_papd_cfg(10))
-        assert not np.array_equal(got.returns, plain.returns)
+        cfg = grid_papd_cfg(5, seed=2**32)
+        with pytest.raises(ValueError, match=r"seed 4294967296 outside \[0, 2\^32\)"):
+            papd_run(cmdp, GRID_LIMIT, cfg)
 
 
 def eastward_grid_params(n_cells, seed=4):
@@ -563,9 +528,6 @@ def counter_cmdp(successor, noise_dim=0, start=0):
     def step(states, actions, uniforms):
         return successor(states, uniforms)
 
-    def transition(s, a, rng):
-        return int(successor(np.array([s]), rng.random((1, noise_dim)))[0])
-
     def signals(s, a, s2):
         return np.zeros(s.shape), np.zeros(s.shape)
 
@@ -573,10 +535,7 @@ def counter_cmdp(successor, noise_dim=0, start=0):
         gamma=GAMMA,
         n_costs=1,
         cost_bound=1.0,
-        initial_dist=lambda rng: start,
-        transition=transition,
-        reward=lambda s, a, nxt: 0.0,
-        costs=lambda s, a, nxt: 0.0,
+        initial_state=start,
         vector_step=VectorStep(noise_dim, step, signals),
         n_states=3,
         n_actions=2,
@@ -663,8 +622,6 @@ class TestSuccessorTable:
 
     @pytest.mark.parametrize("start", [-1, 3])
     def test_initial_cell_outside_the_grid_raises(self, start):
-        cmdp = counter_cmdp(lambda s, u: np.minimum(s + 1, 2), start=start)
-        with pytest.raises(
-            ValueError, match=rf"trajectory 0, step 0: initial cell {start} outside"
-        ):
-            collect_batch(cmdp, uniform_params(3, 2), SamplingConfig(2, 6), 0)
+        # The start is checked once, when the CMDP is built.
+        with pytest.raises(ValueError, match=rf"initial cell {start} outside \[0, 3\)"):
+            counter_cmdp(lambda s, u: np.minimum(s + 1, 2), start=start)

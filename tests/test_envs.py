@@ -112,7 +112,7 @@ class TestPointEnv:
         cmdp = make_point_env("run", cfg)
         state = np.array([1.0, -0.5, 0.3, 0.2])
         action = np.array([0.5, -1.0])
-        nxt = cmdp.transition(state, action, np.random.default_rng(0))
+        nxt, _, _ = one_step(cmdp, state, action)
         v = state[2:] + action * 2.0 * 0.1
         p = state[:2] + v * 0.1
         np.testing.assert_allclose(nxt, np.concatenate([p, v]), rtol=1e-12)
@@ -129,12 +129,11 @@ class TestPointEnv:
         assert traj.rewards.sum() == pytest.approx(first - last, abs=1e-9)
 
     def test_start_states(self):
-        rng = np.random.default_rng(0)
         run = make_point_env("run", PointEnvConfig())
         circle = make_point_env("circle", PointEnvConfig())
-        np.testing.assert_array_equal(run.initial_dist(rng), np.zeros(4))
+        np.testing.assert_array_equal(run.initial_state, np.zeros(4))
         np.testing.assert_array_equal(
-            circle.initial_dist(rng), np.array([2.0, 0.0, 0.0, 0.0])
+            circle.initial_state, np.array([2.0, 0.0, 0.0, 0.0])
         )
 
     def test_cost_bounds(self):
@@ -146,9 +145,9 @@ class TestPointEnv:
         cmdp = make_point_env("circle", cfg)
         s = np.array([2.0, 0.0, 0.0, 0.0])
         a = np.array([1.0, 1.0])
-        n1 = cmdp.transition(s, a, np.random.default_rng(3))
-        n2 = cmdp.transition(s, a, np.random.default_rng(3))
-        n3 = cmdp.transition(s, a, np.random.default_rng(4))
+        n1, n2, n3 = (
+            one_step(cmdp, s, a, np.random.default_rng(seed))[0] for seed in (3, 3, 4)
+        )
         np.testing.assert_array_equal(n1, n2)
         assert not np.array_equal(n1, n3)
 
@@ -277,11 +276,8 @@ class TestGridworldLockstep:
         actions = np.tile(np.arange(N_ACTIONS), spec.n_cells)
         nxt = cmdp.vector_step.fn(cells, actions, np.empty((cells.size, 0)))
         rewards, costs = cmdp.vector_step.signals(cells, actions, nxt)
-        rng = np.random.default_rng(0)
         for s, a, s2, r, c in zip(cells, actions, nxt, rewards, costs):
-            assert cmdp.transition(int(s), int(a), rng) == s2
-            assert cmdp.reward(int(s), int(a), int(s2)) == r
-            assert cmdp.costs(int(s), int(a), int(s2)) == c
+            assert one_step(cmdp, s, a) == (s2, r, c)
         goal_rows = cells == spec.goal_cell
         assert (nxt[goal_rows] == spec.goal_cell).all()
         assert (rewards[goal_rows] == 0.0).all() and (costs[goal_rows] == 0.0).all()
@@ -321,6 +317,21 @@ class TestGridworldLockstep:
         np.testing.assert_array_equal(nxt, want)
 
 
+def one_step(cmdp, state, action, rng=None):
+    """(next state, reward, cost) of one step from one-row ``fn`` and
+    ``signals`` calls; a given rng draws the step's transition variates as
+    the per-step sampler does (uniforms for a tabular CMDP)."""
+    step = cmdp.vector_step
+    s, a = np.asarray(state)[None], np.asarray(action)[None]
+    noise = np.zeros((1, step.noise_dim))
+    if rng is not None:
+        draw = rng.random if cmdp.is_tabular else rng.standard_normal
+        noise = draw((1, step.noise_dim))
+    s2 = step.fn(s, a, noise)
+    reward, cost = step.signals(s[:, None], a[:, None], s2[:, None])
+    return s2[0], reward[0, 0], cost[0, 0]
+
+
 def assert_rows_equal_sample_trajectory(cmdp, params, batch, seed):
     """Row i of a collect_batch batch is the per-step sampler's trajectory
     for derived seed i, bit for bit."""
@@ -334,7 +345,7 @@ def assert_rows_equal_sample_trajectory(cmdp, params, batch, seed):
 @pytest.mark.parametrize("env", ["run", "circle", "slip-grid"])
 def test_batch_signals_equal_per_step_callbacks(env):
     """One VectorStep.signals call over a whole sampled batch gives, entry
-    by entry, the per-step reward and costs callbacks of every step."""
+    by entry, the one-row signals call of every step."""
     if env == "slip-grid":
         spec = GridworldSpec(
             width=4, height=3, start_cell=4, goal_cell=7, hazard_cells=(5, 6),
@@ -351,11 +362,10 @@ def test_batch_signals_equal_per_step_callbacks(env):
     assert rewards.shape == costs.shape == (6, 40)
     assert costs.any() and len(np.unique(rewards)) > 1
     for i, t in np.ndindex(6, 40):
-        step = (s[i, t], batch.actions[i, t], s2[i, t])
-        if cmdp.is_tabular:
-            step = tuple(int(x) for x in step)
-        assert rewards[i, t] == cmdp.reward(*step)
-        assert costs[i, t] == cmdp.costs(*step)
+        row = (x[i : i + 1, t : t + 1] for x in (s, batch.actions, s2))
+        reward, cost = cmdp.vector_step.signals(*row)
+        assert rewards[i, t] == reward[0, 0]
+        assert costs[i, t] == cost[0, 0]
     assert np.array_equal(rewards, batch.rewards)
     assert np.array_equal(costs, batch.costs[:, :, 0])
 
@@ -395,32 +405,26 @@ class TestGridworldSemantics:
     def test_goal_absorbing(self):
         spec = default_hazard_gridworld()
         cmdp = make_gridworld(spec)
-        rng = np.random.default_rng(0)
         for a in range(N_ACTIONS):
-            assert cmdp.transition(spec.goal_cell, a, rng) == spec.goal_cell
-            assert cmdp.reward(spec.goal_cell, a, spec.goal_cell) == 0.0
-            assert cmdp.costs(spec.goal_cell, a, spec.goal_cell) == 0.0
+            assert one_step(cmdp, spec.goal_cell, a) == (spec.goal_cell, 0.0, 0.0)
 
     def test_rewards_and_costs_on_entry(self):
         spec = default_hazard_gridworld()
         cmdp = make_gridworld(spec)
         start, goal = spec.start_cell, spec.goal_cell
-        hazard = spec.hazard_cells[0]
-        assert cmdp.reward(start, 1, hazard) == -1.0
-        assert cmdp.costs(start, 1, hazard) == 4.0
-        assert cmdp.reward(8, 1, goal) == -1.0 + 50.0
-        assert cmdp.costs(8, 1, goal) == 0.0
+        assert start + 1 == spec.hazard_cells[0] and goal == 9
+        assert one_step(cmdp, start, 1) == (start + 1, -1.0, 4.0)
+        assert one_step(cmdp, 8, 1) == (goal, -1.0 + 50.0, 0.0)
 
     def test_no_slip_deterministic(self):
         spec = default_hazard_gridworld()
         cmdp = make_gridworld(spec)
         moves = grid_move_table(spec)
-        rng = np.random.default_rng(0)
         for s in range(spec.n_cells):
             if s == spec.goal_cell:
                 continue
             for a in range(N_ACTIONS):
-                assert cmdp.transition(s, a, rng) == moves[s, a]
+                assert one_step(cmdp, s, a)[0] == moves[s, a]
 
     def test_slip_frequencies(self):
         spec = GridworldSpec(width=3, height=3, goal_cell=8, slip_prob=0.3)
@@ -430,7 +434,7 @@ class TestGridworldSemantics:
         n = 20000
         hits = np.zeros(N_ACTIONS)
         for _ in range(n):
-            nxt = cmdp.transition(4, 0, rng)
+            nxt = one_step(cmdp, 4, 0, rng)[0]
             for eff in range(N_ACTIONS):
                 if moves[4, eff] == nxt:
                     hits[eff] += 1
@@ -478,9 +482,7 @@ class TestGridworldKernel:
         rs = np.empty(n)
         cs = np.empty(n)
         for i in range(n):
-            nxt = cmdp.transition(s, a, rng)
-            rs[i] = cmdp.reward(s, a, nxt)
-            cs[i] = cmdp.costs(s, a, nxt)
+            _, rs[i], cs[i] = one_step(cmdp, s, a, rng)
         # the 1e-12 absorbs kernel slip-weight rounding when a column is
         # constant and the standard error collapses to zero
         assert abs(rs.mean() - r[s, a]) <= 3.0 * rs.std(ddof=1) / math.sqrt(n) + 1e-12

@@ -117,6 +117,7 @@ class TestParseConfig:
         assert cfg.window == 0.2
         assert cfg.workers == 1
         assert cfg.seeds == (0, 1)
+        assert parse_config(make_testbed_raw(seeds=[2**32 - 1])).seeds == (2**32 - 1,)
 
     @pytest.mark.parametrize(
         "patch, fragment",
@@ -135,6 +136,8 @@ class TestParseConfig:
             ({"dual": {"variant": "pid"}}, "ascent"),
             ({"window": 0.0}, "window"),
             ({"output_dir": ""}, "output_dir"),
+            ({"dual": {"variant": "ascent", "zeta": 0.05, "zetta": 0.1}},
+             r"dual: unknown keys \['zetta'\]"),
         ],
     )
     def test_testbed_errors_name_the_field(self, patch, fragment):
@@ -163,6 +166,19 @@ class TestParseConfig:
             ({"ppol": {"epochs": True}}, "ppol.epochs"),
             ({"task_params": {"slip_prob": False}}, "task_params.slip_prob"),
             ({"schema_version": True}, "schema_version"),
+            ({"seeds": [0, 2**32]}, r"seeds: .* in \[0, 2\^32\)"),
+            ({"windw": 0.5}, r"top level: unknown keys \['windw'\]"),
+            ({"dual": {"variant": "pid", "k_p": 0.9, "Ki": 0.2}},
+             r"dual: unknown keys \['Ki', 'k_p'\]"),
+            ({"schedule": {"variant": "invlin-practical", "h1": 0.003, "h2": 3,
+                           "eta": 0.1}}, r"schedule: unknown keys \['eta'\]"),
+            ({"sampling": {"n_traj": 4, "horizon": 12, "n_trajs": 8}},
+             r"sampling: unknown keys \['n_trajs'\]"),
+            ({"ppol": {"epochs": 2, "lr": 0.1}}, r"ppol: unknown keys \['lr'\]"),
+            ({"dual": {"variant": "pid", "kp": "0.1"}},
+             "dual: kp must be a finite number, got '0.1'"),
+            ({"dual": {"variant": "pid", "kd": float("inf")}},
+             "dual: kd must be a finite number"),
         ],
     )
     def test_booleans_and_negative_seeds_rejected(self, patch, fragment):

@@ -117,10 +117,7 @@ def bandit_cmdp(rewards, costs, gamma=GAMMA):
         gamma=gamma,
         n_costs=1,
         cost_bound=bound,
-        initial_dist=lambda rng: 0,
-        transition=lambda s, a, rng: 0,
-        reward=lambda s, a, nxt: float(rewards[a]),
-        costs=lambda s, a, nxt: float(costs[a]),
+        initial_state=0,
         vector_step=VectorStep(
             0, lambda s, a, z: s, lambda s, a, s2: (reward_of[a], cost_of[a])
         ),

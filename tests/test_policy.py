@@ -76,7 +76,8 @@ class TestTabular:
         params = PolicyParams(kind, np.tile(SHORT_CDF_LOGITS, spec.n_cells))
         monkeypatch.setattr(np.random, "default_rng", lambda seed: TopUniform())
         solo = sample_trajectory(cmdp, params, 6, 0)
-        row = collect_batch(cmdp, params, SamplingConfig(n_traj=1, horizon=6), 0)
+        top = TopUniform().random((1, 6, 1))  # the lockstep sampler's uniforms
+        row = collect_batch(cmdp, params, SamplingConfig(n_traj=1, horizon=6), 0, top)
         assert solo.actions.tolist() == [[3] * 6]
         assert np.array_equal(row.actions, solo.actions)
         assert np.array_equal(row.states, solo.states)

@@ -608,10 +608,9 @@ def per_step_batch(cmdp, params, sampling, seed, uniforms=None):
 
 
 def nan_signal_cmdp(signal: str, bad_call: int) -> Cmdp:
-    """Deterministic counter chain whose reward (or cost) callback returns
-    NaN on its bad_call-th call (0-based), counted over every step.  The
-    batch signals call the callbacks time step by time step, so a lockstep
-    batch counts its steps time-major, in the order they were taken."""
+    """Deterministic counter chain whose reward (or cost) is NaN at its
+    bad_call-th step (0-based), counted over every step.  The signals count
+    the steps of a batch time-major, in the order they were taken."""
     calls = itertools.count()
 
     def flaky(s, a, nxt):
@@ -634,10 +633,7 @@ def nan_signal_cmdp(signal: str, bad_call: int) -> Cmdp:
         gamma=0.9,
         n_costs=1,
         cost_bound=1.0,
-        initial_dist=lambda rng: 0,
-        transition=lambda s, a, rng: min(s + 1, 9),
-        reward=reward,
-        costs=costs,
+        initial_state=0,
         vector_step=VectorStep(0, lambda s, a, z: np.minimum(s + 1, 9), signals),
         n_states=10,
         n_actions=2,
@@ -649,7 +645,8 @@ class TestNonFinite:
     def test_sampler_names_the_step(self, signal):
         cmdp = nan_signal_cmdp(signal, bad_call=6)
         params = init_params(TabularSoftmax(10, 2))
-        with pytest.raises(NonFiniteError, match=rf"{signal} at index \(6,"):
+        # sample_trajectory returns a one-row batch: row 0, step 6
+        with pytest.raises(NonFiniteError, match=rf"{signal} at index \(0, 6"):
             sample_trajectory(cmdp, params, horizon=9, seed=0)
 
     @pytest.mark.parametrize("algorithm", ["reinforce", "ppol"])
