@@ -16,7 +16,6 @@ from .cmdp import (
     VectorStep,
     batch_values,
     collect_batch,
-    default_horizon,
     derived_seed,
     discounted_value,
     sample_trajectory,
@@ -90,7 +89,6 @@ from .solver import (
     RunRecord,
     SolverConfig,
     apd_run,
-    dual_asymptotic_term,
     feasibility_check,
     papd_run,
     verify_bounds,

@@ -10,9 +10,7 @@ cost vector,
 
 estimated here by sample means over independently seeded trajectories.
 Infinite-horizon sums are truncated at a finite horizon H; the truncation
-changes a bounded-reward objective by at most gamma^H * R_max / (1 - gamma),
-and ``default_horizon`` picks H so the relative tail gamma^H is below a
-target.
+changes a bounded-reward objective by at most gamma^H * R_max / (1 - gamma).
 
 Seeding scheme: a trajectory stream is ``np.random.default_rng(seed)`` where
 seed may be an int or a tuple of ints.  Batch estimators give trajectory i
@@ -227,14 +225,6 @@ class RolloutBatch:
 
     def __len__(self) -> int:
         return self.rewards.shape[0]
-
-
-def default_horizon(gamma: float, rel_tail: float = 1e-3) -> int:
-    """Smallest H with gamma^H <= rel_tail, i.e. truncation error below
-    rel_tail * R_max/(1-gamma) for rewards bounded by R_max."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    return max(1, math.ceil(math.log(rel_tail) / math.log(gamma)))
 
 
 def derived_seed(seed: Seed, index: int) -> tuple:

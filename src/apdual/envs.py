@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -162,11 +163,14 @@ class GridworldSpec:
     start_cell: int = 0
 
     def __post_init__(self) -> None:
-        n = self.width * self.height
+        if not isinstance(self.hazard_cells, (tuple, list)):
+            raise ValueError("hazard_cells must be a list of cells")
+        cells = (self.goal_cell, self.start_cell, *self.hazard_cells)
+        if not all(isinstance(v, Integral) for v in (self.width, self.height, *cells)):
+            raise ValueError("width, height and cells must be integers")
         if self.width < 1 or self.height < 1:
             raise ValueError("grid dimensions must be positive")
-        cells = (self.goal_cell, self.start_cell, *self.hazard_cells)
-        if any(not 0 <= c < n for c in cells):
+        if any(not 0 <= c < self.n_cells for c in cells):
             raise ValueError("cell index outside the grid")
         if self.goal_cell in self.hazard_cells:
             raise ValueError("goal cell cannot be a hazard")

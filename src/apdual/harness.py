@@ -15,17 +15,19 @@ A config is a JSON object with a versioned ``schema_version`` (currently 1):
                 | {"variant": "invlin-practical", "h1": 0.001, "h2": 3},
       "dual": {"variant": "ascent", "zeta": 0.05}
             | {"variant": "pid", "kp": 0.05, "ki": 0.0005, "kd": 0.1},
-      "sampling": {"n_traj": 16, "horizon": 24},   // papd only
+      "sampling": {"n_traj": 16, "horizon": 24},   // papd-* only
       "ppol": {"clip_ratio": 0.2, "gae_lambda": 0.95,
                "minibatch_size": 256, "epochs": 4},  // papd-ppol only
-      "task_params": { ... environment overrides ... },
+      "task_params": { ... environment overrides ... },  // not testbed
       "output_dir": "out/exp",
       "workers": 1,
       "window": 0.2
     }
 
-Unknown keys, PID gains that are not finite numbers and seeds outside
-[0, 2^32) are rejected with a ConfigError naming them.
+Unknown keys, PID gains that are not finite numbers, seeds outside
+[0, 2^32) and non-empty sections that the run would not read are rejected
+with a ConfigError naming them; bad task_params values too, when the run
+builds its environment.
 
 Each seed produces runs/seed_<s>.csv with the fixed column order step,
 return, cost, lr, lambda (floats emitted with repr, so parsing round-trips
@@ -43,13 +45,14 @@ compares, "cost_full_avg" and "cost_window_avg" (equal to "cost_mean"), the
 window cost's batch-means SE "cost_window_se", and "cost_window_margin", the
 window cost minus the limit in SEs; both are null for a zero SE or fewer
 than 2 batches.  "aggregate" is the across-seed mean and std of
-"return_mean" and "cost_mean".  verify_dir re-runs every seed and names the
-first CSV cell that differs (after an apdual or numpy version mismatch, if
-any), then the first summary.json key, wall-clock times aside, that differs,
-then the first key of a testbed seed's stored certificate that differs from
-the recomputed one; it also checks that "csv" lists the config's seeds in
-order.  aggregate_dir reads only the CSVs that "csv" lists.  The env var
-APDUAL_OUTPUT_ROOT, when set, prefixes every output_dir.
+"return_mean" and "cost_mean".  verify_dir re-runs every seed the way
+run_experiment does, workers included, and names the first CSV cell that
+differs (after an apdual or numpy version mismatch, if any), then the first
+summary.json key, wall-clock times aside, that differs, then the first key
+of a testbed seed's stored certificate that differs from the recomputed one;
+it also checks that "csv" lists the config's seeds in order.  aggregate_dir
+reads only the CSVs that "csv" lists.  The env var APDUAL_OUTPUT_ROOT, when
+set, prefixes every output_dir.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ ALGORITHMS = ("apd", "papd-reinforce", "papd-ppol")
 # The fields of each schedule variant besides "variant", as LrSchedule takes them.
 SCHEDULE_KEYS = {"constant": ("eta",), "invlin-exact": (), "invqua-exact": (),
                  "invlin-practical": ("h1", "h2"), "invqua-practical": ("h1", "h2")}
-PID_DEFAULTS = {"kp": 0.05, "ki": 0.0005, "kd": 0.1}
+PID_KEYS = {"kp": "k_p", "ki": "k_i", "kd": "k_d"}  # config key -> PidGains field
 
 
 class ConfigError(Exception):
@@ -226,8 +229,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require(dual.get("variant") == "pid", "dual: papd uses the pid variant")
 
     sampling = raw.get("sampling")
-    if algorithm != "apd":
-        _require(isinstance(sampling, dict), "sampling: required for papd algorithms")
+    if algorithm != "apd" or sampling is not None:
+        _require(isinstance(sampling, dict), "sampling: expected an object")
         _reject_unknown(sampling, ("n_traj", "horizon"), "sampling")
         for key in ("n_traj", "horizon"):
             _require(
@@ -249,6 +252,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"ppol: {exc}") from exc
     task_params = raw.get("task_params", {})
     _require(isinstance(task_params, dict), "task_params: expected an object")
+    # A section the run never reads is an error, checked after its contents.
+    unread = {"sampling": algorithm == "apd", "ppol": algorithm != "papd-ppol",
+              "task_params": task == "testbed"}
+    for key, ignored in unread.items():
+        msg = f"{key}: {algorithm} on the {task} task does not read this section"
+        _require(not (ignored and raw.get(key)), msg)
     output_dir = raw.get("output_dir", "out")
     _require(
         isinstance(output_dir, str) and output_dir, "output_dir: expected a path"
@@ -303,21 +312,25 @@ def build_schedule(spec: dict) -> LrSchedule:
     return LrSchedule(variant, **{key: spec.get(key) for key in keys})
 
 
-def build_dual(spec: dict) -> tuple[str, float | None, PidGains | None]:
+def build_dual(spec: dict) -> dict:
+    """The SolverConfig keyword of a dual section: zeta for the ascent that
+    apd_run takes, gains (PidGains defaults for unset keys) for papd_run."""
     variant = spec.get("variant")
     if variant == "ascent":
         _reject_unknown(spec, ("variant", "zeta"), "dual")
         zeta = spec.get("zeta")
         if not isinstance(zeta, (int, float)) or zeta <= 0.0:
             raise ValueError("ascent dual needs zeta > 0")
-        return "ascent", float(zeta), None
+        return {"zeta": float(zeta)}
     if variant == "pid":
-        _reject_unknown(spec, ("variant", *PID_DEFAULTS), "dual")
-        gains = {key: spec.get(key, value) for key, value in PID_DEFAULTS.items()}
-        for key, value in gains.items():
+        _reject_unknown(spec, ("variant", *PID_KEYS), "dual")
+        gains = {}
+        for key, name in PID_KEYS.items():
+            value = spec.get(key, getattr(PidGains, name))
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
-        return "pid", None, PidGains(*map(float, gains.values()))
+            gains[name] = float(value)
+        return {"gains": PidGains(**gains)}
     raise ValueError(f"unknown dual variant {variant!r}")
 
 
@@ -332,24 +345,19 @@ def build_gridworld_spec(params: dict) -> GridworldSpec:
         raise ConfigError(f"task_params: unknown gridworld fields {sorted(unknown)}")
     kwargs = {f: getattr(base, f) for f in allowed}
     kwargs.update(params)
-    kwargs["hazard_cells"] = tuple(kwargs["hazard_cells"])
-    return GridworldSpec(**kwargs)
+    try:
+        return GridworldSpec(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"task_params: {exc}") from exc
 
 
 def _run_single(cfg: ExperimentConfig, seed: int) -> RunRecord:
     """Run one seed; rebuilds the task so it is safe in a worker process."""
     schedule = build_schedule(cfg.schedule)
-    dual_variant, zeta, gains = build_dual(cfg.dual)
+    dual = build_dual(cfg.dual)
 
     if cfg.task == "testbed":
-        solver_cfg = SolverConfig(
-            iterations=cfg.iterations,
-            schedule=schedule,
-            dual_variant=dual_variant,
-            zeta=zeta,
-            gains=gains,
-            seed=seed,
-        )
+        solver_cfg = SolverConfig(cfg.iterations, schedule, seed=seed, **dual)
         return apd_run(quad_testbed(cfg.cost_limit), solver_cfg)
 
     sampling = SamplingConfig(
@@ -383,14 +391,12 @@ def _run_single(cfg: ExperimentConfig, seed: int) -> RunRecord:
     solver_cfg = SolverConfig(
         iterations=cfg.iterations,
         schedule=schedule,
-        dual_variant="pid",
-        gains=gains,
         theta0=params0,
         sampling=sampling,
         seed=seed,
-        algorithm="reinforce" if cfg.algorithm == "papd-reinforce" else "ppol",
-        ppol=PpolConfig(**cfg.ppol) if cfg.ppol else PpolConfig(),
+        ppol=PpolConfig(**cfg.ppol) if cfg.algorithm == "papd-ppol" else None,
         values_fn=values_fn,
+        **dual,
     )
     return papd_run(cmdp, spec, solver_cfg)
 
@@ -726,11 +732,12 @@ def _certificate_difference(path: Path, cert: BoundCertificate) -> str | None:
 def verify_dir(directory: str | Path) -> list[str]:
     """Re-run an experiment directory and re-check its artifacts.
 
-    Reproduces every seed from the stored config, compares the regenerated
-    CSV bytes with the stored files and each seed's summary.json entry, then
-    the aggregate, with seed_summary's, and for testbed runs compares each
-    stored certificate file with the text of the recomputed certificate.
-    summary.json's "csv" must list the config's seeds in order.  Returns
+    Reproduces every seed from the stored config as run_experiment does
+    (_collect_records), compares the regenerated CSV bytes with the stored
+    files and each seed's summary.json entry, then the aggregate, with
+    seed_summary's, and for testbed runs compares each stored certificate
+    file with the text of the recomputed certificate.  summary.json's "csv"
+    must list the config's seeds in order.  Returns
     human-readable per-seed lines; raises VerificationError on any mismatch,
     missing file or failed certificate.
     """
@@ -753,8 +760,7 @@ def verify_dir(directory: str | Path) -> list[str]:
     listed, expected = summary.get("csv"), [f"seed_{s}.csv" for s in cfg.seeds]
     if listed != expected:
         failures.append(f"summary.json key csv: stored {listed}, expected {expected}")
-    for seed in cfg.seeds:
-        record = _run_single(cfg, seed)
+    for seed, record in zip(cfg.seeds, _collect_records(cfg)):
         stored = directory / "runs" / f"seed_{seed}.csv"
         if not stored.exists():
             failures.append(f"seed {seed}: missing {stored}")

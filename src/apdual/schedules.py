@@ -36,14 +36,11 @@ VARIANTS = (
 
 @dataclass(frozen=True)
 class SmoothnessConstants:
-    """L_R, L_C, mu from the smoothness/strong-convexity assumptions, plus
-    an optional Lagrangian-value Lipschitz constant used only by the bound
-    checkers."""
+    """L_R, L_C, mu from the smoothness/strong-convexity assumptions."""
 
     l_r: float
     l_c: np.ndarray
     mu: float
-    l_lip: float | None = None
 
     def __post_init__(self) -> None:
         l_c = np.atleast_1d(np.asarray(self.l_c, dtype=float))
@@ -55,8 +52,6 @@ class SmoothnessConstants:
         if self.mu > self.l_r:
             # strong convexity cannot exceed smoothness; checked at lambda=0
             raise ValueError("mu must not exceed L_R")
-        if self.l_lip is not None and self.l_lip < 0.0:
-            raise ValueError("l_lip must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,20 @@
 """Primal-dual solver loops and numerical certificates.
 
-apd_run is the exact-gradient loop on a problem exposing closed-form
-J_R, J_C, and grad L (the quadratic testbed): one primal descent step at
-the schedule's eta(lambda_k), then projected dual ascent on g(theta_{k+1}).
-The testbed has one constraint, so the loop carries the multiplier as a
-Python float and the ascent is max(lambda + zeta (J_C - d), 0.0).  J_R is
-not needed inside the loop and is computed once afterwards over all
-theta_{k+1} (QuadProgram.j_r_rows, bit-equal to j_r per row).  papd_run is
-the sampled variant for CMDPs: Monte-Carlo estimates, a score-function or
-clipped-surrogate primal step at the practical eta(lambda_k), and a PID
-dual update on the estimated cost; it carries the m multipliers as an (m,)
-array.  Each iteration samples one rollout batch, which feeds the primal
-step and the dual update alike.  For tabular batches it draws the uniforms of
-UNIFORM_BLOCK iterations at once with cmdp.counter_uniforms and hands each
-batch its slice, so no batch builds Generators (see the cmdp module
-docstring).
+apd_run is the exact-gradient loop on a problem exposing closed-form J_R,
+J_C, and grad L (the quadratic testbed): one primal descent step at the
+schedule's eta(lambda_k), then projected dual ascent on g(theta_{k+1}) at
+rate cfg.zeta.  The testbed has one constraint, so the loop carries the
+multiplier as a Python float and the ascent is max(lambda + zeta (J_C - d),
+0.0).  J_R is not needed inside the loop and is computed once afterwards
+over all theta_{k+1} (QuadProgram.j_r_rows, bit-equal to j_r per row).
+papd_run is the sampled variant for CMDPs: Monte-Carlo estimates, a
+score-function (cfg.ppol None) or clipped-surrogate primal step at the
+practical eta(lambda_k), and a PID dual update (cfg.gains) on the estimated
+cost; it carries the m multipliers as an (m,) array.  Each iteration
+samples one rollout batch, which feeds the primal step and the dual update
+alike.  For tabular batches it draws the uniforms of UNIFORM_BLOCK
+iterations at once with cmdp.counter_uniforms and hands each batch its
+slice, so no batch builds Generators (see the cmdp module docstring).
 
 verify_bounds turns an exact run into a BoundCertificate by recomputing the
 per-iteration primal error
@@ -33,14 +33,14 @@ rather than failed.
 feasibility_check is the one place that applies the final-window rule: its
 report carries the window averages of J_R and J_C, the batch-means SE of
 the window cost, the full-run average cost, the average-feasibility verdict
-and, for ascent runs, the transient envelope.
+and, for apd runs, the transient envelope.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,6 +78,7 @@ from .quadprog import QuadProgram, dual_values_batch, quad_kkt_solve
 from .schedules import LrSchedule, SmoothnessConstants
 
 SHUFFLE_STREAM = 999979  # substream tag for minibatch shuffling
+CERT_TOL = 1e-9  # a certificate passes when no slack is below -CERT_TOL
 # papd_run draws the tabular uniforms of this many iterations at once:
 # the seed hashing costs about as much for one batch as for a block.
 UNIFORM_BLOCK = 64
@@ -87,27 +88,19 @@ UNIFORM_BLOCK = 64
 class SolverConfig:
     iterations: int
     schedule: LrSchedule
-    dual_variant: str = "ascent"
-    zeta: float | None = None
-    gains: PidGains | None = None
+    zeta: float | None = None  # apd_run's dual ascent rate
+    gains: PidGains = PidGains()  # papd_run's PID dual
     lambda0: np.ndarray | None = None
     theta0: object | None = None  # vector (apd) or PolicyParams (papd)
     sampling: SamplingConfig | None = None
     seed: int = 0
-    algorithm: str = "reinforce"
-    ppol: PpolConfig = field(default_factory=PpolConfig)
+    ppol: PpolConfig | None = None  # papd_run's primal step; None is REINFORCE
     # optional exact values for GAE: values_fn(params, batch) -> (n, H+1, 1+m)
     values_fn: object | None = None
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.dual_variant not in ("ascent", "pid"):
-            raise ValueError(f"unknown dual variant {self.dual_variant!r}")
-        if self.dual_variant == "ascent" and (self.zeta is None or self.zeta <= 0):
-            raise ValueError("ascent dual update needs zeta > 0")
-        if self.algorithm not in ("reinforce", "ppol"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
 
 @dataclass
@@ -184,8 +177,9 @@ def _initial_multiplier(lambda0, m: int) -> np.ndarray:
 
 def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
     """Exact primal descent / projected dual ascent on an analytic program."""
+    if cfg.zeta is None or cfg.zeta <= 0:
+        raise ValueError("apd_run's dual ascent needs zeta > 0")
     eta_of = _resolve_schedule(cfg, problem).rate
-    spec = problem.constraint_spec()
     k_iter = cfg.iterations
 
     theta = (
@@ -197,9 +191,6 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
     lam = float(_initial_multiplier(cfg.lambda0, 1)[0])
     zeta, limit = cfg.zeta, problem.limit
     grad, j_c_at = problem.grad_lagrangian, problem.j_c
-    pid = cfg.dual_variant == "pid"
-    gains = cfg.gains or PidGains()
-    pid_state = PidState.zeros(1)
 
     thetas = np.empty((k_iter + 1, theta.size))
     lambdas = np.empty((k_iter + 1, 1))
@@ -217,13 +208,7 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
             theta = theta - eta * grad(theta, lam)
             j_c = j_c_at(theta)
             costs[k, 0] = j_c
-            if pid:
-                lam_next, pid_state = pid_dual_step(
-                    pid_state, gains, np.array([j_c]), spec
-                )
-                lam = float(lam_next[0])
-            else:
-                lam = max(lam + zeta * (j_c - limit), 0.0)
+            lam = max(lam + zeta * (j_c - limit), 0.0)
         thetas[k_iter] = theta
         lambdas[k_iter] = lam
         returns = problem.j_r_rows(thetas[1:])
@@ -242,10 +227,10 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
 
     meta = {
         "kind": "apd",
-        "dual": cfg.dual_variant,
+        "dual": "ascent",
         "zeta": cfg.zeta,
         "seed": cfg.seed,
-        "cost_limit": spec.limits.tolist(),
+        "cost_limit": [limit],
         "schedule_variant": cfg.schedule.variant,
         "wall_clock_s": time.perf_counter() - start,
     }
@@ -275,8 +260,6 @@ def _lstsq_values(cmdp: Cmdp, batch: RolloutBatch) -> np.ndarray:
 
 def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
     """Sampled primal-dual loop: practical/constant schedule + PID dual."""
-    if cfg.dual_variant != "pid":
-        raise ValueError("papd_run uses the PID dual controller")
     if cfg.sampling is None:
         raise ValueError("papd_run needs a sampling config")
     if not isinstance(cfg.theta0, PolicyParams):
@@ -288,7 +271,6 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
     if not 0 <= cfg.seed < 2**32:
         raise ValueError(f"seed {cfg.seed} outside [0, 2^32)")
 
-    gains = cfg.gains or PidGains()
     params = cfg.theta0
     m = spec.m
     k_iter = cfg.iterations
@@ -318,7 +300,7 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
 
         returns[k] = j_r_hat
         costs[k] = j_c_hat
-        lam, pid_state = pid_dual_step(pid_state, gains, j_c_hat, spec)
+        lam, pid_state = pid_dual_step(pid_state, cfg.gains, j_c_hat, spec)
     thetas[k_iter] = params.theta
     lambdas[k_iter] = lam
 
@@ -326,9 +308,9 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
         "kind": "papd",
         "dual": "pid",
         "zeta": None,
-        "gains": [gains.k_p, gains.k_i, gains.k_d],
+        "gains": [cfg.gains.k_p, cfg.gains.k_i, cfg.gains.k_d],
         "seed": cfg.seed,
-        "algorithm": cfg.algorithm,
+        "algorithm": "reinforce" if cfg.ppol is None else "ppol",
         "cost_limit": spec.limits.tolist(),
         "schedule_variant": cfg.schedule.variant,
         "wall_clock_s": time.perf_counter() - start,
@@ -370,7 +352,7 @@ def _papd_iteration(
     batch = collect_batch(cmdp, params, cfg.sampling, (cfg.seed, k), uniforms)
     returns, cost_vals = batch_values(batch, cmdp.gamma)
 
-    if cfg.algorithm == "reinforce":
+    if cfg.ppol is None:
         grad = reinforce_grad_from_batch(
             batch, cmdp.gamma, params, lam, spec, (returns, cost_vals)
         )
@@ -408,17 +390,6 @@ def _ppol_update(
             )
             params = params.replace_theta(params.theta + eta * grad)
     return params
-
-
-def dual_asymptotic_term(
-    cost_bound: float, gamma: float, limits: np.ndarray, zeta: float
-) -> float:
-    """The K-independent term of the dual-gap bound,
-    zeta (B + (1-gamma) ||d||)^2 / (2 (1-gamma)^2)."""
-    norm_d = float(np.linalg.norm(np.atleast_1d(limits)))
-    return zeta * (cost_bound + (1.0 - gamma) * norm_d) ** 2 / (
-        2.0 * (1.0 - gamma) ** 2
-    )
 
 
 @dataclass
@@ -472,17 +443,12 @@ def verify_bounds(
     record: RunRecord,
     problem: QuadProgram,
     constants: SmoothnessConstants | None = None,
-    zeta: float | None = None,
-    tol: float = 1e-9,
 ) -> BoundCertificate:
     """Check every proved inequality against an exact-run record."""
     if record.meta.get("kind") != "apd":
         raise ValueError("bound certificates require an exact (apd) record")
-    if record.meta.get("dual") != "ascent":
-        raise ValueError("bound certificates require the ascent dual update")
     c = constants or problem.smoothness()
-    if zeta is None:
-        zeta = record.meta["zeta"]
+    zeta = record.meta["zeta"]
     mu = c.mu
     l_c0 = float(c.l_c[0])
 
@@ -516,12 +482,9 @@ def verify_bounds(
     gn_prev = np.linalg.norm(grad_prev, axis=1)
     gn_next = np.linalg.norm(grad_next, axis=1)
 
-    if c.l_lip is not None:
-        l_prime = c.l_lip
-    else:
-        # Lagrangian-value Lipschitz constant over the iterate hull: the
-        # largest gradient norm seen at any endpoint, with 10% headroom.
-        l_prime = 1.1 * float(max(gn_prev.max(initial=0.0), gn_next.max(initial=0.0)))
+    # Lagrangian-value Lipschitz constant over the iterate hull: the
+    # largest gradient norm seen at any endpoint, with 10% headroom.
+    l_prime = 1.1 * float(max(gn_prev.max(initial=0.0), gn_next.max(initial=0.0)))
 
     g_rows = record.costs[:, 0] - limit
     g_norm = float(np.abs(g_rows).max(initial=0.0))
@@ -613,11 +576,12 @@ def verify_bounds(
         g_norm=g_norm,
         d_star=float(kkt.dual_opt),
         lambda_star=float(kkt.lambda_star),
-        tol=tol,
+        tol=CERT_TOL,
     )
 
 
 WINDOW_BATCHES = 20  # at most this many batch means behind window_se
+FEASIBILITY_TOL = 1e-2  # feasible: average costs within d + FEASIBILITY_TOL
 
 
 @dataclass
@@ -632,7 +596,7 @@ class FeasibilityReport:
 
 
 def feasibility_check(
-    record: RunRecord, spec: ConstraintSpec, window: float = 0.2, tol: float = 1e-2
+    record: RunRecord, spec: ConstraintSpec, window: float = 0.2
 ) -> FeasibilityReport:
     """Average-feasibility report, and every final-window statistic.
 
@@ -643,8 +607,8 @@ def feasibility_check(
     costs, and 0 when b < 2.
 
     Passes iff both the full-run average and the window average of J_C are
-    within d + tol, componentwise.  For ascent records the exact transient
-    envelope avg(g)[K'] <= (lambda_K' - lambda_0)/(zeta K') is also
+    within d + FEASIBILITY_TOL, componentwise.  For apd records the exact
+    transient envelope avg(g)[K'] <= (lambda_K' - lambda_0)/(zeta K') is also
     evaluated; envelope_ok checks it from 10% of the run onward.
     """
     k_iter = record.iterations
@@ -662,13 +626,13 @@ def feasibility_check(
     se = means.std(axis=0, ddof=1) / np.sqrt(b) if b > 1 else np.zeros_like(window_avg)
     full_avg = running[-1]
     passed = bool(
-        (full_avg <= spec.limits + tol).all()
-        and (window_avg <= spec.limits + tol).all()
+        (full_avg <= spec.limits + FEASIBILITY_TOL).all()
+        and (window_avg <= spec.limits + FEASIBILITY_TOL).all()
     )
 
     env_slack = None
     env_ok = None
-    if record.meta.get("dual") == "ascent" and record.meta.get("zeta"):
+    if record.meta.get("kind") == "apd":
         zeta = record.meta["zeta"]
         envelope = (record.lambdas[1:] - record.lambdas[0]) / (zeta * counts)
         env_slack = envelope - (running - spec.limits)

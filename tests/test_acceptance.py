@@ -54,7 +54,6 @@ def testbed_runs():
         cfg = SolverConfig(
             iterations=10_000,
             schedule=LrSchedule(variant),
-            dual_variant="ascent",
             zeta=0.05,
         )
         started = time.perf_counter()
@@ -273,12 +272,10 @@ def _study_cfg(schedule, seed):
     return SolverConfig(
         iterations=STUDY_ITERS,
         schedule=schedule,
-        dual_variant="pid",
         gains=PID_GAINS,
         theta0=init_params(TabularSoftmax(15, 4)),
         sampling=SamplingConfig(n_traj=16, horizon=24),
         seed=seed,
-        algorithm="reinforce",
     )
 
 

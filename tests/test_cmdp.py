@@ -22,7 +22,6 @@ from apdual.cmdp import (
     collect_batch,
     counter_form_fits,
     counter_uniforms,
-    default_horizon,
     derived_seed,
     discounted_value,
     require_finite,
@@ -96,25 +95,6 @@ def estimate_objectives(cmdp, params, sampling, seed):
         collect_batch(cmdp, params, sampling, seed), cmdp.gamma
     )
     return float(returns.mean()), cost_vals.mean(axis=0)
-
-
-class TestDefaultHorizon:
-    def test_matches_log_formula(self):
-        h = default_horizon(0.99, 1e-3)
-        assert h == math.ceil(math.log(1e-3) / math.log(0.99))
-        assert 0.99**h <= 1e-3 < 0.99 ** (h - 1)
-
-    def test_tail_below_target_for_several_gammas(self):
-        for gamma in (0.5, 0.9, 0.99, 0.999):
-            for tail in (1e-2, 1e-3, 1e-6):
-                h = default_horizon(gamma, tail)
-                assert gamma**h <= tail
-
-    def test_rejects_bad_gamma(self):
-        with pytest.raises(ValueError):
-            default_horizon(1.0)
-        with pytest.raises(ValueError):
-            default_horizon(0.0)
 
 
 def one_row(rewards, costs):
@@ -374,7 +354,6 @@ def grid_papd_cfg(iterations, seed=3):
     return SolverConfig(
         iterations=iterations,
         schedule=LrSchedule("invlin-practical", h1=0.003, h2=3.0),
-        dual_variant="pid",
         gains=PidGains(),
         theta0=init_params(TabularSoftmax(default_hazard_gridworld().n_cells, 4)),
         sampling=SamplingConfig(n_traj=16, horizon=24),

@@ -196,6 +196,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="ppol"):
             parse_config(make_grid_raw(ppol={"clip": -1.0}))
 
+    @pytest.mark.parametrize(
+        "section, raw",
+        [
+            ("ppol", make_grid_raw(ppol={"epochs": 2})),
+            ("sampling", make_testbed_raw(sampling={"n_traj": 4, "horizon": 12})),
+            ("task_params", make_testbed_raw(task_params={"noise_std": 0.1})),
+        ],
+        ids=["ppol-on-reinforce", "sampling-on-apd", "task_params-on-testbed"],
+    )
+    def test_unread_sections_rejected(self, section, raw):
+        with pytest.raises(ConfigError, match=f"^{section}: .* does not read"):
+            parse_config(raw)
+
+    def test_gamma_and_empty_sections_accepted_where_unread(self):
+        # the shipped testbed configs set gamma and an empty task_params
+        cfg = parse_config(make_testbed_raw(gamma=0.9, task_params={}))
+        assert cfg.gamma == 0.9
+        assert parse_config(make_grid_raw(ppol={})).ppol == {}
+
     def test_gridworld_param_whitelist(self):
         spec = build_gridworld_spec({"slip_prob": 0.2})
         assert spec.slip_prob == 0.2
@@ -725,6 +744,7 @@ class TestRunExperiment:
             verify_dir(tmp_path)
 
     def test_parallel_workers_match_serial(self, tmp_path, monkeypatch):
+        collect_records = harness._collect_records
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
         serial = run_experiment(
             parse_config(make_testbed_raw(output_dir="s", iterations=100))
@@ -734,6 +754,14 @@ class TestRunExperiment:
         )
         for p1, p2 in zip(serial.csv_paths, parallel.csv_paths):
             assert p1.read_bytes() == p2.read_bytes()
+        # verify_dir reproduces the seeds the way the run fanned them out
+        calls = []
+        monkeypatch.setattr(
+            harness, "_collect_records",
+            lambda cfg: calls.append(cfg.workers) or collect_records(cfg),
+        )
+        assert len(verify_dir(parallel.output_dir)) == 2
+        assert calls == [2]
 
 
 class TestSweep:
@@ -797,6 +825,20 @@ class TestCli:
         assert code == 2
         assert "seeds" in capsys.readouterr().err
         assert not (tmp_path / "grid_out").exists()
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"goal_cell": 99}, {"slip_prob": 1.5}, {"width": "5"},
+         {"start_cell": 0.0}, {"hazard_cells": 3}],
+        ids=lambda params: next(iter(params)),
+    )
+    def test_bad_gridworld_task_params_exit_2(
+        self, tmp_path, monkeypatch, capsys, params
+    ):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        code = main(["run", self.write_cfg(tmp_path, make_grid_raw(task_params=params))])
+        assert code == 2
+        assert "config error: task_params: " in capsys.readouterr().err
 
     def test_run_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

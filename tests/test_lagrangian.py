@@ -801,12 +801,10 @@ class TestPpolRunMatchesReference:
         cfg = SolverConfig(
             iterations=iterations,
             schedule=LrSchedule("invlin-practical", h1=0.05, h2=3.0),
-            dual_variant="pid",
             gains=PidGains(0.5, 0.05, 0.1),
             theta0=theta0,
             sampling=sampling,
             seed=3,
-            algorithm="ppol",
             ppol=ppol,
         )
         return cmdp, ConstraintSpec(np.array([limit])), cfg

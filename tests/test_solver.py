@@ -3,13 +3,15 @@
 The exact loop is checked against hand-stepped iterations and saddle-point
 fixed points; certificates are exercised on healthy runs, on a synthetic
 record engineered to trip the negative-radicand flags, and on records they
-must refuse (sampled, PID).
+must refuse (sampled).
 """
 
 import dataclasses
 import itertools
 import math
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from apdual.cmdp import (
     derived_seed,
     sample_trajectory,
 )
-from apdual.duals import PidGains, PidState, pid_dual_step, project_nonneg
+from apdual.duals import PidGains, project_nonneg
 from apdual.envs import (
     GridworldSpec,
     PointEnvConfig,
@@ -40,7 +42,6 @@ from apdual.solver import (
     RunRecord,
     SolverConfig,
     apd_run,
-    dual_asymptotic_term,
     feasibility_check,
     papd_run,
     verify_bounds,
@@ -53,7 +54,6 @@ def exact_cfg(variant="invlin-exact", iterations=300, **kw):
     return SolverConfig(
         iterations=iterations,
         schedule=LrSchedule(variant),
-        dual_variant="ascent",
         zeta=ZETA,
         **kw,
     )
@@ -91,7 +91,6 @@ class TestApdRun:
         cfg = SolverConfig(
             iterations=200,
             schedule=LrSchedule("invlin-exact"),
-            dual_variant="ascent",
             zeta=1e-12,
         )
         rec = apd_run(prog, cfg)
@@ -120,7 +119,6 @@ class TestApdRun:
         cfg = SolverConfig(
             iterations=5,
             schedule=LrSchedule("invlin-exact", constants=wrong),
-            dual_variant="ascent",
             zeta=ZETA,
         )
         with pytest.raises(ValueError, match="disagree"):
@@ -134,17 +132,6 @@ class TestApdRun:
         assert rec.etas.shape == (7,)
         assert rec.costs.shape == (7, 1)
 
-    def test_pid_dual_variant_runs(self):
-        cfg = SolverConfig(
-            iterations=50,
-            schedule=LrSchedule("invlin-exact"),
-            dual_variant="pid",
-            gains=PidGains(0.5, 0.01, 0.1),
-        )
-        rec = apd_run(quad_testbed(0.5), cfg)
-        assert rec.meta["dual"] == "pid"
-        assert np.all(rec.lambdas >= 0.0)
-
     def test_divergence_names_seed_and_iteration(self):
         # eta (1 + lambda) > 2 makes every primal step expand: theta
         # overflows at iteration 6
@@ -153,7 +140,6 @@ class TestApdRun:
         cfg = SolverConfig(
             iterations=2000,
             schedule=LrSchedule("constant", eta=5.0),
-            dual_variant="ascent",
             zeta=ZETA,
             seed=7,
         )
@@ -167,7 +153,6 @@ class TestApdRun:
         cfg = SolverConfig(
             iterations=50,
             schedule=LrSchedule("constant", eta=50.0),
-            dual_variant="ascent",
             zeta=0.1,
         )
         # theta overflows in the loop, J_R in j_r_rows after it
@@ -196,7 +181,6 @@ def reference_apd_run(problem, cfg):
         if cfg.lambda0 is None
         else np.atleast_1d(np.asarray(cfg.lambda0, dtype=float)).copy()
     )
-    pid_state = PidState.zeros(1)
     k_iter = cfg.iterations
     thetas = np.empty((k_iter + 1, theta.size))
     lambdas = np.empty((k_iter + 1, 1))
@@ -212,12 +196,7 @@ def reference_apd_run(problem, cfg):
         j_c = problem.j_c(theta)
         returns[k] = problem.j_r(theta)
         costs[k] = j_c
-        if cfg.dual_variant == "ascent":
-            lam = project_nonneg(lam + cfg.zeta * (j_c - spec.limits))
-        else:
-            lam, pid_state = pid_dual_step(
-                pid_state, cfg.gains or PidGains(), j_c, spec
-            )
+        lam = project_nonneg(lam + cfg.zeta * (j_c - spec.limits))
     thetas[k_iter] = theta
     lambdas[k_iter] = lam
     return thetas, lambdas, etas, returns, costs
@@ -248,12 +227,6 @@ class TestFloatLoopMatchesReference:
         "invqua-practical": dict(
             schedule=LrSchedule("invqua-practical", h1=0.5, h2=2.0)
         ),
-        "pid": dict(
-            schedule=LrSchedule("invlin-exact"),
-            dual_variant="pid",
-            zeta=None,
-            gains=PidGains(0.5, 0.05, 0.1),
-        ),
         "lambda0": dict(
             schedule=LrSchedule("invlin-exact"), lambda0=np.array([1.7])
         ),
@@ -264,7 +237,7 @@ class TestFloatLoopMatchesReference:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_record_arrays_equal(self, case, n):
         prog = random_program(n, seed=n)
-        kw = dict(dual_variant="ascent", zeta=0.2) | self.CASES[case]
+        kw = dict(zeta=0.2) | self.CASES[case]
         if kw.get("theta0") == "given":
             kw["theta0"] = np.linspace(-1.0, 2.0, n)
         cfg = SolverConfig(iterations=400, **kw)
@@ -361,17 +334,6 @@ class TestBoundCertificates:
         with pytest.raises(ValueError, match="exact"):
             verify_bounds(rec, prog)
 
-    def test_rejects_pid_records(self):
-        cfg = SolverConfig(
-            iterations=5,
-            schedule=LrSchedule("invlin-exact"),
-            dual_variant="pid",
-            gains=PidGains(),
-        )
-        rec = apd_run(quad_testbed(0.5), cfg)
-        with pytest.raises(ValueError, match="ascent"):
-            verify_bounds(rec, quad_testbed(0.5))
-
     def test_certificate_serializable(self):
         import json
 
@@ -426,23 +388,16 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             feasibility_check(rec, prog.constraint_spec(), window=0.0)
 
-    def test_asymptotic_term_worked_value(self):
-        # zeta (B + (1-gamma)||d||)^2 / (2 (1-gamma)^2)
-        val = dual_asymptotic_term(2.0, 0.9, np.array([1.0]), 0.05)
-        assert val == pytest.approx(11.025, rel=1e-12)
 
-
-def papd_cfg(iterations=40, algorithm="reinforce", seed=0, **kw):
+def papd_cfg(iterations=40, seed=0, **kw):
     grid_cells = kw.pop("n_cells", 15)
     return SolverConfig(
         iterations=iterations,
         schedule=LrSchedule("invlin-practical", h1=0.003, h2=3.0),
-        dual_variant="pid",
         gains=PidGains(0.05, 0.0005, 0.1),
         theta0=init_params(TabularSoftmax(grid_cells, 4)),
         sampling=SamplingConfig(n_traj=8, horizon=20),
         seed=seed,
-        algorithm=algorithm,
         **kw,
     )
 
@@ -489,28 +444,15 @@ class TestPapdRun:
 
     def test_ppol_runs_and_deterministic(self):
         a = papd_run(
-            self.cmdp, self.constraint, papd_cfg(iterations=8, algorithm="ppol")
+            self.cmdp, self.constraint, papd_cfg(iterations=8, ppol=PpolConfig())
         )
         b = papd_run(
-            self.cmdp, self.constraint, papd_cfg(iterations=8, algorithm="ppol")
+            self.cmdp, self.constraint, papd_cfg(iterations=8, ppol=PpolConfig())
         )
         np.testing.assert_array_equal(a.thetas, b.thetas)
         assert a.meta["algorithm"] == "ppol"
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="PID"):
-            papd_run(
-                self.cmdp,
-                self.constraint,
-                SolverConfig(
-                    iterations=5,
-                    schedule=LrSchedule("constant", eta=1e-3),
-                    dual_variant="ascent",
-                    zeta=0.1,
-                    theta0=init_params(TabularSoftmax(15, 4)),
-                    sampling=SamplingConfig(4, 10),
-                ),
-            )
         with pytest.raises(ValueError, match="sampling"):
             papd_run(
                 self.cmdp,
@@ -518,7 +460,6 @@ class TestPapdRun:
                 SolverConfig(
                     iterations=5,
                     schedule=LrSchedule("constant", eta=1e-3),
-                    dual_variant="pid",
                     theta0=init_params(TabularSoftmax(15, 4)),
                 ),
             )
@@ -529,7 +470,6 @@ class TestPapdRun:
                 SolverConfig(
                     iterations=5,
                     schedule=LrSchedule("constant", eta=1e-3),
-                    dual_variant="pid",
                     theta0=np.zeros(60),
                     sampling=SamplingConfig(4, 10),
                 ),
@@ -541,7 +481,6 @@ class TestPapdRun:
                 SolverConfig(
                     iterations=5,
                     schedule=LrSchedule("invlin-exact"),
-                    dual_variant="pid",
                     theta0=init_params(TabularSoftmax(15, 4)),
                     sampling=SamplingConfig(4, 10),
                 ),
@@ -568,12 +507,10 @@ class TestPapdPointPpol:
         cfg = SolverConfig(
             iterations=4,
             schedule=LrSchedule("invlin-practical", h1=0.001, h2=3.0),
-            dual_variant="pid",
             gains=PidGains(0.05, 0.0005, 0.1),
             theta0=init_params(LinearGaussian(4, 2)),
             sampling=SamplingConfig(n_traj=8, horizon=64),
             seed=seed,
-            algorithm="ppol",
             ppol=PpolConfig(minibatch_size=256, epochs=4),
         )
         return papd_run(cmdp, ConstraintSpec(np.array([2.0])), cfg)
@@ -655,8 +592,9 @@ class TestNonFinite:
         # step, so call 37 is step 3 of the second rollout (row 1) of
         # iteration 3
         cmdp = nan_signal_cmdp("rewards", bad_call=37)
+        ppol = PpolConfig() if algorithm == "ppol" else None
         cfg = dataclasses.replace(
-            papd_cfg(iterations=6, algorithm=algorithm, seed=4, n_cells=10),
+            papd_cfg(iterations=6, seed=4, n_cells=10, ppol=ppol),
             sampling=SamplingConfig(n_traj=2, horizon=5),
         )
         want = r"seed 4, iteration 3: non-finite rewards at index \(1, 3\)"
@@ -668,7 +606,6 @@ class TestNonFinite:
         cfg = SolverConfig(
             iterations=3,
             schedule=LrSchedule("constant", eta=1e308),
-            dual_variant="pid",
             theta0=init_params(LinearGaussian(4, 2)),
             sampling=SamplingConfig(n_traj=4, horizon=16),
             seed=5,
@@ -683,11 +620,16 @@ class TestSolverConfigValidation:
         sched = LrSchedule("constant", eta=1e-3)
         with pytest.raises(ValueError):
             SolverConfig(iterations=0, schedule=sched, zeta=0.1)
-        with pytest.raises(ValueError):
-            SolverConfig(iterations=5, schedule=sched, dual_variant="newton")
-        with pytest.raises(ValueError):
-            SolverConfig(iterations=5, schedule=sched, dual_variant="ascent")
-        with pytest.raises(ValueError):
-            SolverConfig(
-                iterations=5, schedule=sched, zeta=0.1, algorithm="trpo"
-            )
+        # the exact loop's dual ascent needs a positive rate
+        for zeta in (None, 0.0):
+            cfg = SolverConfig(iterations=5, schedule=sched, zeta=zeta)
+            with pytest.raises(ValueError, match="zeta > 0"):
+                apd_run(quad_testbed(0.5), cfg)
+
+
+def test_readme_python_snippet_runs():
+    """The README's "From Python" block runs as written."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().split("From Python:\n\n", 1)[1].splitlines()
+    block = itertools.takewhile(lambda line: not line or line[:4] == "    ", lines)
+    exec(textwrap.dedent("\n".join(block)), {})
