@@ -447,6 +447,38 @@ def test_sampled_csv_digest_pinned(name):
     )
 
 
+# SHA-256 of the seed-0 CSV and certificate JSON of the shipped testbed
+# configs (d = 0.5, 10^4 iterations of the exact loop).
+PINNED_TESTBED = {
+    "testbed-invlin": {
+        "csv": "fc63e55bfd99c244acfe6562e607ab86dd87414cd3439eacdc7905547a4bf38a",
+        "certificate": (
+            "61d2d3c1c3ba59f69efc6ee8c0315361368209100e97176772f3d346348a2c33"
+        ),
+    },
+    "testbed-invqua": {
+        "csv": "b2460ac6a5f50bab69be37d8d04ec1b404019204b04ecab20e9e4b24474cd653",
+        "certificate": (
+            "e4e0b5aa855806dd90ceeca2fbaeb042c36e7160442f10e9ab70e963304a7a81"
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_TESTBED))
+def test_testbed_artifact_digests_pinned(name):
+    """The shipped testbed CSV and certificate are byte-identical to the
+    pinned ones: the exact loop, the schedules, the dual ascent, the bound
+    checks and the CSV and JSON text all feed them."""
+    cfg = load_config(CONFIGS / f"{name.replace('-', '_')}.json")
+    record = harness._run_single(cfg, 0)
+    _, cert = harness.seed_summary(cfg, record)
+    texts = {"csv": record_to_csv(record), "certificate": harness.certificate_json(cert)}
+    for kind, text in texts.items():
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == PINNED_TESTBED[name][kind], f"{name}: {kind} digest {digest}"
+
+
 class TestRunExperiment:
     def test_testbed_artifacts(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
