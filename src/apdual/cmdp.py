@@ -179,7 +179,9 @@ class Cmdp:
         cell = self.initial_state
         if not self.is_tabular:
             require_finite("initial state", cell)
-        elif not (isinstance(cell, (int, np.integer)) and 0 <= cell < self.n_states):
+        elif isinstance(cell, bool) or not isinstance(cell, (int, np.integer)):
+            raise ValueError(f"initial cell {cell!r} must be an integer cell index")
+        elif not 0 <= cell < self.n_states:
             raise ValueError(f"initial cell {cell} outside [0, {self.n_states})")
 
     @property

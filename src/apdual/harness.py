@@ -33,26 +33,27 @@ Each seed produces runs/seed_<s>.csv with the fixed column order step,
 return, cost, lr, lambda (floats emitted with repr, so parsing round-trips
 exactly), and for testbed runs a bound certificate JSON.  summary.json holds
 "schema_version", "config", "csv" (the run files in seed order),
-"wall_clock_s", "per_seed", "aggregate", "apdual_version" and
-"numpy_version" (sampled runs depend on apdual's stream layout and on
-numpy's fixed bit-generator streams, NEP 19).  seed_summary builds a seed's
-entry from one solver.feasibility_check over the last ``window`` fraction
-(default 20%) of iterations: the window averages "return_mean" and
-"cost_mean", "lambda_final", "wall_clock_s", and for a testbed run
-"certificate_passed".  A sampled entry adds the verdict "feasible" (full-run
-and window cost both within the limit plus 0.01), the two averages it
-compares, "cost_full_avg" and "cost_window_avg" (equal to "cost_mean"), the
-window cost's batch-means SE "cost_window_se", and "cost_window_margin", the
-window cost minus the limit in SEs; both are null for a zero SE or fewer
-than 2 batches.  "aggregate" is the across-seed mean and std of
-"return_mean" and "cost_mean".  verify_dir re-runs every seed the way
-run_experiment does, workers included, and names the first CSV cell that
-differs (after an apdual or numpy version mismatch, if any), then the first
-summary.json key, wall-clock times aside, that differs, then the first key
-of a testbed seed's stored certificate that differs from the recomputed one;
-it also checks that "csv" lists the config's seeds in order.  aggregate_dir
-reads only the CSVs that "csv" lists.  The env var APDUAL_OUTPUT_ROOT, when
-set, prefixes every output_dir.
+"wall_clock_s", "per_seed", "aggregate", "apdual_version", "numpy_version"
+and "blas_version" (sampled runs depend on apdual's stream layout, on
+numpy's fixed bit-generator streams, NEP 19, and through their matrix
+products on the BLAS build; the exact loop's arithmetic is BLAS-free).
+seed_summary builds a seed's entry from one solver.feasibility_check over
+the last ``window`` fraction (default 20%) of iterations: the window
+averages "return_mean" and "cost_mean", "lambda_final", "wall_clock_s", and
+for a testbed run "certificate_passed".  A sampled entry adds the verdict
+"feasible" (full-run and window cost both within the limit plus 0.01), the
+two averages it compares, "cost_full_avg" and "cost_window_avg" (equal to
+"cost_mean"), the window cost's batch-means SE "cost_window_se", and
+"cost_window_margin", the window cost minus the limit in SEs; both are null
+for a zero SE or fewer than 2 batches.  "aggregate" is the across-seed mean
+and std of "return_mean" and "cost_mean".  verify_dir re-runs every seed the
+way run_experiment does, workers included, and names the first CSV cell that
+differs (after an apdual, numpy or BLAS version mismatch, if any), then the
+first summary.json key, wall-clock times aside, that differs, then the
+first key of a testbed seed's stored certificate that differs from the
+recomputed one; it also checks that "csv" lists the config's seeds in order.
+aggregate_dir reads only the CSVs that "csv" lists.  The env var
+APDUAL_OUTPUT_ROOT, when set, prefixes every output_dir.
 """
 
 from __future__ import annotations
@@ -351,6 +352,12 @@ def build_gridworld_spec(params: dict) -> GridworldSpec:
         raise ConfigError(f"task_params: {exc}") from exc
 
 
+def blas_version() -> str:
+    """Name and version of the BLAS numpy was built against."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
 def _run_single(cfg: ExperimentConfig, seed: int) -> RunRecord:
     """Run one seed; rebuilds the task so it is safe in a worker process."""
     schedule = build_schedule(cfg.schedule)
@@ -537,6 +544,7 @@ def run_experiment(cfg: ExperimentConfig | str | Path) -> ExperimentResult:
         "schema_version": SCHEMA_VERSION,
         "apdual_version": __version__,
         "numpy_version": np.__version__,
+        "blas_version": blas_version(),
         "config": cfg.raw,
         "per_seed": per_seed_summary,
         "aggregate": aggregate,
@@ -747,7 +755,7 @@ def verify_dir(directory: str | Path) -> list[str]:
         raise ConfigError(f"{directory}: no summary.json to verify against")
     summary = json.loads(summary_path.read_text())
     cfg = parse_config(summary["config"])
-    running = {"apdual": __version__, "numpy": np.__version__}
+    running = {"apdual": __version__, "numpy": np.__version__, "blas": blas_version()}
     stored = {name: summary.get(f"{name}_version", v) for name, v in running.items()}
     differ = [name for name in running if stored[name] != running[name]]
     versions = ""

@@ -12,6 +12,18 @@ lambda >= 0 the Lagrangian -J_R + lambda (J_C - d) is strongly convex with
     d(lambda) = L(theta*(lambda), lambda)
 
 and exact constants L_R = eigmax(Q), L_C = [eigmax(P)], mu = eigmin(Q).
+
+grad_theta L and J_C are BLAS-free: lagrangian_grad and constraint_value
+compute them on Python floats, as sums added left to right in index order,
+
+    grad_i = sum_j (q_ij + lambda p_ij) theta_j - b_i + lambda c_i
+    J_C    = sum_j (sum_i (1/2 theta_i) p_ij) theta_j + sum_j c_j theta_j,
+
+and QuadProgram.grad_lagrangian, QuadProgram.j_c and solver.apd_run all call
+them, so the exact loop and the methods round alike.  numpy's @ would hand
+these products to the BLAS, whose kernels may fuse multiply-adds and so
+round differently from one CPU to the next.  J_R, the KKT solve, the dual
+values and the certificate algebra still use numpy and the BLAS.
 """
 
 from __future__ import annotations
@@ -60,8 +72,9 @@ class QuadProgram:
         return quad + (th[:, None, :] @ self.b[:, None])[:, 0, 0]
 
     def j_c(self, theta: np.ndarray) -> float:
-        """J_C(theta) of the program's one constraint."""
-        return float(0.5 * theta @ self.p @ theta + self.c @ theta)
+        """J_C(theta) of the program's one constraint (constraint_value)."""
+        theta = np.asarray(theta, dtype=float).tolist()
+        return constraint_value(self.p.T.tolist(), self.c.tolist(), theta)
 
     def constraint_spec(self) -> ConstraintSpec:
         return ConstraintSpec(np.array([self.limit]))
@@ -70,8 +83,12 @@ class QuadProgram:
         return -self.j_r(theta) + lam * (self.j_c(theta) - self.limit)
 
     def grad_lagrangian(self, theta: np.ndarray, lam: float) -> np.ndarray:
-        """grad_theta L at the float multiplier lam."""
-        return (self.q + lam * self.p) @ theta - self.b + lam * self.c
+        """grad_theta L at the float multiplier lam (lagrangian_grad)."""
+        grad = lagrangian_grad(
+            self.q.tolist(), self.p.tolist(), self.b.tolist(), self.c.tolist(),
+            np.asarray(theta, dtype=float).tolist(), float(lam),
+        )
+        return np.array(grad)
 
     def smoothness(self) -> SmoothnessConstants:
         q_eigs = np.linalg.eigvalsh(self.q)
@@ -80,6 +97,38 @@ class QuadProgram:
             l_r=float(q_eigs[-1]), l_c=np.array([float(p_eigs[-1])]),
             mu=float(q_eigs[0]),
         )
+
+
+def lagrangian_grad(
+    q: list, p: list, b: list, c: list, theta: list, lam: float
+) -> list[float]:
+    """grad_theta L on Python floats: q and p as lists of rows, b, c and
+    theta as lists.  Row i adds (q_ij + lam p_ij) theta_j left to right over
+    j, then subtracts b_i and adds lam c_i.  Each sum starts from -0.0, which
+    x + -0.0 leaves unchanged for every x, signed zeros included."""
+    grad = []
+    for q_i, p_i, b_i, c_i in zip(q, p, b, c):
+        row = -0.0
+        for q_ij, p_ij, t_j in zip(q_i, p_i, theta):
+            row += (q_ij + lam * p_ij) * t_j
+        grad.append(row - b_i + lam * c_i)
+    return grad
+
+
+def constraint_value(p_cols: list, c: list, theta: list) -> float:
+    """J_C on Python floats: p as a list of columns, c and theta as lists.
+    v_j adds (1/2 theta_i) p_ij left to right over i; sum_j v_j theta_j and
+    sum_j c_j theta_j are each added left to right, then summed.  The sums
+    start from -0.0, as in lagrangian_grad."""
+    half = [0.5 * t for t in theta]
+    quad = lin = -0.0
+    for p_j, c_j, t_j in zip(p_cols, c, theta):
+        v_j = -0.0
+        for h_i, p_ij in zip(half, p_j):
+            v_j += h_i * p_ij
+        quad += v_j * t_j
+        lin += c_j * t_j
+    return quad + lin
 
 
 def quad_make(q, b, p, c, limit: float) -> QuadProgram:

@@ -3,10 +3,20 @@
 apd_run is the exact-gradient loop on a problem exposing closed-form J_R,
 J_C, and grad L (the quadratic testbed): one primal descent step at the
 schedule's eta(lambda_k), then projected dual ascent on g(theta_{k+1}) at
-rate cfg.zeta.  The testbed has one constraint, so the loop carries the
-multiplier as a Python float and the ascent is max(lambda + zeta (J_C - d),
-0.0).  J_R is not needed inside the loop and is computed once afterwards
-over all theta_{k+1} (QuadProgram.j_r_rows, bit-equal to j_r per row).
+rate cfg.zeta.  The loop runs on Python floats: theta is a list, the one
+constraint's multiplier a float, and the ascent is max(lambda + zeta
+(J_C - d), 0.0).  grad L and J_C come from quadprog.lagrangian_grad and
+quadprog.constraint_value, the helpers behind QuadProgram.grad_lagrangian
+and QuadProgram.j_c, so the loop and the methods round alike.  Each
+iteration appends its theta, lambda, eta and J_C to array.array('d')
+buffers, which become the RunRecord arrays through np.frombuffer after the
+loop.  Sums are added left to right, with no BLAS and so no fused
+multiply-add.  On the testbed (Q = P = I, c = 0, theta_0 = 0) the two
+coordinates of theta stay equal and every product is exact, so any order,
+numpy's @ included, rounds these sums alike: the testbed's bytes do not
+depend on the BLAS.  J_R is not needed inside the loop and is computed once
+afterwards over all theta_{k+1} (QuadProgram.j_r_rows, bit-equal to j_r per
+row).
 papd_run is the sampled variant for CMDPs: Monte-Carlo estimates, a
 score-function (cfg.ppol None) or clipped-surrogate primal step at the
 practical eta(lambda_k), and a PID dual update (cfg.gains) on the estimated
@@ -40,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,7 +85,13 @@ from .lagrangian import (
     reinforce_grad_from_batch,
 )
 from .policy import PolicyParams, TabularSoftmax
-from .quadprog import QuadProgram, dual_values_batch, quad_kkt_solve
+from .quadprog import (
+    QuadProgram,
+    constraint_value,
+    dual_values_batch,
+    lagrangian_grad,
+    quad_kkt_solve,
+)
 from .schedules import LrSchedule, SmoothnessConstants
 
 SHUFFLE_STREAM = 999979  # substream tag for minibatch shuffling
@@ -180,37 +197,42 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
     if cfg.zeta is None or cfg.zeta <= 0:
         raise ValueError("apd_run's dual ascent needs zeta > 0")
     eta_of = _resolve_schedule(cfg, problem).rate
-    k_iter = cfg.iterations
+    k_iter, n = cfg.iterations, problem.dim
 
-    theta = (
-        np.zeros(problem.dim)
-        if cfg.theta0 is None
-        else np.asarray(cfg.theta0, dtype=float).copy()
-    )
+    theta0 = np.zeros(n) if cfg.theta0 is None else np.asarray(cfg.theta0, dtype=float)
+    if theta0.shape != (n,):
+        raise ValueError(f"theta0 must have shape ({n},), got {theta0.shape}")
+    theta = theta0.tolist()
     # The program has one constraint, so the multiplier is a float.
     lam = float(_initial_multiplier(cfg.lambda0, 1)[0])
     zeta, limit = cfg.zeta, problem.limit
-    grad, j_c_at = problem.grad_lagrangian, problem.j_c
+    q, p, b, c = (a.tolist() for a in (problem.q, problem.p, problem.b, problem.c))
+    p_cols = problem.p.T.tolist()
 
-    thetas = np.empty((k_iter + 1, theta.size))
-    lambdas = np.empty((k_iter + 1, 1))
-    etas = np.empty(k_iter)
-    costs = np.empty((k_iter, 1))
+    theta_rows, lambda_rows = array("d"), array("d")
+    eta_rows, cost_rows = array("d"), array("d")
 
     start = time.perf_counter()
-    # A diverging run overflows here; the screen after the loop raises.
+    # A diverging run overflows to inf or nan here; the screen after the
+    # loop raises.
+    for _ in range(k_iter):
+        theta_rows.extend(theta)
+        lambda_rows.append(lam)
+        eta = eta_of(lam)
+        eta_rows.append(eta)
+        grad = lagrangian_grad(q, p, b, c, theta, lam)
+        theta = [t_i - eta * g_i for t_i, g_i in zip(theta, grad)]
+        j_c = constraint_value(p_cols, c, theta)
+        cost_rows.append(j_c)
+        lam = max(lam + zeta * (j_c - limit), 0.0)
+    theta_rows.extend(theta)
+    lambda_rows.append(lam)
+
+    thetas = np.frombuffer(theta_rows).reshape(k_iter + 1, n)
+    lambdas = np.frombuffer(lambda_rows).reshape(k_iter + 1, 1)
+    etas = np.frombuffer(eta_rows)
+    costs = np.frombuffer(cost_rows).reshape(k_iter, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(k_iter):
-            thetas[k] = theta
-            lambdas[k, 0] = lam
-            eta = eta_of(lam)
-            etas[k] = eta
-            theta = theta - eta * grad(theta, lam)
-            j_c = j_c_at(theta)
-            costs[k, 0] = j_c
-            lam = max(lam + zeta * (j_c - limit), 0.0)
-        thetas[k_iter] = theta
-        lambdas[k_iter] = lam
         returns = problem.j_r_rows(thetas[1:])
 
     # One finiteness screen for the whole run, none per iteration: row k
@@ -220,7 +242,7 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
         require_finite("iterates", produced)
     except NonFiniteError as exc:
         k, j = (int(i) for i in np.argwhere(~np.isfinite(produced))[0])
-        what = "theta" if j < theta.size else "return" if j == theta.size else "cost"
+        what = "theta" if j < n else "return" if j == n else "cost"
         raise NonFiniteError(
             f"seed {cfg.seed}, iteration {k}: non-finite {what}"
         ) from exc

@@ -323,9 +323,15 @@ class TestValidation:
         kw["initial_state"] = np.array([0.0, np.nan])
         with pytest.raises(NonFiniteError, match=r"initial state at index \(1,\)"):
             Cmdp(gamma=0.9, n_costs=1, cost_bound=1.0, **kw)
-        kw["initial_state"] = 1.0
-        with pytest.raises(ValueError, match="initial cell 1.0 outside"):
-            Cmdp(gamma=0.9, n_costs=1, cost_bound=1.0, n_states=2, n_actions=2, **kw)
+        tabular = dict(gamma=0.9, n_costs=1, cost_bound=1.0, n_states=2, n_actions=2)
+        for cell in (1.0, True):
+            kw["initial_state"] = cell
+            want = f"initial cell {cell} must be an integer cell index"
+            with pytest.raises(ValueError, match=want):
+                Cmdp(**tabular, **kw)
+        kw["initial_state"] = 2
+        with pytest.raises(ValueError, match=r"initial cell 2 outside \[0, 2\)"):
+            Cmdp(**tabular, **kw)
 
     def test_sampling_config_rejects_bad_fields(self):
         with pytest.raises(ValueError):

@@ -473,7 +473,10 @@ def test_testbed_artifact_digests_pinned(name):
     cfg = load_config(CONFIGS / f"{name.replace('-', '_')}.json")
     record = harness._run_single(cfg, 0)
     _, cert = harness.seed_summary(cfg, record)
-    texts = {"csv": record_to_csv(record), "certificate": harness.certificate_json(cert)}
+    texts = {
+        "csv": record_to_csv(record),
+        "certificate": harness.certificate_json(cert),
+    }
     for kind, text in texts.items():
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == PINNED_TESTBED[name][kind], f"{name}: {kind} digest {digest}"
@@ -696,6 +699,8 @@ class TestRunExperiment:
         summary = json.loads(result.summary_path.read_text())
         assert summary["apdual_version"] == apdual.__version__
         assert summary["numpy_version"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert summary["blas_version"] == f"{blas['name']} {blas['version']}"
 
     def test_verify_dir_names_numpy_version_mismatch(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
@@ -705,8 +710,10 @@ class TestRunExperiment:
         summary = json.loads(result.summary_path.read_text())
         ours = f"apdual {apdual.__version__}"
         theirs = f"numpy {np.__version__}"
+        blas = f"blas {harness.blas_version()}"
         doctored = [
             ({"numpy_version": "1.26.4"}, "numpy 1.26.4", theirs),
+            ({"blas_version": "openblas 0.3.21"}, "blas openblas 0.3.21", blas),
             ({"apdual_version": "0.1.0"}, "apdual 0.1.0", ours),
             (
                 {"apdual_version": "0.1.0", "numpy_version": "1.26.4"},

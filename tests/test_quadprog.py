@@ -151,6 +151,36 @@ class TestGradients:
             np.testing.assert_allclose(g, fd, rtol=1e-8, atol=1e-8)
 
 
+class TestArithmeticOrder:
+    """grad_lagrangian and j_c are the documented sums of Python floats,
+    added left to right, bit for bit.  Q and P are not symmetric, so a row
+    read as a column shows too."""
+
+    def test_equal_to_left_to_right_float_sums(self):
+        rng = np.random.default_rng(11)
+        n = 3
+        q, p = rng.normal(size=(2, n, n))
+        b, c = rng.normal(size=(2, n))
+        prog = QuadProgram(q, b, p, c, 0.5)  # built directly: quad_make checks symmetry
+        qs, ps, bs, cs = q.tolist(), p.tolist(), b.tolist(), c.tolist()
+        for _ in range(200):
+            th = (rng.normal(size=n) * 3.0).tolist()
+            lam = float(rng.random() * 4.0)
+            grad = []
+            for i in range(n):
+                row = (qs[i][0] + lam * ps[i][0]) * th[0]
+                row += (qs[i][1] + lam * ps[i][1]) * th[1]
+                row += (qs[i][2] + lam * ps[i][2]) * th[2]
+                grad.append(row - bs[i] + lam * cs[i])
+            half = [0.5 * t for t in th]
+            v = [half[0] * ps[0][j] + half[1] * ps[1][j] + half[2] * ps[2][j]
+                 for j in range(n)]
+            quad = v[0] * th[0] + v[1] * th[1] + v[2] * th[2]
+            lin = cs[0] * th[0] + cs[1] * th[1] + cs[2] * th[2]
+            assert prog.grad_lagrangian(np.array(th), lam).tolist() == grad
+            assert prog.j_c(np.array(th)) == quad + lin
+
+
 class TestStackedForms:
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
     def test_j_r_rows_equals_per_row_j_r(self, n):

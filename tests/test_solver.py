@@ -124,6 +124,11 @@ class TestApdRun:
         with pytest.raises(ValueError, match="disagree"):
             apd_run(prog, cfg)
 
+    def test_theta0_shape_checked(self):
+        for bad in ([0.0, 0.0, 0.0], [[0.0, 0.0]]):
+            with pytest.raises(ValueError, match="theta0 must have shape"):
+                apd_run(quad_testbed(0.5), exact_cfg(iterations=3, theta0=bad))
+
     def test_record_shapes(self):
         rec = apd_run(quad_testbed(0.5), exact_cfg(iterations=7))
         assert rec.iterations == 7
