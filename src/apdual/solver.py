@@ -16,7 +16,9 @@ coordinates of theta stay equal and every product is exact, so any order,
 numpy's @ included, rounds these sums alike: the testbed's bytes do not
 depend on the BLAS.  J_R is not needed inside the loop and is computed once
 afterwards over all theta_{k+1} (QuadProgram.j_r_rows, bit-equal to j_r per
-row).
+row).  The loop stops once the state (theta_k, lambda_k) repeats bit for bit
+with period 1 or 2, and fills the remaining rows from the cycle (see
+apd_run).
 papd_run is the sampled variant for CMDPs: Monte-Carlo estimates, a
 score-function (cfg.ppol None) or clipped-surrogate primal step at the
 practical eta(lambda_k), and a PID dual update (cfg.gains) on the estimated
@@ -49,6 +51,7 @@ and, for apd runs, the transient envelope.
 from __future__ import annotations
 
 import itertools
+import struct
 import time
 from array import array
 from dataclasses import dataclass, replace
@@ -192,8 +195,25 @@ def _initial_multiplier(lambda0, m: int) -> np.ndarray:
     return lam
 
 
+def _repeat_rows(rows: array, width: int, period: int, total: int) -> None:
+    """Extend rows, width floats to a row, to total rows, each new row m a
+    copy of row m - period."""
+    missing = total - len(rows) // width
+    cycle = rows[len(rows) - period * width :]
+    rows.extend((cycle * -(-missing // period))[: missing * width])
+
+
 def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
-    """Exact primal descent / projected dual ascent on an analytic program."""
+    """Exact primal descent / projected dual ascent on an analytic program.
+
+    The loop stops early once the state (theta_k, lambda_k) repeats bit for
+    bit the state of iteration k - 1 or k - 2.  The step reads nothing but
+    the state, so from then on the run cycles with that period: the rows
+    left, m = k .. K, are filled as copies of row i + (m - i) % period,
+    i = k - period.  A converged testbed run reaches such a repeat within
+    its first few thousand iterations; the record is the same as the full
+    loop's, bit for bit.
+    """
     if cfg.zeta is None or cfg.zeta <= 0:
         raise ValueError("apd_run's dual ascent needs zeta > 0")
     eta_of = _resolve_schedule(cfg, problem).rate
@@ -212,10 +232,26 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
     theta_rows, lambda_rows = array("d"), array("d")
     eta_rows, cost_rows = array("d"), array("d")
 
+    # The state (theta_k, lambda_k) as the bytes of n + 1 C doubles, so that
+    # 0.0 and -0.0 differ and a NaN equals its own bits.
+    pack = struct.Struct(f"{n + 1}d").pack
+    last = before_last = None
+
     start = time.perf_counter()
     # A diverging run overflows to inf or nan here; the screen after the
     # loop raises.
     for _ in range(k_iter):
+        state = pack(*theta, lam)
+        if state == last or state == before_last:
+            # Row k and the state after it depend only on the state, so
+            # every row from here on repeats the row one period back.
+            period = 1 if state == last else 2
+            _repeat_rows(theta_rows, n, period, k_iter + 1)
+            _repeat_rows(lambda_rows, 1, period, k_iter + 1)
+            _repeat_rows(eta_rows, 1, period, k_iter)
+            _repeat_rows(cost_rows, 1, period, k_iter)
+            break
+        before_last, last = last, state
         theta_rows.extend(theta)
         lambda_rows.append(lam)
         eta = eta_of(lam)
@@ -225,8 +261,9 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
         j_c = constraint_value(p_cols, c, theta)
         cost_rows.append(j_c)
         lam = max(lam + zeta * (j_c - limit), 0.0)
-    theta_rows.extend(theta)
-    lambda_rows.append(lam)
+    else:
+        theta_rows.extend(theta)
+        lambda_rows.append(lam)
 
     thetas = np.frombuffer(theta_rows).reshape(k_iter + 1, n)
     lambdas = np.frombuffer(lambda_rows).reshape(k_iter + 1, 1)
@@ -317,7 +354,9 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
             params, j_r_hat, j_c_hat = _papd_iteration(
                 cmdp, params, lam, spec, cfg, eta, k, next(uniforms)
             )
-        except NonFiniteError as exc:
+        except (NonFiniteError, RuntimeWarning, FloatingPointError) as exc:
+            # RuntimeWarning and FloatingPointError arrive here when numpy's
+            # floating-point warnings are errors (-W error, np.errstate).
             raise NonFiniteError(f"seed {cfg.seed}, iteration {k}: {exc}") from exc
 
         returns[k] = j_r_hat

@@ -923,6 +923,30 @@ class TestCli:
             with pytest.raises(NonFiniteError, match="seed 0, iteration 19: "):
                 harness._run_single(parse_config(raw), 0)
 
+    @pytest.mark.parametrize("promote", ["warnings", "errstate"])
+    def test_promoted_warning_names_seed_and_iteration(self, promote):
+        # with h1 = 1000 the point-run policy's log-std overflows np.exp at
+        # iteration 1; promoted to a RuntimeWarning (warnings as errors) or
+        # a FloatingPointError (np.errstate), the overflow must still leave
+        # as a NonFiniteError naming the seed and the iteration
+        raw = json.loads((CONFIGS / "point_run_ppol.json").read_text())
+        raw["schedule"]["h1"] = 1000
+        raw.update(iterations=30, seeds=[0])
+        want = "seed 0, iteration 1: overflow encountered in exp"
+
+        def cause():
+            with pytest.raises(NonFiniteError, match=want) as info:
+                harness._run_single(parse_config(raw), 0)
+            return info.value.__cause__
+
+        if promote == "warnings":
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert isinstance(cause(), RuntimeWarning)
+        else:
+            with np.errstate(over="raise"):
+                assert isinstance(cause(), FloatingPointError)
+
     def test_divergent_testbed_run_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
         raw = make_testbed_raw(seeds=[7], schedule={"variant": "constant", "eta": 5.0})

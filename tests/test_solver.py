@@ -207,6 +207,13 @@ def reference_apd_run(problem, cfg):
     return thetas, lambdas, etas, returns, costs
 
 
+def assert_record_equal(rec, want):
+    """Every array of an apd_run record equals reference_apd_run's."""
+    names = ("thetas", "lambdas", "etas", "returns", "costs")
+    for name, expected in zip(names, want):
+        assert np.array_equal(getattr(rec, name), expected), name
+
+
 def random_program(n, seed):
     """Q and P positive definite, c = 0, so theta = 0 is a Slater point."""
     rng = np.random.default_rng(seed)
@@ -247,16 +254,58 @@ class TestFloatLoopMatchesReference:
             kw["theta0"] = np.linspace(-1.0, 2.0, n)
         cfg = SolverConfig(iterations=400, **kw)
         rec = apd_run(prog, cfg)
-        want = reference_apd_run(prog, cfg)
-        names = ("thetas", "lambdas", "etas", "returns", "costs")
-        for name, expected in zip(names, want):
-            assert np.array_equal(getattr(rec, name), expected), name
+        assert_record_equal(rec, reference_apd_run(prog, cfg))
         assert rec.lambdas.max() > 0.0  # the constraint binds at some point
 
     def test_lambda0_validation(self):
         for bad in ([-0.1], [0.1, 0.2], [math.nan], [math.inf]):
             with pytest.raises(ValueError, match="lambda0"):
                 apd_run(quad_testbed(0.5), exact_cfg(iterations=3, lambda0=bad))
+
+
+def first_repeat(thetas, lambdas):
+    """(k, period) of the first state (theta_k, lambda_k) whose bytes equal
+    those of the state one or two iterations back; None if no state does."""
+    states = [row.tobytes() for row in np.concatenate([thetas, lambdas], axis=1)]
+    for k in range(1, len(states)):
+        for period in (1, 2):
+            if k >= period and states[k] == states[k - period]:
+                return k, period
+    return None
+
+
+class TestRepeatFastForward:
+    """apd_run stops at a bitwise repeat of period 1 or 2 and fills the
+    rows left; the record must equal the full reference loop's.  Each case
+    first checks on the reference that its repeat happens within the run,
+    or, for no-repeat, that none does."""
+
+    @pytest.mark.parametrize("variant", ["invlin-exact", "invqua-exact"])
+    @pytest.mark.parametrize(
+        "limit, iterations, repeat",
+        [(0.5, 2000, 1), (0.9, 1000, 2), (0.2, 3000, None)],
+        ids=["period-1", "period-2", "no-repeat"],
+    )
+    def test_record_equals_full_loop(self, variant, limit, iterations, repeat):
+        prog = quad_testbed(limit)
+        cfg = exact_cfg(variant, iterations=iterations)
+        want = reference_apd_run(prog, cfg)
+        found = first_repeat(*want[:2])
+        assert (None if found is None else found[1]) == repeat
+        assert_record_equal(apd_run(prog, cfg), want)
+
+    @pytest.mark.parametrize("variant", ["invlin-exact", "invqua-exact"])
+    def test_start_at_a_fixed_point(self, variant):
+        prog = quad_testbed(0.5)
+        thetas, lambdas, *_ = reference_apd_run(
+            prog, exact_cfg(variant, iterations=2000)
+        )
+        cfg = exact_cfg(
+            variant, iterations=50, theta0=thetas[-1], lambda0=lambdas[-1]
+        )
+        want = reference_apd_run(prog, cfg)
+        assert first_repeat(*want[:2]) == (1, 1)
+        assert_record_equal(apd_run(prog, cfg), want)
 
 
 class TestRunRecordValidation:
