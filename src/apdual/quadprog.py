@@ -22,8 +22,10 @@ compute them on Python floats, as sums added left to right in index order,
 and QuadProgram.grad_lagrangian, QuadProgram.j_c and solver.apd_run all call
 them, so the exact loop and the methods round alike.  numpy's @ would hand
 these products to the BLAS, whose kernels may fuse multiply-adds and so
-round differently from one CPU to the next.  J_R, the KKT solve, the dual
-values and the certificate algebra still use numpy and the BLAS.
+round differently from one CPU to the next.  dual_values_batch sums J_R
+and J_C in the same fixed order on numpy columns (_row_forms).  J_R, the
+KKT solve, the linear solve for theta*(lambda) and the certificate algebra
+still use numpy and the BLAS.
 """
 
 from __future__ import annotations
@@ -169,18 +171,51 @@ def quad_dual_value(prog: QuadProgram, lam: float) -> float:
     return prog.lagrangian(quad_primal_min(prog, lam), lam)
 
 
+def _row_forms(
+    th: np.ndarray, mat: np.ndarray, vec: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(theta' mat theta, vec' theta) of every row of th, summed over
+    columns of th: (mat theta)_j adds mat_ji theta_i left to right over i,
+    and both forms add over j left to right, each sum starting from -0.0 as
+    in constraint_value.  Each elementwise numpy operation rounds alone, so
+    no multiply-add is fused and no row depends on another row or on the
+    CPU's BLAS kernel."""
+    quad = lin = -0.0
+    for mat_j, vec_j, th_j in zip(mat, vec, th.T):
+        mat_th_j = -0.0
+        for mat_ji, th_i in zip(mat_j, th.T):
+            mat_th_j = mat_th_j + mat_ji * th_i
+        quad = quad + mat_th_j * th_j
+        lin = lin + vec_j * th_j
+    return quad, lin
+
+
 def dual_values_batch(
     prog: QuadProgram, lams: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (d(lambda), theta*(lambda), J_C(theta*)) over a 1-d grid
-    of multipliers; one stacked linear solve instead of a Python loop."""
+    """Vectorized (d(lambda), theta*(lambda), J_C(theta*)) over a 1-d array
+    of multipliers.
+
+    Each distinct multiplier, keyed by its 8 bytes so that 0.0 and -0.0
+    differ, is solved once in one stacked linear solve, and the rows are
+    gathered back into the order of ``lams``.  An exact run that stops at a
+    repeat of its state records few distinct multipliers.  Every row is
+    computed alone (stacked solve, _row_forms sums), whatever else is in
+    the batch, so row i equals ``dual_values_batch(prog, lams[i:i + 1])``
+    bit for bit; ``einsum`` and ``@`` over the stack do not for a batch of
+    one."""
     lams = np.asarray(lams, dtype=float)
-    a = prog.q[None, :, :] + lams[:, None, None] * prog.p[None, :, :]
-    rhs = prog.b[None, :] - lams[:, None] * prog.c[None, :]
+    keys, inverse = np.unique(lams.view(np.uint64), return_inverse=True)
+    lam = keys.view(float)
+    a = prog.q[None, :, :] + lam[:, None, None] * prog.p[None, :, :]
+    rhs = prog.b[None, :] - lam[:, None] * prog.c[None, :]
     th = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
-    j_r = -0.5 * np.einsum("ki,ij,kj->k", th, prog.q, th) + th @ prog.b
-    j_c = 0.5 * np.einsum("ki,ij,kj->k", th, prog.p, th) + th @ prog.c
-    return -j_r + lams * (j_c - prog.limit), th, j_c
+    quad_r, lin_r = _row_forms(th, prog.q, prog.b)
+    quad_c, lin_c = _row_forms(th, prog.p, prog.c)
+    j_r = -0.5 * quad_r + lin_r
+    j_c = 0.5 * quad_c + lin_c
+    d = -j_r + lam * (j_c - prog.limit)
+    return d[inverse], th[inverse], j_c[inverse]
 
 
 def _constraint_infimum(prog: QuadProgram) -> float:

@@ -257,7 +257,18 @@ class TestCsvRoundTrip:
         with pytest.raises(VerificationError, match="header"):
             read_record_csv(path)
 
-    @pytest.mark.parametrize("kind", ["edge-values", "empty", "testbed"])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "edge-values",
+            "empty",
+            "testbed",
+            "testbed-period-2",
+            "equal-rows-apart",
+            "signed-zero",
+            "gridworld",
+        ],
+    )
     def test_text_equals_per_row_formula(self, kind):
         if kind == "edge-values":
             values = [-0.0, 1e-300, 1e22, 2.0, 0.1 + 1e-17]
@@ -266,9 +277,21 @@ class TestCsvRoundTrip:
             rec.lambdas[:, 0] = [*values, 5.0]
         elif kind == "empty":
             rec = synthetic_record([], [])
-        else:  # 2500 rows: two whole chunks of rows and a part
+        elif kind == "testbed":  # 2500 rows: two whole chunks of rows and a part
             raw = make_testbed_raw(iterations=2500)
             rec = harness._run_single(parse_config(raw), 0)
+        elif kind == "testbed-period-2":  # rows filled from a cycle of two
+            raw = make_testbed_raw(iterations=1000, cost_limit=0.95)
+            rec = harness._run_single(parse_config(raw), 0)
+        elif kind == "equal-rows-apart":  # rows 0, 2, 5 equal, and rows 1, 4
+            rec = synthetic_record([1.5, 2.5, 1.5, 3.5, 2.5, 1.5], [0.25] * 6)
+        elif kind == "signed-zero":  # each row differs from row 0 in one sign
+            rec = synthetic_record([0.0, -0.0, 0.0, 0.0, 0.0], [0.0] * 5)
+            rec.costs[2, 0] = -0.0
+            rec.etas[:] = [0.0, 0.0, 0.0, -0.0, 0.0]
+            rec.lambdas[:, 0] = [0.0, 0.0, 0.0, 0.0, -0.0, 1.0]
+        else:  # a sampled record: 100 rows, all distinct
+            rec = harness._run_single(parse_config(make_grid_raw(iterations=100)), 0)
         # The per-row formula record_to_csv used to write, kept as reference.
         want = ",".join(CSV_COLUMNS) + "\n" + "".join(
             f"{k},{float(rec.returns[k])!r},{float(rec.costs[k, 0])!r},"

@@ -121,6 +121,23 @@ class TestDualGeometry:
         _, _, j_c = dual_values_batch(prog, lams)
         assert np.all(np.diff(j_c) <= 1e-12)
 
+    def test_batch_rows_equal_single_calls(self):
+        # Shuffled, repeated multipliers, signed zeros included: each row is
+        # bit-equal to the row of a batch holding that multiplier alone.
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(4, 4))
+        g = rng.normal(size=(4, 4))
+        prog = quad_make(
+            a @ a.T + 4.0 * np.eye(4), rng.normal(size=4), g @ g.T,
+            rng.normal(size=4), 0.5,
+        )
+        lams = rng.permutation(np.repeat([0.0, -0.0, 0.3, 1.7, 2.9], [3, 2, 4, 1, 5]))
+        batch = dual_values_batch(prog, lams)
+        for i in range(lams.size):
+            single = dual_values_batch(prog, lams[i : i + 1])
+            for got, want in zip(batch, single):
+                assert got[i].tobytes() == want[0].tobytes()
+
     def test_batch_matches_scalar_routes(self):
         prog = quad_testbed(0.5)
         lams = np.array([0.0, 0.7, 2.5])
