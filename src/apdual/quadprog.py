@@ -13,23 +13,29 @@ lambda >= 0 the Lagrangian -J_R + lambda (J_C - d) is strongly convex with
 
 and exact constants L_R = eigmax(Q), L_C = [eigmax(P)], mu = eigmin(Q).
 
-grad_theta L and J_C are BLAS-free: lagrangian_grad and constraint_value
-compute them on Python floats, as sums added left to right in index order,
+J_R, J_C and grad_theta L each have one fixed order of arithmetic, written
+once: form_value and lagrangian_grad add their sums left to right in index
+order, each starting from -0.0,
 
-    grad_i = sum_j (q_ij + lambda p_ij) theta_j - b_i + lambda c_i
-    J_C    = sum_j (sum_i (1/2 theta_i) p_ij) theta_j + sum_j c_j theta_j,
+    s theta' M theta + v' theta
+        = sum_j (sum_i (s theta_i) m_ij) theta_j + sum_j v_j theta_j
+    grad_i = sum_j (q_ij + lambda p_ij) theta_j - b_i + lambda c_i,
 
-and QuadProgram.grad_lagrangian, QuadProgram.j_c and solver.apd_run all call
-them, so the exact loop and the methods round alike.  numpy's @ would hand
-these products to the BLAS, whose kernels may fuse multiply-adds and so
-round differently from one CPU to the next.  dual_values_batch sums J_R
-and J_C in the same fixed order on numpy columns (_row_forms).  J_R, the
-KKT solve, the linear solve for theta*(lambda) and the certificate algebra
-still use numpy and the BLAS.
+with (M, v, s) = (Q, b, -1/2) for J_R and (P, c, 1/2) for J_C.  The same
+code runs on Python floats for one theta and on numpy columns for a stack
+of thetas, one entry per row; each elementwise numpy operation rounds
+alone, so a stacked row equals the single call bit for bit, no multiply-add
+is fused, and no value depends on the CPU's BLAS kernel or on numpy's SIMD
+dispatch.  solver.apd_run, the QuadProgram methods, dual_values_batch and
+solver.verify_bounds all compute these quantities through them.  On the
+testbed path the only BLAS/LAPACK calls left are the linear solves for
+theta*(lambda) and the eigenvalue routines (eigvalsh for the smoothness
+constants, eigh for the Slater check).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +54,20 @@ class KktSolution:
     dual_opt: float
 
 
+def _entries(theta) -> list:
+    """theta's n entries: Python floats for one theta of shape (n,), numpy
+    columns of K entries for a (K, n) stack."""
+    theta = np.asarray(theta, dtype=float)
+    return theta.tolist() if theta.ndim == 1 else list(theta.T)
+
+
 @dataclass(frozen=True)
 class QuadProgram:
+    """The program's data.  Each method takes one theta of shape (n,) and
+    gives floats, or a (K, n) stack of thetas (with lam a float or K
+    multipliers) and gives one value per row, bit for bit the single call's
+    (form_value, lagrangian_grad)."""
+
     q: np.ndarray
     b: np.ndarray
     p: np.ndarray
@@ -60,37 +78,24 @@ class QuadProgram:
     def dim(self) -> int:
         return self.b.size
 
-    def j_r(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta, dtype=float)
-        return float(-0.5 * theta @ self.q @ theta + self.b @ theta)
+    def j_r(self, theta):
+        return form_value(self.q.T.tolist(), self.b.tolist(), _entries(theta), -0.5)
 
-    def j_r_rows(self, thetas: np.ndarray) -> np.ndarray:
-        """J_R of every row of a (K, n) array, bit-equal to K j_r calls.
-
-        The products are stacked (1, n) @ (n, n) @ (n, 1) matmuls, which
-        reduce in the per-row order; ``thetas @ q`` does not for n >= 5."""
-        th = np.asarray(thetas, dtype=float)
-        quad = ((-0.5 * th)[:, None, :] @ self.q @ th[:, :, None])[:, 0, 0]
-        return quad + (th[:, None, :] @ self.b[:, None])[:, 0, 0]
-
-    def j_c(self, theta: np.ndarray) -> float:
-        """J_C(theta) of the program's one constraint (constraint_value)."""
-        theta = np.asarray(theta, dtype=float).tolist()
-        return constraint_value(self.p.T.tolist(), self.c.tolist(), theta)
+    def j_c(self, theta):
+        return form_value(self.p.T.tolist(), self.c.tolist(), _entries(theta), 0.5)
 
     def constraint_spec(self) -> ConstraintSpec:
         return ConstraintSpec(np.array([self.limit]))
 
-    def lagrangian(self, theta: np.ndarray, lam: float) -> float:
+    def lagrangian(self, theta, lam):
         return -self.j_r(theta) + lam * (self.j_c(theta) - self.limit)
 
-    def grad_lagrangian(self, theta: np.ndarray, lam: float) -> np.ndarray:
-        """grad_theta L at the float multiplier lam (lagrangian_grad)."""
+    def grad_lagrangian(self, theta, lam) -> np.ndarray:
         grad = lagrangian_grad(
             self.q.tolist(), self.p.tolist(), self.b.tolist(), self.c.tolist(),
-            np.asarray(theta, dtype=float).tolist(), float(lam),
+            _entries(theta), lam,
         )
-        return np.array(grad)
+        return np.array(grad).T
 
     def smoothness(self) -> SmoothnessConstants:
         q_eigs = np.linalg.eigvalsh(self.q)
@@ -101,13 +106,13 @@ class QuadProgram:
         )
 
 
-def lagrangian_grad(
-    q: list, p: list, b: list, c: list, theta: list, lam: float
-) -> list[float]:
-    """grad_theta L on Python floats: q and p as lists of rows, b, c and
-    theta as lists.  Row i adds (q_ij + lam p_ij) theta_j left to right over
-    j, then subtracts b_i and adds lam c_i.  Each sum starts from -0.0, which
-    x + -0.0 leaves unchanged for every x, signed zeros included."""
+def lagrangian_grad(q: list, p: list, b: list, c: list, theta: list, lam) -> list:
+    """grad_theta L with q and p as lists of rows and b and c as lists of
+    floats; theta is n floats and lam a float, or theta n numpy columns and
+    lam a float or a column.  Row i adds (q_ij + lam p_ij) theta_j left to
+    right over j, then subtracts b_i and adds lam c_i.  Each sum starts from
+    -0.0, which x + -0.0 leaves unchanged for every x, signed zeros
+    included."""
     grad = []
     for q_i, p_i, b_i, c_i in zip(q, p, b, c):
         row = -0.0
@@ -117,31 +122,38 @@ def lagrangian_grad(
     return grad
 
 
-def constraint_value(p_cols: list, c: list, theta: list) -> float:
-    """J_C on Python floats: p as a list of columns, c and theta as lists.
-    v_j adds (1/2 theta_i) p_ij left to right over i; sum_j v_j theta_j and
-    sum_j c_j theta_j are each added left to right, then summed.  The sums
-    start from -0.0, as in lagrangian_grad."""
-    half = [0.5 * t for t in theta]
+def form_value(m_cols: list, v: list, theta: list, s: float):
+    """s theta' M theta + v' theta with M as a list of columns and v as a
+    list of floats; theta is n floats or n numpy columns.  u_j adds
+    (s theta_i) m_ij left to right over i; sum_j u_j theta_j and sum_j v_j
+    theta_j are each added left to right, then summed.  The sums start from
+    -0.0, as in lagrangian_grad."""
+    scaled = [s * t for t in theta]
     quad = lin = -0.0
-    for p_j, c_j, t_j in zip(p_cols, c, theta):
-        v_j = -0.0
-        for h_i, p_ij in zip(half, p_j):
-            v_j += h_i * p_ij
-        quad += v_j * t_j
-        lin += c_j * t_j
+    for m_j, v_j, t_j in zip(m_cols, v, theta):
+        u_j = -0.0
+        for st_i, m_ij in zip(scaled, m_j):
+            u_j += st_i * m_ij
+        quad += u_j * t_j
+        lin += v_j * t_j
     return quad + lin
 
 
 def quad_make(q, b, p, c, limit: float) -> QuadProgram:
-    """Validate symmetry and definiteness (eigenvalue tolerance 1e-10)."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
+    """Validate shapes, finiteness, symmetry and definiteness (eigenvalue
+    tolerance 1e-10); each ValueError names the argument at fault."""
+    q, b, p, c = (np.asarray(a, dtype=float) for a in (q, b, p, c))
+    if b.ndim != 1:
+        raise ValueError(f"b must be a vector, got shape {b.shape}")
     n = b.size
-    if q.shape != (n, n) or p.shape != (n, n) or c.shape != (n,):
-        raise ValueError("inconsistent problem dimensions")
+    for name, arr, shape in (("q", q, (n, n)), ("p", p, (n, n)), ("c", c, (n,))):
+        if arr.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    for name, arr in zip("qbpc", (q, b, p, c)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has non-finite entries")
+    if not math.isfinite(limit):
+        raise ValueError(f"limit must be finite, got {limit}")
     if np.abs(q - q.T).max() > DEFINITENESS_TOL:
         raise ValueError("Q must be symmetric")
     if np.abs(p - p.T).max() > DEFINITENESS_TOL:
@@ -171,25 +183,6 @@ def quad_dual_value(prog: QuadProgram, lam: float) -> float:
     return prog.lagrangian(quad_primal_min(prog, lam), lam)
 
 
-def _row_forms(
-    th: np.ndarray, mat: np.ndarray, vec: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(theta' mat theta, vec' theta) of every row of th, summed over
-    columns of th: (mat theta)_j adds mat_ji theta_i left to right over i,
-    and both forms add over j left to right, each sum starting from -0.0 as
-    in constraint_value.  Each elementwise numpy operation rounds alone, so
-    no multiply-add is fused and no row depends on another row or on the
-    CPU's BLAS kernel."""
-    quad = lin = -0.0
-    for mat_j, vec_j, th_j in zip(mat, vec, th.T):
-        mat_th_j = -0.0
-        for mat_ji, th_i in zip(mat_j, th.T):
-            mat_th_j = mat_th_j + mat_ji * th_i
-        quad = quad + mat_th_j * th_j
-        lin = lin + vec_j * th_j
-    return quad, lin
-
-
 def dual_values_batch(
     prog: QuadProgram, lams: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,33 +193,29 @@ def dual_values_batch(
     differ, is solved once in one stacked linear solve, and the rows are
     gathered back into the order of ``lams``.  An exact run that stops at a
     repeat of its state records few distinct multipliers.  Every row is
-    computed alone (stacked solve, _row_forms sums), whatever else is in
-    the batch, so row i equals ``dual_values_batch(prog, lams[i:i + 1])``
-    bit for bit; ``einsum`` and ``@`` over the stack do not for a batch of
-    one."""
+    computed alone (stacked solve, then J_R and J_C on numpy columns),
+    whatever else is in the batch, so row i equals
+    ``dual_values_batch(prog, lams[i:i + 1])`` bit for bit."""
     lams = np.asarray(lams, dtype=float)
     keys, inverse = np.unique(lams.view(np.uint64), return_inverse=True)
     lam = keys.view(float)
     a = prog.q[None, :, :] + lam[:, None, None] * prog.p[None, :, :]
     rhs = prog.b[None, :] - lam[:, None] * prog.c[None, :]
     th = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
-    quad_r, lin_r = _row_forms(th, prog.q, prog.b)
-    quad_c, lin_c = _row_forms(th, prog.p, prog.c)
-    j_r = -0.5 * quad_r + lin_r
-    j_c = 0.5 * quad_c + lin_c
-    d = -j_r + lam * (j_c - prog.limit)
+    j_c = prog.j_c(th)
+    d = -prog.j_r(th) + lam * (j_c - prog.limit)
     return d[inverse], th[inverse], j_c[inverse]
 
 
 def _constraint_infimum(prog: QuadProgram) -> float:
     """inf_theta J_C, -inf when unbounded below (Slater check)."""
     eigvals, eigvecs = np.linalg.eigh(prog.p)
-    c_rot = eigvecs.T @ prog.c
+    c_rot = (eigvecs * prog.c[:, None]).sum(axis=0)
     null = eigvals <= DEFINITENESS_TOL
     if np.abs(c_rot[null]).max(initial=0.0) > DEFINITENESS_TOL:
         return -np.inf  # linear escape direction in the null space
     theta_rot = np.where(null, 0.0, -c_rot / np.where(null, 1.0, eigvals))
-    theta = eigvecs @ theta_rot
+    theta = (eigvecs * theta_rot).sum(axis=1)
     return prog.j_c(theta)
 
 
@@ -242,8 +231,7 @@ def quad_kkt_solve(prog: QuadProgram) -> KktSolution:
         raise ValueError("no Slater point: J_C cannot go below the limit")
 
     def violation(lam: float) -> float:
-        theta = np.linalg.solve(prog.q + lam * prog.p, prog.b - lam * prog.c)
-        return prog.j_c(theta) - prog.limit
+        return prog.j_c(quad_primal_min(prog, lam)) - prog.limit
 
     if violation(0.0) <= 0.0:
         return KktSolution(quad_primal_min(prog, 0.0), 0.0, quad_dual_value(prog, 0.0))

@@ -6,19 +6,15 @@ schedule's eta(lambda_k), then projected dual ascent on g(theta_{k+1}) at
 rate cfg.zeta.  The loop runs on Python floats: theta is a list, the one
 constraint's multiplier a float, and the ascent is max(lambda + zeta
 (J_C - d), 0.0).  grad L and J_C come from quadprog.lagrangian_grad and
-quadprog.constraint_value, the helpers behind QuadProgram.grad_lagrangian
-and QuadProgram.j_c, so the loop and the methods round alike.  Each
-iteration appends its theta, lambda, eta and J_C to array.array('d')
-buffers, which become the RunRecord arrays through np.frombuffer after the
-loop.  Sums are added left to right, with no BLAS and so no fused
-multiply-add.  On the testbed (Q = P = I, c = 0, theta_0 = 0) the two
-coordinates of theta stay equal and every product is exact, so any order,
-numpy's @ included, rounds these sums alike: the testbed's bytes do not
-depend on the BLAS.  J_R is not needed inside the loop and is computed once
-afterwards over all theta_{k+1} (QuadProgram.j_r_rows, bit-equal to j_r per
-row).  The loop stops once the state (theta_k, lambda_k) repeats bit for bit
-with period 1 or 2, and fills the remaining rows from the cycle (see
-apd_run).
+quadprog.form_value on Python floats, the one fixed order of arithmetic
+that the QuadProgram methods also use, with no BLAS and so no fused
+multiply-add.  Each iteration appends its theta, lambda, eta and J_C to
+array.array('d') buffers, which become the RunRecord arrays through
+np.frombuffer after the loop.  J_R is not needed inside the loop and is
+computed once afterwards over all theta_{k+1} (QuadProgram.j_r on the
+stack, bit-equal to j_r per row).  The loop stops once the state (theta_k,
+lambda_k) repeats bit for bit with period 1 or 2, and fills the remaining
+rows from the cycle (see apd_run).
 papd_run is the sampled variant for CMDPs: Monte-Carlo estimates, a
 score-function (cfg.ppol None) or clipped-surrogate primal step at the
 practical eta(lambda_k), and a PID dual update (cfg.gains) on the estimated
@@ -28,12 +24,14 @@ alike.  For tabular batches it draws the uniforms of UNIFORM_BLOCK
 iterations at once with cmdp.counter_uniforms and hands each batch its
 slice, so no batch builds Generators (see the cmdp module docstring).
 
-verify_bounds turns an exact run into a BoundCertificate by recomputing the
+verify_bounds turns an exact run into a BoundCertificate by computing the
 per-iteration primal error
 
     eps_k = L(theta_{k+1}, lambda_k) - d(lambda_k)
 
-and checking, with measured slack per iteration:
+from the record's J_R and J_C of theta_{k+1} and dual_values_batch, the
+gradient norms at theta_k and theta_{k+1} from QuadProgram.grad_lagrangian
+on the stacked iterates, and checking, with measured slack per iteration:
   (a)  the dual-gap bound at every prefix K',
   (b)  the two per-step error bounds at the run's eta_k,
   (c)  the same bounds at their optimizing eta (and that the optimizer
@@ -90,8 +88,8 @@ from .lagrangian import (
 from .policy import PolicyParams, TabularSoftmax
 from .quadprog import (
     QuadProgram,
-    constraint_value,
     dual_values_batch,
+    form_value,
     lagrangian_grad,
     quad_kkt_solve,
 )
@@ -258,7 +256,7 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
         eta_rows.append(eta)
         grad = lagrangian_grad(q, p, b, c, theta, lam)
         theta = [t_i - eta * g_i for t_i, g_i in zip(theta, grad)]
-        j_c = constraint_value(p_cols, c, theta)
+        j_c = form_value(p_cols, c, theta, 0.5)
         cost_rows.append(j_c)
         lam = max(lam + zeta * (j_c - limit), 0.0)
     else:
@@ -270,7 +268,7 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
     etas = np.frombuffer(eta_rows)
     costs = np.frombuffer(cost_rows).reshape(k_iter, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        returns = problem.j_r_rows(thetas[1:])
+        returns = problem.j_r(thetas[1:])
 
     # One finiteness screen for the whole run, none per iteration: row k
     # holds theta_{k+1}, J_R and J_C, everything iteration k produced.
@@ -470,11 +468,7 @@ class BoundCertificate:
 
     @property
     def passed(self) -> bool:
-        for arr in self.slacks.values():
-            if arr.size and not np.all(np.isnan(arr)):
-                if np.nanmin(arr) < -self.tol:
-                    return False
-        return True
+        return all(w is None or w >= -self.tol for w in self.worst().values())
 
     def worst(self) -> dict:
         out = {}
@@ -526,28 +520,19 @@ def verify_bounds(
     th_prev = record.thetas[:-1]
     th_next = record.thetas[1:]
 
-    def quad_form(th, mat):
-        return np.einsum("ki,ij,kj->k", th, mat, th)
-
-    j_r_next = -0.5 * quad_form(th_next, problem.q) + th_next @ problem.b
-    j_c_next = 0.5 * quad_form(th_next, problem.p) + th_next @ problem.c
-    lag_next = -j_r_next + lam_k * (j_c_next - limit)
-    eps = lag_next - d_all[:-1]
+    # The record's returns and costs are J_R and J_C of theta_{k+1}.
+    g_rows = record.costs[:, 0] - limit
+    eps = -record.returns + lam_k * g_rows - d_all[:-1]
     delta = ((th_prev - theta_star) ** 2).sum(axis=1)
 
     big_l = c.l_r + lam_k * l_c0
-    a_stack = problem.q[None, :, :] + lam_k[:, None, None] * problem.p[None, :, :]
-    rhs = problem.b[None, :] - lam_k[:, None] * problem.c[None, :]
-    grad_prev = np.einsum("kij,kj->ki", a_stack, th_prev) - rhs
-    grad_next = np.einsum("kij,kj->ki", a_stack, th_next) - rhs
-    gn_prev = np.linalg.norm(grad_prev, axis=1)
-    gn_next = np.linalg.norm(grad_next, axis=1)
+    gn_prev = np.linalg.norm(problem.grad_lagrangian(th_prev, lam_k), axis=1)
+    gn_next = np.linalg.norm(problem.grad_lagrangian(th_next, lam_k), axis=1)
 
     # Lagrangian-value Lipschitz constant over the iterate hull: the
     # largest gradient norm seen at any endpoint, with 10% headroom.
     l_prime = 1.1 * float(max(gn_prev.max(initial=0.0), gn_next.max(initial=0.0)))
 
-    g_rows = record.costs[:, 0] - limit
     g_norm = float(np.abs(g_rows).max(initial=0.0))
 
     kkt = quad_kkt_solve(problem)

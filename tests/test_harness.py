@@ -8,6 +8,10 @@ exit codes.
 import csv
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -503,6 +507,46 @@ def test_testbed_artifact_digests_pinned(name):
     for kind, text in texts.items():
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == PINNED_TESTBED[name][kind], f"{name}: {kind} digest {digest}"
+
+
+# Kernel choices of a CPU without AVX-512, forced per process: the OpenBLAS
+# kernel, and numpy's SIMD dispatch without its AVX-512 loops.
+CPU_VARIANTS = {
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "numpy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"},
+}
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="the kernel settings are x86-64 ones",
+)
+@pytest.mark.parametrize("variant", list(CPU_VARIANTS))
+def test_testbed_artifact_digests_independent_of_cpu_kernels(variant, tmp_path):
+    """`apdual run` of the shipped testbed configs, in a subprocess under
+    each kernel setting, writes the pinned CSV and certificate bytes."""
+    src = str(Path(apdual.__file__).resolve().parents[1])
+    env = dict(os.environ, **CPU_VARIANTS[variant], **{OUTPUT_ROOT_ENV: str(tmp_path)})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import numpy"], env=env, capture_output=True, text=True
+    )
+    if probe.returncode:
+        pytest.skip(f"numpy does not import under {variant}: {probe.stderr[-300:]}")
+    for name, pinned in PINNED_TESTBED.items():
+        config = name.replace("-", "_")
+        proc = subprocess.run(
+            [sys.executable, "-m", "apdual.cli", "run", str(CONFIGS / f"{config}.json")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = tmp_path / "out" / config
+        files = {"csv": out / "runs" / "seed_0.csv",
+                 "certificate": out / "certificates" / "seed_0.json"}
+        for kind, path in files.items():
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == pinned[kind], f"{variant}, {name}: {kind} digest {digest}"
 
 
 class TestRunExperiment:

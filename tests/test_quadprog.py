@@ -14,6 +14,8 @@ import pytest
 from apdual.quadprog import (
     QuadProgram,
     dual_values_batch,
+    form_value,
+    lagrangian_grad,
     quad_dual_value,
     quad_kkt_solve,
     quad_make,
@@ -22,6 +24,14 @@ from apdual.quadprog import (
 )
 
 SQ2 = math.sqrt(2.0)
+
+
+def asymmetric_program(rng, n=3):
+    """A program whose Q and P are not symmetric, so a row read as a column
+    shows.  Built directly: quad_make checks symmetry."""
+    q, p = rng.normal(size=(2, n, n))
+    b, c = rng.normal(size=(2, n))
+    return QuadProgram(q, b, p, c, 0.5)
 
 
 class TestDefaultInstance:
@@ -170,16 +180,13 @@ class TestGradients:
 
 class TestArithmeticOrder:
     """grad_lagrangian and j_c are the documented sums of Python floats,
-    added left to right, bit for bit.  Q and P are not symmetric, so a row
-    read as a column shows too."""
+    added left to right, bit for bit."""
 
     def test_equal_to_left_to_right_float_sums(self):
         rng = np.random.default_rng(11)
         n = 3
-        q, p = rng.normal(size=(2, n, n))
-        b, c = rng.normal(size=(2, n))
-        prog = QuadProgram(q, b, p, c, 0.5)  # built directly: quad_make checks symmetry
-        qs, ps, bs, cs = q.tolist(), p.tolist(), b.tolist(), c.tolist()
+        prog = asymmetric_program(rng, n)
+        qs, ps, bs, cs = (a.tolist() for a in (prog.q, prog.p, prog.b, prog.c))
         for _ in range(200):
             th = (rng.normal(size=n) * 3.0).tolist()
             lam = float(rng.random() * 4.0)
@@ -198,23 +205,65 @@ class TestArithmeticOrder:
             assert prog.j_c(np.array(th)) == quad + lin
 
 
+def stacked_program(n):
+    """TestArithmeticOrder's asymmetric n = 3 program for n None, else a
+    symmetric one of dimension n."""
+    if n is None:
+        return asymmetric_program(np.random.default_rng(11))
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    return quad_make(
+        a @ a.T + np.eye(n), rng.normal(size=n), np.eye(n), np.zeros(n), 1.0
+    )
+
+
 class TestStackedForms:
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
-    def test_j_r_rows_equals_per_row_j_r(self, n):
-        rng = np.random.default_rng(n)
-        a = rng.normal(size=(n, n))
-        prog = quad_make(
-            a @ a.T + np.eye(n), rng.normal(size=n), np.eye(n), np.zeros(n), 1.0
-        )
-        thetas = rng.normal(size=(500, n)) * 5.0
-        want = np.array([prog.j_r(th) for th in thetas])
-        assert np.array_equal(prog.j_r_rows(thetas), want)
+    @pytest.mark.parametrize("n", [pytest.param(None, id="asymmetric"), 2, 3, 5, 8, 16])
+    def test_stacked_rows_equal_single_theta_calls(self, n):
+        # J_R rows against j_r, J_C rows against form_value on floats and
+        # gradient rows against lagrangian_grad, bit for bit; signed zeros
+        # included.
+        prog = stacked_program(n)
+        rng = np.random.default_rng(100)
+        thetas = rng.normal(size=(500, prog.dim)) * 5.0
+        lams = rng.random(500) * 4.0
+        thetas[:2], lams[:2] = [[0.0], [-0.0]], [0.0, -0.0]
+        q, p, b, c = (a.tolist() for a in (prog.q, prog.p, prog.b, prog.c))
+        p_cols = prog.p.T.tolist()
+        rows = list(zip(thetas.tolist(), lams.tolist()))
+        want_r = np.array([prog.j_r(th) for th, _ in rows])
+        want_c = np.array([form_value(p_cols, c, th, 0.5) for th, _ in rows])
+        want_g = np.array([lagrangian_grad(q, p, b, c, th, lam) for th, lam in rows])
+        assert prog.j_r(thetas).tobytes() == want_r.tobytes()
+        assert prog.j_c(thetas).tobytes() == want_c.tobytes()
+        assert prog.grad_lagrangian(thetas, lams).tobytes() == want_g.tobytes()
 
 
 class TestValidation:
     def test_dimension_checks(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="q must have shape"):
             quad_make(np.eye(2), np.ones(3), np.eye(2), np.zeros(2), 1.0)
+
+    def test_b_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="b must be a vector"):
+            quad_make(np.eye(2), np.ones((2, 1)), np.eye(2), np.zeros(2), 0.5)
+
+    def test_infinite_limit_rejected(self):
+        with pytest.raises(ValueError, match="limit must be finite"):
+            quad_make(np.eye(2), np.ones(2), np.eye(2), np.zeros(2), math.inf)
+
+    def test_nan_limit_rejected(self):
+        with pytest.raises(ValueError, match="limit must be finite"):
+            quad_make(np.eye(2), np.ones(2), np.eye(2), np.zeros(2), math.nan)
+
+    @pytest.mark.parametrize("name", ["q", "b", "p", "c"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_entries_rejected(self, name, bad):
+        args = {"q": np.eye(2), "b": np.ones(2), "p": np.eye(2), "c": np.zeros(2)}
+        args[name] = args[name].copy()
+        args[name].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+            quad_make(limit=0.5, **args)
 
     def test_symmetry_checks(self):
         q = np.array([[1.0, 0.5], [0.0, 1.0]])

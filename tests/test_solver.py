@@ -36,7 +36,7 @@ from apdual.envs import (
 )
 from apdual.lagrangian import ConstraintSpec, PpolConfig
 from apdual.policy import LinearGaussian, TabularSoftmax, init_params
-from apdual.quadprog import quad_kkt_solve, quad_make, quad_testbed
+from apdual.quadprog import dual_values_batch, quad_kkt_solve, quad_make, quad_testbed
 from apdual.schedules import LrSchedule, SmoothnessConstants
 from apdual.solver import (
     RunRecord,
@@ -160,7 +160,7 @@ class TestApdRun:
             schedule=LrSchedule("constant", eta=50.0),
             zeta=0.1,
         )
-        # theta overflows in the loop, J_R in j_r_rows after it
+        # theta overflows in the loop, J_R in the stacked j_r after it
         want = "seed 0, iteration 4: non-finite return"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -380,6 +380,24 @@ class TestBoundCertificates:
         flagged = cert.flags["eps-invlin"]
         assert np.isnan(cert.slacks["eps-invlin"][flagged]).all()
         assert cert.to_dict()["flagged_iterations"]["eps-invlin"] == n_flagged
+
+    def test_eps_is_the_lagrangian_gap_row_by_row(self):
+        # eps_k = L(theta_{k+1}, lambda_k) - d(lambda_k), bit for bit, on an
+        # n = 3 program with an active constraint that is not the testbed
+        rng = np.random.default_rng(5)
+        a, g = rng.normal(size=(2, 3, 3))
+        prog = quad_make(
+            a @ a.T + 3.0 * np.eye(3), rng.normal(size=3), g @ g.T,
+            rng.normal(size=3), 0.1,
+        )
+        rec = apd_run(prog, exact_cfg(iterations=200))
+        assert rec.lambdas[-1, 0] > 0.0
+        eps = verify_bounds(rec, prog).eps
+        want = [
+            prog.lagrangian(theta, lam) - dual_values_batch(prog, [lam])[0][0]
+            for theta, lam in zip(rec.thetas[1:], rec.lambdas[:-1, 0])
+        ]
+        assert eps.tobytes() == np.array(want).tobytes()
 
     def test_rejects_non_exact_records(self):
         prog = quad_testbed(0.5)
