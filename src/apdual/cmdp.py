@@ -30,14 +30,15 @@ in.  A step of all n trajectories is then one gather ``cur = link[cur]``,
 and the visited entries give the states and actions.  The table costs
 O(n * H * S * A) per batch, where a step-by-step loop pays O(n * A) per
 step plus a fixed numpy overhead per call, so it wins on small grids and
-loses on large ones.  Measured at n = 16, H = 24 on a 2-core machine
-(best of 6 runs, table against loop): 177 against 264 us per batch on the
-shipped 15-cell grid, 212 against 272 at S = 36, 333 against 268 at
-S = 49, 374 against 281 at S = 64 and 2.5 ms against 0.30 ms at S = 400,
-so the crossover lies near 40 cells.  The table is built a span of steps
-at a time, at most ``_TABLE`` entries per pass.  The rewards and costs of
-the whole batch then come from one ``signals`` call over the stacked
-arrays.  The result is one ``RolloutBatch`` of arrays
+loses on large ones.  Measured for a whole ``collect_batch`` at n = 16,
+H = 24 on a 2-core x86-64 machine (best of 12 alternating runs, table
+against a lockstep loop over the same uniforms): 111 against 216 us per
+batch on the shipped 15-cell grid, 171 against 215 at S = 36, 223 against
+218 at S = 49, 272 against 206 at S = 64 and 1.9 ms against 0.25 ms at
+S = 400, so the crossover lies near 45 cells.  The table is built a span
+of steps at a time, at most ``_TABLE`` entries per pass.  The rewards and
+costs of the whole batch then come from one ``signals`` call over the
+stacked arrays.  The result is one ``RolloutBatch`` of arrays
 
     states  (n, H+1[, F])   actions (n, H[, A])
     rewards (n, H)          costs   (n, H, m)
@@ -108,17 +109,17 @@ class NonFiniteError(ValueError):
 
 
 def require_finite(name: str, values) -> None:
-    """Raise NonFiniteError naming the first non-finite entry of values."""
+    """Raise NonFiniteError naming the first non-finite entry of values.
+
+    The screen is one ``np.isfinite`` pass, which does no arithmetic on the
+    entries, so it neither warns nor raises under any ``np.errstate`` or
+    warnings filter, however large the finite entries are."""
     arr = np.asarray(values, dtype=float)
-    flat = arr.reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        screen = flat @ flat  # finite only if every entry is finite
-    if math.isfinite(screen):
+    finite = np.isfinite(arr)
+    if finite.all():
         return
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        where = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise NonFiniteError(f"non-finite {name} at index {where}")
+    where = tuple(int(i) for i in np.argwhere(~finite)[0])
+    raise NonFiniteError(f"non-finite {name} at index {where}")
 
 
 @dataclass(frozen=True)
@@ -279,17 +280,21 @@ def _finish(
 
 def _checked_signals(cmdp: Cmdp, rewards: np.ndarray, costs) -> np.ndarray:
     """Costs with a trailing m axis, once rewards and costs are finite and
-    every step cost norm is within B."""
+    every step cost norm is within B.
+
+    The largest step cost norm is the root of the largest sum of squares
+    over the m axis, the value ``np.linalg.norm(costs, axis=-1).max()``
+    gives (sqrt is monotone), from fewer numpy calls.  A NaN or infinite
+    cost makes it NaN or infinite, so the one bound comparison also screens
+    the costs; only then are they searched for the entry to name."""
     cost_arr = np.asarray(costs, dtype=float)
     if cost_arr.ndim == rewards.ndim:
         cost_arr = cost_arr[..., None]
     if cost_arr.shape[-1] != cmdp.n_costs:
         raise ValueError("cost dimension does not match cmdp.n_costs")
     require_finite("rewards", rewards)
-    # Assumption: per-step cost norm <= B.  Vectorized over the rollout.  A
-    # NaN or infinite cost has a NaN or infinite norm, so this one
-    # comparison also screens the costs for finiteness.
-    worst = float(np.linalg.norm(cost_arr, axis=-1).max())
+    # Assumption: per-step cost norm <= B.
+    worst = math.sqrt((cost_arr * cost_arr).sum(axis=-1).max())
     if not worst <= cmdp.cost_bound * (1.0 + 1e-12):
         require_finite("costs", cost_arr)
         raise ValueError(
@@ -329,14 +334,16 @@ def collect_batch(
     sampling: SamplingConfig,
     seed: Seed,
     uniforms: np.ndarray | None = None,
+    probs: np.ndarray | None = None,
 ) -> RolloutBatch:
     """n_traj independent rollouts with the documented derived seeds, all
     advanced together (see the module docstring for the array shapes and
     the stream layout).
 
-    ``uniforms``, for a tabular batch only, is the (n_traj, horizon,
-    1 + noise_dim) slice of ``counter_uniforms`` for root ``seed``; a
-    tabular batch called without it computes that slice itself."""
+    For a tabular batch only: ``uniforms`` is the (n_traj, horizon,
+    1 + noise_dim) slice of ``counter_uniforms`` for root ``seed``, and
+    ``probs`` the (S, A) ``softmax_table(params)``; a batch called without
+    them computes them itself."""
     n, horizon = sampling.n_traj, sampling.horizon
     step = cmdp.vector_step
     shape = (n, horizon, 1 + step.noise_dim)
@@ -345,8 +352,12 @@ def collect_batch(
         uniforms = counter_uniforms([seed], n, horizon * shape[2]).reshape(shape)
     elif uniforms is not None and (not tabular or np.shape(uniforms) != shape):
         raise ValueError("uniforms need a tabular batch and shape (n, H, 1 + k)")
+    if probs is not None and (
+        not tabular or np.shape(probs) != (params.kind.n_states, params.kind.n_actions)
+    ):
+        raise ValueError("probs need a tabular batch and shape (S, A)")
     if tabular:
-        cdf = action_cdf(softmax_table(params))
+        cdf = action_cdf(softmax_table(params) if probs is None else probs)
         states, actions = _tabular_paths(step, cdf, cmdp.initial_state, uniforms)
         return _finish(cmdp, states, actions, tabular)
     rngs = [np.random.default_rng(derived_seed(seed, i)) for i in range(n)]
@@ -404,7 +415,10 @@ def _tabular_paths(
         rows = n_states * block
         # act[c, t * n + i] counts the cdf entries of cell c that are <= u[i, t].
         act = (bounds <= draws[:, :, 0].reshape(1, 1, block)).sum(axis=0)
-        noise = np.tile(draws[:, :, 1:].reshape(block, width - 1), (n_states, 1))
+        if width > 1:
+            noise = np.tile(draws[:, :, 1:].reshape(block, width - 1), (n_states, 1))
+        else:
+            noise = np.empty((rows, 0))
         succ = np.asarray(
             step.fn(np.repeat(np.arange(n_states), block), act.reshape(rows), noise)
         ).reshape(rows)
@@ -419,10 +433,12 @@ def _tabular_paths(
         # Entries of the last step link past their block; no gather reads them.
         link = succ.reshape(n_states, block) * block + np.arange(n, block + n)
         link = link.reshape(rows)
-        path = np.empty((steps, n), dtype=np.int64)
-        path[0] = states[:, t0] * block + traj
-        for t in range(1, steps):
-            path[t] = link[path[t - 1]]
+        cur = states[:, t0] * block + traj
+        visited = [cur]
+        for _ in range(1, steps):
+            cur = link[cur]
+            visited.append(cur)
+        path = np.concatenate(visited).reshape(steps, n)
         states[:, t0 + 1 : t0 + 1 + steps] = succ[path].T
         actions[:, t0 : t0 + steps] = act.reshape(rows)[path].T
     return states, actions

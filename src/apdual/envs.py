@@ -206,8 +206,10 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
     step, from the goal too, draws two uniforms (u, v): the move slips when
     u < slip_prob, and then turns by 1 + floor(3 v) quarter turns, a
     uniformly random other direction.  The reward and cost of a step depend
-    only on its cells s and s2, elementwise, so one ``signals`` call serves
-    a whole (n, H) batch; steps from the goal have zero reward and cost.
+    only on its cells s and s2, elementwise: a step from the goal has zero
+    reward and cost, any other step the reward and cost of entering s2,
+    which per-cell tables built here once hold.  So one ``signals`` call
+    serves a whole (n, H) batch with two gathers.
     """
     moves = grid_move_table(spec)
     goal = spec.goal_cell
@@ -215,13 +217,14 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
     hazard[list(spec.hazard_cells)] = True
     slip = spec.slip_prob
     noise_dim = 2 if slip > 0.0 else 0
+    is_goal = np.arange(spec.n_cells) == goal
+    entry_reward = spec.step_reward + np.where(is_goal, spec.goal_reward, 0.0)
+    entry_cost = np.where(hazard, spec.hazard_cost, 0.0)
 
     def signals(s, a, s2):
         live = np.asarray(s) != goal
-        entry = spec.step_reward + np.where(s2 == goal, spec.goal_reward, 0.0)
-        reward = np.where(live, entry, 0.0)
-        cost = np.where(live & hazard[s2], spec.hazard_cost, 0.0)
-        return reward, cost
+        reward = np.where(live, entry_reward[s2], 0.0)
+        return reward, np.where(live, entry_cost[s2], 0.0)
 
     # Row s * A + a is the step from cell s in direction a.
     cells = np.repeat(np.arange(spec.n_cells), N_ACTIONS)

@@ -123,6 +123,7 @@ def reinforce_grad_from_batch(
     lam: np.ndarray,
     spec: ConstraintSpec,
     values: tuple[np.ndarray, np.ndarray] | None = None,
+    probs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Score-function estimate of grad_theta L(theta, lambda) over a
     sampled batch.
@@ -130,7 +131,8 @@ def reinforce_grad_from_batch(
     Each trajectory contributes (full-rollout score) x (its Lagrangian value
     minus a leave-one-out batch mean baseline); the leave-one-out form keeps
     the estimator exactly unbiased at finite batch size.  ``values`` is
-    ``batch_values(batch, gamma)`` when the caller has it.  The n score rows
+    ``batch_values(batch, gamma)`` and ``probs`` a tabular policy's
+    ``softmax_table(params)`` when the caller has them.  The n score rows
     are weighted and added in batch order from zero, so the result equals
     the per-trajectory ``grad += c_i * score_i`` bit for bit.
     """
@@ -144,7 +146,9 @@ def reinforce_grad_from_batch(
         baselines = (weights.sum() - weights) / (n - 1)
     else:
         baselines = np.zeros(1)
-    scores = policy_trajectory_scores(params, batch.states[:, :-1], batch.actions)
+    scores = policy_trajectory_scores(
+        params, batch.states[:, :-1], batch.actions, probs
+    )
     return ((weights - baselines)[:, None] * scores).sum(axis=0, initial=0.0) / n
 
 

@@ -273,14 +273,17 @@ def policy_score_sum(params: PolicyParams, states, actions, weights) -> np.ndarr
     return score_sum(np.arange(log_probs.size), weights)
 
 
-def policy_trajectory_scores(params: PolicyParams, states, actions) -> np.ndarray:
+def policy_trajectory_scores(
+    params: PolicyParams, states, actions, probs: np.ndarray | None = None
+) -> np.ndarray:
     """Per-trajectory score sums sum_t d/dtheta log pi_theta(a_it|s_it) of
     n stacked T-step trajectories: states (n, T[, F]) without the final
     state, actions (n, T[, A]); shape (n, param_count).
 
     Row i equals ``policy_score_sum(params, states[i], actions[i], ones)``
     bit for bit.  Tabular rows are visit counts minus visit-weighted action
-    probabilities, from one bincount over all trajectories.
+    probabilities, from one bincount over all trajectories; ``probs`` is
+    ``softmax_table(params)`` when the caller has it.
     """
     kind = params.kind
     states = np.asarray(states)
@@ -298,7 +301,9 @@ def policy_trajectory_scores(params: PolicyParams, states, actions) -> np.ndarra
         visits = np.bincount(
             traj * kind.n_states + s, minlength=n * kind.n_states
         ).astype(float)
-        expected = visits.reshape(n, kind.n_states, 1) * softmax_table(params)
+        if probs is None:
+            probs = softmax_table(params)
+        expected = visits.reshape(n, kind.n_states, 1) * probs
         return counts.reshape(n, kind.param_count) - expected.reshape(n, -1)
     x, a = _samples(params, flat_states, flat_actions)
     diff, log_std = _gaussian_residual(params, x, a)

@@ -85,7 +85,7 @@ from .lagrangian import (
     ppol_surrogate_grad,
     reinforce_grad_from_batch,
 )
-from .policy import PolicyParams, TabularSoftmax
+from .policy import PolicyParams, TabularSoftmax, softmax_table
 from .quadprog import (
     QuadProgram,
     dual_values_batch,
@@ -406,14 +406,16 @@ def _papd_iteration(
     """Primal step k of papd_run: (new params, J_R estimate, J_C estimate).
 
     ``uniforms`` holds the counter uniforms of a tabular batch, None for a
-    Gaussian one.  Raises NonFiniteError when a sample, the estimates or
-    theta turn non-finite."""
-    batch = collect_batch(cmdp, params, cfg.sampling, (cfg.seed, k), uniforms)
+    Gaussian one.  A tabular iteration computes its softmax table once,
+    for the batch's actions and the REINFORCE scores alike.  Raises
+    NonFiniteError when a sample, the estimates or theta turn non-finite."""
+    probs = softmax_table(params) if isinstance(params.kind, TabularSoftmax) else None
+    batch = collect_batch(cmdp, params, cfg.sampling, (cfg.seed, k), uniforms, probs)
     returns, cost_vals = batch_values(batch, cmdp.gamma)
 
     if cfg.ppol is None:
         grad = reinforce_grad_from_batch(
-            batch, cmdp.gamma, params, lam, spec, (returns, cost_vals)
+            batch, cmdp.gamma, params, lam, spec, (returns, cost_vals), probs
         )
         params = params.replace_theta(params.theta - eta * grad)
     else:
@@ -421,7 +423,9 @@ def _papd_iteration(
     require_finite("theta", params.theta)
     require_finite("return estimates", returns)
     require_finite("cost estimates", cost_vals)
-    return params, float(returns.mean()), cost_vals.mean(axis=0)
+    # The sums and divisions np.mean runs, without its dispatch.
+    n = len(returns)
+    return params, float(returns.sum() / n), cost_vals.sum(axis=0) / n
 
 
 def _ppol_update(

@@ -32,7 +32,7 @@ from apdual import solver
 from apdual.duals import PidGains
 from apdual.envs import default_hazard_gridworld, make_gridworld
 from apdual.lagrangian import ConstraintSpec
-from apdual.policy import LinearGaussian, TabularSoftmax, init_params
+from apdual.policy import LinearGaussian, TabularSoftmax, init_params, softmax_table
 from apdual.schedules import LrSchedule
 from apdual.solver import UNIFORM_BLOCK, SolverConfig, papd_run
 
@@ -258,6 +258,42 @@ class TestCostBound:
         cmdp = chain_cmdp(cost_scale=1.0)  # declared bound equals max cost
         sample_trajectory(cmdp, uniform_params(), 30, seed=0)
 
+    @staticmethod
+    def two_cost_cmdp(cost):
+        """Two costs, the same (2,) step cost at every step, bound B = 1."""
+
+        def signals(s, a, s2):
+            return np.zeros(s.shape), np.broadcast_to(cost, (*s.shape, 2))
+
+        return Cmdp(
+            gamma=GAMMA,
+            n_costs=2,
+            cost_bound=1.0,
+            initial_state=0,
+            vector_step=VectorStep(0, lambda s, a, u: s, signals),
+            n_states=2,
+            n_actions=2,
+        )
+
+    def test_two_costs_bound_the_norm_not_each_entry(self):
+        # |c| = 1 passes; (0.6, 0.81) has every entry below B but norm 1.008
+        ok = self.two_cost_cmdp((0.6, 0.8))
+        batch = collect_batch(ok, uniform_params(), SamplingConfig(4, 10), seed=0)
+        assert batch.costs.shape == (4, 10, 2)
+        bad = self.two_cost_cmdp((0.6, 0.81))
+        for sample in (
+            lambda: sample_trajectory(bad, uniform_params(), 10, seed=0),
+            lambda: collect_batch(bad, uniform_params(), SamplingConfig(4, 10), 0),
+        ):
+            with pytest.raises(ValueError, match="exceeds declared bound 1") as err:
+                sample()
+            assert not isinstance(err.value, NonFiniteError)
+
+    def test_two_costs_nan_is_non_finite(self):
+        bad = self.two_cost_cmdp((0.6, math.nan))
+        with pytest.raises(NonFiniteError, match=r"costs at index \(0, 0, 1\)"):
+            collect_batch(bad, uniform_params(), SamplingConfig(4, 10), seed=0)
+
 
 class TestEstimators:
     def test_mc_matches_dp_oracle_within_3_se(self):
@@ -300,9 +336,17 @@ class TestEstimators:
 
 class TestValidation:
     def test_require_finite_is_silent_on_large_finite_values(self):
-        # the squared-norm screen overflows; that must neither warn nor fail
+        # 1e200 squared overflows; the screen must neither warn nor fail
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            require_finite("values", np.array([1e200, -3.0]))
+            with pytest.raises(NonFiniteError, match=r"values at index \(1,\)"):
+                require_finite("values", np.array([1e200, np.inf]))
+
+    def test_require_finite_is_silent_under_errstate_raise(self):
+        # numpy's own error state raises FloatingPointError on an overflow,
+        # whatever the warnings filter
+        with np.errstate(all="raise"):
             require_finite("values", np.array([1e200, -3.0]))
             with pytest.raises(NonFiniteError, match=r"values at index \(1,\)"):
                 require_finite("values", np.array([1e200, np.inf]))
@@ -449,16 +493,23 @@ class TestCounterUniforms:
             cmdp = grid_cmdp(slip)
             width = 1 + cmdp.vector_step.noise_dim  # 1 + 2 slip uniforms
             u = generator_uniforms((8, 2), 6, 30 * width).reshape(6, 30, width)
+            probs = softmax_table(params)
             got = collect_batch(cmdp, params, sampling, (8, 2))  # counter uniforms
             want = collect_batch(cmdp, params, sampling, (8, 2), u)
+            shared = collect_batch(cmdp, params, sampling, (8, 2), u, probs)
             for name in ("states", "actions", "rewards", "costs"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                assert np.array_equal(getattr(shared, name), getattr(want, name)), name
             for bad in (u[:, :5], u[:, :, :0], u.reshape(6, -1)):
                 with pytest.raises(ValueError, match="shape"):
                     collect_batch(cmdp, params, sampling, (8, 2), bad)
+            with pytest.raises(ValueError, match="shape"):
+                collect_batch(cmdp, params, sampling, (8, 2), u, probs[:, :3])
             gaussian = init_params(LinearGaussian(4, 2))
             with pytest.raises(ValueError, match="tabular batch"):
                 collect_batch(cmdp, gaussian, sampling, (8, 2), u)
+            with pytest.raises(ValueError, match="tabular batch"):
+                collect_batch(cmdp, gaussian, sampling, (8, 2), None, probs)
 
 
 class TestPapdCounterBlocks:

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apdual import solver
+from apdual import cmdp as cmdp_module
+from apdual import lagrangian, policy, solver
 from apdual.cmdp import (
     Cmdp,
     NonFiniteError,
@@ -514,6 +515,20 @@ class TestPapdRun:
         rec = papd_run(self.cmdp, self.constraint, papd_cfg(iterations=60))
         assert rec.lambdas[:, 0].max() > 0.0
 
+    def test_one_softmax_table_per_iteration(self, monkeypatch):
+        # the batch's actions and the REINFORCE scores share one table
+        original = policy.softmax_table
+        thetas = []
+
+        def counted(params):
+            thetas.append(params.theta.copy())
+            return original(params)
+
+        for module in (policy, cmdp_module, lagrangian, solver):
+            monkeypatch.setattr(module, "softmax_table", counted)
+        rec = papd_run(self.cmdp, self.constraint, papd_cfg(iterations=5))
+        np.testing.assert_array_equal(thetas, rec.thetas[:-1])
+
     def test_ppol_runs_and_deterministic(self):
         a = papd_run(
             self.cmdp, self.constraint, papd_cfg(iterations=8, ppol=PpolConfig())
@@ -602,8 +617,9 @@ class TestPapdPointPpol:
         assert not np.array_equal(a.thetas[0], a.thetas[-1])
 
 
-def per_step_batch(cmdp, params, sampling, seed, uniforms=None):
-    """collect_batch's batch with every row from sample_trajectory."""
+def per_step_batch(cmdp, params, sampling, seed, uniforms=None, probs=None):
+    """collect_batch's batch with every row from sample_trajectory, which
+    draws its own uniforms and computes its own softmax table."""
     rows = [
         sample_trajectory(cmdp, params, sampling.horizon, derived_seed(seed, i))
         for i in range(sampling.n_traj)
