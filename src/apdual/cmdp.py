@@ -22,12 +22,14 @@ Rollout batches.  ``collect_batch`` advances the n trajectories of a batch
 together through the CMDP's ``VectorStep``.  A Gaussian batch steps in a
 loop that does only the work that depends on the previous step: the
 actions (the mean W s_t plus action normals scaled once per batch,
-``gaussian_actor``) and the dynamics ``fn``.  A tabular batch first builds
-a successor table: the action that each step's uniform picks in every one
-of the S cells, and, from one ``fn`` call over all S * H * n (cell, step,
-trajectory) rows, the next cell, with the offset of the next step folded
-in.  A step of all n trajectories is then one gather ``cur = link[cur]``,
-and the visited entries give the states and actions.  The table costs
+``gaussian_actor``) and the dynamics ``fn``, written into preallocated
+time-major (H+1, n, F) and (H, n, A) buffers, so every step reads and
+writes contiguous rows.  A tabular batch first builds a successor table:
+the action that each step's uniform picks in every one of the S cells,
+and, from one ``fn`` call over all S * H * n (cell, step, trajectory)
+rows, the next cell, with the offset of the next step folded in.  A step
+of all n trajectories is then one gather ``cur = link[cur]``, and the
+visited entries give the states and actions.  The table costs
 O(n * H * S * A) per batch, where a step-by-step loop pays O(n * A) per
 step plus a fixed numpy overhead per call, so it wins on small grids and
 loses on large ones.  Measured for a whole ``collect_batch`` at n = 16,
@@ -53,29 +55,36 @@ where k = ``VectorStep.noise_dim``:
     step t is the number of entries of the state's action cdf that are
     <= u_t, ``searchsorted(cdf[s], u_t, side="right")`` bit for bit.
 
-``sample_trajectory`` is the per-step reference: one-row ``fn`` calls
-that draw the same variates in the same order (``policy_act``, then
-``random((1, k))`` or ``standard_normal((1, k))``), then one ``signals``
-call.  So row i of a batch equals ``sample_trajectory(cmdp, params, H,
-derived_seed(seed, i))`` bit for bit.  The scaled normals, the step loop
-and the signals of a batch run with numpy's overflow and invalid-value
-warnings silenced; a diverging batch is caught by the finiteness checks
-after them.
+A batch's variates are one (n, H, w) array, w = A + k or 1 + k
+(``variate_shape``).  ``sample_trajectory`` is the per-step reference:
+one-row ``fn`` calls that draw the same variates in the same order
+(``policy_act``, then ``random((1, k))`` or ``standard_normal((1, k))``),
+then one ``signals`` call.  So row i of a batch equals
+``sample_trajectory(cmdp, params, H, derived_seed(seed, i))`` bit for bit.
+The scaled normals, the step loop and the signals of a batch run with
+numpy's overflow and invalid-value warnings silenced; a diverging batch is
+caught by the finiteness checks after them.
 
-Counter-based uniforms.  A tabular stream depends only on its derived seed,
-so ``counter_uniforms`` computes the uniforms of many batches at once in
-numpy, equal to ``default_rng(derived_seed(root, i)).random(H * (1 + k))``
-bit for bit: the ``SeedSequence`` hash of the seed words, PCG64 seeding,
-the 128-bit LCG jumped ahead to every draw (O'Neill 2014, PCG), the XSL-RR
-output and ``(x >> 11) * 2**-53``.  They are the only uniforms of tabular
-batches: ``papd_run`` hands each batch its (n, H, 1 + k) slice of a block
-of iterations (``collect_batch(..., uniforms=)``), and a batch without one
-computes its own.  Derived seeds must have at most four entries in
-[0, 2**32), one SeedSequence word each (``counter_form_fits``).  On first
-use a self-check compares a few streams with ``default_rng`` (numpy keeps
-them fixed, NEP 19) and raises RuntimeError naming the numpy version if
-they differ.  Gaussian batches keep one Generator per trajectory: ziggurat
-normals take a data-dependent number of draws.
+Counter-based streams.  A seeded ``default_rng`` is only a PCG64 state:
+the ``SeedSequence`` hash of the seed words, PCG64 seeding and the 128-bit
+LCG (O'Neill 2014, PCG), used here in the counter-based manner of Salmon
+et al. 2011.  This module computes the seeded states of many streams at
+once in numpy.  ``counter_uniforms`` jumps each LCG ahead to every draw
+and applies the XSL-RR output and ``(x >> 11) * 2**-53``, so the uniforms
+of whole batches, equal to ``default_rng(derived_seed(root, i)).random(H
+* (1 + k))`` bit for bit, need no Generator at all.  Normals come from
+numpy's ziggurat, which takes a data-dependent number of raw draws, so
+``counter_streams`` sets one Generator to each stream's seeded state in
+turn; it draws a Gaussian batch's normals (``stream_normals``) and the PPO
+shuffle permutations, equal to those of ``default_rng`` bit for bit.
+``papd_run`` hashes the seeds of ``UNIFORM_BLOCK`` iterations at a time
+and hands each batch its (n, H, w) variates (``collect_batch(...,
+variates=)``); a batch without them computes its own the same way.
+Derived seeds must have at most four entries in [0, 2**32), one
+SeedSequence word each (``counter_form_fits``).  On first use a
+self-check compares a few uniform streams, one Gaussian stream and one
+shuffle permutation with ``default_rng`` (numpy keeps the streams fixed,
+NEP 19) and raises RuntimeError naming the numpy version if they differ.
 
 Samplers raise ``NonFiniteError`` on a non-finite reward, cost or vector
 state, and ``ValueError`` on a step cost whose norm exceeds B or on a
@@ -85,9 +94,10 @@ when it is built.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -208,7 +218,12 @@ class SamplingConfig:
 class RolloutBatch:
     """n fixed-horizon rollouts as arrays: states (n, H+1[, F]), whose last
     column is the state reached by the last transition, actions
-    (n, H[, A]), rewards (n, H) and costs (n, H, m)."""
+    (n, H[, A]), rewards (n, H) and costs (n, H, m).
+
+    Each array is stored C-contiguous (a copy only for another layout), so
+    the values computed from a batch do not depend on the memory layout it
+    was built from: a stacked matmul such as ``batch_values``' may sum a
+    strided operand in another order."""
 
     states: np.ndarray
     actions: np.ndarray
@@ -216,6 +231,10 @@ class RolloutBatch:
     costs: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("states", "actions", "rewards", "costs"):
+            arr = getattr(self, name)
+            if not arr.flags.c_contiguous:
+                object.__setattr__(self, name, np.ascontiguousarray(arr))
         shape = self.rewards.shape
         if not (
             len(shape) == 2
@@ -328,58 +347,73 @@ def batch_values(batch: RolloutBatch, gamma: float) -> tuple[np.ndarray, np.ndar
     return (w @ batch.rewards[:, :, None])[:, 0, 0], (w @ batch.costs)[:, 0, :]
 
 
+def variate_shape(cmdp: Cmdp, params: PolicyParams, sampling: SamplingConfig):
+    """(n, H, w): a batch's variates, w = 1 + k uniforms per step for a
+    tabular policy and A + k normals for a Gaussian one."""
+    kind = params.kind
+    per_step = 1 if isinstance(kind, TabularSoftmax) else kind.action_dim
+    return sampling.n_traj, sampling.horizon, per_step + cmdp.vector_step.noise_dim
+
+
 def collect_batch(
     cmdp: Cmdp,
     params: PolicyParams,
     sampling: SamplingConfig,
     seed: Seed,
-    uniforms: np.ndarray | None = None,
+    variates: np.ndarray | None = None,
     probs: np.ndarray | None = None,
 ) -> RolloutBatch:
     """n_traj independent rollouts with the documented derived seeds, all
     advanced together (see the module docstring for the array shapes and
     the stream layout).
 
-    For a tabular batch only: ``uniforms`` is the (n_traj, horizon,
-    1 + noise_dim) slice of ``counter_uniforms`` for root ``seed``, and
-    ``probs`` the (S, A) ``softmax_table(params)``; a batch called without
-    them computes them itself."""
-    n, horizon = sampling.n_traj, sampling.horizon
+    ``variates`` is the batch's ``variate_shape`` array drawn from the
+    streams of root ``seed``: the slice of ``counter_uniforms`` for a
+    tabular batch, the ``stream_normals`` of ``counter_streams`` for a
+    Gaussian one.  For a tabular batch only, ``probs`` is the (S, A)
+    ``softmax_table(params)``.  A batch called without them computes them
+    itself, through the same functions."""
+    shape = variate_shape(cmdp, params, sampling)
+    n, horizon, width = shape
     step = cmdp.vector_step
-    shape = (n, horizon, 1 + step.noise_dim)
     tabular = isinstance(params.kind, TabularSoftmax)
-    if tabular and uniforms is None:
-        uniforms = counter_uniforms([seed], n, horizon * shape[2]).reshape(shape)
-    elif uniforms is not None and (not tabular or np.shape(uniforms) != shape):
-        raise ValueError("uniforms need a tabular batch and shape (n, H, 1 + k)")
+    if variates is None:
+        if tabular:
+            variates = counter_uniforms([seed], n, horizon * width).reshape(shape)
+        else:
+            variates = stream_normals(counter_streams([seed], range(n)), shape)
+    elif np.shape(variates) != shape:
+        raise ValueError(f"variates need shape (n, H, w) = {shape}")
     if probs is not None and (
         not tabular or np.shape(probs) != (params.kind.n_states, params.kind.n_actions)
     ):
         raise ValueError("probs need a tabular batch and shape (S, A)")
     if tabular:
         cdf = action_cdf(softmax_table(params) if probs is None else probs)
-        states, actions = _tabular_paths(step, cdf, cmdp.initial_state, uniforms)
+        states, actions = _tabular_paths(step, cdf, cmdp.initial_state, variates)
         return _finish(cmdp, states, actions, tabular)
-    rngs = [np.random.default_rng(derived_seed(seed, i)) for i in range(n)]
-    state = np.full((n, *np.shape(cmdp.initial_state)), cmdp.initial_state, float)
     a_dim = params.kind.action_dim
     # draws[t] holds, per trajectory, the a_dim action normals of step t
     # followed by its noise_dim transition normals.
-    draws = np.stack(
-        [rng.standard_normal((horizon, a_dim + step.noise_dim)) for rng in rngs],
-        axis=1,
-    )
+    draws = np.ascontiguousarray(np.swapaxes(variates, 0, 1))
     noise = draws[:, :, a_dim:]
-    states, actions = [state], []
+    states = np.empty((horizon + 1, n, *np.shape(cmdp.initial_state)))
+    states[0] = cmdp.initial_state
+    actions = np.empty((horizon, n, a_dim))
+    state_rows, action_rows = list(states), list(actions)  # views made once
     # A diverging batch overflows here; the checks in _finish raise.
     with np.errstate(over="ignore", invalid="ignore"):
         act = gaussian_actor(params, draws[:, :, :a_dim])
-        for t in range(horizon):
-            action = act(state, t)
-            state = step.fn(state, action, noise[t])
-            states.append(state)
-            actions.append(action)
-    return _finish(cmdp, np.stack(states, axis=1), np.stack(actions, axis=1), tabular)
+        rows = zip(state_rows, action_rows, noise)
+        for t, (state, action, step_noise) in enumerate(rows):
+            act(state, t, action)
+            state_rows[t + 1][...] = step.fn(state, action, step_noise)
+    return _finish(
+        cmdp,
+        np.ascontiguousarray(np.swapaxes(states, 0, 1)),
+        np.ascontiguousarray(np.swapaxes(actions, 0, 1)),
+        tabular,
+    )
 
 
 _TABLE = 1 << 14  # successor-table entries (cells x steps x trajectories) per pass
@@ -444,7 +478,7 @@ def _tabular_paths(
     return states, actions
 
 
-# Counter-based uniforms (see the module docstring).  Constants of numpy's
+# Counter-based streams (see the module docstring).  Constants of numpy's
 # SeedSequence (pool of 4 uint32 words) and of its PCG64 (128-bit LCG
 # multiplier), as in numpy/random/bit_generator.pyx and pcg64.h.
 _POOL_WORDS = 4
@@ -454,16 +488,52 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _CHUNK = 4096  # streams x steps per jump-ahead pass, so temporaries stay small
+SHUFFLE_STREAM = 999979  # stream index of an iteration's PPO shuffles
 _counter_checked = False
 
 
 def counter_form_fits(seed: Seed) -> bool:
     """Whether every ``derived_seed(seed, i)`` hashes as at most four
-    one-word SeedSequence entries, the case ``counter_uniforms`` covers."""
+    one-word SeedSequence entries, the case the counter form covers."""
     root = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     return len(root) < _POOL_WORDS and all(
         isinstance(e, (int, np.integer)) and 0 <= e <= _M32 for e in root
     )
+
+
+def _require_counter_form(roots) -> None:
+    if not all(counter_form_fits(root) for root in roots):
+        raise ValueError("a root does not fit the counter form")
+
+
+def _self_check() -> None:
+    """On first use, compare a few counter-based streams with their
+    ``default_rng`` Generators; raise RuntimeError if numpy's differ."""
+    global _counter_checked
+    if _counter_checked:
+        return
+    rng = np.random.default_rng
+    # Uniforms: edge words and a four-word stream.
+    probe = [(0, 0), (_M32, 0, 999983), (12345, _M32)]
+    want = [[rng(derived_seed(root, i)).random(5) for i in (0, 2)] for root in probe]
+    same = np.array_equal(_counter_block(probe, 3, 5)[:, ::2], want)
+    # One Gaussian stream's normals and one shuffle stream's permutation.
+    root = (_M32, 7)
+    streams = _streams([root], [2, SHUFFLE_STREAM], 1)
+    normals = next(streams).standard_normal(9)
+    order = next(streams).permutation(50)
+    shuffle = rng(derived_seed(root, SHUFFLE_STREAM))
+    same = (
+        same
+        and np.array_equal(normals, rng(derived_seed(root, 2)).standard_normal(9))
+        and np.array_equal(order, shuffle.permutation(50))
+    )
+    if not same:
+        raise RuntimeError(
+            "counter-based streams differ from default_rng streams under "
+            f"numpy {np.__version__}"
+        )
+    _counter_checked = True
 
 
 def counter_uniforms(roots: Sequence[Seed], n: int, count: int) -> np.ndarray:
@@ -472,47 +542,111 @@ def counter_uniforms(roots: Sequence[Seed], n: int, count: int) -> np.ndarray:
     ``np.random.default_rng(derived_seed(roots[r], i)).random(count)`` bit
     for bit.
 
-    Every root must satisfy ``counter_form_fits``.  The first call checks a
-    few streams against ``default_rng`` and raises RuntimeError if numpy's
-    streams changed."""
-    global _counter_checked
-    if not all(counter_form_fits(root) for root in roots):
-        raise ValueError("a root does not fit the counter form")
-    if not _counter_checked:
-        # Edge words and a four-word stream, against their Generators.
-        probe = [(0, 0), (_M32, 0, 999983), (12345, _M32)]
-        want = [
-            [np.random.default_rng(derived_seed(root, i)).random(5) for i in (0, 2)]
-            for root in probe
-        ]
-        if not np.array_equal(_counter_block(probe, 3, 5)[:, ::2], want):
-            raise RuntimeError(
-                "counter-based uniforms differ from default_rng streams under "
-                f"numpy {np.__version__}"
-            )
-        _counter_checked = True
+    Every root must satisfy ``counter_form_fits``.  The first use of the
+    counter form runs the self-check (see the module docstring)."""
+    _require_counter_form(roots)
+    _self_check()
     return _counter_block(roots, n, count)
+
+
+def counter_streams(roots: Iterable[Seed], indices: Sequence[int], block: int = 1):
+    """Yield one Generator len(indices) times per root, each time in the
+    seeded state of ``np.random.default_rng(derived_seed(root, i))`` for the
+    next (root, i), roots outer; draw from it before advancing.
+
+    ``roots`` may be lazy: their states are computed ``block`` roots at a
+    time.  Every root must satisfy ``counter_form_fits`` and every index lie
+    in [0, 2**32).  The first use of the counter form runs the self-check
+    (see the module docstring)."""
+    if not all(0 <= i <= _M32 for i in indices):
+        raise ValueError("stream indices must lie in [0, 2**32)")
+    _self_check()
+    yield from _streams(roots, indices, block)
+
+
+def _streams(roots, indices, block: int):
+    """counter_streams without the checks on the indices and numpy."""
+    # Made here, not at import: numpy.random loads on first use.
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    roots = iter(roots)
+    while chunk := list(itertools.islice(roots, block)):
+        _require_counter_form(chunk)
+        for state, inc in _seeded_states(chunk, indices):
+            bits.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield gen
+
+
+def stream_normals(streams, shape: tuple) -> np.ndarray:
+    """An array of standard normals whose row i, of shape ``shape[1:]``, is
+    drawn in C order by the next Generator of ``streams``."""
+    out = np.empty(shape)
+    for row, gen in zip(out, streams):  # out first: no stream left unused
+        gen.standard_normal(out=row)
+    return out
+
+
+def _pcg_seeding(roots, indices) -> list[np.ndarray]:
+    """PCG64's seeding input for every ``derived_seed(root, i)``, roots
+    outer: the (N,) uint64 halves init_hi, init_lo, inc_hi and inc_lo of
+    initstate and of the increment inc."""
+    u64 = np.uint64
+    roots = [tuple(r) if isinstance(r, (tuple, list)) else (r,) for r in roots]
+    # Word j of root r is roots[r][j], then the index, then zeros.
+    words = np.zeros((_POOL_WORDS, len(roots), len(indices)), dtype=np.uint32)
+    padded = [root + (0,) * (_POOL_WORDS - 1 - len(root)) for root in roots]
+    words[:-1] = np.array(padded, dtype=np.uint32).T[:, :, None]
+    sizes = [len(root) for root in roots]
+    words[sizes, range(len(roots))] = np.asarray(indices, dtype=np.uint32)
+    # Zero words past the entropy hash as SeedSequence's padding does.
+    w = _seed_state(words.reshape(_POOL_WORDS, -1)).astype(u64)
+    # PCG64 seeding: initstate = (v0 << 64) | v1, initseq = (v2 << 64) | v3
+    # with v = generate_state(4, uint64), v_j = w_2j | w_(2j+1) << 32;
+    # inc = (initseq << 1) | 1.
+    init_hi, init_lo, seq_hi, seq_lo = w[0::2] | (w[1::2] << u64(32))
+    inc_hi = (seq_hi << u64(1)) | (seq_lo >> u64(63))
+    inc_lo = (seq_lo << u64(1)) | u64(1)
+    return [init_hi, init_lo, inc_hi, inc_lo]
+
+
+def _lcg_states(seeding, powers: np.ndarray, totals: np.ndarray):
+    """(hi, lo) halves, shape (T, N), of M^p initstate + c inc mod 2^128
+    for the (4, T, 1) limbs of T pairs (M^p, c).
+
+    Seeding steps state 0 -> inc, adds initstate and steps again; draw t
+    (1-based) steps once more and outputs, so with the LCG s -> M s + inc,
+    s_t = M^(t+1) initstate + (M^0 + ... + M^(t+1)) inc, and s_0 is the
+    seeded state."""
+    init_hi, init_lo, inc_hi, inc_lo = seeding
+    hi, lo = _mul128(init_hi, init_lo, powers)
+    inc_part_hi, inc_part_lo = _mul128(inc_hi, inc_lo, totals)
+    lo += inc_part_lo
+    hi += inc_part_hi + (lo < inc_part_lo)
+    return hi, lo
+
+
+def _seeded_states(roots, indices) -> list[tuple[int, int]]:
+    """The seeded PCG64 (state, inc) of every ``derived_seed(root, i)``,
+    roots outer, as 128-bit ints."""
+    seeding = _pcg_seeding(roots, indices)
+    hi, lo = _lcg_states(seeding, _quarters([_PCG_MULT]), _quarters([1 + _PCG_MULT]))
+    return [
+        (s_hi << 64 | s_lo, i_hi << 64 | i_lo)
+        for s_hi, s_lo, i_hi, i_lo in zip(
+            hi[0].tolist(), lo[0].tolist(), seeding[2].tolist(), seeding[3].tolist()
+        )
+    ]
 
 
 def _counter_block(roots, n: int, count: int) -> np.ndarray:
     """counter_uniforms without the checks."""
     u64 = np.uint64
-    words = np.zeros((_POOL_WORDS, len(roots), n), dtype=np.uint32)
-    for j, root in enumerate(roots):
-        root = tuple(root) if isinstance(root, (tuple, list)) else (root,)
-        words[: len(root), j] = np.array(root, dtype=np.uint32)[:, None]
-        words[len(root), j] = np.arange(n, dtype=np.uint32)
-    # Zero words past the entropy hash as SeedSequence's padding does.
-    w = [x.astype(u64) for x in _seed_state(words.reshape(_POOL_WORDS, -1))]
-    # PCG64 seeding: initstate = (v0 << 64) | v1, initseq = (v2 << 64) | v3
-    # with v = generate_state(4, uint64); inc = (initseq << 1) | 1.
-    init_hi, init_lo = w[0] | (w[1] << u64(32)), w[2] | (w[3] << u64(32))
-    seq_hi, seq_lo = w[4] | (w[5] << u64(32)), w[6] | (w[7] << u64(32))
-    inc_hi = (seq_hi << u64(1)) | (seq_lo >> u64(63))
-    inc_lo = (seq_lo << u64(1)) | u64(1)
-    # Seeding steps state 0 -> inc, adds initstate and steps again; draw t
-    # (1-based) steps once more and outputs, so with the LCG s -> M s + inc,
-    # s_t = M^(t+1) initstate + (M^0 + ... + M^(t+1)) inc  (mod 2^128).
+    seeding = _pcg_seeding(roots, range(n))
     mask = (1 << 128) - 1
     power, total = _PCG_MULT, 1 + _PCG_MULT
     a_t, c_t = [], []
@@ -522,14 +656,12 @@ def _counter_block(roots, n: int, count: int) -> np.ndarray:
         a_t.append(power)
         c_t.append(total)
     a_t, c_t = _quarters(a_t), _quarters(c_t)
-    out = np.empty((count, init_hi.size))
-    rows = max(1, _CHUNK // init_hi.size)
+    width = seeding[0].size
+    out = np.empty((count, width))
+    rows = max(1, _CHUNK // width)
     for t0 in range(0, count, rows):
         part = slice(t0, t0 + rows)
-        hi, lo = _mul128(init_hi, init_lo, a_t[:, part])
-        inc_part_hi, inc_part_lo = _mul128(inc_hi, inc_lo, c_t[:, part])
-        lo += inc_part_lo
-        hi += inc_part_hi + (lo < inc_part_lo)
+        hi, lo = _lcg_states(seeding, a_t[:, part], c_t[:, part])
         # XSL-RR: rotate hi ^ lo right by the top six bits of the state.
         x, rot = hi ^ lo, hi >> u64(58)
         x = (x >> rot) | (x << ((u64(64) - rot) & u64(63)))
@@ -537,33 +669,36 @@ def _counter_block(roots, n: int, count: int) -> np.ndarray:
     return out.T.reshape(len(roots), n, count)
 
 
-def _seed_state(words: np.ndarray) -> list[np.ndarray]:
+def _seed_state(words: np.ndarray) -> np.ndarray:
     """SeedSequence(entropy).generate_state(8, uint32) for each column of
-    the (4, N) uint32 entropy words, one uint32 array per output word."""
+    the (4, N) uint32 entropy words, as an (8, N) uint32 array.
+
+    The hash constants of numpy's loop do not depend on the data, so the
+    hashes it computes one pool word after another, with consecutive
+    constants, run here as one operation over the rows: the four entropy
+    words, the three mixes each source word makes into the other three,
+    and the eight output words."""
     u32 = np.uint32
-    hash_const = _INIT_A
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ u32(hash_const)
-        hash_const = hash_const * _MULT_A & _M32
-        value = value * u32(hash_const)
-        return value ^ (value >> u32(16))
+    def hashes(values, init: int, mult: int, start: int, count: int):
+        # Call j xors the constant c_j and multiplies by c_(j+1) = c_j * mult.
+        consts = [init]
+        for _ in range(start + count):
+            consts.append(consts[-1] * mult & _M32)
+        c = np.array(consts[start:], dtype=u32)[:, None]
+        values = (values ^ c[:-1]) * c[1:]
+        return values ^ (values >> u32(16))
 
-    pool = [hashmix(word) for word in words]
+    pool = hashes(words, _INIT_A, _MULT_A, 0, _POOL_WORDS)
+    start = _POOL_WORDS
     for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                mixed = u32(_MIX_L) * pool[dst] - u32(_MIX_R) * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> u32(16))
-    hash_const = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % _POOL_WORDS] ^ u32(hash_const)
-        hash_const = hash_const * _MULT_B & _M32
-        value = value * u32(hash_const)
-        state.append(value ^ (value >> u32(16)))
-    return state
+        dst = [d for d in range(_POOL_WORDS) if d != src]
+        mixed = u32(_MIX_L) * pool[dst] - u32(_MIX_R) * hashes(
+            pool[src], _INIT_A, _MULT_A, start, len(dst)
+        )
+        pool[dst] = mixed ^ (mixed >> u32(16))
+        start += len(dst)
+    return hashes(pool[np.arange(8) % _POOL_WORDS], _INIT_B, _MULT_B, 0, 8)
 
 
 def _quarters(values: list[int]) -> np.ndarray:

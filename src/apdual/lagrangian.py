@@ -168,9 +168,10 @@ def backward_sums(x: np.ndarray, decay: float) -> np.ndarray:
     step = np.empty_like(y[0])
     rows = list(y)  # row views made once, not per step
     later = rows[t_len]
+    multiply, add = np.multiply, np.add
     for row in reversed(rows[:t_len]):
-        np.multiply(later, decay, out=step)
-        np.add(row, step, out=row)
+        multiply(later, decay, step)
+        add(row, step, row)
         later = row
     return np.moveaxis(y[:t_len], 0, 1)
 
@@ -236,7 +237,8 @@ def ppol_surrogate_grad(
 
     The log-probs and the score sum over the rows of nonzero coefficient come
     from one policy_sample_terms call, so the minibatch is gathered,
-    validated and its Gaussian means computed once.
+    validated and its Gaussian means computed once; when no coefficient is
+    zero, the score sum reads the rows without a second gather.
     """
     if lam.shape != (1,) or batch.adv_c.shape[1] != 1:
         raise ValueError("the surrogate is defined for a single constraint")
@@ -247,11 +249,12 @@ def ppol_surrogate_grad(
     )
     adv_r = batch.adv_r.take(rows)
     rho = np.exp(lp - batch.log_prob_old.take(rows))
-    upper = 1.0 + cfg.clip_ratio
-    lower = 1.0 - cfg.clip_ratio
-    clipped = np.clip(rho, lower, upper)
+    # np.clip's value, bit for bit, from two plain ufunc calls
+    clipped = np.minimum(np.maximum(rho, 1.0 - cfg.clip_ratio), 1.0 + cfg.clip_ratio)
     active = rho * adv_r <= clipped * adv_r  # unclipped branch is the min
     adv_c = batch.adv_c[:, 0].take(rows)
     coeff = (active * rho * adv_r - lam * rho * adv_c) / (1.0 + lam)
     nz = np.flatnonzero(coeff)
+    if nz.size == coeff.size:  # the usual case: no row to drop
+        return score_sum(None, coeff) / len(rows)
     return score_sum(nz, coeff[nz]) / len(rows)

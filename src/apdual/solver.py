@@ -20,9 +20,11 @@ score-function (cfg.ppol None) or clipped-surrogate primal step at the
 practical eta(lambda_k), and a PID dual update (cfg.gains) on the estimated
 cost; it carries the m multipliers as an (m,) array.  Each iteration
 samples one rollout batch, which feeds the primal step and the dual update
-alike.  For tabular batches it draws the uniforms of UNIFORM_BLOCK
-iterations at once with cmdp.counter_uniforms and hands each batch its
-slice, so no batch builds Generators (see the cmdp module docstring).
+alike.  Every iteration's variates come from the counter-based streams
+of cmdp (see its module docstring), the seeds of UNIFORM_BLOCK iterations
+hashed at once: a tabular batch's uniforms from cmdp.counter_uniforms, a
+Gaussian batch's normals and the PPO shuffles from the one Generator of
+cmdp.counter_streams, so no iteration builds a default_rng.
 
 verify_bounds turns an exact run into a BoundCertificate by computing the
 per-iteration primal error
@@ -48,7 +50,6 @@ and, for apd runs, the transient envelope.
 
 from __future__ import annotations
 
-import itertools
 import struct
 import time
 from array import array
@@ -59,15 +60,19 @@ import numpy as np
 # discounted_value is no longer called here but stays importable from this
 # module: perfbench/tracing.py times its calls under this name.
 from .cmdp import (  # noqa: F401
+    SHUFFLE_STREAM,
     Cmdp,
     NonFiniteError,
     RolloutBatch,
     SamplingConfig,
     batch_values,
     collect_batch,
+    counter_streams,
     counter_uniforms,
     discounted_value,
     require_finite,
+    stream_normals,
+    variate_shape,
 )
 # project_nonneg is no longer called here but stays importable from this
 # module: perfbench/tracing.py times its calls under this name.
@@ -95,10 +100,9 @@ from .quadprog import (
 )
 from .schedules import LrSchedule, SmoothnessConstants
 
-SHUFFLE_STREAM = 999979  # substream tag for minibatch shuffling
 CERT_TOL = 1e-9  # a certificate passes when no slack is below -CERT_TOL
-# papd_run draws the tabular uniforms of this many iterations at once:
-# the seed hashing costs about as much for one batch as for a block.
+# papd_run hashes the stream seeds of this many iterations at once: the
+# hashing costs about as much for one batch as for a block.
 UNIFORM_BLOCK = 64
 
 
@@ -341,7 +345,7 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
     costs = np.empty((k_iter, m))
 
     start = time.perf_counter()
-    uniforms = _iteration_uniforms(cmdp, params, cfg)
+    variates = _iteration_variates(cmdp, params, cfg)
     for k in range(k_iter):
         thetas[k] = params.theta
         lambdas[k] = lam
@@ -350,7 +354,7 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
         etas[k] = eta
         try:
             params, j_r_hat, j_c_hat = _papd_iteration(
-                cmdp, params, lam, spec, cfg, eta, k, next(uniforms)
+                cmdp, params, lam, spec, cfg, eta, k, *next(variates)
             )
         except (NonFiniteError, RuntimeWarning, FloatingPointError) as exc:
             # RuntimeWarning and FloatingPointError arrive here when numpy's
@@ -377,20 +381,36 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
     return RunRecord(thetas, lambdas, etas, returns, costs, meta)
 
 
-def _iteration_uniforms(cmdp: Cmdp, params: PolicyParams, cfg: SolverConfig):
-    """Per iteration k, the (n, H, 1 + noise_dim) counter uniforms of the
-    batch rooted at (seed, k), drawn UNIFORM_BLOCK iterations at a time for
-    a tabular policy; None throughout for a Gaussian one, whose batches
-    draw from Generators."""
-    if not isinstance(params.kind, TabularSoftmax):
-        yield from itertools.repeat(None, cfg.iterations)
-        return
-    n, horizon = cfg.sampling.n_traj, cfg.sampling.horizon
-    width = 1 + cmdp.vector_step.noise_dim
+def _iteration_variates(cmdp: Cmdp, params: PolicyParams, cfg: SolverConfig):
+    """Per iteration k, ``(variates, orders)``: the ``variate_shape`` array
+    of the batch rooted at (seed, k), and for a PPO run the epochs' shuffle
+    orders of its n * H samples, drawn from stream (seed, k,
+    SHUFFLE_STREAM); None otherwise.
+
+    A tabular batch's uniforms come from ``counter_uniforms``, a Gaussian
+    batch's normals from ``counter_streams``, as ``collect_batch`` computes
+    them itself; the seeds are hashed UNIFORM_BLOCK iterations at a time."""
+    shape = variate_shape(cmdp, params, cfg.sampling)
+    n, horizon, width = shape
+    tabular = isinstance(params.kind, TabularSoftmax)
+    indices = ([] if tabular else list(range(n))) + (
+        [] if cfg.ppol is None else [SHUFFLE_STREAM]
+    )
+    epochs = range(0 if cfg.ppol is None else cfg.ppol.epochs)
+    roots = ((cfg.seed, k) for k in range(cfg.iterations))
+    streams = counter_streams(roots, indices, UNIFORM_BLOCK)
     for lo in range(0, cfg.iterations, UNIFORM_BLOCK):
         ks = range(lo, min(lo + UNIFORM_BLOCK, cfg.iterations))
-        block = counter_uniforms([(cfg.seed, k) for k in ks], n, horizon * width)
-        yield from block.reshape(len(ks), n, horizon, width)
+        if tabular:
+            block = counter_uniforms([(cfg.seed, k) for k in ks], n, horizon * width)
+            draws = iter(block.reshape(len(ks), *shape))
+        for _ in ks:
+            variates = next(draws) if tabular else stream_normals(streams, shape)
+            orders = None
+            if cfg.ppol is not None:
+                shuffle = next(streams)
+                orders = [shuffle.permutation(n * horizon) for _ in epochs]
+            yield variates, orders
 
 
 def _papd_iteration(
@@ -401,16 +421,18 @@ def _papd_iteration(
     cfg: SolverConfig,
     eta: float,
     k: int,
-    uniforms: np.ndarray | None,
+    variates: np.ndarray,
+    orders: list | None,
 ) -> tuple[PolicyParams, float, np.ndarray]:
     """Primal step k of papd_run: (new params, J_R estimate, J_C estimate).
 
-    ``uniforms`` holds the counter uniforms of a tabular batch, None for a
-    Gaussian one.  A tabular iteration computes its softmax table once,
-    for the batch's actions and the REINFORCE scores alike.  Raises
-    NonFiniteError when a sample, the estimates or theta turn non-finite."""
+    ``variates`` and ``orders`` are the batch's variates and the PPO
+    shuffle orders of ``_iteration_variates``.  A tabular iteration
+    computes its softmax table once, for the batch's actions and the
+    REINFORCE scores alike.  Raises NonFiniteError when a sample, the
+    estimates or theta turn non-finite."""
     probs = softmax_table(params) if isinstance(params.kind, TabularSoftmax) else None
-    batch = collect_batch(cmdp, params, cfg.sampling, (cfg.seed, k), uniforms, probs)
+    batch = collect_batch(cmdp, params, cfg.sampling, (cfg.seed, k), variates, probs)
     returns, cost_vals = batch_values(batch, cmdp.gamma)
 
     if cfg.ppol is None:
@@ -419,7 +441,7 @@ def _papd_iteration(
         )
         params = params.replace_theta(params.theta - eta * grad)
     else:
-        params = _ppol_update(cmdp, params, batch, lam, cfg, eta, k)
+        params = _ppol_update(cmdp, params, batch, lam, cfg, eta, orders)
     require_finite("theta", params.theta)
     require_finite("return estimates", returns)
     require_finite("cost estimates", cost_vals)
@@ -435,18 +457,18 @@ def _ppol_update(
     lam: np.ndarray,
     cfg: SolverConfig,
     eta: float,
-    k: int,
+    orders: list,
 ) -> PolicyParams:
+    """The PPO primal step: one minibatch ascent step per minibatch_size
+    slice of each epoch's shuffle order."""
     if cfg.values_fn is not None:
         values = cfg.values_fn(params, batch)
     else:
         values = _lstsq_values(cmdp, batch)
     samples = advantage_batch(batch, params, cmdp.gamma, cfg.ppol, values)
-    rng = np.random.default_rng((cfg.seed, k, SHUFFLE_STREAM))
     n = len(samples)
     mb = min(cfg.ppol.minibatch_size, n)
-    for _ in range(cfg.ppol.epochs):
-        order = rng.permutation(n)
+    for order in orders:
         for lo in range(0, n, mb):
             grad = ppol_surrogate_grad(
                 samples, order[lo : lo + mb], params, lam, cfg.ppol

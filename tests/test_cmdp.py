@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from apdual.cmdp import (
+    SHUFFLE_STREAM,
     Cmdp,
     NonFiniteError,
     RolloutBatch,
@@ -21,17 +22,24 @@ from apdual.cmdp import (
     batch_values,
     collect_batch,
     counter_form_fits,
+    counter_streams,
     counter_uniforms,
     derived_seed,
     discounted_value,
     require_finite,
     sample_trajectory,
+    stream_normals,
 )
 from apdual import cmdp as cmdp_module
 from apdual import solver
 from apdual.duals import PidGains
-from apdual.envs import default_hazard_gridworld, make_gridworld
-from apdual.lagrangian import ConstraintSpec
+from apdual.envs import (
+    PointEnvConfig,
+    default_hazard_gridworld,
+    make_gridworld,
+    make_point_env,
+)
+from apdual.lagrangian import ConstraintSpec, PpolConfig, advantage_batch
 from apdual.policy import LinearGaussian, TabularSoftmax, init_params, softmax_table
 from apdual.schedules import LrSchedule
 from apdual.solver import UNIFORM_BLOCK, SolverConfig, papd_run
@@ -425,9 +433,9 @@ def generators_only(monkeypatch):
         width = 1 + cmdp.vector_step.noise_dim
         for k in range(cfg.iterations):
             u = generator_uniforms((cfg.seed, k), n, horizon * width)
-            yield u.reshape(n, horizon, width)
+            yield u.reshape(n, horizon, width), None
 
-    monkeypatch.setattr(solver, "_iteration_uniforms", drawn)
+    monkeypatch.setattr(solver, "_iteration_variates", drawn)
 
 
 def count_counter_calls(monkeypatch):
@@ -506,8 +514,8 @@ class TestCounterUniforms:
             with pytest.raises(ValueError, match="shape"):
                 collect_batch(cmdp, params, sampling, (8, 2), u, probs[:, :3])
             gaussian = init_params(LinearGaussian(4, 2))
-            with pytest.raises(ValueError, match="tabular batch"):
-                collect_batch(cmdp, gaussian, sampling, (8, 2), u)
+            with pytest.raises(ValueError, match=r"shape \(n, H, w\) = \(6, 30, "):
+                collect_batch(cmdp, gaussian, sampling, (8, 2), u)  # A + k wide
             with pytest.raises(ValueError, match="tabular batch"):
                 collect_batch(cmdp, gaussian, sampling, (8, 2), None, probs)
 
@@ -661,3 +669,140 @@ class TestSuccessorTable:
         # The start is checked once, when the CMDP is built.
         with pytest.raises(ValueError, match=rf"initial cell {start} outside \[0, 3\)"):
             counter_cmdp(lambda s, u: np.minimum(s + 1, 2), start=start)
+
+
+EDGE_ROOTS = [(0, 0), (0, 2**32 - 1), (2**32 - 1, 0), (2**32 - 1, 2**32 - 1)]
+EDGE_ROOTS.append((7, 10**9))  # a large iteration k
+
+
+class TestCounterStreams:
+    """counter_streams' one Generator, set to each stream's seeded state,
+    draws what default_rng(derived_seed(root, i)) draws."""
+
+    @pytest.mark.parametrize("block", [1, 2, 64])
+    def test_normals_and_permutations_equal_default_rng(self, block):
+        n = 8
+        indices = [0, n - 1, SHUFFLE_STREAM]
+        streams = counter_streams(iter(EDGE_ROOTS), indices, block)
+        for root in EDGE_ROOTS:
+            for i in indices:
+                want = np.random.default_rng(derived_seed(root, i))
+                gen = next(streams)
+                normals = gen.standard_normal(37)
+                assert np.array_equal(normals, want.standard_normal(37))
+                for _ in range(2):  # the epochs' orders continue the stream
+                    assert np.array_equal(gen.permutation(512), want.permutation(512))
+        assert next(streams, None) is None
+
+    def test_stream_normals_rows(self):
+        got = stream_normals(counter_streams([(3, 4)], range(5)), (5, 64, 4))
+        for i in range(5):
+            want = np.random.default_rng((3, 4, i)).standard_normal((64, 4))
+            assert np.array_equal(got[i], want), i
+
+    def test_rejects_what_the_counter_form_does_not_cover(self):
+        with pytest.raises(ValueError, match="counter form"):
+            next(counter_streams([(2**32, 0)], [0]))
+        with pytest.raises(ValueError, match="indices"):
+            next(counter_streams([(1, 0)], [2**32]))
+
+    def test_self_check_raises_when_a_stream_differs(self, monkeypatch):
+        # Uniforms do not read the seeded states, so only the Gaussian and
+        # shuffle probes can catch this.
+        seeded = cmdp_module._seeded_states
+
+        def shifted(roots, indices):
+            return [(state ^ 1, inc) for state, inc in seeded(roots, indices)]
+
+        monkeypatch.setattr(cmdp_module, "_counter_checked", False)
+        monkeypatch.setattr(cmdp_module, "_seeded_states", shifted)
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            next(counter_streams([(0, 1)], [0]))
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            counter_uniforms([(0, 1)], 2, 3)
+
+
+def point_ppol_cfg(iterations, seed=5):
+    return SolverConfig(
+        iterations=iterations,
+        schedule=LrSchedule("invlin-practical", h1=0.001, h2=3.0),
+        gains=PidGains(),
+        theta0=init_params(LinearGaussian(4, 2)),
+        sampling=SamplingConfig(n_traj=8, horizon=64),
+        seed=seed,
+        ppol=PpolConfig(epochs=4),
+    )
+
+
+def point_run_cmdp():
+    return make_point_env("run", PointEnvConfig(noise_std=0.05))
+
+
+class TestPapdGaussianStreams:
+    def test_iteration_variates_equal_default_rng(self):
+        cmdp, cfg = point_run_cmdp(), point_ppol_cfg(UNIFORM_BLOCK + 2)
+        variates = solver._iteration_variates(cmdp, cfg.theta0, cfg)
+        for k, (normals, orders) in enumerate(variates):
+            if k in (0, UNIFORM_BLOCK - 1, UNIFORM_BLOCK + 1):
+                for i in range(8):
+                    rng = np.random.default_rng(derived_seed((cfg.seed, k), i))
+                    assert np.array_equal(normals[i], rng.standard_normal((64, 4)))
+                shuffle = np.random.default_rng((cfg.seed, k, SHUFFLE_STREAM))
+                assert len(orders) == 4
+                for order in orders:
+                    assert np.array_equal(order, shuffle.permutation(512))
+        assert k == UNIFORM_BLOCK + 1
+
+    def test_rows_with_drawn_normals_equal_sample_trajectory(self):
+        cmdp, cfg = point_run_cmdp(), point_ppol_cfg(2)
+        theta = np.random.default_rng(2).normal(size=10) * 0.3
+        params = cfg.theta0.replace_theta(theta)
+        variates = solver._iteration_variates(cmdp, params, cfg)
+        for k, (normals, _) in enumerate(variates):
+            seed = (cfg.seed, k)
+            batch = collect_batch(cmdp, params, cfg.sampling, seed, normals)
+            for i in range(8):
+                solo = sample_trajectory(cmdp, params, 64, derived_seed(seed, i))
+                for name in ("states", "actions", "rewards", "costs"):
+                    got, want = getattr(batch, name)[i], getattr(solo, name)[0]
+                    assert np.array_equal(got, want), (k, i, name)
+
+    def test_no_generator_for_a_point_ppo_run(self, monkeypatch):
+        cmdp, cfg = point_run_cmdp(), point_ppol_cfg(3)
+        spec = ConstraintSpec(np.array([2.0]))
+        want = papd_run(cmdp, spec, cfg)  # also runs the self-check
+        built = []
+        default_rng = np.random.default_rng
+
+        def counted(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        assert_records_equal(papd_run(cmdp, spec, cfg), want)
+        assert built == []
+
+
+class TestBatchLayout:
+    def test_values_independent_of_memory_layout(self):
+        """A batch built from time-major views gives the same values, value
+        fit and advantages, bit for bit, as its C-contiguous copy."""
+        cmdp = point_run_cmdp()
+        params = init_params(LinearGaussian(4, 2))
+        params = params.replace_theta(np.random.default_rng(3).normal(size=10) * 0.3)
+        batch = collect_batch(cmdp, params, SamplingConfig(8, 64), (1, 4))
+        names = ("states", "actions", "rewards", "costs")
+        time_major = [getattr(batch, name).swapaxes(0, 1).copy() for name in names]
+        views = RolloutBatch(*(arr.swapaxes(0, 1) for arr in time_major))
+        for name in names:
+            assert np.array_equal(getattr(views, name), getattr(batch, name))
+            assert getattr(views, name).flags.c_contiguous, name
+        want = batch_values(batch, cmdp.gamma)
+        for got, want in zip(batch_values(views, cmdp.gamma), want):
+            assert np.array_equal(got, want)
+        values = solver._lstsq_values(cmdp, views)
+        assert np.array_equal(values, solver._lstsq_values(cmdp, batch))
+        got = advantage_batch(views, params, cmdp.gamma, PpolConfig(), values)
+        want = advantage_batch(batch, params, cmdp.gamma, PpolConfig(), values)
+        for name in ("states", "actions", "log_prob_old", "adv_r", "adv_c"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name

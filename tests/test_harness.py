@@ -515,25 +515,37 @@ CPU_VARIANTS = {
     "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
     "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
     "numpy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"},
+    "openblas-prescott-numpy-baseline": {
+        "OPENBLAS_CORETYPE": "Prescott",
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR,X86_V3",
+    },
 }
-
-
-@pytest.mark.skipif(
+ON_X86_64 = pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64"),
     reason="the kernel settings are x86-64 ones",
 )
-@pytest.mark.parametrize("variant", list(CPU_VARIANTS))
-def test_testbed_artifact_digests_independent_of_cpu_kernels(variant, tmp_path):
-    """`apdual run` of the shipped testbed configs, in a subprocess under
-    each kernel setting, writes the pinned CSV and certificate bytes."""
+
+
+def variant_env(variant, **extra):
+    """os.environ with the variant's kernel settings, this source tree on
+    PYTHONPATH and extra; skips the test if numpy does not import."""
     src = str(Path(apdual.__file__).resolve().parents[1])
-    env = dict(os.environ, **CPU_VARIANTS[variant], **{OUTPUT_ROOT_ENV: str(tmp_path)})
+    env = dict(os.environ, **CPU_VARIANTS[variant], **extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = subprocess.run(
         [sys.executable, "-c", "import numpy"], env=env, capture_output=True, text=True
     )
     if probe.returncode:
         pytest.skip(f"numpy does not import under {variant}: {probe.stderr[-300:]}")
+    return env
+
+
+@ON_X86_64
+@pytest.mark.parametrize("variant", list(CPU_VARIANTS))
+def test_testbed_artifact_digests_independent_of_cpu_kernels(variant, tmp_path):
+    """`apdual run` of the shipped testbed configs, in a subprocess under
+    each kernel setting, writes the pinned CSV and certificate bytes."""
+    env = variant_env(variant, **{OUTPUT_ROOT_ENV: str(tmp_path)})
     for name, pinned in PINNED_TESTBED.items():
         config = name.replace("-", "_")
         proc = subprocess.run(
@@ -547,6 +559,48 @@ def test_testbed_artifact_digests_independent_of_cpu_kernels(variant, tmp_path):
         for kind, path in files.items():
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             assert digest == pinned[kind], f"{variant}, {name}: {kind} digest {digest}"
+
+
+# SHA-256 of policy._gaussian_means over 10^5 random rows, F = 4, A = 2.
+PINNED_GAUSSIAN_MEANS = (
+    "0511a10c425db155b874534afea60f3ba28df15df4a78905a0084e927b438f8f"
+)
+GAUSSIAN_MEANS_PROBE = """
+import hashlib
+import numpy as np
+from apdual.policy import _gaussian_means
+rng = np.random.default_rng(20)
+w, x = rng.standard_normal((1, 2, 4)), rng.standard_normal((100_000, 4))
+print(hashlib.sha256(_gaussian_means(w, x).tobytes()).hexdigest())
+"""
+
+
+def test_gaussian_means_order_and_digest():
+    """Each Gaussian mean is (x0 w0 + x2 w2) + (x1 w1 + x3 w3), the order
+    behind the pinned digest."""
+    names = {}
+    exec(GAUSSIAN_MEANS_PROBE, names)  # the subprocesses' inputs; prints the digest
+    x, w = names["x"], names["w"][0]
+    means = names["_gaussian_means"](names["w"], x)
+    for a in range(2):
+        pairs = (x[:, 0] * w[a, 0] + x[:, 2] * w[a, 2]) + (
+            x[:, 1] * w[a, 1] + x[:, 3] * w[a, 3]
+        )
+        assert np.array_equal(means[:, a], pairs), a
+    assert hashlib.sha256(means.tobytes()).hexdigest() == PINNED_GAUSSIAN_MEANS
+
+
+@ON_X86_64
+@pytest.mark.parametrize("variant", list(CPU_VARIANTS))
+def test_gaussian_means_digest_independent_of_cpu_kernels(variant):
+    """The Gaussian means, in a subprocess under each kernel setting, give
+    the pinned digest."""
+    proc = subprocess.run(
+        [sys.executable, "-c", GAUSSIAN_MEANS_PROBE],
+        env=variant_env(variant), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == PINNED_GAUSSIAN_MEANS, variant
 
 
 class TestRunExperiment:

@@ -6,6 +6,7 @@ no sampling error) and a seeded Monte-Carlo run compared within standard
 errors.  Surrogate values use hand-computed clip arithmetic.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -762,9 +763,21 @@ class TestFusedSurrogateGrad:
         assert same_bits(got, np.zeros(4))
 
 
-def reference_ppol_update(cmdp, params, batch, lam, cfg, eta, k):
+def reference_ppol_update():
     """The PPO primal step with one AdvantageBatch copy per minibatch and
-    the separate surrogate chain (run with reference_backward_sums)."""
+    the separate surrogate chain (run with reference_backward_sums).  It
+    ignores the shuffle orders papd_run hands it and draws its own from
+    default_rng, counting the iterations k of one run."""
+    iterations = itertools.count()
+
+    def update(cmdp, params, batch, lam, cfg, eta, orders):
+        k = next(iterations)
+        return reference_ppol_step(cmdp, params, batch, lam, cfg, eta, k)
+
+    return update
+
+
+def reference_ppol_step(cmdp, params, batch, lam, cfg, eta, k):
     if cfg.values_fn is not None:
         values = cfg.values_fn(params, batch)
     else:
@@ -813,7 +826,7 @@ class TestPpolRunMatchesReference:
     def test_record_equals_reference(self, task, monkeypatch):
         cmdp, spec, cfg = self.setup(task)
         got = papd_run(cmdp, spec, cfg)
-        monkeypatch.setattr(solver, "_ppol_update", reference_ppol_update)
+        monkeypatch.setattr(solver, "_ppol_update", reference_ppol_update())
         monkeypatch.setattr(solver, "backward_sums", reference_backward_sums)
         monkeypatch.setattr(lagrangian, "backward_sums", reference_backward_sums)
         want = papd_run(cmdp, spec, cfg)

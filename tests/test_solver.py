@@ -617,9 +617,9 @@ class TestPapdPointPpol:
         assert not np.array_equal(a.thetas[0], a.thetas[-1])
 
 
-def per_step_batch(cmdp, params, sampling, seed, uniforms=None, probs=None):
+def per_step_batch(cmdp, params, sampling, seed, variates=None, probs=None):
     """collect_batch's batch with every row from sample_trajectory, which
-    draws its own uniforms and computes its own softmax table."""
+    draws its own variates and computes its own softmax table."""
     rows = [
         sample_trajectory(cmdp, params, sampling.horizon, derived_seed(seed, i))
         for i in range(sampling.n_traj)
