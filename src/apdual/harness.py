@@ -90,6 +90,7 @@ from .solver import (
     RunRecord,
     SolverConfig,
     apd_run,
+    cycle_index,
     feasibility_check,
     papd_run,
     verify_bounds,
@@ -411,40 +412,23 @@ def _run_single(cfg: ExperimentConfig, seed: int) -> RunRecord:
 _CSV_ROWS = 1024  # rows gathered per chunk, so the temporaries stay small
 
 
-def _distinct_rows(record: RunRecord) -> tuple[list[str], np.ndarray]:
-    """The text of each distinct row (return, cost, lr, lambda), four reprs
-    joined by commas, and each row's index into that list.  Rows are keyed
-    by their 32 bytes, so 0.0 and -0.0 differ.  The stacked values and the
-    sort temporaries die with this call, before the text is built."""
-    k_iter = record.iterations
-    values = np.stack(
-        [record.returns, record.costs[:, 0], record.etas, record.lambdas[:k_iter, 0]],
-        axis=1,
-        dtype=float,
-    )
-    keys = values.view(np.dtype((np.void, values.itemsize * 4)))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    columns = [map(repr, col) for col in values[first].T.tolist()]
-    return list(map(",".join, zip(*columns))), inverse
-
-
 def record_to_csv(record: RunRecord) -> str:
     """Fixed-column CSV text; floats use repr so parsing is lossless.
 
-    The text of f"{float(x)!r}" per value.  Each distinct row is formatted
-    once (_distinct_rows), and the row texts are gathered behind the step
-    numbers _CSV_ROWS rows at a time.  An exact run that stops at a repeat
-    of its state fills its record from the cycle, so a 10^4-row testbed
-    record holds a few hundred to a few thousand distinct rows; a sampled
-    record's rows are all distinct and take the same path.  Nothing is kept
-    across calls."""
+    The text of f"{float(x)!r}" per value.  Only the rows before the end of
+    the record's cycle (all rows of a record without one) are formatted, and
+    their texts are gathered by cycle_index behind the step numbers
+    _CSV_ROWS rows at a time.  Nothing is kept across calls."""
     if record.costs.shape[1] != 1 or record.lambdas.shape[1] != 1:
         raise ValueError("CSV emission is defined for single-constraint records")
     k_iter = record.iterations
-    tails, inverse = _distinct_rows(record)
+    idx, end = cycle_index(k_iter, record.cycle)
+    cols = (record.returns, record.costs[:, 0], record.etas, record.lambdas[:, 0])
+    values = np.stack([col[:end] for col in cols], dtype=float)
+    tails = list(map(",".join, zip(*(map(repr, col) for col in values.tolist()))))
     parts = [",".join(CSV_COLUMNS) + "\n"]
     for lo in range(0, k_iter, _CSV_ROWS):
-        chunk = inverse[lo : lo + _CSV_ROWS].tolist()
+        chunk = idx[lo : lo + _CSV_ROWS].tolist()
         rows = zip(map(str, range(lo, k_iter)), map(tails.__getitem__, chunk))
         parts.append("\n".join(map(",".join, rows)) + "\n")
     return "".join(parts)

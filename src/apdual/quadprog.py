@@ -187,24 +187,18 @@ def dual_values_batch(
     prog: QuadProgram, lams: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (d(lambda), theta*(lambda), J_C(theta*)) over a 1-d array
-    of multipliers.
+    of multipliers, all solved in one stacked linear solve.
 
-    Each distinct multiplier, keyed by its 8 bytes so that 0.0 and -0.0
-    differ, is solved once in one stacked linear solve, and the rows are
-    gathered back into the order of ``lams``.  An exact run that stops at a
-    repeat of its state records few distinct multipliers.  Every row is
-    computed alone (stacked solve, then J_R and J_C on numpy columns),
-    whatever else is in the batch, so row i equals
+    Every row is computed alone (stacked solve, then J_R and J_C on numpy
+    columns), whatever else is in the batch, so row i equals
     ``dual_values_batch(prog, lams[i:i + 1])`` bit for bit."""
-    lams = np.asarray(lams, dtype=float)
-    keys, inverse = np.unique(lams.view(np.uint64), return_inverse=True)
-    lam = keys.view(float)
+    lam = np.asarray(lams, dtype=float)
     a = prog.q[None, :, :] + lam[:, None, None] * prog.p[None, :, :]
     rhs = prog.b[None, :] - lam[:, None] * prog.c[None, :]
     th = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
     j_c = prog.j_c(th)
     d = -prog.j_r(th) + lam * (j_c - prog.limit)
-    return d[inverse], th[inverse], j_c[inverse]
+    return d, th, j_c
 
 
 def _constraint_infimum(prog: QuadProgram) -> float:

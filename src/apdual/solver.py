@@ -9,12 +9,11 @@ constraint's multiplier a float, and the ascent is max(lambda + zeta
 quadprog.form_value on Python floats, the one fixed order of arithmetic
 that the QuadProgram methods also use, with no BLAS and so no fused
 multiply-add.  Each iteration appends its theta, lambda, eta and J_C to
-array.array('d') buffers, which become the RunRecord arrays through
-np.frombuffer after the loop.  J_R is not needed inside the loop and is
-computed once afterwards over all theta_{k+1} (QuadProgram.j_r on the
-stack, bit-equal to j_r per row).  The loop stops once the state (theta_k,
-lambda_k) repeats bit for bit with period 1 or 2, and fills the remaining
-rows from the cycle (see apd_run).
+array.array('d') buffers.  The loop stops once the state (theta_k,
+lambda_k) repeats bit for bit with period 1 or 2, and the record's arrays
+are gathered from the buffers by the row index of that cycle (see apd_run).
+J_R is not needed inside the loop and is computed once afterwards over all
+theta_{k+1} (QuadProgram.j_r on the stack, bit-equal to j_r per row).
 papd_run is the sampled variant for CMDPs: Monte-Carlo estimates, a
 score-function (cfg.ppol None) or clipped-surrogate primal step at the
 practical eta(lambda_k), and a PID dual update (cfg.gains) on the estimated
@@ -132,6 +131,8 @@ class RunRecord:
 
     Row k holds (theta_k, lambda_k, eta_k) and the (J_R, J_C) fed to the
     k-th dual step; thetas and lambdas carry one extra terminal row.
+    cycle = (start, period) says that every row from start on, terminal row
+    included, equals its row in [start, start + period) (cycle_index).
     """
 
     thetas: np.ndarray
@@ -140,6 +141,7 @@ class RunRecord:
     returns: np.ndarray
     costs: np.ndarray
     meta: dict
+    cycle: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         k = self.etas.size
@@ -152,6 +154,16 @@ class RunRecord:
             raise ValueError("inconsistent record shapes")
         if (self.lambdas < 0.0).any():
             raise ValueError("multiplier rows must be nonnegative")
+        cyc = self.cycle
+        if cyc is not None and not (
+            isinstance(cyc, tuple) and len(cyc) == 2
+            and all(isinstance(v, (int, np.integer)) for v in cyc)
+            and cyc[0] >= 0 and cyc[1] >= 1 and cyc[0] + cyc[1] <= k
+        ):
+            raise ValueError(
+                "cycle must be integers (start, period), start >= 0, period"
+                f" >= 1, start + period <= iterations = {k}; got {cyc!r}"
+            )
 
     @property
     def iterations(self) -> int:
@@ -197,12 +209,17 @@ def _initial_multiplier(lambda0, m: int) -> np.ndarray:
     return lam
 
 
-def _repeat_rows(rows: array, width: int, period: int, total: int) -> None:
-    """Extend rows, width floats to a row, to total rows, each new row m a
-    copy of row m - period."""
-    missing = total - len(rows) // width
-    cycle = rows[len(rows) - period * width :]
-    rows.extend((cycle * -(-missing // period))[: missing * width])
+def cycle_index(rows: int, cycle: tuple[int, int] | None) -> tuple[np.ndarray, int]:
+    """(idx, end) over a record's first ``rows`` rows: row m equals row
+    idx[m] < end.  A RunRecord ``cycle`` (start, period) gives idx[m] =
+    start + (m - start) % period from start on and end = start + period;
+    None gives the identity and end = rows."""
+    idx = np.arange(rows)
+    if cycle is None:
+        return idx, rows
+    start, period = cycle
+    idx[start:] = start + (idx[start:] - start) % period
+    return idx, start + period
 
 
 def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
@@ -210,11 +227,11 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
 
     The loop stops early once the state (theta_k, lambda_k) repeats bit for
     bit the state of iteration k - 1 or k - 2.  The step reads nothing but
-    the state, so from then on the run cycles with that period: the rows
-    left, m = k .. K, are filled as copies of row i + (m - i) % period,
-    i = k - period.  A converged testbed run reaches such a repeat within
-    its first few thousand iterations; the record is the same as the full
-    loop's, bit for bit.
+    the state, so from then on the run cycles with that period: the record's
+    cycle is (k - period, period), and its arrays are gathered by
+    cycle_index from the k rows computed.  A converged testbed run reaches
+    such a repeat within its first few thousand iterations; the record is
+    the same as the full loop's, bit for bit.
     """
     if cfg.zeta is None or cfg.zeta <= 0:
         raise ValueError("apd_run's dual ascent needs zeta > 0")
@@ -237,21 +254,18 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
     # The state (theta_k, lambda_k) as the bytes of n + 1 C doubles, so that
     # 0.0 and -0.0 differ and a NaN equals its own bits.
     pack = struct.Struct(f"{n + 1}d").pack
-    last = before_last = None
+    last = before_last = cycle = None
 
     start = time.perf_counter()
     # A diverging run overflows to inf or nan here; the screen after the
     # loop raises.
-    for _ in range(k_iter):
+    for k in range(k_iter):
         state = pack(*theta, lam)
         if state == last or state == before_last:
             # Row k and the state after it depend only on the state, so
             # every row from here on repeats the row one period back.
             period = 1 if state == last else 2
-            _repeat_rows(theta_rows, n, period, k_iter + 1)
-            _repeat_rows(lambda_rows, 1, period, k_iter + 1)
-            _repeat_rows(eta_rows, 1, period, k_iter)
-            _repeat_rows(cost_rows, 1, period, k_iter)
+            cycle = (k - period, period)
             break
         before_last, last = last, state
         theta_rows.extend(theta)
@@ -263,14 +277,14 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
         j_c = form_value(p_cols, c, theta, 0.5)
         cost_rows.append(j_c)
         lam = max(lam + zeta * (j_c - limit), 0.0)
-    else:
-        theta_rows.extend(theta)
-        lambda_rows.append(lam)
+    theta_rows.extend(theta)
+    lambda_rows.append(lam)
 
-    thetas = np.frombuffer(theta_rows).reshape(k_iter + 1, n)
-    lambdas = np.frombuffer(lambda_rows).reshape(k_iter + 1, 1)
-    etas = np.frombuffer(eta_rows)
-    costs = np.frombuffer(cost_rows).reshape(k_iter, 1)
+    rows, _ = cycle_index(k_iter + 1, cycle)
+    thetas = np.frombuffer(theta_rows).reshape(-1, n)[rows]
+    lambdas = np.frombuffer(lambda_rows).reshape(-1, 1)[rows]
+    etas = np.frombuffer(eta_rows)[rows[:-1]]
+    costs = np.frombuffer(cost_rows).reshape(-1, 1)[rows[:-1]]
     with np.errstate(over="ignore", invalid="ignore"):
         returns = problem.j_r(thetas[1:])
 
@@ -295,7 +309,7 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
         "schedule_variant": cfg.schedule.variant,
         "wall_clock_s": time.perf_counter() - start,
     }
-    return RunRecord(thetas, lambdas, etas, returns, costs, meta)
+    return RunRecord(thetas, lambdas, etas, returns, costs, meta, cycle)
 
 
 def _lstsq_values(cmdp: Cmdp, batch: RolloutBatch) -> np.ndarray:
@@ -358,8 +372,10 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
             )
         except (NonFiniteError, RuntimeWarning, FloatingPointError) as exc:
             # RuntimeWarning and FloatingPointError arrive here when numpy's
-            # floating-point warnings are errors (-W error, np.errstate).
-            raise NonFiniteError(f"seed {cfg.seed}, iteration {k}: {exc}") from exc
+            # floating-point warnings are errors (-W error, np.errstate).  After
+            # an underflow every value is still finite.
+            kind = FloatingPointError if "underflow" in str(exc) else NonFiniteError
+            raise kind(f"seed {cfg.seed}, iteration {k}: {exc}") from exc
 
         returns[k] = j_r_hat
         costs[k] = j_c_hat
@@ -539,25 +555,30 @@ def verify_bounds(
     etas = record.etas
     limit = problem.limit
 
-    # Closed-form minimizers and dual values at every recorded multiplier.
-    d_all, theta_star_all, _ = dual_values_batch(problem, lam_all)
-    theta_star = theta_star_all[:-1]
+    # Iteration rows [0, end) and state rows [0, end] hold every distinct
+    # row; the per-row work runs on them alone.
+    rows, end = cycle_index(k_iter, record.cycle)
+    states, _ = cycle_index(k_iter + 1, record.cycle)
+    lam = lam_all[: end + 1]
+    th = record.thetas[: end + 1]
 
-    th_prev = record.thetas[:-1]
-    th_next = record.thetas[1:]
+    # Closed-form minimizers and dual values at every distinct multiplier.
+    d, theta_star, _ = dual_values_batch(problem, lam)
+    d_all = d[states]
+    delta = ((th[:-1] - theta_star[:-1]) ** 2).sum(axis=1)[rows]
 
     # The record's returns and costs are J_R and J_C of theta_{k+1}.
     g_rows = record.costs[:, 0] - limit
     eps = -record.returns + lam_k * g_rows - d_all[:-1]
-    delta = ((th_prev - theta_star) ** 2).sum(axis=1)
 
     big_l = c.l_r + lam_k * l_c0
-    gn_prev = np.linalg.norm(problem.grad_lagrangian(th_prev, lam_k), axis=1)
-    gn_next = np.linalg.norm(problem.grad_lagrangian(th_next, lam_k), axis=1)
+    gn_prev = np.linalg.norm(problem.grad_lagrangian(th[:-1], lam[:-1]), axis=1)
+    gn_next = np.linalg.norm(problem.grad_lagrangian(th[1:], lam[:-1]), axis=1)
 
     # Lagrangian-value Lipschitz constant over the iterate hull: the
     # largest gradient norm seen at any endpoint, with 10% headroom.
     l_prime = 1.1 * float(max(gn_prev.max(initial=0.0), gn_next.max(initial=0.0)))
+    gn_prev = gn_prev[rows]
 
     g_norm = float(np.abs(g_rows).max(initial=0.0))
 

@@ -35,6 +35,7 @@ from apdual.envs import (
     make_gridworld,
     make_point_env,
 )
+from apdual.harness import certificate_json, record_to_csv
 from apdual.lagrangian import ConstraintSpec, PpolConfig
 from apdual.policy import LinearGaussian, TabularSoftmax, init_params
 from apdual.quadprog import dual_values_batch, quad_kkt_solve, quad_make, quad_testbed
@@ -275,11 +276,28 @@ def first_repeat(thetas, lambdas):
     return None
 
 
+def assert_cycle_form_equals_full_rows(rec, prog, found):
+    """rec.cycle is (k - period, period) for the reference loop's first
+    repeat (k, period), None for none; the CSV text and the certificate of
+    the record equal those of the same rows with no cycle."""
+    assert rec.cycle == (None if found is None else (found[0] - found[1], found[1]))
+    full = dataclasses.replace(rec, cycle=None)
+    assert record_to_csv(rec) == record_to_csv(full)
+    got, want = verify_bounds(rec, prog), verify_bounds(full, prog)
+    assert certificate_json(got) == certificate_json(want)
+    assert got.slacks.keys() == want.slacks.keys()
+    for name, slack in want.slacks.items():
+        assert np.array_equal(got.slacks[name], slack, equal_nan=True), name
+    assert np.array_equal(got.eps, want.eps, equal_nan=True)
+    assert np.array_equal(got.delta, want.delta, equal_nan=True)
+
+
 class TestRepeatFastForward:
-    """apd_run stops at a bitwise repeat of period 1 or 2 and fills the
-    rows left; the record must equal the full reference loop's.  Each case
-    first checks on the reference that its repeat happens within the run,
-    or, for no-repeat, that none does."""
+    """apd_run stops at a bitwise repeat of period 1 or 2 and gathers the
+    rows left from the cycle; the record must equal the full reference
+    loop's, and its cycle form must give the full-row form's CSV and
+    certificate.  Each case first checks on the reference that its repeat
+    happens within the run, or, for no-repeat, that none does."""
 
     @pytest.mark.parametrize("variant", ["invlin-exact", "invqua-exact"])
     @pytest.mark.parametrize(
@@ -293,7 +311,9 @@ class TestRepeatFastForward:
         want = reference_apd_run(prog, cfg)
         found = first_repeat(*want[:2])
         assert (None if found is None else found[1]) == repeat
-        assert_record_equal(apd_run(prog, cfg), want)
+        rec = apd_run(prog, cfg)
+        assert_record_equal(rec, want)
+        assert_cycle_form_equals_full_rows(rec, prog, found)
 
     @pytest.mark.parametrize("variant", ["invlin-exact", "invqua-exact"])
     def test_start_at_a_fixed_point(self, variant):
@@ -306,7 +326,9 @@ class TestRepeatFastForward:
         )
         want = reference_apd_run(prog, cfg)
         assert first_repeat(*want[:2]) == (1, 1)
-        assert_record_equal(apd_run(prog, cfg), want)
+        rec = apd_run(prog, cfg)
+        assert_record_equal(rec, want)
+        assert_cycle_form_equals_full_rows(rec, prog, (1, 1))
 
 
 class TestRunRecordValidation:
@@ -331,6 +353,25 @@ class TestRunRecordValidation:
                 costs=np.zeros((2, 1)),
                 meta={},
             )
+
+    @staticmethod
+    def two_rows(cycle):
+        return RunRecord(
+            np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(2), np.zeros(2),
+            np.zeros((2, 1)), {}, cycle,
+        )
+
+    @pytest.mark.parametrize(
+        "cycle",
+        [(-1, 1), (0, 0), (2, 1), (1, 2), (0.0, 1), (0, 1.0), (0, 1, 1), [0, 1], 1],
+    )
+    def test_bad_cycle_rejected(self, cycle):
+        with pytest.raises(ValueError, match="cycle"):
+            self.two_rows(cycle)
+
+    @pytest.mark.parametrize("cycle", [None, (0, 1), (1, 1), (0, 2), (np.int64(0), 2)])
+    def test_cycle_within_the_rows_accepted(self, cycle):
+        assert self.two_rows(cycle).cycle == cycle
 
 
 class TestBoundCertificates:
@@ -500,6 +541,7 @@ class TestPapdRun:
         # at lambda = 0 the practical invlin rate is H1/H2
         assert rec.etas[0] == pytest.approx(0.003 / 3.0)
         assert np.all(rec.lambdas >= 0.0)
+        assert rec.cycle is None
 
     def test_learning_progress_without_hazards(self):
         # no hazards: the dual stays at zero and the primal is pure ascent
@@ -688,6 +730,29 @@ class TestNonFinite:
         want = r"seed 4, iteration 3: non-finite rewards at index \(1, 3\)"
         with pytest.raises(NonFiniteError, match=want):
             papd_run(cmdp, ConstraintSpec(np.array([1.0])), cfg)
+
+    @pytest.mark.parametrize("promote", ["warnings", "errstate"])
+    def test_underflow_is_not_reported_as_non_finite(self, promote):
+        # a logit 800 below its state's others underflows np.exp in the
+        # softmax to 0.0, which is finite: promoted to an exception, the
+        # underflow leaves as a FloatingPointError naming seed and iteration
+        cmdp = make_gridworld(default_hazard_gridworld())
+        cfg = papd_cfg(iterations=3, seed=2)
+        theta = np.zeros_like(cfg.theta0.theta)
+        theta[::4] = -800.0
+        cfg = dataclasses.replace(cfg, theta0=cfg.theta0.replace_theta(theta))
+        spec = ConstraintSpec(np.array([10.0]))
+        rec = papd_run(cmdp, spec, cfg)
+        assert np.isfinite(rec.thetas).all() and np.isfinite(rec.returns).all()
+        want = "seed 2, iteration 0: underflow encountered in exp"
+        with warnings.catch_warnings(), pytest.raises(FloatingPointError, match=want):
+            if promote == "warnings":
+                warnings.simplefilter("error")
+                with np.errstate(under="warn"):
+                    papd_run(cmdp, spec, cfg)
+            else:
+                with np.errstate(under="raise"):
+                    papd_run(cmdp, spec, cfg)
 
     def test_papd_run_rejects_non_finite_theta(self):
         cmdp = make_point_env("circle", PointEnvConfig(noise_std=0.05))
