@@ -6,7 +6,7 @@ numerical certificates for the method's convergence and feasibility bounds.
 """
 
 # Defined before the submodule imports: harness records it in summary.json.
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .cmdp import (
     Cmdp,
@@ -16,7 +16,6 @@ from .cmdp import (
     VectorStep,
     batch_values,
     collect_batch,
-    derived_seed,
     discounted_value,
     sample_trajectory,
 )

@@ -58,9 +58,11 @@ class PointEnvConfig:
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
-    # sqrt(vecdot) equals np.linalg.norm of each 2-vector bit for bit;
-    # np.linalg.norm(x, axis=-1) does not.
-    return np.sqrt(np.vecdot(x, x))
+    # sqrt(x0 * x0 + x1 * x1) from separate elementwise products and one
+    # add: vecdot may fuse them into a multiply-add, depending on numpy's
+    # SIMD dispatch, and np.linalg.norm takes another order.
+    sq = x * x
+    return np.sqrt(sq[..., 0] + sq[..., 1])
 
 
 def run_reward_cost(p_prev, p, v, cfg: PointEnvConfig):

@@ -94,6 +94,20 @@ def softmax_table(params: PolicyParams) -> np.ndarray:
     return z / z.sum(axis=1, keepdims=True)
 
 
+def libm_exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x) of a float array, each entry from math.exp.
+
+    Under AVX-512 dispatch numpy's float64 exp is its own algorithm, whose
+    roundings differ from libm's in a few percent of entries; math.exp is
+    libm's under every dispatch.  Where math.exp overflows, the result is
+    np.exp(x): numpy's overflow warning or error, and inf."""
+    try:
+        out = np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size)
+    except OverflowError:
+        return np.exp(x)
+    return out.reshape(x.shape)
+
+
 def action_cdf(probs: np.ndarray) -> np.ndarray:
     """Cumulative action probabilities along the last axis of a (..., A)
     probability table, with the last entry set to exactly 1.
@@ -143,7 +157,7 @@ def _gaussian_score_rows(x: np.ndarray, diff: np.ndarray, log_std: np.ndarray):
     """(N, param_count) Gaussian scores from states x and residuals diff."""
     n_samples, f = x.shape
     n = diff.shape[1] * f
-    resid = diff * np.exp(-2.0 * log_std)  # (a - m) / sigma^2
+    resid = diff * libm_exp(-2.0 * log_std)  # (a - m) / sigma^2
     rows = np.empty((n_samples, n + diff.shape[1]))
     rows[:, :n] = (resid[:, :, None] * x[:, None, :]).reshape(n_samples, n)
     rows[:, n:] = diff * resid - 1.0  # ((a - m)/sigma)^2 - 1
@@ -199,7 +213,7 @@ def gaussian_actor(params: PolicyParams, normals):
     if normals.shape[-1:] != (kind.action_dim,):
         raise ValueError("action dimension incompatible with descriptor")
     w, log_std = _gaussian_parts(params)
-    scaled = np.exp(log_std) * normals
+    scaled = libm_exp(log_std) * normals
 
     def act(states, k, out=None):
         return np.add(_gaussian_means(w, states), scaled[k], out=out)
@@ -252,7 +266,7 @@ def policy_sample_terms(params: PolicyParams, states, actions):
 
     else:
         diff, log_std = _gaussian_residual(params, s, a)
-        z = diff / np.exp(log_std)
+        z = diff / libm_exp(log_std)
         log_probs = (
             np.vecdot(-0.5 * z, z)
             - log_std.sum()

@@ -19,11 +19,10 @@ score-function (cfg.ppol None) or clipped-surrogate primal step at the
 practical eta(lambda_k), and a PID dual update (cfg.gains) on the estimated
 cost; it carries the m multipliers as an (m,) array.  Each iteration
 samples one rollout batch, which feeds the primal step and the dual update
-alike.  Every iteration's variates come from the counter-based streams
-of cmdp (see its module docstring), the seeds of UNIFORM_BLOCK iterations
-hashed at once: a tabular batch's uniforms from cmdp.counter_uniforms, a
-Gaussian batch's normals and the PPO shuffles from the one Generator of
-cmdp.counter_streams, so no iteration builds a default_rng.
+alike.  Iteration k's batch draws its variates at Philox key (seed, k),
+and a PPO iteration its shuffle orders at the same key and
+cmdp.SHUFFLE_COUNTER (see the cmdp module docstring), all from the one
+Generator of cmdp.philox, so no iteration builds a Generator.
 
 verify_bounds turns an exact run into a BoundCertificate by computing the
 per-iteration primal error
@@ -59,19 +58,16 @@ import numpy as np
 # discounted_value is no longer called here but stays importable from this
 # module: perfbench/tracing.py times its calls under this name.
 from .cmdp import (  # noqa: F401
-    SHUFFLE_STREAM,
+    SHUFFLE_COUNTER,
     Cmdp,
     NonFiniteError,
     RolloutBatch,
     SamplingConfig,
     batch_values,
     collect_batch,
-    counter_streams,
-    counter_uniforms,
     discounted_value,
+    philox,
     require_finite,
-    stream_normals,
-    variate_shape,
 )
 # project_nonneg is no longer called here but stays importable from this
 # module: perfbench/tracing.py times its calls under this name.
@@ -100,9 +96,6 @@ from .quadprog import (
 from .schedules import LrSchedule, SmoothnessConstants
 
 CERT_TOL = 1e-9  # a certificate passes when no slack is below -CERT_TOL
-# papd_run hashes the stream seeds of this many iterations at once: the
-# hashing costs about as much for one batch as for a block.
-UNIFORM_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -359,7 +352,6 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
     costs = np.empty((k_iter, m))
 
     start = time.perf_counter()
-    variates = _iteration_variates(cmdp, params, cfg)
     for k in range(k_iter):
         thetas[k] = params.theta
         lambdas[k] = lam
@@ -368,7 +360,7 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
         etas[k] = eta
         try:
             params, j_r_hat, j_c_hat = _papd_iteration(
-                cmdp, params, lam, spec, cfg, eta, k, *next(variates)
+                cmdp, params, lam, spec, cfg, eta, k
             )
         except (NonFiniteError, RuntimeWarning, FloatingPointError) as exc:
             # RuntimeWarning and FloatingPointError arrive here when numpy's
@@ -397,38 +389,6 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
     return RunRecord(thetas, lambdas, etas, returns, costs, meta)
 
 
-def _iteration_variates(cmdp: Cmdp, params: PolicyParams, cfg: SolverConfig):
-    """Per iteration k, ``(variates, orders)``: the ``variate_shape`` array
-    of the batch rooted at (seed, k), and for a PPO run the epochs' shuffle
-    orders of its n * H samples, drawn from stream (seed, k,
-    SHUFFLE_STREAM); None otherwise.
-
-    A tabular batch's uniforms come from ``counter_uniforms``, a Gaussian
-    batch's normals from ``counter_streams``, as ``collect_batch`` computes
-    them itself; the seeds are hashed UNIFORM_BLOCK iterations at a time."""
-    shape = variate_shape(cmdp, params, cfg.sampling)
-    n, horizon, width = shape
-    tabular = isinstance(params.kind, TabularSoftmax)
-    indices = ([] if tabular else list(range(n))) + (
-        [] if cfg.ppol is None else [SHUFFLE_STREAM]
-    )
-    epochs = range(0 if cfg.ppol is None else cfg.ppol.epochs)
-    roots = ((cfg.seed, k) for k in range(cfg.iterations))
-    streams = counter_streams(roots, indices, UNIFORM_BLOCK)
-    for lo in range(0, cfg.iterations, UNIFORM_BLOCK):
-        ks = range(lo, min(lo + UNIFORM_BLOCK, cfg.iterations))
-        if tabular:
-            block = counter_uniforms([(cfg.seed, k) for k in ks], n, horizon * width)
-            draws = iter(block.reshape(len(ks), *shape))
-        for _ in ks:
-            variates = next(draws) if tabular else stream_normals(streams, shape)
-            orders = None
-            if cfg.ppol is not None:
-                shuffle = next(streams)
-                orders = [shuffle.permutation(n * horizon) for _ in epochs]
-            yield variates, orders
-
-
 def _papd_iteration(
     cmdp: Cmdp,
     params: PolicyParams,
@@ -437,18 +397,14 @@ def _papd_iteration(
     cfg: SolverConfig,
     eta: float,
     k: int,
-    variates: np.ndarray,
-    orders: list | None,
 ) -> tuple[PolicyParams, float, np.ndarray]:
     """Primal step k of papd_run: (new params, J_R estimate, J_C estimate).
 
-    ``variates`` and ``orders`` are the batch's variates and the PPO
-    shuffle orders of ``_iteration_variates``.  A tabular iteration
-    computes its softmax table once, for the batch's actions and the
-    REINFORCE scores alike.  Raises NonFiniteError when a sample, the
-    estimates or theta turn non-finite."""
+    A tabular iteration computes its softmax table once, for the batch's
+    actions and the REINFORCE scores alike.  Raises NonFiniteError when a
+    sample, the estimates or theta turn non-finite."""
     probs = softmax_table(params) if isinstance(params.kind, TabularSoftmax) else None
-    batch = collect_batch(cmdp, params, cfg.sampling, (cfg.seed, k), variates, probs)
+    batch = collect_batch(cmdp, params, cfg.sampling, (cfg.seed, k), probs)
     returns, cost_vals = batch_values(batch, cmdp.gamma)
 
     if cfg.ppol is None:
@@ -457,7 +413,7 @@ def _papd_iteration(
         )
         params = params.replace_theta(params.theta - eta * grad)
     else:
-        params = _ppol_update(cmdp, params, batch, lam, cfg, eta, orders)
+        params = _ppol_update(cmdp, params, batch, lam, cfg, eta, k)
     require_finite("theta", params.theta)
     require_finite("return estimates", returns)
     require_finite("cost estimates", cost_vals)
@@ -473,10 +429,11 @@ def _ppol_update(
     lam: np.ndarray,
     cfg: SolverConfig,
     eta: float,
-    orders: list,
+    k: int,
 ) -> PolicyParams:
-    """The PPO primal step: one minibatch ascent step per minibatch_size
-    slice of each epoch's shuffle order."""
+    """The PPO primal step of iteration k: one minibatch ascent step per
+    minibatch_size slice of each epoch's shuffle order, drawn in turn from
+    the stream at key (seed, k) and SHUFFLE_COUNTER."""
     if cfg.values_fn is not None:
         values = cfg.values_fn(params, batch)
     else:
@@ -484,6 +441,8 @@ def _ppol_update(
     samples = advantage_batch(batch, params, cmdp.gamma, cfg.ppol, values)
     n = len(samples)
     mb = min(cfg.ppol.minibatch_size, n)
+    shuffle = philox((cfg.seed, k), SHUFFLE_COUNTER)
+    orders = [shuffle.permutation(n) for _ in range(cfg.ppol.epochs)]
     for order in orders:
         for lo in range(0, n, mb):
             grad = ppol_surrogate_grad(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from apdual.cmdp import (
-    SHUFFLE_STREAM,
+    SHUFFLE_COUNTER,
     Cmdp,
     NonFiniteError,
     RolloutBatch,
@@ -21,14 +21,11 @@ from apdual.cmdp import (
     VectorStep,
     batch_values,
     collect_batch,
-    counter_form_fits,
-    counter_streams,
-    counter_uniforms,
-    derived_seed,
+    discount_weights,
     discounted_value,
+    philox,
     require_finite,
     sample_trajectory,
-    stream_normals,
 )
 from apdual import cmdp as cmdp_module
 from apdual import solver
@@ -42,10 +39,9 @@ from apdual.envs import (
 from apdual.lagrangian import ConstraintSpec, PpolConfig, advantage_batch
 from apdual.policy import LinearGaussian, TabularSoftmax, init_params, softmax_table
 from apdual.schedules import LrSchedule
-from apdual.solver import UNIFORM_BLOCK, SolverConfig, papd_run
+from apdual.solver import SolverConfig, papd_run
 
 GAMMA = 0.9
-TAG = 999983  # a fourth seed word
 
 
 def chain_cmdp(p_jump=0.3, gamma=GAMMA, cost_scale=1.0):
@@ -97,8 +93,8 @@ def uniform_params(n_states=2, n_actions=2):
 
 
 def estimate_objectives(cmdp, params, sampling, seed):
-    """Reference estimator: sample means (J_R_hat, J_C_hat) over a
-    derived-seed batch."""
+    """Reference estimator: sample means (J_R_hat, J_C_hat) over the batch
+    of key seed."""
     returns, cost_vals = batch_values(
         collect_batch(cmdp, params, sampling, seed), cmdp.gamma
     )
@@ -139,6 +135,14 @@ class TestDiscountedValue:
             (j_r,), _ = batch_values(one_row(np.ones(h), np.zeros((h, 1))), 0.99)
             tail = 0.99**h / (1.0 - 0.99)
             assert abs(1.0 / (1.0 - 0.99) - j_r) == pytest.approx(tail, rel=1e-9)
+
+    def test_weights_are_repeated_products(self):
+        for gamma in (0.9, 0.99, 0.999):
+            w = discount_weights(gamma, 300)
+            assert w[0] == 1.0
+            for t in range(1, 300):
+                assert w[t] == w[t - 1] * gamma, (gamma, t)
+        assert discount_weights(0.5, 0).shape == (0,)
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
@@ -227,17 +231,13 @@ class TestSeeding:
         b = sample_trajectory(cmdp, params, 10, seed=(4, 2))
         np.testing.assert_array_equal(a.actions, b.actions)
 
-    def test_derived_seed_scheme(self):
-        assert derived_seed(5, 3) == (5, 3)
-        assert derived_seed((5, 1), 3) == (5, 1, 3)
-
     def test_batch_member_regenerable_in_isolation(self):
         cmdp = chain_cmdp()
         params = uniform_params()
         sampling = SamplingConfig(n_traj=6, horizon=25)
         batch = collect_batch(cmdp, params, sampling, seed=9)
         for i in (0, 3, 5):
-            solo = sample_trajectory(cmdp, params, 25, seed=(9, i))
+            solo = sample_trajectory(cmdp, params, 25, 9, i)
             np.testing.assert_array_equal(solo.states[0], batch.states[i])
             np.testing.assert_array_equal(solo.actions[0], batch.actions[i])
             np.testing.assert_array_equal(solo.costs[0], batch.costs[i])
@@ -247,7 +247,7 @@ class TestSeeding:
         params = uniform_params()
         sampling = SamplingConfig(n_traj=1, horizon=12)
         only = collect_batch(cmdp, params, sampling, seed=2)
-        solo = sample_trajectory(cmdp, params, 12, seed=(2, 0))
+        solo = sample_trajectory(cmdp, params, 12, seed=2, row=0)
         assert len(only) == 1
         np.testing.assert_array_equal(only.actions, solo.actions)
 
@@ -396,12 +396,6 @@ class TestValidation:
             sample_trajectory(chain_cmdp(), uniform_params(), 0, seed=0)
 
 
-def generator_uniforms(root, n, horizon):
-    return np.stack(
-        [np.random.default_rng(derived_seed(root, i)).random(horizon) for i in range(n)]
-    )
-
-
 def grid_cmdp(slip):
     """The shipped hazard corridor, slippery (slip_prob 0.2) or not."""
     spec = dataclasses.replace(default_hazard_gridworld(), slip_prob=0.2 * slip)
@@ -424,128 +418,59 @@ def assert_records_equal(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-def generators_only(monkeypatch):
-    """Hand every batch of papd_run uniforms drawn by default_rng Generators
-    instead of counter uniforms."""
-
-    def drawn(cmdp, params, cfg):
-        n, horizon = cfg.sampling.n_traj, cfg.sampling.horizon
-        width = 1 + cmdp.vector_step.noise_dim
-        for k in range(cfg.iterations):
-            u = generator_uniforms((cfg.seed, k), n, horizon * width)
-            yield u.reshape(n, horizon, width), None
-
-    monkeypatch.setattr(solver, "_iteration_variates", drawn)
+def fresh_philox(seed, counter=(0, 0, 0, 0)):
+    """A new Generator at the Philox key of seed and at counter."""
+    key = np.array([seed, 0] if isinstance(seed, int) else seed, dtype=np.uint64)
+    counter = np.array(counter, dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def count_counter_calls(monkeypatch):
-    calls = []
+def fresh_generators(monkeypatch):
+    """Give every Philox address its own new Generator instead of the one
+    Generator that cmdp.philox sets to it."""
+    monkeypatch.setattr(cmdp_module, "philox", fresh_philox)
+    monkeypatch.setattr(solver, "philox", fresh_philox)
 
-    def counted(roots, n, count):
-        calls.append(len(roots))
-        return counter_uniforms(roots, n, count)
 
-    monkeypatch.setattr(solver, "counter_uniforms", counted)
-    return calls
+def count_generators(monkeypatch):
+    """The seeds of every default_rng and Generator built from here on."""
+    built = []
+    default_rng, generator = np.random.default_rng, np.random.Generator
+
+    def counted_rng(seed=None):
+        built.append(seed)
+        return default_rng(seed)
+
+    def counted_generator(bits):
+        built.append(bits)
+        return generator(bits)
+
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    monkeypatch.setattr(np.random, "Generator", counted_generator)
+    return built
 
 
 GRID_LIMIT = ConstraintSpec(np.array([10.0]))
 
 
-class TestCounterUniforms:
-    def test_bit_equal_on_4096_streams(self):
-        roots = [(7, k) for k in range(1000, 1256)]
-        got = counter_uniforms(roots, 16, 24)
-        assert got.shape == (256, 16, 24)
-        for j, root in enumerate(roots):
-            assert np.array_equal(got[j], generator_uniforms(root, 16, 24)), root
-
-    @pytest.mark.parametrize(
-        "roots",
-        [
-            [(0, 0), (0, 2**32 - 1), (2**32 - 1, 0), (2**32 - 1, 2**32 - 1)],
-            [0, 2**32 - 1, (5,), [6, 7]],
-            [(s, k, TAG) for s in (0, 61) for k in (0, 1, 2**32 - 1)],
-            [(3, 9), (3, 9, TAG), (3, 10), (3, 10, TAG)],
-        ],
-    )
-    def test_bit_equal_on_edge_and_four_word_seeds(self, roots):
-        got = counter_uniforms(roots, 5, 37)
-        for j, root in enumerate(roots):
-            assert np.array_equal(got[j], generator_uniforms(root, 5, 37)), root
-
-    def test_one_step_and_wide_batch(self):
-        got = counter_uniforms([(1, 2), (1, 3)], 600, 1)
-        for j, root in enumerate([(1, 2), (1, 3)]):
-            assert np.array_equal(got[j], generator_uniforms(root, 600, 1))
-
-    def test_fit_guard(self):
-        assert counter_form_fits((2**32 - 1, 0, TAG))
-        assert counter_form_fits(4)
-        for root in ((2**32, 0), (-1, 0), 2**32, (1, 2, 3, 4), (1.0, 2)):
-            assert not counter_form_fits(root), root
-            with pytest.raises(ValueError, match="counter form"):
-                counter_uniforms([(0, 0), root], 2, 3)
-
-    def test_self_check_raises_when_streams_differ(self, monkeypatch):
-        monkeypatch.setattr(cmdp_module, "_counter_checked", False)
-        monkeypatch.setattr(cmdp_module, "_INIT_B", cmdp_module._INIT_B ^ 1)
-        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
-            counter_uniforms([(0, 1)], 2, 3)
-
-    def test_collect_batch_with_uniforms_equals_generators(self):
-        params = init_params(TabularSoftmax(15, 4))
-        params = params.replace_theta(np.random.default_rng(4).normal(size=60))
-        sampling = SamplingConfig(n_traj=6, horizon=30)
-        for slip in (False, True):
-            cmdp = grid_cmdp(slip)
-            width = 1 + cmdp.vector_step.noise_dim  # 1 + 2 slip uniforms
-            u = generator_uniforms((8, 2), 6, 30 * width).reshape(6, 30, width)
-            probs = softmax_table(params)
-            got = collect_batch(cmdp, params, sampling, (8, 2))  # counter uniforms
-            want = collect_batch(cmdp, params, sampling, (8, 2), u)
-            shared = collect_batch(cmdp, params, sampling, (8, 2), u, probs)
-            for name in ("states", "actions", "rewards", "costs"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
-                assert np.array_equal(getattr(shared, name), getattr(want, name)), name
-            for bad in (u[:, :5], u[:, :, :0], u.reshape(6, -1)):
-                with pytest.raises(ValueError, match="shape"):
-                    collect_batch(cmdp, params, sampling, (8, 2), bad)
-            with pytest.raises(ValueError, match="shape"):
-                collect_batch(cmdp, params, sampling, (8, 2), u, probs[:, :3])
-            gaussian = init_params(LinearGaussian(4, 2))
-            with pytest.raises(ValueError, match=r"shape \(n, H, w\) = \(6, 30, "):
-                collect_batch(cmdp, gaussian, sampling, (8, 2), u)  # A + k wide
-            with pytest.raises(ValueError, match="tabular batch"):
-                collect_batch(cmdp, gaussian, sampling, (8, 2), None, probs)
-
-
 class TestPapdCounterBlocks:
+    """papd_run's tabular batches read Philox blocks at key (seed, k)
+    through the one Generator of cmdp.philox."""
+
     @pytest.mark.parametrize("slip", [False, True])
     @pytest.mark.parametrize("iterations", [1, 63, 64, 65, 130])
     def test_records_equal_generator_loop(self, monkeypatch, iterations, slip):
         cmdp = grid_cmdp(slip)
         cfg = grid_papd_cfg(iterations)
-        calls = count_counter_calls(monkeypatch)
         got = papd_run(cmdp, GRID_LIMIT, cfg)
-        blocks = -(-iterations // UNIFORM_BLOCK)
-        assert len(calls) == blocks
-        assert sum(calls) == iterations
-        generators_only(monkeypatch)
+        fresh_generators(monkeypatch)
         assert_records_equal(got, papd_run(cmdp, GRID_LIMIT, cfg))
 
     def test_no_generator_for_a_drawn_batch(self, monkeypatch):
         cmdp = grid_cmdp(slip=True)
         cfg = grid_papd_cfg(70)
-        want = papd_run(cmdp, GRID_LIMIT, cfg)  # also runs the self-check
-        built = []
-        default_rng = np.random.default_rng
-
-        def counted(seed):
-            built.append(seed)
-            return default_rng(seed)
-
-        monkeypatch.setattr(np.random, "default_rng", counted)
+        want = papd_run(cmdp, GRID_LIMIT, cfg)  # builds this thread's Generator
+        built = count_generators(monkeypatch)
         assert_records_equal(papd_run(cmdp, GRID_LIMIT, cfg), want)
         assert built == []
 
@@ -599,7 +524,7 @@ TABLE_CASES = {
 class TestSuccessorTable:
     """Tabular collect_batch steps all trajectories through a successor table
     built a span of steps at a time; row i must be the per-step sampler's
-    trajectory for derived seed i, however the horizon splits into passes."""
+    trajectory at row i's address, however the horizon splits into passes."""
 
     @pytest.mark.parametrize("table", [None, 1, 1200])
     @pytest.mark.parametrize("case", list(TABLE_CASES))
@@ -613,7 +538,7 @@ class TestSuccessorTable:
         batch = collect_batch(cmdp, params, SamplingConfig(n, horizon), seed)
         assert batch.states.dtype == batch.actions.dtype == np.int64
         for i in range(n):
-            solo = sample_trajectory(cmdp, params, horizon, derived_seed(seed, i))
+            solo = sample_trajectory(cmdp, params, horizon, seed, i)
             for name in ("states", "actions", "rewards", "costs"):
                 assert np.array_equal(getattr(batch, name)[i], getattr(solo, name)[0])
         if case in ("grid", "slip-grid"):
@@ -639,6 +564,20 @@ class TestSuccessorTable:
         assert len(rows) == calls
         assert sum(rows) == 15 * 24 * 16  # every cell, step and trajectory once
 
+    def test_shared_probs_give_the_same_batch(self):
+        cmdp, params = grid_cmdp(True), eastward_grid_params(15)
+        sampling = SamplingConfig(6, 30)
+        probs = softmax_table(params)
+        own = collect_batch(cmdp, params, sampling, (8, 2))
+        shared = collect_batch(cmdp, params, sampling, (8, 2), probs)
+        for name in ("states", "actions", "rewards", "costs"):
+            assert np.array_equal(getattr(shared, name), getattr(own, name)), name
+        with pytest.raises(ValueError, match="shape"):
+            collect_batch(cmdp, params, sampling, (8, 2), probs[:, :3])
+        gaussian = init_params(LinearGaussian(4, 2))
+        with pytest.raises(ValueError, match="tabular batch"):
+            collect_batch(point_run_cmdp(), gaussian, sampling, (8, 2), probs)
+
     @pytest.mark.parametrize(
         "successor, message",
         [
@@ -655,14 +594,16 @@ class TestSuccessorTable:
             collect_batch(cmdp, uniform_params(3, 2), SamplingConfig(2, 6), 0)
 
     def test_successor_error_names_the_earliest_step(self, monkeypatch):
-        # Only trajectory 1's step-3 transition uniform (>= 0.5) sends a cell
-        # off the grid, in the second of three 2-step passes.
+        # A transition uniform >= 0.5 sends a cell off the grid.  Under key
+        # 367 the first is trajectory 1's at step 3, in the second of three
+        # 2-step passes; both trajectories have one at step 4.
         monkeypatch.setattr(cmdp_module, "_TABLE", 3 * 2 * 2)
+        off = philox(367).random((2, 10)).reshape(2, 5, 2)[:, :, 1] >= 0.5
+        assert not off[:, :3].any() and off[:, 3].tolist() == [False, True]
+        assert off[:, 4].all()
         cmdp = counter_cmdp(lambda s, u: np.where(u[:, 0] < 0.5, s, 7), noise_dim=1)
-        u = np.full((2, 5, 2), 0.25)
-        u[1, 3, 1] = 0.75
         with pytest.raises(ValueError, match="trajectory 1, step 3: cell 0 steps"):
-            collect_batch(cmdp, uniform_params(3, 2), SamplingConfig(2, 5), 0, u)
+            collect_batch(cmdp, uniform_params(3, 2), SamplingConfig(2, 5), 367)
 
     @pytest.mark.parametrize("start", [-1, 3])
     def test_initial_cell_outside_the_grid_raises(self, start):
@@ -671,55 +612,102 @@ class TestSuccessorTable:
             counter_cmdp(lambda s, u: np.minimum(s + 1, 2), start=start)
 
 
-EDGE_ROOTS = [(0, 0), (0, 2**32 - 1), (2**32 - 1, 0), (2**32 - 1, 2**32 - 1)]
-EDGE_ROOTS.append((7, 10**9))  # a large iteration k
+EDGE_KEYS = [0, (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1), (7, 10**9)]
+COUNTERS = [(0, 0, 0, 0), (0, 5, 0, 0), SHUFFLE_COUNTER, (2**64 - 1, 0, 0, 0)]
+
+
+# name: (cmdp, n_traj, horizon).  w = 1 + 2 on the slippery grid, so
+# H * w = 15 and the rows start at every offset mod 4 of a Philox block.
+ADDRESS_CASES = {
+    "slip-grid-h5": (grid_cmdp(True), 9, 5),
+    "grid": (grid_cmdp(False), 16, 24),
+    "point-run": (make_point_env("run", PointEnvConfig(noise_std=0.05)), 5, 7),
+}
 
 
 class TestCounterStreams:
-    """counter_streams' one Generator, set to each stream's seeded state,
-    draws what default_rng(derived_seed(root, i)) draws."""
+    """The Philox contract: a stream is a key and a counter, cmdp.philox
+    sets its one Generator to it, and row i of a batch reads its address."""
 
-    @pytest.mark.parametrize("block", [1, 2, 64])
-    def test_normals_and_permutations_equal_default_rng(self, block):
-        n = 8
-        indices = [0, n - 1, SHUFFLE_STREAM]
-        streams = counter_streams(iter(EDGE_ROOTS), indices, block)
-        for root in EDGE_ROOTS:
-            for i in indices:
-                want = np.random.default_rng(derived_seed(root, i))
-                gen = next(streams)
-                normals = gen.standard_normal(37)
-                assert np.array_equal(normals, want.standard_normal(37))
-                for _ in range(2):  # the epochs' orders continue the stream
-                    assert np.array_equal(gen.permutation(512), want.permutation(512))
-        assert next(streams, None) is None
+    @pytest.mark.parametrize("seed", EDGE_KEYS)
+    def test_philox_equals_a_fresh_generator(self, seed):
+        for counter in COUNTERS:
+            want = fresh_philox(seed, counter)
+            assert np.array_equal(philox(seed, counter).random(7), want.random(7))
+            assert np.array_equal(
+                philox(seed, counter).standard_normal(37),
+                fresh_philox(seed, counter).standard_normal(37),
+            )
+            shuffle = philox(seed, counter)
+            again = fresh_philox(seed, counter)
+            for _ in range(2):  # the epochs' orders continue the stream
+                assert np.array_equal(shuffle.permutation(512), again.permutation(512))
 
-    def test_stream_normals_rows(self):
-        got = stream_normals(counter_streams([(3, 4)], range(5)), (5, 64, 4))
-        for i in range(5):
-            want = np.random.default_rng((3, 4, i)).standard_normal((64, 4))
-            assert np.array_equal(got[i], want), i
+    @pytest.mark.parametrize("case", list(ADDRESS_CASES))
+    def test_rows_equal_sample_trajectory_at_their_address(self, case):
+        cmdp, n, horizon = ADDRESS_CASES[case]
+        if cmdp.is_tabular:
+            params = eastward_grid_params(15)
+        else:
+            params = init_params(LinearGaussian(4, 2))
+            params = params.replace_theta(np.random.default_rng(2).normal(size=10) * 0.3)
+        key = (4, 2**40 + 3)
+        batch = collect_batch(cmdp, params, SamplingConfig(n, horizon), key)
+        for i in range(n):
+            solo = sample_trajectory(cmdp, params, horizon, key, i)
+            for name in ("states", "actions", "rewards", "costs"):
+                assert np.array_equal(getattr(batch, name)[i], getattr(solo, name)[0]), (
+                    i, name
+                )
+
+    def test_batch_variates_at_their_address(self):
+        """A CMDP whose next state is its transition draw shows the
+        variates: tabular row i at output i * H * w of counter 0, Gaussian
+        row i from counter (0, i, 0, 0)."""
+        key, n, horizon = (3, 8), 6, 5
+
+        def signals(s, a, s2):
+            return np.zeros(s.shape[:2]), np.zeros(s.shape[:2])
+
+        # 1000 cells: the cell is the transition uniform's first 3 digits.
+        cells = Cmdp(0.9, 1, 1.0, 0, VectorStep(
+            2, lambda s, a, u: (u[:, 0] * 1000).astype(np.int64), signals
+        ), n_states=1000, n_actions=2)
+        batch = collect_batch(cells, uniform_params(1000, 2), SamplingConfig(n, horizon), key)
+        u = fresh_philox(key, (0, 0, 0, 0)).random(n * horizon * 3).reshape(n, horizon, 3)
+        assert np.array_equal(batch.states[:, 1:], (u[:, :, 1] * 1000).astype(np.int64))
+        point = Cmdp(0.9, 1, 1.0, np.zeros(1), VectorStep(
+            1, lambda s, a, z: z.copy(), signals
+        ))
+        params = init_params(LinearGaussian(1, 1))
+        batch = collect_batch(point, params, SamplingConfig(n, horizon), key)
+        for i in range(n):
+            z = fresh_philox(key, (0, i, 0, 0)).standard_normal((horizon, 2))
+            assert np.array_equal(batch.states[i, 1:, 0], z[:, 1]), i
+
+    def test_ppo_shuffle_equals_a_fresh_generator(self, monkeypatch):
+        cmdp, cfg = point_run_cmdp(), point_ppol_cfg(3)
+        cfg = dataclasses.replace(cfg, ppol=PpolConfig(minibatch_size=512, epochs=2))
+        orders, grad = [], solver.ppol_surrogate_grad
+
+        def recorded(samples, rows, *args):
+            orders.append(rows)
+            return grad(samples, rows, *args)
+
+        monkeypatch.setattr(solver, "ppol_surrogate_grad", recorded)
+        papd_run(cmdp, ConstraintSpec(np.array([2.0])), cfg)
+        assert len(orders) == 3 * 2  # one minibatch per epoch
+        for k in range(3):
+            shuffle = fresh_philox((cfg.seed, k), (0, 0, 1, 0))
+            for epoch in range(2):
+                assert np.array_equal(orders[2 * k + epoch], shuffle.permutation(512))
 
     def test_rejects_what_the_counter_form_does_not_cover(self):
-        with pytest.raises(ValueError, match="counter form"):
-            next(counter_streams([(2**32, 0)], [0]))
-        with pytest.raises(ValueError, match="indices"):
-            next(counter_streams([(1, 0)], [2**32]))
-
-    def test_self_check_raises_when_a_stream_differs(self, monkeypatch):
-        # Uniforms do not read the seeded states, so only the Gaussian and
-        # shuffle probes can catch this.
-        seeded = cmdp_module._seeded_states
-
-        def shifted(roots, indices):
-            return [(state ^ 1, inc) for state, inc in seeded(roots, indices)]
-
-        monkeypatch.setattr(cmdp_module, "_counter_checked", False)
-        monkeypatch.setattr(cmdp_module, "_seeded_states", shifted)
-        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
-            next(counter_streams([(0, 1)], [0]))
-        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
-            counter_uniforms([(0, 1)], 2, 3)
+        for seed in ((2**64, 0), (-1, 0), 2**64, (1, 2, 3), (1.0, 2)):
+            with pytest.raises(ValueError, match="one or two integers"):
+                philox(seed)
+            with pytest.raises(ValueError, match="one or two integers"):
+                collect_batch(chain_cmdp(), uniform_params(), SamplingConfig(2, 3), seed)
 
 
 def point_ppol_cfg(iterations, seed=5):
@@ -739,30 +727,23 @@ def point_run_cmdp():
 
 
 class TestPapdGaussianStreams:
-    def test_iteration_variates_equal_default_rng(self):
-        cmdp, cfg = point_run_cmdp(), point_ppol_cfg(UNIFORM_BLOCK + 2)
-        variates = solver._iteration_variates(cmdp, cfg.theta0, cfg)
-        for k, (normals, orders) in enumerate(variates):
-            if k in (0, UNIFORM_BLOCK - 1, UNIFORM_BLOCK + 1):
-                for i in range(8):
-                    rng = np.random.default_rng(derived_seed((cfg.seed, k), i))
-                    assert np.array_equal(normals[i], rng.standard_normal((64, 4)))
-                shuffle = np.random.default_rng((cfg.seed, k, SHUFFLE_STREAM))
-                assert len(orders) == 4
-                for order in orders:
-                    assert np.array_equal(order, shuffle.permutation(512))
-        assert k == UNIFORM_BLOCK + 1
-
-    def test_rows_with_drawn_normals_equal_sample_trajectory(self):
+    def test_rows_with_drawn_normals_equal_sample_trajectory(self, monkeypatch):
+        """Iteration k of a point PPO run samples the batch of key (seed, k),
+        whose rows equal the per-step sampler's."""
         cmdp, cfg = point_run_cmdp(), point_ppol_cfg(2)
-        theta = np.random.default_rng(2).normal(size=10) * 0.3
-        params = cfg.theta0.replace_theta(theta)
-        variates = solver._iteration_variates(cmdp, params, cfg)
-        for k, (normals, _) in enumerate(variates):
-            seed = (cfg.seed, k)
-            batch = collect_batch(cmdp, params, cfg.sampling, seed, normals)
+        batches, collect = [], solver.collect_batch
+
+        def recorded(cmdp, params, sampling, seed, probs=None):
+            batch = collect(cmdp, params, sampling, seed, probs)
+            batches.append((params, seed, batch))
+            return batch
+
+        monkeypatch.setattr(solver, "collect_batch", recorded)
+        papd_run(cmdp, ConstraintSpec(np.array([2.0])), cfg)
+        assert [seed for _, seed, _ in batches] == [(cfg.seed, 0), (cfg.seed, 1)]
+        for k, (params, seed, batch) in enumerate(batches):
             for i in range(8):
-                solo = sample_trajectory(cmdp, params, 64, derived_seed(seed, i))
+                solo = sample_trajectory(cmdp, params, 64, seed, i)
                 for name in ("states", "actions", "rewards", "costs"):
                     got, want = getattr(batch, name)[i], getattr(solo, name)[0]
                     assert np.array_equal(got, want), (k, i, name)
@@ -770,15 +751,8 @@ class TestPapdGaussianStreams:
     def test_no_generator_for_a_point_ppo_run(self, monkeypatch):
         cmdp, cfg = point_run_cmdp(), point_ppol_cfg(3)
         spec = ConstraintSpec(np.array([2.0]))
-        want = papd_run(cmdp, spec, cfg)  # also runs the self-check
-        built = []
-        default_rng = np.random.default_rng
-
-        def counted(seed):
-            built.append(seed)
-            return default_rng(seed)
-
-        monkeypatch.setattr(np.random, "default_rng", counted)
+        want = papd_run(cmdp, spec, cfg)  # builds this thread's Generator
+        built = count_generators(monkeypatch)
         assert_records_equal(papd_run(cmdp, spec, cfg), want)
         assert built == []
 

@@ -19,7 +19,6 @@ from apdual.cmdp import (
     SamplingConfig,
     batch_values,
     collect_batch,
-    derived_seed,
     sample_trajectory,
 )
 from apdual.envs import (
@@ -176,7 +175,7 @@ class TestPointEnv:
 
 class TestLockstep:
     """collect_batch on the point tasks advances all trajectories together;
-    row i must be the per-step sampler's trajectory for derived seed i."""
+    row i must be the per-step sampler's trajectory at row i's address."""
 
     @staticmethod
     def params():
@@ -232,7 +231,7 @@ class TestLockstep:
 class TestGridworldLockstep:
     """The gridworld samples tabular batches in lockstep from lookup
     tables, with or without slip; row i must be the per-step sampler's
-    trajectory for derived seed i."""
+    trajectory at row i's address."""
 
     @staticmethod
     def eastward_params(spec, seed=4):
@@ -334,10 +333,10 @@ def one_step(cmdp, state, action, rng=None):
 
 def assert_rows_equal_sample_trajectory(cmdp, params, batch, seed):
     """Row i of a collect_batch batch is the per-step sampler's trajectory
-    for derived seed i, bit for bit."""
+    at row i's address under the batch's key, bit for bit."""
     horizon = batch.rewards.shape[1]
     for i in range(len(batch)):
-        solo = sample_trajectory(cmdp, params, horizon, derived_seed(seed, i))
+        solo = sample_trajectory(cmdp, params, horizon, seed, i)
         for name in ("states", "actions", "rewards", "costs"):
             assert np.array_equal(getattr(batch, name)[i], getattr(solo, name)[0]), name
 

@@ -425,16 +425,16 @@ class TestWindowCostSe:
 # SHA-256 of record_to_csv for seed 0 of short runs of every sampled path.
 PINNED_CSV = {
     "grid-reinforce": (
-        "a5e00990e6c394f9dc397202ef4187922f8b34d9fdc3aab3aeb7b17b868da240"
+        "55b45b5b3453a13d470ed61e8b0409afb3434b4f3090ce5c538069532848a6fa"
     ),
     "grid-reinforce-slip": (
-        "eaa8612b0564102092cb99fd8eb6f6bbfd6c9cc97f76a76bf468816cb952b30b"
+        "aaa70cff9d9871b9f5bcbaaab5811637d5425ff8ba130e5a657aa6c30aa6e1a4"
     ),
     "grid-ppol-exact-values": (
-        "433fa9b60ffd4438b4840dce53235b1c17a206941149fb9375fabb792adae37d"
+        "d903fd71d9c1552e7356ef437024cc902b89d02f0b62f46ae1b58851cc65c4ba"
     ),
     "point-run-ppol": (
-        "f6a9458203ff6a3fd38e1684d54b3977f5601afdb1565a3745884ac86fe3b45c"
+        "094bfd9f8c4d3be535cf19b7959e48357cf16210418d0d6b433b44409ac0d7c6"
     ),
 }
 PINNED_NUMPY = "2.4.6"
@@ -601,6 +601,65 @@ def test_gaussian_means_digest_independent_of_cpu_kernels(variant):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == PINNED_GAUSSIAN_MEANS, variant
+
+
+SAMPLED_CSV_PROBE = """
+import hashlib, json, sys
+from apdual import harness
+for name, raw in json.load(sys.stdin).items():
+    record = harness._run_single(harness.parse_config(raw), 0)
+    text = harness.record_to_csv(record)
+    print(name, hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+@ON_X86_64
+@pytest.mark.parametrize("variant", list(CPU_VARIANTS))
+def test_sampled_csv_digest_independent_of_cpu_kernels(variant):
+    """Every PINNED_CSV run, in a subprocess under each kernel setting,
+    gives its pinned CSV digest."""
+    raws = {name: pinned_run_raw(name) for name in PINNED_CSV}
+    proc = subprocess.run(
+        [sys.executable, "-c", SAMPLED_CSV_PROBE], input=json.dumps(raws),
+        env=variant_env(variant), capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = dict(line.split() for line in proc.stdout.splitlines())
+    assert got == PINNED_CSV, variant
+
+
+# SHA-256 of 10^5 uniforms, 10^5 normals and a permutation of 10^4 from
+# three Philox addresses under key (7, 3).
+PINNED_PHILOX_STREAMS = (
+    "c49d11b38442b2b95e75f6a509c9d0012b965e701318077f496aa42252464c4b"
+)
+PHILOX_STREAMS_PROBE = """
+import hashlib
+from apdual.cmdp import SHUFFLE_COUNTER, philox
+digest = hashlib.sha256()
+digest.update(philox((7, 3)).random(100_000).tobytes())
+digest.update(philox((7, 3), (0, 5, 0, 0)).standard_normal(100_000).tobytes())
+digest.update(philox((7, 3), SHUFFLE_COUNTER).permutation(10_000).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_philox_stream_digest_pinned(capsys):
+    exec(PHILOX_STREAMS_PROBE, {})  # the subprocesses' probe; prints the digest
+    assert capsys.readouterr().out.strip() == PINNED_PHILOX_STREAMS
+
+
+@ON_X86_64
+@pytest.mark.parametrize("variant", list(CPU_VARIANTS))
+def test_philox_stream_digest_independent_of_cpu_kernels(variant):
+    """The Philox streams, in a subprocess under each kernel setting, give
+    the pinned digest."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PHILOX_STREAMS_PROBE],
+        env=variant_env(variant), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == PINNED_PHILOX_STREAMS, variant
 
 
 class TestRunExperiment:
@@ -1025,7 +1084,7 @@ class TestCli:
         assert lines[0].startswith("step,return_mean,return_min,return_max")
 
     def test_divergent_run_fails_loudly(self, tmp_path, monkeypatch, capsys):
-        # configs/point_circle_reinforce.json goes non-finite at iteration 19
+        # configs/point_circle_reinforce.json goes non-finite at iteration 11
         # on seed 0; the run must exit 3 and write no summary
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
         raw = json.loads((CONFIGS / "point_circle_reinforce.json").read_text())
@@ -1033,7 +1092,7 @@ class TestCli:
         with np.errstate(all="ignore"):
             code = main(["run", self.write_cfg(tmp_path, raw)])
         assert code == 3
-        assert "seed 0, iteration 19: non-finite rewards" in capsys.readouterr().err
+        assert "seed 0, iteration 11: non-finite rewards" in capsys.readouterr().err
         assert not (tmp_path / "circle_out" / "summary.json").exists()
 
     def test_divergence_emits_no_runtime_warning(self):
@@ -1041,7 +1100,7 @@ class TestCli:
         raw.update(iterations=25, seeds=[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteError, match="seed 0, iteration 19: "):
+            with pytest.raises(NonFiniteError, match="seed 0, iteration 11: "):
                 harness._run_single(parse_config(raw), 0)
 
     @pytest.mark.parametrize("promote", ["warnings", "errstate"])

@@ -6,7 +6,6 @@ no sampling error) and a seeded Monte-Carlo run compared within standard
 errors.  Surrogate values use hand-computed clip arithmetic.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -763,27 +762,17 @@ class TestFusedSurrogateGrad:
         assert same_bits(got, np.zeros(4))
 
 
-def reference_ppol_update():
-    """The PPO primal step with one AdvantageBatch copy per minibatch and
-    the separate surrogate chain (run with reference_backward_sums).  It
-    ignores the shuffle orders papd_run hands it and draws its own from
-    default_rng, counting the iterations k of one run."""
-    iterations = itertools.count()
-
-    def update(cmdp, params, batch, lam, cfg, eta, orders):
-        k = next(iterations)
-        return reference_ppol_step(cmdp, params, batch, lam, cfg, eta, k)
-
-    return update
-
-
 def reference_ppol_step(cmdp, params, batch, lam, cfg, eta, k):
+    """The PPO primal step of iteration k with one AdvantageBatch copy per
+    minibatch and the separate surrogate chain (run with
+    reference_backward_sums), its shuffle orders drawn from a fresh Philox
+    Generator at key (seed, k) and the shuffle counter (0, 0, 1, 0)."""
     if cfg.values_fn is not None:
         values = cfg.values_fn(params, batch)
     else:
         values = solver._lstsq_values(cmdp, batch)
     samples = advantage_batch(batch, params, cmdp.gamma, cfg.ppol, values)
-    rng = np.random.default_rng((cfg.seed, k, solver.SHUFFLE_STREAM))
+    rng = np.random.Generator(np.random.Philox(key=[cfg.seed, k], counter=[0, 0, 1, 0]))
     n = len(samples)
     mb = min(cfg.ppol.minibatch_size, n)
     for _ in range(cfg.ppol.epochs):
@@ -797,7 +786,7 @@ def reference_ppol_step(cmdp, params, batch, lam, cfg, eta, k):
 
 class TestPpolRunMatchesReference:
     """papd_run with PPO gives the same RunRecord, array for array, as the
-    same run through reference_ppol_update and reference_backward_sums."""
+    same run through reference_ppol_step and reference_backward_sums."""
 
     @staticmethod
     def setup(task):
@@ -826,7 +815,7 @@ class TestPpolRunMatchesReference:
     def test_record_equals_reference(self, task, monkeypatch):
         cmdp, spec, cfg = self.setup(task)
         got = papd_run(cmdp, spec, cfg)
-        monkeypatch.setattr(solver, "_ppol_update", reference_ppol_update())
+        monkeypatch.setattr(solver, "_ppol_update", reference_ppol_step)
         monkeypatch.setattr(solver, "backward_sums", reference_backward_sums)
         monkeypatch.setattr(lagrangian, "backward_sums", reference_backward_sums)
         want = papd_run(cmdp, spec, cfg)

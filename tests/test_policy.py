@@ -5,10 +5,12 @@ a derivative oracle independent of the analytic formulas.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
 
+from apdual import cmdp as cmdp_module
 from apdual.cmdp import SamplingConfig, collect_batch, sample_trajectory
 from apdual.envs import default_hazard_gridworld, make_gridworld
 from apdual.policy import (
@@ -19,6 +21,7 @@ from apdual.policy import (
     action_cdf,
     gaussian_actor,
     init_params,
+    libm_exp,
     policy_act,
     policy_grad_log_prob,
     policy_log_prob,
@@ -47,6 +50,9 @@ class TopUniform:
     """Stands in for a Generator: every uniform is the largest double
     below 1."""
 
+    # sample_trajectory advances its bit generator to the row's first draw.
+    bit_generator = types.SimpleNamespace(advance=lambda delta: None)
+
     def random(self, size=None):
         u = np.nextafter(1.0, 0.0)
         return u if size is None else np.full(size, u)
@@ -54,6 +60,22 @@ class TopUniform:
 
 # logits whose plain cumsum of probabilities ends at 0.9999999999999998
 SHORT_CDF_LOGITS = (0.1, -0.1, 0.6, 0.1)
+
+
+class TestLibmExp:
+    def test_entries_equal_math_exp(self):
+        x = np.random.default_rng(3).normal(size=(64, 3)) * 20.0
+        got = libm_exp(x)
+        assert got.shape == x.shape
+        want = [math.exp(v) for v in x.ravel().tolist()]
+        assert got.ravel().tolist() == want
+
+    def test_overflow_warns_and_returns_inf_as_np_exp(self):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+            got = libm_exp(np.array([1.0, 1e3]))
+        assert got[1] == np.inf
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            libm_exp(np.array([1e3]))
 
 
 class TestTabular:
@@ -74,10 +96,9 @@ class TestTabular:
         cmdp = make_gridworld(spec)
         kind = TabularSoftmax(spec.n_cells, 4)
         params = PolicyParams(kind, np.tile(SHORT_CDF_LOGITS, spec.n_cells))
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: TopUniform())
+        monkeypatch.setattr(cmdp_module, "philox", lambda seed: TopUniform())
         solo = sample_trajectory(cmdp, params, 6, 0)
-        top = TopUniform().random((1, 6, 1))  # the lockstep sampler's uniforms
-        row = collect_batch(cmdp, params, SamplingConfig(n_traj=1, horizon=6), 0, top)
+        row = collect_batch(cmdp, params, SamplingConfig(n_traj=1, horizon=6), 0)
         assert solo.actions.tolist() == [[3] * 6]
         assert np.array_equal(row.actions, solo.actions)
         assert np.array_equal(row.states, solo.states)

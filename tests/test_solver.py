@@ -24,7 +24,6 @@ from apdual.cmdp import (
     RolloutBatch,
     SamplingConfig,
     VectorStep,
-    derived_seed,
     sample_trajectory,
 )
 from apdual.duals import PidGains, project_nonneg
@@ -659,11 +658,11 @@ class TestPapdPointPpol:
         assert not np.array_equal(a.thetas[0], a.thetas[-1])
 
 
-def per_step_batch(cmdp, params, sampling, seed, variates=None, probs=None):
+def per_step_batch(cmdp, params, sampling, seed, probs=None):
     """collect_batch's batch with every row from sample_trajectory, which
     draws its own variates and computes its own softmax table."""
     rows = [
-        sample_trajectory(cmdp, params, sampling.horizon, derived_seed(seed, i))
+        sample_trajectory(cmdp, params, sampling.horizon, seed, i)
         for i in range(sampling.n_traj)
     ]
     return RolloutBatch(
