@@ -49,7 +49,6 @@ from .harness import (
 )
 from .lagrangian import (
     AdvantageBatch,
-    ConstraintSpec,
     PpolConfig,
     advantage_batch,
     ppol_surrogate_grad,
@@ -67,7 +66,6 @@ from .policy import (
     policy_log_prob,
     policy_log_probs,
     policy_sample_terms,
-    policy_score_sum,
     policy_trajectory_scores,
     softmax_table,
 )

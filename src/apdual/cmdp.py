@@ -2,9 +2,10 @@
 
 A constrained MDP is a plain immutable value: a fixed start state, a
 lockstep step function with its batch signals (``VectorStep``), the
-discount factor and a bound B on the per-step cost norm.  The two
+discount factor and a bound B on the per-step cost.  A CMDP has one cost
+signal, the one constraint of the paper's adaptive step sizes.  The two
 objectives are the expected discounted return and the expected discounted
-cost vector,
+cost,
 
     J_R = E[sum_t gamma^t r_t],      J_C = E[sum_t gamma^t c_t],
 
@@ -45,7 +46,7 @@ costs of the whole batch then come from one ``signals`` call over the
 stacked arrays.  The result is one ``RolloutBatch`` of arrays
 
     states  (n, H+1[, F])   actions (n, H[, A])
-    rewards (n, H)          costs   (n, H, m)
+    rewards (n, H)          costs   (n, H)
 
 Each trajectory of a batch draws a fixed number of variates per step,
 where k = ``VectorStep.noise_dim``, from its address under the batch's key:
@@ -75,14 +76,13 @@ of a batch run with numpy's overflow and invalid-value warnings silenced;
 a diverging batch is caught by the finiteness checks after them.
 
 Samplers raise ``NonFiniteError`` on a non-finite reward, cost or vector
-state, and ``ValueError`` on a step cost whose norm exceeds B or on a
+state, and ``ValueError`` on a step cost whose magnitude exceeds B or on a
 tabular successor cell outside [0, S).  ``Cmdp`` checks its start state
 when it is built.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -135,8 +135,8 @@ class VectorStep:
 
     ``signals(s, a, s2)`` takes the (n, H[, F]) states, (n, H[, A]) actions
     and (n, H[, F]) next states of a whole batch and returns the (n, H)
-    rewards and the (n, H) or (n, H, m) costs of all its steps, entry
-    (i, t) a function of step (i, t) alone.
+    rewards and the (n, H) costs of all its steps, entry (i, t) a function
+    of step (i, t) alone.
     """
 
     noise_dim: int
@@ -151,12 +151,9 @@ class Cmdp:
     States are integer cells for tabular models (``n_states``/``n_actions``
     set), whose ``initial_state`` must be an int in [0, n_states), and real
     vectors otherwise, whose (F,) ``initial_state`` must be finite.
-    ``signals`` may return (n, H) costs when ``n_costs == 1``; samplers
-    normalize to an m axis.
     """
 
     gamma: float
-    n_costs: int
     cost_bound: float
     initial_state: Any
     vector_step: VectorStep
@@ -171,8 +168,6 @@ class Cmdp:
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.n_costs < 1:
-            raise ValueError("n_costs must be >= 1")
         if self.cost_bound <= 0.0:
             raise ValueError("cost_bound B must be positive")
         cell = self.initial_state
@@ -206,7 +201,7 @@ class SamplingConfig:
 class RolloutBatch:
     """n fixed-horizon rollouts as arrays: states (n, H+1[, F]), whose last
     column is the state reached by the last transition, actions
-    (n, H[, A]), rewards (n, H) and costs (n, H, m).
+    (n, H[, A]), rewards (n, H) and costs (n, H).
 
     Each array is stored C-contiguous (a copy only for another layout), so
     the values computed from a batch do not depend on the memory layout it
@@ -228,8 +223,7 @@ class RolloutBatch:
             len(shape) == 2
             and self.states.shape[:2] == (shape[0], shape[1] + 1)
             and self.actions.shape[:2] == shape
-            and self.costs.shape[:2] == shape
-            and self.costs.ndim == 3
+            and self.costs.shape == shape
         ):
             raise ValueError("inconsistent batch field shapes")
 
@@ -319,26 +313,20 @@ def _finish(
 
 
 def _checked_signals(cmdp: Cmdp, rewards: np.ndarray, costs) -> np.ndarray:
-    """Costs with a trailing m axis, once rewards and costs are finite and
-    every step cost norm is within B.
+    """The costs as a float array, once rewards and costs are finite and
+    every step cost is within B in magnitude.
 
-    The largest step cost norm is the root of the largest sum of squares
-    over the m axis, the value ``np.linalg.norm(costs, axis=-1).max()``
-    gives (sqrt is monotone), from fewer numpy calls.  A NaN or infinite
-    cost makes it NaN or infinite, so the one bound comparison also screens
-    the costs; only then are they searched for the entry to name."""
+    A NaN or infinite cost makes the largest magnitude NaN or infinite, so
+    the one bound comparison also screens the costs; only then are they
+    searched for the entry to name."""
     cost_arr = np.asarray(costs, dtype=float)
-    if cost_arr.ndim == rewards.ndim:
-        cost_arr = cost_arr[..., None]
-    if cost_arr.shape[-1] != cmdp.n_costs:
-        raise ValueError("cost dimension does not match cmdp.n_costs")
     require_finite("rewards", rewards)
-    # Assumption: per-step cost norm <= B.
-    worst = math.sqrt((cost_arr * cost_arr).sum(axis=-1).max())
+    # Assumption: per-step |cost| <= B.
+    worst = np.abs(cost_arr).max()
     if not worst <= cmdp.cost_bound * (1.0 + 1e-12):
         require_finite("costs", cost_arr)
         raise ValueError(
-            f"sampled step cost norm {worst:g} exceeds declared bound "
+            f"sampled step cost {worst:g} exceeds declared bound "
             f"{cmdp.cost_bound:g}"
         )
     return cost_arr
@@ -357,15 +345,15 @@ def discount_weights(gamma: float, steps: int) -> np.ndarray:
 
 def discounted_value(
     rewards: np.ndarray, costs: np.ndarray, gamma: float
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, float]:
     """(sum_t gamma^t r_t, sum_t gamma^t c_t) of one rollout's (T,) rewards
-    and (T, m) costs."""
+    and (T,) costs."""
     w = discount_weights(gamma, len(rewards))
-    return float((rewards * w).sum()), (costs * w[:, None]).sum(axis=0)
+    return float((rewards * w).sum()), float((costs * w).sum())
 
 
 def batch_values(batch: RolloutBatch, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Discounted returns (n,) and costs (n, m) of the rollouts of a batch.
+    """Discounted returns (n,) and costs (n,) of the rollouts of a batch.
 
     Elementwise products summed along the step axis, not a matmul, whose
     order of summation would be the BLAS kernel's.  Row i equals
@@ -373,7 +361,7 @@ def batch_values(batch: RolloutBatch, gamma: float) -> tuple[np.ndarray, np.ndar
     bit: numpy sums each row's products in the order it sums one row's.
     """
     w = discount_weights(gamma, batch.rewards.shape[1])
-    return (batch.rewards * w).sum(axis=1), (batch.costs * w[:, None]).sum(axis=1)
+    return (batch.rewards * w).sum(axis=1), (batch.costs * w).sum(axis=1)
 
 
 def collect_batch(

@@ -1,9 +1,11 @@
-"""Dual-variable update rules: the projection onto lambda >= 0 and the PID
-controller that recomputes the multiplier from the violation signal.
-Projected dual ascent, lambda <- [lambda + zeta (J_C - d)]_+, runs inside
-solver.apd_run on a float multiplier.
+"""Dual-variable update rules on the one constraint's float multiplier: the
+projection onto lambda >= 0 and the PID controller that recomputes the
+multiplier from the violation signal.  Projected dual ascent,
+lambda <- [lambda + zeta (J_C - d)]_+, runs inside solver.apd_run through
+the same projection.
 
-The PID rule is a replacement form, not an increment:
+The PID rule (Stooke, Achiam and Abbeel 2020) is a replacement form, not
+an increment:
 
     I_k      = [I_{k-1} + (J_C - d)]_+
     lambda_k = [K_P (J_C - d) + K_I I_k + K_D (J_C - J_C_prev)]_+
@@ -16,14 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 
-from .lagrangian import ConstraintSpec
-
-
-def project_nonneg(x: np.ndarray) -> np.ndarray:
-    """Componentwise projection onto the nonnegative orthant."""
-    return np.maximum(np.asarray(x, dtype=float), 0.0)
+def project_nonneg(x: float) -> float:
+    """[x]_+ of a float, the value np.maximum(x, 0.0) gives: +0.0 for -0.0
+    and NaN for NaN.  (Python's max(x, 0.0) keeps a -0.0.)"""
+    return 0.0 if x <= 0.0 else x
 
 
 @dataclass(frozen=True)
@@ -41,27 +40,17 @@ class PidGains:
 class PidState:
     """Controller memory: projected violation integral and last cost."""
 
-    integral: np.ndarray
-    prev_cost: np.ndarray | None = None
-
-    @classmethod
-    def zeros(cls, m: int) -> "PidState":
-        return cls(np.zeros(m), None)
+    integral: float = 0.0
+    prev_cost: float | None = None
 
 
 def pid_dual_step(
-    state: PidState, gains: PidGains, j_c: np.ndarray, spec: ConstraintSpec
-) -> tuple[np.ndarray, PidState]:
-    """One controller update, applied independently per constraint: the new
-    multiplier as a nonnegative (m,) array, and the new state."""
-    j_c = np.atleast_1d(np.asarray(j_c, dtype=float))
-    if j_c.shape != spec.limits.shape or state.integral.shape != spec.limits.shape:
-        raise ValueError("cost, state, and constraint dimensions disagree")
-    err = j_c - spec.limits
+    state: PidState, gains: PidGains, j_c: float, limit: float
+) -> tuple[float, PidState]:
+    """One controller update: the new nonnegative multiplier and the new
+    state."""
+    err = j_c - limit
     integral = project_nonneg(state.integral + err)
-    if state.prev_cost is None:
-        deriv = np.zeros_like(err)
-    else:
-        deriv = j_c - state.prev_cost
+    deriv = 0.0 if state.prev_cost is None else j_c - state.prev_cost
     lam = project_nonneg(gains.k_p * err + gains.k_i * integral + gains.k_d * deriv)
-    return lam, PidState(integral, j_c.copy())
+    return lam, PidState(integral, j_c)

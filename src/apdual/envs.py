@@ -103,7 +103,7 @@ def circle_reward_cost(p, v, cfg: PointEnvConfig):
 
 
 def make_point_env(task: str, cfg: PointEnvConfig, gamma: float = 0.99) -> Cmdp:
-    """Cmdp over states (p, v) in R^4 with actions in R^2, m = 1.
+    """Cmdp over states (p, v) in R^4 with actions in R^2 and one cost.
 
     The Run task starts at the origin at rest; the Circle task starts on the
     circle at (o, 0) at rest.  The VectorStep is the dynamics ``move`` and
@@ -140,7 +140,6 @@ def make_point_env(task: str, cfg: PointEnvConfig, gamma: float = 0.99) -> Cmdp:
 
     return Cmdp(
         gamma=gamma,
-        n_costs=1,
         cost_bound=bound,
         initial_state=start,
         vector_step=VectorStep(noise_dim, move, signals),
@@ -243,7 +242,6 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
     bound = spec.hazard_cost if spec.hazard_cost > 0.0 else 1.0
     return Cmdp(
         gamma=gamma,
-        n_costs=1,
         cost_bound=bound,
         initial_state=spec.start_cell,
         vector_step=VectorStep(noise_dim, step, signals),

@@ -25,9 +25,9 @@ A config is a JSON object with a versioned ``schema_version`` (currently 1):
     }
 
 Unknown keys, PID gains that are not finite numbers, seeds outside
-[0, 2^32) and non-empty sections that the run would not read are rejected
-with a ConfigError naming them; bad task_params values too, when the run
-builds its environment.
+[0, 2^32), a testbed cost_limit <= 0 (no Slater point) and non-empty
+sections that the run would not read are rejected with a ConfigError naming
+them; bad task_params values too, when the run builds its environment.
 
 Each seed produces runs/seed_<s>.csv with the fixed column order step,
 return, cost, lr, lambda (floats emitted with repr, so parsing round-trips
@@ -81,7 +81,7 @@ from .envs import (
     make_point_env,
     policy_state_values,
 )
-from .lagrangian import ConstraintSpec, PpolConfig
+from .lagrangian import PpolConfig
 from .policy import LinearGaussian, TabularSoftmax, init_params, softmax_table
 from .quadprog import quad_testbed
 from .schedules import LrSchedule
@@ -206,6 +206,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(
         isinstance(cost_limit, (int, float)) and math.isfinite(cost_limit),
         "cost_limit: expected a finite number",
+    )
+    # The testbed's J_C = 1/2 |theta|^2 is never below 0: a limit d <= 0
+    # leaves no Slater point, and the KKT solve behind its certificate fails.
+    _require(
+        task != "testbed" or cost_limit > 0.0,
+        f"cost_limit: the testbed needs a positive limit, got {cost_limit!r}"
+        " (J_C = 1/2 |theta|^2 >= 0 leaves no Slater point)",
     )
     gamma = raw.get("gamma", 0.99)
     _require(
@@ -371,7 +378,6 @@ def _run_single(cfg: ExperimentConfig, seed: int) -> RunRecord:
     sampling = SamplingConfig(
         n_traj=int(cfg.sampling["n_traj"]), horizon=int(cfg.sampling["horizon"])
     )
-    spec = ConstraintSpec(np.array([cfg.cost_limit]))
     values_fn = None
     if cfg.task == "gridworld":
         grid = build_gridworld_spec(cfg.task_params)
@@ -406,7 +412,7 @@ def _run_single(cfg: ExperimentConfig, seed: int) -> RunRecord:
         values_fn=values_fn,
         **dual,
     )
-    return papd_run(cmdp, spec, solver_cfg)
+    return papd_run(cmdp, cfg.cost_limit, solver_cfg)
 
 
 _CSV_ROWS = 1024  # rows gathered per chunk, so the temporaries stay small
@@ -419,8 +425,6 @@ def record_to_csv(record: RunRecord) -> str:
     the record's cycle (all rows of a record without one) are formatted, and
     their texts are gathered by cycle_index behind the step numbers
     _CSV_ROWS rows at a time.  Nothing is kept across calls."""
-    if record.costs.shape[1] != 1 or record.lambdas.shape[1] != 1:
-        raise ValueError("CSV emission is defined for single-constraint records")
     k_iter = record.iterations
     idx, end = cycle_index(k_iter, record.cycle)
     cols = (record.returns, record.costs[:, 0], record.etas, record.lambdas[:, 0])
@@ -453,10 +457,8 @@ def seed_summary(
 ) -> tuple[dict, BoundCertificate | None]:
     """One seed's summary.json entry, and for a testbed run its bound
     certificate.  Every window number comes from one feasibility_check."""
-    report = feasibility_check(
-        record, ConstraintSpec(np.array([cfg.cost_limit])), cfg.window
-    )
-    cost = float(report.window_avg[0])
+    report = feasibility_check(record, cfg.cost_limit, cfg.window)
+    cost = report.window_avg
     entry = {
         "return_mean": report.window_return,
         "cost_mean": cost,
@@ -467,10 +469,10 @@ def seed_summary(
         cert = verify_bounds(record, quad_testbed(cfg.cost_limit))
         entry["certificate_passed"] = cert.passed
         return entry, cert
-    se = float(report.window_se[0]) or None
+    se = report.window_se or None
     entry.update(
         feasible=report.passed,
-        cost_full_avg=float(report.full_avg[0]),
+        cost_full_avg=report.full_avg,
         cost_window_avg=cost,
         cost_window_se=se,
         cost_window_margin=None if se is None else (cost - cfg.cost_limit) / se,

@@ -10,9 +10,10 @@ as a plain per-step loop.
 
 Sign convention throughout: the primal problem is the minimization of
 
-    L(theta, lambda) = -J_R + lambda . (J_C - d),
+    L(theta, lambda) = -J_R + lambda (J_C - d),
 
-so gradient descent on L maximizes return while penalizing violation.
+with one cost J_C, its limit d and one float multiplier lambda, so
+gradient descent on L maximizes return while penalizing violation.
 """
 
 from __future__ import annotations
@@ -42,21 +43,6 @@ from .policy import (  # noqa: F401
 
 
 @dataclass(frozen=True)
-class ConstraintSpec:
-    """Thresholds d (one per cost signal)."""
-
-    limits: np.ndarray
-
-    def __post_init__(self) -> None:
-        limits = np.atleast_1d(np.asarray(self.limits, dtype=float))
-        object.__setattr__(self, "limits", limits)
-
-    @property
-    def m(self) -> int:
-        return self.limits.size
-
-
-@dataclass(frozen=True)
 class PpolConfig:
     clip_ratio: float = 0.2
     gae_lambda: float = 0.95
@@ -76,7 +62,7 @@ class PpolConfig:
 class AdvantageBatch:
     """Flattened per-step samples for the surrogate update, as arrays with
     one row per sample: states (N,) ints or (N, F), actions (N,) ints or
-    (N, A), log_prob_old and adv_r (N,), adv_c (N, m).
+    (N, A), log_prob_old, adv_r and adv_c (N,).
 
     adv_r is centered by its batch mean at assembly (see advantage_batch);
     adv_c is left uncentered since its sign drives the penalty.  A
@@ -95,14 +81,12 @@ class AdvantageBatch:
         n = len(self.states)
         self.log_prob_old = np.asarray(self.log_prob_old, dtype=float)
         self.adv_r = np.asarray(self.adv_r, dtype=float)
-        self.adv_c = np.atleast_2d(np.asarray(self.adv_c, dtype=float))
-        if self.adv_c.shape[0] != n and self.adv_c.shape == (1, n):
-            self.adv_c = self.adv_c.T
+        self.adv_c = np.asarray(self.adv_c, dtype=float)
         if (
             len(self.actions) != n
             or self.log_prob_old.shape != (n,)
             or self.adv_r.shape != (n,)
-            or self.adv_c.shape[0] != n
+            or self.adv_c.shape != (n,)
         ):
             raise ValueError("inconsistent batch field lengths")
         if not (
@@ -116,12 +100,21 @@ class AdvantageBatch:
         return len(self.states)
 
 
+def lagrangian_values(
+    returns: np.ndarray, costs: np.ndarray, lam: float, limit: float
+) -> np.ndarray:
+    """-J_R + lambda (J_C - d) of each trajectory, from its discounted return
+    and cost.  The + 0.0 turns a -0.0 penalty (lambda = 0 and J_C < d) into
+    +0.0, the value of the one-term dot product lambda . (J_C - d)."""
+    return -returns + ((costs - limit) * lam + 0.0)
+
+
 def reinforce_grad_from_batch(
     batch: RolloutBatch,
     gamma: float,
     params: PolicyParams,
-    lam: np.ndarray,
-    spec: ConstraintSpec,
+    lam: float,
+    limit: float,
     values: tuple[np.ndarray, np.ndarray] | None = None,
     probs: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -137,10 +130,7 @@ def reinforce_grad_from_batch(
     the per-trajectory ``grad += c_i * score_i`` bit for bit.
     """
     returns, cost_vals = batch_values(batch, gamma) if values is None else values
-    if cost_vals.shape[1:] != lam.shape or lam.shape != spec.limits.shape:
-        raise ValueError("J_C, multiplier, and constraint dimensions disagree")
-    # Row i is the trajectory's Lagrangian value -J_R + lambda . (J_C - d).
-    weights = -returns + np.vecdot(cost_vals - spec.limits, lam)
+    weights = lagrangian_values(returns, cost_vals, lam, limit)
     n = len(batch)
     if n > 1:
         baselines = (weights.sum() - weights) / (n - 1)
@@ -185,9 +175,9 @@ def advantage_batch(
 ) -> AdvantageBatch:
     """Flatten a rollout batch into an AdvantageBatch.
 
-    ``values`` is the (n, H+1, 1+m) array of value estimates at every
-    state of the batch, the reward value and then one per cost; column H
-    is the bootstrap.
+    ``values`` is the (n, H+1, 2) array of value estimates at every state
+    of the batch, the reward value and then the cost value; column H is the
+    bootstrap.
     Reward and cost advantages come from one GAE pass over the whole batch,
 
         A_t = sum_l (gamma * gae_lambda)^l delta_{t+l},
@@ -197,12 +187,12 @@ def advantage_batch(
     batch (and hence the surrogate gradient) is invariant to a constant
     shift of the raw reward advantages.
     """
-    n, t, m = batch.costs.shape
-    if np.shape(values) != (n, t + 1, 1 + m):
-        raise ValueError(f"values must have shape {(n, t + 1, 1 + m)}")
-    signals = np.concatenate([batch.rewards[:, :, None], batch.costs], axis=2)
+    n, t = batch.costs.shape
+    if np.shape(values) != (n, t + 1, 2):
+        raise ValueError(f"values must have shape {(n, t + 1, 2)}")
+    signals = np.stack([batch.rewards, batch.costs], axis=2)
     deltas = signals + gamma * values[:, 1:] - values[:, :-1]
-    adv = backward_sums(deltas, gamma * cfg.gae_lambda).reshape(n * t, 1 + m)
+    adv = backward_sums(deltas, gamma * cfg.gae_lambda).reshape(n * t, 2)
     adv_r = adv[:, 0].copy()
     adv_r = adv_r - adv_r.mean()
     flat_states = batch.states[:, :t].reshape(n * t, *batch.states.shape[2:])
@@ -212,7 +202,7 @@ def advantage_batch(
         flat_actions,
         policy_log_probs(params_old, flat_states, flat_actions),
         adv_r,
-        adv[:, 1:],
+        adv[:, 1],
     )
 
 
@@ -220,7 +210,7 @@ def ppol_surrogate_grad(
     batch: AdvantageBatch,
     rows: np.ndarray,
     params: PolicyParams,
-    lam: np.ndarray,
+    lam: float,
     cfg: PpolConfig,
 ) -> np.ndarray:
     """Ascent direction for the surrogate over the minibatch ``rows`` (an
@@ -240,9 +230,6 @@ def ppol_surrogate_grad(
     validated and its Gaussian means computed once; when no coefficient is
     zero, the score sum reads the rows without a second gather.
     """
-    if lam.shape != (1,) or batch.adv_c.shape[1] != 1:
-        raise ValueError("the surrogate is defined for a single constraint")
-    lam = float(lam[0])
     # take gathers the rows as indexing does, several times faster on 2-d arrays
     lp, score_sum = policy_sample_terms(
         params, batch.states.take(rows, axis=0), batch.actions.take(rows, axis=0)
@@ -252,7 +239,7 @@ def ppol_surrogate_grad(
     # np.clip's value, bit for bit, from two plain ufunc calls
     clipped = np.minimum(np.maximum(rho, 1.0 - cfg.clip_ratio), 1.0 + cfg.clip_ratio)
     active = rho * adv_r <= clipped * adv_r  # unclipped branch is the min
-    adv_c = batch.adv_c[:, 0].take(rows)
+    adv_c = batch.adv_c.take(rows)
     coeff = (active * rho * adv_r - lam * rho * adv_c) / (1.0 + lam)
     nz = np.flatnonzero(coeff)
     if nz.size == coeff.size:  # the usual case: no row to drop

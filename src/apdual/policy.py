@@ -11,9 +11,9 @@ The Gaussian log standard deviations are learned entries appended to theta
 policy_sample_terms is the one place that turns stacked samples into
 log-probs and weighted score sums: it validates the samples once and
 computes one residual a - W s (Gaussian) or one softmax table (tabular),
-from which both follow.  policy_log_probs and policy_score_sum are calls of
-it; the per-sample policy_log_prob and policy_grad_log_prob are N = 1 calls
-of those.
+from which both follow.  policy_log_probs and the per-sample
+policy_grad_log_prob are calls of it, and policy_log_prob an N = 1 call of
+policy_log_probs.
 """
 
 from __future__ import annotations
@@ -294,16 +294,6 @@ def policy_log_probs(params: PolicyParams, states, actions) -> np.ndarray:
     return policy_sample_terms(params, states, actions)[0]
 
 
-def policy_score_sum(params: PolicyParams, states, actions, weights) -> np.ndarray:
-    """sum_i weights[i] * d/dtheta log pi_theta(a_i|s_i), shaped like theta.
-
-    Rows are added in sample order starting from zero, so the result equals
-    the sequential ``grad += weights[i] * score_i`` bit for bit.
-    """
-    _, score_sum = policy_sample_terms(params, states, actions)
-    return score_sum(None, weights)
-
-
 def policy_trajectory_scores(
     params: PolicyParams, states, actions, probs: np.ndarray | None = None
 ) -> np.ndarray:
@@ -311,10 +301,11 @@ def policy_trajectory_scores(
     n stacked T-step trajectories: states (n, T[, F]) without the final
     state, actions (n, T[, A]); shape (n, param_count).
 
-    Row i equals ``policy_score_sum(params, states[i], actions[i], ones)``
-    bit for bit.  Tabular rows are visit counts minus visit-weighted action
-    probabilities, from one bincount over all trajectories; ``probs`` is
-    ``softmax_table(params)`` when the caller has it.
+    Row i equals the score sum of ``policy_sample_terms(params, states[i],
+    actions[i])`` with unit weights, bit for bit.  Tabular rows are visit
+    counts minus visit-weighted action probabilities, from one bincount over
+    all trajectories; ``probs`` is ``softmax_table(params)`` when the caller
+    has it.
     """
     kind = params.kind
     states = np.asarray(states)
@@ -349,4 +340,5 @@ def policy_log_prob(params: PolicyParams, state, action) -> float:
 
 def policy_grad_log_prob(params: PolicyParams, state, action) -> np.ndarray:
     """Exact score d/dtheta log pi_theta(action|state), shaped like theta."""
-    return policy_score_sum(params, [state], [action], [1.0])
+    _, score_sum = policy_sample_terms(params, [state], [action])
+    return score_sum(None, [1.0])

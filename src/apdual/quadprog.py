@@ -11,7 +11,7 @@ lambda >= 0 the Lagrangian -J_R + lambda (J_C - d) is strongly convex with
     theta*(lambda) = (Q + lambda P)^{-1} (b - lambda c)
     d(lambda) = L(theta*(lambda), lambda)
 
-and exact constants L_R = eigmax(Q), L_C = [eigmax(P)], mu = eigmin(Q).
+and exact constants L_R = eigmax(Q), L_C = eigmax(P), mu = eigmin(Q).
 
 J_R, J_C and grad_theta L each have one fixed order of arithmetic, written
 once: form_value and lagrangian_grad add their sums left to right in index
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lagrangian import ConstraintSpec
 from .schedules import SmoothnessConstants
 
 DEFINITENESS_TOL = 1e-10
@@ -84,9 +83,6 @@ class QuadProgram:
     def j_c(self, theta):
         return form_value(self.p.T.tolist(), self.c.tolist(), _entries(theta), 0.5)
 
-    def constraint_spec(self) -> ConstraintSpec:
-        return ConstraintSpec(np.array([self.limit]))
-
     def lagrangian(self, theta, lam):
         return -self.j_r(theta) + lam * (self.j_c(theta) - self.limit)
 
@@ -101,8 +97,7 @@ class QuadProgram:
         q_eigs = np.linalg.eigvalsh(self.q)
         p_eigs = np.linalg.eigvalsh(self.p)
         return SmoothnessConstants(
-            l_r=float(q_eigs[-1]), l_c=np.array([float(p_eigs[-1])]),
-            mu=float(q_eigs[0]),
+            l_r=float(q_eigs[-1]), l_c=float(p_eigs[-1]), mu=float(q_eigs[0])
         )
 
 

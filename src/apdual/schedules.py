@@ -1,29 +1,26 @@
 """Primal learning-rate rules.
 
 The Lagrangian's gradient Lipschitz constant grows linearly in the
-multiplier, L(lambda) = L_R + lambda . L_C, so fixed step sizes that are safe
+multiplier, L(lambda) = L_R + lambda L_C, so fixed step sizes that are safe
 at lambda = 0 become too large once the dual variable rises.  The exact
 rules damp the step accordingly:
 
     invlin-exact   eta = 1 / (2 L(lambda))
     invqua-exact   eta = mu / (2 L(lambda)^2)
 
-and the practical rules keep the same shape with free constants (single
-constraint):
+and the practical rules keep the same shape with free constants:
 
     invlin-practical   eta = H1 / (lambda + H2)
     invqua-practical   eta = H1 / (lambda + H2)^2
 
 A constant variant is included as the baseline the sweeps compare against.
-LrSchedule.rate gives each rule as a function of one float multiplier; the
-formula is chosen once, at construction.
+LrSchedule.rate gives each rule as a function of the one constraint's float
+multiplier; the formula is chosen once, at construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 VARIANTS = (
     "constant",
@@ -39,13 +36,11 @@ class SmoothnessConstants:
     """L_R, L_C, mu from the smoothness/strong-convexity assumptions."""
 
     l_r: float
-    l_c: np.ndarray
+    l_c: float
     mu: float
 
     def __post_init__(self) -> None:
-        l_c = np.atleast_1d(np.asarray(self.l_c, dtype=float))
-        object.__setattr__(self, "l_c", l_c)
-        if self.l_r < 0.0 or (l_c < 0.0).any():
+        if self.l_r < 0.0 or self.l_c < 0.0:
             raise ValueError("Lipschitz constants must be nonnegative")
         if self.mu <= 0.0:
             raise ValueError("mu must be strictly positive")
@@ -103,10 +98,8 @@ class LrSchedule:
                 raise ValueError("exact schedule has no SmoothnessConstants attached")
 
             return missing
-        if c.l_c.size != 1:
-            raise ValueError("exact schedules take a single constraint's L_C")
         # For lambda >= 0, L(lambda) >= L_R >= mu > 0: no division by zero.
-        l_r, l_c, mu = c.l_r, float(c.l_c[0]), c.mu
+        l_r, l_c, mu = c.l_r, c.l_c, c.mu
         if self.variant == "invlin-exact":
             return lambda lam: 1.0 / (2.0 * (l_r + lam * l_c))
 
@@ -117,5 +110,5 @@ class LrSchedule:
         return invqua
 
     def rate(self, lam: float) -> float:
-        """eta at one float multiplier (the schedules have one constraint)."""
+        """eta at the float multiplier lam."""
         return self._rate(lam)

@@ -4,8 +4,9 @@ apd_run is the exact-gradient loop on a problem exposing closed-form J_R,
 J_C, and grad L (the quadratic testbed): one primal descent step at the
 schedule's eta(lambda_k), then projected dual ascent on g(theta_{k+1}) at
 rate cfg.zeta.  The loop runs on Python floats: theta is a list, the one
-constraint's multiplier a float, and the ascent is max(lambda + zeta
-(J_C - d), 0.0).  grad L and J_C come from quadprog.lagrangian_grad and
+constraint's multiplier a float, and the ascent is
+duals.project_nonneg(lambda + zeta (J_C - d)), the projection the PID
+uses.  grad L and J_C come from quadprog.lagrangian_grad and
 quadprog.form_value on Python floats, the one fixed order of arithmetic
 that the QuadProgram methods also use, with no BLAS and so no fused
 multiply-add.  Each iteration appends its theta, lambda, eta and J_C to
@@ -17,7 +18,8 @@ theta_{k+1} (QuadProgram.j_r on the stack, bit-equal to j_r per row).
 papd_run is the sampled variant for CMDPs: Monte-Carlo estimates, a
 score-function (cfg.ppol None) or clipped-surrogate primal step at the
 practical eta(lambda_k), and a PID dual update (cfg.gains) on the estimated
-cost; it carries the m multipliers as an (m,) array.  Each iteration
+cost; like apd_run it carries one float multiplier and one cost signal,
+against the float limit d.  Each iteration
 samples one rollout batch, which feeds the primal step and the dual update
 alike.  Iteration k's batch draws its variates at Philox key (seed, k),
 and a PPO iteration its shuffle orders at the same key and
@@ -48,6 +50,8 @@ and, for apd runs, the transient envelope.
 
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 import time
 from array import array
@@ -55,8 +59,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# discounted_value is no longer called here but stays importable from this
-# module: perfbench/tracing.py times its calls under this name.
+# discounted_value is not called here but stays importable from this module:
+# perfbench/tracing.py times its calls under this name.
 from .cmdp import (  # noqa: F401
     SHUFFLE_COUNTER,
     Cmdp,
@@ -69,16 +73,8 @@ from .cmdp import (  # noqa: F401
     philox,
     require_finite,
 )
-# project_nonneg is no longer called here but stays importable from this
-# module: perfbench/tracing.py times its calls under this name.
-from .duals import (  # noqa: F401
-    PidGains,
-    PidState,
-    pid_dual_step,
-    project_nonneg,
-)
+from .duals import PidGains, PidState, pid_dual_step, project_nonneg
 from .lagrangian import (
-    ConstraintSpec,
     PpolConfig,
     advantage_batch,
     backward_sums,
@@ -104,12 +100,12 @@ class SolverConfig:
     schedule: LrSchedule
     zeta: float | None = None  # apd_run's dual ascent rate
     gains: PidGains = PidGains()  # papd_run's PID dual
-    lambda0: np.ndarray | None = None
+    lambda0: float | None = None
     theta0: object | None = None  # vector (apd) or PolicyParams (papd)
     sampling: SamplingConfig | None = None
     seed: int = 0
     ppol: PpolConfig | None = None  # papd_run's primal step; None is REINFORCE
-    # optional exact values for GAE: values_fn(params, batch) -> (n, H+1, 1+m)
+    # optional exact values for GAE: values_fn(params, batch) -> (n, H+1, 2)
     values_fn: object | None = None
 
     def __post_init__(self) -> None:
@@ -124,6 +120,8 @@ class RunRecord:
 
     Row k holds (theta_k, lambda_k, eta_k) and the (J_R, J_C) fed to the
     k-th dual step; thetas and lambdas carry one extra terminal row.
+    lambdas (K+1, 1) and costs (K, 1) keep a constraint axis of width one,
+    the layout perfbench/gate.py reads.
     cycle = (start, period) says that every row from start on, terminal row
     included, equals its row in [start, start + period) (cycle_index).
     """
@@ -145,6 +143,10 @@ class RunRecord:
             and self.costs.shape[0] == k
         ):
             raise ValueError("inconsistent record shapes")
+        if self.lambdas.shape[1:] != (1,) or self.costs.shape[1:] != (1,):
+            raise ValueError(
+                "a record is single-constraint: lambdas and costs need one column"
+            )
         if (self.lambdas < 0.0).any():
             raise ValueError("multiplier rows must be nonnegative")
         cyc = self.cycle
@@ -182,24 +184,22 @@ def _resolve_schedule(cfg: SolverConfig, problem: QuadProgram) -> LrSchedule:
     if (
         abs(given.l_r - exact.l_r) > 1e-9
         or abs(given.mu - exact.mu) > 1e-9
-        or given.l_c.shape != exact.l_c.shape
-        or np.abs(given.l_c - exact.l_c).max() > 1e-9
+        or abs(given.l_c - exact.l_c) > 1e-9
     ):
         raise ValueError("schedule constants disagree with the problem's")
     return sched
 
 
-def _initial_multiplier(lambda0, m: int) -> np.ndarray:
-    """cfg.lambda0 as an (m,) array, zeros when unset.  Every later
-    multiplier comes out of a projection; this one comes from outside."""
+def _initial_multiplier(lambda0) -> float:
+    """cfg.lambda0 as a float, 0.0 when unset.  Every later multiplier comes
+    out of a projection; this one comes from outside."""
     if lambda0 is None:
-        return np.zeros(m)
-    lam = np.atleast_1d(np.asarray(lambda0, dtype=float))
-    if lam.shape != (m,) or not (np.isfinite(lam) & (lam >= 0.0)).all():
+        return 0.0
+    if not (isinstance(lambda0, numbers.Real) and 0.0 <= lambda0 < math.inf):
         raise ValueError(
-            f"lambda0 must be {m} finite nonnegative multiplier(s), got {lambda0!r}"
+            f"lambda0 must be a finite nonnegative number, got {lambda0!r}"
         )
-    return lam
+    return float(lambda0)
 
 
 def cycle_index(rows: int, cycle: tuple[int, int] | None) -> tuple[np.ndarray, int]:
@@ -235,8 +235,7 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
     if theta0.shape != (n,):
         raise ValueError(f"theta0 must have shape ({n},), got {theta0.shape}")
     theta = theta0.tolist()
-    # The program has one constraint, so the multiplier is a float.
-    lam = float(_initial_multiplier(cfg.lambda0, 1)[0])
+    lam = _initial_multiplier(cfg.lambda0)
     zeta, limit = cfg.zeta, problem.limit
     q, p, b, c = (a.tolist() for a in (problem.q, problem.p, problem.b, problem.c))
     p_cols = problem.p.T.tolist()
@@ -269,7 +268,7 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
         theta = [t_i - eta * g_i for t_i, g_i in zip(theta, grad)]
         j_c = form_value(p_cols, c, theta, 0.5)
         cost_rows.append(j_c)
-        lam = max(lam + zeta * (j_c - limit), 0.0)
+        lam = project_nonneg(lam + zeta * (j_c - limit))
     theta_rows.extend(theta)
     lambda_rows.append(lam)
 
@@ -306,61 +305,58 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
 
 
 def _lstsq_values(cmdp: Cmdp, batch: RolloutBatch) -> np.ndarray:
-    """(n, H+1, 1+m) values from a linear least-squares fit against
-    discounted returns-to-go.
+    """(n, H+1, 2) values, reward then cost, from a linear least-squares fit
+    against discounted returns-to-go.
 
     Features are one-hot state indicators for tabular models and [s, 1]
-    otherwise; one fit per batch, shared by reward and each cost signal.
+    otherwise; one fit per batch, shared by reward and cost.
     The returns-to-go of all trajectories come from one backward pass.
     """
     states = batch.states
-    n, t, m = batch.costs.shape
-    signals = np.concatenate([batch.rewards[:, :, None], batch.costs], axis=2)
+    n, t = batch.costs.shape
+    signals = np.stack([batch.rewards, batch.costs], axis=2)
     togo = backward_sums(signals, cmdp.gamma)
     if cmdp.is_tabular:
         phi = np.eye(cmdp.n_states)[states]
     else:
         phi = np.concatenate([states, np.ones(states.shape[:2] + (1,))], axis=2)
     x = phi[:, :t].reshape(n * t, -1)
-    w, *_ = np.linalg.lstsq(x, togo.reshape(n * t, 1 + m), rcond=None)
+    w, *_ = np.linalg.lstsq(x, togo.reshape(n * t, 2), rcond=None)
     return phi @ w
 
 
-def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
-    """Sampled primal-dual loop: practical/constant schedule + PID dual."""
+def papd_run(cmdp: Cmdp, limit: float, cfg: SolverConfig) -> RunRecord:
+    """Sampled primal-dual loop against the cost limit d = ``limit``:
+    practical/constant schedule + PID dual."""
     if cfg.sampling is None:
         raise ValueError("papd_run needs a sampling config")
     if not isinstance(cfg.theta0, PolicyParams):
         raise ValueError("papd_run needs theta0 as PolicyParams")
     if cfg.schedule.variant.endswith("-exact"):
         raise ValueError("papd_run takes a practical or constant schedule")
-    if cfg.schedule.variant.endswith("-practical") and spec.m != 1:
-        raise ValueError("practical schedules are single-constraint")
     if not 0 <= cfg.seed < 2**32:
         raise ValueError(f"seed {cfg.seed} outside [0, 2^32)")
 
     params = cfg.theta0
-    m = spec.m
     k_iter = cfg.iterations
-    lam = _initial_multiplier(cfg.lambda0, m)
-    pid_state = PidState.zeros(m)
+    lam = _initial_multiplier(cfg.lambda0)
+    pid_state = PidState()
 
     thetas = np.empty((k_iter + 1, params.theta.size))
-    lambdas = np.empty((k_iter + 1, m))
+    lambdas = np.empty((k_iter + 1, 1))
     etas = np.empty(k_iter)
     returns = np.empty(k_iter)
-    costs = np.empty((k_iter, m))
+    costs = np.empty((k_iter, 1))
 
     start = time.perf_counter()
     for k in range(k_iter):
         thetas[k] = params.theta
         lambdas[k] = lam
-        # Practical schedules have one constraint; a constant one ignores lam.
-        eta = cfg.schedule.rate(lam[0])
+        eta = cfg.schedule.rate(lam)
         etas[k] = eta
         try:
             params, j_r_hat, j_c_hat = _papd_iteration(
-                cmdp, params, lam, spec, cfg, eta, k
+                cmdp, params, lam, limit, cfg, eta, k
             )
         except (NonFiniteError, RuntimeWarning, FloatingPointError) as exc:
             # RuntimeWarning and FloatingPointError arrive here when numpy's
@@ -371,7 +367,7 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
 
         returns[k] = j_r_hat
         costs[k] = j_c_hat
-        lam, pid_state = pid_dual_step(pid_state, cfg.gains, j_c_hat, spec)
+        lam, pid_state = pid_dual_step(pid_state, cfg.gains, j_c_hat, limit)
     thetas[k_iter] = params.theta
     lambdas[k_iter] = lam
 
@@ -382,7 +378,7 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
         "gains": [cfg.gains.k_p, cfg.gains.k_i, cfg.gains.k_d],
         "seed": cfg.seed,
         "algorithm": "reinforce" if cfg.ppol is None else "ppol",
-        "cost_limit": spec.limits.tolist(),
+        "cost_limit": [float(limit)],
         "schedule_variant": cfg.schedule.variant,
         "wall_clock_s": time.perf_counter() - start,
     }
@@ -392,12 +388,12 @@ def papd_run(cmdp: Cmdp, spec: ConstraintSpec, cfg: SolverConfig) -> RunRecord:
 def _papd_iteration(
     cmdp: Cmdp,
     params: PolicyParams,
-    lam: np.ndarray,
-    spec: ConstraintSpec,
+    lam: float,
+    limit: float,
     cfg: SolverConfig,
     eta: float,
     k: int,
-) -> tuple[PolicyParams, float, np.ndarray]:
+) -> tuple[PolicyParams, float, float]:
     """Primal step k of papd_run: (new params, J_R estimate, J_C estimate).
 
     A tabular iteration computes its softmax table once, for the batch's
@@ -409,7 +405,7 @@ def _papd_iteration(
 
     if cfg.ppol is None:
         grad = reinforce_grad_from_batch(
-            batch, cmdp.gamma, params, lam, spec, (returns, cost_vals), probs
+            batch, cmdp.gamma, params, lam, limit, (returns, cost_vals), probs
         )
         params = params.replace_theta(params.theta - eta * grad)
     else:
@@ -419,14 +415,14 @@ def _papd_iteration(
     require_finite("cost estimates", cost_vals)
     # The sums and divisions np.mean runs, without its dispatch.
     n = len(returns)
-    return params, float(returns.sum() / n), cost_vals.sum(axis=0) / n
+    return params, float(returns.sum() / n), float(cost_vals.sum() / n)
 
 
 def _ppol_update(
     cmdp: Cmdp,
     params: PolicyParams,
     batch: RolloutBatch,
-    lam: np.ndarray,
+    lam: float,
     cfg: SolverConfig,
     eta: float,
     k: int,
@@ -506,7 +502,6 @@ def verify_bounds(
     c = constants or problem.smoothness()
     zeta = record.meta["zeta"]
     mu = c.mu
-    l_c0 = float(c.l_c[0])
 
     k_iter = record.iterations
     lam_all = record.lambdas[:, 0]
@@ -530,7 +525,7 @@ def verify_bounds(
     g_rows = record.costs[:, 0] - limit
     eps = -record.returns + lam_k * g_rows - d_all[:-1]
 
-    big_l = c.l_r + lam_k * l_c0
+    big_l = c.l_r + lam_k * c.l_c
     gn_prev = np.linalg.norm(problem.grad_lagrangian(th[:-1], lam[:-1]), axis=1)
     gn_next = np.linalg.norm(problem.grad_lagrangian(th[1:], lam[:-1]), axis=1)
 
@@ -638,19 +633,20 @@ FEASIBILITY_TOL = 1e-2  # feasible: average costs within d + FEASIBILITY_TOL
 
 @dataclass
 class FeasibilityReport:
-    full_avg: np.ndarray
-    window_avg: np.ndarray
+    full_avg: float
+    window_avg: float
     window_return: float
-    window_se: np.ndarray
+    window_se: float
     passed: bool
     envelope_slack: np.ndarray | None = None
     envelope_ok: bool | None = None
 
 
 def feasibility_check(
-    record: RunRecord, spec: ConstraintSpec, window: float = 0.2
+    record: RunRecord, limit: float, window: float = 0.2
 ) -> FeasibilityReport:
-    """Average-feasibility report, and every final-window statistic.
+    """Average-feasibility report against the cost limit d = ``limit``, and
+    every final-window statistic.
 
     The window is the last L = max(1, round(window * K)) iterations.
     window_avg and window_return average J_C and J_R over it; window_se is
@@ -659,8 +655,8 @@ def feasibility_check(
     costs, and 0 when b < 2.
 
     Passes iff both the full-run average and the window average of J_C are
-    within d + FEASIBILITY_TOL, componentwise.  For apd records the exact
-    transient envelope avg(g)[K'] <= (lambda_K' - lambda_0)/(zeta K') is also
+    within d + FEASIBILITY_TOL.  For apd records the exact transient
+    envelope avg(g)[K'] <= (lambda_K' - lambda_0)/(zeta K') is also
     evaluated; envelope_ok checks it from 10% of the run onward.
     """
     k_iter = record.iterations
@@ -668,26 +664,26 @@ def feasibility_check(
         raise ValueError("empty record")
     if not 0.0 < window <= 1.0:
         raise ValueError("window must lie in (0, 1]")
-    counts = np.arange(1, k_iter + 1, dtype=float)[:, None]
-    running = np.cumsum(record.costs, axis=0) / counts
+    costs = record.costs[:, 0]
+    counts = np.arange(1, k_iter + 1, dtype=float)
+    running = np.cumsum(costs) / counts
     tail = max(1, int(round(window * k_iter)))
-    window_avg = record.costs[-tail:].mean(axis=0)
+    window_avg = float(costs[-tail:].mean())
     b = min(WINDOW_BATCHES, tail)
     size = tail // b
-    means = record.costs[-b * size :].reshape(b, size, -1).mean(axis=1)
-    se = means.std(axis=0, ddof=1) / np.sqrt(b) if b > 1 else np.zeros_like(window_avg)
-    full_avg = running[-1]
-    passed = bool(
-        (full_avg <= spec.limits + FEASIBILITY_TOL).all()
-        and (window_avg <= spec.limits + FEASIBILITY_TOL).all()
-    )
+    means = costs[-b * size :].reshape(b, size).mean(axis=1)
+    se = float(means.std(ddof=1) / np.sqrt(b)) if b > 1 else 0.0
+    full_avg = float(running[-1])
+    bound = limit + FEASIBILITY_TOL
+    passed = full_avg <= bound and window_avg <= bound
 
     env_slack = None
     env_ok = None
     if record.meta.get("kind") == "apd":
         zeta = record.meta["zeta"]
-        envelope = (record.lambdas[1:] - record.lambdas[0]) / (zeta * counts)
-        env_slack = envelope - (running - spec.limits)
+        lambdas = record.lambdas[:, 0]
+        envelope = (lambdas[1:] - lambdas[0]) / (zeta * counts)
+        env_slack = envelope - (running - limit)
         start = max(1, int(np.ceil(0.1 * k_iter))) - 1
         env_ok = bool((env_slack[start:] >= -1e-9).all())
     return FeasibilityReport(

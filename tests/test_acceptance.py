@@ -16,7 +16,7 @@ from apdual.cmdp import SamplingConfig, VectorStep, batch_values, collect_batch
 from apdual.duals import PidGains, PidState, pid_dual_step, project_nonneg
 from apdual.envs import default_hazard_gridworld, make_gridworld
 from apdual.harness import parse_config, read_record_csv, record_to_csv
-from apdual.lagrangian import ConstraintSpec, reinforce_grad_from_batch
+from apdual.lagrangian import reinforce_grad_from_batch
 from apdual.policy import (
     PolicyParams,
     TabularSoftmax,
@@ -116,12 +116,11 @@ def test_criterion_3_per_step_certificates(testbed_certs):
 
 def test_criterion_4_average_feasibility(testbed_runs):
     prog, runs = testbed_runs
-    spec = prog.constraint_spec()
     details = []
     ok = True
     for variant, (rec, _) in runs.items():
-        rep = feasibility_check(rec, spec)
-        final_avg = float(rep.full_avg[0])
+        rep = feasibility_check(rec, prog.limit)
+        final_avg = rep.full_avg
         ok = ok and final_avg <= 0.5 + 1e-2 and rep.envelope_ok
         details.append(
             f"{variant}: running avg {final_avg:.4f} vs 0.51, "
@@ -151,9 +150,8 @@ def test_criterion_5_schedule_arithmetic():
 
 
 def test_criterion_6_pid_unit_semantics():
-    spec = ConstraintSpec(np.array([10.0]))
-    lam, _ = pid_dual_step(PidState.zeros(1), PID_GAINS, np.array([20.0]), spec)
-    worked_err = abs(lam[0] - 0.505)
+    lam, _ = pid_dual_step(PidState(), PID_GAINS, 20.0, 10.0)
+    worked_err = abs(lam - 0.505)
 
     # with only the integral gain active the controller must retrace
     # projected dual ascent at step size K_I
@@ -161,14 +159,14 @@ def test_criterion_6_pid_unit_semantics():
     costs = 10.0 + rng.normal(scale=4.0, size=100)
     zeta = 0.07
     reduced = PidGains(k_p=0.0, k_i=zeta, k_d=0.0)
-    state = PidState.zeros(1)
-    ascent_lam = np.zeros(1)
+    state = PidState()
+    ascent_lam = 0.0
     max_gap = 0.0
-    for c in costs:
-        pid_lam, state = pid_dual_step(state, reduced, np.array([c]), spec)
+    for c in costs.tolist():
+        pid_lam, state = pid_dual_step(state, reduced, c, 10.0)
         # projected dual ascent, lambda <- [lambda + zeta (J_C - d)]_+
         ascent_lam = project_nonneg(ascent_lam + zeta * (c - 10.0))
-        max_gap = max(max_gap, abs(pid_lam[0] - ascent_lam[0]))
+        max_gap = max(max_gap, abs(pid_lam - ascent_lam))
     ok = worked_err <= 1e-12 and max_gap <= 1e-12
     report(6, ok, f"worked err {worked_err:.1e}, integral-vs-ascent gap {max_gap:.1e}")
 
@@ -222,7 +220,6 @@ def test_criterion_7_gradient_fidelity():
     reward_of, cost_of = np.array(rewards), np.array(costs)
     cmdp = Cmdp(
         gamma=0.9,
-        n_costs=1,
         cost_bound=2.0,
         initial_state=0,
         vector_step=VectorStep(
@@ -232,17 +229,16 @@ def test_criterion_7_gradient_fidelity():
         n_actions=2,
     )
     params = PolicyParams(TabularSoftmax(1, 2), np.array([0.4, -0.3]))
-    spec = ConstraintSpec(np.array([limit]))
     sampling = SamplingConfig(n_traj=n, horizon=1)
     batch = collect_batch(cmdp, params, sampling, seed=42)
-    got = reinforce_grad_from_batch(batch, cmdp.gamma, params, np.array([lam]), spec)
+    got = reinforce_grad_from_batch(batch, cmdp.gamma, params, lam, limit)
     probs = softmax_table(params)[0]
     want = np.zeros_like(params.theta)
     for a in range(2):
         w = -rewards[a] + lam * (costs[a] - limit)
         want += probs[a] * w * policy_grad_log_prob(params, 0, a)
     returns, cost_vals = batch_values(batch, 0.9)
-    weights = -returns + lam * (cost_vals[:, 0] - limit)
+    weights = -returns + lam * (cost_vals - limit)
     baselines = (weights.sum() - weights) / (n - 1)
     scores = policy_trajectory_scores(params, batch.states[:, :-1], batch.actions)
     terms = (weights - baselines)[:, None] * scores
@@ -283,16 +279,15 @@ def _study_cfg(schedule, seed):
 def gridworld_study():
     """PAPD plus the four constant-rate baselines, five seeds each."""
     cmdp = make_gridworld(default_hazard_gridworld())
-    spec = ConstraintSpec(np.array([STUDY_LIMIT]))
     started = time.perf_counter()
 
     def cell(schedule):
         rets, csts = [], []
         for seed in STUDY_SEEDS:
-            rec = papd_run(cmdp, spec, _study_cfg(schedule, seed))
-            window = feasibility_check(rec, spec, STUDY_WINDOW)
+            rec = papd_run(cmdp, STUDY_LIMIT, _study_cfg(schedule, seed))
+            window = feasibility_check(rec, STUDY_LIMIT, STUDY_WINDOW)
             rets.append(window.window_return)
-            csts.append(float(window.window_avg[0]))
+            csts.append(window.window_avg)
         return float(np.mean(rets)), float(np.mean(csts))
 
     papd_cell = cell(LrSchedule("invlin-practical", h1=0.003, h2=3.0))

@@ -36,7 +36,7 @@ from apdual.envs import (
     make_gridworld,
     make_point_env,
 )
-from apdual.lagrangian import ConstraintSpec, PpolConfig, advantage_batch
+from apdual.lagrangian import PpolConfig, advantage_batch
 from apdual.policy import LinearGaussian, TabularSoftmax, init_params, softmax_table
 from apdual.schedules import LrSchedule
 from apdual.solver import SolverConfig, papd_run
@@ -62,7 +62,6 @@ def chain_cmdp(p_jump=0.3, gamma=GAMMA, cost_scale=1.0):
 
     return Cmdp(
         gamma=gamma,
-        n_costs=1,
         cost_bound=max(cost_scale, 1e-9),
         initial_state=0,
         vector_step=VectorStep(1, step, signals),
@@ -98,11 +97,11 @@ def estimate_objectives(cmdp, params, sampling, seed):
     returns, cost_vals = batch_values(
         collect_batch(cmdp, params, sampling, seed), cmdp.gamma
     )
-    return float(returns.mean()), cost_vals.mean(axis=0)
+    return float(returns.mean()), float(cost_vals.mean())
 
 
 def one_row(rewards, costs):
-    """A one-rollout batch with the given (T,) rewards and (T, m) costs."""
+    """A one-rollout batch with the given (T,) rewards and (T,) costs."""
     t = len(rewards)
     return RolloutBatch(
         np.arange(t + 1)[None], np.zeros((1, t), dtype=np.int64),
@@ -113,26 +112,26 @@ def one_row(rewards, costs):
 class TestDiscountedValue:
     def test_geometric_sum_closed_form(self):
         t = 50
-        j_r, j_c = discounted_value(np.ones(t), np.full((t, 2), [0.5, 2.0]), GAMMA)
+        j_r, j_c = discounted_value(np.ones(t), np.full(t, 0.5), GAMMA)
         geom = (1.0 - GAMMA**t) / (1.0 - GAMMA)
         assert j_r == pytest.approx(geom, rel=1e-12)
-        assert j_c == pytest.approx([0.5 * geom, 2.0 * geom], rel=1e-12)
+        assert j_c == pytest.approx(0.5 * geom, rel=1e-12)
 
     def test_matches_bruteforce_loop(self):
         rng = np.random.default_rng(7)
         t = 33
-        rewards, costs = rng.normal(size=t), rng.random((t, 3))
+        rewards, costs = rng.normal(size=t), rng.random(t)
         j_r, j_c = discounted_value(rewards, costs, 0.97)
         want_r = sum(0.97**k * rewards[k] for k in range(t))
         want_c = sum(0.97**k * costs[k] for k in range(t))
         assert j_r == pytest.approx(want_r, rel=1e-12)
-        np.testing.assert_allclose(j_c, want_c, rtol=1e-12)
+        assert j_c == pytest.approx(want_c, rel=1e-12)
 
     def test_truncation_error_within_tail_bound(self):
         # constant reward 1: the infinite sum is 1/(1-gamma) and truncation
         # at H removes exactly gamma^H/(1-gamma)
         for h in (10, 100, 688):
-            (j_r,), _ = batch_values(one_row(np.ones(h), np.zeros((h, 1))), 0.99)
+            (j_r,), _ = batch_values(one_row(np.ones(h), np.zeros(h)), 0.99)
             tail = 0.99**h / (1.0 - 0.99)
             assert abs(1.0 / (1.0 - 0.99) - j_r) == pytest.approx(tail, rel=1e-9)
 
@@ -146,36 +145,36 @@ class TestDiscountedValue:
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
-            discounted_value(np.ones(1), np.zeros((1, 1)), 1.0)
+            discounted_value(np.ones(1), np.zeros(1), 1.0)
         with pytest.raises(ValueError):
-            batch_values(one_row(np.ones(1), np.zeros((1, 1))), 1.0)
+            batch_values(one_row(np.ones(1), np.zeros(1)), 1.0)
 
     @pytest.mark.parametrize("t", [1, 24, 64, 200])
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_batch_values_equal_per_trajectory(self, t, m):
-        rng = np.random.default_rng(t + m)
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_batch_values_equal_per_trajectory(self, t, n):
+        rng = np.random.default_rng(t + n)
         batch = RolloutBatch(
-            np.zeros((9, t + 1), dtype=np.int64),
-            np.zeros((9, t), dtype=np.int64),
-            rng.normal(size=(9, t)) * 50.0,
-            rng.random((9, t, m)) * 4.0,
+            np.zeros((n, t + 1), dtype=np.int64),
+            np.zeros((n, t), dtype=np.int64),
+            rng.normal(size=(n, t)) * 50.0,
+            rng.random((n, t)) * 4.0,
         )
         returns, costs = batch_values(batch, 0.99)
-        assert returns.shape == (9,) and costs.shape == (9, m)
-        for i in range(9):
+        assert returns.shape == (n,) and costs.shape == (n,)
+        for i in range(n):
             j_r, j_c = discounted_value(batch.rewards[i], batch.costs[i], 0.99)
             assert returns[i] == j_r
-            assert np.array_equal(costs[i], j_c)
+            assert costs[i] == j_c
 
     def test_batch_values_need_one_length(self):
         # every field of a batch covers the same n rollouts of one length
         states, actions = np.zeros((2, 3)), np.zeros((2, 2))
         with pytest.raises(ValueError):
-            RolloutBatch(states, actions, np.ones((2, 1)), np.zeros((2, 2, 1)))
+            RolloutBatch(states, actions, np.ones((2, 1)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            RolloutBatch(states, actions, np.ones((2, 2)), np.zeros((2, 1, 1)))
+            RolloutBatch(states, actions, np.ones((2, 2)), np.zeros((2, 1)))
         with pytest.raises(ValueError):
-            RolloutBatch(states, actions, np.ones((3, 2)), np.zeros((3, 2, 1)))
+            RolloutBatch(states, actions, np.ones((3, 2)), np.zeros((3, 2)))
 
 
 class TestTrajectoryShape:
@@ -186,14 +185,14 @@ class TestTrajectoryShape:
         assert traj.states.shape == (1, 18)
         assert traj.actions.shape == (1, 17)
         assert traj.rewards.shape == (1, 17)
-        assert traj.costs.shape == (1, 17, 1)
+        assert traj.costs.shape == (1, 17)
 
     def test_inconsistent_fields_rejected(self):
         one_step = np.ones((1, 1))
         with pytest.raises(ValueError):  # no final state
-            RolloutBatch(np.zeros((1, 1)), one_step, one_step, np.zeros((1, 1, 1)))
-        with pytest.raises(ValueError):  # costs without their m axis
-            RolloutBatch(np.zeros((1, 2)), one_step, one_step, np.zeros((1, 1)))
+            RolloutBatch(np.zeros((1, 1)), one_step, one_step, np.zeros((1, 1)))
+        with pytest.raises(ValueError):  # costs with a constraint axis
+            RolloutBatch(np.zeros((1, 2)), one_step, one_step, np.zeros((1, 1, 1)))
 
     def test_step_fields_align(self):
         # step t of the parallel fields is (s_t, a_t, r(s_t, a_t, s_t+1), c(...))
@@ -203,7 +202,7 @@ class TestTrajectoryShape:
         for t in range(5):
             reward, cost = cmdp.vector_step.signals(s[:, [t]], a[:, [t]], s2[:, [t]])
             assert traj.rewards[0, t] == reward[0, 0]
-            assert np.array_equal(traj.costs[0, t], cost[0])
+            assert traj.costs[0, t] == cost[0, 0]
 
 
 class TestSeeding:
@@ -267,15 +266,14 @@ class TestCostBound:
         sample_trajectory(cmdp, uniform_params(), 30, seed=0)
 
     @staticmethod
-    def two_cost_cmdp(cost):
-        """Two costs, the same (2,) step cost at every step, bound B = 1."""
+    def constant_cost_cmdp(cost):
+        """The same step cost at every step, bound B = 1."""
 
         def signals(s, a, s2):
-            return np.zeros(s.shape), np.broadcast_to(cost, (*s.shape, 2))
+            return np.zeros(s.shape), np.full(s.shape, cost)
 
         return Cmdp(
             gamma=GAMMA,
-            n_costs=2,
             cost_bound=1.0,
             initial_state=0,
             vector_step=VectorStep(0, lambda s, a, u: s, signals),
@@ -283,12 +281,12 @@ class TestCostBound:
             n_actions=2,
         )
 
-    def test_two_costs_bound_the_norm_not_each_entry(self):
-        # |c| = 1 passes; (0.6, 0.81) has every entry below B but norm 1.008
-        ok = self.two_cost_cmdp((0.6, 0.8))
+    def test_bound_holds_for_negative_costs(self):
+        # the bound is on |c|: -1 passes, -1.01 fails as a bound violation
+        ok = self.constant_cost_cmdp(-1.0)
         batch = collect_batch(ok, uniform_params(), SamplingConfig(4, 10), seed=0)
-        assert batch.costs.shape == (4, 10, 2)
-        bad = self.two_cost_cmdp((0.6, 0.81))
+        assert batch.costs.shape == (4, 10)
+        bad = self.constant_cost_cmdp(-1.01)
         for sample in (
             lambda: sample_trajectory(bad, uniform_params(), 10, seed=0),
             lambda: collect_batch(bad, uniform_params(), SamplingConfig(4, 10), 0),
@@ -297,9 +295,9 @@ class TestCostBound:
                 sample()
             assert not isinstance(err.value, NonFiniteError)
 
-    def test_two_costs_nan_is_non_finite(self):
-        bad = self.two_cost_cmdp((0.6, math.nan))
-        with pytest.raises(NonFiniteError, match=r"costs at index \(0, 0, 1\)"):
+    def test_nan_cost_is_non_finite(self):
+        bad = self.constant_cost_cmdp(math.nan)
+        with pytest.raises(NonFiniteError, match=r"costs at index \(0, 0\)"):
             collect_batch(bad, uniform_params(), SamplingConfig(4, 10), seed=0)
 
 
@@ -315,7 +313,6 @@ class TestEstimators:
         sampling = SamplingConfig(n_traj=n, horizon=horizon)
         batch = collect_batch(cmdp, params, sampling, seed=123)
         vals, cvals = batch_values(batch, GAMMA)
-        cvals = cvals[:, 0]
         se_r = vals.std(ddof=1) / math.sqrt(n)
         se_c = cvals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - want_r) <= 3.0 * se_r
@@ -323,7 +320,7 @@ class TestEstimators:
 
         j_r_hat, j_c_hat = estimate_objectives(cmdp, params, sampling, seed=123)
         assert j_r_hat == pytest.approx(vals.mean(), rel=1e-12)
-        assert j_c_hat[0] == pytest.approx(cvals.mean(), rel=1e-12)
+        assert j_c_hat == pytest.approx(cvals.mean(), rel=1e-12)
 
     def test_estimator_deterministic_in_seed(self):
         cmdp = chain_cmdp()
@@ -331,15 +328,14 @@ class TestEstimators:
         sampling = SamplingConfig(n_traj=16, horizon=20)
         a = estimate_objectives(cmdp, params, sampling, seed=77)
         b = estimate_objectives(cmdp, params, sampling, seed=77)
-        assert a[0] == b[0]
-        np.testing.assert_array_equal(a[1], b[1])
+        assert a == b
 
     def test_cost_estimate_shape(self):
         cmdp = chain_cmdp()
         _, j_c = estimate_objectives(
             cmdp, uniform_params(), SamplingConfig(4, 10), seed=0
         )
-        assert j_c.shape == (1,)
+        assert isinstance(j_c, float)
 
 
 class TestValidation:
@@ -367,15 +363,13 @@ class TestValidation:
             ),
         )
         with pytest.raises(ValueError):
-            Cmdp(gamma=1.0, n_costs=1, cost_bound=1.0, **kw)
+            Cmdp(gamma=1.0, cost_bound=1.0, **kw)
         with pytest.raises(ValueError):
-            Cmdp(gamma=0.9, n_costs=0, cost_bound=1.0, **kw)
-        with pytest.raises(ValueError):
-            Cmdp(gamma=0.9, n_costs=1, cost_bound=0.0, **kw)
+            Cmdp(gamma=0.9, cost_bound=0.0, **kw)
         kw["initial_state"] = np.array([0.0, np.nan])
         with pytest.raises(NonFiniteError, match=r"initial state at index \(1,\)"):
-            Cmdp(gamma=0.9, n_costs=1, cost_bound=1.0, **kw)
-        tabular = dict(gamma=0.9, n_costs=1, cost_bound=1.0, n_states=2, n_actions=2)
+            Cmdp(gamma=0.9, cost_bound=1.0, **kw)
+        tabular = dict(gamma=0.9, cost_bound=1.0, n_states=2, n_actions=2)
         for cell in (1.0, True):
             kw["initial_state"] = cell
             want = f"initial cell {cell} must be an integer cell index"
@@ -450,7 +444,7 @@ def count_generators(monkeypatch):
     return built
 
 
-GRID_LIMIT = ConstraintSpec(np.array([10.0]))
+GRID_LIMIT = 10.0
 
 
 class TestPapdCounterBlocks:
@@ -502,7 +496,6 @@ def counter_cmdp(successor, noise_dim=0, start=0):
 
     return Cmdp(
         gamma=GAMMA,
-        n_costs=1,
         cost_bound=1.0,
         initial_state=start,
         vector_step=VectorStep(noise_dim, step, signals),
@@ -670,13 +663,13 @@ class TestCounterStreams:
             return np.zeros(s.shape[:2]), np.zeros(s.shape[:2])
 
         # 1000 cells: the cell is the transition uniform's first 3 digits.
-        cells = Cmdp(0.9, 1, 1.0, 0, VectorStep(
+        cells = Cmdp(0.9, 1.0, 0, VectorStep(
             2, lambda s, a, u: (u[:, 0] * 1000).astype(np.int64), signals
         ), n_states=1000, n_actions=2)
         batch = collect_batch(cells, uniform_params(1000, 2), SamplingConfig(n, horizon), key)
         u = fresh_philox(key, (0, 0, 0, 0)).random(n * horizon * 3).reshape(n, horizon, 3)
         assert np.array_equal(batch.states[:, 1:], (u[:, :, 1] * 1000).astype(np.int64))
-        point = Cmdp(0.9, 1, 1.0, np.zeros(1), VectorStep(
+        point = Cmdp(0.9, 1.0, np.zeros(1), VectorStep(
             1, lambda s, a, z: z.copy(), signals
         ))
         params = init_params(LinearGaussian(1, 1))
@@ -695,7 +688,7 @@ class TestCounterStreams:
             return grad(samples, rows, *args)
 
         monkeypatch.setattr(solver, "ppol_surrogate_grad", recorded)
-        papd_run(cmdp, ConstraintSpec(np.array([2.0])), cfg)
+        papd_run(cmdp, 2.0, cfg)
         assert len(orders) == 3 * 2  # one minibatch per epoch
         for k in range(3):
             shuffle = fresh_philox((cfg.seed, k), (0, 0, 1, 0))
@@ -739,7 +732,7 @@ class TestPapdGaussianStreams:
             return batch
 
         monkeypatch.setattr(solver, "collect_batch", recorded)
-        papd_run(cmdp, ConstraintSpec(np.array([2.0])), cfg)
+        papd_run(cmdp, 2.0, cfg)
         assert [seed for _, seed, _ in batches] == [(cfg.seed, 0), (cfg.seed, 1)]
         for k, (params, seed, batch) in enumerate(batches):
             for i in range(8):
@@ -750,10 +743,9 @@ class TestPapdGaussianStreams:
 
     def test_no_generator_for_a_point_ppo_run(self, monkeypatch):
         cmdp, cfg = point_run_cmdp(), point_ppol_cfg(3)
-        spec = ConstraintSpec(np.array([2.0]))
-        want = papd_run(cmdp, spec, cfg)  # builds this thread's Generator
+        want = papd_run(cmdp, 2.0, cfg)  # builds this thread's Generator
         built = count_generators(monkeypatch)
-        assert_records_equal(papd_run(cmdp, spec, cfg), want)
+        assert_records_equal(papd_run(cmdp, 2.0, cfg), want)
         assert built == []
 
 

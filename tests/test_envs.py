@@ -366,7 +366,7 @@ def test_batch_signals_equal_per_step_callbacks(env):
         assert rewards[i, t] == reward[0, 0]
         assert costs[i, t] == cost[0, 0]
     assert np.array_equal(rewards, batch.rewards)
-    assert np.array_equal(costs, batch.costs[:, :, 0])
+    assert np.array_equal(costs, batch.costs)
 
 
 def uniform_table(spec):
@@ -507,7 +507,6 @@ class TestGridworldKernel:
             cmdp, params, SamplingConfig(n_traj=2000, horizon=horizon), seed=3
         )
         vals, cvals = batch_values(batch, 0.95)
-        cvals = cvals[:, 0]
         assert abs(vals.mean() - want_r) <= 3.0 * vals.std(ddof=1) / math.sqrt(2000)
         assert abs(cvals.mean() - want_c) <= 3.0 * cvals.std(ddof=1) / math.sqrt(2000)
 

@@ -39,7 +39,6 @@ from apdual.harness import (
     sweep,
     verify_dir,
 )
-from apdual.lagrangian import ConstraintSpec
 from apdual.policy import softmax_table
 from apdual.solver import RunRecord, feasibility_check
 
@@ -142,6 +141,8 @@ class TestParseConfig:
             ({"output_dir": ""}, "output_dir"),
             ({"dual": {"variant": "ascent", "zeta": 0.05, "zetta": 0.1}},
              r"dual: unknown keys \['zetta'\]"),
+            ({"cost_limit": 0.0}, "cost_limit: the testbed needs a positive limit"),
+            ({"cost_limit": -0.5}, "no Slater point"),
         ],
     )
     def test_testbed_errors_name_the_field(self, patch, fragment):
@@ -308,16 +309,17 @@ class TestCsvRoundTrip:
         assert same, f"{len(got)} vs {len(want)} lines, first differing line {first}"
 
     def test_multi_constraint_rejected(self):
-        rec = RunRecord(
-            thetas=np.zeros((2, 2)),
-            lambdas=np.zeros((2, 2)),
-            etas=np.zeros(1),
-            returns=np.zeros(1),
-            costs=np.zeros((1, 2)),
-            meta={"kind": "synthetic"},
-        )
-        with pytest.raises(ValueError, match="single-constraint"):
-            record_to_csv(rec)
+        # a record, and so its CSV, has one lambda and one cost column
+        for lambdas, costs in (((2, 2), (1, 2)), ((2, 1), (1, 2)), ((2,), (1, 1))):
+            with pytest.raises(ValueError, match="single-constraint"):
+                RunRecord(
+                    thetas=np.zeros((2, 2)),
+                    lambdas=np.zeros(lambdas),
+                    etas=np.zeros(1),
+                    returns=np.zeros(1),
+                    costs=np.zeros(costs),
+                    meta={"kind": "synthetic"},
+                )
 
 
 class TestAggregation:
@@ -404,8 +406,7 @@ class TestWindowCostSe:
         raw = make_grid_raw(iterations=40, window=0.5)
         result = run_experiment(parse_config(raw))
         entry = json.loads(result.summary_path.read_text())["per_seed"]["0"]
-        spec = ConstraintSpec(np.array([raw["cost_limit"]]))
-        se = float(feasibility_check(result.records[0], spec, 0.5).window_se[0])
+        se = feasibility_check(result.records[0], raw["cost_limit"], 0.5).window_se
         assert se > 0.0 and entry["cost_window_se"] == se
         margin = (entry["cost_window_avg"] - raw["cost_limit"]) / se
         assert entry["cost_window_margin"] == margin
@@ -1058,6 +1059,21 @@ class TestCli:
         code = main(["run", self.write_cfg(tmp_path, make_grid_raw(task_params=params))])
         assert code == 2
         assert "config error: task_params: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit", [0.0, -0.25])
+    def test_testbed_limit_without_slater_point_exit_2(
+        self, tmp_path, monkeypatch, capsys, limit
+    ):
+        # J_C = 1/2 |theta|^2 >= 0 on the testbed: no theta is strictly
+        # feasible for d <= 0, so the config is rejected before any run
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        raw = make_testbed_raw(cost_limit=limit)
+        code = main(["run", self.write_cfg(tmp_path, raw)])
+        assert code == 2
+        assert "config error: cost_limit: " in capsys.readouterr().err
+        assert not (tmp_path / "testbed_out").exists()
+        # a sampled task's cost may be 0 on average: its limit is not checked
+        assert parse_config(make_grid_raw(cost_limit=0.0)).cost_limit == 0.0
 
     def test_run_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

@@ -14,6 +14,7 @@ import pytest
 from apdual import lagrangian, solver
 from apdual.cmdp import (
     Cmdp,
+    NonFiniteError,
     RolloutBatch,
     SamplingConfig,
     VectorStep,
@@ -23,10 +24,10 @@ from apdual.cmdp import (
 )
 from apdual.lagrangian import (
     AdvantageBatch,
-    ConstraintSpec,
     PpolConfig,
     advantage_batch,
     backward_sums,
+    lagrangian_values,
     ppol_surrogate_grad,
     reinforce_grad_from_batch,
 )
@@ -45,7 +46,7 @@ from apdual.policy import (
     policy_grad_log_prob,
     policy_log_prob,
     policy_log_probs,
-    policy_score_sum,
+    policy_sample_terms,
     policy_trajectory_scores,
     softmax_table,
 )
@@ -55,35 +56,32 @@ from apdual.solver import SolverConfig, papd_run
 GAMMA = 0.9
 
 
-def lagrangian_value(j_r, j_c, lam, spec):
-    """Reference -J_R + lambda . (J_C - d), for the (m,) multiplier array
-    lambda."""
-    j_c = np.atleast_1d(np.asarray(j_c, dtype=float))
-    if j_c.shape != lam.shape or lam.shape != spec.limits.shape:
-        raise ValueError("J_C, multiplier, and constraint dimensions disagree")
-    return float(-j_r + lam @ (j_c - spec.limits))
+def lagrangian_value(j_r, j_c, lam, limit):
+    """Reference -J_R + lambda (J_C - d) of one trajectory."""
+    return -j_r + lam * (j_c - limit)
 
 
 def ppol_surrogate(batch, params, lam, cfg):
     """Reference surrogate, the batch mean of
-    (1/(1+lambda)) (min(rho A_R, clip(rho) A_R) - lambda A_C) for a single
-    constraint; ppol_surrogate_grad is its ascent direction."""
-    if lam.shape != (1,) or batch.adv_c.shape[1] != 1:
-        raise ValueError("the surrogate is defined for a single constraint")
-    lam = float(lam[0])
+    (1/(1+lambda)) (min(rho A_R, clip(rho) A_R) - lambda A_C);
+    ppol_surrogate_grad is its ascent direction."""
     lp = policy_log_probs(params, batch.states, batch.actions)
     rho = np.exp(lp - batch.log_prob_old)
     clipped = np.clip(rho, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
     obj = np.minimum(rho * batch.adv_r, clipped * batch.adv_r)
-    return float((obj - lam * batch.adv_c[:, 0]).mean() / (1.0 + lam))
+    return float((obj - lam * batch.adv_c).mean() / (1.0 + lam))
 
 
-def constraint_value(j_c, spec):
+def constraint_value(j_c, limit):
     """Reference g = J_C - d."""
-    j_c = np.atleast_1d(np.asarray(j_c, dtype=float))
-    if j_c.shape != spec.limits.shape:
-        raise ValueError("J_C and constraint dimensions disagree")
-    return j_c - spec.limits
+    return j_c - limit
+
+
+def policy_score_sum(params, states, actions, weights):
+    """Reference sum_i weights[i] * d/dtheta log pi_theta(a_i|s_i), shaped
+    like theta, from policy_sample_terms' score sum over all rows."""
+    _, score_sum = policy_sample_terms(params, states, actions)
+    return score_sum(None, weights)
 
 
 def trajectory_score(params, states, actions):
@@ -115,7 +113,6 @@ def bandit_cmdp(rewards, costs, gamma=GAMMA):
     reward_of, cost_of = np.asarray(rewards, float), np.asarray(costs, float)
     return Cmdp(
         gamma=gamma,
-        n_costs=1,
         cost_bound=bound,
         initial_state=0,
         vector_step=VectorStep(
@@ -133,7 +130,7 @@ def bandit_batch(actions, rewards, costs):
         np.zeros((len(a), 2), dtype=np.int64),
         a,
         np.asarray(rewards, dtype=float)[a],
-        np.asarray(costs, dtype=float)[a][:, :, None],
+        np.asarray(costs, dtype=float)[a],
     )
 
 
@@ -147,32 +144,52 @@ def bandit_exact_grad(params, rewards, costs, lam, d):
     return grad
 
 
+def dot_product_values(returns, costs, lam, limit):
+    """-J_R + lambda . (J_C - d) with J_C, d and lambda as one-entry
+    arrays: the one-term np.vecdot adds its product to +0.0."""
+    penalty = np.vecdot((costs - limit)[:, None], np.array([lam]))
+    return -returns + penalty
+
+
 class TestValueArithmetic:
     def test_lagrangian_value(self):
-        spec = ConstraintSpec(np.array([1.0]))
-        lam = np.array([0.5])
-        assert lagrangian_value(2.0, np.array([3.0]), lam, spec) == pytest.approx(
+        assert lagrangian_value(2.0, 3.0, 0.5, 1.0) == pytest.approx(
             -2.0 + 0.5 * 2.0
         )
 
-    def test_multiple_constraints(self):
-        spec = ConstraintSpec(np.array([1.0, 2.0]))
-        lam = np.array([0.5, 2.0])
-        val = lagrangian_value(1.0, np.array([2.0, 1.0]), lam, spec)
-        assert val == pytest.approx(-1.0 + 0.5 * 1.0 + 2.0 * (-1.0))
-
     def test_constraint_value(self):
-        spec = ConstraintSpec(np.array([1.0, 2.0]))
-        np.testing.assert_allclose(
-            constraint_value(np.array([3.0, 1.0]), spec), [2.0, -1.0]
-        )
+        assert constraint_value(3.0, 1.0) == 2.0
+        assert constraint_value(1.0, 2.0) == -1.0
 
-    def test_dimension_mismatch(self):
-        spec = ConstraintSpec(np.array([1.0]))
-        with pytest.raises(ValueError):
-            lagrangian_value(0.0, np.array([1.0, 2.0]), np.array([0.1]), spec)
-        with pytest.raises(ValueError):
-            constraint_value(np.array([1.0, 2.0]), spec)
+    @pytest.mark.parametrize("lam", [0.0, 0.7, 2.5])
+    def test_weights_equal_dot_product_form(self, lam):
+        # Zero returns, costs below, at and above the limit: at lambda = 0
+        # a cost below the limit makes a -0.0 product, which the one-term
+        # dot product turns into +0.0.
+        rng = np.random.default_rng(5)
+        returns = np.where(rng.random(400) < 0.3, 0.0, rng.normal(size=400) * 20.0)
+        costs = 10.0 + rng.normal(size=400) * 3.0
+        costs[rng.random(400) < 0.2] = 10.0
+        costs[:4] = (3.0, 10.0, 12.0, 3.0)
+        returns[:4] = 0.0
+        got = lagrangian_values(returns, costs, lam, 10.0)
+        want = dot_product_values(returns, costs, lam, 10.0)
+        assert got.tobytes() == want.tobytes()
+        if lam == 0.0:  # the data reach the case: a plain sum keeps -0.0
+            plain = -returns + (costs - 10.0) * lam
+            assert np.signbit(plain[0]) and not np.signbit(got[0])
+
+    def test_weights_equal_dot_product_form_on_a_grid_batch(self):
+        # iteration 0 of a gridworld run: lambda = 0, and rollouts that never
+        # reach the goal or a hazard
+        cmdp = make_gridworld(default_hazard_gridworld())
+        params = init_params(TabularSoftmax(cmdp.n_states, cmdp.n_actions))
+        batch = collect_batch(cmdp, params, SamplingConfig(64, 24), (0, 0))
+        returns, costs = batch_values(batch, cmdp.gamma)
+        for lam in (0.0, 0.3):
+            got = lagrangian_values(returns, costs, lam, 10.0)
+            want = dot_product_values(returns, costs, lam, 10.0)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTrajectoryScore:
@@ -214,14 +231,12 @@ class TestReinforceBandit:
     def enumerate_batches(self, params, n, lam):
         """Expectation of the estimator over every n-trajectory outcome."""
         probs = softmax_table(params)[0]
-        spec = ConstraintSpec(np.array([self.LIMIT]))
-        lam_vec = np.array([lam])
         total = np.zeros_like(params.theta)
         for key in range(2**n):
             acts = [(key >> i) & 1 for i in range(n)]
             weight = math.prod(probs[a] for a in acts)
             batch = bandit_batch(acts, self.REWARDS, self.COSTS)
-            est = reinforce_grad_from_batch(batch, GAMMA, params, lam_vec, spec)
+            est = reinforce_grad_from_batch(batch, GAMMA, params, lam, self.LIMIT)
             total += weight * est
         return total
 
@@ -236,23 +251,18 @@ class TestReinforceBandit:
     def test_constant_lagrangian_gives_exactly_zero(self):
         # with w(a) identical across actions the LOO weights vanish
         params = self._params()
-        spec = ConstraintSpec(np.array([0.0]))
-        lam = np.array([2.0])
         rewards, costs = (1.0, 1.0), (0.5, 0.5)
         batch = bandit_batch((0, 1, 1, 0), rewards, costs)
-        got = reinforce_grad_from_batch(batch, GAMMA, params, lam, spec)
+        got = reinforce_grad_from_batch(batch, GAMMA, params, 2.0, 0.0)
         np.testing.assert_array_equal(got, np.zeros(2))
 
     def test_estimator_affine_in_lambda(self):
         # w_i is affine in lambda, so on a fixed batch the estimate is too
         params = self._params()
-        spec = ConstraintSpec(np.array([self.LIMIT]))
         batch = bandit_batch((0, 1, 1), self.REWARDS, self.COSTS)
 
         def grad(lam):
-            return reinforce_grad_from_batch(
-                batch, GAMMA, params, np.array([lam]), spec
-            )
+            return reinforce_grad_from_batch(batch, GAMMA, params, lam, self.LIMIT)
 
         g0, g1, g2 = grad(0.0), grad(1.0), grad(2.0)
         np.testing.assert_allclose(g2, g0 + 2.0 * (g1 - g0), rtol=1e-12, atol=1e-14)
@@ -261,11 +271,9 @@ class TestReinforceBandit:
         params = self._params()
         lam, n = 0.7, 10_000
         cmdp = bandit_cmdp(self.REWARDS, self.COSTS)
-        spec = ConstraintSpec(np.array([self.LIMIT]))
-        lam_vec = np.array([lam])
         sampling = SamplingConfig(n_traj=n, horizon=1)
         batch = collect_batch(cmdp, params, sampling, seed=42)
-        got = reinforce_grad_from_batch(batch, cmdp.gamma, params, lam_vec, spec)
+        got = reinforce_grad_from_batch(batch, cmdp.gamma, params, lam, self.LIMIT)
 
         # the per-trajectory terms of the same batch give an empirical
         # standard error
@@ -273,8 +281,8 @@ class TestReinforceBandit:
             [
                 lagrangian_value(
                     *discounted_value(batch.rewards[i], batch.costs[i], GAMMA),
-                    lam_vec,
-                    spec,
+                    lam,
+                    self.LIMIT,
                 )
                 for i in range(n)
             ]
@@ -309,13 +317,13 @@ def reference_score(params, states, actions):
     return policy_score_sum(params, states[:t], actions, np.ones(t))
 
 
-def reference_reinforce_grad(batch, gamma, params, lam, spec):
+def reference_reinforce_grad(batch, gamma, params, lam, limit):
     """The estimator as a per-trajectory loop in batch order."""
     n = len(batch)
     weights = np.array(
         [
             lagrangian_value(
-                *discounted_value(batch.rewards[i], batch.costs[i], gamma), lam, spec
+                *discounted_value(batch.rewards[i], batch.costs[i], gamma), lam, limit
             )
             for i in range(n)
         ]
@@ -355,14 +363,13 @@ class TestBatchedReinforce:
     @pytest.mark.parametrize("batch", ["grid_batch", "point_batch"])
     def test_equals_per_trajectory_loop(self, batch):
         cmdp, params, rollouts = getattr(self, batch)()
-        spec = ConstraintSpec(np.array([10.0]))
-        lam = np.array([0.7])
-        want = reference_reinforce_grad(rollouts, cmdp.gamma, params, lam, spec)
-        got = reinforce_grad_from_batch(rollouts, cmdp.gamma, params, lam, spec)
+        lam, limit = 0.7, 10.0
+        want = reference_reinforce_grad(rollouts, cmdp.gamma, params, lam, limit)
+        got = reinforce_grad_from_batch(rollouts, cmdp.gamma, params, lam, limit)
         assert np.array_equal(got, want)
         values = batch_values(rollouts, cmdp.gamma)
         given = reinforce_grad_from_batch(
-            rollouts, cmdp.gamma, params, lam, spec, values
+            rollouts, cmdp.gamma, params, lam, limit, values
         )
         assert np.array_equal(given, want)
         for states, actions in zip(rollouts.states, rollouts.actions):
@@ -396,7 +403,7 @@ class TestGae:
     def test_values_length_checked(self):
         batch = RolloutBatch(
             np.zeros((1, 2), dtype=np.int64), np.zeros((1, 1), dtype=np.int64),
-            np.ones((1, 1)), np.zeros((1, 1, 1)),
+            np.ones((1, 1)), np.zeros((1, 1)),
         )
         params = init_params(TabularSoftmax(1, 1))
         for shape in ((1, 3, 2), (1, 2, 1), (2, 2, 2)):
@@ -411,7 +418,7 @@ class TestGae:
         n, t = 5, 7
         batch = RolloutBatch(
             rng.integers(0, 3, size=(n, t + 1)), rng.integers(0, 2, size=(n, t)),
-            rng.normal(size=(n, t)), rng.random((n, t, 1)),
+            rng.normal(size=(n, t)), rng.random((n, t)),
         )
         values = rng.normal(size=(n, t + 1, 2))
         params = init_params(TabularSoftmax(3, 2))
@@ -425,10 +432,10 @@ class TestGae:
             ])
 
         adv_r = per_rollout(batch.rewards, 0)
-        adv_c = per_rollout(batch.costs[:, :, 0], 1)
+        adv_c = per_rollout(batch.costs, 1)
         tol = dict(rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(got.adv_r, adv_r - adv_r.mean(), **tol)
-        np.testing.assert_allclose(got.adv_c[:, 0], adv_c, **tol)
+        np.testing.assert_allclose(got.adv_c, adv_c, **tol)
 
 
 def one_step_batch(params, samples, rho=None):
@@ -436,7 +443,7 @@ def one_step_batch(params, samples, rho=None):
     states = [s for s, *_ in samples]
     actions = [a for _, a, *_ in samples]
     adv_r = np.array([r for *_, r, _ in samples], dtype=float)
-    adv_c = np.array([[c] for *_, c in samples], dtype=float)
+    adv_c = np.array([c for *_, c in samples], dtype=float)
     lp = np.array(
         [policy_log_prob(params, s, a) for s, a in zip(states, actions)]
     )
@@ -456,21 +463,21 @@ class TestPpolSurrogate:
         params = self._params()
         batch = one_step_batch(params, [(0, 1, 2.0, 1.0)])
         cfg = PpolConfig()
-        val = ppol_surrogate(batch, params, np.array([1.0]), cfg)
+        val = ppol_surrogate(batch, params, 1.0, cfg)
         assert val == pytest.approx(0.5, rel=1e-12)
 
     def test_worked_example_clip_active(self):
         # rho = 1.5, eps = 0.2, A_R = 1, lambda = 0 -> min(1.5, 1.2) = 1.2
         params = self._params()
         batch = one_step_batch(params, [(0, 1, 1.0, 0.0)], rho=np.array([1.5]))
-        val = ppol_surrogate(batch, params, np.array([0.0]), PpolConfig(clip_ratio=0.2))
+        val = ppol_surrogate(batch, params, 0.0, PpolConfig(clip_ratio=0.2))
         assert val == pytest.approx(1.2, rel=1e-12)
 
     def test_negative_advantage_clips_from_below(self):
         # rho = 0.5, A_R = -1 -> min(-0.5, -0.8) = -0.8
         params = self._params()
         batch = one_step_batch(params, [(1, 0, -1.0, 0.0)], rho=np.array([0.5]))
-        val = ppol_surrogate(batch, params, np.array([0.0]), PpolConfig(clip_ratio=0.2))
+        val = ppol_surrogate(batch, params, 0.0, PpolConfig(clip_ratio=0.2))
         assert val == pytest.approx(-0.8, rel=1e-12)
 
     def test_lambda_zero_reduces_to_ppo(self):
@@ -482,18 +489,21 @@ class TestPpolSurrogate:
         ]
         batch = one_step_batch(params, samples)
         cfg = PpolConfig()
-        val = ppol_surrogate(batch, params, np.array([0.0]), cfg)
+        val = ppol_surrogate(batch, params, 0.0, cfg)
         plain_ppo = float(
             np.minimum(batch.adv_r, batch.adv_r).mean()
         )  # rho = 1: min(rho A, clip A) = A
         assert val == pytest.approx(plain_ppo, rel=1e-12)
 
     def test_single_constraint_enforced(self):
+        # one cost advantage per sample: a constraint axis is rejected
         params = self._params()
-        batch = one_step_batch(params, [(0, 0, 1.0, 0.0)])
-        batch.adv_c = np.zeros((1, 2))
-        with pytest.raises(ValueError):
-            ppol_surrogate(batch, params, np.array([0.1, 0.2]), PpolConfig())
+        batch = one_step_batch(params, [(0, 0, 1.0, 0.0), (1, 2, 0.5, 1.0)])
+        for adv_c in (np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2))):
+            with pytest.raises(ValueError, match="inconsistent"):
+                AdvantageBatch(
+                    batch.states, batch.actions, batch.log_prob_old, batch.adv_r, adv_c
+                )
 
     def test_grad_matches_fd_at_lambda_zero(self):
         # at lambda = 0 the surrogate is an exact function of theta away
@@ -506,7 +516,7 @@ class TestPpolSurrogate:
         ]
         batch = one_step_batch(params, samples)
         cfg = PpolConfig(clip_ratio=0.5)  # wide clip: stay on smooth branch
-        lam = np.array([0.0])
+        lam = 0.0
         g = ppol_surrogate_grad(batch, np.arange(len(batch)), params, lam, cfg)
         h = 1e-6
         fd = np.empty_like(params.theta)
@@ -533,13 +543,11 @@ class TestPpolSurrogate:
         batch = one_step_batch(params, samples, rho=np.full(10, 1.3))
         lam = 0.8
         cfg = PpolConfig()
-        g = ppol_surrogate_grad(
-            batch, np.arange(len(batch)), params, np.array([lam]), cfg
-        )
+        g = ppol_surrogate_grad(batch, np.arange(len(batch)), params, lam, cfg)
         want = np.zeros_like(params.theta)
         for i in range(10):
             score = policy_grad_log_prob(params, batch.states[i], batch.actions[i])
-            want += -lam * 1.3 * batch.adv_c[i, 0] * score
+            want += -lam * 1.3 * batch.adv_c[i] * score
         want /= 10 * (1.0 + lam)
         np.testing.assert_allclose(g, want, rtol=1e-10, atol=1e-12)
 
@@ -548,9 +556,7 @@ class TestPpolSurrogate:
         # flat clipped branch: zero gradient from the reward part
         params = self._params()
         batch = one_step_batch(params, [(0, 1, 2.0, 0.0)], rho=np.array([1.5]))
-        g = ppol_surrogate_grad(
-            batch, np.arange(len(batch)), params, np.array([0.0]), PpolConfig()
-        )
+        g = ppol_surrogate_grad(batch, np.arange(len(batch)), params, 0.0, PpolConfig())
         np.testing.assert_array_equal(g, np.zeros_like(params.theta))
 
 
@@ -564,7 +570,7 @@ class TestAdvantageBatchAssembly:
             rng.integers(0, 3, size=(n, t + 1)),
             rng.integers(0, 2, size=(n, t)),
             rng.normal(size=(n, t)),
-            rng.random((n, t, 1)),
+            rng.random((n, t)),
         )
         return params, rollouts
 
@@ -607,7 +613,7 @@ class TestAdvantageBatchAssembly:
             np.tile([0, 1], (6, 1)),
             np.ones((6, 1), dtype=np.int64),
             rng.normal(size=(6, 1)),
-            rng.random((6, 1, 1)),
+            rng.random((6, 1)),
         )
         cfg = PpolConfig(gae_lambda=1.0)
         values_plain = np.zeros((6, 2, 2))
@@ -619,12 +625,12 @@ class TestAdvantageBatchAssembly:
         np.testing.assert_allclose(a.adv_r, b.adv_r, rtol=1e-12, atol=1e-12)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            AdvantageBatch([0], [0], np.array([np.nan]), np.ones(1), np.ones((1, 1)))
+        with pytest.raises(NonFiniteError):
+            AdvantageBatch([0], [0], np.array([np.nan]), np.ones(1), np.ones(1))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            AdvantageBatch([0, 1], [0], np.zeros(2), np.zeros(2), np.zeros((2, 1)))
+            AdvantageBatch([0, 1], [0], np.zeros(2), np.zeros(2), np.zeros(2))
 
 
 def reference_backward_sums(x, decay):
@@ -686,12 +692,11 @@ def reference_surrogate_grad(batch, params, lam, cfg):
     """The surrogate gradient of a minibatch copy by the separate chain:
     policy_log_probs, the ratios, then policy_score_sum on the rows whose
     coefficient is nonzero."""
-    lam = float(lam[0])
     lp = policy_log_probs(params, batch.states, batch.actions)
     rho = np.exp(lp - batch.log_prob_old)
     clipped = np.clip(rho, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
     active = rho * batch.adv_r <= clipped * batch.adv_r
-    coeff = (active * rho * batch.adv_r - lam * rho * batch.adv_c[:, 0]) / (1.0 + lam)
+    coeff = (active * rho * batch.adv_r - lam * rho * batch.adv_c) / (1.0 + lam)
     nz = np.flatnonzero(coeff)
     grad = policy_score_sum(params, batch.states[nz], batch.actions[nz], coeff[nz])
     return grad / len(batch)
@@ -722,7 +727,7 @@ def random_advantage_batch(params, n, seed):
     rho = rng.uniform(0.5, 1.6, size=n)
     lp_old = policy_log_probs(params, states, actions) - np.log(rho)
     adv_r = rng.normal(size=n)
-    adv_c = rng.normal(size=(n, 1))
+    adv_c = rng.normal(size=n)
     return AdvantageBatch(states, actions, lp_old, adv_r, adv_c)
 
 
@@ -738,7 +743,6 @@ class TestFusedSurrogateGrad:
         )
         batch = random_advantage_batch(params, 300, seed=2)
         cfg = PpolConfig(clip_ratio=0.2)
-        lam = np.array([lam])
         order = np.random.default_rng(3).permutation(len(batch))
         zero_rows = 0
         for rows in (order[:128], order[128:256], order[256:], order[:1], order):
@@ -750,15 +754,14 @@ class TestFusedSurrogateGrad:
             rho = np.exp(lp - sub.log_prob_old)
             clipped = np.clip(rho, 0.8, 1.2)
             zero_rows += int((rho * sub.adv_r > clipped * sub.adv_r).sum())
-        if lam[0] == 0.0:
+        if lam == 0.0:
             assert zero_rows > 0  # clipped rows have coefficient zero
 
     def test_all_rows_clipped_gives_zero(self):
         params = PolicyParams(TabularSoftmax(2, 2), np.zeros(4))
         samples = [(0, 1, 2.0, 0.0), (1, 0, -1.0, 0.0)]
         batch = one_step_batch(params, samples, rho=np.array([1.5, 0.5]))
-        lam = np.array([0.0])
-        got = ppol_surrogate_grad(batch, np.arange(2), params, lam, PpolConfig())
+        got = ppol_surrogate_grad(batch, np.arange(2), params, 0.0, PpolConfig())
         assert same_bits(got, np.zeros(4))
 
 
@@ -809,16 +812,16 @@ class TestPpolRunMatchesReference:
             seed=3,
             ppol=ppol,
         )
-        return cmdp, ConstraintSpec(np.array([limit])), cfg
+        return cmdp, limit, cfg
 
     @pytest.mark.parametrize("task", ["point-run", "grid"])
     def test_record_equals_reference(self, task, monkeypatch):
-        cmdp, spec, cfg = self.setup(task)
-        got = papd_run(cmdp, spec, cfg)
+        cmdp, limit, cfg = self.setup(task)
+        got = papd_run(cmdp, limit, cfg)
         monkeypatch.setattr(solver, "_ppol_update", reference_ppol_step)
         monkeypatch.setattr(solver, "backward_sums", reference_backward_sums)
         monkeypatch.setattr(lagrangian, "backward_sums", reference_backward_sums)
-        want = papd_run(cmdp, spec, cfg)
+        want = papd_run(cmdp, limit, cfg)
         for name in ("thetas", "lambdas", "etas", "returns", "costs"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.lambdas.max() > 0.0  # the penalty term takes part

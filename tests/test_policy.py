@@ -26,9 +26,18 @@ from apdual.policy import (
     policy_grad_log_prob,
     policy_log_prob,
     policy_log_probs,
-    policy_score_sum,
+    policy_sample_terms,
     softmax_table,
 )
+
+
+def policy_score_sum(params, states, actions, weights):
+    """sum_i weights[i] * d/dtheta log pi_theta(a_i|s_i), shaped like theta:
+    policy_sample_terms' score sum over all rows, added in sample order from
+    zero, so it equals the sequential ``grad += weights[i] * score_i`` bit
+    for bit."""
+    _, score_sum = policy_sample_terms(params, states, actions)
+    return score_sum(None, weights)
 
 
 def fd_grad(params, state, action, h=1e-6):

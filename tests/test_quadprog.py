@@ -68,7 +68,7 @@ class TestDefaultInstance:
         c = quad_testbed(0.5).smoothness()
         assert c.l_r == pytest.approx(1.0)
         assert c.mu == pytest.approx(1.0)
-        np.testing.assert_allclose(c.l_c, [1.0])
+        assert c.l_c == pytest.approx(1.0)
 
 
 class TestInactiveConstraint:

@@ -26,7 +26,7 @@ from apdual.cmdp import (
     VectorStep,
     sample_trajectory,
 )
-from apdual.duals import PidGains, project_nonneg
+from apdual.duals import PidGains
 from apdual.envs import (
     GridworldSpec,
     PointEnvConfig,
@@ -35,7 +35,7 @@ from apdual.envs import (
     make_point_env,
 )
 from apdual.harness import certificate_json, record_to_csv
-from apdual.lagrangian import ConstraintSpec, PpolConfig
+from apdual.lagrangian import PpolConfig
 from apdual.policy import LinearGaussian, TabularSoftmax, init_params
 from apdual.quadprog import dual_values_batch, quad_kkt_solve, quad_make, quad_testbed
 from apdual.schedules import LrSchedule, SmoothnessConstants
@@ -81,7 +81,7 @@ class TestApdRun:
         prog = quad_testbed(0.5)
         sol = quad_kkt_solve(prog)
         cfg = exact_cfg(
-            iterations=100, theta0=sol.theta_star, lambda0=np.array([sol.lambda_star])
+            iterations=100, theta0=sol.theta_star, lambda0=sol.lambda_star
         )
         rec = apd_run(prog, cfg)
         np.testing.assert_allclose(rec.final_theta, sol.theta_star, atol=1e-9)
@@ -116,7 +116,7 @@ class TestApdRun:
 
     def test_schedule_constants_mismatch_rejected(self):
         prog = quad_testbed(0.5)
-        wrong = SmoothnessConstants(l_r=3.0, l_c=np.array([1.0]), mu=1.0)
+        wrong = SmoothnessConstants(l_r=3.0, l_c=1.0, mu=1.0)
         cfg = SolverConfig(
             iterations=5,
             schedule=LrSchedule("invlin-exact", constants=wrong),
@@ -176,17 +176,12 @@ def reference_apd_run(problem, cfg):
     sched = cfg.schedule
     if sched.variant.endswith("-exact"):
         sched = dataclasses.replace(sched, constants=problem.smoothness())
-    spec = problem.constraint_spec()
     theta = (
         np.zeros(problem.dim)
         if cfg.theta0 is None
         else np.asarray(cfg.theta0, dtype=float).copy()
     )
-    lam = (
-        np.zeros(1)
-        if cfg.lambda0 is None
-        else np.atleast_1d(np.asarray(cfg.lambda0, dtype=float)).copy()
-    )
+    lam = np.zeros(1) if cfg.lambda0 is None else np.array([cfg.lambda0], dtype=float)
     k_iter = cfg.iterations
     thetas = np.empty((k_iter + 1, theta.size))
     lambdas = np.empty((k_iter + 1, 1))
@@ -202,7 +197,7 @@ def reference_apd_run(problem, cfg):
         j_c = problem.j_c(theta)
         returns[k] = problem.j_r(theta)
         costs[k] = j_c
-        lam = project_nonneg(lam + cfg.zeta * (j_c - spec.limits))
+        lam = np.maximum(lam + cfg.zeta * (j_c - problem.limit), 0.0)
     thetas[k_iter] = theta
     lambdas[k_iter] = lam
     return thetas, lambdas, etas, returns, costs
@@ -241,7 +236,7 @@ class TestFloatLoopMatchesReference:
             schedule=LrSchedule("invqua-practical", h1=0.5, h2=2.0)
         ),
         "lambda0": dict(
-            schedule=LrSchedule("invlin-exact"), lambda0=np.array([1.7])
+            schedule=LrSchedule("invlin-exact"), lambda0=1.7
         ),
         "theta0": dict(schedule=LrSchedule("invlin-exact"), theta0="given"),
     }
@@ -259,7 +254,7 @@ class TestFloatLoopMatchesReference:
         assert rec.lambdas.max() > 0.0  # the constraint binds at some point
 
     def test_lambda0_validation(self):
-        for bad in ([-0.1], [0.1, 0.2], [math.nan], [math.inf]):
+        for bad in (-0.1, math.nan, math.inf, [0.5], [0.1, 0.2], np.array([1.0])):
             with pytest.raises(ValueError, match="lambda0"):
                 apd_run(quad_testbed(0.5), exact_cfg(iterations=3, lambda0=bad))
 
@@ -321,7 +316,7 @@ class TestRepeatFastForward:
             prog, exact_cfg(variant, iterations=2000)
         )
         cfg = exact_cfg(
-            variant, iterations=50, theta0=thetas[-1], lambda0=lambdas[-1]
+            variant, iterations=50, theta0=thetas[-1], lambda0=lambdas[-1, 0]
         )
         want = reference_apd_run(prog, cfg)
         assert first_repeat(*want[:2]) == (1, 1)
@@ -414,7 +409,7 @@ class TestBoundCertificates:
         # be flagged and excluded, not scored
         prog = quad_testbed(0.5)
         rec = apd_run(prog, exact_cfg("invlin-exact", iterations=40))
-        lied = SmoothnessConstants(l_r=0.3, l_c=np.array([0.3]), mu=0.3)
+        lied = SmoothnessConstants(l_r=0.3, l_c=0.3, mu=0.3)
         cert = verify_bounds(rec, prog, constants=lied)
         n_flagged = int(cert.flags["eps-invlin"].sum())
         assert n_flagged > 0
@@ -461,9 +456,9 @@ class TestFeasibility:
     def test_running_average_settles_below_limit(self):
         prog = quad_testbed(0.5)
         rec = apd_run(prog, exact_cfg(iterations=2000))
-        report = feasibility_check(rec, prog.constraint_spec())
+        report = feasibility_check(rec, prog.limit)
         assert report.passed
-        assert report.full_avg[0] <= 0.5 + 1e-2
+        assert report.full_avg <= 0.5 + 1e-2
         assert report.envelope_ok
 
     def test_envelope_exact_while_unclipped(self):
@@ -472,7 +467,7 @@ class TestFeasibility:
         prog = quad_testbed(0.5)
         cfg = exact_cfg(iterations=50, theta0=np.array([2.0, 2.0]))
         rec = apd_run(prog, cfg)
-        report = feasibility_check(rec, prog.constraint_spec())
+        report = feasibility_check(rec, prog.limit)
         ascending = rec.lambdas[1:, 0] > 0.0
         first = np.flatnonzero(~ascending)
         upto = int(first[0]) if first.size else rec.iterations
@@ -485,21 +480,20 @@ class TestFeasibility:
         lambdas = np.zeros((4, 1))
         etas = np.zeros(3)
         returns = np.zeros(3)
-        spec = ConstraintSpec(np.array([1.0]))
         high = RunRecord(
             thetas, lambdas, etas, returns, np.full((3, 1), 1.05), {"kind": "x"}
         )
         low = RunRecord(
             thetas, lambdas, etas, returns, np.full((3, 1), 1.005), {"kind": "x"}
         )
-        assert not feasibility_check(high, spec).passed
-        assert feasibility_check(low, spec).passed
+        assert not feasibility_check(high, 1.0).passed
+        assert feasibility_check(low, 1.0).passed
 
     def test_window_validation(self):
         prog = quad_testbed(0.5)
         rec = apd_run(prog, exact_cfg(iterations=10))
         with pytest.raises(ValueError):
-            feasibility_check(rec, prog.constraint_spec(), window=0.0)
+            feasibility_check(rec, prog.limit, window=0.0)
 
 
 def papd_cfg(iterations=40, seed=0, **kw):
@@ -519,7 +513,7 @@ class TestPapdRun:
     def setup_method(self):
         self.spec_grid = default_hazard_gridworld()
         self.cmdp = make_gridworld(self.spec_grid)
-        self.constraint = ConstraintSpec(np.array([10.0]))
+        self.constraint = 10.0
 
     def test_deterministic(self):
         a = papd_run(self.cmdp, self.constraint, papd_cfg())
@@ -548,7 +542,7 @@ class TestPapdRun:
             width=5, height=3, start_cell=5, goal_cell=9, hazard_cells=()
         )
         cmdp = make_gridworld(safe)
-        rec = papd_run(cmdp, ConstraintSpec(np.array([10.0])), papd_cfg(iterations=150))
+        rec = papd_run(cmdp, 10.0, papd_cfg(iterations=150))
         assert np.all(rec.lambdas == 0.0)
         assert rec.returns[-20:].mean() > rec.returns[:20].mean()
 
@@ -613,14 +607,8 @@ class TestPapdRun:
                     sampling=SamplingConfig(4, 10),
                 ),
             )
-        with pytest.raises(ValueError, match="single-constraint"):
-            papd_run(
-                self.cmdp,
-                ConstraintSpec(np.array([1.0, 2.0])),
-                papd_cfg(iterations=5),
-            )
 
-    @pytest.mark.parametrize("bad", [[math.nan], [-1.0], [0.5, 0.5]])
+    @pytest.mark.parametrize("bad", [[math.nan], [-1.0], [0.5, 0.5], math.nan, -1.0])
     def test_lambda0_validation(self, bad):
         with pytest.raises(ValueError, match="lambda0"):
             papd_run(self.cmdp, self.constraint, papd_cfg(iterations=3, lambda0=bad))
@@ -641,7 +629,7 @@ class TestPapdPointPpol:
             seed=seed,
             ppol=PpolConfig(minibatch_size=256, epochs=4),
         )
-        return papd_run(cmdp, ConstraintSpec(np.array([2.0])), cfg)
+        return papd_run(cmdp, 2.0, cfg)
 
     def test_finite_repeatable_and_equal_to_per_step_sampling(self, monkeypatch):
         cmdp = make_point_env("run", PointEnvConfig(noise_std=0.05))
@@ -697,7 +685,6 @@ def nan_signal_cmdp(signal: str, bad_call: int) -> Cmdp:
 
     return Cmdp(
         gamma=0.9,
-        n_costs=1,
         cost_bound=1.0,
         initial_state=0,
         vector_step=VectorStep(0, lambda s, a, z: np.minimum(s + 1, 9), signals),
@@ -728,7 +715,7 @@ class TestNonFinite:
         )
         want = r"seed 4, iteration 3: non-finite rewards at index \(1, 3\)"
         with pytest.raises(NonFiniteError, match=want):
-            papd_run(cmdp, ConstraintSpec(np.array([1.0])), cfg)
+            papd_run(cmdp, 1.0, cfg)
 
     @pytest.mark.parametrize("promote", ["warnings", "errstate"])
     def test_underflow_is_not_reported_as_non_finite(self, promote):
@@ -740,18 +727,18 @@ class TestNonFinite:
         theta = np.zeros_like(cfg.theta0.theta)
         theta[::4] = -800.0
         cfg = dataclasses.replace(cfg, theta0=cfg.theta0.replace_theta(theta))
-        spec = ConstraintSpec(np.array([10.0]))
-        rec = papd_run(cmdp, spec, cfg)
+        limit = 10.0
+        rec = papd_run(cmdp, limit, cfg)
         assert np.isfinite(rec.thetas).all() and np.isfinite(rec.returns).all()
         want = "seed 2, iteration 0: underflow encountered in exp"
         with warnings.catch_warnings(), pytest.raises(FloatingPointError, match=want):
             if promote == "warnings":
                 warnings.simplefilter("error")
                 with np.errstate(under="warn"):
-                    papd_run(cmdp, spec, cfg)
+                    papd_run(cmdp, limit, cfg)
             else:
                 with np.errstate(under="raise"):
-                    papd_run(cmdp, spec, cfg)
+                    papd_run(cmdp, limit, cfg)
 
     def test_papd_run_rejects_non_finite_theta(self):
         cmdp = make_point_env("circle", PointEnvConfig(noise_std=0.05))
@@ -764,7 +751,7 @@ class TestNonFinite:
         )
         want = "seed 5, iteration 0: non-finite theta"
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=want):
-            papd_run(cmdp, ConstraintSpec(np.array([5.0])), cfg)
+            papd_run(cmdp, 5.0, cfg)
 
 
 class TestSolverConfigValidation:
