@@ -177,6 +177,8 @@ class GridworldSpec:
             raise ValueError("goal cell cannot be a hazard")
         if not 0.0 <= self.slip_prob < 1.0:
             raise ValueError("slip_prob must lie in [0, 1)")
+        if not self.hazard_cost >= 0.0:
+            raise ValueError(f"hazard_cost must be >= 0, got {self.hazard_cost!r}")
         object.__setattr__(self, "hazard_cells", tuple(sorted(set(self.hazard_cells))))
 
     @property

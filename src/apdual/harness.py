@@ -25,9 +25,10 @@ A config is a JSON object with a versioned ``schema_version`` (currently 1):
     }
 
 Unknown keys, PID gains that are not finite numbers, seeds outside
-[0, 2^32), a testbed cost_limit <= 0 (no Slater point) and non-empty
-sections that the run would not read are rejected with a ConfigError naming
-them; bad task_params values too, when the run builds its environment.
+[0, 2^32), a testbed cost_limit <= 0 (no Slater point), a sampled-task
+cost_limit < 0 (no feasible policy) and non-empty sections that the run
+would not read are rejected with a ConfigError naming them; bad task_params
+values too, when the run builds its environment.
 
 Each seed produces runs/seed_<s>.csv with the fixed column order step,
 return, cost, lr, lambda (floats emitted with repr, so parsing round-trips
@@ -213,6 +214,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         task != "testbed" or cost_limit > 0.0,
         f"cost_limit: the testbed needs a positive limit, got {cost_limit!r}"
         " (J_C = 1/2 |theta|^2 >= 0 leaves no Slater point)",
+    )
+    # A sampled step costs 0 or more (a point task's indicators, a grid's 0
+    # or hazard_cost >= 0), so J_C >= 0 and no policy meets d < 0.  d = 0 is
+    # met by a policy that never pays a cost.
+    _require(
+        task == "testbed" or cost_limit >= 0.0,
+        f"cost_limit: the {task} task needs a nonnegative limit, got"
+        f" {cost_limit!r} (every step cost is >= 0, so no policy meets it)",
     )
     gamma = raw.get("gamma", 0.99)
     _require(
@@ -424,17 +433,17 @@ def record_to_csv(record: RunRecord) -> str:
     The text of f"{float(x)!r}" per value.  Only the rows before the end of
     the record's cycle (all rows of a record without one) are formatted, and
     their texts are gathered by cycle_index behind the step numbers
-    _CSV_ROWS rows at a time.  Nothing is kept across calls."""
+    _CSV_ROWS rows at a time, each chunk in one formatting pass.  Nothing is
+    kept across calls."""
     k_iter = record.iterations
     idx, end = cycle_index(k_iter, record.cycle)
     cols = (record.returns, record.costs[:, 0], record.etas, record.lambdas[:, 0])
     values = np.stack([col[:end] for col in cols], dtype=float)
-    tails = list(map(",".join, zip(*(map(repr, col) for col in values.tolist()))))
+    tails = [f"{r!r},{c!r},{e!r},{lam!r}" for r, c, e, lam in zip(*values.tolist())]
     parts = [",".join(CSV_COLUMNS) + "\n"]
     for lo in range(0, k_iter, _CSV_ROWS):
         chunk = idx[lo : lo + _CSV_ROWS].tolist()
-        rows = zip(map(str, range(lo, k_iter)), map(tails.__getitem__, chunk))
-        parts.append("\n".join(map(",".join, rows)) + "\n")
+        parts.append("".join([f"{k},{tails[i]}\n" for k, i in enumerate(chunk, lo)]))
     return "".join(parts)
 
 

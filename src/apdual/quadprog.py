@@ -13,29 +13,44 @@ lambda >= 0 the Lagrangian -J_R + lambda (J_C - d) is strongly convex with
 
 and exact constants L_R = eigmax(Q), L_C = eigmax(P), mu = eigmin(Q).
 
-J_R, J_C and grad_theta L each have one fixed order of arithmetic, written
-once: form_value and lagrangian_grad add their sums left to right in index
-order, each starting from -0.0,
+J_R, J_C and grad_theta L each have one fixed order of arithmetic: every
+sum is added left to right in index order, starting from -0.0,
 
     s theta' M theta + v' theta
         = sum_j (sum_i (s theta_i) m_ij) theta_j + sum_j v_j theta_j
     grad_i = sum_j (q_ij + lambda p_ij) theta_j - b_i + lambda c_i,
 
-with (M, v, s) = (Q, b, -1/2) for J_R and (P, c, 1/2) for J_C.  The same
-code runs on Python floats for one theta and on numpy columns for a stack
-of thetas, one entry per row; each elementwise numpy operation rounds
-alone, so a stacked row equals the single call bit for bit, no multiply-add
-is fused, and no value depends on the CPU's BLAS kernel or on numpy's SIMD
-dispatch.  solver.apd_run, the QuadProgram methods, dual_values_batch and
-solver.verify_bounds all compute these quantities through them.  On the
-testbed path the only BLAS/LAPACK calls left are the linear solves for
-theta*(lambda) and the eigenvalue routines (eigvalsh for the smoothness
-constants, eigh for the Slater check).
+with (M, v, s) = (Q, b, -1/2) for J_R and (P, c, 1/2) for J_C.  One
+emitter (_grad, _form) writes that order out as straight-line Python, one
+statement or expression per sum with no loop, for each dimension n, and the
+source is compiled once per n (_kernels).  -0.0 + x is x for every x, so a
+sum is written from its first term.  The source holds names, operators and
+the kernels' argument names only: every number comes in as an argument.
+The kernels of dimension n are
+
+    lagrangian_grad(q, p, b, c, theta, lam) and form_value(m_cols, v, theta, s),
+        the program's entries as arguments (lists of rows or columns);
+    descent_step's step(theta, lam, eta) -> (theta', J_C(theta')),
+        theta' = theta - eta grad_theta L, the program's entries bound as
+        default arguments, so every program of dimension n shares one code
+        object; solver.apd_run binds it once per run.
+
+lagrangian_grad and form_value run on Python floats for one theta and on
+numpy columns for a stack of thetas, one entry per row; each elementwise
+numpy operation rounds alone, so a stacked row equals the single call bit
+for bit, no multiply-add is fused, and no value depends on the CPU's BLAS
+kernel or on numpy's SIMD dispatch.  The QuadProgram methods,
+dual_values_batch and solver.verify_bounds compute these quantities through
+them.  On the testbed path the only BLAS/LAPACK calls left are the linear
+solves for theta*(lambda) and the eigenvalue routines (eigvalsh for the
+smoothness constants, eigh for the Slater check).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,34 +119,114 @@ class QuadProgram:
 def lagrangian_grad(q: list, p: list, b: list, c: list, theta: list, lam) -> list:
     """grad_theta L with q and p as lists of rows and b and c as lists of
     floats; theta is n floats and lam a float, or theta n numpy columns and
-    lam a float or a column.  Row i adds (q_ij + lam p_ij) theta_j left to
-    right over j, then subtracts b_i and adds lam c_i.  Each sum starts from
-    -0.0, which x + -0.0 leaves unchanged for every x, signed zeros
-    included."""
-    grad = []
-    for q_i, p_i, b_i, c_i in zip(q, p, b, c):
-        row = -0.0
-        for q_ij, p_ij, t_j in zip(q_i, p_i, theta):
-            row += (q_ij + lam * p_ij) * t_j
-        grad.append(row - b_i + lam * c_i)
-    return grad
+    lam a float or a column.  The generated kernel of dimension len(theta)
+    (see the module docstring)."""
+    return _kernels(len(theta))["lagrangian_grad"](q, p, b, c, theta, lam)
 
 
 def form_value(m_cols: list, v: list, theta: list, s: float):
     """s theta' M theta + v' theta with M as a list of columns and v as a
-    list of floats; theta is n floats or n numpy columns.  u_j adds
-    (s theta_i) m_ij left to right over i; sum_j u_j theta_j and sum_j v_j
-    theta_j are each added left to right, then summed.  The sums start from
-    -0.0, as in lagrangian_grad."""
-    scaled = [s * t for t in theta]
-    quad = lin = -0.0
-    for m_j, v_j, t_j in zip(m_cols, v, theta):
-        u_j = -0.0
-        for st_i, m_ij in zip(scaled, m_j):
-            u_j += st_i * m_ij
-        quad += u_j * t_j
-        lin += v_j * t_j
-    return quad + lin
+    list of floats; theta is n floats or n numpy columns.  The generated
+    kernel of dimension len(theta) (see the module docstring)."""
+    return _kernels(len(theta))["form_value"](m_cols, v, theta, s)
+
+
+def descent_step(prog: QuadProgram):
+    """The exact loop's step for this program, ``step(theta, lam, eta) ->
+    (theta', J_C(theta'))`` with theta' = theta - eta grad_theta L(theta,
+    lam): n floats in, a tuple of n floats and a float out, the same bits
+    as lagrangian_grad followed by form_value(P columns, c, theta', 0.5).
+    The program's entries are bound as the generated code's default
+    arguments, so the code object is shared by every program of its
+    dimension."""
+    step = _kernels(prog.dim)["descent_step"]
+    consts = [0.5, *prog.q.ravel().tolist(), *prog.p.ravel().tolist()]
+    consts += prog.b.tolist() + prog.c.tolist()
+    return types.FunctionType(step.__code__, step.__globals__, None, tuple(consts))
+
+
+# The emitter.  Every kernel is written from _grad and _form, so one place
+# fixes the order of arithmetic.  Names carry their indices: q0_1 is q_01,
+# b1 is b_1 and t0 is theta_0.
+
+
+def _sum(terms: list[str]) -> str:
+    # A sum from -0.0, left to right: -0.0 + x is x for every x, signed
+    # zeros included, so the sum is written from its first term.
+    return " + ".join(terms)
+
+
+def _grad(n: int) -> list[str]:
+    """grad_i = sum_j (q_ij + lam p_ij) t_j - b_i + lam c_i for i < n."""
+    return [
+        _sum([f"(q{i}_{j} + lam * p{i}_{j}) * t{j}" for j in range(n)])
+        + f" - b{i} + lam * c{i}"
+        for i in range(n)
+    ]
+
+
+def _form(n: int, m: str, v: str, t: str, s: str) -> tuple[list[str], str]:
+    """Statements and expression of s t' M t + v' t: st_i = s t_i, u_j adds
+    st_i m_ij over i, then (sum_j u_j t_j) + (sum_j v_j t_j)."""
+    lines = [f"st{i} = {s} * {t}{i}" for i in range(n)]
+    for j in range(n):
+        lines.append(f"u{j} = " + _sum([f"st{i} * {m}{i}_{j}" for i in range(n)]))
+    quad = _sum([f"u{j} * {t}{j}" for j in range(n)])
+    lin = _sum([f"{v}{j} * {t}{j}" for j in range(n)])
+    return lines, f"({quad}) + ({lin})"
+
+
+def _unpack(names: list, value: str) -> str:
+    """``(a, b, ) = value`` for a list of names, nested for a list of rows."""
+    def target(x):
+        if isinstance(x, str):
+            return x
+        return "(" + "".join(target(y) + ", " for y in x) + ")"
+
+    return f"{target(names)} = {value}"
+
+
+def _source(n: int) -> str:
+    """The source of lagrangian_grad, form_value and descent_step of
+    dimension n >= 1."""
+    if n < 1:
+        raise ValueError(f"a kernel needs dimension n >= 1, got {n}")
+    b, c, v, t, new_t = ([f"{x}{i}" for i in range(n)] for x in "b c v t new_t".split())
+    q, p, m = ([[f"{x}{i}_{j}" for j in range(n)] for i in range(n)] for x in "qpm")
+    form_lines, form = _form(n, "m", "v", "t", "s")
+    cost_lines, cost = _form(n, "p", "c", "new_t", "half")
+    consts = ", ".join(["half", *sum(q, []), *sum(p, []), *b, *c])
+    kernels = {
+        "lagrangian_grad(q, p, b, c, theta, lam)": [
+            _unpack(q, "q"), _unpack(p, "p"), _unpack(b, "b"), _unpack(c, "c"),
+            _unpack(t, "theta"),
+            f"return [{', '.join(_grad(n))}]",
+        ],
+        "form_value(m_cols, v, theta, s)": [
+            _unpack([list(col) for col in zip(*m)], "m_cols"), _unpack(v, "v"),
+            _unpack(t, "theta"),
+            *form_lines,
+            f"return {form}",
+        ],
+        f"descent_step(theta, lam, eta, {consts})": [
+            _unpack(t, "theta"),
+            *(f"new_t{i} = t{i} - eta * ({g})" for i, g in enumerate(_grad(n))),
+            *cost_lines,
+            f"return ({''.join(x + ', ' for x in new_t)}), {cost}",
+        ],
+    }
+    return "".join(
+        f"def {head}:\n" + "".join(f"    {line}\n" for line in body)
+        for head, body in kernels.items()
+    )
+
+
+@functools.cache
+def _kernels(n: int) -> dict:
+    """The namespace of the kernels of dimension n, compiled once."""
+    namespace = {"__builtins__": {}}
+    exec(compile(_source(n), f"<quadprog kernels, n = {n}>", "exec"), namespace)
+    return namespace
 
 
 def quad_make(q, b, p, c, limit: float) -> QuadProgram:

@@ -3,16 +3,17 @@
 apd_run is the exact-gradient loop on a problem exposing closed-form J_R,
 J_C, and grad L (the quadratic testbed): one primal descent step at the
 schedule's eta(lambda_k), then projected dual ascent on g(theta_{k+1}) at
-rate cfg.zeta.  The loop runs on Python floats: theta is a list, the one
+rate cfg.zeta.  The loop runs on Python floats: theta is n floats, the one
 constraint's multiplier a float, and the ascent is
 duals.project_nonneg(lambda + zeta (J_C - d)), the projection the PID
-uses.  grad L and J_C come from quadprog.lagrangian_grad and
-quadprog.form_value on Python floats, the one fixed order of arithmetic
-that the QuadProgram methods also use, with no BLAS and so no fused
-multiply-add.  Each iteration appends its theta, lambda, eta and J_C to
-array.array('d') buffers.  The loop stops once the state (theta_k,
-lambda_k) repeats bit for bit with period 1 or 2, and the record's arrays
-are gathered from the buffers by the row index of that cycle (see apd_run).
+uses.  The descent step and J_C of the new theta come from one call of
+quadprog.descent_step's kernel, bound once per run: straight-line Python on
+floats in the one fixed order of arithmetic that the QuadProgram methods
+also use, with no BLAS and so no fused multiply-add.  Each iteration
+appends its theta, lambda, eta and J_C to array.array('d') buffers.  The
+loop stops once the state (theta_k, lambda_k) repeats bit for bit with
+period 1 or 2, and the record's arrays are gathered from the buffers by the
+row index of that cycle (see apd_run).
 J_R is not needed inside the loop and is computed once afterwards over all
 theta_{k+1} (QuadProgram.j_r on the stack, bit-equal to j_r per row).
 papd_run is the sampled variant for CMDPs: Monte-Carlo estimates, a
@@ -84,9 +85,8 @@ from .lagrangian import (
 from .policy import PolicyParams, TabularSoftmax, softmax_table
 from .quadprog import (
     QuadProgram,
+    descent_step,
     dual_values_batch,
-    form_value,
-    lagrangian_grad,
     quad_kkt_solve,
 )
 from .schedules import LrSchedule, SmoothnessConstants
@@ -237,8 +237,7 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
     theta = theta0.tolist()
     lam = _initial_multiplier(cfg.lambda0)
     zeta, limit = cfg.zeta, problem.limit
-    q, p, b, c = (a.tolist() for a in (problem.q, problem.p, problem.b, problem.c))
-    p_cols = problem.p.T.tolist()
+    step = descent_step(problem)
 
     theta_rows, lambda_rows = array("d"), array("d")
     eta_rows, cost_rows = array("d"), array("d")
@@ -264,9 +263,7 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
         lambda_rows.append(lam)
         eta = eta_of(lam)
         eta_rows.append(eta)
-        grad = lagrangian_grad(q, p, b, c, theta, lam)
-        theta = [t_i - eta * g_i for t_i, g_i in zip(theta, grad)]
-        j_c = form_value(p_cols, c, theta, 0.5)
+        theta, j_c = step(theta, lam, eta)
         cost_rows.append(j_c)
         lam = project_nonneg(lam + zeta * (j_c - limit))
     theta_rows.extend(theta)

@@ -453,6 +453,16 @@ class TestGridworldSemantics:
         with pytest.raises(ValueError):
             GridworldSpec(width=2, height=2, goal_cell=1, slip_prob=1.0)
 
+    @pytest.mark.parametrize("cost", [-1.0, -1e-300, math.nan])
+    def test_negative_hazard_cost_rejected(self, cost):
+        # a step costs 0 or hazard_cost, so a negative one would make the
+        # CMDP's costs negative
+        with pytest.raises(ValueError, match="hazard_cost"):
+            GridworldSpec(width=2, height=2, goal_cell=1, hazard_cost=cost)
+
+    def test_zero_hazard_cost_accepted(self):
+        assert GridworldSpec(width=2, height=2, goal_cell=1, hazard_cost=0.0).hazard_cost == 0.0
+
     def test_hazards_deduped_sorted(self):
         spec = GridworldSpec(width=3, height=2, goal_cell=5, hazard_cells=(4, 1, 4))
         assert spec.hazard_cells == (1, 4)

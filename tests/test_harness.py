@@ -1072,8 +1072,30 @@ class TestCli:
         assert code == 2
         assert "config error: cost_limit: " in capsys.readouterr().err
         assert not (tmp_path / "testbed_out").exists()
-        # a sampled task's cost may be 0 on average: its limit is not checked
+        # a sampled task's cost may be 0 on average: d = 0 is accepted
         assert parse_config(make_grid_raw(cost_limit=0.0)).cost_limit == 0.0
+
+    @pytest.mark.parametrize("limit", [-1.0, -1e-9])
+    @pytest.mark.parametrize("task", ["gridworld", "point-run"])
+    def test_sampled_limit_below_zero_exit_2(
+        self, tmp_path, monkeypatch, capsys, task, limit
+    ):
+        # every sampled step cost is >= 0 (an indicator on the point tasks,
+        # 0 or hazard_cost >= 0 on the grid), so J_C >= 0 and no policy
+        # meets d < 0: the config is rejected before any run
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        raw = make_grid_raw(task=task, cost_limit=limit)
+        code = main(["run", self.write_cfg(tmp_path, raw)])
+        assert code == 2
+        assert "config error: cost_limit: " in capsys.readouterr().err
+        assert not (tmp_path / "grid_out").exists()
+
+    def test_negative_hazard_cost_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        raw = make_grid_raw(task_params={"hazard_cost": -4.0})
+        code = main(["run", self.write_cfg(tmp_path, raw)])
+        assert code == 2
+        assert "config error: task_params: hazard_cost" in capsys.readouterr().err
 
     def test_run_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

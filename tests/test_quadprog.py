@@ -6,13 +6,17 @@ precision.  Gradients are checked against central finite differences at a
 tight tolerance since everything is exact arithmetic.
 """
 
+import io
 import math
+import tokenize
 
 import numpy as np
 import pytest
 
+from apdual import quadprog
 from apdual.quadprog import (
     QuadProgram,
+    descent_step,
     dual_values_batch,
     form_value,
     lagrangian_grad,
@@ -237,6 +241,118 @@ class TestStackedForms:
         assert prog.j_r(thetas).tobytes() == want_r.tobytes()
         assert prog.j_c(thetas).tobytes() == want_c.tobytes()
         assert prog.grad_lagrangian(thetas, lams).tobytes() == want_g.tobytes()
+
+
+def loop_lagrangian_grad(q, p, b, c, theta, lam):
+    """The reference order of grad L: row i adds (q_ij + lam p_ij) theta_j
+    left to right over j from -0.0, then subtracts b_i and adds lam c_i."""
+    grad = []
+    for q_i, p_i, b_i, c_i in zip(q, p, b, c):
+        row = -0.0
+        for q_ij, p_ij, t_j in zip(q_i, p_i, theta):
+            row += (q_ij + lam * p_ij) * t_j
+        grad.append(row - b_i + lam * c_i)
+    return grad
+
+
+def loop_form_value(m_cols, v, theta, s):
+    """The reference order of s theta' M theta + v' theta: u_j adds
+    (s theta_i) m_ij left to right over i from -0.0; sum_j u_j theta_j and
+    sum_j v_j theta_j are each added left to right from -0.0, then summed."""
+    scaled = [s * t for t in theta]
+    quad = lin = -0.0
+    for m_j, v_j, t_j in zip(m_cols, v, theta):
+        u_j = -0.0
+        for st_i, m_ij in zip(scaled, m_j):
+            u_j += st_i * m_ij
+        quad += u_j * t_j
+        lin += v_j * t_j
+    return quad + lin
+
+
+def as_bytes(values):
+    """The bytes of a float, a list of floats, or a list of numpy columns."""
+    return np.array(values, dtype=float).tobytes()
+
+
+def kernel_cases(n, rows=64):
+    """An asymmetric program of dimension n, rows of theta with signed-zero
+    entries, and the multipliers 0.0, -0.0 and random ones."""
+    rng = np.random.default_rng(1000 + n)
+    prog = asymmetric_program(rng, n)
+    thetas = rng.normal(size=(rows, n)) * 3.0
+    thetas[0] = 0.0
+    thetas[1] = -0.0
+    thetas[2:10, rng.integers(n)] = -0.0
+    thetas[10:18, rng.integers(n)] = 0.0
+    lams = rng.random(rows) * 4.0
+    lams[::3] = 0.0
+    lams[1::3] = -0.0
+    return prog, thetas, lams
+
+
+class TestGeneratedKernels:
+    """The generated kernels against the loops they replace, as bytes."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_floats_equal_the_loops(self, n):
+        prog, thetas, lams = kernel_cases(n)
+        q, p, b, c = (a.tolist() for a in (prog.q, prog.p, prog.b, prog.c))
+        q_cols, p_cols = prog.q.T.tolist(), prog.p.T.tolist()
+        for th, lam in zip(thetas.tolist(), lams.tolist()):
+            assert as_bytes(lagrangian_grad(q, p, b, c, th, lam)) == as_bytes(
+                loop_lagrangian_grad(q, p, b, c, th, lam)
+            )
+            for m_cols, v, s in ((q_cols, b, -0.5), (p_cols, c, 0.5)):
+                assert as_bytes(form_value(m_cols, v, th, s)) == as_bytes(
+                    loop_form_value(m_cols, v, th, s)
+                )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("lam_kind", ["column", "float"])
+    def test_columns_equal_the_loops(self, n, lam_kind):
+        prog, thetas, lams = kernel_cases(n)
+        q, p, b, c = (a.tolist() for a in (prog.q, prog.p, prog.b, prog.c))
+        cols = list(thetas.T)
+        for lam in [lams] if lam_kind == "column" else [0.0, -0.0, 1.3]:
+            assert as_bytes(lagrangian_grad(q, p, b, c, cols, lam)) == as_bytes(
+                loop_lagrangian_grad(q, p, b, c, cols, lam)
+            )
+        for m_cols, v, s in ((prog.q.T.tolist(), b, -0.5), (prog.p.T.tolist(), c, 0.5)):
+            assert as_bytes(form_value(m_cols, v, cols, s)) == as_bytes(
+                loop_form_value(m_cols, v, cols, s)
+            )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_descent_step_equals_the_loops(self, n):
+        # theta' = theta - eta grad L, then J_C(theta') with P's columns
+        prog, thetas, lams = kernel_cases(n)
+        q, p, b, c = (a.tolist() for a in (prog.q, prog.p, prog.b, prog.c))
+        p_cols = prog.p.T.tolist()
+        step = descent_step(prog)
+        etas = np.random.default_rng(n).random(len(lams))
+        for th, lam, eta in zip(thetas.tolist(), lams.tolist(), etas.tolist()):
+            grad = loop_lagrangian_grad(q, p, b, c, th, lam)
+            want = [t_i - eta * g_i for t_i, g_i in zip(th, grad)]
+            got, j_c = step(th, lam, eta)
+            assert as_bytes(got) == as_bytes(want)
+            assert as_bytes(j_c) == as_bytes(loop_form_value(p_cols, c, want, 0.5))
+
+    def test_code_is_shared_by_the_programs_of_a_dimension(self):
+        one, other = (asymmetric_program(np.random.default_rng(s)) for s in (1, 2))
+        assert descent_step(one).__code__ is descent_step(other).__code__
+        assert descent_step(one).__defaults__ != descent_step(other).__defaults__
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_source_holds_names_and_operators_only(self, n):
+        # the program's numbers come in as arguments, never as text
+        tokens = tokenize.generate_tokens(io.StringIO(quadprog._source(n)).readline)
+        kinds = {tokenize.tok_name[tok.type] for tok in tokens}
+        assert kinds <= {"NAME", "OP", "NEWLINE", "NL", "INDENT", "DEDENT", "ENDMARKER"}
+
+    def test_dimension_zero_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            form_value([], [], [], 0.5)
 
 
 class TestValidation:

@@ -258,6 +258,25 @@ class TestFloatLoopMatchesReference:
             with pytest.raises(ValueError, match="lambda0"):
                 apd_run(quad_testbed(0.5), exact_cfg(iterations=3, lambda0=bad))
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_generated_step_on_general_programs(self, n, seed):
+        # Q and P full, c nonzero and theta0 off zero: every product of the
+        # generated step is live, unlike on the testbed (Q = P = I, c = 0)
+        rng = np.random.default_rng(100 * n + seed)
+        a, e = rng.normal(size=(2, n, n))
+        prog = quad_make(
+            a @ a.T / n + 0.5 * np.eye(n), rng.normal(size=n) + 1.0,
+            e @ e.T / n + 0.1 * np.eye(n), rng.normal(size=n) * 0.5, 0.3,
+        )
+        cfg = SolverConfig(
+            iterations=300, schedule=LrSchedule("invqua-exact"), zeta=0.2,
+            theta0=rng.normal(size=n), lambda0=float(rng.random()),
+        )
+        rec = apd_run(prog, cfg)
+        assert_record_equal(rec, reference_apd_run(prog, cfg))
+        assert rec.lambdas.max() > 0.0
+
 
 def first_repeat(thetas, lambdas):
     """(k, period) of the first state (theta_k, lambda_k) whose bytes equal
