@@ -27,8 +27,9 @@ A config is a JSON object with a versioned ``schema_version`` (currently 1):
 Unknown keys, PID gains that are not finite numbers, seeds outside
 [0, 2^32), a testbed cost_limit <= 0 (no Slater point), a sampled-task
 cost_limit < 0 (no feasible policy) and non-empty sections that the run
-would not read are rejected with a ConfigError naming them; bad task_params
-values too, when the run builds its environment.
+would not read are rejected with a ConfigError naming them; task_params
+values that the environment rejects too, when run_experiment builds the
+task, before it writes any output.
 
 Each seed produces runs/seed_<s>.csv with the fixed column order step,
 return, cost, lr, lambda (floats emitted with repr, so parsing round-trips
@@ -37,7 +38,10 @@ exactly), and for testbed runs a bound certificate JSON.  summary.json holds
 "wall_clock_s", "per_seed", "aggregate", "apdual_version", "numpy_version"
 and "blas_version" (sampled runs depend on apdual's stream layout, on
 numpy's fixed bit-generator streams, NEP 19, and through their matrix
-products on the BLAS build; the exact loop's arithmetic is BLAS-free).
+products on the BLAS build; the exact loop's arithmetic and the
+certificate's linear solves call neither BLAS nor LAPACK, and only the
+eigenvalue routines behind the smoothness constants and the Slater check
+call LAPACK).
 seed_summary builds a seed's entry from one solver.feasibility_check over
 the last ``window`` fraction (default 20%) of iterations: the window
 averages "return_mean" and "cost_mean", "lambda_final", "wall_clock_s", and
@@ -91,7 +95,6 @@ from .solver import (
     RunRecord,
     SolverConfig,
     apd_run,
-    cycle_index,
     feasibility_check,
     papd_run,
     verify_bounds,
@@ -369,6 +372,22 @@ def build_gridworld_spec(params: dict) -> GridworldSpec:
         raise ConfigError(f"task_params: {exc}") from exc
 
 
+def build_task_spec(task: str, params: dict) -> GridworldSpec | PointEnvConfig | None:
+    """The environment spec a sampled task's run builds from its
+    task_params, None for the testbed; a value the environment rejects is a
+    ConfigError naming task_params."""
+    if task == "testbed":
+        return None
+    if task == "gridworld":
+        return build_gridworld_spec(params)
+    try:
+        return PointEnvConfig(
+            **{k: tuple(v) if k == "goal" else v for k, v in params.items()}
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"task_params: {exc}") from exc
+
+
 def blas_version() -> str:
     """Name and version of the BLAS numpy was built against."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -388,27 +407,21 @@ def _run_single(cfg: ExperimentConfig, seed: int) -> RunRecord:
         n_traj=int(cfg.sampling["n_traj"]), horizon=int(cfg.sampling["horizon"])
     )
     values_fn = None
+    spec = build_task_spec(cfg.task, cfg.task_params)
     if cfg.task == "gridworld":
-        grid = build_gridworld_spec(cfg.task_params)
-        cmdp = make_gridworld(grid, gamma=cfg.gamma)
-        params0 = init_params(TabularSoftmax(grid.n_cells, 4))
+        cmdp = make_gridworld(spec, gamma=cfg.gamma)
+        params0 = init_params(TabularSoftmax(spec.n_cells, 4))
         if cfg.algorithm == "papd-ppol":
             # exact tabular values for the advantage baseline
-            def values_fn(params, batch, _grid=grid):
+            def values_fn(params, batch, _grid=spec):
                 v_r, v_c = policy_state_values(
                     _grid, softmax_table(params), cfg.gamma, sampling.horizon
                 )
                 return np.stack([v_r, v_c], axis=1)[batch.states]
 
     else:
-        try:
-            point_cfg = PointEnvConfig(**{
-                k: tuple(v) if k == "goal" else v for k, v in cfg.task_params.items()
-            })
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"task_params: {exc}") from exc
         task = "run" if cfg.task == "point-run" else "circle"
-        cmdp = make_point_env(task, point_cfg, gamma=cfg.gamma)
+        cmdp = make_point_env(task, spec, gamma=cfg.gamma)
         params0 = init_params(LinearGaussian(feature_dim=4, action_dim=2))
 
     solver_cfg = SolverConfig(
@@ -424,27 +437,42 @@ def _run_single(cfg: ExperimentConfig, seed: int) -> RunRecord:
     return papd_run(cmdp, cfg.cost_limit, solver_cfg)
 
 
-_CSV_ROWS = 1024  # rows gathered per chunk, so the temporaries stay small
+def _step_texts(n: int) -> list[str]:
+    """str(k) for k < n, with no str() per k: from 100 on, the text of k is
+    the text of k // 100 followed by the two digits of k % 100."""
+    texts = [str(k) for k in range(min(n, 100))]
+    pairs = [f"{k:02d}" for k in range(100)]
+    done = 100
+    while done < n:
+        # k in [done, 100 done) has its head k // 100 in [done / 100, done).
+        heads = texts[done // 100 : min(done, -(-n // 100))]
+        texts += [head + pair for head in heads for pair in pairs]
+        done *= 100
+    del texts[n:]
+    return texts
 
 
 def record_to_csv(record: RunRecord) -> str:
     """Fixed-column CSV text; floats use repr so parsing is lossless.
 
-    The text of f"{float(x)!r}" per value.  Only the rows before the end of
-    the record's cycle (all rows of a record without one) are formatted, and
-    their texts are gathered by cycle_index behind the step numbers
-    _CSV_ROWS rows at a time, each chunk in one formatting pass.  Nothing is
-    kept across calls."""
+    The text of f"{k},{float(x)!r},...\n" per row k.  Only the rows before
+    the end of the record's cycle (all rows of a record without one) are
+    formatted, each as its ",r,c,e,lam\n" tail; from the cycle's start the
+    tails repeat the cycle's.  The step texts come from _step_texts, and the
+    two lists are interleaved and joined once.  Nothing is kept across
+    calls."""
     k_iter = record.iterations
-    idx, end = cycle_index(k_iter, record.cycle)
+    start, period = record.cycle or (k_iter, 0)
     cols = (record.returns, record.costs[:, 0], record.etas, record.lambdas[:, 0])
-    values = np.stack([col[:end] for col in cols], dtype=float)
-    tails = [f"{r!r},{c!r},{e!r},{lam!r}" for r, c, e, lam in zip(*values.tolist())]
-    parts = [",".join(CSV_COLUMNS) + "\n"]
-    for lo in range(0, k_iter, _CSV_ROWS):
-        chunk = idx[lo : lo + _CSV_ROWS].tolist()
-        parts.append("".join([f"{k},{tails[i]}\n" for k, i in enumerate(chunk, lo)]))
-    return "".join(parts)
+    values = np.stack([col[: start + period] for col in cols], dtype=float)
+    tails = [f",{r!r},{c!r},{e!r},{lam!r}\n" for r, c, e, lam in zip(*values.tolist())]
+    if period:
+        repeats = -(-(k_iter - start) // period)
+        tails[start:] = (tails[start:] * repeats)[: k_iter - start]
+    rows = [""] * (2 * k_iter)
+    rows[::2] = _step_texts(k_iter)
+    rows[1::2] = tails
+    return ",".join(CSV_COLUMNS) + "\n" + "".join(rows)
 
 
 def read_record_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -533,6 +561,7 @@ def run_experiment(cfg: ExperimentConfig | str | Path) -> ExperimentResult:
     """Run every seed, persist CSVs/summary (and testbed certificates)."""
     if not isinstance(cfg, ExperimentConfig):
         cfg = load_config(cfg)
+    build_task_spec(cfg.task, cfg.task_params)  # rejected before any output
     out_dir = resolve_output_dir(cfg)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)

@@ -13,37 +13,50 @@ lambda >= 0 the Lagrangian -J_R + lambda (J_C - d) is strongly convex with
 
 and exact constants L_R = eigmax(Q), L_C = eigmax(P), mu = eigmin(Q).
 
-J_R, J_C and grad_theta L each have one fixed order of arithmetic: every
-sum is added left to right in index order, starting from -0.0,
+J_R, J_C, grad_theta L and theta*(lambda) each have one fixed order of
+arithmetic: every sum is added left to right in index order, starting from
+-0.0, and every difference subtracts its terms left to right,
 
     s theta' M theta + v' theta
         = sum_j (sum_i (s theta_i) m_ij) theta_j + sum_j v_j theta_j
     grad_i = sum_j (q_ij + lambda p_ij) theta_j - b_i + lambda c_i,
 
-with (M, v, s) = (Q, b, -1/2) for J_R and (P, c, 1/2) for J_C.  One
-emitter (_grad, _form) writes that order out as straight-line Python, one
-statement or expression per sum with no loop, for each dimension n, and the
-source is compiled once per n (_kernels).  -0.0 + x is x for every x, so a
-sum is written from its first term.  The source holds names, operators and
-the kernels' argument names only: every number comes in as an argument.
-The kernels of dimension n are
+with (M, v, s) = (Q, b, -1/2) for J_R and (P, c, 1/2) for J_C, and
+theta*(lambda) solves A x = r, A = Q + lambda P and r = b - lambda c
+(a_ij = q_ij + lambda p_ij, r_i = b_i - lambda c_i), by an LDL'
+factorization with no square root and no pivoting (A is positive definite):
 
-    lagrangian_grad(q, p, b, c, theta, lam) and form_value(m_cols, v, theta, s),
-        the program's entries as arguments (lists of rows or columns);
+    u_ij = a_ij - sum_{k<j} u_ik l_jk,  l_ij = u_ij / d_j       (j < i)
+    d_i  = a_ii - sum_{k<i} u_ik l_ik
+    y_i  = r_i - sum_{k<i} l_ik y_k
+    x_i  = y_i / d_i - sum_{k>i} l_ki x_k                       (i descending)
+
+On the testbed A = (1 + lambda) I, so x = r / (1 + lambda) exactly.  One
+emitter (_grad, _form, _ldl) writes that order out as straight-line
+Python, one statement or expression per sum with no loop, for each
+dimension n, and the source is compiled once per n (_kernels).  -0.0 + x is
+x for every x, so a sum is written from its first term.  The source holds
+names, operators and the kernels' argument names only: every number comes
+in as an argument.  The kernels of dimension n are
+
+    lagrangian_grad(q, p, b, c, theta, lam), form_value(m_cols, v, theta, s)
+        and ldl_solve(a, r), the program's entries as arguments (lists of
+        rows or columns);
     descent_step's step(theta, lam, eta) -> (theta', J_C(theta')),
         theta' = theta - eta grad_theta L, the program's entries bound as
         default arguments, so every program of dimension n shares one code
         object; solver.apd_run binds it once per run.
 
-lagrangian_grad and form_value run on Python floats for one theta and on
-numpy columns for a stack of thetas, one entry per row; each elementwise
-numpy operation rounds alone, so a stacked row equals the single call bit
-for bit, no multiply-add is fused, and no value depends on the CPU's BLAS
-kernel or on numpy's SIMD dispatch.  The QuadProgram methods,
-dual_values_batch and solver.verify_bounds compute these quantities through
-them.  On the testbed path the only BLAS/LAPACK calls left are the linear
-solves for theta*(lambda) and the eigenvalue routines (eigvalsh for the
-smoothness constants, eigh for the Slater check).
+lagrangian_grad, form_value and ldl_solve run on Python floats for one
+theta or lambda and on numpy columns for a stack, one entry per row; each
+elementwise numpy operation rounds alone, so a stacked row equals the
+single call bit for bit, no multiply-add is fused, and no value depends on
+the CPU's BLAS kernel or on numpy's SIMD dispatch.  The QuadProgram
+methods, quad_primal_min, dual_values_batch, quad_kkt_solve and
+solver.verify_bounds compute these quantities through them.  No linear
+solve calls LAPACK: on the testbed path the only LAPACK calls are the
+eigenvalue routines (eigvalsh for the smoothness constants and quad_make's
+definiteness checks, eigh for the Slater check).
 """
 
 from __future__ import annotations
@@ -131,6 +144,15 @@ def form_value(m_cols: list, v: list, theta: list, s: float):
     return _kernels(len(theta))["form_value"](m_cols, v, theta, s)
 
 
+def ldl_solve(a: list, r: list) -> list:
+    """The solution x of A x = r for a symmetric positive definite A, a a
+    list of rows (only its lower triangle is read) and r a list, by the LDL'
+    factorization in the module docstring's order; the entries are floats,
+    or numpy columns for a stack of systems.  The generated kernel of
+    dimension len(r)."""
+    return _kernels(len(r))["ldl_solve"](a, r)
+
+
 def descent_step(prog: QuadProgram):
     """The exact loop's step for this program, ``step(theta, lam, eta) ->
     (theta', J_C(theta'))`` with theta' = theta - eta grad_theta L(theta,
@@ -145,9 +167,9 @@ def descent_step(prog: QuadProgram):
     return types.FunctionType(step.__code__, step.__globals__, None, tuple(consts))
 
 
-# The emitter.  Every kernel is written from _grad and _form, so one place
-# fixes the order of arithmetic.  Names carry their indices: q0_1 is q_01,
-# b1 is b_1 and t0 is theta_0.
+# The emitter.  Every kernel is written from _grad, _form and _ldl, so one
+# place fixes the order of arithmetic.  Names carry their indices: q0_1 is
+# q_01, b1 is b_1 and t0 is theta_0.
 
 
 def _sum(terms: list[str]) -> str:
@@ -176,6 +198,30 @@ def _form(n: int, m: str, v: str, t: str, s: str) -> tuple[list[str], str]:
     return lines, f"({quad}) + ({lin})"
 
 
+def _minus(first: str, terms: list[str]) -> str:
+    """first minus each term, left to right."""
+    return " - ".join([first, *terms])
+
+
+def _ldl(n: int) -> list[str]:
+    """Statements of the LDL' solve of a x = r into x_i, i < n."""
+    lines = []
+    for i in range(n):
+        for j in range(i):
+            u_terms = [f"u{i}_{k} * l{j}_{k}" for k in range(j)]
+            lines.append(f"u{i}_{j} = " + _minus(f"a{i}_{j}", u_terms))
+            lines.append(f"l{i}_{j} = u{i}_{j} / d{j}")
+        d_terms = [f"u{i}_{k} * l{i}_{k}" for k in range(i)]
+        lines.append(f"d{i} = " + _minus(f"a{i}_{i}", d_terms))
+    for i in range(n):
+        y_terms = [f"l{i}_{k} * y{k}" for k in range(i)]
+        lines.append(f"y{i} = " + _minus(f"r{i}", y_terms))
+    for i in reversed(range(n)):
+        x_terms = [f"l{k}_{i} * x{k}" for k in range(i + 1, n)]
+        lines.append(f"x{i} = " + _minus(f"y{i} / d{i}", x_terms))
+    return lines
+
+
 def _unpack(names: list, value: str) -> str:
     """``(a, b, ) = value`` for a list of names, nested for a list of rows."""
     def target(x):
@@ -187,12 +233,16 @@ def _unpack(names: list, value: str) -> str:
 
 
 def _source(n: int) -> str:
-    """The source of lagrangian_grad, form_value and descent_step of
-    dimension n >= 1."""
+    """The source of lagrangian_grad, form_value, descent_step and
+    ldl_solve of dimension n >= 1."""
     if n < 1:
         raise ValueError(f"a kernel needs dimension n >= 1, got {n}")
-    b, c, v, t, new_t = ([f"{x}{i}" for i in range(n)] for x in "b c v t new_t".split())
-    q, p, m = ([[f"{x}{i}_{j}" for j in range(n)] for i in range(n)] for x in "qpm")
+    b, c, v, t, new_t, r, x = (
+        [f"{name}{i}" for i in range(n)] for name in "b c v t new_t r x".split()
+    )
+    q, p, m, a = (
+        [[f"{name}{i}_{j}" for j in range(n)] for i in range(n)] for name in "qpma"
+    )
     form_lines, form = _form(n, "m", "v", "t", "s")
     cost_lines, cost = _form(n, "p", "c", "new_t", "half")
     consts = ", ".join(["half", *sum(q, []), *sum(p, []), *b, *c])
@@ -212,7 +262,12 @@ def _source(n: int) -> str:
             _unpack(t, "theta"),
             *(f"new_t{i} = t{i} - eta * ({g})" for i, g in enumerate(_grad(n))),
             *cost_lines,
-            f"return ({''.join(x + ', ' for x in new_t)}), {cost}",
+            f"return ({''.join(name + ', ' for name in new_t)}), {cost}",
+        ],
+        "ldl_solve(a, r)": [
+            _unpack(a, "a"), _unpack(r, "r"),
+            *_ldl(n),
+            f"return [{', '.join(x)}]",
         ],
     }
     return "".join(
@@ -263,9 +318,27 @@ def quad_testbed(limit: float) -> QuadProgram:
     return quad_make(eye, np.ones(2), eye, np.zeros(2), limit)
 
 
-def quad_primal_min(prog: QuadProgram, lam: float) -> np.ndarray:
-    """theta*(lambda) by direct linear solve."""
-    return np.linalg.solve(prog.q + lam * prog.p, prog.b - lam * prog.c)
+def _primal_min_solver(prog: QuadProgram):
+    """lam -> theta*(lam) as ldl_solve's n entries: the solve of (Q + lam P)
+    theta = b - lam c, floats for a float lam and numpy columns for a 1-d
+    array of multipliers.  The program's entries are read once."""
+    q, p, b, c = (x.tolist() for x in (prog.q, prog.p, prog.b, prog.c))
+
+    def solve(lam) -> list:
+        a = [
+            [q_ij + lam * p_ij for q_ij, p_ij in zip(q_i, p_i)]
+            for q_i, p_i in zip(q, p)
+        ]
+        return ldl_solve(a, [b_i - lam * c_i for b_i, c_i in zip(b, c)])
+
+    return solve
+
+
+def quad_primal_min(prog: QuadProgram, lam) -> np.ndarray:
+    """theta*(lambda) by ldl_solve: shape (n,) for a float lam, (K, n) for a
+    1-d array of K multipliers, whose row k equals the single solve at
+    lam[k] bit for bit."""
+    return np.stack(_primal_min_solver(prog)(lam), axis=-1)
 
 
 def quad_dual_value(prog: QuadProgram, lam: float) -> float:
@@ -277,15 +350,13 @@ def dual_values_batch(
     prog: QuadProgram, lams: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (d(lambda), theta*(lambda), J_C(theta*)) over a 1-d array
-    of multipliers, all solved in one stacked linear solve.
+    of multipliers, all solved in one stacked quad_primal_min.
 
-    Every row is computed alone (stacked solve, then J_R and J_C on numpy
+    Every row is computed alone (ldl_solve, then J_R and J_C on numpy
     columns), whatever else is in the batch, so row i equals
     ``dual_values_batch(prog, lams[i:i + 1])`` bit for bit."""
     lam = np.asarray(lams, dtype=float)
-    a = prog.q[None, :, :] + lam[:, None, None] * prog.p[None, :, :]
-    rhs = prog.b[None, :] - lam[:, None] * prog.c[None, :]
-    th = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
+    th = quad_primal_min(prog, lam)
     j_c = prog.j_c(th)
     d = -prog.j_r(th) + lam * (j_c - prog.limit)
     return d, th, j_c
@@ -314,8 +385,11 @@ def quad_kkt_solve(prog: QuadProgram) -> KktSolution:
     if _constraint_infimum(prog) >= prog.limit:
         raise ValueError("no Slater point: J_C cannot go below the limit")
 
+    # prog.j_c(quad_primal_min(prog, lam)) - d on Python floats.
+    solve, p_cols, c = _primal_min_solver(prog), prog.p.T.tolist(), prog.c.tolist()
+
     def violation(lam: float) -> float:
-        return prog.j_c(quad_primal_min(prog, lam)) - prog.limit
+        return form_value(p_cols, c, solve(lam), 0.5) - prog.limit
 
     if violation(0.0) <= 0.0:
         return KktSolution(quad_primal_min(prog, 0.0), 0.0, quad_dual_value(prog, 0.0))

@@ -548,15 +548,22 @@ def verify_bounds(
     )
     slack_dual = rhs_dual - lhs_dual
 
-    def error_bounds(eta):
-        rad1 = (2.0 / mu) * (big_l * delta + (big_l * eta**2 - eta) * gn_prev**2)
-        rad2 = (1.0 + eta**2 * big_l**2 - eta * mu) * delta
-        b1 = np.where(rad1 >= 0.0, l_prime * np.sqrt(np.maximum(rad1, 0.0)), np.nan)
-        b2 = np.where(rad2 >= 0.0, l_prime * np.sqrt(np.maximum(rad2, 0.0)), np.nan)
-        return b1, b2, rad1 < 0.0, rad2 < 0.0
+    def error_bound(rad):
+        """(L' sqrt(rad), NaN where rad < 0) and the flags rad < 0."""
+        bound = np.where(rad >= 0.0, l_prime * np.sqrt(np.maximum(rad, 0.0)), np.nan)
+        return bound, rad < 0.0
+
+    def invlin_bound(eta):
+        return error_bound(
+            (2.0 / mu) * (big_l * delta + (big_l * eta**2 - eta) * gn_prev**2)
+        )
+
+    def invqua_bound(eta):
+        return error_bound((1.0 + eta**2 * big_l**2 - eta * mu) * delta)
 
     # (b) per-step bounds at the eta the run actually used.
-    b1_run, b2_run, f1_run, f2_run = error_bounds(etas)
+    b1_run, f1_run = invlin_bound(etas)
+    b2_run, f2_run = invqua_bound(etas)
     slack_run_lin = b1_run - eps
     slack_run_qua = b2_run - eps
 
@@ -572,12 +579,12 @@ def verify_bounds(
 
     # Optimizer beats its 0.5x and 2x perturbations (checked at every
     # iteration; the comparison is between bound formulas, not the run).
-    b1_half, _, f1_half, _ = error_bounds(0.5 * eta1)
-    b1_double, _, f1_double, _ = error_bounds(2.0 * eta1)
-    b1_star, _, f1_star, _ = error_bounds(eta1)
-    _, b2_half, _, f2_half = error_bounds(0.5 * eta2)
-    _, b2_double, _, f2_double = error_bounds(2.0 * eta2)
-    _, b2_star, _, f2_star = error_bounds(eta2)
+    b1_half, f1_half = invlin_bound(0.5 * eta1)
+    b1_double, f1_double = invlin_bound(2.0 * eta1)
+    b1_star, f1_star = invlin_bound(eta1)
+    b2_half, f2_half = invqua_bound(0.5 * eta2)
+    b2_double, f2_double = invqua_bound(2.0 * eta2)
+    b2_star, f2_star = invqua_bound(eta2)
     ok1 = ~(f1_half | f1_double | f1_star)
     ok2 = ~(f2_half | f2_double | f2_star)
     slack_opt1 = np.where(ok1, np.minimum(b1_half, b1_double) - b1_star, np.nan)

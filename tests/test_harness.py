@@ -40,7 +40,7 @@ from apdual.harness import (
     verify_dir,
 )
 from apdual.policy import softmax_table
-from apdual.solver import RunRecord, feasibility_check
+from apdual.solver import RunRecord, cycle_index, feasibility_check
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -90,6 +90,42 @@ def synthetic_record(returns, costs, lam_final=0.25):
         returns=np.asarray(returns, dtype=float),
         costs=np.asarray(costs, dtype=float).reshape(k, 1),
         meta={"kind": "synthetic"},
+    )
+
+
+def rowwise_csv(rec):
+    """The reference CSV text of a record: one f-string per row, every
+    value through float() and repr, the rows of a cycle included."""
+    return ",".join(CSV_COLUMNS) + "\n" + "".join(
+        f"{k},{float(rec.returns[k])!r},{float(rec.costs[k, 0])!r},"
+        f"{float(rec.etas[k])!r},{float(rec.lambdas[k, 0])!r}\n"
+        for k in range(rec.iterations)
+    )
+
+
+def assert_same_bytes(got, want):
+    """got and want are the same bytes; a failure names the first line
+    that differs, not a diff of two long texts."""
+    if got.encode() != want.encode():
+        got, want = got.splitlines(), want.splitlines()
+        first = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        pytest.fail(f"{len(got)} vs {len(want)} lines, first differing line {first}")
+
+
+def cycled_record(iterations, cycle):
+    """A record of random rows, those from the cycle's start on repeating
+    the cycle's rows (cycle_index), that carries the cycle."""
+    rng = np.random.default_rng(iterations)
+    rows, _ = cycle_index(iterations + 1, cycle)
+    returns, costs, etas, lambdas = rng.normal(size=(4, iterations + 1))[:, rows]
+    return RunRecord(
+        thetas=np.zeros((iterations + 1, 2)),
+        lambdas=np.abs(lambdas).reshape(-1, 1),
+        etas=etas[:-1],
+        returns=returns[:-1],
+        costs=costs[:-1].reshape(-1, 1),
+        meta={"kind": "synthetic"},
+        cycle=cycle,
     )
 
 
@@ -272,6 +308,7 @@ class TestCsvRoundTrip:
             "equal-rows-apart",
             "signed-zero",
             "gridworld",
+            "point-run",
         ],
     )
     def test_text_equals_per_row_formula(self, kind):
@@ -282,7 +319,7 @@ class TestCsvRoundTrip:
             rec.lambdas[:, 0] = [*values, 5.0]
         elif kind == "empty":
             rec = synthetic_record([], [])
-        elif kind == "testbed":  # 2500 rows: two whole chunks of rows and a part
+        elif kind == "testbed":  # 2500 rows filled from a cycle of one
             raw = make_testbed_raw(iterations=2500)
             rec = harness._run_single(parse_config(raw), 0)
         elif kind == "testbed-period-2":  # rows filled from a cycle of two
@@ -295,18 +332,25 @@ class TestCsvRoundTrip:
             rec.costs[2, 0] = -0.0
             rec.etas[:] = [0.0, 0.0, 0.0, -0.0, 0.0]
             rec.lambdas[:, 0] = [0.0, 0.0, 0.0, 0.0, -0.0, 1.0]
-        else:  # a sampled record: 100 rows, all distinct
-            rec = harness._run_single(parse_config(make_grid_raw(iterations=100)), 0)
-        # The per-row formula record_to_csv used to write, kept as reference.
-        want = ",".join(CSV_COLUMNS) + "\n" + "".join(
-            f"{k},{float(rec.returns[k])!r},{float(rec.costs[k, 0])!r},"
-            f"{float(rec.etas[k])!r},{float(rec.lambdas[k, 0])!r}\n"
-            for k in range(rec.iterations)
-        )
-        got, want = record_to_csv(rec).splitlines(), want.splitlines()
-        first = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
-        same = got == want  # a bool, so pytest does not diff two long texts
-        assert same, f"{len(got)} vs {len(want)} lines, first differing line {first}"
+        else:  # a sampled record: every row distinct
+            raw = make_grid_raw(task=kind, iterations=100 if kind == "gridworld" else 5)
+            rec = harness._run_single(parse_config(raw), 0)
+        if kind.startswith("testbed"):
+            assert rec.cycle is not None
+        assert_same_bytes(record_to_csv(rec), rowwise_csv(rec))
+
+    @pytest.mark.parametrize("cycle", [None, (0, 1), (0, 2), (3, 1), (4, 2)])
+    @pytest.mark.parametrize("iterations", [9, 10, 99, 100, 1000, 10**4, 10**5])
+    def test_text_equals_rowwise_reference(self, iterations, cycle):
+        # step numbers across every digit boundary, with rows from a cycle
+        # of one or two, from row 0 on or later, or with no cycle
+        rec = cycled_record(iterations, cycle)
+        assert_same_bytes(record_to_csv(rec), rowwise_csv(rec))
+
+    def test_step_texts_equal_str(self):
+        want = [str(k) for k in range(10**5 + 1)]
+        for n in (0, 1, 9, 10, 11, 99, 100, 101, 9999, 10**4, 10**4 + 1, 10**5 + 1):
+            assert harness._step_texts(n) == want[:n], n
 
     def test_multi_constraint_rejected(self):
         # a record, and so its CSV, has one lambda and one cost column
@@ -1055,10 +1099,28 @@ class TestCli:
     def test_bad_gridworld_task_params_exit_2(
         self, tmp_path, monkeypatch, capsys, params
     ):
+        # the task is built and checked before any output is written
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
         code = main(["run", self.write_cfg(tmp_path, make_grid_raw(task_params=params))])
         assert code == 2
         assert "config error: task_params: " in capsys.readouterr().err
+        assert not (tmp_path / "grid_out").exists()
+
+    @pytest.mark.parametrize(
+        "task, params",
+        [("point-run", {"y_lim": 0.0}), ("point-run", {"goal": 3.0}),
+         ("point-circle", {"dt": 2.0})],
+        ids=["y_lim", "goal", "dt"],
+    )
+    def test_bad_point_task_params_exit_2(
+        self, tmp_path, monkeypatch, capsys, task, params
+    ):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        raw = make_grid_raw(task=task, task_params=params)
+        code = main(["run", self.write_cfg(tmp_path, raw)])
+        assert code == 2
+        assert "config error: task_params: " in capsys.readouterr().err
+        assert not (tmp_path / "grid_out").exists()
 
     @pytest.mark.parametrize("limit", [0.0, -0.25])
     def test_testbed_limit_without_slater_point_exit_2(
@@ -1096,6 +1158,7 @@ class TestCli:
         code = main(["run", self.write_cfg(tmp_path, raw)])
         assert code == 2
         assert "config error: task_params: hazard_cost" in capsys.readouterr().err
+        assert not (tmp_path / "grid_out").exists()
 
     def test_run_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

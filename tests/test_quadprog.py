@@ -8,6 +8,8 @@ tight tolerance since everything is exact arithmetic.
 
 import io
 import math
+import subprocess
+import sys
 import tokenize
 
 import numpy as np
@@ -20,12 +22,15 @@ from apdual.quadprog import (
     dual_values_batch,
     form_value,
     lagrangian_grad,
+    ldl_solve,
     quad_dual_value,
     quad_kkt_solve,
     quad_make,
     quad_primal_min,
     quad_testbed,
 )
+# The kernel settings of tests/test_harness.py's CPU-independence tests.
+from test_harness import CPU_VARIANTS, ON_X86_64, variant_env
 
 SQ2 = math.sqrt(2.0)
 
@@ -353,6 +358,167 @@ class TestGeneratedKernels:
     def test_dimension_zero_rejected(self):
         with pytest.raises(ValueError, match="n >= 1"):
             form_value([], [], [], 0.5)
+        with pytest.raises(ValueError, match="n >= 1"):
+            ldl_solve([], [])
+
+
+def loop_ldl_solve(a, r):
+    """The reference order of the LDL' solve: each difference subtracts its
+    terms left to right, k ascending (the module docstring's formulas)."""
+    n = len(r)
+    low, d = [], []
+    for i in range(n):
+        u = []
+        for j in range(i):
+            s = a[i][j]
+            for k in range(j):
+                s = s - u[k] * low[j][k]
+            u.append(s)
+        row = [u_j / d_j for u_j, d_j in zip(u, d)]
+        s = a[i][i]
+        for u_k, l_k in zip(u, row):
+            s = s - u_k * l_k
+        low.append(row)
+        d.append(s)
+    y = []
+    for i in range(n):
+        s = r[i]
+        for l_k, y_k in zip(low[i], y):
+            s = s - l_k * y_k
+        y.append(s)
+    x = [None] * n
+    for i in reversed(range(n)):
+        s = y[i] / d[i]
+        for k in range(i + 1, n):
+            s = s - low[k][i] * x[k]
+        x[i] = s
+    return x
+
+
+# Random programs of dimension 1 to 6: Q = G G' + I and P = H H', each
+# entry an fsum of Python float products, so no BLAS product enters and the
+# programs are the same under every kernel setting; the limit 0 leaves a
+# Slater point.  LAMS holds 0, -0.0 and repeated multipliers.
+SPD_PROGRAMS = """
+import math
+import numpy as np
+from apdual.quadprog import quad_make
+
+
+def spd_program(seed, n):
+    rng = np.random.default_rng(seed)
+    g, h = rng.normal(size=(2, n, n)).tolist()
+
+    def gram(m, shift):
+        return [[math.fsum(m[i][k] * m[j][k] for k in range(n))
+                 + (shift if i == j else 0.0) for j in range(n)] for i in range(n)]
+
+    b, c = rng.normal(size=(2, n))
+    return quad_make(gram(g, 1.0), b, gram(h, 0.0), c, 0.0)
+
+
+PROGRAMS = [spd_program(seed, n) for n in range(1, 7) for seed in range(10)]
+LAMS = np.concatenate([[0.0, -0.0, 0.3, 0.3], np.random.default_rng(0).random(12) * 5.0])
+"""
+SOLVE_DIGEST_PROBE = SPD_PROGRAMS + """
+import hashlib
+from apdual.quadprog import dual_values_batch, quad_primal_min
+digest = hashlib.sha256()
+for prog in PROGRAMS:
+    d, theta, _ = dual_values_batch(prog, LAMS)
+    digest.update(d.tobytes() + theta.tobytes())
+    digest.update(quad_primal_min(prog, 0.7).tobytes())
+print(digest.hexdigest())
+"""
+spd = {}
+exec(SPD_PROGRAMS, spd)
+# SHA-256 of SOLVE_DIGEST_PROBE's theta*(lambda) and d(lambda).
+PINNED_SOLVE_DIGEST = "335d2988b82e969dfac57d182a80ac58cfae161f79ee9d50bbf7f95cd7870004"
+
+
+def lapack_primal_min(prog, lam):
+    return np.linalg.solve(prog.q + lam * prog.p, prog.b - lam * prog.c)
+
+
+def lapack_lambda_star(prog):
+    """quad_kkt_solve's bisection with LAPACK's theta*(lambda)."""
+    def violation(lam):
+        return prog.j_c(lapack_primal_min(prog, lam)) - prog.limit
+
+    if violation(0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while violation(hi) >= 0.0:
+        hi *= 2.0
+    while hi - lo > quadprog.KKT_TOL:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if violation(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestLdlSolve:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_kernel_equals_the_loop(self, n):
+        # floats and numpy columns, bit for bit, on every random program
+        for prog in spd["PROGRAMS"][10 * (n - 1) : 10 * n]:
+            lams = spd["LAMS"]
+            a = (prog.q[None] + lams[:, None, None] * prog.p[None]).tolist()
+            r = (prog.b[None] - lams[:, None] * prog.c[None]).tolist()
+            for a_k, r_k in zip(a, r):
+                assert as_bytes(ldl_solve(a_k, r_k)) == as_bytes(loop_ldl_solve(a_k, r_k))
+            a_cols = [[np.array(col) for col in zip(*row)] for row in zip(*a)]
+            r_cols = [np.array(col) for col in zip(*r)]
+            assert as_bytes(ldl_solve(a_cols, r_cols)) == as_bytes(
+                loop_ldl_solve(a_cols, r_cols)
+            )
+
+    def test_agrees_with_lapack(self):
+        lams = spd["LAMS"]
+        for prog in spd["PROGRAMS"]:
+            d, theta, _ = dual_values_batch(prog, lams)
+            want = np.array([lapack_primal_min(prog, lam) for lam in lams])
+            np.testing.assert_allclose(theta, want, rtol=1e-12, atol=1e-12)
+            want_d = [prog.lagrangian(th, lam) for th, lam in zip(want, lams)]
+            np.testing.assert_allclose(d, want_d, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(
+                quad_primal_min(prog, 0.7), lapack_primal_min(prog, 0.7),
+                rtol=1e-12, atol=1e-12,
+            )
+            lam_star = quad_kkt_solve(prog).lambda_star
+            assert lam_star == pytest.approx(lapack_lambda_star(prog), abs=1e-12)
+
+    def test_stacked_rows_equal_single_solves(self):
+        lams = spd["LAMS"]
+        for prog in spd["PROGRAMS"]:
+            stacked = quad_primal_min(prog, lams)
+            assert stacked.shape == (lams.size, prog.dim)
+            for row, lam in zip(stacked, lams.tolist()):
+                assert row.tobytes() == quad_primal_min(prog, lam).tobytes()
+
+    def test_testbed_solve_is_a_division(self):
+        # Q + lam P = (1 + lam) I: theta* = b / (1 + lam), LAPACK's bits too
+        prog = quad_testbed(0.5)
+        lams = np.random.default_rng(5).random(200) * 10.0
+        for lam in lams.tolist():
+            want = prog.b / (1.0 + lam)
+            assert quad_primal_min(prog, lam).tobytes() == want.tobytes()
+            assert lapack_primal_min(prog, lam).tobytes() == want.tobytes()
+
+    def test_solve_digest_pinned(self, capsys):
+        exec(SOLVE_DIGEST_PROBE, {})  # the subprocesses' probe; prints the digest
+        assert capsys.readouterr().out.strip() == PINNED_SOLVE_DIGEST
+
+    @ON_X86_64
+    @pytest.mark.parametrize("variant", list(CPU_VARIANTS))
+    def test_solve_digest_independent_of_cpu_kernels(self, variant):
+        """theta*(lambda) and d(lambda) of the random programs, in a
+        subprocess under each kernel setting, give the pinned digest."""
+        proc = subprocess.run(
+            [sys.executable, "-c", SOLVE_DIGEST_PROBE],
+            env=variant_env(variant), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == PINNED_SOLVE_DIGEST, variant
 
 
 class TestValidation:
