@@ -55,6 +55,7 @@ class PointEnvConfig:
             raise ValueError("dt must lie in (0, 1]")
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be nonnegative")
+        object.__setattr__(self, "goal", tuple(self.goal))  # task_params give a list
 
 
 def _norm(x: np.ndarray) -> np.ndarray:

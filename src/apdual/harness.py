@@ -24,12 +24,18 @@ A config is a JSON object with a versioned ``schema_version`` (currently 1):
       "window": 0.2
     }
 
-Unknown keys, PID gains that are not finite numbers, seeds outside
-[0, 2^32), a testbed cost_limit <= 0 (no Slater point), a sampled-task
-cost_limit < 0 (no feasible policy) and non-empty sections that the run
-would not read are rejected with a ConfigError naming them; task_params
-values that the environment rejects too, when run_experiment builds the
-task, before it writes any output.
+parse_config builds the run's objects once, into the seedless
+SolverConfig that every seed shares (ExperimentConfig.solver): the
+LrSchedule, the ascent rate zeta or the PidGains, and for papd-* the
+SamplingConfig and, for papd-ppol, the PpolConfig.  Unknown keys, PID gains
+that are not finite numbers, seeds outside [0, 2^32), a testbed cost_limit
+<= 0 (no Slater point), a sampled-task cost_limit < 0 (no feasible policy),
+an exact schedule on a sampled task (only the testbed has the constants
+L_R, L_C and mu that its step sizes need) and non-empty sections that the
+run would not read are rejected with a ConfigError naming them; task_params
+values that the environment rejects too, when a seed's run builds the
+task.  run_experiment runs every seed before it creates the output
+directory, so a config or run error leaves nothing on disk.
 
 Each seed produces runs/seed_<s>.csv with the fixed column order step,
 return, cost, lr, lambda (floats emitted with repr, so parsing round-trips
@@ -70,7 +76,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +117,9 @@ ALGORITHMS = ("apd", "papd-reinforce", "papd-ppol")
 SCHEDULE_KEYS = {"constant": ("eta",), "invlin-exact": (), "invqua-exact": (),
                  "invlin-practical": ("h1", "h2"), "invqua-practical": ("h1", "h2")}
 PID_KEYS = {"kp": "k_p", "ki": "k_i", "kd": "k_d"}  # config key -> PidGains field
+TOP_LEVEL_KEYS = ("schema_version", "task", "algorithm", "iterations", "seeds",
+                  "cost_limit", "gamma", "schedule", "dual", "sampling", "ppol",
+                  "task_params", "output_dir", "workers", "window")
 
 
 class ConfigError(Exception):
@@ -124,6 +133,15 @@ class VerificationError(Exception):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _build(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError or TypeError a ConfigError
+    naming section."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _reject_unknown(obj: dict, known, path: str) -> None:
@@ -148,29 +166,33 @@ def _reject_booleans(value, path: str) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config.  solver is the seedless SolverConfig that every
+    seed's run copies.  schedule, dual and task_params keep their JSON
+    sections: sweep scales the schedule's numbers, and each seed's run
+    builds its environment from task_params."""
+
     task: str
-    algorithm: str
-    iterations: int
     seeds: tuple[int, ...]
     cost_limit: float
     gamma: float
     schedule: dict
     dual: dict
-    sampling: dict | None
-    ppol: dict
     task_params: dict
     output_dir: str
     workers: int
     window: float
+    solver: SolverConfig
     raw: dict = field(repr=False)
+
+    @property
+    def iterations(self) -> int:
+        return self.solver.iterations
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON object; messages name the offending field."""
     _require(isinstance(raw, dict), "top level: expected a JSON object")
-    # The keys are schema_version and the ExperimentConfig fields but raw.
-    known = {"schema_version", *ExperimentConfig.__dataclass_fields__} - {"raw"}
-    _reject_unknown(raw, known, "top level")
+    _reject_unknown(raw, TOP_LEVEL_KEYS, "top level")
     for key, value in raw.items():
         _reject_booleans(value, key)
     version = raw.get("schema_version")
@@ -234,22 +256,22 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     schedule = raw.get("schedule")
     _require(isinstance(schedule, dict), "schedule: expected an object")
-    try:
-        build_schedule(schedule)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
+    lr_schedule = _build("schedule", build_schedule, schedule)
+    # The exact rules need L_R, L_C and mu, which only the testbed has.
+    _require(
+        task == "testbed" or not lr_schedule.variant.endswith("-exact"),
+        f"schedule: the {task} task needs a practical or constant schedule",
+    )
     dual = raw.get("dual")
     _require(isinstance(dual, dict), "dual: expected an object")
-    try:
-        build_dual(dual)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"dual: {exc}") from exc
+    dual_kwargs = _build("dual", build_dual, dual)
     if algorithm == "apd":
         _require(dual.get("variant") == "ascent", "dual: apd uses the ascent variant")
     else:
         _require(dual.get("variant") == "pid", "dual: papd uses the pid variant")
 
     sampling = raw.get("sampling")
+    sampling_cfg = None
     if algorithm != "apd" or sampling is not None:
         _require(isinstance(sampling, dict), "sampling: expected an object")
         _reject_unknown(sampling, ("n_traj", "horizon"), "sampling")
@@ -258,19 +280,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 isinstance(sampling.get(key), int),
                 f"sampling: {key} must be an integer",
             )
-        try:
-            SamplingConfig(n_traj=sampling["n_traj"], horizon=sampling["horizon"])
-        except ValueError as exc:
-            raise ConfigError(f"sampling: {exc}") from exc
+        sampling_cfg = _build("sampling", SamplingConfig, **sampling)
 
     ppol = raw.get("ppol", {})
     _require(isinstance(ppol, dict), "ppol: expected an object")
     _reject_unknown(ppol, PpolConfig.__dataclass_fields__, "ppol")
-    if ppol:
-        try:
-            PpolConfig(**ppol)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"ppol: {exc}") from exc
+    ppol_cfg = _build("ppol", PpolConfig, **ppol)
     task_params = raw.get("task_params", {})
     _require(isinstance(task_params, dict), "task_params: expected an object")
     # A section the run never reads is an error, checked after its contents.
@@ -292,21 +307,25 @@ def parse_config(raw: dict) -> ExperimentConfig:
         isinstance(window, (int, float)) and 0.0 < window <= 1.0,
         "window: expected a fraction in (0, 1]",
     )
+    solver = SolverConfig(
+        iterations,
+        lr_schedule,
+        sampling=sampling_cfg,
+        ppol=ppol_cfg if algorithm == "papd-ppol" else None,
+        **dual_kwargs,
+    )
     return ExperimentConfig(
         task=task,
-        algorithm=algorithm,
-        iterations=iterations,
         seeds=tuple(seeds),
         cost_limit=float(cost_limit),
         gamma=float(gamma),
         schedule=dict(schedule),
         dual=dict(dual),
-        sampling=dict(sampling) if sampling else None,
-        ppol=dict(ppol),
         task_params=dict(task_params),
         output_dir=output_dir,
         workers=workers,
         window=float(window),
+        solver=solver,
         raw=raw,
     )
 
@@ -356,36 +375,17 @@ def build_dual(spec: dict) -> dict:
 
 
 def build_gridworld_spec(params: dict) -> GridworldSpec:
-    base = default_hazard_gridworld()
-    allowed = {
-        "width", "height", "start_cell", "goal_cell", "hazard_cells",
-        "step_reward", "goal_reward", "hazard_cost", "slip_prob",
-    }
-    unknown = set(params) - allowed
-    if unknown:
-        raise ConfigError(f"task_params: unknown gridworld fields {sorted(unknown)}")
-    kwargs = {f: getattr(base, f) for f in allowed}
-    kwargs.update(params)
-    try:
-        return GridworldSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"task_params: {exc}") from exc
+    return build_task_spec("gridworld", params)
 
 
-def build_task_spec(task: str, params: dict) -> GridworldSpec | PointEnvConfig | None:
-    """The environment spec a sampled task's run builds from its
-    task_params, None for the testbed; a value the environment rejects is a
+def build_task_spec(task: str, params: dict) -> GridworldSpec | PointEnvConfig:
+    """A sampled task's environment spec: its default spec with task_params
+    applied.  An unknown field or a value the environment rejects is a
     ConfigError naming task_params."""
-    if task == "testbed":
-        return None
-    if task == "gridworld":
-        return build_gridworld_spec(params)
-    try:
-        return PointEnvConfig(
-            **{k: tuple(v) if k == "goal" else v for k, v in params.items()}
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"task_params: {exc}") from exc
+    base = default_hazard_gridworld() if task == "gridworld" else PointEnvConfig()
+    unknown = sorted(set(params) - {f.name for f in fields(base)})
+    _require(not unknown, f"task_params: unknown {task} fields {unknown}")
+    return _build("task_params", replace, base, **params)
 
 
 def blas_version() -> str:
@@ -395,46 +395,33 @@ def blas_version() -> str:
 
 
 def _run_single(cfg: ExperimentConfig, seed: int) -> RunRecord:
-    """Run one seed; rebuilds the task so it is safe in a worker process."""
-    schedule = build_schedule(cfg.schedule)
-    dual = build_dual(cfg.dual)
-
+    """Run one seed of cfg.solver.  The environment is built per seed
+    because a Cmdp's step functions cannot be sent to a worker process."""
     if cfg.task == "testbed":
-        solver_cfg = SolverConfig(cfg.iterations, schedule, seed=seed, **dual)
-        return apd_run(quad_testbed(cfg.cost_limit), solver_cfg)
+        return apd_run(quad_testbed(cfg.cost_limit), replace(cfg.solver, seed=seed))
 
-    sampling = SamplingConfig(
-        n_traj=int(cfg.sampling["n_traj"]), horizon=int(cfg.sampling["horizon"])
-    )
     values_fn = None
     spec = build_task_spec(cfg.task, cfg.task_params)
     if cfg.task == "gridworld":
         cmdp = make_gridworld(spec, gamma=cfg.gamma)
-        params0 = init_params(TabularSoftmax(spec.n_cells, 4))
-        if cfg.algorithm == "papd-ppol":
+        theta0 = init_params(TabularSoftmax(spec.n_cells, 4))
+        if cfg.solver.ppol is not None:
             # exact tabular values for the advantage baseline
-            def values_fn(params, batch, _grid=spec):
+            horizon = cfg.solver.sampling.horizon
+
+            def values_fn(params, batch):
                 v_r, v_c = policy_state_values(
-                    _grid, softmax_table(params), cfg.gamma, sampling.horizon
+                    spec, softmax_table(params), cfg.gamma, horizon
                 )
                 return np.stack([v_r, v_c], axis=1)[batch.states]
 
     else:
         task = "run" if cfg.task == "point-run" else "circle"
         cmdp = make_point_env(task, spec, gamma=cfg.gamma)
-        params0 = init_params(LinearGaussian(feature_dim=4, action_dim=2))
+        theta0 = init_params(LinearGaussian(feature_dim=4, action_dim=2))
 
-    solver_cfg = SolverConfig(
-        iterations=cfg.iterations,
-        schedule=schedule,
-        theta0=params0,
-        sampling=sampling,
-        seed=seed,
-        ppol=PpolConfig(**cfg.ppol) if cfg.algorithm == "papd-ppol" else None,
-        values_fn=values_fn,
-        **dual,
-    )
-    return papd_run(cmdp, cfg.cost_limit, solver_cfg)
+    solver = replace(cfg.solver, seed=seed, theta0=theta0, values_fn=values_fn)
+    return papd_run(cmdp, cfg.cost_limit, solver)
 
 
 def _step_texts(n: int) -> list[str]:
@@ -561,13 +548,11 @@ def run_experiment(cfg: ExperimentConfig | str | Path) -> ExperimentResult:
     """Run every seed, persist CSVs/summary (and testbed certificates)."""
     if not isinstance(cfg, ExperimentConfig):
         cfg = load_config(cfg)
-    build_task_spec(cfg.task, cfg.task_params)  # rejected before any output
+    started = time.perf_counter()
+    records = _collect_records(cfg)  # a failing seed leaves no output
     out_dir = resolve_output_dir(cfg)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-
-    started = time.perf_counter()
-    records = _collect_records(cfg)
 
     csv_paths, cert_paths, per_seed_summary = [], [], {}
     for seed, record in zip(cfg.seeds, records):
@@ -837,7 +822,7 @@ def verify_dir(directory: str | Path) -> list[str]:
             failures.append(f"seed {seed}: certificate {differ}")
             continue
         if cert is not None and not cert.passed:
-            worst = cert.worst()
+            worst = cert.worst
             failures.append(f"seed {seed}: certificate failed, worst slacks {worst}")
             continue
         passed = "" if cert is None else ", certificate passed"

@@ -89,6 +89,11 @@ class LrSchedule:
                 rate = lambda lam: h1 / (lam + h2) ** 2
         object.__setattr__(self, "_rate", rate)
 
+    def __reduce__(self):
+        # _rate is a closure, which pickle cannot store: rebuild it from
+        # the fields, as construction does.
+        return LrSchedule, (self.variant, self.eta, self.constants, self.h1, self.h2)
+
     def _exact_rate(self):
         c = self.constants
         if c is None:

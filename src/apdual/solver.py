@@ -57,6 +57,7 @@ import struct
 import time
 from array import array
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -462,9 +463,12 @@ class BoundCertificate:
 
     @property
     def passed(self) -> bool:
-        return all(w is None or w >= -self.tol for w in self.worst().values())
+        return all(w is None or w >= -self.tol for w in self.worst.values())
 
+    @cached_property
     def worst(self) -> dict:
+        """Each check's smallest slack, None where it applies nowhere;
+        computed once per certificate."""
         out = {}
         for name, arr in self.slacks.items():
             if arr.size and not np.all(np.isnan(arr)):
@@ -481,7 +485,7 @@ class BoundCertificate:
             "g_norm": self.g_norm,
             "d_star": self.d_star,
             "lambda_star": self.lambda_star,
-            "worst_slack": self.worst(),
+            "worst_slack": self.worst,
             "flagged_iterations": {
                 name: int(flag.sum()) for name, flag in self.flags.items()
             },

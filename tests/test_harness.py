@@ -6,9 +6,11 @@ exit codes.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import platform
 import subprocess
 import sys
@@ -237,6 +239,35 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="ppol"):
             parse_config(make_grid_raw(ppol={"clip": -1.0}))
 
+    @pytest.mark.parametrize("variant", ["invlin-exact", "invqua-exact"])
+    @pytest.mark.parametrize("task", ["gridworld", "point-run", "point-circle"])
+    def test_exact_schedule_needs_the_testbed(self, task, variant):
+        # L_R, L_C and mu, which the exact step sizes need, exist only on
+        # the quadratic testbed
+        raw = make_grid_raw(task=task, schedule={"variant": variant})
+        want = f"schedule: the {task} task needs a practical or constant schedule"
+        with pytest.raises(ConfigError, match=want):
+            parse_config(raw)
+        assert parse_config(make_testbed_raw(schedule={"variant": variant}))
+
+    def test_parsed_config_holds_the_solver_config(self):
+        cfg = parse_config(make_grid_raw(algorithm="papd-ppol", ppol={"epochs": 2}))
+        solver = cfg.solver
+        assert cfg.iterations == solver.iterations == 12
+        assert (solver.schedule.h1, solver.schedule.h2) == (0.003, 3.0)
+        assert (solver.gains.k_p, solver.gains.k_i) == (0.05, 0.0005)
+        assert (solver.sampling.n_traj, solver.sampling.horizon) == (4, 12)
+        assert solver.ppol.epochs == 2 and solver.ppol.clip_ratio == 0.2
+        assert solver.seed == 0 and solver.theta0 is None
+        testbed = parse_config(make_testbed_raw()).solver
+        assert (testbed.zeta, testbed.sampling, testbed.ppol) == (0.05, None, None)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_configs_pickle(self, path):
+        # a config goes to each worker process of a workers > 1 run
+        cfg = load_config(path)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+
     @pytest.mark.parametrize(
         "section, raw",
         [
@@ -254,7 +285,7 @@ class TestParseConfig:
         # the shipped testbed configs set gamma and an empty task_params
         cfg = parse_config(make_testbed_raw(gamma=0.9, task_params={}))
         assert cfg.gamma == 0.9
-        assert parse_config(make_grid_raw(ppol={})).ppol == {}
+        assert parse_config(make_grid_raw(ppol={})).solver.ppol is None
 
     def test_gridworld_param_whitelist(self):
         spec = build_gridworld_spec({"slip_prob": 0.2})
@@ -983,11 +1014,13 @@ class TestRunExperiment:
                 [np.stack([v_r[row], v_c[row]], axis=1) for row in batch.states]
             )
 
-        solver_config = harness.SolverConfig
+        papd_run = harness.papd_run
         monkeypatch.setattr(
             harness,
-            "SolverConfig",
-            lambda **kw: solver_config(**{**kw, "values_fn": per_rollout}),
+            "papd_run",
+            lambda cmdp, limit, solver: papd_run(
+                cmdp, limit, dataclasses.replace(solver, values_fn=per_rollout)
+            ),
         )
         want = harness._run_single(cfg, 1)
         assert len(calls) == 5
@@ -1152,6 +1185,27 @@ class TestCli:
         assert "config error: cost_limit: " in capsys.readouterr().err
         assert not (tmp_path / "grid_out").exists()
 
+    def test_exact_schedule_on_a_sampled_task_exit_2(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        raw = json.loads((CONFIGS / "gridworld_papd.json").read_text())
+        raw.update(schedule={"variant": "invlin-exact"}, output_dir="grid_out")
+        code = main(["run", self.write_cfg(tmp_path, raw)])
+        assert code == 2
+        want = "config error: schedule: the gridworld task needs a practical"
+        assert want in capsys.readouterr().err
+        assert not (tmp_path / "grid_out").exists()
+
+    def test_unknown_point_task_param_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        raw = make_grid_raw(task="point-run", task_params={"goal": [1, 0], "radius": 2})
+        code = main(["run", self.write_cfg(tmp_path, raw)])
+        assert code == 2
+        want = "config error: task_params: unknown point-run fields ['radius']"
+        assert want in capsys.readouterr().err
+        assert not (tmp_path / "grid_out").exists()
+
     def test_negative_hazard_cost_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
         raw = make_grid_raw(task_params={"hazard_cost": -4.0})
@@ -1186,7 +1240,7 @@ class TestCli:
 
     def test_divergent_run_fails_loudly(self, tmp_path, monkeypatch, capsys):
         # configs/point_circle_reinforce.json goes non-finite at iteration 11
-        # on seed 0; the run must exit 3 and write no summary
+        # on seed 0; the run must exit 3 and leave no output directory
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
         raw = json.loads((CONFIGS / "point_circle_reinforce.json").read_text())
         raw.update(iterations=25, seeds=[0], output_dir="circle_out")
@@ -1194,7 +1248,7 @@ class TestCli:
             code = main(["run", self.write_cfg(tmp_path, raw)])
         assert code == 3
         assert "seed 0, iteration 11: non-finite rewards" in capsys.readouterr().err
-        assert not (tmp_path / "circle_out" / "summary.json").exists()
+        assert not (tmp_path / "circle_out").exists()
 
     def test_divergence_emits_no_runtime_warning(self):
         raw = json.loads((CONFIGS / "point_circle_reinforce.json").read_text())
@@ -1235,7 +1289,7 @@ class TestCli:
             code = main(["run", self.write_cfg(tmp_path, raw)])
         assert code == 3
         assert "seed 7, iteration 6: non-finite theta" in capsys.readouterr().err
-        assert not (tmp_path / "testbed_out" / "summary.json").exists()
+        assert not (tmp_path / "testbed_out").exists()
 
     def test_nan_never_written_to_summary(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))

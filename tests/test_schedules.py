@@ -1,5 +1,7 @@
 """Learning-rate rules: worked constants, monotonicity, and dominance."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,30 @@ class TestScheduleDispatch:
             LrSchedule("invlin-practical", h1=0.0, h2=3.0)
         with pytest.raises(ValueError):
             LrSchedule("warmup")
+
+
+C = SmoothnessConstants(l_r=1.3, l_c=0.7, mu=0.4)
+PICKLED = {
+    "constant": LrSchedule("constant", eta=2.5e-4),
+    "invlin-exact": LrSchedule("invlin-exact", constants=C),
+    "invqua-exact": LrSchedule("invqua-exact", constants=C),
+    "invlin-exact-unresolved": LrSchedule("invlin-exact"),
+    "invqua-exact-unresolved": LrSchedule("invqua-exact"),
+    "invlin-practical": LrSchedule("invlin-practical", h1=0.003, h2=3.0),
+    "invqua-practical": LrSchedule("invqua-practical", h1=0.015, h2=6.0),
+}
+
+
+@pytest.mark.parametrize("name", PICKLED)
+def test_pickle_round_trip(name):
+    # a schedule goes to each worker process of a workers > 1 run; its
+    # rate, a closure, is rebuilt from the fields
+    sched = PICKLED[name]
+    copy = pickle.loads(pickle.dumps(sched))
+    assert copy == sched
+    if sched.constants is None and sched.variant.endswith("-exact"):
+        with pytest.raises(ValueError, match="SmoothnessConstants"):
+            copy.rate(0.0)
+        return
+    for lam in (0.0, 0.25, 1.0, 3.7, 1e3):
+        assert np.float64(copy.rate(lam)).tobytes() == np.float64(sched.rate(lam)).tobytes()

@@ -401,6 +401,20 @@ class TestBoundCertificates:
         assert cert.slacks["rate"].min() >= -1e-9
         assert cert.d_star == pytest.approx(0.5 - np.sqrt(2.0), abs=1e-9)
 
+    def test_worst_slacks_computed_once(self, monkeypatch):
+        # passed, to_dict() and a failure message all read one result
+        prog = quad_testbed(0.5)
+        cert = verify_bounds(apd_run(prog, exact_cfg(iterations=50)), prog)
+        calls = []
+        nanmin = np.nanmin
+        monkeypatch.setattr(np, "nanmin", lambda a: calls.append(1) or nanmin(a))
+        assert cert.passed
+        first = len(calls)
+        assert 0 < first <= len(cert.slacks)
+        assert cert.to_dict()["worst_slack"] is cert.worst and cert.passed
+        assert len(calls) == first
+        assert cert.worst["dual-gap"] == float(nanmin(cert.slacks["dual-gap"]))
+
     def test_optimality_check_nontrivial(self):
         # away from convergence the optimizer strictly beats 2x and 0.5x
         prog = quad_testbed(0.5)
