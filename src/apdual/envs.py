@@ -107,23 +107,36 @@ def make_point_env(task: str, cfg: PointEnvConfig, gamma: float = 0.99) -> Cmdp:
     """Cmdp over states (p, v) in R^4 with actions in R^2 and one cost.
 
     The Run task starts at the origin at rest; the Circle task starts on the
-    circle at (o, 0) at rest.  The VectorStep is the dynamics ``move`` and
-    the task's ``signals``, both written over (..., 4) state arrays, so
-    ``signals`` gives the rewards and costs of a whole (n, H) batch in one
-    call.
+    circle at (o, 0) at rest.  The ``stepper`` keeps a batch's p and v in
+    contiguous (n, 2) arrays, scales its noise once, and per step adds
+    a * action_scale * dt, then the noise, to v, v * dt to p, and joins
+    them into the next state row; ``fn`` is one step of it.  ``signals``
+    gives the rewards and costs of a whole (n, H) batch in one call.
     """
     if task not in ("run", "circle"):
         raise ValueError(f"unknown point task {task!r}")
-    scale_dt = cfg.action_scale * cfg.dt
+    scale_dt, dt = cfg.action_scale * cfg.dt, cfg.dt
     noise = cfg.noise_std
     noise_dim = 2 if noise > 0.0 else 0
 
-    def move(state, action, normals):
-        v = state[..., 2:] + action * scale_dt
-        if noise > 0.0:
-            v = v + noise * normals
-        p = state[..., :2] + v * cfg.dt
-        return np.concatenate([p, v], axis=-1)
+    def stepper(states, normals):
+        p, v = states[0, ..., :2].copy(), states[0, ..., 2:].copy()
+        kicks = list(noise * normals) if noise > 0.0 else None
+        rows, tmp = list(states[1:]), np.empty_like(v)
+
+        def step(t, actions):
+            np.add(v, np.multiply(actions, scale_dt, tmp), v)
+            if kicks is not None:
+                np.add(v, kicks[t], v)
+            np.add(p, np.multiply(v, dt, tmp), p)
+            np.concatenate((p, v), axis=-1, out=rows[t])
+
+        return step
+
+    def move(states, actions, normals):
+        out = np.array([states, states], dtype=float)
+        stepper(out, np.asarray(normals)[None])(0, actions)
+        return out[1]
 
     if task == "run":
         start = np.zeros(4)
@@ -143,7 +156,7 @@ def make_point_env(task: str, cfg: PointEnvConfig, gamma: float = 0.99) -> Cmdp:
         gamma=gamma,
         cost_bound=bound,
         initial_state=start,
-        vector_step=VectorStep(noise_dim, move, signals),
+        vector_step=VectorStep(noise_dim, move, signals, stepper),
     )
 
 

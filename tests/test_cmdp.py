@@ -653,6 +653,27 @@ class TestCounterStreams:
                     i, name
                 )
 
+    @pytest.mark.parametrize("task", ["run", "circle"])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_fn_only_vector_step_batches_equal_sample_trajectory(self, task, noise):
+        # without a stepper of its own a VectorStep steps its batch with one
+        # fn call a step: the same batch as the point env's own stepper
+        cmdp = make_point_env(task, PointEnvConfig(noise_std=noise))
+        fn_only = dataclasses.replace(
+            cmdp, vector_step=dataclasses.replace(cmdp.vector_step, stepper=None)
+        )
+        params = init_params(LinearGaussian(4, 2))
+        params = params.replace_theta(np.random.default_rng(4).normal(size=10) * 0.3)
+        key, sampling = (9, 1), SamplingConfig(5, 30)
+        batch = collect_batch(fn_only, params, sampling, key)
+        own = collect_batch(cmdp, params, sampling, key)
+        for name in ("states", "actions", "rewards", "costs"):
+            assert np.array_equal(getattr(batch, name), getattr(own, name))
+        for i in range(5):
+            solo = sample_trajectory(fn_only, params, 30, key, i)
+            for name in ("states", "actions", "rewards", "costs"):
+                assert np.array_equal(getattr(batch, name)[i], getattr(solo, name)[0])
+
     def test_batch_variates_at_their_address(self):
         """A CMDP whose next state is its transition draw shows the
         variates: tabular row i at output i * H * w of counter 0, Gaussian

@@ -228,6 +228,67 @@ class TestLockstep:
                 sample_trajectory(cmdp, params, 40, 0)
 
 
+def reference_move(cfg, state, action, normals):
+    """The point dynamics as written in the module docstring, one step of
+    (n, 4) states: v' = v + a * (action_scale * dt), plus noise_std * z
+    when noise_std > 0, and p' = p + v' * dt."""
+    v = state[:, 2:] + action * (cfg.action_scale * cfg.dt)
+    if cfg.noise_std > 0.0:
+        v = v + cfg.noise_std * normals
+    return np.concatenate([state[:, :2] + v * cfg.dt, v], axis=1)
+
+
+class TestPointStepper:
+    """The point env's stepper carries p and v from step to step; its H steps
+    equal H n-row and H one-row ``fn`` calls and the reference formula bit
+    for bit, with inf and NaN propagated the same way."""
+
+    @staticmethod
+    def inputs(horizon, n):
+        rng = np.random.default_rng(13)
+        start = rng.normal(size=(n, 4)) * 3.0
+        start[0] = [1e308, -1e308, 1.7e308, -1.7e308]  # p + v dt overflows
+        start[1] = [np.nan, -0.0, np.inf, -0.0]
+        start[2] = [-0.0, 0.0, -0.0, -0.0]
+        actions = rng.normal(size=(horizon, n, 2))
+        actions[0, 2] = -0.0
+        actions[2, 3] = [1.7e308 * 9.0, -np.inf]  # v overflows, then inf - inf
+        actions[4, 4, 0] = np.nan
+        return start, actions, rng.normal(size=(horizon, n, 2))
+
+    @pytest.mark.parametrize("task", ["run", "circle"])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_steps_equal_fn_calls_bit_for_bit(self, task, noise):
+        cfg = PointEnvConfig(noise_std=noise)
+        step = make_point_env(task, cfg).vector_step
+        horizon, n, k = 8, 6, step.noise_dim
+        start, actions, normals = self.inputs(horizon, n)
+        normals = normals[:, :, :k]
+        with np.errstate(all="ignore"):
+            states = np.empty((horizon + 1, n, 4))
+            states[0] = start
+            advance = step.steps(states, normals)
+            for t in range(horizon):
+                advance(t, actions[t])
+            rows, ref = [start], [start]
+            for t in range(horizon):
+                rows.append(step.fn(rows[-1], actions[t], normals[t]))
+                ref.append(reference_move(cfg, ref[-1], actions[t], normals[t]))
+            one = [[start[i : i + 1]] for i in range(n)]
+            for i, t in np.ndindex(n, horizon):
+                one[i].append(step.fn(
+                    one[i][-1], actions[t, i : i + 1], normals[t, i : i + 1]
+                ))
+        assert np.isnan(states).any() and np.isinf(states).any()
+        for name, other in (
+            ("n-row fn", np.stack(rows)),
+            ("one-row fn", np.concatenate([np.stack(r) for r in one], axis=1)),
+            ("reference", np.stack(ref)),
+        ):
+            assert other.shape == states.shape
+            assert other.tobytes() == states.tobytes(), name
+
+
 class TestGridworldLockstep:
     """The gridworld samples tabular batches in lockstep from lookup
     tables, with or without slip; row i must be the per-step sampler's

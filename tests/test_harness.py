@@ -1250,6 +1250,23 @@ class TestCli:
         assert "seed 0, iteration 11: non-finite rewards" in capsys.readouterr().err
         assert not (tmp_path / "circle_out").exists()
 
+    def test_divergence_under_warnings_as_errors_exits_3(self, tmp_path):
+        # `python -W error`: the batch's overflow stays silenced inside its
+        # np.errstate block, so the run still stops at the finiteness check
+        raw = json.loads((CONFIGS / "point_circle_reinforce.json").read_text())
+        raw.update(iterations=25, seeds=[0], output_dir="circle_out")
+        src = str(Path(apdual.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, **{OUTPUT_ROOT_ENV: str(tmp_path)})
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "apdual.cli", "run",
+             self.write_cfg(tmp_path, raw)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "seed 0, iteration 11: non-finite rewards" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "circle_out").exists()
+
     def test_divergence_emits_no_runtime_warning(self):
         raw = json.loads((CONFIGS / "point_circle_reinforce.json").read_text())
         raw.update(iterations=25, seeds=[0])
@@ -1309,3 +1326,16 @@ class TestCli:
         assert main(["sweep", cfg, "--grid", "h1:1"]) == 0
         assert "sweep_h1.csv" in capsys.readouterr().out
         assert main(["sweep", cfg, "--grid", "bogus:1"]) == 2
+
+    def test_failing_sweep_cell_leaves_no_output(self, tmp_path, monkeypatch, capsys):
+        # eta 0.1 runs clean and eta 10 diverges; as with a failing seed of
+        # `run`, the sweep exits 3 before it writes any cell
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        raw = make_testbed_raw(seeds=[0], schedule={"variant": "constant", "eta": 0.1})
+        cfg = self.write_cfg(tmp_path, raw)
+        with np.errstate(all="ignore"):
+            assert main(["sweep", cfg, "--grid", "eta:1,100"]) == 3
+        assert "seed 0, iteration" in capsys.readouterr().err
+        assert not (tmp_path / "testbed_out").exists()
+        assert main(["sweep", cfg, "--grid", "eta:1"]) == 0
+        assert (tmp_path / "testbed_out" / "cell_eta_1" / "summary.json").exists()
