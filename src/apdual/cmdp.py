@@ -27,10 +27,9 @@ loop that does only the work that depends on the previous step: the
 actions (the mean W s_t plus action normals scaled once per batch,
 ``gaussian_actor``) and a step of the ``VectorStep.stepper``, written into
 time-major (H+1, n, F) and (H, n, A) buffers, so every step reads and
-writes contiguous rows.  The point tasks' stepper keeps p and v in
-contiguous (n, 2) arrays and scales the noise once: 0.54 ms per n = 8,
-H = 64 point-run batch, 0.74 ms with one ``fn`` call a step (2-core
-x86-64, best of 7 x 500).  A tabular batch first builds a successor table:
+writes contiguous rows; the point tasks' stepper carries p and v in (n, 2)
+arrays, 0.54 against 0.74 ms per n = 8, H = 64 batch for one ``fn`` call a
+step (2-core x86-64).  A tabular batch first builds a successor table:
 the action that each step's uniform picks in every one of the S cells,
 and, from one ``fn`` call over all S * H * n (cell, step, trajectory)
 rows, the next cell, with the offset of the next step folded in.  A step
@@ -139,11 +138,10 @@ class VectorStep:
     ``signals(s, a, s2)`` takes the (n, H[, F]) states, (n, H[, A]) actions
     and (n, H[, F]) next states of a whole batch and returns the (n, H)
     rewards and the (n, H) costs of all its steps, entry (i, t) a function
-    of step (i, t) alone.
-
-    ``stepper(states, noise)`` takes a Gaussian batch's (H+1, n, F) states,
-    row 0 set, and (H, n, noise_dim) normals and returns ``step(t, a)``,
-    which writes row t + 1 as ``fn`` would; ``steps`` makes one from ``fn``.
+    of step (i, t) alone.  ``stepper(states, noise)``, given a Gaussian
+    batch's (H+1, n, F) states, row 0 set, and (H, n, noise_dim) normals,
+    returns ``step(t, a)``; called once for each t = 0, ..., H-1 in turn,
+    it writes row t + 1 as ``fn`` would and may ignore other writes to states.
     """
 
     noise_dim: int
@@ -152,15 +150,11 @@ class VectorStep:
     stepper: Callable[[np.ndarray, np.ndarray], Callable] | None = None
 
     def steps(self, states: np.ndarray, noise: np.ndarray) -> Callable:
-        """The stepper of a batch with these state rows and normals."""
+        """The stepper of these state rows and normals, or one built on fn."""
         if self.stepper is not None:
             return self.stepper(states, noise)
         rows, fn = list(states), self.fn  # views made once
-
-        def step(t, actions):
-            rows[t + 1][...] = fn(rows[t], actions, noise[t])
-
-        return step
+        return lambda t, a: np.copyto(rows[t + 1], fn(rows[t], a, noise[t]))
 
 
 @dataclass(frozen=True, eq=False)  # identity: initial_state may be an array

@@ -108,10 +108,9 @@ def make_point_env(task: str, cfg: PointEnvConfig, gamma: float = 0.99) -> Cmdp:
 
     The Run task starts at the origin at rest; the Circle task starts on the
     circle at (o, 0) at rest.  The ``stepper`` keeps a batch's p and v in
-    contiguous (n, 2) arrays, scales its noise once, and per step adds
-    a * action_scale * dt, then the noise, to v, v * dt to p, and joins
-    them into the next state row; ``fn`` is one step of it.  ``signals``
-    gives the rewards and costs of a whole (n, H) batch in one call.
+    contiguous (n, 2) arrays, scales its noise once and per step adds
+    a * action_scale * dt, then the noise, to v and v * dt to p; ``fn`` is
+    one step of it.  ``signals`` covers a whole (n, H) batch in one call.
     """
     if task not in ("run", "circle"):
         raise ValueError(f"unknown point task {task!r}")
@@ -130,7 +129,6 @@ def make_point_env(task: str, cfg: PointEnvConfig, gamma: float = 0.99) -> Cmdp:
                 np.add(v, kicks[t], v)
             np.add(p, np.multiply(v, dt, tmp), p)
             np.concatenate((p, v), axis=-1, out=rows[t])
-
         return step
 
     def move(states, actions, normals):

@@ -550,14 +550,13 @@ def run_experiment(cfg: ExperimentConfig | str | Path) -> ExperimentResult:
         cfg = load_config(cfg)
     started = time.perf_counter()
     records = _collect_records(cfg)  # a failing seed leaves no output
-    return _write_experiment(cfg, records, time.perf_counter() - started)
+    return _write_experiment(cfg, records, started)
 
 
 def _write_experiment(
-    cfg: ExperimentConfig, records: list[RunRecord], run_s: float
+    cfg: ExperimentConfig, records: list[RunRecord], started: float
 ) -> ExperimentResult:
-    """Persist the records of cfg's seeds, which took run_s seconds."""
-    started = time.perf_counter() - run_s
+    """Persist the records of cfg's seeds, whose run began at ``started``."""
     out_dir = resolve_output_dir(cfg)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
@@ -639,38 +638,50 @@ def _cell_name(param: str, factor: float) -> str:
 def sweep(
     cfg: ExperimentConfig | str | Path, grid: str | tuple[str, list[float]]
 ) -> Path:
-    """Run one experiment per grid cell; emit a robustness table CSV.  A
-    failing cell leaves no output."""
+    """Run every grid cell's experiment, then write each and a robustness CSV."""
     if not isinstance(cfg, ExperimentConfig):
         cfg = load_config(cfg)
     param, factors = parse_grid(grid) if isinstance(grid, str) else grid
 
-    kind = "constant" if param == "eta" else "practical"  # a suffix of the variant
-    _require(
-        cfg.schedule["variant"].endswith(kind),
-        f"grid: {param} factors need a {kind} schedule",
-    )
+    variant = cfg.schedule.get("variant")
+    if param == "eta":
+        _require(variant == "constant", "grid: eta factors need a constant schedule")
+    else:
+        _require(
+            variant in ("invlin-practical", "invqua-practical"),
+            f"grid: {param} factors need a practical schedule",
+        )
     base_value = float(cfg.schedule[param])
 
-    cells = []  # every cell runs before any is written
+    cells = []
     for factor in factors:
-        cell_raw = dict(cfg.raw, schedule={**cfg.schedule, param: base_value * factor})
+        cell_schedule = dict(cfg.schedule)
+        cell_schedule[param] = base_value * factor
+        cell_raw = dict(cfg.raw)
+        cell_raw["schedule"] = cell_schedule
         cell_raw["output_dir"] = str(Path(cfg.output_dir) / _cell_name(param, factor))
         cell_cfg = parse_config(cell_raw)
         started = time.perf_counter()
         records = _collect_records(cell_cfg)
         cells.append((factor, cell_cfg, records, time.perf_counter() - started))
 
-    stats = ("return_mean", "return_std", "cost_mean", "cost_std")
-    rows = [["param", "factor", "value", *stats]]
-    for factor, cell_cfg, records, run_s in cells:
-        cell = _write_experiment(cell_cfg, records, run_s).aggregate
-        values = (factor, base_value * factor, *(cell[name] for name in stats))
-        rows.append([param] + [repr(float(v)) for v in values])
-    table = resolve_output_dir(cfg) / f"sweep_{param}.csv"
-    table.parent.mkdir(parents=True, exist_ok=True)
+    out_dir = resolve_output_dir(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for factor, cell, records, run_s in cells:
+        stats = _write_experiment(cell, records, time.perf_counter() - run_s).aggregate
+        rows.append((param, factor, base_value * factor, stats["return_mean"],
+                     stats["return_std"], stats["cost_mean"], stats["cost_std"]))
+
+    table = out_dir / f"sweep_{param}.csv"
     with open(table, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["param", "factor", "value", "return_mean", "return_std",
+             "cost_mean", "cost_std"]
+        )
+        for row in rows:
+            writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
     return table
 
 

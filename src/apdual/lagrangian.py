@@ -172,14 +172,13 @@ def advantage_batch(
     gamma: float,
     cfg: PpolConfig,
     values: np.ndarray,
-    probs: np.ndarray | None = None,
 ) -> AdvantageBatch:
     """Flatten a rollout batch into an AdvantageBatch.
 
     ``values`` is the (n, H+1, 2) array of value estimates at every state
     of the batch, the reward value and then the cost value; column H is the
-    bootstrap, and ``probs`` a tabular ``softmax_table(params_old)``.  Reward
-    and cost advantages come from one GAE pass over the whole batch,
+    bootstrap.
+    Reward and cost advantages come from one GAE pass over the whole batch,
 
         A_t = sum_l (gamma * gae_lambda)^l delta_{t+l},
         delta_t = r_t + gamma V_{t+1} - V_t.
@@ -201,7 +200,7 @@ def advantage_batch(
     return AdvantageBatch(
         flat_states,
         flat_actions,
-        policy_log_probs(params_old, flat_states, flat_actions, probs),
+        policy_log_probs(params_old, flat_states, flat_actions),
         adv_r,
         adv[:, 1],
     )
@@ -213,7 +212,6 @@ def ppol_surrogate_grad(
     params: PolicyParams,
     lam: float,
     cfg: PpolConfig,
-    probs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Ascent direction for the surrogate over the minibatch ``rows`` (an
     index array into ``batch``), the minibatch mean of
@@ -230,11 +228,12 @@ def ppol_surrogate_grad(
     The log-probs and the score sum over the rows of nonzero coefficient come
     from one policy_sample_terms call, so the minibatch is gathered,
     validated and its Gaussian means computed once; when no coefficient is
-    zero, the score sum reads the rows without a second gather.  ``probs`` is
-    a tabular ``softmax_table(params)``."""
+    zero, the score sum reads the rows without a second gather.
+    """
     # take gathers the rows as indexing does, several times faster on 2-d arrays
-    states, actions = batch.states.take(rows, axis=0), batch.actions.take(rows, axis=0)
-    lp, score_sum = policy_sample_terms(params, states, actions, probs)
+    lp, score_sum = policy_sample_terms(
+        params, batch.states.take(rows, axis=0), batch.actions.take(rows, axis=0)
+    )
     adv_r = batch.adv_r.take(rows)
     rho = np.exp(lp - batch.log_prob_old.take(rows))
     # np.clip's value, bit for bit, from two plain ufunc calls

@@ -236,7 +236,7 @@ def policy_act(params: PolicyParams, state, rng: np.random.Generator):
     return gaussian_actor(params, z[None, None])(x[None], 0)[0]
 
 
-def policy_sample_terms(params: PolicyParams, states, actions, probs=None):
+def policy_sample_terms(params: PolicyParams, states, actions):
     """Log-probs and score sums of N stacked samples from one pass over them:
     returns ``(log_probs, score_sum)``.
 
@@ -247,13 +247,13 @@ def policy_sample_terms(params: PolicyParams, states, actions, probs=None):
     zero, so the result equals the sequential ``grad += weights[j] *
     score_i`` bit for bit.  Both come from one
     validation of the samples and one residual a - W s (Gaussian) or one
-    softmax table (tabular), ``probs`` when the caller has it.  An action
-    of probability zero raises ValueError.
+    softmax table (tabular).  An action of probability zero raises
+    ValueError.
     """
     kind = params.kind
     s, a = _samples(params, states, actions)
     if isinstance(kind, TabularSoftmax):
-        probs = softmax_table(params) if probs is None else probs
+        probs = softmax_table(params)
         p = probs[s, a]
         if (p <= 0.0).any():
             raise ValueError("zero-probability action")
@@ -289,9 +289,9 @@ def policy_sample_terms(params: PolicyParams, states, actions, probs=None):
     return log_probs, score_sum
 
 
-def policy_log_probs(params: PolicyParams, states, actions, probs=None) -> np.ndarray:
+def policy_log_probs(params: PolicyParams, states, actions) -> np.ndarray:
     """log pi_theta(a_i|s_i) for N stacked samples, shape (N,)."""
-    return policy_sample_terms(params, states, actions, probs)[0]
+    return policy_sample_terms(params, states, actions)[0]
 
 
 def policy_trajectory_scores(

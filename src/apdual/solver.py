@@ -394,9 +394,9 @@ def _papd_iteration(
 ) -> tuple[PolicyParams, float, float]:
     """Primal step k of papd_run: (new params, J_R estimate, J_C estimate).
 
-    A tabular iteration computes its softmax table once, for the batch, the
-    REINFORCE scores or PPO's old log-probs and first minibatch.  Raises
-    NonFiniteError when a sample, the estimates or theta turn non-finite."""
+    A tabular iteration computes its softmax table once, for the batch's
+    actions and the REINFORCE scores alike.  Raises NonFiniteError when a
+    sample, the estimates or theta turn non-finite."""
     probs = softmax_table(params) if isinstance(params.kind, TabularSoftmax) else None
     batch = collect_batch(cmdp, params, cfg.sampling, (cfg.seed, k), probs)
     returns, cost_vals = batch_values(batch, cmdp.gamma)
@@ -407,7 +407,7 @@ def _papd_iteration(
         )
         params = params.replace_theta(params.theta - eta * grad)
     else:
-        params = _ppol_update(cmdp, params, batch, lam, cfg, eta, k, probs)
+        params = _ppol_update(cmdp, params, batch, lam, cfg, eta, k)
     require_finite("theta", params.theta)
     require_finite("return estimates", returns)
     require_finite("cost estimates", cost_vals)
@@ -424,17 +424,15 @@ def _ppol_update(
     cfg: SolverConfig,
     eta: float,
     k: int,
-    probs: np.ndarray | None,
 ) -> PolicyParams:
     """The PPO primal step of iteration k: one minibatch ascent step per
     minibatch_size slice of each epoch's shuffle order, drawn in turn from
-    the stream at key (seed, k) and SHUFFLE_COUNTER.  ``probs``, the table
-    of a tabular params, serves until the first step moves theta."""
+    the stream at key (seed, k) and SHUFFLE_COUNTER."""
     if cfg.values_fn is not None:
         values = cfg.values_fn(params, batch)
     else:
         values = _lstsq_values(cmdp, batch)
-    samples = advantage_batch(batch, params, cmdp.gamma, cfg.ppol, values, probs)
+    samples = advantage_batch(batch, params, cmdp.gamma, cfg.ppol, values)
     n = len(samples)
     mb = min(cfg.ppol.minibatch_size, n)
     shuffle = philox((cfg.seed, k), SHUFFLE_COUNTER)
@@ -442,9 +440,9 @@ def _ppol_update(
     for order in orders:
         for lo in range(0, n, mb):
             grad = ppol_surrogate_grad(
-                samples, order[lo : lo + mb], params, lam, cfg.ppol, probs
+                samples, order[lo : lo + mb], params, lam, cfg.ppol
             )
-            params, probs = params.replace_theta(params.theta + eta * grad), None
+            params = params.replace_theta(params.theta + eta * grad)
     return params
 
 

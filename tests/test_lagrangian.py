@@ -6,15 +6,12 @@ no sampling error) and a seeded Monte-Carlo run compared within standard
 errors.  Surrogate values use hand-computed clip arithmetic.
 """
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from apdual import cmdp as cmdp_module
 from apdual import lagrangian, solver
-from apdual import policy as policy_module
 from apdual.cmdp import (
     Cmdp,
     NonFiniteError,
@@ -768,12 +765,11 @@ class TestFusedSurrogateGrad:
         assert same_bits(got, np.zeros(4))
 
 
-def reference_ppol_step(cmdp, params, batch, lam, cfg, eta, k, probs=None):
+def reference_ppol_step(cmdp, params, batch, lam, cfg, eta, k):
     """The PPO primal step of iteration k with one AdvantageBatch copy per
     minibatch and the separate surrogate chain (run with
     reference_backward_sums), its shuffle orders drawn from a fresh Philox
-    Generator at key (seed, k) and the shuffle counter (0, 0, 1, 0).  It
-    ignores the shared tabular ``probs`` and computes every table itself."""
+    Generator at key (seed, k) and the shuffle counter (0, 0, 1, 0)."""
     if cfg.values_fn is not None:
         values = cfg.values_fn(params, batch)
     else:
@@ -830,26 +826,3 @@ class TestPpolRunMatchesReference:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.lambdas.max() > 0.0  # the penalty term takes part
         assert not np.array_equal(got.thetas[0], got.thetas[-1])
-
-
-def test_grid_ppol_iteration_computes_each_table_once(monkeypatch):
-    """A tabular PPO iteration shares the softmax table of its starting theta
-    among the batch, the old log-probs and the first minibatch: one table
-    per theta, so one call per minibatch step, the first at thetas[k]."""
-    cmdp, limit, cfg = TestPpolRunMatchesReference.setup("grid")
-    iterations, steps = 3, 2 * 4  # epochs x minibatches of 48 in 160 samples
-    cfg = dataclasses.replace(cfg, iterations=iterations)
-    seen = []
-
-    def counted(params):
-        seen.append(params.theta.tobytes())
-        return softmax_table(params)
-
-    for module in (policy_module, cmdp_module, solver, lagrangian):
-        monkeypatch.setattr(module, "softmax_table", counted)
-    record = papd_run(cmdp, limit, cfg)
-    assert len(seen) == iterations * steps
-    for k in range(iterations):
-        calls = seen[k * steps : (k + 1) * steps]
-        assert calls[0] == record.thetas[k].tobytes()
-        assert len(set(calls)) == steps
