@@ -14,8 +14,9 @@ appends its theta, lambda, eta and J_C to array.array('d') buffers.  The
 loop stops once the state (theta_k, lambda_k) repeats bit for bit with
 period 1 or 2, and the record's arrays are gathered from the buffers by the
 row index of that cycle (see apd_run).
-J_R is not needed inside the loop and is computed once afterwards over all
-theta_{k+1} (QuadProgram.j_r on the stack, bit-equal to j_r per row).
+J_R is not needed inside the loop and is computed once afterwards over the
+theta_{k+1} computed (QuadProgram.j_r on the stack, bit-equal to j_r per
+row), before the gather, as is the finiteness screen.
 papd_run is the sampled variant for CMDPs: Monte-Carlo estimates, a
 score-function (cfg.ppol None) or clipped-surrogate primal step at the
 practical eta(lambda_k), and a PID dual update (cfg.gains) on the estimated
@@ -206,13 +207,15 @@ def _initial_multiplier(lambda0) -> float:
 def cycle_index(rows: int, cycle: tuple[int, int] | None) -> tuple[np.ndarray, int]:
     """(idx, end) over a record's first ``rows`` rows: row m equals row
     idx[m] < end.  A RunRecord ``cycle`` (start, period) gives idx[m] =
-    start + (m - start) % period from start on and end = start + period;
-    None gives the identity and end = rows."""
+    start + (m - start) % period from start on, filled by one strided write
+    per row of the cycle, and end = start + period; None gives the identity
+    and end = rows."""
     idx = np.arange(rows)
     if cycle is None:
         return idx, rows
     start, period = cycle
-    idx[start:] = start + (idx[start:] - start) % period
+    for j in range(start, start + period):
+        idx[j::period] = j
     return idx, start + period
 
 
@@ -270,17 +273,18 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
     theta_rows.extend(theta)
     lambda_rows.append(lam)
 
-    rows, _ = cycle_index(k_iter + 1, cycle)
-    thetas = np.frombuffer(theta_rows).reshape(-1, n)[rows]
-    lambdas = np.frombuffer(lambda_rows).reshape(-1, 1)[rows]
-    etas = np.frombuffer(eta_rows)[rows[:-1]]
-    costs = np.frombuffer(cost_rows).reshape(-1, 1)[rows[:-1]]
+    # The buffers hold the rows computed, every distinct row among them; J_R
+    # and the screen run on those rows alone, before the gather.
+    theta_buf = np.frombuffer(theta_rows).reshape(-1, n)
+    cost_buf = np.frombuffer(cost_rows).reshape(-1, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        returns = problem.j_r(thetas[1:])
+        returns = problem.j_r(theta_buf[1:])
 
     # One finiteness screen for the whole run, none per iteration: row k
-    # holds theta_{k+1}, J_R and J_C, everything iteration k produced.
-    produced = np.concatenate([thetas[1:], returns[:, None], costs], axis=1)
+    # holds theta_{k+1}, J_R and J_C, everything iteration k produced.  A
+    # row past the cycle repeats one before it, so the first non-finite row
+    # is the same as in the gathered record.
+    produced = np.concatenate([theta_buf[1:], returns[:, None], cost_buf], axis=1)
     try:
         require_finite("iterates", produced)
     except NonFiniteError as exc:
@@ -290,6 +294,12 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
             f"seed {cfg.seed}, iteration {k}: non-finite {what}"
         ) from exc
 
+    rows, _ = cycle_index(k_iter + 1, cycle)
+    thetas = theta_buf.take(rows, axis=0)
+    lambdas = np.frombuffer(lambda_rows).reshape(-1, 1).take(rows, axis=0)
+    etas = np.frombuffer(eta_rows).take(rows[:-1])
+    costs = cost_buf.take(rows[:-1], axis=0)
+    returns = returns.take(rows[:-1])
     meta = {
         "kind": "apd",
         "dual": "ascent",
@@ -497,7 +507,13 @@ def verify_bounds(
     problem: QuadProgram,
     constants: SmoothnessConstants | None = None,
 ) -> BoundCertificate:
-    """Check every proved inequality against an exact-run record."""
+    """Check every proved inequality against an exact-run record.
+
+    Every per-row quantity (eps, delta, the bounds, slacks and flags) is
+    elementwise, so it is computed on the distinct rows of the record's
+    cycle (cycle_index) and spread to the K rows once, at the end; only the
+    prefix checks (a) and (d) run over all K rows.  The certificate equals
+    that of the same rows with no cycle, bit for bit."""
     if record.meta.get("kind") != "apd":
         raise ValueError("bound certificates require an exact (apd) record")
     c = constants or problem.smoothness()
@@ -506,51 +522,37 @@ def verify_bounds(
 
     k_iter = record.iterations
     lam_all = record.lambdas[:, 0]
-    lam_k = lam_all[:-1]
-    etas = record.etas
     limit = problem.limit
 
     # Iteration rows [0, end) and state rows [0, end] hold every distinct
-    # row; the per-row work runs on them alone.
-    rows, end = cycle_index(k_iter, record.cycle)
-    states, _ = cycle_index(k_iter + 1, record.cycle)
+    # row; the rows past end repeat them.  end is raised to 1024, or to K
+    # when K is smaller: numpy keeps up to seven freed buffers of each size
+    # under 1024 bytes, where per-row booleans of a length that changes from
+    # record to record would pile up.
+    states, end = cycle_index(k_iter + 1, record.cycle)
+    rows = states[:-1]
+    end = min(k_iter, max(end, 1024))
     lam = lam_all[: end + 1]
+    lam_k = lam[:-1]
     th = record.thetas[: end + 1]
+    etas = record.etas[:end]
 
     # Closed-form minimizers and dual values at every distinct multiplier.
     d, theta_star, _ = dual_values_batch(problem, lam)
-    d_all = d[states]
-    delta = ((th[:-1] - theta_star[:-1]) ** 2).sum(axis=1)[rows]
+    delta = ((th[:-1] - theta_star[:-1]) ** 2).sum(axis=1)
 
     # The record's returns and costs are J_R and J_C of theta_{k+1}.
-    g_rows = record.costs[:, 0] - limit
-    eps = -record.returns + lam_k * g_rows - d_all[:-1]
+    g_rows = record.costs[:end, 0] - limit
+    eps = -record.returns[:end] + lam_k * g_rows - d[:-1]
 
     big_l = c.l_r + lam_k * c.l_c
-    gn_prev = np.linalg.norm(problem.grad_lagrangian(th[:-1], lam[:-1]), axis=1)
-    gn_next = np.linalg.norm(problem.grad_lagrangian(th[1:], lam[:-1]), axis=1)
+    gn_prev = np.linalg.norm(problem.grad_lagrangian(th[:-1], lam_k), axis=1)
+    gn_next = np.linalg.norm(problem.grad_lagrangian(th[1:], lam_k), axis=1)
 
     # Lagrangian-value Lipschitz constant over the iterate hull: the
     # largest gradient norm seen at any endpoint, with 10% headroom.
     l_prime = 1.1 * float(max(gn_prev.max(initial=0.0), gn_next.max(initial=0.0)))
-    gn_prev = gn_prev[rows]
-
     g_norm = float(np.abs(g_rows).max(initial=0.0))
-
-    kkt = quad_kkt_solve(problem)
-    prefixes = np.arange(1, k_iter + 1, dtype=float)
-    eps_csum = np.cumsum(eps)
-
-    # (a) dual-gap bound at every prefix K'.
-    best_d = np.maximum.accumulate(d_all)[1:]
-    lhs_dual = kkt.dual_opt - best_d
-    lam0_dist = float(np.abs(lam_all[0] - kkt.lambda_star))
-    rhs_dual = (
-        lam0_dist**2 / (2.0 * zeta * prefixes)
-        + zeta * g_norm**2 / 2.0
-        + eps_csum / prefixes
-    )
-    slack_dual = rhs_dual - lhs_dual
 
     def error_bound(rad):
         """(L' sqrt(rad), NaN where rad < 0) and the flags rad < 0."""
@@ -568,8 +570,6 @@ def verify_bounds(
     # (b) per-step bounds at the eta the run actually used.
     b1_run, f1_run = invlin_bound(etas)
     b2_run, f2_run = invqua_bound(etas)
-    slack_run_lin = b1_run - eps
-    slack_run_qua = b2_run - eps
 
     # (c) bounds at the optimizing eta, where the run used it.
     eta1 = 1.0 / (2.0 * big_l)
@@ -578,8 +578,6 @@ def verify_bounds(
     app2 = np.abs(etas - eta2) <= 1e-9 * eta2
     bound_opt_lin = l_prime * np.sqrt((2.0 * delta / mu) * (big_l - mu**2 / (16.0 * big_l)))
     bound_opt_qua = l_prime * np.sqrt(delta * (1.0 - mu**2 / (4.0 * big_l**2)))
-    slack_eps_opt_lin = np.where(app1, bound_opt_lin - eps, np.nan)
-    slack_eps_opt_qua = np.where(app2, bound_opt_qua - eps, np.nan)
 
     # Optimizer beats its 0.5x and 2x perturbations (checked at every
     # iteration; the comparison is between bound formulas, not the run).
@@ -591,8 +589,36 @@ def verify_bounds(
     b2_star, f2_star = invqua_bound(eta2)
     ok1 = ~(f1_half | f1_double | f1_star)
     ok2 = ~(f2_half | f2_double | f2_star)
-    slack_opt1 = np.where(ok1, np.minimum(b1_half, b1_double) - b1_star, np.nan)
-    slack_opt2 = np.where(ok2, np.minimum(b2_half, b2_double) - b2_star, np.nan)
+
+    per_row = {
+        "eps-invlin": b1_run - eps,
+        "eps-invqua": b2_run - eps,
+        "eps-opt-invlin": np.where(app1, bound_opt_lin - eps, np.nan),
+        "eps-opt-invqua": np.where(app2, bound_opt_qua - eps, np.nan),
+        "opt-invlin": np.where(ok1, np.minimum(b1_half, b1_double) - b1_star, np.nan),
+        "opt-invqua": np.where(ok2, np.minimum(b2_half, b2_double) - b2_star, np.nan),
+    }
+    flags = {"eps-invlin": f1_run, "eps-invqua": f2_run, "opt-invlin": ~ok1, "opt-invqua": ~ok2}
+
+    # Spread the per-row results to the K rows.
+    eps, delta = eps.take(rows), delta.take(rows)
+    per_row = {name: arr.take(rows) for name, arr in per_row.items()}
+    flags = {name: arr.take(rows) for name, arr in flags.items()}
+
+    kkt = quad_kkt_solve(problem)
+    prefixes = np.arange(1, k_iter + 1, dtype=float)
+    eps_csum = np.cumsum(eps)
+
+    # (a) dual-gap bound at every prefix K'.
+    best_d = np.maximum.accumulate(d.take(states))[1:]
+    lhs_dual = kkt.dual_opt - best_d
+    lam0_dist = float(np.abs(lam_all[0] - kkt.lambda_star))
+    rhs_dual = (
+        lam0_dist**2 / (2.0 * zeta * prefixes)
+        + zeta * g_norm**2 / 2.0
+        + eps_csum / prefixes
+    )
+    slack_dual = rhs_dual - lhs_dual
 
     # (d) average-return rate bound at every prefix.
     j_r_opt = problem.j_r(kkt.theta_star)
@@ -606,22 +632,7 @@ def verify_bounds(
     )
     slack_rate = avg_ret - rhs_rate
 
-    slacks = {
-        "dual-gap": slack_dual,
-        "eps-invlin": slack_run_lin,
-        "eps-invqua": slack_run_qua,
-        "eps-opt-invlin": slack_eps_opt_lin,
-        "eps-opt-invqua": slack_eps_opt_qua,
-        "opt-invlin": slack_opt1,
-        "opt-invqua": slack_opt2,
-        "rate": slack_rate,
-    }
-    flags = {
-        "eps-invlin": f1_run,
-        "eps-invqua": f2_run,
-        "opt-invlin": ~ok1,
-        "opt-invqua": ~ok2,
-    }
+    slacks = {"dual-gap": slack_dual, **per_row, "rate": slack_rate}
     return BoundCertificate(
         slacks=slacks,
         flags=flags,

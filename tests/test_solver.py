@@ -43,6 +43,7 @@ from apdual.solver import (
     RunRecord,
     SolverConfig,
     apd_run,
+    cycle_index,
     feasibility_check,
     papd_run,
     verify_bounds,
@@ -294,15 +295,38 @@ def assert_cycle_form_equals_full_rows(rec, prog, found):
     repeat (k, period), None for none; the CSV text and the certificate of
     the record equal those of the same rows with no cycle."""
     assert rec.cycle == (None if found is None else (found[0] - found[1], found[1]))
+    assert_certified_like_full_rows(rec, prog)
+
+
+def assert_certified_like_full_rows(rec, prog):
+    """The CSV text, certificate JSON and every slack, flag, eps and delta
+    array of the record equal those of the same rows with no cycle."""
     full = dataclasses.replace(rec, cycle=None)
     assert record_to_csv(rec) == record_to_csv(full)
     got, want = verify_bounds(rec, prog), verify_bounds(full, prog)
     assert certificate_json(got) == certificate_json(want)
-    assert got.slacks.keys() == want.slacks.keys()
-    for name, slack in want.slacks.items():
-        assert np.array_equal(got.slacks[name], slack, equal_nan=True), name
+    for field in ("slacks", "flags"):
+        got_arrays, want_arrays = getattr(got, field), getattr(want, field)
+        assert got_arrays.keys() == want_arrays.keys()
+        for name, arr in want_arrays.items():
+            assert np.array_equal(got_arrays[name], arr, equal_nan=True), (field, name)
     assert np.array_equal(got.eps, want.eps, equal_nan=True)
     assert np.array_equal(got.delta, want.delta, equal_nan=True)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 10, 10001])
+@pytest.mark.parametrize("period", [1, 2])
+def test_cycle_index_equals_modulo_definition(rows, period):
+    assert np.array_equal(cycle_index(rows, None)[0], np.arange(rows))
+    assert cycle_index(rows, None)[1] == rows
+    for start in sorted({0, 1, rows - period}):
+        if start < 0 or start + period > rows:
+            continue
+        m = np.arange(rows)
+        want = np.where(m < start, m, start + (m - start) % period)
+        idx, end = cycle_index(rows, (start, period))
+        assert np.array_equal(idx, want), start
+        assert end == start + period
 
 
 class TestRepeatFastForward:
@@ -327,6 +351,16 @@ class TestRepeatFastForward:
         rec = apd_run(prog, cfg)
         assert_record_equal(rec, want)
         assert_cycle_form_equals_full_rows(rec, prog, found)
+
+    @pytest.mark.parametrize("variant", ["invlin-exact", "invqua-exact"])
+    @pytest.mark.parametrize("limit", [*np.linspace(0.2, 0.9, 8).round(2), 0.95])
+    def test_certificate_over_benchmark_limits(self, variant, limit):
+        # the benchmark's 10^4 iterations at limits across its range [0.2,
+        # 0.9], and 0.95: every record cycles, with period 2 from 0.9 on
+        prog = quad_testbed(limit)
+        rec = apd_run(prog, exact_cfg(variant, iterations=10_000))
+        assert rec.cycle is not None and rec.cycle[1] == (2 if limit >= 0.9 else 1)
+        assert_certified_like_full_rows(rec, prog)
 
     @pytest.mark.parametrize("variant", ["invlin-exact", "invqua-exact"])
     def test_start_at_a_fixed_point(self, variant):
