@@ -2,10 +2,12 @@
 
 A constrained MDP is a plain immutable value: a fixed start state, a
 lockstep step function with its batch signals (``VectorStep``), the
-discount factor and a bound B on the per-step cost.  A CMDP has one cost
-signal, the one constraint of the paper's adaptive step sizes.  The two
-objectives are the expected discounted return and the expected discounted
-cost,
+discount factor and a bound B on the per-step cost.  A deterministic
+tabular CMDP may also declare its step as a table, the (S, A) next cells,
+rewards and costs (Altman 1999, "Constrained Markov Decision
+Processes").  A CMDP has one cost signal, the one constraint of the
+paper's adaptive step sizes.  The two objectives are the expected
+discounted return and the expected discounted cost,
 
     J_R = E[sum_t gamma^t r_t],      J_C = E[sum_t gamma^t c_t],
 
@@ -31,10 +33,12 @@ writes contiguous rows; the point tasks' stepper carries p and v in (n, 2)
 arrays, 0.54 against 0.74 ms per n = 8, H = 64 batch for one ``fn`` call a
 step (2-core x86-64).  A tabular batch first builds a successor table:
 the action that each step's uniform picks in every one of the S cells,
-and, from one ``fn`` call over all S * H * n (cell, step, trajectory)
-rows, the next cell, with the offset of the next step folded in.  A step
-of all n trajectories is then one gather ``cur = link[cur]``, and the
-visited entries give the states and actions.  The table costs
+and the next cell of all S * H * n (cell, step, trajectory) rows, with
+the offset of the next step folded in.  The next cells come from one
+gather from the ``VectorStep.table`` when the CMDP declares one, else
+from one ``fn`` call.  A step of all n trajectories is then one gather
+``cur = link[cur]``, and the visited entries give the states and actions
+(and the table rows of the steps).  The table costs
 O(n * H * S * A) per batch, where a step-by-step loop pays O(n * A) per
 step plus a fixed numpy overhead per call, so it wins on small grids and
 loses on large ones.  Measured for a whole ``collect_batch`` at n = 16,
@@ -44,8 +48,12 @@ batch on the shipped 15-cell grid, 171 against 215 at S = 36, 223 against
 218 at S = 49, 272 against 206 at S = 64 and 1.9 ms against 0.25 ms at
 S = 400, so the crossover lies near 45 cells.  The table is built a span
 of steps at a time, at most ``_TABLE`` entries per pass.  The rewards and
-costs of the whole batch then come from one ``signals`` call over the
-stacked arrays.  The result is one ``RolloutBatch`` of arrays
+costs of the whole batch then come from two ``take`` gathers of the step
+table's visited rows, or without a table from one ``signals`` call over
+the stacked arrays.  On the shipped grid the step table takes a whole
+batch (n = 16, H = 24) from 90-98 to 71-76 us against ``fn`` and
+``signals`` (best of 5 x 500 calls, three alternating runs, 2-core
+x86-64).  The result is one ``RolloutBatch`` of arrays
 
     states  (n, H+1[, F])   actions (n, H[, A])
     rewards (n, H)          costs   (n, H)
@@ -80,13 +88,17 @@ a diverging batch is caught by the finiteness checks after them.
 Samplers raise ``NonFiniteError`` on a non-finite reward, cost or vector
 state, and ``ValueError`` on a step cost whose magnitude exceeds B or on a
 tabular successor cell outside [0, S).  ``Cmdp`` checks its start state
-when it is built.
+when it is built, and every entry of a step table: a batch read from a
+table that passes skips these checks, and one read from a table that fails
+runs them on the gathered values, so that the same error names the same
+trajectory, step and cell.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -142,12 +154,34 @@ class VectorStep:
     batch's (H+1, n, F) states, row 0 set, and (H, n, noise_dim) normals,
     returns ``step(t, a)``; called once for each t = 0, ..., H-1 in turn,
     it writes row t + 1 as ``fn`` would and may ignore other writes to states.
+
+    ``table``, allowed only with ``noise_dim`` 0, declares a deterministic
+    tabular step as the (S * A,) arrays (next cells, rewards, costs): row
+    s * A + a is the step from cell s under action a, exactly as ``fn`` and
+    ``signals`` give it.  The arrays are stored as read-only copies, and a
+    tabular batch reads its steps from them instead of calling ``fn`` and
+    ``signals``; ``Cmdp`` checks their shapes and entries when it is built.
     """
 
     noise_dim: int
     fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     signals: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
     stepper: Callable[[np.ndarray, np.ndarray], Callable] | None = None
+    table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.table is None:
+            return
+        if self.noise_dim != 0:
+            raise ValueError("a step table needs noise_dim 0")
+        if len(self.table) != 3:
+            raise ValueError("a step table holds next cells, rewards and costs")
+        frozen = tuple(np.array(arr) for arr in self.table)  # copies
+        for arr in frozen:
+            arr.setflags(write=False)
+        object.__setattr__(self, "table", frozen)
 
     def steps(self, states: np.ndarray, noise: np.ndarray) -> Callable:
         """The stepper of these state rows and normals, or one built on fn."""
@@ -163,7 +197,12 @@ class Cmdp:
 
     States are integer cells for tabular models (``n_states``/``n_actions``
     set), whose ``initial_state`` must be an int in [0, n_states), and real
-    vectors otherwise, whose (F,) ``initial_state`` must be finite.
+    vectors otherwise, whose (F,) ``initial_state`` must be finite.  A step
+    table must belong to a tabular model and hold an int64 and two float64
+    arrays of shape (n_states * n_actions,).  Whether every one of its
+    entries passes the checks the samplers apply to a sampled step
+    (successor in [0, S), finite reward, |cost| <= B) is decided here, once:
+    a batch read from a table that passes needs no check of its own.
     """
 
     gamma: float
@@ -177,6 +216,7 @@ class Cmdp:
     transition: Any = None
     reward: Any = None
     costs: Any = None
+    _table_passes: bool = field(init=False, default=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
@@ -190,6 +230,32 @@ class Cmdp:
             raise ValueError(f"initial cell {cell!r} must be an integer cell index")
         elif not 0 <= cell < self.n_states:
             raise ValueError(f"initial cell {cell} outside [0, {self.n_states})")
+        if self.vector_step.table is not None:
+            object.__setattr__(self, "_table_passes", self._check_table())
+
+    def _check_table(self) -> bool:
+        """Raise ValueError on a step table of the wrong model, shape or
+        dtype; else whether every entry passes the sampled-step checks."""
+        if not self.is_tabular:
+            raise ValueError("a step table needs a tabular CMDP")
+        size = self.n_states * self.n_actions
+        nxt, rewards, costs = self.vector_step.table
+        for name, arr, dtype in (
+            ("next cells", nxt, np.int64),
+            ("rewards", rewards, np.float64),
+            ("costs", costs, np.float64),
+        ):
+            if arr.shape != (size,) or arr.dtype != dtype:
+                raise ValueError(
+                    f"step table {name} must be a ({size},) {np.dtype(dtype)} "
+                    f"array, got {arr.shape} {arr.dtype}"
+                )
+        return bool(
+            (nxt >= 0).all()
+            and (nxt < self.n_states).all()
+            and np.isfinite(rewards).all()
+            and np.abs(costs).max() <= self.cost_bound * (1.0 + 1e-12)
+        )
 
     @property
     def is_tabular(self) -> bool:
@@ -345,15 +411,19 @@ def _checked_signals(cmdp: Cmdp, rewards: np.ndarray, costs) -> np.ndarray:
     return cost_arr
 
 
+@functools.lru_cache(maxsize=32)
 def discount_weights(gamma: float, steps: int) -> np.ndarray:
     """The (steps,) weights 1, gamma, gamma^2, ..., each the one before it
     times gamma (one ``cumprod``): an order of IEEE products that no SIMD
-    dispatch of ``power`` changes."""
+    dispatch of ``power`` changes.  Computed once per (gamma, steps) and
+    returned as one shared read-only array."""
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     w = np.full(steps, gamma)
     w[:1] = 1.0
-    return w.cumprod()
+    w = w.cumprod()
+    w.setflags(write=False)
+    return w
 
 
 def discounted_value(
@@ -401,8 +471,14 @@ def collect_batch(
         width = 1 + step.noise_dim
         uniforms = philox(seed).random((n, horizon * width)).reshape(n, horizon, width)
         cdf = action_cdf(softmax_table(params) if probs is None else probs)
-        states, actions = _tabular_paths(step, cdf, cmdp.initial_state, uniforms)
-        return _finish(cmdp, states, actions, tabular)
+        states, actions, rows = _tabular_paths(cmdp, cdf, uniforms)
+        if rows is None:
+            return _finish(cmdp, states, actions, tabular)
+        _, rewards, costs = step.table
+        rewards, costs = rewards.take(rows), costs.take(rows)
+        if not cmdp._table_passes:
+            costs = _checked_signals(cmdp, rewards, costs)
+        return RolloutBatch(states, actions, rewards, costs)
     a_dim = params.kind.action_dim
     variates = np.empty((n, horizon, a_dim + step.noise_dim))
     for i, row in enumerate(variates):
@@ -432,25 +508,35 @@ _TABLE = 1 << 14  # successor-table entries (cells x steps x trajectories) per p
 
 
 def _tabular_paths(
-    step: VectorStep, cdf: np.ndarray, start: int, uniforms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    cmdp: Cmdp, cdf: np.ndarray, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The (n, H+1) states and (n, H) actions of a tabular batch from its
-    start cell, its (S, A) action cdf and its (n, H, 1 + k) uniforms.
+    (S, A) action cdf and its (n, H, 1 + k) uniforms, and, when the CMDP
+    has a step table of the policy's (S, A), the (n, H) table rows s * A +
+    a of its steps (else None).
 
     A pass over a span of T steps tabulates, for every (cell c, step t,
-    trajectory i), the action that u[i, t] picks in cell c and, from one
-    ``step.fn`` call over all S * T * n rows, the successor cell.  Entry
-    (c, t, i) has the flat index (c * T + t) * n + i and link holds the
-    index of (successor, t + 1, i), so a step of all n trajectories is one
-    gather ``cur = link[cur]``; the visited entries give the actions and
-    the next cells.  Raises ValueError naming the trajectory, the step and
-    the cell of the first successor cell outside [0, S)."""
-    n_states = cdf.shape[0]
+    trajectory i), the action that u[i, t] picks in cell c and the
+    successor cell: one gather from the step table, or one ``fn`` call over
+    all S * T * n rows.  Entry (c, t, i) has the flat index (c * T + t) *
+    n + i and link holds the index of (successor, t + 1, i), so a step of
+    all n trajectories is one gather ``cur = link[cur]``; the visited
+    entries give the actions, the next cells and the table rows.  Unless
+    the table passed its check in ``Cmdp``, raises ValueError naming the
+    trajectory, the step and the cell of the first successor cell outside
+    [0, S)."""
+    step = cmdp.vector_step
+    n_states, n_actions = cdf.shape
     n, horizon, width = uniforms.shape
     traj = np.arange(n)
     states = np.empty((n, horizon + 1), dtype=np.int64)
     actions = np.empty((n, horizon), dtype=np.int64)
-    states[:, 0] = start
+    states[:, 0] = cmdp.initial_state
+    # The step table's rows are those of a policy over the CMDP's (S, A).
+    table = step.table if cdf.shape == (cmdp.n_states, cmdp.n_actions) else None
+    checked = table is not None and cmdp._table_passes
+    rows_of = None if table is None else np.empty((n, horizon), dtype=np.int64)
+    base = np.arange(0, n_states * n_actions, n_actions)[:, None]  # s * A
     # The last cdf entry is 1 and u < 1, so only the first A - 1 can count.
     bounds = cdf[:, :-1].T[:, :, None]
     span = max(1, _TABLE // (n_states * n))
@@ -461,14 +547,18 @@ def _tabular_paths(
         rows = n_states * block
         # act[c, t * n + i] counts the cdf entries of cell c that are <= u[i, t].
         act = (bounds <= draws[:, :, 0].reshape(1, 1, block)).sum(axis=0)
-        if width > 1:
-            noise = np.tile(draws[:, :, 1:].reshape(block, width - 1), (n_states, 1))
+        if table is not None:
+            key = (act + base).reshape(rows)
+            succ = table[0].take(key)
         else:
-            noise = np.empty((rows, 0))
-        succ = np.asarray(
-            step.fn(np.repeat(np.arange(n_states), block), act.reshape(rows), noise)
-        ).reshape(rows)
-        if succ.min() < 0 or succ.max() >= n_states:
+            if width > 1:
+                noise = np.tile(draws[:, :, 1:].reshape(block, width - 1), (n_states, 1))
+            else:
+                noise = np.empty((rows, 0))
+            succ = np.asarray(
+                step.fn(np.repeat(np.arange(n_states), block), act.reshape(rows), noise)
+            ).reshape(rows)
+        if not checked and (succ.min() < 0 or succ.max() >= n_states):
             table = succ.reshape(n_states, steps, n)
             bad = (table < 0) | (table >= n_states)
             t, i, c = np.argwhere(bad.transpose(1, 2, 0))[0]  # earliest step
@@ -487,4 +577,6 @@ def _tabular_paths(
         path = np.concatenate(visited).reshape(steps, n)
         states[:, t0 + 1 : t0 + 1 + steps] = succ[path].T
         actions[:, t0 : t0 + steps] = act.reshape(rows)[path].T
-    return states, actions
+        if table is not None:
+            rows_of[:, t0 : t0 + steps] = key[path].T
+    return states, actions, rows_of

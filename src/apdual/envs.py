@@ -15,12 +15,15 @@ random other direction.  Entering a hazard cell incurs hazard_cost; the
 goal is absorbing (reward granted on entry, zero reward/cost afterwards).
 Each environment is a fixed start state and one VectorStep; the gridworld's
 step reads a next-cell table, and a slippery one draws two uniforms per
-step, the slip test and the direction (see make_gridworld).
+step, the slip test and the direction.  A slip-free grid also declares its
+step as the VectorStep's (cell, action) table of next cells, rewards and
+costs (see make_gridworld).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -163,6 +166,15 @@ N_ACTIONS = 4
 _MOVES = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
+def _finite(*values) -> bool:
+    """Whether every value is a finite float (an int too large for a float
+    is not)."""
+    try:
+        return all(math.isfinite(v) for v in values)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class GridworldSpec:
     width: int
@@ -189,8 +201,18 @@ class GridworldSpec:
             raise ValueError("goal cell cannot be a hazard")
         if not 0.0 <= self.slip_prob < 1.0:
             raise ValueError("slip_prob must lie in [0, 1)")
-        if not self.hazard_cost >= 0.0:
-            raise ValueError(f"hazard_cost must be >= 0, got {self.hazard_cost!r}")
+        if not (_finite(self.hazard_cost) and self.hazard_cost >= 0.0):
+            raise ValueError(
+                f"hazard_cost must be finite and >= 0, got {self.hazard_cost!r}"
+            )
+        # Entering the goal pays step_reward + goal_reward, which must not
+        # overflow either.
+        rewards = (self.step_reward, self.goal_reward)
+        if not (_finite(*rewards) and _finite(float(rewards[0]) + float(rewards[1]))):
+            raise ValueError(
+                f"step_reward {self.step_reward!r}, goal_reward "
+                f"{self.goal_reward!r} and their sum must be finite"
+            )
         object.__setattr__(self, "hazard_cells", tuple(sorted(set(self.hazard_cells))))
 
     @property
@@ -224,7 +246,10 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
     only on its cells s and s2, elementwise: a step from the goal has zero
     reward and cost, any other step the reward and cost of entering s2,
     which per-cell tables built here once hold.  So one ``signals`` call
-    serves a whole (n, H) batch with two gathers.
+    serves a whole (n, H) batch with two gathers.  Without slip every step
+    is a fixed function of (s, a), so the VectorStep also declares its
+    ``table``: the next-cell table and one ``signals`` call on it, which a
+    tabular batch reads instead of calling ``fn`` and ``signals``.
     """
     moves = grid_move_table(spec)
     goal = spec.goal_cell
@@ -244,6 +269,10 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
     # Row s * A + a is the step from cell s in direction a.
     cells = np.repeat(np.arange(spec.n_cells), N_ACTIONS)
     next_cell = np.where(cells == goal, goal, moves.reshape(-1))
+    table = None
+    if slip == 0.0:
+        directions = np.tile(np.arange(N_ACTIONS), spec.n_cells)
+        table = (next_cell, *signals(cells, directions, next_cell))
 
     def step(states, actions, uniforms):
         if slip > 0.0:
@@ -258,7 +287,7 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
         gamma=gamma,
         cost_bound=bound,
         initial_state=spec.start_cell,
-        vector_step=VectorStep(noise_dim, step, signals),
+        vector_step=VectorStep(noise_dim, step, signals, table=table),
         n_states=spec.n_cells,
         n_actions=N_ACTIONS,
     )

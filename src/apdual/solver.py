@@ -11,9 +11,9 @@ quadprog.descent_step's kernel, bound once per run: straight-line Python on
 floats in the one fixed order of arithmetic that the QuadProgram methods
 also use, with no BLAS and so no fused multiply-add.  Each iteration
 appends its theta, lambda, eta and J_C to array.array('d') buffers.  The
-loop stops once the state (theta_k, lambda_k) repeats bit for bit with
-period 1 or 2, and the record's arrays are gathered from the buffers by the
-row index of that cycle (see apd_run).
+loop stops once the state (theta_k, lambda_k) is found to repeat bit for
+bit that of an earlier iteration, and the record's arrays are gathered
+from the buffers by the row index of that cycle (see apd_run).
 J_R is not needed inside the loop and is computed once afterwards over the
 theta_{k+1} computed (QuadProgram.j_r on the stack, bit-equal to j_r per
 row), before the gather, as is the finiteness screen.
@@ -59,6 +59,7 @@ import time
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -219,16 +220,43 @@ def cycle_index(rows: int, cycle: tuple[int, int] | None) -> tuple[np.ndarray, i
     return idx, start + period
 
 
+# apd_run packs and looks up only every 16th state: a dict lookup of every
+# state made the loop about 10% slower, more than the few dozen rows it
+# computes past a converged run's first repeat.
+_CHECKPOINT = 16
+
+
+def _first_cycle(row: Callable, state: bytes, j: int, k: int) -> tuple[int, int]:
+    """The (start, period) of the cycle of a run whose state k, ``state``,
+    repeats its state j < k; ``row(m)`` is state m for m < k.
+
+    From j on the run cycles with a period p that divides k - j, so state
+    k equals state k - d, for d <= k - j, exactly when p divides d: p is
+    the least such d.  State m equals state m + p for every m from the
+    start on and for none before it, so the start is found stepping down
+    from j."""
+    period = next(d for d in range(1, k - j + 1) if row(k - d) == state)
+    begin = j
+    while begin > 0 and row(begin - 1) == row(begin - 1 + period):
+        begin -= 1
+    return begin, period
+
+
 def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
     """Exact primal descent / projected dual ascent on an analytic program.
 
-    The loop stops early once the state (theta_k, lambda_k) repeats bit for
-    bit the state of iteration k - 1 or k - 2.  The step reads nothing but
-    the state, so from then on the run cycles with that period: the record's
-    cycle is (k - period, period), and its arrays are gathered by
-    cycle_index from the k rows computed.  A converged testbed run reaches
-    such a repeat within its first few thousand iterations; the record is
-    the same as the full loop's, bit for bit.
+    The loop stops early once a checkpoint state (theta_k, lambda_k), every
+    ``_CHECKPOINT``-th, repeats bit for bit an earlier checkpoint's.  The
+    step reads nothing but the state, so from then on the run cycles: the
+    record's cycle is the (start, period) of its first repeated state, read
+    back from the rows computed (_first_cycle), and its arrays are gathered
+    by cycle_index.  A run whose cycle starts too close to its end for two
+    checkpoints to meet in it computes every row and has no cycle.  A
+    converged testbed run reaches a repeat within its first few thousand
+    iterations, most with period 1 or 2, some with a period of dozens of
+    iterations (limit 0.8864 under invlin-exact: from row 360 with period
+    64), and stops within 16 * (period + 1) iterations of the cycle's
+    start; the record is the same as the full loop's, bit for bit.
     """
     if cfg.zeta is None or cfg.zeta <= 0:
         raise ValueError("apd_run's dual ascent needs zeta > 0")
@@ -249,20 +277,24 @@ def apd_run(problem: QuadProgram, cfg: SolverConfig) -> RunRecord:
     # The state (theta_k, lambda_k) as the bytes of n + 1 C doubles, so that
     # 0.0 and -0.0 differ and a NaN equals its own bits.
     pack = struct.Struct(f"{n + 1}d").pack
-    last = before_last = cycle = None
+    first_seen = {}.setdefault  # checkpoint state -> its iteration
+    cycle = None
+
+    def row(m: int) -> bytes:  # the state of a row already in the buffers
+        return pack(*theta_rows[m * n : (m + 1) * n], lambda_rows[m])
 
     start = time.perf_counter()
     # A diverging run overflows to inf or nan here; the screen after the
     # loop raises.
     for k in range(k_iter):
-        state = pack(*theta, lam)
-        if state == last or state == before_last:
-            # Row k and the state after it depend only on the state, so
-            # every row from here on repeats the row one period back.
-            period = 1 if state == last else 2
-            cycle = (k - period, period)
-            break
-        before_last, last = last, state
+        if not k % _CHECKPOINT:
+            state = pack(*theta, lam)
+            j = first_seen(state, k)
+            if j != k:
+                # Row k and the state after it depend only on the state,
+                # so every row from j on repeats with a period dividing k - j.
+                cycle = _first_cycle(row, state, j, k)
+                break
         theta_rows.extend(theta)
         lambda_rows.append(lam)
         eta = eta_of(lam)

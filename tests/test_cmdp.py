@@ -7,6 +7,7 @@ two-state chain), not against any library code path.
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -142,6 +143,11 @@ class TestDiscountedValue:
             for t in range(1, 300):
                 assert w[t] == w[t - 1] * gamma, (gamma, t)
         assert discount_weights(0.5, 0).shape == (0,)
+
+    def test_weights_computed_once_read_only(self):
+        w = discount_weights(0.99, 24)
+        assert discount_weights(0.99, 24) is w
+        assert not w.flags.writeable
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
@@ -603,6 +609,182 @@ class TestSuccessorTable:
         # The start is checked once, when the CMDP is built.
         with pytest.raises(ValueError, match=rf"initial cell {start} outside \[0, 3\)"):
             counter_cmdp(lambda s, u: np.minimum(s + 1, 2), start=start)
+
+
+def without_table(cmdp):
+    """The same CMDP with its step table dropped: batches call fn and signals."""
+    return dataclasses.replace(
+        cmdp, vector_step=dataclasses.replace(cmdp.vector_step, table=None)
+    )
+
+
+def lookup_cmdp(nxt, rewards, costs, table=True, bound=1.0):
+    """Three cells, two actions: the step from cell s under action a is row
+    s * 2 + a of the given (6,) next cells, rewards and costs, through fn
+    and signals and, with table, also as the VectorStep's step table."""
+    nxt, rewards, costs = (np.array(x) for x in (nxt, rewards, costs))
+
+    def step(states, actions, noise):
+        return nxt[states * 2 + actions]
+
+    def signals(s, a, s2):
+        return rewards[s * 2 + a], costs[s * 2 + a]
+
+    return Cmdp(
+        gamma=GAMMA,
+        cost_bound=bound,
+        initial_state=0,
+        vector_step=VectorStep(
+            0, step, signals, table=(nxt, rewards, costs) if table else None
+        ),
+        n_states=3,
+        n_actions=2,
+    )
+
+
+# Cells 0 and 1 lead to each other or stay, so cell 2 is never reached.
+LOOKUP_NEXT = [0, 1, 1, 0, 2, 2]
+LOOKUP_BAD = {
+    # name: (row, field, value, message of the batch without a table or None).
+    # Every cell's successor is checked, reached or not, at the first step
+    # whose uniform picks the bad action.
+    "successor-reached": (2, 0, 3, r"trajectory \d+, step \d+: cell 1 steps to cell 3"),
+    "successor-unreached": (4, 0, -1, r"trajectory \d+, step \d+: cell 2 steps to cell -1"),
+    "reward-reached": (3, 1, math.nan, r"non-finite rewards at index"),
+    "reward-unreached": (5, 1, math.inf, None),
+    "cost-reached": (1, 2, 2.0, r"sampled step cost 2 exceeds declared bound 1"),
+    "cost-unreached": (4, 2, math.nan, None),
+}
+
+
+class TestStepTable:
+    """A deterministic tabular CMDP may declare its step as a (cell, action)
+    table; its batches must equal those of fn and signals bit for bit."""
+
+    @pytest.mark.parametrize("table", [None, 1, 1200])
+    def test_batches_equal_fn_batches(self, monkeypatch, table):
+        if table is not None:
+            monkeypatch.setattr(cmdp_module, "_TABLE", table)
+        cmdp = grid_cmdp(False)
+        assert cmdp.vector_step.table is not None and cmdp._table_passes
+        plain = without_table(cmdp)
+        rng = np.random.default_rng(29)
+        for k in range(40):
+            scale = rng.uniform(0.0, 6.0)
+            theta = rng.normal(size=60) * scale + np.tile([0, scale, 0, 0], 15)
+            params = init_params(TabularSoftmax(15, 4)).replace_theta(theta)
+            sampling = SamplingConfig(int(rng.integers(1, 20)), int(rng.integers(1, 40)))
+            seed = (int(rng.integers(2**63)), k)
+            got = collect_batch(cmdp, params, sampling, seed)
+            want = collect_batch(plain, params, sampling, seed)
+            for name in ("states", "actions", "rewards", "costs"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), (name, k)
+
+    def test_no_fn_or_signals_call_per_batch(self):
+        cmdp = grid_cmdp(False)
+
+        def refuse(*args):
+            raise AssertionError("called")
+
+        step = dataclasses.replace(cmdp.vector_step, fn=refuse, signals=refuse)
+        refusing = dataclasses.replace(cmdp, vector_step=step)
+        params, sampling = eastward_grid_params(15), SamplingConfig(16, 24)
+        got = collect_batch(refusing, params, sampling, (3, 1))
+        want = collect_batch(cmdp, params, sampling, (3, 1))
+        for name in ("states", "actions", "rewards", "costs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_only_the_slip_free_grid_declares_a_table(self):
+        assert grid_cmdp(True).vector_step.table is None
+        cmdp = grid_cmdp(False)
+        nxt, rewards, costs = cmdp.vector_step.table
+        cells, actions = np.repeat(np.arange(15), 4), np.tile(np.arange(4), 15)
+        want_next = cmdp.vector_step.fn(cells, actions, np.empty((60, 0)))
+        want_rewards, want_costs = cmdp.vector_step.signals(cells, actions, want_next)
+        assert np.array_equal(nxt, want_next)
+        assert rewards.tobytes() == want_rewards.tobytes()
+        assert costs.tobytes() == want_costs.tobytes()
+
+    @pytest.mark.parametrize("case", list(LOOKUP_BAD))
+    def test_failing_table_raises_the_fn_error(self, case):
+        row, field, value, message = LOOKUP_BAD[case]
+        arrays = [LOOKUP_NEXT, [0.5] * 6, [0.25] * 6]
+        arrays[field] = list(arrays[field])
+        arrays[field][row] = value
+        table, plain = lookup_cmdp(*arrays), lookup_cmdp(*arrays, table=False)
+        assert table.vector_step.table is not None and not table._table_passes
+        params, sampling = uniform_params(3, 2), SamplingConfig(4, 12)
+        if message is None:
+            got = collect_batch(table, params, sampling, 5)
+            want = collect_batch(plain, params, sampling, 5)
+            for name in ("states", "actions", "rewards", "costs"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            return
+        with pytest.raises(ValueError, match=message) as want:
+            collect_batch(plain, params, sampling, 5)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            collect_batch(table, params, sampling, 5)
+
+    def test_passing_table_is_marked(self):
+        cmdp = lookup_cmdp(LOOKUP_NEXT, [0.5] * 6, [-1.0] * 6)
+        assert cmdp._table_passes
+        # |cost| <= B is the bound, with the samplers' 1e-12 relative slack
+        assert lookup_cmdp(LOOKUP_NEXT, [0.5] * 6, [1.0 + 1e-13] * 6)._table_passes
+        assert not lookup_cmdp(LOOKUP_NEXT, [0.5] * 6, [1.0 + 1e-11] * 6)._table_passes
+
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [
+            ((LOOKUP_NEXT[:5], [0.5] * 6, [0.0] * 6), r"next cells must be a \(6,\) int64"),
+            ((LOOKUP_NEXT, [0.5] * 7, [0.0] * 6), r"rewards must be a \(6,\) float64"),
+            ((LOOKUP_NEXT, [0.5] * 6, np.zeros((3, 2))), r"costs must be a \(6,\) float64"),
+            ((np.int32(LOOKUP_NEXT), [0.5] * 6, [0.0] * 6), "next cells .* got .* int32"),
+            ((LOOKUP_NEXT, np.float32([0.5] * 6), [0.0] * 6), "rewards .* got .* float32"),
+            ((LOOKUP_NEXT, [0.5] * 6, [0] * 6), "costs .* got .* int64"),
+        ],
+        ids=["short-next", "long-rewards", "2d-costs", "int32", "float32", "int-costs"],
+    )
+    def test_wrong_shape_or_dtype_rejected(self, arrays, message):
+        step = VectorStep(0, None, None, table=tuple(np.asarray(a) for a in arrays))
+        with pytest.raises(ValueError, match=message):
+            Cmdp(GAMMA, 1.0, 0, step, n_states=3, n_actions=2)
+
+    def test_table_needs_a_deterministic_tabular_cmdp(self):
+        table = (np.array(LOOKUP_NEXT), np.zeros(6), np.zeros(6))
+        with pytest.raises(ValueError, match="noise_dim 0"):
+            VectorStep(1, None, None, table=table)
+        with pytest.raises(ValueError, match="next cells, rewards and costs"):
+            VectorStep(0, None, None, table=table[:2])
+        with pytest.raises(ValueError, match="tabular CMDP"):
+            Cmdp(GAMMA, 1.0, np.zeros(2), VectorStep(0, None, None, table=table))
+
+    def test_table_is_a_read_only_copy(self):
+        nxt = np.array(LOOKUP_NEXT)
+        cmdp = lookup_cmdp(nxt, [0.5] * 6, [0.0] * 6)
+        nxt[0] = 7  # the caller's array; the checked table keeps its copy
+        stored = cmdp.vector_step.table
+        assert stored[0][0] == 0 and cmdp._table_passes
+        assert not any(arr.flags.writeable for arr in stored)
+
+    @pytest.mark.parametrize("shape", [(15, 3), (16, 4)])
+    def test_policy_of_another_shape_steps_through_fn(self, shape):
+        # the table holds the grid's (S, A) rows; another policy shape takes
+        # the fn path, checks included: a 16th cell is off the grid
+        cmdp, params = grid_cmdp(False), uniform_params(*shape)
+        plain = without_table(cmdp)
+        sampling = SamplingConfig(5, 30)
+        if shape[0] == 15:
+            got = collect_batch(cmdp, params, sampling, 2)
+            want = collect_batch(plain, params, sampling, 2)
+            for name in ("states", "actions", "rewards", "costs"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            return
+        with pytest.raises(IndexError) as want:
+            collect_batch(plain, params, sampling, 2)
+        with pytest.raises(IndexError, match=re.escape(str(want.value))):
+            collect_batch(cmdp, params, sampling, 2)
 
 
 EDGE_KEYS = [0, (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1), (7, 10**9)]

@@ -521,6 +521,32 @@ class TestGridworldSemantics:
         with pytest.raises(ValueError, match="hazard_cost"):
             GridworldSpec(width=2, height=2, goal_cell=1, hazard_cost=cost)
 
+    @pytest.mark.parametrize(
+        "rewards",
+        [
+            dict(step_reward=math.nan),
+            dict(goal_reward=math.inf),
+            dict(step_reward=-math.inf),
+            dict(step_reward=1e308, goal_reward=1e308),  # the goal entry overflows
+            dict(goal_reward=10**400),  # no float holds it
+        ],
+        ids=["nan-step", "inf-goal", "minus-inf-step", "sum-overflows", "huge-int"],
+    )
+    def test_non_finite_rewards_rejected(self, rewards):
+        with pytest.raises(ValueError, match="step_reward .* must be finite"):
+            GridworldSpec(width=2, height=2, goal_cell=1, **rewards)
+
+    def test_large_finite_rewards_accepted(self):
+        spec = GridworldSpec(
+            width=2, height=2, goal_cell=1, step_reward=-1e308, goal_reward=1e308
+        )
+        assert spec.step_reward + spec.goal_reward == 0.0
+
+    @pytest.mark.parametrize("cost", [math.inf, 10**400])
+    def test_non_finite_hazard_cost_rejected(self, cost):
+        with pytest.raises(ValueError, match="hazard_cost must be finite"):
+            GridworldSpec(width=2, height=2, goal_cell=1, hazard_cost=cost)
+
     def test_zero_hazard_cost_accepted(self):
         assert GridworldSpec(width=2, height=2, goal_cell=1, hazard_cost=0.0).hazard_cost == 0.0
 

@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import pickle
 import platform
@@ -1212,6 +1213,28 @@ class TestCli:
         code = main(["run", self.write_cfg(tmp_path, raw)])
         assert code == 2
         assert "config error: task_params: hazard_cost" in capsys.readouterr().err
+        assert not (tmp_path / "grid_out").exists()
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"step_reward": math.nan},
+            {"goal_reward": math.inf},
+            {"step_reward": 1e308, "goal_reward": 1e308},
+        ],
+        ids=["nan-step", "inf-goal", "sum-overflows"],
+    )
+    def test_non_finite_reward_exit_2(self, tmp_path, monkeypatch, capsys, params):
+        # once exit 3 at seed 0, iteration 0, or a bare overflow warning
+        # under -W error; now rejected before any output is written
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+        raw = make_grid_raw(task_params=params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", self.write_cfg(tmp_path, raw)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: task_params: step_reward" in err and "must be finite" in err
         assert not (tmp_path / "grid_out").exists()
 
     def test_run_missing_file(self, tmp_path, capsys):

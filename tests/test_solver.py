@@ -281,12 +281,13 @@ class TestFloatLoopMatchesReference:
 
 def first_repeat(thetas, lambdas):
     """(k, period) of the first state (theta_k, lambda_k) whose bytes equal
-    those of the state one or two iterations back; None if no state does."""
-    states = [row.tobytes() for row in np.concatenate([thetas, lambdas], axis=1)]
-    for k in range(1, len(states)):
-        for period in (1, 2):
-            if k >= period and states[k] == states[k - period]:
-                return k, period
+    those of an earlier state, period iterations back; None if no state
+    does."""
+    first = {}
+    for k, row in enumerate(np.concatenate([thetas, lambdas], axis=1)):
+        j = first.setdefault(row.tobytes(), k)
+        if j < k:
+            return k, k - j
     return None
 
 
@@ -330,7 +331,7 @@ def test_cycle_index_equals_modulo_definition(rows, period):
 
 
 class TestRepeatFastForward:
-    """apd_run stops at a bitwise repeat of period 1 or 2 and gathers the
+    """apd_run stops at a bitwise repeat of any period and gathers the
     rows left from the cycle; the record must equal the full reference
     loop's, and its cycle form must give the full-row form's CSV and
     certificate.  Each case first checks on the reference that its repeat
@@ -339,8 +340,8 @@ class TestRepeatFastForward:
     @pytest.mark.parametrize("variant", ["invlin-exact", "invqua-exact"])
     @pytest.mark.parametrize(
         "limit, iterations, repeat",
-        [(0.5, 2000, 1), (0.9, 1000, 2), (0.2, 3000, None)],
-        ids=["period-1", "period-2", "no-repeat"],
+        [(0.5, 2000, 1), (0.9, 1000, 2), (0.8864, 1000, 64), (0.2, 3000, None)],
+        ids=["period-1", "period-2", "period-64", "no-repeat"],
     )
     def test_record_equals_full_loop(self, variant, limit, iterations, repeat):
         prog = quad_testbed(limit)
@@ -362,6 +363,26 @@ class TestRepeatFastForward:
         assert rec.cycle is not None and rec.cycle[1] == (2 if limit >= 0.9 else 1)
         assert_certified_like_full_rows(rec, prog)
 
+    @pytest.mark.parametrize(
+        "limit, variant, cycle",
+        [
+            (0.8864, "invlin-exact", (360, 64)),
+            (0.8864, "invqua-exact", (354, 64)),
+            (0.8894482354136235, "invlin-exact", (354, 53)),
+            (0.8434, "invqua-exact", (383, 34)),
+        ],
+    )
+    def test_long_period_at_benchmark_length(self, limit, variant, cycle):
+        # periods a check of periods 1 and 2 alone never detects (it ran all
+        # 10^4 iterations), and that 16 does not divide: the checkpoint
+        # repeat is a multiple of the period, found from the buffered rows
+        prog = quad_testbed(limit)
+        cfg = exact_cfg(variant, iterations=10_000)
+        rec = apd_run(prog, cfg)
+        assert rec.cycle == cycle
+        assert_record_equal(rec, reference_apd_run(prog, cfg))
+        assert_certified_like_full_rows(rec, prog)
+
     @pytest.mark.parametrize("variant", ["invlin-exact", "invqua-exact"])
     def test_start_at_a_fixed_point(self, variant):
         prog = quad_testbed(0.5)
@@ -376,6 +397,12 @@ class TestRepeatFastForward:
         rec = apd_run(prog, cfg)
         assert_record_equal(rec, want)
         assert_cycle_form_equals_full_rows(rec, prog, (1, 1))
+        # 16 iterations hold one checkpoint, state 0, so the repeat is not
+        # seen: every row is computed and the record has no cycle
+        short = dataclasses.replace(cfg, iterations=16)
+        rec = apd_run(prog, short)
+        assert rec.cycle is None
+        assert_record_equal(rec, reference_apd_run(prog, short))
 
 
 class TestRunRecordValidation:
