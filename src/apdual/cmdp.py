@@ -2,12 +2,12 @@
 
 A constrained MDP is a plain immutable value: a fixed start state, a
 lockstep step function with its batch signals (``VectorStep``), the
-discount factor and a bound B on the per-step cost.  A deterministic
-tabular CMDP may also declare its step as a table, the (S, A) next cells,
-rewards and costs (Altman 1999, "Constrained Markov Decision
-Processes").  A CMDP has one cost signal, the one constraint of the
-paper's adaptive step sizes.  The two objectives are the expected
-discounted return and the expected discounted cost,
+discount factor and a bound B on the per-step cost.  A tabular CMDP whose
+step draws no noise is its (S, A) table of next cells, rewards and costs
+(Altman 1999, "Constrained Markov Decision Processes"), which ``Cmdp``
+computes from the step once.  A CMDP has one cost signal, the one
+constraint of the paper's adaptive step sizes.  The two objectives are the
+expected discounted return and the expected discounted cost,
 
     J_R = E[sum_t gamma^t r_t],      J_C = E[sum_t gamma^t c_t],
 
@@ -31,29 +31,28 @@ actions (the mean W s_t plus action normals scaled once per batch,
 time-major (H+1, n, F) and (H, n, A) buffers, so every step reads and
 writes contiguous rows; the point tasks' stepper carries p and v in (n, 2)
 arrays, 0.54 against 0.74 ms per n = 8, H = 64 batch for one ``fn`` call a
-step (2-core x86-64).  A tabular batch first builds a successor table:
-the action that each step's uniform picks in every one of the S cells,
-and the next cell of all S * H * n (cell, step, trajectory) rows, with
-the offset of the next step folded in.  The next cells come from one
-gather from the ``VectorStep.table`` when the CMDP declares one, else
-from one ``fn`` call.  A step of all n trajectories is then one gather
-``cur = link[cur]``, and the visited entries give the states and actions
-(and the table rows of the steps).  The table costs
-O(n * H * S * A) per batch, where a step-by-step loop pays O(n * A) per
-step plus a fixed numpy overhead per call, so it wins on small grids and
-loses on large ones.  Measured for a whole ``collect_batch`` at n = 16,
-H = 24 on a 2-core x86-64 machine (best of 12 alternating runs, table
-against a lockstep loop over the same uniforms): 111 against 216 us per
-batch on the shipped 15-cell grid, 171 against 215 at S = 36, 223 against
-218 at S = 49, 272 against 206 at S = 64 and 1.9 ms against 0.25 ms at
-S = 400, so the crossover lies near 45 cells.  The table is built a span
-of steps at a time, at most ``_TABLE`` entries per pass.  The rewards and
-costs of the whole batch then come from two ``take`` gathers of the step
-table's visited rows, or without a table from one ``signals`` call over
-the stacked arrays.  On the shipped grid the step table takes a whole
-batch (n = 16, H = 24) from 90-98 to 71-76 us against ``fn`` and
-``signals`` (best of 5 x 500 calls, three alternating runs, 2-core
-x86-64).  The result is one ``RolloutBatch`` of arrays
+step (2-core x86-64).  A tabular batch first builds a successor table: the
+action that each step's uniform picks in every one of the S cells, and the
+next cell of all S * H * n (cell, step, trajectory) rows, with the offset
+of the next step folded in.  The next cells come from one gather from the
+CMDP's step table when it has one, else from one ``fn`` call.  A step of
+all n trajectories is then one gather ``cur = link[cur]``, and the visited
+entries give the states and actions (and the table rows of the steps).
+The table costs O(n * H * S * A) per batch, where a step-by-step loop pays
+O(n * A) per step plus a fixed numpy overhead per call, so it wins on
+small grids and loses on large ones.  Measured for a whole
+``collect_batch`` at n = 16, H = 24 on a 2-core x86-64 machine (best of 12
+alternating runs, table against a lockstep loop over the same uniforms):
+111 against 216 us per batch on the shipped 15-cell grid, 171 against 215
+at S = 36, 223 against 218 at S = 49, 272 against 206 at S = 64 and 1.9 ms
+against 0.25 ms at S = 400, so the crossover lies near 45 cells.  The
+table is built a span of steps at a time, at most ``_TABLE`` entries per
+pass.  The rewards and costs of the whole batch then come from two
+``take`` gathers of the step table's visited rows, or without one from one
+``signals`` call over the stacked arrays.  On the shipped grid the step
+table takes a whole batch (n = 16, H = 24) from 90-98 to 71-76 us against
+``fn`` and ``signals`` (best of 5 x 500 calls, three alternating runs,
+2-core x86-64).  The result is one ``RolloutBatch`` of arrays
 
     states  (n, H+1[, F])   actions (n, H[, A])
     rewards (n, H)          costs   (n, H)
@@ -86,12 +85,11 @@ of a batch run with numpy's overflow and invalid-value warnings silenced;
 a diverging batch is caught by the finiteness checks after them.
 
 Samplers raise ``NonFiniteError`` on a non-finite reward, cost or vector
-state, and ``ValueError`` on a step cost whose magnitude exceeds B or on a
-tabular successor cell outside [0, S).  ``Cmdp`` checks its start state
-when it is built, and every entry of a step table: a batch read from a
-table that passes skips these checks, and one read from a table that fails
-runs them on the gathered values, so that the same error names the same
-trajectory, step and cell.
+state, and ``ValueError`` on a step cost whose magnitude exceeds B, on a
+tabular successor cell outside [0, S) and on a tabular policy whose (S, A)
+is not the CMDP's.  ``Cmdp`` checks its start state when it is built, and
+keeps a step table only when every entry passes these checks, so a batch
+read from it skips them.
 """
 
 from __future__ import annotations
@@ -145,7 +143,10 @@ class VectorStep:
     rows are any flat batch, not only the trajectories of one step: a
     tabular batch calls ``fn`` once on every (cell, step, trajectory) row
     of its successor table, and ``sample_trajectory`` on one row.  So row j
-    of the output may depend only on row j of the inputs.
+    of the output may depend only on row j of the inputs.  Both ``fn`` and
+    ``signals`` must be pure per-row functions, with no state carried from
+    one call to the next: ``Cmdp`` calls them once when it is built, on
+    every (cell, action) row of a tabular model without noise.
 
     ``signals(s, a, s2)`` takes the (n, H[, F]) states, (n, H[, A]) actions
     and (n, H[, F]) next states of a whole batch and returns the (n, H)
@@ -154,34 +155,12 @@ class VectorStep:
     batch's (H+1, n, F) states, row 0 set, and (H, n, noise_dim) normals,
     returns ``step(t, a)``; called once for each t = 0, ..., H-1 in turn,
     it writes row t + 1 as ``fn`` would and may ignore other writes to states.
-
-    ``table``, allowed only with ``noise_dim`` 0, declares a deterministic
-    tabular step as the (S * A,) arrays (next cells, rewards, costs): row
-    s * A + a is the step from cell s under action a, exactly as ``fn`` and
-    ``signals`` give it.  The arrays are stored as read-only copies, and a
-    tabular batch reads its steps from them instead of calling ``fn`` and
-    ``signals``; ``Cmdp`` checks their shapes and entries when it is built.
     """
 
     noise_dim: int
     fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     signals: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
     stepper: Callable[[np.ndarray, np.ndarray], Callable] | None = None
-    table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.table is None:
-            return
-        if self.noise_dim != 0:
-            raise ValueError("a step table needs noise_dim 0")
-        if len(self.table) != 3:
-            raise ValueError("a step table holds next cells, rewards and costs")
-        frozen = tuple(np.array(arr) for arr in self.table)  # copies
-        for arr in frozen:
-            arr.setflags(write=False)
-        object.__setattr__(self, "table", frozen)
 
     def steps(self, states: np.ndarray, noise: np.ndarray) -> Callable:
         """The stepper of these state rows and normals, or one built on fn."""
@@ -197,12 +176,16 @@ class Cmdp:
 
     States are integer cells for tabular models (``n_states``/``n_actions``
     set), whose ``initial_state`` must be an int in [0, n_states), and real
-    vectors otherwise, whose (F,) ``initial_state`` must be finite.  A step
-    table must belong to a tabular model and hold an int64 and two float64
-    arrays of shape (n_states * n_actions,).  Whether every one of its
-    entries passes the checks the samplers apply to a sampled step
-    (successor in [0, S), finite reward, |cost| <= B) is decided here, once:
-    a batch read from a table that passes needs no check of its own.
+    vectors otherwise, whose (F,) ``initial_state`` must be finite.
+
+    A tabular model whose step draws no noise (``noise_dim`` 0) gets its
+    step table here, once: one ``fn`` and one ``signals`` call on all S * A
+    (cell, action) rows give the (S * A,) next cells, rewards and costs,
+    row s * A + a the step from cell s under action a.  The table is kept,
+    read-only, only when every entry passes the checks the samplers apply
+    to a sampled step (an integer successor in [0, S), a finite reward,
+    |cost| <= B), so a batch read from it needs no check of its own.  Else
+    batches call ``fn`` and ``signals`` and check what they sample.
     """
 
     gamma: float
@@ -216,7 +199,7 @@ class Cmdp:
     transition: Any = None
     reward: Any = None
     costs: Any = None
-    _table_passes: bool = field(init=False, default=False, repr=False)
+    _table: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
@@ -230,32 +213,31 @@ class Cmdp:
             raise ValueError(f"initial cell {cell!r} must be an integer cell index")
         elif not 0 <= cell < self.n_states:
             raise ValueError(f"initial cell {cell} outside [0, {self.n_states})")
-        if self.vector_step.table is not None:
-            object.__setattr__(self, "_table_passes", self._check_table())
+        if self.is_tabular and self.vector_step.noise_dim == 0:
+            object.__setattr__(self, "_table", self._tabulate())
 
-    def _check_table(self) -> bool:
-        """Raise ValueError on a step table of the wrong model, shape or
-        dtype; else whether every entry passes the sampled-step checks."""
-        if not self.is_tabular:
-            raise ValueError("a step table needs a tabular CMDP")
-        size = self.n_states * self.n_actions
-        nxt, rewards, costs = self.vector_step.table
-        for name, arr, dtype in (
-            ("next cells", nxt, np.int64),
-            ("rewards", rewards, np.float64),
-            ("costs", costs, np.float64),
-        ):
-            if arr.shape != (size,) or arr.dtype != dtype:
-                raise ValueError(
-                    f"step table {name} must be a ({size},) {np.dtype(dtype)} "
-                    f"array, got {arr.shape} {arr.dtype}"
-                )
-        return bool(
-            (nxt >= 0).all()
-            and (nxt < self.n_states).all()
-            and np.isfinite(rewards).all()
+    def _tabulate(self) -> tuple | None:
+        """The step table (next cells, rewards, costs), or None unless every
+        entry passes the sampled-step checks."""
+        step, size = self.vector_step, self.n_states * self.n_actions
+        cells = np.repeat(np.arange(self.n_states), self.n_actions)
+        actions = np.tile(np.arange(self.n_actions), self.n_states)
+        nxt = np.asarray(step.fn(cells, actions, np.empty((size, 0))))
+        if nxt.dtype.kind not in "iu" or nxt.min() < 0 or nxt.max() >= self.n_states:
+            return None
+        nxt = nxt.astype(np.int64).reshape(size, 1)  # a copy, as batch states
+        with np.errstate(over="ignore", invalid="ignore"):
+            rewards, costs = step.signals(cells[:, None], actions[:, None], nxt)
+        rewards, costs = np.array(rewards), np.array(costs, dtype=float)  # copies
+        if not (
+            np.isfinite(rewards).all()
             and np.abs(costs).max() <= self.cost_bound * (1.0 + 1e-12)
-        )
+        ):
+            return None
+        table = tuple(arr.reshape(size) for arr in (nxt, rewards, costs))
+        for arr in table:
+            arr.setflags(write=False)
+        return table
 
     @property
     def is_tabular(self) -> bool:
@@ -352,12 +334,13 @@ def sample_trajectory(
 
     Deterministic in (cmdp, params, horizon, seed, row).  Raises
     NonFiniteError on a non-finite reward, cost or state, and ValueError if
-    a sampled step cost exceeds the declared bound B.
+    a sampled step cost exceeds the declared bound B or a tabular policy's
+    (S, A) is not the CMDP's.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     step = cmdp.vector_step
-    tabular = isinstance(params.kind, TabularSoftmax)
+    tabular = _is_tabular(cmdp, params)
     if tabular:
         rng = philox(seed)
         skip = row * horizon * (1 + step.noise_dim)
@@ -374,6 +357,20 @@ def sample_trajectory(
         states.append(state)
         actions.append(action)
     return _finish(cmdp, np.stack(states, axis=1), np.stack(actions, axis=1), tabular)
+
+
+def _is_tabular(cmdp: Cmdp, params: PolicyParams) -> bool:
+    """Whether the policy is tabular; raises ValueError, naming both shapes,
+    when a tabular policy's (S, A) is not the CMDP's."""
+    kind = params.kind
+    if not isinstance(kind, TabularSoftmax):
+        return False
+    if (kind.n_states, kind.n_actions) != (cmdp.n_states, cmdp.n_actions):
+        raise ValueError(
+            f"a tabular policy over (S, A) = ({kind.n_states}, {kind.n_actions}) "
+            f"on a CMDP with (S, A) = ({cmdp.n_states}, {cmdp.n_actions})"
+        )
+    return True
 
 
 def _finish(
@@ -462,7 +459,7 @@ def collect_batch(
     a batch called without it computes it itself."""
     n, horizon = sampling.n_traj, sampling.horizon
     step = cmdp.vector_step
-    tabular = isinstance(params.kind, TabularSoftmax)
+    tabular = _is_tabular(cmdp, params)
     if probs is not None and (
         not tabular or np.shape(probs) != (params.kind.n_states, params.kind.n_actions)
     ):
@@ -474,11 +471,8 @@ def collect_batch(
         states, actions, rows = _tabular_paths(cmdp, cdf, uniforms)
         if rows is None:
             return _finish(cmdp, states, actions, tabular)
-        _, rewards, costs = step.table
-        rewards, costs = rewards.take(rows), costs.take(rows)
-        if not cmdp._table_passes:
-            costs = _checked_signals(cmdp, rewards, costs)
-        return RolloutBatch(states, actions, rewards, costs)
+        _, rewards, costs = cmdp._table
+        return RolloutBatch(states, actions, rewards.take(rows), costs.take(rows))
     a_dim = params.kind.action_dim
     variates = np.empty((n, horizon, a_dim + step.noise_dim))
     for i, row in enumerate(variates):
@@ -512,8 +506,8 @@ def _tabular_paths(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The (n, H+1) states and (n, H) actions of a tabular batch from its
     (S, A) action cdf and its (n, H, 1 + k) uniforms, and, when the CMDP
-    has a step table of the policy's (S, A), the (n, H) table rows s * A +
-    a of its steps (else None).
+    has a step table, the (n, H) table rows s * A + a of its steps (else
+    None).
 
     A pass over a span of T steps tabulates, for every (cell c, step t,
     trajectory i), the action that u[i, t] picks in cell c and the
@@ -521,20 +515,16 @@ def _tabular_paths(
     all S * T * n rows.  Entry (c, t, i) has the flat index (c * T + t) *
     n + i and link holds the index of (successor, t + 1, i), so a step of
     all n trajectories is one gather ``cur = link[cur]``; the visited
-    entries give the actions, the next cells and the table rows.  Unless
-    the table passed its check in ``Cmdp``, raises ValueError naming the
-    trajectory, the step and the cell of the first successor cell outside
-    [0, S)."""
-    step = cmdp.vector_step
+    entries give the actions, the next cells and the table rows.  Without
+    a table, raises ValueError naming the trajectory, the step and the cell
+    of the first successor cell outside [0, S)."""
+    step, table = cmdp.vector_step, cmdp._table
     n_states, n_actions = cdf.shape
     n, horizon, width = uniforms.shape
     traj = np.arange(n)
     states = np.empty((n, horizon + 1), dtype=np.int64)
     actions = np.empty((n, horizon), dtype=np.int64)
     states[:, 0] = cmdp.initial_state
-    # The step table's rows are those of a policy over the CMDP's (S, A).
-    table = step.table if cdf.shape == (cmdp.n_states, cmdp.n_actions) else None
-    checked = table is not None and cmdp._table_passes
     rows_of = None if table is None else np.empty((n, horizon), dtype=np.int64)
     base = np.arange(0, n_states * n_actions, n_actions)[:, None]  # s * A
     # The last cdf entry is 1 and u < 1, so only the first A - 1 can count.
@@ -558,14 +548,14 @@ def _tabular_paths(
             succ = np.asarray(
                 step.fn(np.repeat(np.arange(n_states), block), act.reshape(rows), noise)
             ).reshape(rows)
-        if not checked and (succ.min() < 0 or succ.max() >= n_states):
-            table = succ.reshape(n_states, steps, n)
-            bad = (table < 0) | (table >= n_states)
-            t, i, c = np.argwhere(bad.transpose(1, 2, 0))[0]  # earliest step
-            raise ValueError(
-                f"trajectory {i}, step {t0 + t}: cell {c} steps to cell "
-                f"{table[c, t, i]}, outside [0, {n_states})"
-            )
+            if succ.min() < 0 or succ.max() >= n_states:
+                cells = succ.reshape(n_states, steps, n)
+                bad = (cells < 0) | (cells >= n_states)
+                t, i, c = np.argwhere(bad.transpose(1, 2, 0))[0]  # earliest step
+                raise ValueError(
+                    f"trajectory {i}, step {t0 + t}: cell {c} steps to cell "
+                    f"{cells[c, t, i]}, outside [0, {n_states})"
+                )
         # Entries of the last step link past their block; no gather reads them.
         link = succ.reshape(n_states, block) * block + np.arange(n, block + n)
         link = link.reshape(rows)

@@ -15,8 +15,8 @@ random other direction.  Entering a hazard cell incurs hazard_cost; the
 goal is absorbing (reward granted on entry, zero reward/cost afterwards).
 Each environment is a fixed start state and one VectorStep; the gridworld's
 step reads a next-cell table, and a slippery one draws two uniforms per
-step, the slip test and the direction.  A slip-free grid also declares its
-step as the VectorStep's (cell, action) table of next cells, rewards and
+step, the slip test and the direction.  A slip-free grid draws nothing, so
+its Cmdp tabulates the step once, as (cell, action) next cells, rewards and
 costs (see make_gridworld).
 """
 
@@ -247,9 +247,9 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
     reward and cost, any other step the reward and cost of entering s2,
     which per-cell tables built here once hold.  So one ``signals`` call
     serves a whole (n, H) batch with two gathers.  Without slip every step
-    is a fixed function of (s, a), so the VectorStep also declares its
-    ``table``: the next-cell table and one ``signals`` call on it, which a
-    tabular batch reads instead of calling ``fn`` and ``signals``.
+    is a fixed function of (s, a), so ``Cmdp`` tabulates it once and a
+    tabular batch reads its steps from that table instead of calling
+    ``fn`` and ``signals``.
     """
     moves = grid_move_table(spec)
     goal = spec.goal_cell
@@ -269,10 +269,6 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
     # Row s * A + a is the step from cell s in direction a.
     cells = np.repeat(np.arange(spec.n_cells), N_ACTIONS)
     next_cell = np.where(cells == goal, goal, moves.reshape(-1))
-    table = None
-    if slip == 0.0:
-        directions = np.tile(np.arange(N_ACTIONS), spec.n_cells)
-        table = (next_cell, *signals(cells, directions, next_cell))
 
     def step(states, actions, uniforms):
         if slip > 0.0:
@@ -287,7 +283,7 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
         gamma=gamma,
         cost_bound=bound,
         initial_state=spec.start_cell,
-        vector_step=VectorStep(noise_dim, step, signals, table=table),
+        vector_step=VectorStep(noise_dim, step, signals),
         n_states=spec.n_cells,
         n_actions=N_ACTIONS,
     )

@@ -611,43 +611,60 @@ class TestSuccessorTable:
             counter_cmdp(lambda s, u: np.minimum(s + 1, 2), start=start)
 
 
-def without_table(cmdp):
-    """The same CMDP with its step table dropped: batches call fn and signals."""
-    return dataclasses.replace(
-        cmdp, vector_step=dataclasses.replace(cmdp.vector_step, table=None)
-    )
+def without_table(cmdp, monkeypatch):
+    """The same CMDP built with its step table left out: batches call fn and
+    signals."""
+    with monkeypatch.context() as patch:
+        patch.setattr(Cmdp, "_tabulate", lambda self: None)
+        return dataclasses.replace(cmdp)
 
 
-def lookup_cmdp(nxt, rewards, costs, table=True, bound=1.0):
+def assert_batches_equal(got, want, note=None):
+    for name in ("states", "actions", "rewards", "costs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), (name, note)
+
+
+def lookup_cmdp(nxt, rewards, costs, bound=1.0):
     """Three cells, two actions: the step from cell s under action a is row
-    s * 2 + a of the given (6,) next cells, rewards and costs, through fn
-    and signals and, with table, also as the VectorStep's step table."""
+    s * 2 + a of the given (6,) next cells, rewards and costs.  The signals
+    see only successors inside the grid, as a grid's cell lookups need."""
     nxt, rewards, costs = (np.array(x) for x in (nxt, rewards, costs))
 
     def step(states, actions, noise):
         return nxt[states * 2 + actions]
 
     def signals(s, a, s2):
+        assert ((s2 >= 0) & (s2 < 3)).all()
         return rewards[s * 2 + a], costs[s * 2 + a]
 
     return Cmdp(
         gamma=GAMMA,
         cost_bound=bound,
         initial_state=0,
-        vector_step=VectorStep(
-            0, step, signals, table=(nxt, rewards, costs) if table else None
-        ),
+        vector_step=VectorStep(0, step, signals),
         n_states=3,
         n_actions=2,
     )
 
 
+def bandit_cmdp():
+    """Acceptance criterion 7's two-action bandit: one cell, fixed rewards
+    and costs per action."""
+    reward_of, cost_of = np.array([1.0, 3.0]), np.array([2.0, 0.5])
+    step = VectorStep(
+        0, lambda s, a, z: s, lambda s, a, s2: (reward_of[a], cost_of[a])
+    )
+    return Cmdp(0.9, 2.0, 0, step, n_states=1, n_actions=2)
+
+
 # Cells 0 and 1 lead to each other or stay, so cell 2 is never reached.
 LOOKUP_NEXT = [0, 1, 1, 0, 2, 2]
 LOOKUP_BAD = {
-    # name: (row, field, value, message of the batch without a table or None).
-    # Every cell's successor is checked, reached or not, at the first step
-    # whose uniform picks the bad action.
+    # name: (row, field, value, message of the batch or None).  Every cell's
+    # successor is checked, reached or not, at the first step whose uniform
+    # picks the bad action.
     "successor-reached": (2, 0, 3, r"trajectory \d+, step \d+: cell 1 steps to cell 3"),
     "successor-unreached": (4, 0, -1, r"trajectory \d+, step \d+: cell 2 steps to cell -1"),
     "reward-reached": (3, 1, math.nan, r"non-finite rewards at index"),
@@ -658,16 +675,16 @@ LOOKUP_BAD = {
 
 
 class TestStepTable:
-    """A deterministic tabular CMDP may declare its step as a (cell, action)
-    table; its batches must equal those of fn and signals bit for bit."""
+    """A tabular CMDP whose step draws no noise is tabulated once, when it is
+    built; its batches must equal those of fn and signals bit for bit."""
 
     @pytest.mark.parametrize("table", [None, 1, 1200])
     def test_batches_equal_fn_batches(self, monkeypatch, table):
         if table is not None:
             monkeypatch.setattr(cmdp_module, "_TABLE", table)
         cmdp = grid_cmdp(False)
-        assert cmdp.vector_step.table is not None and cmdp._table_passes
-        plain = without_table(cmdp)
+        plain = without_table(cmdp, monkeypatch)
+        assert cmdp._table is not None and plain._table is None
         rng = np.random.default_rng(29)
         for k in range(40):
             scale = rng.uniform(0.0, 6.0)
@@ -676,115 +693,103 @@ class TestStepTable:
             sampling = SamplingConfig(int(rng.integers(1, 20)), int(rng.integers(1, 40)))
             seed = (int(rng.integers(2**63)), k)
             got = collect_batch(cmdp, params, sampling, seed)
-            want = collect_batch(plain, params, sampling, seed)
-            for name in ("states", "actions", "rewards", "costs"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and a.shape == b.shape, name
-                assert a.tobytes() == b.tobytes(), (name, k)
+            assert_batches_equal(got, collect_batch(plain, params, sampling, seed), k)
 
     def test_no_fn_or_signals_call_per_batch(self):
-        cmdp = grid_cmdp(False)
+        grid, calls = grid_cmdp(False), []
 
-        def refuse(*args):
-            raise AssertionError("called")
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
 
-        step = dataclasses.replace(cmdp.vector_step, fn=refuse, signals=refuse)
-        refusing = dataclasses.replace(cmdp, vector_step=step)
+            return wrapper
+
+        step = dataclasses.replace(
+            grid.vector_step,
+            fn=counted("fn", grid.vector_step.fn),
+            signals=counted("signals", grid.vector_step.signals),
+        )
+        cmdp = dataclasses.replace(grid, vector_step=step)
+        assert calls == ["fn", "signals"]  # once each, when the CMDP is built
         params, sampling = eastward_grid_params(15), SamplingConfig(16, 24)
-        got = collect_batch(refusing, params, sampling, (3, 1))
-        want = collect_batch(cmdp, params, sampling, (3, 1))
-        for name in ("states", "actions", "rewards", "costs"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for seed in [(3, 1), (3, 2)]:
+            got = collect_batch(cmdp, params, sampling, seed)
+            assert_batches_equal(got, collect_batch(grid, params, sampling, seed))
+        assert calls == ["fn", "signals"]
 
-    def test_only_the_slip_free_grid_declares_a_table(self):
-        assert grid_cmdp(True).vector_step.table is None
+    def test_only_the_slip_free_grid_declares_a_table(self, monkeypatch):
         cmdp = grid_cmdp(False)
-        nxt, rewards, costs = cmdp.vector_step.table
+        nxt, rewards, costs = cmdp._table
         cells, actions = np.repeat(np.arange(15), 4), np.tile(np.arange(4), 15)
         want_next = cmdp.vector_step.fn(cells, actions, np.empty((60, 0)))
         want_rewards, want_costs = cmdp.vector_step.signals(cells, actions, want_next)
-        assert np.array_equal(nxt, want_next)
+        assert np.array_equal(nxt, want_next) and nxt.dtype == np.int64
         assert rewards.tobytes() == want_rewards.tobytes()
         assert costs.tobytes() == want_costs.tobytes()
+        bandit = bandit_cmdp()
+        want = [[0, 0], [1.0, 3.0], [2.0, 0.5]]
+        assert [arr.tolist() for arr in bandit._table] == want
+        params, sampling = uniform_params(1, 2), SamplingConfig(50, 1)
+        got = collect_batch(bandit, params, sampling, 42)
+        plain = without_table(bandit, monkeypatch)
+        assert_batches_equal(got, collect_batch(plain, params, sampling, 42))
+        assert grid_cmdp(True)._table is None
+        assert make_point_env("run", PointEnvConfig())._table is None
 
     @pytest.mark.parametrize("case", list(LOOKUP_BAD))
     def test_failing_table_raises_the_fn_error(self, case):
+        # A step with one bad (cell, action) entry keeps no table: its
+        # batches check what they sample, and sample when the entry is never
+        # reached, just as the model without the bad entry does.
         row, field, value, message = LOOKUP_BAD[case]
         arrays = [LOOKUP_NEXT, [0.5] * 6, [0.25] * 6]
+        good = lookup_cmdp(*arrays)
         arrays[field] = list(arrays[field])
         arrays[field][row] = value
-        table, plain = lookup_cmdp(*arrays), lookup_cmdp(*arrays, table=False)
-        assert table.vector_step.table is not None and not table._table_passes
+        bad = lookup_cmdp(*arrays)
+        assert good._table is not None and bad._table is None
         params, sampling = uniform_params(3, 2), SamplingConfig(4, 12)
         if message is None:
-            got = collect_batch(table, params, sampling, 5)
-            want = collect_batch(plain, params, sampling, 5)
-            for name in ("states", "actions", "rewards", "costs"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            got = collect_batch(bad, params, sampling, 5)
+            assert_batches_equal(got, collect_batch(good, params, sampling, 5))
             return
-        with pytest.raises(ValueError, match=message) as want:
-            collect_batch(plain, params, sampling, 5)
-        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-            collect_batch(table, params, sampling, 5)
+        with pytest.raises(ValueError, match=message):
+            collect_batch(bad, params, sampling, 5)
 
     def test_passing_table_is_marked(self):
-        cmdp = lookup_cmdp(LOOKUP_NEXT, [0.5] * 6, [-1.0] * 6)
-        assert cmdp._table_passes
+        assert lookup_cmdp(LOOKUP_NEXT, [0.5] * 6, [-1.0] * 6)._table is not None
         # |cost| <= B is the bound, with the samplers' 1e-12 relative slack
-        assert lookup_cmdp(LOOKUP_NEXT, [0.5] * 6, [1.0 + 1e-13] * 6)._table_passes
-        assert not lookup_cmdp(LOOKUP_NEXT, [0.5] * 6, [1.0 + 1e-11] * 6)._table_passes
-
-    @pytest.mark.parametrize(
-        "arrays, message",
-        [
-            ((LOOKUP_NEXT[:5], [0.5] * 6, [0.0] * 6), r"next cells must be a \(6,\) int64"),
-            ((LOOKUP_NEXT, [0.5] * 7, [0.0] * 6), r"rewards must be a \(6,\) float64"),
-            ((LOOKUP_NEXT, [0.5] * 6, np.zeros((3, 2))), r"costs must be a \(6,\) float64"),
-            ((np.int32(LOOKUP_NEXT), [0.5] * 6, [0.0] * 6), "next cells .* got .* int32"),
-            ((LOOKUP_NEXT, np.float32([0.5] * 6), [0.0] * 6), "rewards .* got .* float32"),
-            ((LOOKUP_NEXT, [0.5] * 6, [0] * 6), "costs .* got .* int64"),
-        ],
-        ids=["short-next", "long-rewards", "2d-costs", "int32", "float32", "int-costs"],
-    )
-    def test_wrong_shape_or_dtype_rejected(self, arrays, message):
-        step = VectorStep(0, None, None, table=tuple(np.asarray(a) for a in arrays))
-        with pytest.raises(ValueError, match=message):
-            Cmdp(GAMMA, 1.0, 0, step, n_states=3, n_actions=2)
-
-    def test_table_needs_a_deterministic_tabular_cmdp(self):
-        table = (np.array(LOOKUP_NEXT), np.zeros(6), np.zeros(6))
-        with pytest.raises(ValueError, match="noise_dim 0"):
-            VectorStep(1, None, None, table=table)
-        with pytest.raises(ValueError, match="next cells, rewards and costs"):
-            VectorStep(0, None, None, table=table[:2])
-        with pytest.raises(ValueError, match="tabular CMDP"):
-            Cmdp(GAMMA, 1.0, np.zeros(2), VectorStep(0, None, None, table=table))
+        assert lookup_cmdp(LOOKUP_NEXT, [0.5] * 6, [1.0 + 1e-13] * 6)._table is not None
+        over = lookup_cmdp(LOOKUP_NEXT, [0.5] * 6, [1.0 + 1e-11] * 6)
+        assert over._table is None
+        with pytest.raises(ValueError, match="exceeds declared bound 1"):
+            collect_batch(over, uniform_params(3, 2), SamplingConfig(2, 3), 0)
+        # whole-valued float successors are no cell indices
+        floats = np.array(LOOKUP_NEXT, dtype=float)
+        assert lookup_cmdp(floats, [0.5] * 6, [0.0] * 6)._table is None
 
     def test_table_is_a_read_only_copy(self):
-        nxt = np.array(LOOKUP_NEXT)
-        cmdp = lookup_cmdp(nxt, [0.5] * 6, [0.0] * 6)
-        nxt[0] = 7  # the caller's array; the checked table keeps its copy
-        stored = cmdp.vector_step.table
-        assert stored[0][0] == 0 and cmdp._table_passes
-        assert not any(arr.flags.writeable for arr in stored)
+        # signals that hand back the model's own arrays: the table copies them
+        rewards, costs = np.full((2, 1), 0.5), np.zeros((2, 1))
+        step = VectorStep(0, lambda s, a, z: s, lambda s, a, s2: (rewards, costs))
+        cmdp = Cmdp(GAMMA, 1.0, 0, step, n_states=1, n_actions=2)
+        rewards[0] = 7.0
+        assert cmdp._table[1].tolist() == [0.5, 0.5]
+        assert rewards.flags.writeable and costs.flags.writeable
+        for table in (cmdp._table, grid_cmdp(False)._table):
+            assert not any(arr.flags.writeable for arr in table)
 
     @pytest.mark.parametrize("shape", [(15, 3), (16, 4)])
-    def test_policy_of_another_shape_steps_through_fn(self, shape):
-        # the table holds the grid's (S, A) rows; another policy shape takes
-        # the fn path, checks included: a 16th cell is off the grid
-        cmdp, params = grid_cmdp(False), uniform_params(*shape)
-        plain = without_table(cmdp)
-        sampling = SamplingConfig(5, 30)
-        if shape[0] == 15:
-            got = collect_batch(cmdp, params, sampling, 2)
-            want = collect_batch(plain, params, sampling, 2)
-            for name in ("states", "actions", "rewards", "costs"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
-            return
-        with pytest.raises(IndexError) as want:
-            collect_batch(plain, params, sampling, 2)
-        with pytest.raises(IndexError, match=re.escape(str(want.value))):
-            collect_batch(cmdp, params, sampling, 2)
+    @pytest.mark.parametrize("slip", [False, True], ids=["grid", "slip-grid"])
+    def test_policy_of_another_shape_raises(self, shape, slip):
+        # a 16th cell used to end in a bare IndexError from the grid's step
+        cmdp, params = grid_cmdp(slip), uniform_params(*shape)
+        want = rf"\({shape[0]}, {shape[1]}\) on a CMDP with \(S, A\) = \(15, 4\)"
+        with pytest.raises(ValueError, match=want):
+            collect_batch(cmdp, params, SamplingConfig(5, 30), 2)
+        with pytest.raises(ValueError, match=want):
+            sample_trajectory(cmdp, params, 30, 2)
 
 
 EDGE_KEYS = [0, (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1), (7, 10**9)]

@@ -590,13 +590,12 @@ class TestFeasibility:
             feasibility_check(rec, prog.limit, window=0.0)
 
 
-def papd_cfg(iterations=40, seed=0, **kw):
-    grid_cells = kw.pop("n_cells", 15)
+def papd_cfg(iterations=40, seed=0, n_cells=15, n_actions=4, **kw):
     return SolverConfig(
         iterations=iterations,
         schedule=LrSchedule("invlin-practical", h1=0.003, h2=3.0),
         gains=PidGains(0.05, 0.0005, 0.1),
-        theta0=init_params(TabularSoftmax(grid_cells, 4)),
+        theta0=init_params(TabularSoftmax(n_cells, n_actions)),
         sampling=SamplingConfig(n_traj=8, horizon=20),
         seed=seed,
         **kw,
@@ -758,7 +757,12 @@ def per_step_batch(cmdp, params, sampling, seed, probs=None):
 def nan_signal_cmdp(signal: str, bad_call: int) -> Cmdp:
     """Deterministic counter chain whose reward (or cost) is NaN at its
     bad_call-th step (0-based), counted over every step.  The signals count
-    the steps of a batch time-major, in the order they were taken."""
+    the steps of a batch time-major, in the order they were taken.
+
+    Counting signals carry state from call to call, which a step table
+    computed once would break, so the chain draws one transition uniform
+    that its step ignores: with noise, the Cmdp tabulates nothing and every
+    batch calls the signals."""
     calls = itertools.count()
 
     def flaky(s, a, nxt):
@@ -781,7 +785,7 @@ def nan_signal_cmdp(signal: str, bad_call: int) -> Cmdp:
         gamma=0.9,
         cost_bound=1.0,
         initial_state=0,
-        vector_step=VectorStep(0, lambda s, a, z: np.minimum(s + 1, 9), signals),
+        vector_step=VectorStep(1, lambda s, a, z: np.minimum(s + 1, 9), signals),
         n_states=10,
         n_actions=2,
     )
@@ -804,7 +808,7 @@ class TestNonFinite:
         cmdp = nan_signal_cmdp("rewards", bad_call=37)
         ppol = PpolConfig() if algorithm == "ppol" else None
         cfg = dataclasses.replace(
-            papd_cfg(iterations=6, seed=4, n_cells=10, ppol=ppol),
+            papd_cfg(iterations=6, seed=4, n_cells=10, n_actions=2, ppol=ppol),
             sampling=SamplingConfig(n_traj=2, horizon=5),
         )
         want = r"seed 4, iteration 3: non-finite rewards at index \(1, 3\)"
