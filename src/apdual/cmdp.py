@@ -529,6 +529,9 @@ def _tabular_paths(
     base = np.arange(0, n_states * n_actions, n_actions)[:, None]  # s * A
     # The last cdf entry is 1 and u < 1, so only the first A - 1 can count.
     bounds = cdf[:, :-1].T[:, :, None]
+    # The narrowest integer that holds A - 1; counting into it is several
+    # times faster than into int64.
+    count = np.min_scalar_type(n_actions - 1)
     span = max(1, _TABLE // (n_states * n))
     for t0 in range(0, horizon, span):
         draws = uniforms[:, t0 : t0 + span].transpose(1, 0, 2)  # (T, n, 1 + k)
@@ -536,7 +539,7 @@ def _tabular_paths(
         block = steps * n
         rows = n_states * block
         # act[c, t * n + i] counts the cdf entries of cell c that are <= u[i, t].
-        act = (bounds <= draws[:, :, 0].reshape(1, 1, block)).sum(axis=0)
+        act = (bounds <= draws[:, :, 0].reshape(1, 1, block)).sum(axis=0, dtype=count)
         if table is not None:
             key = (act + base).reshape(rows)
             succ = table[0].take(key)
@@ -546,7 +549,11 @@ def _tabular_paths(
             else:
                 noise = np.empty((rows, 0))
             succ = np.asarray(
-                step.fn(np.repeat(np.arange(n_states), block), act.reshape(rows), noise)
+                step.fn(
+                    np.repeat(np.arange(n_states), block),
+                    act.reshape(rows).astype(np.int64),
+                    noise,
+                )
             ).reshape(rows)
             if succ.min() < 0 or succ.max() >= n_states:
                 cells = succ.reshape(n_states, steps, n)

@@ -125,12 +125,14 @@ def make_point_env(task: str, cfg: PointEnvConfig, gamma: float = 0.99) -> Cmdp:
         p, v = states[0, ..., :2].copy(), states[0, ..., 2:].copy()
         kicks = list(noise * normals) if noise > 0.0 else None
         rows, tmp = list(states[1:]), np.empty_like(v)
+        # array operands: numpy takes a Python float a few hundred ns slower
+        by_scale_dt, by_dt = np.full_like(v, scale_dt), np.full_like(v, dt)
 
         def step(t, actions):
-            np.add(v, np.multiply(actions, scale_dt, tmp), v)
+            np.add(v, np.multiply(actions, by_scale_dt, tmp), v)
             if kicks is not None:
                 np.add(v, kicks[t], v)
-            np.add(p, np.multiply(v, dt, tmp), p)
+            np.add(p, np.multiply(v, by_dt, tmp), p)
             np.concatenate((p, v), axis=-1, out=rows[t])
         return step
 

@@ -2,8 +2,10 @@
 gradient of the clipped PPO-Lagrangian surrogate, over rollout batches.
 
 A PPO iteration assembles one AdvantageBatch; each minibatch is an index
-array into it, and ppol_surrogate_grad gathers those rows and gets their
-log-probs and score sum from one policy_sample_terms call.  backward_sums,
+array into it.  ppol_surrogate_grad gathers those rows once and gets their
+log-probs and score sum from one kernel call: gaussian_block_terms on
+feature-major copies of the rows for a Gaussian policy, policy_sample_terms
+for a tabular one.  backward_sums,
 the discounted backward pass behind GAE and the value fit's returns-to-go,
 runs in place on a time-major copy with the same floating-point operations
 as a plain per-step loop.
@@ -32,7 +34,9 @@ from .cmdp import (  # noqa: F401
     discounted_value,
 )
 from .policy import (  # noqa: F401
+    LinearGaussian,
     PolicyParams,
+    gaussian_block_terms,
     policy_grad_log_prob,
     policy_log_prob,
     policy_log_probs,
@@ -154,8 +158,10 @@ def backward_sums(x: np.ndarray, decay: float) -> np.ndarray:
     """
     t_len = x.shape[1]
     y = np.zeros((t_len + 1, x.shape[0], *x.shape[2:]))
-    y[:t_len] = np.moveaxis(x, 1, 0)
+    y[:t_len] = x.swapaxes(0, 1)
     step = np.empty_like(y[0])
+    # an array operand: numpy takes a Python float a few hundred ns slower
+    decay = np.full_like(step, decay)
     rows = list(y)  # row views made once, not per step
     later = rows[t_len]
     multiply, add = np.multiply, np.add
@@ -163,7 +169,7 @@ def backward_sums(x: np.ndarray, decay: float) -> np.ndarray:
         multiply(later, decay, step)
         add(row, step, row)
         later = row
-    return np.moveaxis(y[:t_len], 0, 1)
+    return y[:t_len].swapaxes(0, 1)
 
 
 def advantage_batch(
@@ -226,14 +232,23 @@ def ppol_surrogate_grad(
     theta = theta_old has expectation -lambda grad J_C.
 
     The log-probs and the score sum over the rows of nonzero coefficient come
-    from one policy_sample_terms call, so the minibatch is gathered,
-    validated and its Gaussian means computed once; when no coefficient is
-    zero, the score sum reads the rows without a second gather.
+    from one kernel call, so the minibatch is gathered, validated and its
+    Gaussian means computed once; a Gaussian minibatch goes to
+    gaussian_block_terms as (F, M) and (A, M) copies of the gathered rows.
+    When no coefficient is zero, the score sum reads the rows without a
+    second gather; otherwise the zero-coefficient rows are left out, so a
+    row whose score overflows but whose ratio is 0 adds nothing.
     """
-    # take gathers the rows as indexing does, several times faster on 2-d arrays
-    lp, score_sum = policy_sample_terms(
-        params, batch.states.take(rows, axis=0), batch.actions.take(rows, axis=0)
-    )
+    # take gathers the rows as indexing does, several times faster on 2-d
+    # arrays; take and then a transposed copy is the fastest (F, M) gather
+    states = batch.states.take(rows, axis=0)
+    actions = batch.actions.take(rows, axis=0)
+    if isinstance(params.kind, LinearGaussian):
+        lp, score_sum = gaussian_block_terms(
+            params, np.ascontiguousarray(states.T), np.ascontiguousarray(actions.T)
+        )
+    else:
+        lp, score_sum = policy_sample_terms(params, states, actions)
     adv_r = batch.adv_r.take(rows)
     rho = np.exp(lp - batch.log_prob_old.take(rows))
     # np.clip's value, bit for bit, from two plain ufunc calls

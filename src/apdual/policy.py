@@ -8,12 +8,16 @@ Two families, both with theta a flat real vector:
 The Gaussian log standard deviations are learned entries appended to theta
 (initialized to log 0.5), so score functions cover them too.
 
-policy_sample_terms is the one place that turns stacked samples into
-log-probs and weighted score sums: it validates the samples once and
-computes one residual a - W s (Gaussian) or one softmax table (tabular),
-from which both follow.  policy_log_probs and the per-sample
-policy_grad_log_prob are calls of it, and policy_log_prob an N = 1 call of
-policy_log_probs.
+policy_sample_terms turns stacked (N, F) samples into log-probs and
+weighted score sums: it validates the samples once and computes one softmax
+table (tabular), or hands their feature-major views to gaussian_block_terms
+(Gaussian).  That kernel holds states as (F, M) and actions and residuals
+as (A, M) blocks, so each numpy call is one loop over the M samples, and
+adds each score sum in sample order without a per-sample score matrix.
+policy_log_probs and the per-sample policy_grad_log_prob are calls of
+policy_sample_terms, policy_log_prob an N = 1 call of policy_log_probs;
+the PPO-Lagrangian minibatch and the Gaussian trajectory scores call the
+kernel directly.
 """
 
 from __future__ import annotations
@@ -123,19 +127,18 @@ def action_cdf(probs: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_parts(params: PolicyParams):
-    """W as a (1, A, F) stack for ``_gaussian_means``, and log_std."""
+    """W as an (A, F) matrix, and log_std."""
     kind = params.kind
     n = kind.action_dim * kind.feature_dim
-    w = params.theta[:n].reshape(1, kind.action_dim, kind.feature_dim)
-    log_std = params.theta[n:]
-    return w, log_std
+    w = params.theta[:n].reshape(kind.action_dim, kind.feature_dim)
+    return w, params.theta[n:]
 
 
-def _gaussian_means(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The (N, A) means W x_i of stacked (N, F) states, for W as a (1, A, F)
-    stack.
+def _gaussian_means(w: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+    """The (N, A) means W x_i of stacked (N, F) states, for W as an (A, F)
+    matrix or a (1, A, F) stack, written into ``out`` when given.
 
-    The stacked (1, A, F) @ (N, F, 1) products give every row bit for bit
+    The stacked (A, F) @ (N, F, 1) products give every row bit for bit
     the value of w @ x_i, whatever the other rows; x @ w.T does not.  For
     F = 4, A = 2, every entry is (x0 w0 + x2 w2) + (x1 w1 + x3 w3): over
     10^5 random rows that order, and one digest, held under the default
@@ -144,24 +147,101 @@ def _gaussian_means(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     (tests/test_harness.py pins it).  ``np.einsum("af,nf->na", w, x)`` is
     2-2.5x faster at 256-512 rows and agrees for A = 2, F = 4 on contiguous
     rows, but not for A = 1, for F = 2 or 3, or for strided x."""
-    return (w @ x[:, :, None])[..., 0]
+    if out is None:
+        out = np.empty((x.shape[0], w.shape[-2]))
+    np.matmul(w, x[:, :, None], out=out[:, :, None])
+    return out
 
 
-def _gaussian_residual(params: PolicyParams, x: np.ndarray, a: np.ndarray):
-    """The residuals a_i - W x_i of stacked samples, and log_std."""
+def _block_means(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (A, M) means W x of feature-major (F, M) states, each column bit
+    for bit its row's ``_gaussian_means`` value.
+
+    For F = 4, A = 2 (the point envs) each mean is computed elementwise as
+    (x0 w0 + x2 w2) + (x1 w1 + x3 w3), the order the stacked product takes
+    under every kernel setting tests/test_harness.py pins.  Other shapes
+    have no order common to all kernels (at A = 1 and F >= 2 the default
+    OpenBLAS kernel fuses multiply-adds; at F = 4 and A >= 4 the Prescott
+    kernel adds in another order), so they take the stacked product of
+    contiguous rows."""
+    if w.shape == (2, 4):
+        # (F, A, M) products x_f w_af; a contiguous (F, A, 1) copy of W
+        # broadcasts faster than a view of it
+        p = x[:, None] * w.T.copy()[:, :, None]
+        pairs = p[:2] + p[2:]  # x0 w0 + x2 w2 and x1 w1 + x3 w3
+        return pairs[0] + pairs[1]
+    return _gaussian_means(w, np.ascontiguousarray(x.T)).T
+
+
+def _block_residuals(params: PolicyParams, x: np.ndarray, a: np.ndarray):
+    """The (A, M) residuals a - W x of feature-major samples, states x
+    (F, M) and actions a (A, M), and log_std."""
+    kind = params.kind
+    if x.ndim != 2 or x.shape[0] != kind.feature_dim:
+        raise ValueError("state dimension incompatible with descriptor")
+    if a.shape != (kind.action_dim, x.shape[1]):
+        raise ValueError("action dimension incompatible with descriptor")
     w, log_std = _gaussian_parts(params)
-    return a - _gaussian_means(w, x), log_std
+    return a - _block_means(w, x), log_std
 
 
-def _gaussian_score_rows(x: np.ndarray, diff: np.ndarray, log_std: np.ndarray):
-    """(N, param_count) Gaussian scores from states x and residuals diff."""
-    n_samples, f = x.shape
-    n = diff.shape[1] * f
-    resid = diff * libm_exp(-2.0 * log_std)  # (a - m) / sigma^2
-    rows = np.empty((n_samples, n + diff.shape[1]))
-    rows[:, :n] = (resid[:, :, None] * x[:, None, :]).reshape(n_samples, n)
-    rows[:, n:] = diff * resid - 1.0  # ((a - m)/sigma)^2 - 1
-    return rows
+def _block_score_sums(x, diff, log_std, weights=None, groups: int = 1) -> np.ndarray:
+    """(param_count, groups) Gaussian score sums over the columns of
+    feature-major states x (F, M) and residuals diff (A, M), cut into
+    ``groups`` equal runs of consecutive columns: the sum over a run of
+    weights[i] * d/dtheta log pi(a_i|s_i), unit weights when None.
+
+    Each run is added in column order starting from zero: the cumulative
+    sum's last entry plus 0.0, which turns an all -0.0 run into +0.0, as a
+    sum from +0.0 does.  So a run equals the sequential ``grad +=
+    weights[i] * score_i`` bit for bit, with no (M, param_count) score
+    matrix."""
+    a_dim, m = diff.shape
+    n = a_dim * x.shape[0]
+    resid = diff * libm_exp(-2.0 * log_std)[:, None]  # (a - m) / sigma^2
+    terms = np.empty((n + a_dim, m))
+    np.multiply(resid[:, None], x, out=terms[:n].reshape(a_dim, x.shape[0], m))
+    tail = terms[n:]
+    np.subtract(np.multiply(diff, resid, out=tail), 1.0, out=tail)  # ((a - m)/sigma)^2 - 1
+    if weights is not None:
+        terms *= weights
+    terms = terms.reshape(n + a_dim, groups, m // groups)
+    if not terms.shape[-1]:
+        return np.zeros(terms.shape[:2])
+    return terms.cumsum(axis=-1)[..., -1] + 0.0
+
+
+def _checked_weights(weights, m: int) -> np.ndarray:
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (m,):
+        raise ValueError("one weight per sample expected")
+    return weights
+
+
+def gaussian_block_terms(params: PolicyParams, x: np.ndarray, a: np.ndarray):
+    """Log-probs and score sums of M Gaussian samples held feature-major,
+    states x (F, M) and actions a (A, M) with one column per sample:
+    returns ``(log_probs, score_sum)`` as policy_sample_terms does, with
+    ``rows`` indexing columns.
+
+    Every numpy call runs along the M samples, except the log-probs' row
+    dot products: np.vecdot takes them over a C-contiguous (M, A) copy, the
+    layout whose per-row sums the pinned digests were taken on."""
+    kind = params.kind
+    diff, log_std = _block_residuals(params, x, a)
+    z = np.ascontiguousarray((diff / libm_exp(log_std)[:, None]).T)
+    log_probs = (
+        np.vecdot(-0.5 * z, z)
+        - log_std.sum()
+        - 0.5 * kind.action_dim * math.log(2.0 * math.pi)
+    )
+
+    def score_sum(rows, weights) -> np.ndarray:
+        xs, d = (x, diff) if rows is None else (x.take(rows, 1), diff.take(rows, 1))
+        weights = _checked_weights(weights, d.shape[1])
+        return _block_score_sums(xs, d, log_std, weights)[:, 0]
+
+    return log_probs, score_sum
 
 
 def _tabular_score_rows(kind: TabularSoftmax, probs: np.ndarray, s, a) -> np.ndarray:
@@ -216,7 +296,9 @@ def gaussian_actor(params: PolicyParams, normals):
     scaled = libm_exp(log_std) * normals
 
     def act(states, k, out=None):
-        return np.add(_gaussian_means(w, states), scaled[k], out=out)
+        out = _gaussian_means(w, states, out)
+        out += scaled[k]
+        return out
 
     return act
 
@@ -245,48 +327,29 @@ def policy_sample_terms(params: PolicyParams, states, actions):
     i = rows[j] for an index array ``rows``, or over i = j for ``rows``
     None, shaped like theta; the rows are added in order starting from
     zero, so the result equals the sequential ``grad += weights[j] *
-    score_i`` bit for bit.  Both come from one
-    validation of the samples and one residual a - W s (Gaussian) or one
-    softmax table (tabular).  An action of probability zero raises
-    ValueError.
+    score_i`` bit for bit.  Both come from one validation of the samples
+    and one softmax table (tabular) or one gaussian_block_terms call on
+    feature-major views of them (Gaussian).  An action of probability zero
+    raises ValueError.
     """
     kind = params.kind
     s, a = _samples(params, states, actions)
-    if isinstance(kind, TabularSoftmax):
-        probs = softmax_table(params)
-        p = probs[s, a]
-        if (p <= 0.0).any():
-            raise ValueError("zero-probability action")
-        log_probs = np.log(p)
-
-        def score_rows(rows):
-            if rows is None:
-                return _tabular_score_rows(kind, probs, s, a)
-            return _tabular_score_rows(kind, probs, s.take(rows), a.take(rows))
-
-    else:
-        diff, log_std = _gaussian_residual(params, s, a)
-        z = diff / libm_exp(log_std)
-        log_probs = (
-            np.vecdot(-0.5 * z, z)
-            - log_std.sum()
-            - 0.5 * kind.action_dim * math.log(2.0 * math.pi)
-        )
-
-        def score_rows(rows):
-            if rows is None:
-                return _gaussian_score_rows(s, diff, log_std)
-            x, d = s.take(rows, axis=0), diff.take(rows, axis=0)
-            return _gaussian_score_rows(x, d, log_std)
+    if isinstance(kind, LinearGaussian):
+        return gaussian_block_terms(params, s.T, a.T)
+    probs = softmax_table(params)
+    p = probs[s, a]
+    if (p <= 0.0).any():
+        raise ValueError("zero-probability action")
 
     def score_sum(rows, weights) -> np.ndarray:
-        weights = np.asarray(weights, dtype=float)
-        scores = score_rows(rows)
-        if weights.shape != (scores.shape[0],):
-            raise ValueError("one weight per sample expected")
+        if rows is None:
+            scores = _tabular_score_rows(kind, probs, s, a)
+        else:
+            scores = _tabular_score_rows(kind, probs, s.take(rows), a.take(rows))
+        weights = _checked_weights(weights, scores.shape[0])
         return (weights[:, None] * scores).sum(axis=0, initial=0.0)
 
-    return log_probs, score_sum
+    return np.log(p), score_sum
 
 
 def policy_log_probs(params: PolicyParams, states, actions) -> np.ndarray:
@@ -328,9 +391,9 @@ def policy_trajectory_scores(
         expected = visits.reshape(n, kind.n_states, 1) * probs
         return counts.reshape(n, kind.param_count) - expected.reshape(n, -1)
     x, a = _samples(params, flat_states, flat_actions)
-    diff, log_std = _gaussian_residual(params, x, a)
-    rows = _gaussian_score_rows(x, diff, log_std)
-    return rows.reshape(n, t, kind.param_count).sum(axis=1, initial=0.0)
+    diff, log_std = _block_residuals(params, x.T, a.T)
+    # C order, so that callers' sums over trajectories add them in order
+    return np.ascontiguousarray(_block_score_sums(x.T, diff, log_std, None, n).T)
 
 
 def policy_log_prob(params: PolicyParams, state, action) -> float:

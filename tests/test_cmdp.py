@@ -718,6 +718,23 @@ class TestStepTable:
             assert_batches_equal(got, collect_batch(grid, params, sampling, seed))
         assert calls == ["fn", "signals"]
 
+    def test_fn_gets_int64_actions(self):
+        # _tabular_paths counts actions in a narrow integer type; the slip
+        # grid's fn, called per batch, still receives int64 cells and actions
+        grid, dtypes = grid_cmdp(True), set()
+        fn = grid.vector_step.fn
+
+        def recording(cells, actions, noise):
+            dtypes.add((cells.dtype, actions.dtype))
+            return fn(cells, actions, noise)
+
+        step = dataclasses.replace(grid.vector_step, fn=recording)
+        cmdp = dataclasses.replace(grid, vector_step=step)
+        params, sampling = eastward_grid_params(15), SamplingConfig(16, 24)
+        got = collect_batch(cmdp, params, sampling, (3, 1))
+        assert dtypes == {(np.dtype(np.int64), np.dtype(np.int64))}
+        assert_batches_equal(got, collect_batch(grid, params, sampling, (3, 1)))
+
     def test_only_the_slip_free_grid_declares_a_table(self, monkeypatch):
         cmdp = grid_cmdp(False)
         nxt, rewards, costs = cmdp._table

@@ -42,7 +42,7 @@ from apdual.harness import (
     sweep,
     verify_dir,
 )
-from apdual.policy import softmax_table
+from apdual.policy import _block_means, softmax_table
 from apdual.solver import RunRecord, cycle_index, feasibility_check
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -513,6 +513,9 @@ PINNED_CSV = {
     "point-run-ppol": (
         "094bfd9f8c4d3be535cf19b7959e48357cf16210418d0d6b433b44409ac0d7c6"
     ),
+    "point-run-reinforce": (
+        "5fcad96a7a24e37482915a3a7de37a6300aaffb5b2c737ab0f2f78296e79f806"
+    ),
 }
 PINNED_NUMPY = "2.4.6"
 
@@ -520,6 +523,10 @@ PINNED_NUMPY = "2.4.6"
 def pinned_run_raw(name):
     ppol = {"clip_ratio": 0.2, "gae_lambda": 0.95, "minibatch_size": 64, "epochs": 2}
     grid = make_grid_raw(iterations=200, sampling={"n_traj": 16, "horizon": 24})
+    # the shipped point-run config with Gaussian REINFORCE in place of PPO
+    point = json.loads((CONFIGS / "point_run_ppol.json").read_text())
+    del point["ppol"]
+    point.update(algorithm="papd-reinforce", iterations=60)
     return {
         "grid-reinforce": grid,
         "grid-reinforce-slip": dict(grid, task_params={"slip_prob": 0.2}),
@@ -536,6 +543,7 @@ def pinned_run_raw(name):
             ppol=dict(ppol, minibatch_size=256),
             task_params={"noise_std": 0.05},
         ),
+        "point-run-reinforce": point,
     }[name]
 
 
@@ -665,6 +673,8 @@ def test_gaussian_means_order_and_digest():
         )
         assert np.array_equal(means[:, a], pairs), a
     assert hashlib.sha256(means.tobytes()).hexdigest() == PINNED_GAUSSIAN_MEANS
+    # the feature-major kernel adds the same products in the same order
+    assert np.array_equal(_block_means(w, x.T).T, means)
 
 
 @ON_X86_64

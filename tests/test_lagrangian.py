@@ -757,6 +757,24 @@ class TestFusedSurrogateGrad:
         if lam == 0.0:
             assert zero_rows > 0  # clipped rows have coefficient zero
 
+    def test_zero_coefficient_row_with_overflowing_score_is_left_out(self):
+        # Row 3's state is so large that its log-prob is -inf, so its ratio
+        # and coefficient are 0, while its score overflows to inf: 0 * inf
+        # would be nan.  The row stays out of the score sum.
+        kind = LinearGaussian(4, 2)
+        params = PolicyParams(kind, np.random.default_rng(4).normal(size=10) * 0.3)
+        batch = random_advantage_batch(params, 8, seed=5)
+        batch.states[3] = 1e200
+        rows = np.arange(8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isneginf(policy_log_probs(params, batch.states, batch.actions)[3])
+            _, score_sum = policy_sample_terms(params, batch.states, batch.actions)
+            assert not np.isfinite(score_sum(np.array([3]), [1.0])).all()
+            got = ppol_surrogate_grad(batch, rows, params, 0.7, PpolConfig())
+            want = reference_surrogate_grad(batch, params, 0.7, PpolConfig())
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, want)
+
     def test_all_rows_clipped_gives_zero(self):
         params = PolicyParams(TabularSoftmax(2, 2), np.zeros(4))
         samples = [(0, 1, 2.0, 0.0), (1, 0, -1.0, 0.0)]

@@ -5,6 +5,8 @@ a derivative oracle independent of the analytic formulas.
 """
 
 import math
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -20,6 +22,7 @@ from apdual.policy import (
     TabularSoftmax,
     action_cdf,
     gaussian_actor,
+    gaussian_block_terms,
     init_params,
     libm_exp,
     policy_act,
@@ -27,8 +30,10 @@ from apdual.policy import (
     policy_log_prob,
     policy_log_probs,
     policy_sample_terms,
+    policy_trajectory_scores,
     softmax_table,
 )
+from test_harness import CPU_VARIANTS, ON_X86_64, variant_env
 
 
 def policy_score_sum(params, states, actions, weights):
@@ -284,13 +289,18 @@ def reference_log_prob_and_score(params, state, action):
     n = kind.action_dim * kind.feature_dim
     w = params.theta[:n].reshape(kind.action_dim, kind.feature_dim)
     log_std = params.theta[n:]
-    x = np.asarray(state, dtype=float)
-    a = np.asarray(action, dtype=float)
-    z = (a - w @ x) / np.exp(log_std)
+    # contiguous copies: a sample's value must not depend on the layout of
+    # the array it came from
+    x = np.array(state, dtype=float)
+    a = np.array(action, dtype=float)
+    # every exp is libm's, which the policy's libm_exp documents
+    std = np.array([math.exp(v) for v in log_std])
+    inv_var = np.array([math.exp(-2.0 * v) for v in log_std])
+    z = (a - w @ x) / std
     lp = float(
         -0.5 * z @ z - log_std.sum() - 0.5 * kind.action_dim * math.log(2.0 * math.pi)
     )
-    resid = (a - w @ x) * np.exp(-2.0 * log_std)
+    resid = (a - w @ x) * inv_var
     grad[:n] = np.outer(resid, x).ravel()
     grad[n:] = (a - w @ x) * resid - 1.0
     return lp, grad
@@ -371,6 +381,118 @@ class TestBatchedForms:
             gaussian_actor(tab, np.zeros((1, 1)))
         with pytest.raises(ValueError):
             gaussian_actor(gauss, np.zeros((4, 3)))
+
+
+class TestGaussianBlockKernel:
+    """The feature-major Gaussian kernel against the per-sample reference,
+    bit for bit, on every path that reaches it."""
+
+    @pytest.mark.parametrize("scale", [3.0, 1e3])
+    @pytest.mark.parametrize("a_dim", [1, 2])
+    @pytest.mark.parametrize("f", [2, 3, 4])
+    def test_equals_reference(self, f, a_dim, scale):
+        kind = LinearGaussian(f, a_dim)
+        rng = np.random.default_rng(100 * f + a_dim)
+        params = PolicyParams(kind, rng.normal(size=kind.param_count))
+        n_traj, t = 8, 32
+        n = n_traj * t
+        # strided (N, F) and (N, A) views: every other column of wider arrays
+        states = (rng.normal(size=(n, 2 * f)) * scale)[:, ::2]
+        actions = rng.normal(size=(n, 2 * a_dim))[:, ::2]
+        weights = rng.normal(size=n)
+        weights[::7] = 0.0
+        rows = rng.permutation(n)[: n // 3]
+
+        ref = [reference_log_prob_and_score(params, s, a) for s, a in zip(states, actions)]
+        ref_lp = np.array([lp for lp, _ in ref])
+        ref_scores = [score for _, score in ref]
+
+        def loop_sum(indices, w):
+            grad = np.zeros_like(params.theta)
+            for i, c in zip(indices, w):
+                grad += c * ref_scores[i]
+            return grad
+
+        sample_terms = policy_sample_terms(params, states, actions)
+        block_terms = gaussian_block_terms(params, states.T, actions.T)
+        for lp, score_sum in (sample_terms, block_terms):
+            assert np.array_equal(lp, ref_lp)
+            assert np.array_equal(score_sum(None, weights), loop_sum(range(n), weights))
+            got = score_sum(rows, weights[rows])
+            assert np.array_equal(got, loop_sum(rows, weights[rows]))
+
+        per_traj = policy_trajectory_scores(
+            params, states.reshape(n_traj, t, f), actions.reshape(n_traj, t, a_dim)
+        )
+        assert per_traj.flags.c_contiguous
+        for i in range(n_traj):
+            want = loop_sum(range(i * t, (i + 1) * t), np.ones(t))
+            assert np.array_equal(per_traj[i], want), i
+
+    def test_empty_block_gives_zeros(self):
+        params = init_params(LinearGaussian(4, 2))
+        lp, score_sum = gaussian_block_terms(params, np.zeros((4, 0)), np.zeros((2, 0)))
+        assert lp.shape == (0,)
+        got = score_sum(None, [])
+        assert np.array_equal(got, np.zeros(10)) and not np.signbit(got).any()
+        assert np.array_equal(score_sum(np.arange(0), []), np.zeros(10))
+
+    def test_all_negative_zero_terms_sum_to_positive_zero(self):
+        # a sum from +0.0, as the sequential loop starts: -0.0 terms leave +0.0
+        params = PolicyParams(LinearGaussian(2, 1), np.zeros(3))
+        x, a = np.ones((2, 3)), np.zeros((1, 3))
+        _, score_sum = gaussian_block_terms(params, x, a)
+        got = score_sum(None, np.full(3, -0.0))
+        assert np.array_equal(got, np.zeros(3)) and not np.signbit(got).any()
+
+    def test_block_shapes_checked(self):
+        params = init_params(LinearGaussian(3, 2))
+        with pytest.raises(ValueError):
+            gaussian_block_terms(params, np.zeros((4, 5)), np.zeros((2, 5)))
+        with pytest.raises(ValueError):
+            gaussian_block_terms(params, np.zeros((3, 5)), np.zeros((2, 4)))
+        _, score_sum = gaussian_block_terms(params, np.zeros((3, 5)), np.zeros((2, 5)))
+        with pytest.raises(ValueError):
+            score_sum(None, np.ones(4))
+
+
+# The kernel's log-probs of an A = 3 block against the row-major formula:
+# z as (N, A) rows and np.vecdot over them.  Under the Prescott kernel
+# np.vecdot sums 3-entry rows in another order when they are strided (and
+# when they start off a 16-byte boundary), so the kernel's z must be a
+# C-contiguous (M, A) array, as the row-major one is.
+BLOCK_LOG_PROBS_PROBE = """
+import math
+import numpy as np
+from apdual.policy import LinearGaussian, PolicyParams, gaussian_block_terms
+rng = np.random.default_rng(21)
+kind = LinearGaussian(4, 3)
+params = PolicyParams(kind, rng.normal(size=kind.param_count))
+x, a = rng.normal(size=(4, 4096)) * 3, rng.normal(size=(3, 4096))
+got = gaussian_block_terms(params, x, a)[0]
+w, log_std = params.theta[:12].reshape(3, 4), params.theta[12:]
+std = np.array([math.exp(v) for v in log_std])
+z = (a.T.copy() - np.array([w @ x_i for x_i in x.T.copy()])) / std
+assert z.flags.c_contiguous
+want = np.vecdot(-0.5 * z, z) - log_std.sum() - 1.5 * math.log(2.0 * math.pi)
+print(np.array_equal(got, want))
+"""
+
+
+def test_block_log_probs_equal_row_formula(capsys):
+    exec(BLOCK_LOG_PROBS_PROBE, {})  # the subprocesses' probe; prints the verdict
+    assert capsys.readouterr().out.strip() == "True"
+
+
+@ON_X86_64
+@pytest.mark.parametrize("variant", list(CPU_VARIANTS))
+def test_block_log_probs_equal_row_formula_under_cpu_kernels(variant):
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCK_LOG_PROBS_PROBE],
+        env=variant_env(variant), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True", variant
 
 
 class TestValidation:
