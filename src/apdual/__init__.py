@@ -17,6 +17,7 @@ from .cmdp import (
     batch_values,
     collect_batch,
     discounted_value,
+    policy_state_values,
     sample_trajectory,
 )
 from .duals import PidGains, PidState, pid_dual_step, project_nonneg
@@ -26,12 +27,10 @@ from .envs import (
     PointEnvConfig,
     circle_reward_cost,
     default_hazard_gridworld,
-    exact_policy_eval,
-    gridworld_kernel,
     make_gridworld,
     make_point_env,
-    policy_state_values,
     run_reward_cost,
+    slip_mixed_probs,
 )
 from .harness import (
     ConfigError,

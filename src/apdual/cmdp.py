@@ -90,6 +90,10 @@ tabular successor cell outside [0, S) and on a tabular policy whose (S, A)
 is not the CMDP's.  ``Cmdp`` checks its start state when it is built, and
 keeps a step table only when every entry passes these checks, so a batch
 read from it skips them.
+
+Exact evaluation.  ``policy_state_values``, the dynamic-programming oracle
+of the Monte-Carlo estimators, runs backward induction over the step
+table, so it covers every tabular CMDP whose step draws no noise.
 """
 
 from __future__ import annotations
@@ -239,9 +243,45 @@ class Cmdp:
             arr.setflags(write=False)
         return table
 
+    @functools.cached_property
+    def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The step table as an (S, A, S) one-hot transition kernel and
+        (S, A) rewards and costs, built on first use and read-only;
+        ValueError without a step table."""
+        if self._table is None:
+            raise ValueError(
+                "exact evaluation needs a tabular CMDP whose step draws no "
+                "noise and passes the sampled-step checks"
+            )
+        nxt, rewards, costs = self._table
+        shape = (self.n_states, self.n_actions)
+        p = np.zeros((nxt.size, self.n_states))
+        p[np.arange(nxt.size), nxt] = 1.0
+        p.setflags(write=False)
+        return p.reshape(*shape, -1), rewards.reshape(shape), costs.reshape(shape)
+
     @property
     def is_tabular(self) -> bool:
         return self.n_states is not None and self.n_actions is not None
+
+
+def policy_state_values(
+    cmdp: Cmdp, probs: np.ndarray, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state values (v_R, v_C) of the (S, A) policy table ``probs``,
+    truncated at ``horizon`` steps, by backward induction over the CMDP's
+    step table: v_R[s] is J_R from start cell s, the Monte-Carlo estimand.
+    Raises ValueError for a CMDP without a step table."""
+    p, r, c = cmdp._kernel
+    p_pi = np.einsum("sa,sat->st", probs, p)
+    r_pi = (probs * r).sum(axis=1)
+    c_pi = (probs * c).sum(axis=1)
+    v_r = np.zeros(cmdp.n_states)
+    v_c = np.zeros(cmdp.n_states)
+    for _ in range(horizon):
+        v_r = r_pi + cmdp.gamma * (p_pi @ v_r)
+        v_c = c_pi + cmdp.gamma * (p_pi @ v_c)
+    return v_r, v_c
 
 
 @dataclass(frozen=True)

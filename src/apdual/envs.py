@@ -4,9 +4,10 @@ Point-mass Run and Circle tasks on double-integrator dynamics
 
     v' = v + a * action_scale * dt + noise,      p' = p + v' * dt
 
-with the tasks' reward/cost formulas, and a slippery hazard gridworld whose
-tabular structure admits exact dynamic-programming evaluation (the oracle
-used by the Monte-Carlo tests and by value baselines).
+with the tasks' reward/cost formulas, and a slippery hazard gridworld, whose
+exact values (the oracle of the Monte-Carlo tests and of the PPO value
+baseline) ``cmdp.policy_state_values`` computes from the slip-free grid's
+step table.
 
 Gridworld conventions: cell index = y * width + x; actions 0..3 move
 (y+1), (x+1), (y-1), (x-1); a move off the grid stays in place.  With
@@ -17,12 +18,14 @@ Each environment is a fixed start state and one VectorStep; the gridworld's
 step reads a next-cell table, and a slippery one draws two uniforms per
 step, the slip test and the direction.  A slip-free grid draws nothing, so
 its Cmdp tabulates the step once, as (cell, action) next cells, rewards and
-costs (see make_gridworld).
+costs (see make_gridworld).  make_gridworld is the one definition of the
+grid's cells, moves, rewards and costs; the slip rule alone is written
+twice, as uniforms in its step and as the mixing weights of
+slip_mixed_probs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -251,7 +254,9 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
     serves a whole (n, H) batch with two gathers.  Without slip every step
     is a fixed function of (s, a), so ``Cmdp`` tabulates it once and a
     tabular batch reads its steps from that table instead of calling
-    ``fn`` and ``signals``.
+    ``fn`` and ``signals``; ``policy_state_values`` evaluates a policy
+    exactly on it.  A slippery grid has no table: its exact values are the
+    slip-free grid's under ``slip_mixed_probs`` of the policy.
     """
     moves = grid_move_table(spec)
     goal = spec.goal_cell
@@ -291,71 +296,16 @@ def make_gridworld(spec: GridworldSpec, gamma: float = 0.99) -> Cmdp:
     )
 
 
-@functools.lru_cache(maxsize=16)
-def gridworld_kernel(spec: GridworldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact model (P, R, C): P is (S, A, S), R and C are expected per (s, a).
-
-    Mirrors make_gridworld exactly, including slip mixing and the absorbing
-    goal; this is the dynamic-programming side of the dual-route checks.
-    Built once per (frozen, hashable) spec; the arrays are read-only because
-    every caller shares them.
+def slip_mixed_probs(probs: np.ndarray, slip_prob: float) -> np.ndarray:
+    """The (S, A) direction probabilities that the (S, A) policy table
+    ``probs`` commands on a grid with slip: under action a the grid moves
+    in direction a with probability 1 - slip_prob and in each other
+    direction with probability slip_prob / 3.  So the slippery grid under
+    probs is the slip-free grid under this table, whose exact values
+    ``policy_state_values`` gives.  At slip_prob 0 it is probs bit for bit.
     """
-    s_n = spec.n_cells
-    moves = grid_move_table(spec)
-    hazard = np.zeros(s_n, dtype=bool)
-    hazard[list(spec.hazard_cells)] = True
-
-    p = np.zeros((s_n, N_ACTIONS, s_n))
-    r = np.zeros((s_n, N_ACTIONS))
-    c = np.zeros((s_n, N_ACTIONS))
-    for s in range(s_n):
-        if s == spec.goal_cell:
-            p[s, :, s] = 1.0
-            continue
-        for a in range(N_ACTIONS):
-            for eff in range(N_ACTIONS):
-                if eff == a:
-                    w = 1.0 - spec.slip_prob
-                else:
-                    w = spec.slip_prob / 3.0
-                if w == 0.0:
-                    continue
-                s2 = moves[s, eff]
-                p[s, a, s2] += w
-                r[s, a] += w * (
-                    spec.step_reward
-                    + (spec.goal_reward if s2 == spec.goal_cell else 0.0)
-                )
-                c[s, a] += w * (spec.hazard_cost if hazard[s2] else 0.0)
-    for arr in (p, r, c):
-        arr.setflags(write=False)
-    return p, r, c
-
-
-def policy_state_values(
-    spec: GridworldSpec, probs: np.ndarray, gamma: float, horizon: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state truncated values (v_R, v_C) under the given policy table by
-    backward induction; used as exact baselines for advantage estimation."""
-    p, r, c = gridworld_kernel(spec)
-    p_pi = np.einsum("sa,sat->st", probs, p)
-    r_pi = (probs * r).sum(axis=1)
-    c_pi = (probs * c).sum(axis=1)
-    v_r = np.zeros(spec.n_cells)
-    v_c = np.zeros(spec.n_cells)
-    for _ in range(horizon):
-        v_r = r_pi + gamma * (p_pi @ v_r)
-        v_c = c_pi + gamma * (p_pi @ v_c)
-    return v_r, v_c
-
-
-def exact_policy_eval(
-    spec: GridworldSpec, probs: np.ndarray, gamma: float, horizon: int
-) -> tuple[float, float]:
-    """Horizon-truncated (J_R, J_C) of an action-probability table from the
-    start cell, matching the Monte-Carlo estimand exactly."""
-    v_r, v_c = policy_state_values(spec, probs, gamma, horizon)
-    return float(v_r[spec.start_cell]), float(v_c[spec.start_cell])
+    others = probs.sum(axis=1, keepdims=True) - probs
+    return (1.0 - slip_prob) * probs + (slip_prob / 3.0) * others
 
 
 def default_hazard_gridworld() -> GridworldSpec:

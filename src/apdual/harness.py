@@ -82,7 +82,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cmdp import SamplingConfig
+from .cmdp import SamplingConfig, policy_state_values
 from .duals import PidGains
 from .envs import (
     GridworldSpec,
@@ -90,7 +90,7 @@ from .envs import (
     default_hazard_gridworld,
     make_gridworld,
     make_point_env,
-    policy_state_values,
+    slip_mixed_probs,
 )
 from .lagrangian import PpolConfig
 from .policy import LinearGaussian, TabularSoftmax, init_params, softmax_table
@@ -406,13 +406,14 @@ def _run_single(cfg: ExperimentConfig, seed: int) -> RunRecord:
         cmdp = make_gridworld(spec, gamma=cfg.gamma)
         theta0 = init_params(TabularSoftmax(spec.n_cells, 4))
         if cfg.solver.ppol is not None:
-            # exact tabular values for the advantage baseline
+            # exact tabular values for the advantage baseline: the grid under
+            # pi is the slip-free grid under pi mixed by the slip
             horizon = cfg.solver.sampling.horizon
+            exact = make_gridworld(replace(spec, slip_prob=0.0), gamma=cfg.gamma)
 
             def values_fn(params, batch):
-                v_r, v_c = policy_state_values(
-                    spec, softmax_table(params), cfg.gamma, horizon
-                )
+                probs = slip_mixed_probs(softmax_table(params), spec.slip_prob)
+                v_r, v_c = policy_state_values(exact, probs, horizon)
                 return np.stack([v_r, v_c], axis=1)[batch.states]
 
     else:

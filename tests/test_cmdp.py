@@ -25,6 +25,7 @@ from apdual.cmdp import (
     discount_weights,
     discounted_value,
     philox,
+    policy_state_values,
     require_finite,
     sample_trajectory,
 )
@@ -808,6 +809,50 @@ class TestStepTable:
         with pytest.raises(ValueError, match=want):
             sample_trajectory(cmdp, params, 30, 2)
 
+
+
+class TestPolicyStateValues:
+    """The exact DP on tabular CMDPs other than the grid, against closed
+    forms."""
+
+    @pytest.mark.parametrize("horizon", [1, 7, 60])
+    def test_bandit_values_are_geometric_sums(self, horizon):
+        # one cell that every action leads back to: v = (pi . r) sum_t 0.9^t
+        bandit, q = bandit_cmdp(), 0.3
+        v_r, v_c = policy_state_values(bandit, np.array([[q, 1.0 - q]]), horizon)
+        steps = (1.0 - 0.9**horizon) / (1.0 - 0.9)
+        assert v_r[0] == pytest.approx((q * 1.0 + (1.0 - q) * 3.0) * steps, rel=1e-12)
+        assert v_c[0] == pytest.approx((q * 2.0 + (1.0 - q) * 0.5) * steps, rel=1e-12)
+
+    def test_deterministic_path_values(self):
+        # action 1 in cells 0 and 1 alternates them: rows 1 and 3 pay in turn
+        cmdp = lookup_cmdp(LOOKUP_NEXT, [0.0, 1.0, 0.0, 2.0, 0.0, 0.0], [0.25] * 6)
+        probs = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        horizon = 9
+        v_r, v_c = policy_state_values(cmdp, probs, horizon)
+        pay = [1.0 if t % 2 == 0 else 2.0 for t in range(horizon)]
+        want_r = sum(GAMMA**t * x for t, x in enumerate(pay))
+        assert v_r[0] == pytest.approx(want_r, rel=1e-12)
+        assert v_r[2] == 0.0
+        assert v_c == pytest.approx(0.25 * (1.0 - GAMMA**horizon) / (1.0 - GAMMA), rel=1e-12)
+
+    def test_kernel_is_built_once_and_read_only(self):
+        cmdp = grid_cmdp(False)
+        kernel = cmdp._kernel
+        policy_state_values(cmdp, softmax_table(uniform_params(15, 4)), 5)
+        assert cmdp._kernel is kernel
+        assert not any(arr.flags.writeable for arr in kernel)
+        assert np.array_equal(kernel[0].sum(axis=2), np.ones((15, 4)))
+
+    @pytest.mark.parametrize("case", ["noisy-chain", "failing-table", "point-run"])
+    def test_no_step_table_raises(self, case):
+        cmdp = {
+            "noisy-chain": lambda: chain_cmdp(),
+            "failing-table": lambda: lookup_cmdp(LOOKUP_NEXT, [0.5] * 6, [2.0] * 6),
+            "point-run": point_run_cmdp,
+        }[case]()
+        with pytest.raises(ValueError, match="exact evaluation needs a tabular"):
+            policy_state_values(cmdp, np.full((2, 2), 0.5), 3)
 
 EDGE_KEYS = [0, (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1), (7, 10**9)]
 COUNTERS = [(0, 0, 0, 0), (0, 5, 0, 0), SHUFFLE_COUNTER, (2**64 - 1, 0, 0, 0)]

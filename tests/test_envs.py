@@ -1,14 +1,17 @@
 """Environments: worked reward/cost values, exact kernels, DP-vs-MC checks.
 
-The gridworld has two independent realizations (a sampler and an explicit
-(P, R, C) model); tests here drive both and require agreement.  The
-reward-greedy oracle is a test-local value iteration, so the claim "the
-unconstrained optimum violates the constraint" never depends on library
-solver code.
+The library's exact evaluator reads the step table that the gridworld's
+Cmdp derives from its own step function.  The ground truth here is an
+independent, hand-written (P, R, C) model of the grid (``hand_kernel``),
+with slip mixing and the absorbing goal: tests require the DP, the samplers
+and that model to agree.  The reward-greedy oracle is a test-local value
+iteration on it, so the claim "the unconstrained optimum violates the
+constraint" never depends on library solver code.
 """
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from apdual.cmdp import (
     SamplingConfig,
     batch_values,
     collect_batch,
+    policy_state_values,
     sample_trajectory,
 )
 from apdual.envs import (
@@ -27,13 +31,11 @@ from apdual.envs import (
     PointEnvConfig,
     circle_reward_cost,
     default_hazard_gridworld,
-    exact_policy_eval,
     grid_move_table,
-    gridworld_kernel,
     make_gridworld,
     make_point_env,
-    policy_state_values,
     run_reward_cost,
+    slip_mixed_probs,
 )
 from apdual.policy import (
     LinearGaussian,
@@ -434,9 +436,90 @@ def uniform_table(spec):
     return np.full((spec.n_cells, N_ACTIONS), 1.0 / N_ACTIONS)
 
 
+def hand_kernel(spec):
+    """Exact model (P, R, C) of the grid, written out by hand: P is
+    (S, A, S), R and C are the expected reward and cost per (s, a).  A move
+    goes in its own direction with probability 1 - slip_prob and in each
+    other one with slip_prob / 3; the goal is absorbing, with zero reward
+    and cost; entering a cell pays step_reward, plus goal_reward for the
+    goal, and costs hazard_cost for a hazard."""
+    s_n = spec.n_cells
+    moves = grid_move_table(spec)
+    hazard = np.zeros(s_n, dtype=bool)
+    hazard[list(spec.hazard_cells)] = True
+
+    p = np.zeros((s_n, N_ACTIONS, s_n))
+    r = np.zeros((s_n, N_ACTIONS))
+    c = np.zeros((s_n, N_ACTIONS))
+    for s in range(s_n):
+        if s == spec.goal_cell:
+            p[s, :, s] = 1.0
+            continue
+        for a in range(N_ACTIONS):
+            for eff in range(N_ACTIONS):
+                if eff == a:
+                    w = 1.0 - spec.slip_prob
+                else:
+                    w = spec.slip_prob / 3.0
+                if w == 0.0:
+                    continue
+                s2 = moves[s, eff]
+                p[s, a, s2] += w
+                r[s, a] += w * (
+                    spec.step_reward
+                    + (spec.goal_reward if s2 == spec.goal_cell else 0.0)
+                )
+                c[s, a] += w * (spec.hazard_cost if hazard[s2] else 0.0)
+    return p, r, c
+
+
+def hand_state_values(spec, probs, gamma, horizon):
+    """Backward induction on hand_kernel, in the library DP's arithmetic."""
+    p, r, c = hand_kernel(spec)
+    p_pi = np.einsum("sa,sat->st", probs, p)
+    r_pi = (probs * r).sum(axis=1)
+    c_pi = (probs * c).sum(axis=1)
+    v_r = np.zeros(spec.n_cells)
+    v_c = np.zeros(spec.n_cells)
+    for _ in range(horizon):
+        v_r = r_pi + gamma * (p_pi @ v_r)
+        v_c = c_pi + gamma * (p_pi @ v_c)
+    return v_r, v_c
+
+
+def grid_state_values(spec, probs, gamma, horizon):
+    """The library DP's (v_R, v_C) of the grid: the slip-free grid under the
+    slip-mixed policy."""
+    exact = make_gridworld(replace(spec, slip_prob=0.0), gamma=gamma)
+    return policy_state_values(exact, slip_mixed_probs(probs, spec.slip_prob), horizon)
+
+
+def start_values(spec, probs, gamma, horizon):
+    """(J_R, J_C) from the start cell by the library DP."""
+    v_r, v_c = grid_state_values(spec, probs, gamma, horizon)
+    return float(v_r[spec.start_cell]), float(v_c[spec.start_cell])
+
+
+def random_spec(rng, width, height, slip):
+    """A grid of the given size with random cells, rewards and costs."""
+    n = width * height
+    cells = rng.permutation(n)
+    return GridworldSpec(
+        width=width,
+        height=height,
+        goal_cell=int(cells[0]),
+        start_cell=int(rng.integers(n)),
+        hazard_cells=tuple(int(c) for c in cells[1 : 1 + rng.integers(n)]),
+        step_reward=float(rng.normal()),
+        goal_reward=float(rng.normal() * 50.0),
+        hazard_cost=float(rng.uniform(0.0, 5.0)),
+        slip_prob=slip,
+    )
+
+
 def greedy_reward_policy(spec, gamma, horizon):
-    """Test-local value iteration on the exact kernel, rewards only."""
-    p, r, _ = gridworld_kernel(spec)
+    """Test-local value iteration on the hand-written kernel, rewards only."""
+    p, r, _ = hand_kernel(spec)
     v = np.zeros(spec.n_cells)
     for _ in range(horizon):
         q = r + gamma * np.einsum("sat,t->sa", p, v)
@@ -561,7 +644,7 @@ class TestGridworldKernel:
         spec = GridworldSpec(
             width=4, height=3, goal_cell=11, hazard_cells=(5, 6), slip_prob=slip
         )
-        p, _, _ = gridworld_kernel(spec)
+        p, _, _ = hand_kernel(spec)
         np.testing.assert_allclose(p.sum(axis=2), 1.0, rtol=1e-12)
         assert p.min() >= 0.0
 
@@ -571,7 +654,7 @@ class TestGridworldKernel:
             width=3, height=3, goal_cell=8, hazard_cells=(4,), slip_prob=0.4
         )
         cmdp = make_gridworld(spec)
-        p, r, c = gridworld_kernel(spec)
+        p, r, c = hand_kernel(spec)
         rng = np.random.default_rng(2)
         n = 20000
         s, a = 1, 0
@@ -585,35 +668,72 @@ class TestGridworldKernel:
         assert abs(cs.mean() - c[s, a]) <= 3.0 * cs.std(ddof=1) / math.sqrt(n) + 1e-12
 
     def test_dp_matches_mc_values(self):
-        # dual-route check: exact policy evaluation vs Monte Carlo rollouts
-        spec = GridworldSpec(
-            width=4,
-            height=3,
-            start_cell=4,
-            goal_cell=7,
-            hazard_cells=(5, 6),
-            slip_prob=0.2,
-        )
-        cmdp = make_gridworld(spec, gamma=0.95)
-        params = init_params(TabularSoftmax(spec.n_cells, N_ACTIONS))
-        horizon = 20
-        want_r, want_c = exact_policy_eval(
-            spec, softmax_table(params), 0.95, horizon
-        )
-        batch = collect_batch(
-            cmdp, params, SamplingConfig(n_traj=2000, horizon=horizon), seed=3
-        )
-        vals, cvals = batch_values(batch, 0.95)
-        assert abs(vals.mean() - want_r) <= 3.0 * vals.std(ddof=1) / math.sqrt(2000)
-        assert abs(cvals.mean() - want_c) <= 3.0 * cvals.std(ddof=1) / math.sqrt(2000)
+        # dual-route check: exact policy evaluation vs Monte Carlo rollouts,
+        # on the slip-free grid and on the slippery one
+        for slip in (0.0, 0.2):
+            spec = GridworldSpec(
+                width=4,
+                height=3,
+                start_cell=4,
+                goal_cell=7,
+                hazard_cells=(5, 6),
+                slip_prob=slip,
+            )
+            cmdp = make_gridworld(spec, gamma=0.95)
+            params = init_params(TabularSoftmax(spec.n_cells, N_ACTIONS))
+            horizon = 20
+            want_r, want_c = start_values(spec, softmax_table(params), 0.95, horizon)
+            batch = collect_batch(
+                cmdp, params, SamplingConfig(n_traj=2000, horizon=horizon), seed=3
+            )
+            vals, cvals = batch_values(batch, 0.95)
+            se_r = vals.std(ddof=1) / math.sqrt(2000)
+            se_c = cvals.std(ddof=1) / math.sqrt(2000)
+            assert abs(vals.mean() - want_r) <= 3.0 * se_r, slip
+            assert abs(cvals.mean() - want_c) <= 3.0 * se_c, slip
 
-    def test_state_values_align_with_start_eval(self):
-        spec = default_hazard_gridworld()
+    @pytest.mark.parametrize("slip", [0.0, 0.2, 0.5])
+    def test_dp_equals_hand_kernel_dp(self, slip):
+        # bit for bit without slip, where both build the same one-hot kernel
+        # and sum in the same order; with slip the DP mixes the policy, not
+        # the kernel, which reorders a few roundings
+        rng = np.random.default_rng(17)
+        shapes = [(1, 1), (1, 3), (3, 1), (6, 6)]
+        shapes += [tuple(rng.integers(1, 7, size=2)) for _ in range(30)]
+        for width, height in shapes:
+            spec = random_spec(rng, int(width), int(height), slip)
+            theta = rng.normal(size=spec.n_cells * N_ACTIONS) * rng.uniform(0, 4)
+            params = init_params(TabularSoftmax(spec.n_cells, N_ACTIONS))
+            probs = softmax_table(params.replace_theta(theta))
+            gamma, horizon = float(rng.uniform(0.5, 0.999)), int(rng.integers(1, 40))
+            got = grid_state_values(spec, probs, gamma, horizon)
+            want = hand_state_values(spec, probs, gamma, horizon)
+            for g, w in zip(got, want):
+                if slip == 0.0:
+                    assert g.tobytes() == w.tobytes(), spec
+                else:
+                    scale = np.abs(w).max()
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_slip_mixing_keeps_the_policy_without_slip(self):
+        rng = np.random.default_rng(5)
+        probs = softmax_table(
+            init_params(TabularSoftmax(15, N_ACTIONS)).replace_theta(rng.normal(size=60) * 9)
+        )
+        probs[3] = np.eye(N_ACTIONS)[2]  # zeros too
+        assert slip_mixed_probs(probs, 0.0).tobytes() == probs.tobytes()
+        mixed = slip_mixed_probs(probs, 0.3)
+        np.testing.assert_allclose(mixed[3], [0.1, 0.1, 0.7, 0.1], rtol=1e-15)
+        np.testing.assert_allclose(mixed.sum(axis=1), 1.0, rtol=1e-15)
+
+    def test_dp_needs_a_step_table(self):
+        # a slippery grid draws noise and a point env is not tabular: neither
+        # has a step table, so neither has an exact DP
+        spec = replace(default_hazard_gridworld(), slip_prob=0.2)
         probs = uniform_table(spec)
-        v_r, v_c = policy_state_values(spec, probs, 0.99, 30)
-        j_r, j_c = exact_policy_eval(spec, probs, 0.99, 30)
-        assert v_r[spec.start_cell] == pytest.approx(j_r, rel=1e-12)
-        assert v_c[spec.start_cell] == pytest.approx(j_c, rel=1e-12)
+        for cmdp in (make_gridworld(spec), make_point_env("run", PointEnvConfig())):
+            with pytest.raises(ValueError, match="exact evaluation needs a tabular"):
+                policy_state_values(cmdp, probs, 10)
 
 
 class TestDefaultCorridor:
@@ -624,7 +744,7 @@ class TestDefaultCorridor:
         direct = np.zeros((spec.n_cells, N_ACTIONS))
         direct[:, 1] = 1.0
         horizon = 30
-        j_r, j_c = exact_policy_eval(spec, direct, gamma, horizon)
+        j_r, j_c = start_values(spec, direct, gamma, horizon)
         want_cost = 4.0 * (1.0 + gamma + gamma**2)
         assert j_c == pytest.approx(want_cost, rel=1e-12)
         # reward: -1 at t = 0, 1, 2 and -1 + 50 on goal entry at t = 3
@@ -637,11 +757,11 @@ class TestDefaultCorridor:
         spec = default_hazard_gridworld()
         gamma, horizon = 0.99, 30
         greedy = greedy_reward_policy(spec, gamma, horizon)
-        j_r, j_c = exact_policy_eval(spec, greedy, gamma, horizon)
+        j_r, j_c = start_values(spec, greedy, gamma, horizon)
         assert j_c > 10.0 + 1.0  # comfortably infeasible
         # and a detour policy is strictly feasible with lower return
         detour = detour_policy(spec)
-        d_r, d_c = exact_policy_eval(spec, detour, gamma, horizon)
+        d_r, d_c = start_values(spec, detour, gamma, horizon)
         assert d_c == 0.0
         assert d_r < j_r
 
@@ -649,7 +769,7 @@ class TestDefaultCorridor:
         spec = default_hazard_gridworld()
         gamma, horizon = 0.99, 30
         detour = detour_policy(spec)
-        d_r, _ = exact_policy_eval(spec, detour, gamma, horizon)
+        d_r, _ = start_values(spec, detour, gamma, horizon)
         # six steps: -1 at t = 0..4 and -1 + 50 on goal entry at t = 5
         want = -sum(gamma**t for t in range(5)) + 49.0 * gamma**5
         assert d_r == pytest.approx(want, rel=1e-12)

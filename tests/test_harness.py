@@ -24,8 +24,8 @@ import pytest
 import apdual
 from apdual import harness
 from apdual.cli import main
-from apdual.cmdp import NonFiniteError
-from apdual.envs import policy_state_values
+from apdual.cmdp import NonFiniteError, policy_state_values
+from apdual.envs import make_gridworld
 from apdual.harness import (
     CSV_COLUMNS,
     OUTPUT_ROOT_ENV,
@@ -1015,12 +1015,12 @@ class TestRunExperiment:
         )
         got = harness._run_single(cfg, 1)
         assert got.meta["algorithm"] == "ppol"
-        grid = harness.build_gridworld_spec({})
+        grid = make_gridworld(harness.build_gridworld_spec({}), gamma=0.99)
         calls = []
 
         def per_rollout(params, batch):
             calls.append(1)
-            v_r, v_c = policy_state_values(grid, softmax_table(params), 0.99, 12)
+            v_r, v_c = policy_state_values(grid, softmax_table(params), 12)
             return np.stack(
                 [np.stack([v_r[row], v_c[row]], axis=1) for row in batch.states]
             )
