@@ -65,7 +65,6 @@ from .policy import (
     policy_log_prob,
     policy_log_probs,
     policy_sample_terms,
-    policy_trajectory_scores,
     softmax_table,
 )
 from .quadprog import (

@@ -36,12 +36,15 @@ from .cmdp import (  # noqa: F401
 from .policy import (  # noqa: F401
     LinearGaussian,
     PolicyParams,
+    _block_residuals,
+    _block_score_sums,
+    _samples,
+    _tabular_score_sum,
     gaussian_block_terms,
     policy_grad_log_prob,
     policy_log_prob,
     policy_log_probs,
     policy_sample_terms,
-    policy_trajectory_scores,
     softmax_table,
 )
 
@@ -123,27 +126,44 @@ def reinforce_grad_from_batch(
     probs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Score-function estimate of grad_theta L(theta, lambda) over a
-    sampled batch.
+    sampled batch: sum_i c_i sum_t d/dtheta log pi(a_it|s_it) / n.
 
-    Each trajectory contributes (full-rollout score) x (its Lagrangian value
-    minus a leave-one-out batch mean baseline); the leave-one-out form keeps
-    the estimator exactly unbiased at finite batch size.  ``values`` is
+    Each trajectory's weight c_i is its Lagrangian value minus a
+    leave-one-out batch mean baseline; the leave-one-out form keeps the
+    estimator exactly unbiased at finite batch size.  ``values`` is
     ``batch_values(batch, gamma)`` and ``probs`` a tabular policy's
-    ``softmax_table(params)`` when the caller has them.  The n score rows
-    are weighted and added in batch order from zero, so the result equals
-    the per-trajectory ``grad += c_i * score_i`` bit for bit.
+    ``softmax_table(params)`` when the caller has them.
+
+    A tabular batch is one _tabular_score_sum over its n*H steps, each step
+    weighted by its trajectory's c_i: every count and visit weight adds
+    those weights in batch order from zero, so the result may differ in
+    its last bits from a sum of per-trajectory scores.  A Gaussian batch
+    adds each trajectory's scores in step order, then the weighted
+    trajectory sums in batch order from zero: the per-trajectory ``grad +=
+    c_i * score_i`` bit for bit.
     """
     returns, cost_vals = batch_values(batch, gamma) if values is None else values
     weights = lagrangian_values(returns, cost_vals, lam, limit)
-    n = len(batch)
+    n, t = batch.actions.shape[:2]
     if n > 1:
         baselines = (weights.sum() - weights) / (n - 1)
     else:
         baselines = np.zeros(1)
-    scores = policy_trajectory_scores(
-        params, batch.states[:, :-1], batch.actions, probs
+    c = weights - baselines
+    states, actions = _samples(
+        params,
+        batch.states[:, :t].reshape(n * t, *batch.states.shape[2:]),
+        batch.actions.reshape(n * t, *batch.actions.shape[2:]),
     )
-    return ((weights - baselines)[:, None] * scores).sum(axis=0, initial=0.0) / n
+    if isinstance(params.kind, LinearGaussian):
+        x = states.T
+        diff, log_std = _block_residuals(params, x, actions.T)
+        # C order, so that the sum over trajectories adds them in order
+        scores = np.ascontiguousarray(_block_score_sums(x, diff, log_std, None, n).T)
+        return (c[:, None] * scores).sum(axis=0, initial=0.0) / n
+    if probs is None:
+        probs = softmax_table(params)
+    return _tabular_score_sum(probs, states, actions, np.repeat(c, t)) / n
 
 
 def backward_sums(x: np.ndarray, decay: float) -> np.ndarray:

@@ -13,11 +13,14 @@ weighted score sums: it validates the samples once and computes one softmax
 table (tabular), or hands their feature-major views to gaussian_block_terms
 (Gaussian).  That kernel holds states as (F, M) and actions and residuals
 as (A, M) blocks, so each numpy call is one loop over the M samples, and
-adds each score sum in sample order without a per-sample score matrix.
+adds each score sum in sample order without a per-sample score matrix.  A
+tabular score sum is visit-weighted: counts(s, a) - visits(s) * pi(a|s),
+each count and visit weight added in sample order (_tabular_score_sum), so
+its last bits may differ from those of a sum of per-sample scores.
 policy_log_probs and the per-sample policy_grad_log_prob are calls of
 policy_sample_terms, policy_log_prob an N = 1 call of policy_log_probs;
-the PPO-Lagrangian minibatch and the Gaussian trajectory scores call the
-kernel directly.
+the PPO-Lagrangian minibatch and the batched REINFORCE gradient call the
+kernels directly.
 """
 
 from __future__ import annotations
@@ -244,14 +247,18 @@ def gaussian_block_terms(params: PolicyParams, x: np.ndarray, a: np.ndarray):
     return log_probs, score_sum
 
 
-def _tabular_score_rows(kind: TabularSoftmax, probs: np.ndarray, s, a) -> np.ndarray:
-    """(N, param_count) softmax scores, one-hot(s, a) minus probs[s] in row s."""
-    n_samples = s.shape[0]
-    rows = np.zeros((n_samples, kind.n_states, kind.n_actions))
-    idx = np.arange(n_samples)
-    rows[idx, s] -= probs[s]
-    rows[idx, s, a] += 1.0
-    return rows.reshape(n_samples, kind.param_count)
+def _tabular_score_sum(probs: np.ndarray, s, a, weights) -> np.ndarray:
+    """sum_j weights[j] * d/dtheta log pi(a_j|s_j) of tabular samples, with
+    probs the policy's (S, A) softmax table: counts - visits * probs, from
+    two weighted bincounts with no per-sample score matrix.
+
+    counts[s, a] and visits[s] each add their samples' weights in sample
+    order starting from +0.0, and each entry then takes one product and one
+    difference: an entry without samples is +0.0."""
+    n_states, n_actions = probs.shape
+    counts = np.bincount(s * n_actions + a, weights=weights, minlength=probs.size)
+    visits = np.bincount(s, weights=weights, minlength=n_states)
+    return counts - (visits[:, None] * probs).ravel()
 
 
 def _samples(params: PolicyParams, states, actions):
@@ -325,12 +332,14 @@ def policy_sample_terms(params: PolicyParams, states, actions):
     log_probs is the (N,) array log pi_theta(a_i|s_i).  ``score_sum(rows,
     weights)`` is sum_j weights[j] * d/dtheta log pi_theta(a_i|s_i) over
     i = rows[j] for an index array ``rows``, or over i = j for ``rows``
-    None, shaped like theta; the rows are added in order starting from
-    zero, so the result equals the sequential ``grad += weights[j] *
-    score_i`` bit for bit.  Both come from one validation of the samples
-    and one softmax table (tabular) or one gaussian_block_terms call on
-    feature-major views of them (Gaussian).  An action of probability zero
-    raises ValueError.
+    None, shaped like theta.  A Gaussian sum adds the rows' weighted scores
+    in order starting from zero, so it equals the sequential ``grad +=
+    weights[j] * score_i`` bit for bit.  A tabular sum is counts - visits *
+    probs (_tabular_score_sum): each (s, a) count and each state's visit
+    weight adds its rows' weights in order from zero.  Both come from one
+    validation of the samples and one softmax table (tabular) or one
+    gaussian_block_terms call on feature-major views of them (Gaussian).
+    An action of probability zero raises ValueError.
     """
     kind = params.kind
     s, a = _samples(params, states, actions)
@@ -342,12 +351,8 @@ def policy_sample_terms(params: PolicyParams, states, actions):
         raise ValueError("zero-probability action")
 
     def score_sum(rows, weights) -> np.ndarray:
-        if rows is None:
-            scores = _tabular_score_rows(kind, probs, s, a)
-        else:
-            scores = _tabular_score_rows(kind, probs, s.take(rows), a.take(rows))
-        weights = _checked_weights(weights, scores.shape[0])
-        return (weights[:, None] * scores).sum(axis=0, initial=0.0)
+        rs, ra = (s, a) if rows is None else (s.take(rows), a.take(rows))
+        return _tabular_score_sum(probs, rs, ra, _checked_weights(weights, rs.size))
 
     return np.log(p), score_sum
 
@@ -355,45 +360,6 @@ def policy_sample_terms(params: PolicyParams, states, actions):
 def policy_log_probs(params: PolicyParams, states, actions) -> np.ndarray:
     """log pi_theta(a_i|s_i) for N stacked samples, shape (N,)."""
     return policy_sample_terms(params, states, actions)[0]
-
-
-def policy_trajectory_scores(
-    params: PolicyParams, states, actions, probs: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-trajectory score sums sum_t d/dtheta log pi_theta(a_it|s_it) of
-    n stacked T-step trajectories: states (n, T[, F]) without the final
-    state, actions (n, T[, A]); shape (n, param_count).
-
-    Row i equals the score sum of ``policy_sample_terms(params, states[i],
-    actions[i])`` with unit weights, bit for bit.  Tabular rows are visit
-    counts minus visit-weighted action probabilities, from one bincount over
-    all trajectories; ``probs`` is ``softmax_table(params)`` when the caller
-    has it.
-    """
-    kind = params.kind
-    states = np.asarray(states)
-    actions = np.asarray(actions)
-    n, t = actions.shape[:2]
-    flat_states = states.reshape(n * t, *states.shape[2:])
-    flat_actions = actions.reshape(n * t, *actions.shape[2:])
-    if isinstance(kind, TabularSoftmax):
-        s, a = _samples(params, flat_states, flat_actions)
-        traj = np.repeat(np.arange(n), t)
-        counts = np.bincount(
-            traj * kind.param_count + s * kind.n_actions + a,
-            minlength=n * kind.param_count,
-        ).astype(float)
-        visits = np.bincount(
-            traj * kind.n_states + s, minlength=n * kind.n_states
-        ).astype(float)
-        if probs is None:
-            probs = softmax_table(params)
-        expected = visits.reshape(n, kind.n_states, 1) * probs
-        return counts.reshape(n, kind.param_count) - expected.reshape(n, -1)
-    x, a = _samples(params, flat_states, flat_actions)
-    diff, log_std = _block_residuals(params, x.T, a.T)
-    # C order, so that callers' sums over trajectories add them in order
-    return np.ascontiguousarray(_block_score_sums(x.T, diff, log_std, None, n).T)
 
 
 def policy_log_prob(params: PolicyParams, state, action) -> float:

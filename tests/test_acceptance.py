@@ -23,7 +23,6 @@ from apdual.policy import (
     init_params,
     policy_grad_log_prob,
     policy_log_prob,
-    policy_trajectory_scores,
     softmax_table,
 )
 from apdual.quadprog import quad_kkt_solve, quad_testbed
@@ -35,6 +34,7 @@ from apdual.solver import (
     papd_run,
     verify_bounds,
 )
+from test_lagrangian import trajectory_score
 
 SQ2 = math.sqrt(2.0)
 PID_GAINS = PidGains(0.05, 0.0005, 0.1)
@@ -240,7 +240,9 @@ def test_criterion_7_gradient_fidelity():
     returns, cost_vals = batch_values(batch, 0.9)
     weights = -returns + lam * (cost_vals - limit)
     baselines = (weights.sum() - weights) / (n - 1)
-    scores = policy_trajectory_scores(params, batch.states[:, :-1], batch.actions)
+    scores = np.stack(
+        [trajectory_score(params, s, a) for s, a in zip(batch.states, batch.actions)]
+    )
     terms = (weights - baselines)[:, None] * scores
     se = terms.std(axis=0, ddof=1) / math.sqrt(n)
     mc_ok = bool(np.all(np.abs(got - want) <= 3.0 * se + 1e-12))

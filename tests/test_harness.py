@@ -499,8 +499,12 @@ class TestWindowCostSe:
         assert entry["feasible"] is True
 
 
-# SHA-256 of record_to_csv for seed 0 of short runs of every sampled path.
+# SHA-256 of record_to_csv for seed 0 of short runs of every sampled path,
+# and of the shipped gridworld_papd config's full 4,000 iterations.
 PINNED_CSV = {
+    "gridworld-papd": (
+        "bb047012eb81dc1b811816db168427fc3b3f333cb98bbc2baf573bbbd54070f0"
+    ),
     "grid-reinforce": (
         "55b45b5b3453a13d470ed61e8b0409afb3434b4f3090ce5c538069532848a6fa"
     ),
@@ -528,6 +532,7 @@ def pinned_run_raw(name):
     del point["ppol"]
     point.update(algorithm="papd-reinforce", iterations=60)
     return {
+        "gridworld-papd": json.loads((CONFIGS / "gridworld_papd.json").read_text()),
         "grid-reinforce": grid,
         "grid-reinforce-slip": dict(grid, task_params={"slip_prob": 0.2}),
         "grid-ppol-exact-values": dict(

@@ -47,11 +47,11 @@ from apdual.policy import (
     policy_log_prob,
     policy_log_probs,
     policy_sample_terms,
-    policy_trajectory_scores,
     softmax_table,
 )
 from apdual.schedules import LrSchedule
 from apdual.solver import SolverConfig, papd_run
+from test_policy import tabular_score_sum_loop
 
 GAMMA = 0.9
 
@@ -86,11 +86,20 @@ def policy_score_sum(params, states, actions, weights):
 
 def trajectory_score(params, states, actions):
     """Reference sum of exact scores d log pi(a_t|s_t) over one rollout's
-    T + 1 states and T actions."""
+    T + 1 states and T actions: visit counts minus visit-weighted action
+    probabilities for a tabular policy, the per-step score sum in step
+    order for a Gaussian one."""
     t = len(actions)
-    return policy_trajectory_scores(
-        params, np.asarray(states[:t])[None], np.asarray(actions)[None]
-    )[0]
+    kind = params.kind
+    if isinstance(kind, TabularSoftmax):
+        states = np.asarray(states[:t], dtype=np.int64)
+        actions = np.asarray(actions, dtype=np.int64)
+        counts = np.bincount(
+            states * kind.n_actions + actions, minlength=kind.param_count
+        ).astype(float)
+        visits = np.bincount(states, minlength=kind.n_states).astype(float)
+        return counts - (visits[:, None] * softmax_table(params)).ravel()
+    return policy_score_sum(params, states[:t], actions, np.ones(t))
 
 
 def gae_advantages(rewards, values, gamma, gae_lambda):
@@ -301,24 +310,8 @@ class TestReinforceBandit:
         assert np.all(np.abs(got - want) <= 3.0 * se + 1e-12)
 
 
-def reference_score(params, states, actions):
-    """Per-rollout score: visit counts minus visit-weighted probabilities
-    for tabular policies, the per-step score sum for Gaussian ones."""
-    t = len(actions)
-    kind = params.kind
-    if isinstance(kind, TabularSoftmax):
-        states = np.asarray(states[:t], dtype=np.int64)
-        actions = np.asarray(actions, dtype=np.int64)
-        counts = np.bincount(
-            states * kind.n_actions + actions, minlength=kind.param_count
-        ).astype(float)
-        visits = np.bincount(states, minlength=kind.n_states).astype(float)
-        return counts - (visits[:, None] * softmax_table(params)).ravel()
-    return policy_score_sum(params, states[:t], actions, np.ones(t))
-
-
-def reference_reinforce_grad(batch, gamma, params, lam, limit):
-    """The estimator as a per-trajectory loop in batch order."""
+def loo_weights(batch, gamma, lam, limit):
+    """Each trajectory's Lagrangian value minus its leave-one-out baseline."""
     n = len(batch)
     weights = np.array(
         [
@@ -328,17 +321,55 @@ def reference_reinforce_grad(batch, gamma, params, lam, limit):
             for i in range(n)
         ]
     )
-    baselines = (weights.sum() - weights) / (n - 1)
+    return weights - (weights.sum() - weights) / (n - 1)
+
+
+def per_trajectory_grad(batch, gamma, params, lam, limit):
+    """The estimator as a per-trajectory loop in batch order, ``grad += c_i
+    * score_i``."""
     grad = np.zeros_like(params.theta)
-    for i in range(n):
-        score = reference_score(params, batch.states[i], batch.actions[i])
-        grad += (weights[i] - baselines[i]) * score
+    for c, states, actions in zip(
+        loo_weights(batch, gamma, lam, limit), batch.states, batch.actions
+    ):
+        grad += c * trajectory_score(params, states, actions)
+    return grad / len(batch)
+
+
+def reference_reinforce_grad(batch, gamma, params, lam, limit):
+    """The estimator in the order reinforce_grad_from_batch adds it: the
+    per-trajectory loop for a Gaussian policy; for a tabular one each
+    step's trajectory weight goes into its count and visit weight, step by
+    step in batch order, and each entry is then count - visit * p."""
+    if isinstance(params.kind, LinearGaussian):
+        return per_trajectory_grad(batch, gamma, params, lam, limit)
+    n, t = batch.actions.shape
+    grad = tabular_score_sum_loop(
+        softmax_table(params),
+        batch.states[:, :t].ravel(),
+        batch.actions.ravel(),
+        np.repeat(loo_weights(batch, gamma, lam, limit), t),
+    )
     return grad / n
 
 
+def random_tabular_batch(rng, n_states, n_actions, n, t):
+    """A RolloutBatch of uniform states and actions, and a random policy."""
+    kind = TabularSoftmax(n_states, n_actions)
+    params = PolicyParams(kind, rng.normal(size=kind.param_count) * 2.0)
+    batch = RolloutBatch(
+        rng.integers(0, n_states, size=(n, t + 1)),
+        rng.integers(0, n_actions, size=(n, t)),
+        rng.normal(size=(n, t)),
+        rng.exponential(size=(n, t)),
+    )
+    return params, batch
+
+
 class TestBatchedReinforce:
-    """The one-pass gradient over a batch equals the per-trajectory loop
-    bit for bit, for both policy kinds."""
+    """The one-pass gradient over a batch equals a loop in its own order bit
+    for bit, for both policy kinds: the per-trajectory loop (Gaussian), or
+    count and visit weights filled step by step (tabular), which is within
+    rounding of the per-trajectory formula."""
 
     @staticmethod
     def grid_batch():
@@ -372,11 +403,21 @@ class TestBatchedReinforce:
             rollouts, cmdp.gamma, params, lam, limit, values
         )
         assert np.array_equal(given, want)
-        for states, actions in zip(rollouts.states, rollouts.actions):
-            assert np.array_equal(
-                trajectory_score(params, states, actions),
-                reference_score(params, states, actions),
-            )
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_tabular_within_rounding_of_per_trajectory_formula(self, lam):
+        # the bincount order against sum_i c_i * score_i: the shipped grid
+        # (gamma 0.99, limit 10) and random batches of other shapes
+        cmdp, params, grid = self.grid_batch()
+        cases = [(params, grid, cmdp.gamma, 10.0)]
+        rng = np.random.default_rng(12)
+        for shape in [(5, 3, 16, 24), (40, 2, 8, 60), (3, 7, 2, 5)]:
+            cases.append((*random_tabular_batch(rng, *shape), GAMMA, 1.0))
+        for params, batch, gamma, limit in cases:
+            want = per_trajectory_grad(batch, gamma, params, lam, limit)
+            got = reinforce_grad_from_batch(batch, gamma, params, lam, limit)
+            tol = 1e-13 * np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
 
 class TestGae:

@@ -20,6 +20,9 @@ from apdual.policy import (
     LinearGaussian,
     PolicyParams,
     TabularSoftmax,
+    _block_residuals,
+    _block_score_sums,
+    _tabular_score_sum,
     action_cdf,
     gaussian_actor,
     gaussian_block_terms,
@@ -30,7 +33,6 @@ from apdual.policy import (
     policy_log_prob,
     policy_log_probs,
     policy_sample_terms,
-    policy_trajectory_scores,
     softmax_table,
 )
 from test_harness import CPU_VARIANTS, ON_X86_64, variant_env
@@ -43,6 +45,26 @@ def policy_score_sum(params, states, actions, weights):
     for bit."""
     _, score_sum = policy_sample_terms(params, states, actions)
     return score_sum(None, weights)
+
+
+def tabular_score_sum_loop(probs, states, actions, weights):
+    """The tabular score sum in _tabular_score_sum's order, one sample at a
+    time in Python floats: each (s, a) count and each state's visit weight
+    adds its samples' weights in sample order from +0.0, then every entry is
+    count - visit * p."""
+    n_states, n_actions = probs.shape
+    counts = [[0.0] * n_actions for _ in range(n_states)]
+    visits = [0.0] * n_states
+    for s, a, c in zip(states, actions, weights):
+        counts[s][a] += float(c)
+        visits[s] += float(c)
+    return np.array(
+        [
+            counts[s][a] - visits[s] * float(probs[s, a])
+            for s in range(n_states)
+            for a in range(n_actions)
+        ]
+    )
 
 
 def fd_grad(params, state, action, h=1e-6):
@@ -339,8 +361,16 @@ class TestBatchedForms:
         batched_score = policy_score_sum(params, states, actions, weights)
         assert batched_lp.shape == (n,)
         assert np.array_equal(batched_lp, single_lp)
-        assert np.array_equal(batched_score, single_score)
-        assert np.array_equal(batched_score, loop_score)
+        if isinstance(kind, TabularSoftmax):
+            # counts - visits * p: the per-sample sums up to rounding
+            want = tabular_score_sum_loop(softmax_table(params), states, actions, weights)
+            assert np.array_equal(batched_score, want)
+            tol = 1e-13 * np.abs(loop_score).max()
+            np.testing.assert_allclose(batched_score, single_score, rtol=0, atol=tol)
+            np.testing.assert_allclose(batched_score, loop_score, rtol=0, atol=tol)
+        else:
+            assert np.array_equal(batched_score, single_score)
+            assert np.array_equal(batched_score, loop_score)
 
     def test_empty_score_sum_is_zero(self):
         params = init_params(LinearGaussian(3, 2))
@@ -421,13 +451,13 @@ class TestGaussianBlockKernel:
             got = score_sum(rows, weights[rows])
             assert np.array_equal(got, loop_sum(rows, weights[rows]))
 
-        per_traj = policy_trajectory_scores(
-            params, states.reshape(n_traj, t, f), actions.reshape(n_traj, t, a_dim)
-        )
-        assert per_traj.flags.c_contiguous
+        # the per-trajectory sums of the REINFORCE gradient: one run of t
+        # consecutive samples per trajectory
+        diff, log_std = _block_residuals(params, states.T, actions.T)
+        per_traj = _block_score_sums(states.T, diff, log_std, None, n_traj)
         for i in range(n_traj):
             want = loop_sum(range(i * t, (i + 1) * t), np.ones(t))
-            assert np.array_equal(per_traj[i], want), i
+            assert np.array_equal(per_traj[:, i], want), i
 
     def test_empty_block_gives_zeros(self):
         params = init_params(LinearGaussian(4, 2))
@@ -454,6 +484,66 @@ class TestGaussianBlockKernel:
         _, score_sum = gaussian_block_terms(params, np.zeros((3, 5)), np.zeros((2, 5)))
         with pytest.raises(ValueError):
             score_sum(None, np.ones(4))
+
+
+# policy_grad_log_prob of TabularSoftmax(3, 4) at theta = 2 N(0, I) drawn
+# from default_rng(31): row s of each (s, a) score, pinned from per-sample
+# score rows, the form before the bincount kernel.  Every other entry is +0.0.
+PINNED_SINGLE_SCORES = {
+    (0, 0): (
+        0.9198593842577858, -0.29953016660788434,
+        -0.5950478980765567, -0.025281319573344826,
+    ),
+    (1, 3): (
+        -0.36215883215453015, -0.12991373012255983,
+        -0.3734238544232375, 0.8654964167003276,
+    ),
+    (2, 1): (
+        -0.18135205453307518, 0.9972792401819378,
+        -0.6193208109349244, -0.19660637471393816,
+    ),
+}
+
+
+class TestTabularScoreSum:
+    """The bincount kernel against a per-sample loop in its own order, bit
+    for bit, directly and through policy_sample_terms' score sum."""
+
+    @pytest.mark.parametrize("case", ["all", "subset", "zero_weights", "no_rows"])
+    def test_equals_sample_loop(self, case):
+        rng = np.random.default_rng(40)
+        kind = TabularSoftmax(6, 5)
+        params = PolicyParams(kind, rng.normal(size=kind.param_count) * 2.0)
+        n = 300
+        states = rng.integers(0, 5, size=n)  # state 5 is never visited
+        actions = rng.integers(0, 5, size=n)
+        weights = rng.normal(size=n) * 10.0
+        rows = {"subset": rng.permutation(n)[:100], "no_rows": np.arange(0)}.get(case)
+        if case == "zero_weights":
+            weights[:] = 0.0
+            weights[::2] = -0.0
+        idx = np.arange(n) if rows is None else rows
+        s, a, w = states[idx], actions[idx], weights[idx]
+        probs = softmax_table(params)
+        want = tabular_score_sum_loop(probs, s, a, w)
+        _, score_sum = policy_sample_terms(params, states, actions)
+        for got in (score_sum(rows, w), _tabular_score_sum(probs, s, a, w)):
+            assert np.array_equal(got, want)
+            assert not np.signbit(got[25:]).any()  # the unvisited state
+            if case in ("zero_weights", "no_rows"):
+                assert np.array_equal(got, np.zeros(30)) and not np.signbit(got).any()
+
+    @pytest.mark.parametrize("s, a", list(PINNED_SINGLE_SCORES))
+    def test_single_sample_equals_pinned_score(self, s, a):
+        params = PolicyParams(
+            TabularSoftmax(3, 4), np.random.default_rng(31).normal(size=12) * 2.0
+        )
+        want = np.zeros(12)
+        want[4 * s : 4 * s + 4] = PINNED_SINGLE_SCORES[s, a]
+        got = policy_grad_log_prob(params, s, a)
+        assert np.array_equal(got, want) and not np.signbit(got[want == 0.0]).any()
+        direct = _tabular_score_sum(softmax_table(params), np.array([s]), np.array([a]), [1.0])
+        assert np.array_equal(direct, want)
 
 
 # The kernel's log-probs of an A = 3 block against the row-major formula:
